@@ -286,6 +286,10 @@ module Acyclic = struct
     check g v;
     List.sort compare g.in_.(v)
 
+  let iter_succ g u f =
+    check g u;
+    List.iter f g.out_.(u)
+
   let in_degree g v =
     check g v;
     List.length g.in_.(v)
@@ -340,6 +344,18 @@ module Acyclic = struct
     let bound = mark_sources g ep ~excluding ~target (-1) sources in
     bound = max_int
     || (bound >= g.ord.(target) && dfs g ep bound target)
+
+  let closes_cycle_any_of g ~excluding ~lists ~base ~pick ~target =
+    check g target;
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let bound = ref (-1) and j = ref 0 in
+    while !bound <> max_int && !j < Array.length pick do
+      bound :=
+        mark_sources g ep ~excluding ~target !bound lists.(base + pick.(!j));
+      incr j
+    done;
+    !bound = max_int || (!bound >= g.ord.(target) && dfs g ep !bound target)
 
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 

@@ -96,6 +96,11 @@ module Acyclic : sig
   val pred : t -> int -> int list
   (** Predecessors in increasing vertex order (stored, O(degree)). *)
 
+  val iter_succ : t -> int -> (int -> unit) -> unit
+  (** [iter_succ g u f] applies [f] to every successor of [u], in no
+      particular order. Unlike {!succ} it neither sorts nor builds a list:
+      nothing is allocated. [f] must not modify [g]. *)
+
   val in_degree : t -> int -> int
   (** Number of predecessors, without materialising them. *)
 
@@ -124,6 +129,20 @@ module Acyclic : sig
       having to build a filtered list (the SGT scheduler passes a
       variable's accessor list, which may include the requester). Pure
       query: the graph is never modified, and nothing is allocated. *)
+
+  val closes_cycle_any_of :
+    t ->
+    excluding:int ->
+    lists:int list array ->
+    base:int ->
+    pick:int array ->
+    target:int ->
+    bool
+  (** {!closes_cycle_any} where [sources] is the union of the lists
+      [lists.(base + c)] for [c] in [pick], read in place: a request whose
+      conflicting accessors are spread over several lists is tested
+      without building their union. [excluding] drops one vertex from the
+      sources ([-1] drops none). Pure query; nothing is allocated. *)
 
   val remove_edge : t -> int -> int -> unit
 

@@ -43,10 +43,14 @@ type t =
           graph searches only; cached re-verdicts emit {!Delayed} via
           the driver) *)
   | Commute_pass of { tx : int; idx : int; skipped : int }
-      (** the semantic scheduler granted a step although [skipped]
-          earlier same-variable accesses of other transactions were on
-          the books — every one of them commutes with the step's op, so
-          no conflict edge (and no coordination) was needed *)
+      (** the semantic scheduler granted a step without serializing
+          against [skipped] other transactions that had live accesses to
+          the same variable — every such access commutes with the
+          step's op, so no conflict edge (and no coordination) was
+          needed. [skipped] counts distinct transactions, however many
+          commuting accesses each has; a transaction with any access
+          that conflicts with the step is serialized against, not
+          counted. *)
   | Lock_acquired of { tx : int; lock : string }
   | Lock_released of { tx : int; lock : string }
   | Wound of { victim : int }

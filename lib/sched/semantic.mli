@@ -3,9 +3,10 @@ open Core
 (** The commutativity-aware semantic scheduler: incremental SGT over
     the {!Commute}-filtered conflict relation.
 
-    Same machinery as {!Sgt} — incremental conflict graph on
+    Same {!Cgraph} kernel as {!Sgt} — incremental conflict graph on
     {!Digraph.Acyclic}, version-stamped delay cache, source pruning —
-    but a prior access of another transaction only becomes a conflict
+    with the steps' ops compiled into conflict classes: a prior access
+    of another transaction only becomes a conflict
     edge (or a cycle-query source) when its op does {e not} commute
     with the requested step's per {!Commute.conflicts}. Two increments
     of the same counter, two bag inserts, two monotone maxes, or two
@@ -21,9 +22,9 @@ open Core
     differentially: topological orders of the filtered graph preserve
     the layered commutative normal form).
 
-    With a sink, grants that skipped over live same-variable accesses
-    because every one commuted emit {!Obs.Event.Commute_pass} — the
-    measured coordination saving. *)
+    With a sink, grants that passed over other transactions' live
+    same-variable accesses because every one commuted emit
+    {!Obs.Event.Commute_pass} — the measured coordination saving. *)
 
 val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
 (** Constructor shape per the convention in {!Scheduler}; events as in

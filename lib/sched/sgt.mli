@@ -15,9 +15,10 @@ open Core
     {!Digraph.Acyclic} (Pearce–Kelly dynamic topological order): the
     admission test is a single reachability query bounded by the
     affected window of the order, commits extend the graph in place, and
-    pruning/aborts remove a vertex without a rebuild. {!Sgt_ref} keeps
-    the original copy-and-recheck implementation as the differential
-    oracle. *)
+    pruning/aborts remove a vertex without a rebuild. The machinery is
+    the shared {!Cgraph} kernel with every step in its one
+    conflicts-with-everything class. {!Sgt_ref} keeps the original
+    copy-and-recheck implementation as the differential oracle. *)
 
 val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
 (** With a [sink], admitted conflict edges emit

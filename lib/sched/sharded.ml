@@ -21,23 +21,31 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
             !acc
           end)
   in
-  (* Per-shard replicas of the {!Sgt} state, over shard-local ids:
-     accessor history per shard-local variable, activity flags, the
-     incremental conflict graph, and the removal version stamp backing
-     the delay cache. *)
-  let history =
-    Array.init shards (fun s -> Array.make (max 1 p.Partition.n_lvars.(s)) [])
-  in
-  let active =
+  (* One {!Cgraph} kernel per shard, over shard-local ids. Only
+     single-shard transactions are prunable: for them a zero in-degree in
+     the home shard is a zero global in-degree, exactly the {!Sgt}
+     argument. A cross-shard transaction's shard-local in-degree says
+     nothing about its edges elsewhere, and dropping its accessor entries
+     would lose summary paths. Its footprint in a shard is its steps
+     there. *)
+  let lvars = p.Partition.lvar_of_step in
+  let kernel =
     Array.init shards (fun s ->
-        Array.make (Array.length p.Partition.members.(s)) false)
+        let mem = p.Partition.members.(s) in
+        let in_shard g j _ = p.Partition.shard_of_step.(g).(j) = s in
+        let footprint =
+          Array.map
+            (fun g ->
+              if not p.Partition.cross.(g) then lvars.(g)
+              else Array.of_list (List.filteri (in_shard g) (Array.to_list lvars.(g))))
+            mem
+        in
+        Cgraph.create ~sink ~ids:mem ~footprint
+          ~prunable:(fun l -> not p.Partition.cross.(mem.(l)))
+          ~n_vars:(max 1 p.Partition.n_lvars.(s))
+          ~var_of_step:(Array.map (fun g -> lvars.(g)) mem)
+          ())
   in
-  let graph =
-    Array.init shards (fun s ->
-        Digraph.Acyclic.create (Array.length p.Partition.members.(s)))
-  in
-  let version = Array.make shards 0 in
-  let completed = Array.make n false in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an
      all-single-shard workload nothing below ever touches it. *)
@@ -60,54 +68,43 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         done;
         Array.of_list !acc)
   in
-  (* Delay cache, as in {!Sgt} but keyed on both the step's shard
-     version and the coordinator version: a Delay verdict stays valid
-     until a removal in the owning shard (abort or prune there) or a
-     coordinator removal (abort of a cross transaction) — the only
-     events that can shrink the graphs a refusal was computed on. *)
-  let blocked_idx = Array.make n (-1) in
-  let blocked_sv = Array.make n (-1) in
+  (* Delay cache: the owning shard's kernel keys a Delay verdict on its
+     removal version, and [blocked_cv] adds the coordinator version. The
+     verdict stays valid until a removal in that shard (abort or prune
+     there) or a coordinator removal (abort of a cross transaction) — the
+     only events that can shrink the graphs it was computed on. *)
   let blocked_cv = Array.make n (-1) in
-  (* Candidate summary edges of granting step (tx, idx) in shard [s]:
-     the new intra-shard edges are [u -> l] for prior accessors [u], so
-     every new intra-shard path runs [a ~> u -> l ~> b]. Sources A are
-     the cross transactions of [s] reaching some accessor (tx itself
-     excluded: its only new paths are self-loops through [l]); targets B
-     are the cross transactions reachable from [l], plus tx itself when
-     cross. Both reachability queries reuse [closes_cycle_any] as a
-     pure multi-source reachability test. *)
-  let summary_candidates s l lv tx =
-    let srcs = history.(s).(lv) in
-    if srcs = [] then ([], [])
-    else begin
-      let a = ref [] and b = ref [] in
-      Array.iter
-        (fun (lc, cc, g) ->
-          if g <> tx && active.(s).(lc) then begin
-            if
-              Digraph.Acyclic.closes_cycle_any ~excluding:l graph.(s)
-                ~sources:srcs ~target:lc
-            then a := cc :: !a;
-            if
-              Digraph.Acyclic.closes_cycle_any graph.(s) ~sources:[ lc ]
-                ~target:l
-            then b := cc :: !b
-          end)
-        cross_in_shard.(s);
-      if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b;
-      (!a, !b)
-    end
+  (* Candidate summary edges of granting step (tx, idx), shard-local [l]
+     in shard [s]: the new intra-shard edges are [u -> l] for prior
+     accessors [u], so every new intra-shard path runs [a ~> u -> l ~> b].
+     Sources A are the cross transactions of [s] reaching some accessor
+     (tx itself excluded: its only new paths are self-loops through [l]);
+     targets B are the cross transactions reachable from [l], plus tx
+     itself when cross. *)
+  let summary_candidates s l idx tx =
+    let k = kernel.(s) in
+    let a = ref [] and b = ref [] in
+    Array.iter
+      (fun (lc, cc, g) ->
+        if g <> tx && Cgraph.live k lc then begin
+          if Cgraph.reaches_sources k l idx ~from:lc then a := cc :: !a;
+          if Digraph.Acyclic.closes_cycle (Cgraph.graph k) lc l then
+            b := cc :: !b
+        end)
+      cross_in_shard.(s);
+    if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b;
+    (!a, !b)
   in
   (* Would adding every candidate edge close a cycle in the summary
      graph? Tested per target over the common source set A: a cycle
      through several candidate edges still has some target with an
      existing-edge path to a source in A, so per-target queries cover
      the whole batch. *)
-  let summary_refused s l lv tx =
+  let summary_refused s l idx tx =
     match cgraph with
     | None -> false
     | Some cg -> (
-      match summary_candidates s l lv tx with
+      match summary_candidates s l idx tx with
       | [], _ | _, [] -> false
       | aa, bb ->
         List.exists
@@ -120,23 +117,15 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
     let s = p.Partition.shard_of_step.(tx).(idx) in
-    if
-      blocked_idx.(tx) = idx
-      && blocked_sv.(tx) = version.(s)
-      && blocked_cv.(tx) = !cversion
-    then Scheduler.Delay
+    let k = kernel.(s) in
+    let l = p.Partition.local_id.(s).(tx) in
+    if Cgraph.cached k l idx && blocked_cv.(tx) = !cversion then
+      Scheduler.Delay
     else begin
-      let l = p.Partition.local_id.(s).(tx) in
-      let lv = p.Partition.lvar_of_step.(tx).(idx) in
       if Obs.Sink.on sink then
         Obs.Sink.record sink (Obs.Event.Shard_routed { tx; idx; shard = s });
-      if
-        Digraph.Acyclic.closes_cycle_any ~excluding:l graph.(s)
-          ~sources:history.(s).(lv) ~target:l
-        || summary_refused s l lv tx
-      then begin
-        blocked_idx.(tx) <- idx;
-        blocked_sv.(tx) <- version.(s);
+      if Cgraph.refuses k l idx || summary_refused s l idx tx then begin
+        Cgraph.block k l idx;
         blocked_cv.(tx) <- !cversion;
         if Obs.Sink.on sink then
           Obs.Sink.record sink (Obs.Event.Cycle_refused { tx; idx });
@@ -155,96 +144,29 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
       end
     end
   in
-  let forget s l =
-    version.(s) <- version.(s) + 1;
-    let h = history.(s) in
-    for v = 0 to Array.length h - 1 do
-      if List.memq l h.(v) then h.(v) <- List.filter (fun u -> u <> l) h.(v)
-    done;
-    active.(s).(l) <- false;
-    Digraph.Acyclic.remove_vertex graph.(s) l
-  in
-  (* Shard-local pruning, restricted to single-shard transactions: for
-     them a zero in-degree in the home shard is a zero global in-degree,
-     and a completed transaction never gains incoming edges, so they are
-     sources forever — exactly the {!Sgt} argument. A cross-shard
-     transaction is never pruned: its shard-local in-degree says nothing
-     about its edges elsewhere, and dropping its history entries would
-     lose summary paths. Cascades stay inside the shard (removed edges
-     are intra-shard). *)
-  let rec prune s =
-    let mem = p.Partition.members.(s) in
-    let ns = Array.length mem in
-    let victim = ref (-1) in
-    let l = ref 0 in
-    while !victim < 0 && !l < ns do
-      let g = mem.(!l) in
-      if
-        completed.(g)
-        && (not p.Partition.cross.(g))
-        && active.(s).(!l)
-        && Digraph.Acyclic.in_degree graph.(s) !l = 0
-      then victim := !l;
-      incr l
-    done;
-    if !victim >= 0 then begin
-      forget s !victim;
-      prune s
-    end
-  in
-  let add_shard_edges s tx l srcs =
-    List.iter
-      (fun u ->
-        if u <> l then begin
-          match Digraph.Acyclic.add_edge_acyclic graph.(s) u l with
-          | Ok () ->
-            if Obs.Sink.on sink then
-              Obs.Sink.record sink
-                (Obs.Event.Edge_added
-                   { src = p.Partition.members.(s).(u); dst = tx })
-          | Error _ ->
-            (* [attempt] vetted the whole batch; an edge cannot fail *)
-            assert false
-        end)
-      srcs
-  in
   let commit (id : Names.step_id) =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
     let s = p.Partition.shard_of_step.(tx).(idx) in
     let l = p.Partition.local_id.(s).(tx) in
-    let lv = p.Partition.lvar_of_step.(tx).(idx) in
     (* discover summary edges against the pre-extension graph: the new
        paths are exactly A x B, and [attempt] vetted them against the
-       summary graph, so insertion cannot fail *)
+       summary graph *)
     (match cgraph with
     | None -> ()
     | Some cg ->
-      let aa, bb = summary_candidates s l lv tx in
+      let aa, bb = summary_candidates s l idx tx in
       List.iter
         (fun a ->
-          List.iter
-            (fun b ->
-              if a <> b then
-                match Digraph.Acyclic.add_edge_acyclic cg a b with
-                | Ok () -> ()
-                | Error _ -> assert false)
-            bb)
+          List.iter (fun b -> if a <> b then Cgraph.add_vetted cg a b) bb)
         aa);
-    add_shard_edges s tx l history.(s).(lv);
-    if not (List.memq l history.(s).(lv)) then
-      history.(s).(lv) <- l :: history.(s).(lv);
-    active.(s).(l) <- true;
-    if idx = fmt.(tx) - 1 then begin
-      completed.(tx) <- true;
-      prune s
-    end
+    Cgraph.grant kernel.(s) l idx;
+    if idx = fmt.(tx) - 1 then Cgraph.complete kernel.(s) l
   in
   let on_abort tx =
-    completed.(tx) <- false;
     for s = 0 to shards - 1 do
       let l = p.Partition.local_id.(s).(tx) in
-      if l >= 0 then forget s l
+      if l >= 0 then Cgraph.abort kernel.(s) l
     done;
     match cgraph with
     | None -> ()

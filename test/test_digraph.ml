@@ -198,7 +198,18 @@ let test_acyclic_batch_query () =
      {3 -> 0} batched with anything is fine too since 3 unreachable *)
   check_false "batch ok" (A.closes_cycle_any g ~sources:[ 0; 2 ] ~target:3);
   check_true "batch cycle" (A.closes_cycle_any g ~sources:[ 3; 2 ] ~target:0);
-  check_true "self in batch" (A.closes_cycle_any g ~sources:[ 0 ] ~target:0)
+  check_true "self in batch" (A.closes_cycle_any g ~sources:[ 0 ] ~target:0);
+  (* the same queries with the sources spread over several lists *)
+  let lists = [| [ 0 ]; [ 3 ]; [ 2 ] |] in
+  check_false "union ok"
+    (A.closes_cycle_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 0; 2 |]
+       ~target:3);
+  check_true "union cycle"
+    (A.closes_cycle_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 1; 2 |]
+       ~target:0);
+  check_false "excluded source"
+    (A.closes_cycle_any_of g ~excluding:2 ~lists ~base:1 ~pick:[| 1 |]
+       ~target:0)
 
 (* Differential property: a random op sequence on the incremental
    structure mirrors exactly onto the plain digraph — same accepted edge
@@ -237,6 +248,14 @@ let prop_acyclic_matches_plain =
         let pos = Array.make n 0 in
         Array.iteri (fun i u -> pos.(u) <- i) order;
         List.for_all (fun (u, v) -> pos.(u) < pos.(v)) (A.edges a)
+      in
+      let iter_succ_ok () =
+        List.for_all
+          (fun u ->
+            let seen = ref [] in
+            A.iter_succ a u (fun v -> seen := v :: !seen);
+            List.sort compare !seen = A.succ a u)
+          (List.init n Fun.id)
       in
       let witness_ok u v = function
         | [] -> false
@@ -277,7 +296,7 @@ let prop_acyclic_matches_plain =
             true)
           && A.edges a = Digraph.edges p
           && A.n_edges a = Digraph.n_edges p
-          && order_ok ())
+          && order_ok () && iter_succ_ok ())
         ops)
 
 let suite =

@@ -453,14 +453,49 @@ let test_checker_incomplete_on_observed_counters () =
   | _ ->
     Alcotest.fail "rw projection of an observed counter crossing accepted"
 
+(* ---------- Commute_pass counts transactions ---------- *)
+
+let test_commute_pass_counts_transactions () =
+  (* [skipped] is the number of distinct other transactions a grant did
+     not serialize against. T0's bump and debit of x commute with T1's
+     bump: one transaction passed over, not two accesses. T0's read of x
+     conflicts with it: T1 serializes after T0, so nothing is passed
+     over even though T0's bump commutes. *)
+  let passes syntax arrivals =
+    let c = Obs.Sink.Memory.create () in
+    let sink = Obs.Sink.Memory.sink c in
+    ignore
+      (Sched.Driver.run
+         (Sched.Semantic.create ~sink ~syntax ())
+         ~fmt:(Syntax.format syntax) ~arrivals);
+    List.filter_map
+      (function
+        | _, Obs.Event.Commute_pass { tx; skipped; _ } -> Some (tx, skipped)
+        | _ -> None)
+      (Obs.Sink.Memory.events c)
+  in
+  let t0 second =
+    Syntax.make_typed
+      [|
+        [| (Op.Incr, "x"); (second, "x"); (Op.Incr, "y") |];
+        [| (Op.Incr, "x") |];
+      |]
+  in
+  check_true "bump and debit pass as one transaction"
+    (passes (t0 Op.Decr) [| 0; 0; 1; 0 |] = [ (1, 1) ]);
+  check_true "a conflicting access is no pass"
+    (passes (t0 Op.Read) [| 0; 0; 1; 0 |] = [])
+
 (* ---------- randomized typed sweep ---------- *)
 
 let prop_typed_random =
-  (* seeded counter workloads: the semantic engine never delays less
-     than... rather, never delays more than SGT, and everything it
-     outputs stays in SR *)
-  QCheck.Test.make ~count:20
-    ~name:"semantic sound and no worse than SGT on counter mixes"
+  (* seeded counter workloads: everything the semantic engine outputs
+     stays in SR. It does not always delay less than SGT on one stream:
+     admitting a commuting order changes which later requests conflict,
+     and on some streams that costs delays or a restart SGT does not pay
+     (a 4x3 counter mix: 17 delays and 3 restarts against 12 and 2), so
+     that comparison is no property of single streams *)
+  QCheck.Test.make ~count:20 ~name:"semantic sound on counter mixes"
     QCheck.(make Gen.int)
     (fun seed ->
       let st = Random.State.make [| 0x5e44; seed |] in
@@ -479,16 +514,7 @@ let prop_typed_random =
             (Sched.Semantic.create ~syntax ())
             ~fmt ~arrivals:(Array.copy arrivals)
         in
-        let sgt =
-          Sched.Driver.run
-            (Sched.Sgt.create ~syntax ())
-            ~fmt ~arrivals:(Array.copy arrivals)
-        in
-        ok :=
-          !ok
-          && sem.Sched.Driver.delays <= sgt.Sched.Driver.delays
-          && sem.Sched.Driver.restarts <= sgt.Sched.Driver.restarts
-          && Herbrand.serializable syntax sem.Sched.Driver.output
+        ok := !ok && Herbrand.serializable syntax sem.Sched.Driver.output
       done;
       !ok)
 
@@ -515,5 +541,7 @@ let suite =
       test_checker_accepts_semantic_commits;
     Alcotest.test_case "checker sound-but-incomplete pin" `Quick
       test_checker_incomplete_on_observed_counters;
+    Alcotest.test_case "commute pass counts transactions" `Quick
+      test_commute_pass_counts_transactions;
   ]
   @ qsuite [ prop_typed_random ]

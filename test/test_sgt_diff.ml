@@ -174,6 +174,176 @@ let prop_random_large =
       done;
       !ok)
 
+(* ---------- the conflict-graph kernel ---------- *)
+
+module Cg = Sched.Cgraph
+
+(* Every kernel-backed engine against the oracle on one arrival stream:
+   same decisions, same stats, same per-transaction abort counts. Returns
+   the oracle's restart count. *)
+let check_engines syntax arrivals =
+  let fmt = Syntax.format syntax in
+  let run mk =
+    let t = ref [] in
+    let s =
+      Sched.Driver.run (traced t (mk ())) ~fmt ~arrivals:(Array.copy arrivals)
+    in
+    (!t, s)
+  in
+  let t_ref, s_ref = run (fun () -> Sched.Sgt_ref.create ~syntax) in
+  List.iter
+    (fun (name, mk) ->
+      let t, s = run mk in
+      check_true (name ^ " = SGT-ref decisions") (t = t_ref);
+      check_true (name ^ " = SGT-ref stats") (same_stats s s_ref);
+      check_true (name ^ " = SGT-ref aborts")
+        (s.Sched.Driver.aborts = s_ref.Sched.Driver.aborts))
+    [
+      ("SGT", fun () -> Sched.Sgt.create ~syntax ());
+      ("semantic", fun () -> Sched.Semantic.create ~syntax ());
+      ("sharded K=1", fun () -> Sched.Sharded.create ~shards:1 ~syntax ());
+    ];
+  s_ref.Sched.Driver.restarts
+
+let test_abort_frees_completed () =
+  (* T0 = [x; y], T1 = [x], T2 = [z]. T1 completes behind T0's edge, so
+     it is not a source and stays; T0's abort frees it, but only the next
+     completion (T2's) prunes it *)
+  let g =
+    Cg.create ~n_vars:3 ~var_of_step:[| [| 0; 1 |]; [| 0 |]; [| 2 |] |] ()
+  in
+  Cg.grant g 0 0;
+  Cg.grant g 1 0;
+  Cg.complete g 1;
+  check_true "T1 held by T0's edge" (Cg.live g 1);
+  check_int "nothing removed yet" 0 (Cg.version g);
+  Cg.abort g 0;
+  check_true "freed T1 waits for a completion" (Cg.live g 1);
+  check_int "the abort is one removal" 1 (Cg.version g);
+  Cg.grant g 2 0;
+  Cg.complete g 2;
+  check_false "the next completion prunes T1" (Cg.live g 1 || Cg.live g 2);
+  check_int "T1 and T2 pruned" 3 (Cg.version g);
+  (* the same shape under the driver: T0 completes behind T1's y edge,
+     T1's x is refused, the stall aborts T1, and T0 is pruned only when
+     T1's second incarnation completes *)
+  let syntax = Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ] in
+  check_int "one stall abort" 1 (check_engines syntax [| 0; 1; 0; 1 |])
+
+let test_abort_heavy_corpus () =
+  (* hot-spot mixes over three variables: most streams stall and abort,
+     which is where removal does its work *)
+  let restarts = ref 0 in
+  for seed = 0 to 59 do
+    let st = Random.State.make [| 0xAB07; seed |] in
+    let n = 6 + Random.State.int st 6 in
+    let m = 3 + Random.State.int st 4 in
+    let syntax = Sim.Workload.hotspot st ~n ~m ~n_vars:3 ~theta:0.7 in
+    for _ = 1 to 2 do
+      let arrivals = Combin.Interleave.random st (Syntax.format syntax) in
+      restarts := !restarts + check_engines syntax arrivals
+    done
+  done;
+  (* 889 on these seeds *)
+  check_true "the corpus is abort-heavy" (!restarts >= 800)
+
+(* The kernel against a brute-force model of the removal it replaced:
+   (transaction, op) entries per variable, a plain digraph, and a full
+   scan for prunable vertices after every completion. After every random
+   grant, refusal or abort the live set, the edge set and [version] must
+   agree. Odd seeds carry typed ops, which checks the compiled conflict
+   classes against [Commute.conflicts] as well. *)
+let test_cgraph_model () =
+  let typed_ops = [| Op.Read; Op.Incr; Op.Decr; Op.Update; Op.Max |] in
+  for seed = 0 to 199 do
+    let st = rng seed in
+    let n = 2 + Random.State.int st 5 in
+    let n_vars = 1 + Random.State.int st 3 in
+    let typed = seed mod 2 = 1 in
+    let len = Array.init n (fun _ -> 1 + Random.State.int st 3) in
+    let var_of_step =
+      Array.map (fun m -> Array.init m (fun _ -> Random.State.int st n_vars)) len
+    in
+    let ops =
+      Array.map
+        (fun m ->
+          Array.init m (fun _ ->
+              if typed then
+                typed_ops.(Random.State.int st (Array.length typed_ops))
+              else Op.Update))
+        len
+    in
+    let g =
+      if typed then
+        Cg.create ~op_of_step:(fun l j -> ops.(l).(j)) ~n_vars ~var_of_step ()
+      else Cg.create ~n_vars ~var_of_step ()
+    in
+    let acc = Array.make n_vars [] in
+    let edges = Digraph.create n in
+    let live = Array.make n false and completed = Array.make n false in
+    let version = ref 0 and pos = Array.make n 0 in
+    let forget i =
+      incr version;
+      Array.iteri
+        (fun v es -> acc.(v) <- List.filter (fun (u, _) -> u <> i) es)
+        acc;
+      live.(i) <- false;
+      List.iter (fun v -> Digraph.remove_edge edges i v) (Digraph.succ edges i);
+      List.iter (fun u -> Digraph.remove_edge edges u i) (Digraph.pred edges i)
+    in
+    let rec prune () =
+      let victim = ref (-1) in
+      for i = n - 1 downto 0 do
+        if completed.(i) && live.(i) && Digraph.pred edges i = [] then
+          victim := i
+      done;
+      if !victim >= 0 then begin
+        forget !victim;
+        prune ()
+      end
+    in
+    for _ = 1 to 60 do
+      let i = Random.State.int st n in
+      let j = pos.(i) in
+      if j < len.(i) then
+        if Random.State.int st 5 = 0 then begin
+          Cg.abort g i;
+          forget i;
+          pos.(i) <- 0
+        end
+        else begin
+          let v = var_of_step.(i).(j) and op = ops.(i).(j) in
+          let srcs =
+            List.filter_map
+              (fun (u, o) ->
+                if u <> i && Commute.conflicts o op then Some u else None)
+              acc.(v)
+          in
+          let probe = Digraph.copy edges in
+          List.iter (fun u -> Digraph.add_edge probe u i) srcs;
+          let refused = Digraph.has_cycle probe in
+          check_true "admission" (Cg.refuses g i j = refused);
+          if not refused then begin
+            Cg.grant g i j;
+            List.iter (fun u -> Digraph.add_edge edges u i) srcs;
+            if not (List.mem (i, op) acc.(v)) then acc.(v) <- (i, op) :: acc.(v);
+            live.(i) <- true;
+            pos.(i) <- j + 1;
+            if j + 1 = len.(i) then begin
+              Cg.complete g i;
+              completed.(i) <- true;
+              prune ()
+            end
+          end
+        end;
+      check_int "version" !version (Cg.version g);
+      check_true "live set"
+        (List.for_all (fun i -> Cg.live g i = live.(i)) (List.init n Fun.id));
+      check_true "edge set"
+        (Digraph.Acyclic.edges (Cg.graph g) = Digraph.edges edges)
+    done
+  done
+
 (* ---------- DES vs Driver ---------- *)
 
 (* instantaneous arrivals in index order + scheduling that dominates
@@ -328,6 +498,12 @@ let suite =
     Alcotest.test_case "fixpoint sets agree" `Quick test_fixpoint_sets_agree;
     Alcotest.test_case "repeated-access regression" `Quick
       test_repeated_access_regression;
+    Alcotest.test_case "kernel: an abort frees a completed transaction"
+      `Quick test_abort_frees_completed;
+    Alcotest.test_case "kernel engines = SGT-ref on an abort-heavy corpus"
+      `Quick test_abort_heavy_corpus;
+    Alcotest.test_case "kernel = full-scan prune model" `Quick
+      test_cgraph_model;
     Alcotest.test_case "DES vs driver corpus" `Quick test_des_driver_corpus;
     Alcotest.test_case "DES vs driver sweep" `Slow test_des_driver_sweep;
     Alcotest.test_case "intq basics" `Quick test_intq;
