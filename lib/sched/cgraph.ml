@@ -2,29 +2,18 @@ open Core
 
 (* Commute compiled to classes. Ops with the same row of the table commute
    with exactly the same ops, so one representative decides every
-   conflict of its class. [op_class] numbers the classes over [Op.all]
-   once, indexed by the op's one-letter code; [compile] renumbers the
-   ones a syntax uses by first use, so a syntax that uses one class pays
-   for one. *)
-let op_class =
-  let row o = List.map (Commute.commutes o) Op.all in
-  let t = Array.make 256 0 in
-  List.iter
-    (fun o ->
-      t.(Char.code (Op.to_char o)) <-
-        Option.get (List.find_index (fun o' -> row o' = row o) Op.all))
-    Op.all;
-  t
+   conflict of its class. Classes are numbered by first use, so a syntax
+   that uses one class pays for one. *)
+let row o = List.map (Commute.commutes o) Op.all
 
 let compile var_of_step op_of_step =
-  let dense = Array.make 256 (-1) and reps = ref [||] in
+  let reps = ref [||] in
   let class_of op =
-    let c = op_class.(Char.code (Op.to_char op)) in
-    if dense.(c) < 0 then begin
-      dense.(c) <- Array.length !reps;
-      reps := Array.append !reps [| op |]
-    end;
-    dense.(c)
+    match Array.find_index (fun r -> row r = row op) !reps with
+    | Some c -> c
+    | None ->
+      reps := Array.append !reps [| op |];
+      Array.length !reps - 1
   in
   let class_of_step =
     Array.mapi (fun l -> Array.mapi (fun j _ -> class_of (op_of_step l j))) var_of_step
@@ -227,11 +216,8 @@ let scheduler ?sink ~name ~commute syntax =
   let op i j = Syntax.kind syntax (Names.step i j) in
   let op_of_step = if commute then Some op else None in
   let g = create ?sink ?op_of_step ~n_vars:(Hashtbl.length var_ids) ~var_of_step () in
-  (* [cached], spelled out: it answers most of the driver's retries *)
-  let blocked_idx = g.blocked_idx and blocked_at = g.blocked_at in
   let attempt ({ tx; idx } : Names.step_id) =
-    if blocked_idx.(tx) = idx && blocked_at.(tx) = g.version then
-      Scheduler.Delay
+    if cached g tx idx then Scheduler.Delay
     else if refuses g tx idx then begin
       block g tx idx;
       if Obs.Sink.on g.sink then

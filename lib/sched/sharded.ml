@@ -35,9 +35,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         let in_shard g j _ = p.Partition.shard_of_step.(g).(j) = s in
         let footprint =
           Array.map
-            (fun g ->
-              if not p.Partition.cross.(g) then lvars.(g)
-              else Array.of_list (List.filteri (in_shard g) (Array.to_list lvars.(g))))
+            (fun g -> Array.of_list (List.filteri (in_shard g) (Array.to_list lvars.(g))))
             mem
         in
         Cgraph.create ~sink ~ids:mem ~footprint
@@ -80,19 +78,26 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      Sources A are the cross transactions of [s] reaching some accessor
      (tx itself excluded: its only new paths are self-loops through [l]);
      targets B are the cross transactions reachable from [l], plus tx
-     itself when cross. *)
+     itself when cross. With A empty there are no new paths, so B is not
+     searched. *)
   let summary_candidates s l idx tx =
     let k = kernel.(s) in
     let a = ref [] and b = ref [] in
     Array.iter
       (fun (lc, cc, g) ->
-        if g <> tx && Cgraph.live k lc then begin
-          if Cgraph.reaches_sources k l idx ~from:lc then a := cc :: !a;
-          if Digraph.Acyclic.closes_cycle (Cgraph.graph k) lc l then
-            b := cc :: !b
-        end)
+        if g <> tx && Cgraph.live k lc && Cgraph.reaches_sources k l idx ~from:lc
+        then a := cc :: !a)
       cross_in_shard.(s);
-    if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b;
+    if !a <> [] then begin
+      Array.iter
+        (fun (lc, cc, g) ->
+          if
+            g <> tx && Cgraph.live k lc
+            && Digraph.Acyclic.closes_cycle (Cgraph.graph k) lc l
+          then b := cc :: !b)
+        cross_in_shard.(s);
+      if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b
+    end;
     (!a, !b)
   in
   (* Would adding every candidate edge close a cycle in the summary
