@@ -7,13 +7,20 @@ open Core
 let row o = List.map (Commute.commutes o) Op.all
 
 let compile var_of_step op_of_step =
-  let reps = ref [||] in
+  let seen = ref [] and reps = ref [||] in
   let class_of op =
-    match Array.find_index (fun r -> row r = row op) !reps with
+    match List.assoc_opt op !seen with
     | Some c -> c
     | None ->
-      reps := Array.append !reps [| op |];
-      Array.length !reps - 1
+      let c =
+        match Array.find_index (fun r -> row r = row op) !reps with
+        | Some c -> c
+        | None ->
+          reps := Array.append !reps [| op |];
+          Array.length !reps - 1
+      in
+      seen := (op, c) :: !seen;
+      c
   in
   let class_of_step =
     Array.mapi (fun l -> Array.mapi (fun j _ -> class_of (op_of_step l j))) var_of_step
@@ -32,7 +39,6 @@ type t = {
   ids : int array; (* [||]: a vertex names itself *)
   var_of_step : int array array;
   class_of_step : int array array; (* [||] when there is one class *)
-  footprint : int array array;
   prunable : int -> bool;
   k : int; (* number of classes *)
   conf : int array array; (* class -> the classes it conflicts with *)
@@ -61,7 +67,7 @@ let push g l =
     g.top <- g.top + 1
   end
 
-let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step ?footprint
+let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
     ?(prunable = fun _ -> true) ~n_vars ~var_of_step () =
   let n = Array.length var_of_step in
   let class_of_step, conf =
@@ -71,13 +77,12 @@ let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step ?footprint
   in
   let k = Array.length conf in
   let class_of_step = if k = 1 then [||] else class_of_step in
-  let footprint = Option.value footprint ~default:var_of_step in
   let entries = Array.make (n_vars * k) [] in
   let graph = Digraph.Acyclic.create n and flags = Bytes.make n '\000' in
   let work = Array.make n 0 in
   let blocked_idx = Array.make n (-1) and blocked_at = Array.make n (-1) in
   let rec g =
-    { sink; ids; var_of_step; class_of_step; footprint; prunable; k; conf;
+    { sink; ids; var_of_step; class_of_step; prunable; k; conf;
       entries; graph; flags; work; top = 0; version = 0; blocked_idx;
       blocked_at; push_done = (fun l -> if has g l done_bit then push g l) }
   in
@@ -102,6 +107,13 @@ let reaches_sources g l idx ~from =
     ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~target:from
 
 let refuses g l idx = reaches_sources g l idx ~from:l
+
+let rec any_entries entries b row j =
+  j < Array.length row
+  && (entries.(b + row.(j)) <> [] || any_entries entries b row (j + 1))
+
+let has_sources g l idx =
+  any_entries g.entries (base g l idx) g.conf.(class_of g l idx) 0
 
 let add_vetted graph u v =
   match Digraph.Acyclic.add_edge_acyclic graph u v with
@@ -160,13 +172,14 @@ let rec drop x = function
   | [] -> []
   | y :: ys -> if y = x then ys else y :: drop x ys
 
-(* Its completed successors may lose their last incoming edge here, so
-   they are queued for the next drain. *)
+(* Walks only the variables the vertex's steps name. Its completed
+   successors may lose their last incoming edge here, so they are queued
+   for the next drain. *)
 let forget g l =
   g.version <- g.version + 1;
-  let fp = g.footprint.(l) in
-  for j = 0 to Array.length fp - 1 do
-    for e = fp.(j) * g.k to ((fp.(j) + 1) * g.k) - 1 do
+  let vs = g.var_of_step.(l) in
+  for j = 0 to Array.length vs - 1 do
+    for e = vs.(j) * g.k to ((vs.(j) + 1) * g.k) - 1 do
       if List.memq l g.entries.(e) then g.entries.(e) <- drop l g.entries.(e)
     done
   done;
@@ -216,8 +229,12 @@ let scheduler ?sink ~name ~commute syntax =
   let op i j = Syntax.kind syntax (Names.step i j) in
   let op_of_step = if commute then Some op else None in
   let g = create ?sink ?op_of_step ~n_vars:(Hashtbl.length var_ids) ~var_of_step () in
+  (* [cached], spelled out: calling it cost 5-6% of [hot]'s end-to-end
+     capacity *)
+  let blocked_idx = g.blocked_idx and blocked_at = g.blocked_at in
   let attempt ({ tx; idx } : Names.step_id) =
-    if cached g tx idx then Scheduler.Delay
+    if blocked_idx.(tx) = idx && blocked_at.(tx) = g.version then
+      Scheduler.Delay
     else if refuses g tx idx then begin
       block g tx idx;
       if Obs.Sink.on g.sink then

@@ -20,7 +20,8 @@ open Core
     worklist fed by completions and by the completed successors of
     removed vertices and drained at each completion. Removal never makes
     an eligible vertex ineligible, so this prunes the fixpoint a full
-    scan reaches. Removing a transaction walks only its footprint. *)
+    scan reaches. Removing a transaction walks only the variables its
+    steps name, its footprint. *)
 
 type t
 
@@ -28,7 +29,6 @@ val create :
   ?sink:Obs.Sink.t ->
   ?ids:int array ->
   ?op_of_step:(int -> int -> Op.t) ->
-  ?footprint:int array array ->
   ?prunable:(int -> bool) ->
   n_vars:int ->
   var_of_step:int array array ->
@@ -37,10 +37,9 @@ val create :
 (** Vertices are [0 .. Array.length var_of_step - 1]; step [idx] of
     vertex [l] accesses variable [var_of_step.(l).(idx)] in
     [0 .. n_vars-1] with op [op_of_step l idx], read once here (absent:
-    every pair conflicts). [footprint.(l)] lists every
-    variable [l] may touch (default [var_of_step.(l)]); [prunable]
-    vetoes pruning (default: never); [ids.(l)] names [l] in events
-    (default [l]). With a [sink], inserted edges emit
+    every pair conflicts). [prunable] vetoes pruning (default: never);
+    [ids.(l)] names [l] in events (default [l]). With a [sink], inserted
+    edges emit
     {!Obs.Event.Edge_added} and grants that passed over commuting
     accessors emit {!Obs.Event.Commute_pass}. *)
 
@@ -65,6 +64,10 @@ val block : t -> int -> int -> unit
 val reaches_sources : t -> int -> int -> from:int -> bool
 (** [from] is, or reaches, an accessor other than [l] that conflicts
     with step [idx] of [l]. *)
+
+val has_sources : t -> int -> int -> bool
+(** Some accessor of the variable conflicts with step [idx] of [l]
+    ([l] itself included): when false, granting adds no edge. *)
 
 val refuses : t -> int -> int -> bool
 (** [reaches_sources ~from:l]: granting the step would close a cycle.

@@ -26,23 +26,18 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      the home shard is a zero global in-degree, exactly the {!Sgt}
      argument. A cross-shard transaction's shard-local in-degree says
      nothing about its edges elsewhere, and dropping its accessor entries
-     would lose summary paths. Its footprint in a shard is its steps
-     there. *)
+     would lose summary paths. A cross-shard transaction's steps
+     elsewhere name other shards' local variables. Every kernel is sized
+     for the largest shard, so those ids stay in range, and removal
+     walking them only reads lists the transaction is not on. *)
   let lvars = p.Partition.lvar_of_step in
+  let n_vars = Array.fold_left max 1 p.Partition.n_lvars in
   let kernel =
     Array.init shards (fun s ->
         let mem = p.Partition.members.(s) in
-        let in_shard g j _ = p.Partition.shard_of_step.(g).(j) = s in
-        let footprint =
-          Array.map
-            (fun g -> Array.of_list (List.filteri (in_shard g) (Array.to_list lvars.(g))))
-            mem
-        in
-        Cgraph.create ~sink ~ids:mem ~footprint
+        Cgraph.create ~sink ~ids:mem
           ~prunable:(fun l -> not p.Partition.cross.(mem.(l)))
-          ~n_vars:(max 1 p.Partition.n_lvars.(s))
-          ~var_of_step:(Array.map (fun g -> lvars.(g)) mem)
-          ())
+          ~n_vars ~var_of_step:(Array.map (fun g -> lvars.(g)) mem) ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an
@@ -78,27 +73,24 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      Sources A are the cross transactions of [s] reaching some accessor
      (tx itself excluded: its only new paths are self-loops through [l]);
      targets B are the cross transactions reachable from [l], plus tx
-     itself when cross. With A empty there are no new paths, so B is not
-     searched. *)
+     itself when cross. With no accessor to reach, A is empty and
+     nothing is searched. *)
   let summary_candidates s l idx tx =
     let k = kernel.(s) in
-    let a = ref [] and b = ref [] in
-    Array.iter
-      (fun (lc, cc, g) ->
-        if g <> tx && Cgraph.live k lc && Cgraph.reaches_sources k l idx ~from:lc
-        then a := cc :: !a)
-      cross_in_shard.(s);
-    if !a <> [] then begin
+    if not (Cgraph.has_sources k l idx) then ([], [])
+    else begin
+      let a = ref [] and b = ref [] in
       Array.iter
         (fun (lc, cc, g) ->
-          if
-            g <> tx && Cgraph.live k lc
-            && Digraph.Acyclic.closes_cycle (Cgraph.graph k) lc l
-          then b := cc :: !b)
+          if g <> tx && Cgraph.live k lc then begin
+            if Cgraph.reaches_sources k l idx ~from:lc then a := cc :: !a;
+            if Digraph.Acyclic.closes_cycle (Cgraph.graph k) lc l then
+              b := cc :: !b
+          end)
         cross_in_shard.(s);
-      if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b
-    end;
-    (!a, !b)
+      if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b;
+      (!a, !b)
+    end
   in
   (* Would adding every candidate edge close a cycle in the summary
      graph? Tested per target over the common source set A: a cycle
