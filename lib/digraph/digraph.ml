@@ -236,6 +236,7 @@ module Acyclic = struct
     nv : int;
     out_ : int list array;
     in_ : int list array;
+    indeg : int array;  (* List.length of [in_], kept so it is O(1) *)
     ord : int array;   (* vertex -> index in the maintained topo order *)
     back : int array;  (* index -> vertex (inverse of [ord]) *)
     mutable ne : int;
@@ -253,6 +254,7 @@ module Acyclic = struct
       nv;
       out_ = Array.make nv [];
       in_ = Array.make nv [];
+      indeg = Array.make nv 0;
       ord = Array.init nv Fun.id;
       back = Array.init nv Fun.id;
       ne = 0;
@@ -292,7 +294,7 @@ module Acyclic = struct
 
   let in_degree g v =
     check g v;
-    List.length g.in_.(v)
+    g.indeg.(v)
 
   let edges g =
     let acc = ref [] in
@@ -363,6 +365,7 @@ module Acyclic = struct
     (* caller guarantees the edge is absent *)
     g.out_.(u) <- v :: g.out_.(u);
     g.in_.(v) <- u :: g.in_.(v);
+    g.indeg.(v) <- g.indeg.(v) + 1;
     Bytes.set g.mat ((u * g.nv) + v) '\001';
     g.ne <- g.ne + 1
 
@@ -452,17 +455,19 @@ module Acyclic = struct
     if mem_edge g u v then begin
       g.out_.(u) <- List.filter (fun x -> x <> v) g.out_.(u);
       g.in_.(v) <- List.filter (fun x -> x <> u) g.in_.(v);
+      g.indeg.(v) <- g.indeg.(v) - 1;
       Bytes.set g.mat ((u * g.nv) + v) '\000';
       g.ne <- g.ne - 1
     end
 
   let remove_vertex g i =
     check g i;
-    g.ne <- g.ne - List.length g.out_.(i) - List.length g.in_.(i);
+    g.ne <- g.ne - List.length g.out_.(i) - g.indeg.(i);
     List.iter
       (fun x ->
         Bytes.set g.mat ((i * g.nv) + x) '\000';
-        g.in_.(x) <- List.filter (fun y -> y <> i) g.in_.(x))
+        g.in_.(x) <- List.filter (fun y -> y <> i) g.in_.(x);
+        g.indeg.(x) <- g.indeg.(x) - 1)
       g.out_.(i);
     List.iter
       (fun x ->
@@ -470,7 +475,8 @@ module Acyclic = struct
         g.out_.(x) <- List.filter (fun y -> y <> i) g.out_.(x))
       g.in_.(i);
     g.out_.(i) <- [];
-    g.in_.(i) <- []
+    g.in_.(i) <- [];
+    g.indeg.(i) <- 0
 
   let to_digraph g =
     { n = g.nv; adj = Array.map Iset.of_list g.out_ }

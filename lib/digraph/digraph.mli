@@ -102,7 +102,7 @@ module Acyclic : sig
       nothing is allocated. [f] must not modify [g]. *)
 
   val in_degree : t -> int -> int
-  (** Number of predecessors, without materialising them. *)
+  (** Number of predecessors, without materialising them. O(1). *)
 
   val edges : t -> (int * int) list
   (** All edges, lexicographically ordered. *)

@@ -9,7 +9,7 @@ let row o = List.map (Commute.commutes o) Op.all
 let compile var_of_step op_of_step =
   let seen = ref [] and reps = ref [||] in
   let class_of op =
-    match List.assoc_opt op !seen with
+    match List.assq_opt op !seen with
     | Some c -> c
     | None ->
       let c =
@@ -44,19 +44,18 @@ type t = {
   conf : int array array; (* class -> the classes it conflicts with *)
   entries : int list array; (* var * k + class -> accessors, no repeats *)
   graph : Digraph.Acyclic.t;
-  flags : Bytes.t; (* per vertex: live, completed, queued bits *)
+  flags : int array; (* per vertex: live, completed, queued bits *)
   work : int array; (* the prune worklist, a stack of work.(0 .. top-1) *)
   mutable top : int;
   mutable version : int;
   blocked_idx : int array;
   blocked_at : int array;
-  push_done : int -> unit; (* built once, so forget allocates no closure *)
+  push_freed : int -> unit; (* built once, so forget allocates no closure *)
 }
 
-let flag g l = Char.code (Bytes.get g.flags l)
-let has g l bit = flag g l land bit <> 0
-let set g l bit = Bytes.set g.flags l (Char.chr (flag g l lor bit))
-let unset g l bit = Bytes.set g.flags l (Char.chr (flag g l land lnot bit))
+let has g l bit = g.flags.(l) land bit <> 0
+let set g l bit = g.flags.(l) <- g.flags.(l) lor bit
+let unset g l bit = g.flags.(l) <- g.flags.(l) land lnot bit
 
 (* The queued bit keeps a vertex on the stack at most once, so n slots
    suffice. *)
@@ -78,13 +77,17 @@ let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
   let k = Array.length conf in
   let class_of_step = if k = 1 then [||] else class_of_step in
   let entries = Array.make (n_vars * k) [] in
-  let graph = Digraph.Acyclic.create n and flags = Bytes.make n '\000' in
+  let graph = Digraph.Acyclic.create n and flags = Array.make n 0 in
   let work = Array.make n 0 in
   let blocked_idx = Array.make n (-1) and blocked_at = Array.make n (-1) in
   let rec g =
     { sink; ids; var_of_step; class_of_step; prunable; k; conf;
       entries; graph; flags; work; top = 0; version = 0; blocked_idx;
-      blocked_at; push_done = (fun l -> if has g l done_bit then push g l) }
+      blocked_at;
+      push_freed =
+        (fun v ->
+          if has g v done_bit && Digraph.Acyclic.in_degree g.graph v = 1 then
+            push g v) }
   in
   g
 
@@ -172,9 +175,9 @@ let rec drop x = function
   | [] -> []
   | y :: ys -> if y = x then ys else y :: drop x ys
 
-(* Walks only the variables the vertex's steps name. Its completed
-   successors may lose their last incoming edge here, so they are queued
-   for the next drain. *)
+(* Walks only the variables the vertex's steps name. A completed
+   successor whose last incoming edge this removes is queued for the next
+   drain; no other vertex can become prunable here. *)
 let forget g l =
   g.version <- g.version + 1;
   let vs = g.var_of_step.(l) in
@@ -184,7 +187,7 @@ let forget g l =
     done
   done;
   unset g l live_bit;
-  Digraph.Acyclic.iter_succ g.graph l g.push_done;
+  Digraph.Acyclic.iter_succ g.graph l g.push_freed;
   Digraph.Acyclic.remove_vertex g.graph l
 
 (* Without pruning a long-running workload saturates the graph and every

@@ -254,7 +254,8 @@ let prop_acyclic_matches_plain =
           (fun u ->
             let seen = ref [] in
             A.iter_succ a u (fun v -> seen := v :: !seen);
-            List.sort compare !seen = A.succ a u)
+            List.sort compare !seen = A.succ a u
+            && A.in_degree a u = List.length (Digraph.pred p u))
           (List.init n Fun.id)
       in
       let witness_ok u v = function
