@@ -12,13 +12,9 @@ let compile var_of_step op_of_step =
     match List.assq_opt op !seen with
     | Some c -> c
     | None ->
-      let c =
-        match Array.find_index (fun r -> row r = row op) !reps with
-        | Some c -> c
-        | None ->
-          reps := Array.append !reps [| op |];
-          Array.length !reps - 1
-      in
+      let same = Array.find_index (fun r -> row r = row op) !reps in
+      let c = Option.value same ~default:(Array.length !reps) in
+      if same = None then reps := Array.append !reps [| op |];
       seen := (op, c) :: !seen;
       c
   in
@@ -83,11 +79,9 @@ let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
   let rec g =
     { sink; ids; var_of_step; class_of_step; prunable; k; conf;
       entries; graph; flags; work; top = 0; version = 0; blocked_idx;
-      blocked_at;
-      push_freed =
-        (fun v ->
-          if has g v done_bit && Digraph.Acyclic.in_degree g.graph v = 1 then
-            push g v) }
+      blocked_at; push_freed = (fun v ->
+        if has g v done_bit && Digraph.Acyclic.in_degree g.graph v = 1 then
+          push g v) }
   in
   g
 
@@ -111,12 +105,9 @@ let reaches_sources g l idx ~from =
 
 let refuses g l idx = reaches_sources g l idx ~from:l
 
-let rec any_entries entries b row j =
-  j < Array.length row
-  && (entries.(b + row.(j)) <> [] || any_entries entries b row (j + 1))
-
 let has_sources g l idx =
-  any_entries g.entries (base g l idx) g.conf.(class_of g l idx) 0
+  let b = base g l idx in
+  Array.exists (fun c -> g.entries.(b + c) <> []) g.conf.(class_of g l idx)
 
 let add_vetted graph u v =
   match Digraph.Acyclic.add_edge_acyclic graph u v with
@@ -232,8 +223,8 @@ let scheduler ?sink ~name ~commute syntax =
   let op i j = Syntax.kind syntax (Names.step i j) in
   let op_of_step = if commute then Some op else None in
   let g = create ?sink ?op_of_step ~n_vars:(Hashtbl.length var_ids) ~var_of_step () in
-  (* [cached], spelled out: calling it cost 5-6% of [hot]'s end-to-end
-     capacity *)
+  (* [cached], spelled out: calling it measured ~5% lower end-to-end
+     capacity on the contended [hot] workload *)
   let blocked_idx = g.blocked_idx and blocked_at = g.blocked_at in
   let attempt ({ tx; idx } : Names.step_id) =
     if blocked_idx.(tx) = idx && blocked_at.(tx) = g.version then
