@@ -361,6 +361,59 @@ module Acyclic = struct
 
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
+  (* Marking searches stamp [seen] with a fresh epoch, which [marked]
+     reads back; [adj] is [out_] for a forward search, [in_] for a
+     backward one. Unbounded: they answer for every vertex at once. *)
+  let rec mark g adj ep w =
+    if g.seen.(w) <> ep then begin
+      g.seen.(w) <- ep;
+      mark_list g adj ep adj.(w)
+    end
+
+  and mark_list g adj ep = function
+    | [] -> ()
+    | x :: xs ->
+      mark g adj ep x;
+      mark_list g adj ep xs
+
+  let rec mark_bwd_sources g ep ~excluding = function
+    | [] -> ()
+    | u :: us ->
+      check g u;
+      if u <> excluding then mark g g.in_ ep u;
+      mark_bwd_sources g ep ~excluding us
+
+  let mark_reachable g u =
+    check g u;
+    g.epoch <- g.epoch + 1;
+    mark g g.out_ g.epoch u
+
+  let mark_reaching_any_of g ~excluding ~lists ~base ~pick =
+    g.epoch <- g.epoch + 1;
+    for j = 0 to Array.length pick - 1 do
+      mark_bwd_sources g g.epoch ~excluding lists.(base + pick.(j))
+    done
+
+  let marked g v =
+    check g v;
+    g.seen.(v) = g.epoch
+
+  let rec search_from g ep bound = function
+    | [] -> false
+    | u :: us ->
+      check g u;
+      (g.ord.(u) <= bound && dfs g ep bound u) || search_from g ep bound us
+
+  (* Targets are marked as [want] with nothing excluded and no vertex
+     equal to [-1]. One seen set serves every source: a vertex an earlier
+     source explored without reaching a target cannot reach one from a
+     later source. *)
+  let reaches_any g ~sources ~targets =
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let bound = mark_sources g ep ~excluding:(-1) ~target:(-1) (-1) targets in
+    search_from g ep bound sources
+
   let insert g u v =
     (* caller guarantees the edge is absent *)
     g.out_.(u) <- v :: g.out_.(u);
@@ -449,31 +502,43 @@ module Acyclic = struct
       end
     end
 
+  (* Adjacency lists hold no repeats: drop the one occurrence, copying
+     only the prefix before it. *)
+  let rec drop x = function
+    | [] -> []
+    | y :: ys -> if y = x then ys else y :: drop x ys
+
   let remove_edge g u v =
     check g u;
     check g v;
     if mem_edge g u v then begin
-      g.out_.(u) <- List.filter (fun x -> x <> v) g.out_.(u);
-      g.in_.(v) <- List.filter (fun x -> x <> u) g.in_.(v);
+      g.out_.(u) <- drop v g.out_.(u);
+      g.in_.(v) <- drop u g.in_.(v);
       g.indeg.(v) <- g.indeg.(v) - 1;
       Bytes.set g.mat ((u * g.nv) + v) '\000';
       g.ne <- g.ne - 1
     end
 
+  let rec unlink_succs g i = function
+    | [] -> ()
+    | x :: xs ->
+      Bytes.set g.mat ((i * g.nv) + x) '\000';
+      g.in_.(x) <- drop i g.in_.(x);
+      g.indeg.(x) <- g.indeg.(x) - 1;
+      unlink_succs g i xs
+
+  let rec unlink_preds g i = function
+    | [] -> ()
+    | x :: xs ->
+      Bytes.set g.mat ((x * g.nv) + i) '\000';
+      g.out_.(x) <- drop i g.out_.(x);
+      unlink_preds g i xs
+
   let remove_vertex g i =
     check g i;
     g.ne <- g.ne - List.length g.out_.(i) - g.indeg.(i);
-    List.iter
-      (fun x ->
-        Bytes.set g.mat ((i * g.nv) + x) '\000';
-        g.in_.(x) <- List.filter (fun y -> y <> i) g.in_.(x);
-        g.indeg.(x) <- g.indeg.(x) - 1)
-      g.out_.(i);
-    List.iter
-      (fun x ->
-        Bytes.set g.mat ((x * g.nv) + i) '\000';
-        g.out_.(x) <- List.filter (fun y -> y <> i) g.out_.(x))
-      g.in_.(i);
+    unlink_succs g i g.out_.(i);
+    unlink_preds g i g.in_.(i);
     g.out_.(i) <- [];
     g.in_.(i) <- [];
     g.indeg.(i) <- 0

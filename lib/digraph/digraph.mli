@@ -144,6 +144,38 @@ module Acyclic : sig
       without building their union. [excluding] drops one vertex from the
       sources ([-1] drops none). Pure query; nothing is allocated. *)
 
+  val mark_reachable : t -> int -> unit
+  (** [mark_reachable g u] marks every vertex reachable from [u], [u]
+      included: one search over out-edges, read back with {!marked}.
+      Nothing is allocated. *)
+
+  val mark_reaching_any_of :
+    t ->
+    excluding:int ->
+    lists:int list array ->
+    base:int ->
+    pick:int array ->
+    unit
+  (** Marks every vertex that is, or reaches, a source: one search over
+      in-edges from every source at once. The sources are read in place
+      as in {!closes_cycle_any_of}: the union of [lists.(base + c)] for
+      [c] in [pick], less [excluding] ([-1] drops none). An excluded
+      vertex is still marked when it reaches a source. Read back with
+      {!marked}; nothing is allocated. *)
+
+  val marked : t -> int -> bool
+  (** Whether the most recent {!mark_reachable} or
+      {!mark_reaching_any_of} marked the vertex. Every other query and
+      every edge insertion reuses the marks' scratch space, so read them
+      before calling anything else on [g]. *)
+
+  val reaches_any : t -> sources:int list -> targets:int list -> bool
+  (** Some source is, or reaches, some target: would adding every edge
+      [t → s], [t ∈ targets], [s ∈ sources], close a cycle? One search
+      from all sources, sharing one seen set and bounded by the
+      targets' topological-order window. Either list empty: [false].
+      Pure query; nothing is allocated. *)
+
   val remove_edge : t -> int -> int -> unit
 
   val remove_vertex : t -> int -> unit

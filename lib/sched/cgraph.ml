@@ -99,11 +99,13 @@ let block g l idx =
 
 (* Every candidate edge u -> l ends at [l], so the batch closes a cycle
    iff some conflicting accessor is reachable from [l]. *)
-let reaches_sources g l idx ~from =
+let refuses g l idx =
   Digraph.Acyclic.closes_cycle_any_of g.graph ~excluding:l ~lists:g.entries
-    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~target:from
+    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~target:l
 
-let refuses g l idx = reaches_sources g l idx ~from:l
+let mark_reaching_sources g l idx =
+  Digraph.Acyclic.mark_reaching_any_of g.graph ~excluding:l ~lists:g.entries
+    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx)
 
 let has_sources g l idx =
   let b = base g l idx in

@@ -61,16 +61,18 @@ val cached : t -> int -> int -> bool
 val block : t -> int -> int -> unit
 (** Record a delay for step [idx] of [l] at the current version. *)
 
-val reaches_sources : t -> int -> int -> from:int -> bool
-(** [from] is, or reaches, an accessor other than [l] that conflicts
-    with step [idx] of [l]. *)
+val mark_reaching_sources : t -> int -> int -> unit
+(** Marks, in one backward search, every vertex that is or reaches an
+    accessor other than [l] that conflicts with step [idx] of [l]. Read
+    the marks with {!Digraph.Acyclic.marked} on {!graph}. *)
 
 val has_sources : t -> int -> int -> bool
 (** Some accessor of the variable conflicts with step [idx] of [l]
     ([l] itself included): when false, granting adds no edge. *)
 
 val refuses : t -> int -> int -> bool
-(** [reaches_sources ~from:l]: granting the step would close a cycle.
+(** [l] is, or reaches, an accessor other than itself that conflicts
+    with step [idx] of [l]: granting the step would close a cycle.
     One bounded search; nothing is allocated. *)
 
 val grant : t -> int -> int -> unit

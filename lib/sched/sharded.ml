@@ -1,5 +1,30 @@
 open Core
 
+(* The cross-shard transactions [xs] of a shard, as (shard-local id,
+   coordinator id), that the latest marking search on the shard's graph
+   [g] reached, as coordinator ids. *)
+let marked_cross g xs =
+  let acc = ref [] in
+  for i = 0 to Array.length xs - 1 do
+    let lc, cc = xs.(i) in
+    if Digraph.Acyclic.marked g lc then acc := cc :: !acc
+  done;
+  !acc
+
+(* The candidate summary edges [a] x [b] of the step [attempt] last let
+   through ([tx = -1]: none). *)
+type last = {
+  mutable tx : int;
+  mutable idx : int;
+  mutable a : int list;
+  mutable b : int list;
+}
+
+let forget last =
+  last.tx <- -1;
+  last.a <- [];
+  last.b <- []
+
 let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let p = Partition.make ~syntax ~shards in
   let fmt = Syntax.format syntax in
@@ -48,8 +73,8 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   in
   let cversion = ref 0 in
   (* cross-shard transactions present in each shard, as (shard-local id,
-     coordinator id, global id): the only candidate endpoints of summary
-     edges discovered in that shard *)
+     coordinator id): the only candidate endpoints of summary edges
+     discovered in that shard *)
   let cross_in_shard =
     Array.init shards (fun s ->
         let acc = ref [] in
@@ -57,7 +82,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         for l = Array.length mem - 1 downto 0 do
           let g = mem.(l) in
           if p.Partition.cross.(g) then
-            acc := (l, p.Partition.cross_id.(g), g) :: !acc
+            acc := (l, p.Partition.cross_id.(g)) :: !acc
         done;
         Array.of_list !acc)
   in
@@ -70,45 +95,52 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   (* Candidate summary edges of granting step (tx, idx), shard-local [l]
      in shard [s]: the new intra-shard edges are [u -> l] for prior
      accessors [u], so every new intra-shard path runs [a ~> u -> l ~> b].
-     Sources A are the cross transactions of [s] reaching some accessor
-     (tx itself excluded: its only new paths are self-loops through [l]);
-     targets B are the cross transactions reachable from [l], plus tx
-     itself when cross. With no accessor to reach, A is empty and
-     nothing is searched. *)
-  let summary_candidates s l idx tx =
-    let k = kernel.(s) in
-    if not (Cgraph.has_sources k l idx) then ([], [])
+     Sources A are the cross transactions of [s] that are or reach some
+     accessor, marked by one backward search from the accessors; targets
+     B are the cross transactions reachable from [l], [l] included,
+     marked by one forward search. The search for A never marks [l]: [l]
+     reaching an accessor is a cycle the kernel refuses first. So A
+     leaves tx out (its only new paths are self-loops through [l]), B
+     holds tx exactly when it is cross, and A and B are disjoint: a
+     cross in both would put [l ~> a ~> u], another refused cycle. With
+     no source there is no candidate edge, and B is not searched. *)
+  let summary_candidates s l idx =
+    let k = kernel.(s) and xs = cross_in_shard.(s) in
+    if Array.length xs = 0 || not (Cgraph.has_sources k l idx) then ([], [])
     else begin
-      let a = ref [] and b = ref [] in
-      Array.iter
-        (fun (lc, cc, g) ->
-          if g <> tx && Cgraph.live k lc then begin
-            if Cgraph.reaches_sources k l idx ~from:lc then a := cc :: !a;
-            if Digraph.Acyclic.closes_cycle (Cgraph.graph k) lc l then
-              b := cc :: !b
-          end)
-        cross_in_shard.(s);
-      if p.Partition.cross.(tx) then b := p.Partition.cross_id.(tx) :: !b;
-      (!a, !b)
+      Cgraph.mark_reaching_sources k l idx;
+      match marked_cross (Cgraph.graph k) xs with
+      | [] -> ([], [])
+      | aa ->
+        Digraph.Acyclic.mark_reachable (Cgraph.graph k) l;
+        (aa, marked_cross (Cgraph.graph k) xs)
     end
   in
+  (* The [commit] that directly follows a grant reuses the candidates
+     its [attempt] computed: nothing changes the graphs in between.
+     Commit and abort clear them. *)
+  let last = { tx = -1; idx = -1; a = []; b = [] } in
   (* Would adding every candidate edge close a cycle in the summary
-     graph? Tested per target over the common source set A: a cycle
-     through several candidate edges still has some target with an
-     existing-edge path to a source in A, so per-target queries cover
-     the whole batch. *)
+     graph? Every new edge runs from A to B, so a cycle through any of
+     them holds an existing-edge path from some target in B to some
+     source in A: one search from all of B. *)
   let summary_refused s l idx tx =
     match cgraph with
     | None -> false
-    | Some cg -> (
-      match summary_candidates s l idx tx with
-      | [], _ | _, [] -> false
-      | aa, bb ->
-        List.exists
-          (fun bt ->
-            List.memq bt aa
-            || Digraph.Acyclic.closes_cycle_any cg ~sources:aa ~target:bt)
-          bb)
+    | Some cg ->
+      let aa, bb = summary_candidates s l idx in
+      let refused =
+        match (aa, bb) with
+        | [], _ | _, [] -> false
+        | _ -> Digraph.Acyclic.reaches_any cg ~sources:bb ~targets:aa
+      in
+      if not refused then begin
+        last.tx <- tx;
+        last.idx <- idx;
+        last.a <- aa;
+        last.b <- bb
+      end;
+      refused
   in
   let attempt (id : Names.step_id) =
     let tx = id.Names.tx in
@@ -152,15 +184,17 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     (match cgraph with
     | None -> ()
     | Some cg ->
-      let aa, bb = summary_candidates s l idx tx in
-      List.iter
-        (fun a ->
-          List.iter (fun b -> if a <> b then Cgraph.add_vetted cg a b) bb)
-        aa);
+      let aa, bb =
+        if last.tx = tx && last.idx = idx then (last.a, last.b)
+        else summary_candidates s l idx
+      in
+      forget last;
+      List.iter (fun a -> List.iter (Cgraph.add_vetted cg a) bb) aa);
     Cgraph.grant kernel.(s) l idx;
     if idx = fmt.(tx) - 1 then Cgraph.complete kernel.(s) l
   in
   let on_abort tx =
+    forget last;
     for s = 0 to shards - 1 do
       let l = p.Partition.local_id.(s).(tx) in
       if l >= 0 then Cgraph.abort kernel.(s) l

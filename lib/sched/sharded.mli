@@ -18,10 +18,14 @@ open Core
     graph is acyclic iff every shard graph is acyclic and the summary
     graph is acyclic (a global cycle decomposes into intra-shard path
     segments whose boundary vertices are cross-shard transactions).
-    Admission batches the candidate summary edges of a request into
-    per-target {!Digraph.Acyclic.closes_cycle_any} queries; summary
-    edges are kept until an endpoint aborts (a conservative
-    superset — stale paths can only over-delay, never admit a cycle).
+    A fresh decision runs a fixed number of searches however many
+    cross-shard transactions there are: one backward and one forward
+    marking search in the shard find the candidate summary edges, and
+    one {!Digraph.Acyclic.reaches_any} search tests them all against
+    the summary graph. [commit] inserts the edges its granting
+    [attempt] found. Summary edges are kept until an endpoint aborts
+    (a conservative superset — stale paths can only over-delay, never
+    admit a cycle).
 
     Single-shard completed source transactions are pruned per shard
     exactly as in {!Sgt}; cross-shard transactions are never pruned (a

@@ -209,7 +209,29 @@ let test_acyclic_batch_query () =
        ~target:0);
   check_false "excluded source"
     (A.closes_cycle_any_of g ~excluding:2 ~lists ~base:1 ~pick:[| 1 |]
-       ~target:0)
+       ~target:0);
+  (* the same graph through the marking searches and [reaches_any] *)
+  let marks () = List.filter (A.marked g) [ 0; 1; 2; 3 ] in
+  A.mark_reachable g 1;
+  Alcotest.(check (list int)) "forward mark" [ 1; 2 ] (marks ());
+  A.mark_reaching_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 2 |];
+  Alcotest.(check (list int)) "backward mark" [ 0; 1; 2 ] (marks ());
+  A.mark_reaching_any_of g ~excluding:2 ~lists ~base:0 ~pick:[| 0; 2 |];
+  Alcotest.(check (list int)) "excluded source" [ 0 ] (marks ());
+  A.mark_reaching_any_of g ~excluding:0 ~lists ~base:0 ~pick:[| 0; 2 |];
+  Alcotest.(check (list int)) "excluded vertex reaching a source"
+    [ 0; 1; 2 ] (marks ());
+  A.mark_reaching_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||];
+  Alcotest.(check (list int)) "no sources" [] (marks ());
+  check_true "reaches a target"
+    (A.reaches_any g ~sources:[ 3; 0 ] ~targets:[ 2 ]);
+  check_false "reaches no target"
+    (A.reaches_any g ~sources:[ 2; 3 ] ~targets:[ 0; 1 ]);
+  check_true "a source that is a target"
+    (A.reaches_any g ~sources:[ 3 ] ~targets:[ 0; 3 ]);
+  check_false "no sources" (A.reaches_any g ~sources:[] ~targets:[ 2 ]);
+  check_false "no targets" (A.reaches_any g ~sources:[ 0 ] ~targets:[]);
+  check_int "searches did not mutate" 2 (A.n_edges g)
 
 (* Differential property: a random op sequence on the incremental
    structure mirrors exactly onto the plain digraph — same accepted edge
@@ -255,6 +277,7 @@ let prop_acyclic_matches_plain =
             let seen = ref [] in
             A.iter_succ a u (fun v -> seen := v :: !seen);
             List.sort compare !seen = A.succ a u
+            && A.pred a u = Digraph.pred p u
             && A.in_degree a u = List.length (Digraph.pred p u))
           (List.init n Fun.id)
       in
@@ -300,6 +323,67 @@ let prop_acyclic_matches_plain =
           && order_ok () && iter_succ_ok ())
         ops)
 
+(* The marking searches and [reaches_any] against [Digraph.reachable]
+   on random acyclic graphs: sources spread over lists read from a
+   random base (possibly none at all), a random excluded vertex, and
+   source and target lists that may be empty or overlap. *)
+let marks_gen =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    let v = int_range 0 (n - 1) in
+    let vs = list_size (int_range 0 4) v in
+    list_size (int_range 0 20) (pair v v) >>= fun edges ->
+    array_size (return 4) vs >>= fun lists ->
+    int_range 0 1 >>= fun base ->
+    array_size (int_range 0 3) (int_range 0 2) >>= fun pick ->
+    pair vs vs >>= fun (sources, targets) ->
+    int_range (-1) (n - 1) >>= fun excluding ->
+    return (n, edges, lists, base, pick, sources, targets, excluding))
+
+let prop_marks_match_reachable =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  QCheck.Test.make ~name:"marks and reaches_any = reachable"
+    ~count:400
+    (QCheck.make
+       ~print:(fun (n, edges, lists, base, pick, sources, targets, excluding) ->
+         Printf.sprintf
+           "n=%d edges=%s lists=%s base=%d pick=%s sources=%s targets=%s \
+            excluding=%d"
+           n
+           (String.concat ";"
+              (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
+           (String.concat "|" (Array.to_list (Array.map ints lists)))
+           base
+           (ints (Array.to_list pick))
+           (ints sources) (ints targets) excluding)
+       marks_gen)
+    (fun (n, edges, lists, base, pick, sources, targets, excluding) ->
+      let a = A.create n and p = Digraph.create n in
+      List.iter
+        (fun (u, v) ->
+          if A.add_edge_acyclic a u v = Ok () then Digraph.add_edge p u v)
+        edges;
+      let reach = Array.init n (Digraph.reachable p) in
+      let all f = List.for_all f (List.init n Fun.id) in
+      let forward =
+        all (fun u ->
+            A.mark_reachable a u;
+            all (fun v -> A.marked a v = reach.(u).(v)))
+      in
+      let srcs =
+        List.concat_map (fun c -> lists.(base + c)) (Array.to_list pick)
+        |> List.filter (fun s -> s <> excluding)
+      in
+      A.mark_reaching_any_of a ~excluding ~lists ~base ~pick;
+      let backward =
+        all (fun v -> A.marked a v = List.exists (fun s -> reach.(v).(s)) srcs)
+      in
+      forward && backward
+      && A.reaches_any a ~sources ~targets
+         = List.exists
+             (fun s -> List.exists (fun t -> reach.(s).(t)) targets)
+             sources)
+
 let suite =
   [
     Alcotest.test_case "basic ops" `Quick test_basic;
@@ -321,4 +405,5 @@ let suite =
         prop_find_cycle_is_cycle;
         prop_closure_sound;
         prop_acyclic_matches_plain;
+        prop_marks_match_reachable;
       ]

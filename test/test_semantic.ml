@@ -488,42 +488,74 @@ let test_commute_pass_counts_transactions () =
 
 (* ---------- randomized typed sweep ---------- *)
 
-let prop_typed_random =
-  (* seeded counter workloads: the semantic engine never delays less
-     than... rather, never delays more than SGT, and everything it
-     outputs stays in SR *)
-  QCheck.Test.make ~count:20
-    ~name:"semantic sound and no worse than SGT on counter mixes"
+(* Seeded counter mixes, four arrival streams each, run through both
+   engines. *)
+let counter_runs seed =
+  let st = Random.State.make [| 0x5e44; seed |] in
+  let n = 2 + Random.State.int st 3 in
+  let m = 1 + Random.State.int st 3 in
+  let syntax =
+    Sim.Workload.semantic_counters st ~n ~m ~n_vars:2 ~theta:0.8
+      ~read_frac:0.2
+  in
+  let fmt = Syntax.format syntax in
+  List.init 4 (fun _ ->
+      let arrivals = Combin.Interleave.random st fmt in
+      let run s = Sched.Driver.run s ~fmt ~arrivals:(Array.copy arrivals) in
+      ( syntax,
+        run (Sched.Semantic.create ~syntax ()),
+        run (Sched.Sgt.create ~syntax ()) ))
+
+let prop_counter_sound =
+  QCheck.Test.make ~count:20 ~name:"semantic sound on counter mixes"
     QCheck.(make Gen.int)
     (fun seed ->
-      let st = Random.State.make [| 0x5e44; seed |] in
-      let n = 2 + Random.State.int st 3 in
-      let m = 1 + Random.State.int st 3 in
-      let syntax =
-        Sim.Workload.semantic_counters st ~n ~m ~n_vars:2 ~theta:0.8
-          ~read_frac:0.2
-      in
-      let fmt = Syntax.format syntax in
-      let ok = ref true in
-      for _ = 1 to 4 do
-        let arrivals = Combin.Interleave.random st fmt in
-        let sem =
-          Sched.Driver.run
-            (Sched.Semantic.create ~syntax ())
-            ~fmt ~arrivals:(Array.copy arrivals)
-        in
-        let sgt =
-          Sched.Driver.run
-            (Sched.Sgt.create ~syntax ())
-            ~fmt ~arrivals:(Array.copy arrivals)
-        in
-        ok :=
-          !ok
-          && sem.Sched.Driver.delays <= sgt.Sched.Driver.delays
-          && sem.Sched.Driver.restarts <= sgt.Sched.Driver.restarts
-          && Herbrand.serializable syntax sem.Sched.Driver.output
-      done;
-      !ok)
+      List.for_all
+        (fun (syntax, sem, _) ->
+          Herbrand.serializable syntax sem.Sched.Driver.output)
+        (counter_runs seed))
+
+(* Semantic's conflicts are a subset of SGT's: on a stream SGT grants
+   without a delay, each prefix's semantic conflict graph is a subgraph
+   of SGT's acyclic one, so semantic grants it the same way. The
+   converse fails (see the pin below). *)
+let prop_zero_delay_containment =
+  QCheck.Test.make ~count:20
+    ~name:"SGT zero-delay streams pass semantic"
+    QCheck.(make Gen.int)
+    (fun seed ->
+      List.for_all
+        (fun (_, sem, sgt) ->
+          (not (Sched.Driver.zero_delay sgt))
+          || Sched.Driver.zero_delay sem
+             && Schedule.equal sem.Sched.Driver.output sgt.Sched.Driver.output)
+        (counter_runs seed))
+
+let test_may_delay_more_than_sgt () =
+  (* "semantic never delays or restarts more than SGT" is false, and
+     pinned here as such. On this 4x3 counter mix semantic admits
+     commuting decrements SGT serializes, and the order it commits to
+     costs it later: 17 delays and 3 restarts against SGT's 12 and 2. *)
+  let syntax =
+    Syntax.make_typed
+      [|
+        [| (Op.Decr, "x"); (Op.Decr, "x"); (Op.Incr, "y") |];
+        [| (Op.Decr, "x"); (Op.Decr, "x"); (Op.Decr, "x") |];
+        [| (Op.Decr, "x"); (Op.Incr, "x"); (Op.Read, "x") |];
+        [| (Op.Decr, "x"); (Op.Read, "x"); (Op.Read, "y") |];
+      |]
+  in
+  let fmt = Syntax.format syntax in
+  let arrivals = [| 3; 0; 0; 1; 2; 1; 2; 3; 1; 2; 3; 0 |] in
+  let run s = Sched.Driver.run s ~fmt ~arrivals:(Array.copy arrivals) in
+  let sem = run (Sched.Semantic.create ~syntax ()) in
+  let sgt = run (Sched.Sgt.create ~syntax ()) in
+  check_int "semantic delays" 17 sem.Sched.Driver.delays;
+  check_int "semantic restarts" 3 sem.Sched.Driver.restarts;
+  check_int "SGT delays" 12 sgt.Sched.Driver.delays;
+  check_int "SGT restarts" 2 sgt.Sched.Driver.restarts;
+  check_true "semantic output serializable"
+    (Herbrand.serializable syntax sem.Sched.Driver.output)
 
 let suite =
   [
@@ -550,5 +582,7 @@ let suite =
       test_checker_incomplete_on_observed_counters;
     Alcotest.test_case "commute pass counts transactions" `Quick
       test_commute_pass_counts_transactions;
+    Alcotest.test_case "semantic may delay more than SGT" `Quick
+      test_may_delay_more_than_sgt;
   ]
-  @ qsuite [ prop_typed_random ]
+  @ qsuite [ prop_counter_sound; prop_zero_delay_containment ]

@@ -297,6 +297,98 @@ let test_shard_routed_events () =
         shard)
     routed
 
+(* ---------- K > 1 decisions, pinned ---------- *)
+
+(* Nothing else checks decisions at K > 1 against an independent
+   reference: the parallel engine runs this same code, and SGT may
+   delay less. So a seeded corpus of zipf and hot-spot mixes is pinned
+   by digest, per engine and K. A digest covers every trace event with
+   its time (grants, delays, routed requests, refusals, edges and 2PC
+   messages), the driver's statistics and the per-transaction aborts.
+   The digests were recorded before the summary search was rewritten as
+   one marking search per candidate set, which must not move a single
+   decision. *)
+let pinned_corpus mix =
+  List.init 25 (fun seed ->
+      let st = Random.State.make [| 0x5EED; seed |] in
+      let n = 8 + Random.State.int st 9 in
+      let m = 2 + Random.State.int st 3 in
+      let n_vars = 6 + Random.State.int st 10 in
+      let syntax =
+        match mix with
+        | `Zipf -> Sim.Workload.zipf st ~n ~m ~n_vars ~s:1.1
+        | `Hotspot -> Sim.Workload.hotspot st ~n ~m ~n_vars ~theta:0.5
+      in
+      (syntax, Combin.Interleave.random st (Syntax.format syntax)))
+
+(* the digest of one configuration, and the corpus's cross-shard count *)
+let corpus_digest ~twopc ~shards corpus =
+  let buf = Buffer.create 65536 and cross = ref 0 in
+  List.iter
+    (fun (syntax, arrivals) ->
+      let c = Obs.Sink.Memory.create () in
+      let sink = Obs.Sink.Memory.sink c in
+      let commit_cross =
+        if twopc then
+          Some (Sched.Twopc.commit (Sched.Twopc.service ~sink ~shards ()))
+        else None
+      in
+      let s =
+        Sched.Driver.run ~sink
+          (Sched.Sharded.create ~sink ~shards ?commit_cross ~syntax ())
+          ~fmt:(Syntax.format syntax) ~arrivals:(Array.copy arrivals)
+      in
+      List.iter
+        (fun (t, e) -> Printf.bprintf buf "%h %s\n" t (Obs.Event.to_string e))
+        (Obs.Sink.Memory.events c);
+      Printf.bprintf buf "%s d=%d r=%d k=%d w=%d g=%d a=%s\n"
+        (Format.asprintf "%a" Schedule.pp s.Sched.Driver.output)
+        s.Sched.Driver.delays s.Sched.Driver.restarts s.Sched.Driver.deadlocks
+        s.Sched.Driver.waiting s.Sched.Driver.grants
+        (String.concat ","
+           (Array.to_list (Array.map string_of_int s.Sched.Driver.aborts)));
+      let p = Sched.Partition.make ~syntax ~shards in
+      cross := !cross + p.Sched.Partition.n_cross)
+    corpus;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), !cross)
+
+let pinned_digests =
+  [
+    ("zipf sharded K=2", "cc80638bee951a8175814668ac6d628c");
+    ("zipf sharded K=4", "1c53a5731cc3d82c883cca4f22daf8bb");
+    ("zipf sharded K=8", "2a6a8745c18e61adf9253cff8fff36b6");
+    ("zipf sharded-2pc K=2", "033a1c33ea6bc2e7de2577c7b4e5d3cf");
+    ("zipf sharded-2pc K=4", "da7e9ef44c94b82418cc3fbe38f3672a");
+    ("zipf sharded-2pc K=8", "e562f3aabf1446ac2a280ba3971a88f4");
+    ("hotspot sharded K=2", "46b4bd7a67f12683155aba34d31f47e5");
+    ("hotspot sharded K=4", "ce79a814c8822fe45fe349c6442f9eca");
+    ("hotspot sharded K=8", "f3765bf33af4d0799862670209287073");
+    ("hotspot sharded-2pc K=2", "cc76be2aa37dccda20398343f052ce82");
+    ("hotspot sharded-2pc K=4", "b5426f36ea2ca18e852ddb21a2e2952d");
+    ("hotspot sharded-2pc K=8", "7febd999ffe8317f1e67171e58ef8e00");
+  ]
+
+let test_pinned_k_gt_1 () =
+  List.iter
+    (fun (mix, label) ->
+      let corpus = pinned_corpus mix in
+      List.iter
+        (fun twopc ->
+          List.iter
+            (fun shards ->
+              let name =
+                Printf.sprintf "%s %s K=%d" label
+                  (if twopc then "sharded-2pc" else "sharded")
+                  shards
+              in
+              let digest, cross = corpus_digest ~twopc ~shards corpus in
+              check_true (name ^ " crosses shards") (cross > 0);
+              Alcotest.(check string)
+                name (List.assoc name pinned_digests) digest)
+            [ 2; 4; 8 ])
+        [ false; true ])
+    [ (`Zipf, "zipf"); (`Hotspot, "hotspot") ]
+
 let suite =
   [
     Alcotest.test_case "partition invariants" `Quick test_partition;
@@ -310,4 +402,6 @@ let suite =
       test_cross_shard_never_grants_more_cycles;
     Alcotest.test_case "trace matches stats" `Quick test_trace_vs_stats;
     Alcotest.test_case "shard-routed events" `Quick test_shard_routed_events;
+    Alcotest.test_case "K>1 decisions pinned by digest" `Quick
+      test_pinned_k_gt_1;
   ]
