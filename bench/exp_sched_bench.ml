@@ -10,8 +10,8 @@
 let run () =
   Tables.section "B1-sched-bench"
     "scheduler throughput (requests/sec, wall clock)";
-  let rows = Sim.Sched_bench.run Sim.Sched_bench.default in
-  Format.printf "%a" Sim.Sched_bench.pp_rows rows;
+  Format.printf "%a" Sim.Sched_bench.pp
+    (Sim.Sched_bench.run Sim.Sched_bench.default);
   Printf.printf
     "\nshape: the incremental SGT (Pearce–Kelly conflict graph) beats the \
      copy-and-recheck SGT-ref on every mix, widening with size and \

@@ -186,125 +186,84 @@ let measure spec samples =
   in
   Format.printf "%a" Sim.Measure.pp_rows rows
 
-let parse_sizes spec =
-  List.map
-    (fun cell ->
-      match String.split_on_char 'x' cell with
-      | [ n; m ] -> (
-        match (int_of_string_opt n, int_of_string_opt m) with
-        | Some n, Some m when n > 0 && m > 0 -> (n, m)
-        | _ -> invalid_arg ("bad size " ^ cell ^ " in --sizes"))
-      | _ -> invalid_arg ("bad size " ^ cell ^ " in --sizes (want NxM)"))
-    (String.split_on_char ',' spec)
-
-let parse_ints spec =
-  List.filter_map
-    (fun s ->
-      if s = "" then None
-      else
-        match int_of_string_opt s with
-        | Some k when k > 0 -> Some k
-        | _ -> invalid_arg ("bad shard count " ^ s ^ " in --shards"))
-    (String.split_on_char ',' spec)
-
 let read_file file =
   let ic = open_in_bin file in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
 
-let bench sizes mixes n_vars streams min_time seed smoke json out shards
-    shard_sizes mv_sizes mv_samples sem_sizes sem_samples parallel domains
-    twopc =
-  (* the sections are opt-in (--parallel, --twopc); --domains picks the
-     parallel sweep, defaulting to the base configuration's (smoke
-     keeps its tiny one) *)
-  let par_domains_for (base : Sim.Sched_bench.spec) =
-    if not parallel then []
-    else
-      match domains with
-      | "" -> base.Sim.Sched_bench.par_domains
-      | spec -> parse_ints spec
-  in
-  let twopc_rates_for (base : Sim.Sched_bench.spec) =
-    if twopc then base.Sim.Sched_bench.twopc_fault_rates else []
-  in
-  let par_domains = par_domains_for Sim.Sched_bench.default in
-  let spec =
-    if smoke then
-      {
-        Sim.Sched_bench.smoke with
-        par_domains = par_domains_for Sim.Sched_bench.smoke;
-        twopc_fault_rates = twopc_rates_for Sim.Sched_bench.smoke;
-      }
-    else
-      {
-        Sim.Sched_bench.sizes = parse_sizes sizes;
-        mixes = String.split_on_char ',' mixes;
-        n_vars;
-        streams;
-        min_time;
-        seed;
-        shard_ks = parse_ints shards;
-        shard_sizes = parse_sizes shard_sizes;
-        shard_mixes = Sim.Sched_bench.default.Sim.Sched_bench.shard_mixes;
-        mv_sizes = (if mv_sizes = "" then [] else parse_sizes mv_sizes);
-        mv_mixes = Sim.Sched_bench.default.Sim.Sched_bench.mv_mixes;
-        mv_samples;
-        sem_sizes = (if sem_sizes = "" then [] else parse_sizes sem_sizes);
-        sem_mixes = Sim.Sched_bench.default.Sim.Sched_bench.sem_mixes;
-        sem_samples;
-        par_domains;
-        par_queues = Sim.Sched_bench.default.Sim.Sched_bench.par_queues;
-        par_sizes = Sim.Sched_bench.default.Sim.Sched_bench.par_sizes;
-        par_mixes = Sim.Sched_bench.default.Sim.Sched_bench.par_mixes;
-        par_streams = Sim.Sched_bench.default.Sim.Sched_bench.par_streams;
-        twopc_fault_rates = twopc_rates_for Sim.Sched_bench.default;
-        twopc_rounds = Sim.Sched_bench.default.Sim.Sched_bench.twopc_rounds;
-        twopc_parts = Sim.Sched_bench.default.Sim.Sched_bench.twopc_parts;
-      }
-  in
-  let rows = Sim.Sched_bench.run spec in
-  let mv = Sim.Sched_bench.mv_stats spec in
-  let sem = Sim.Sched_bench.sem_stats spec in
-  let twopc_sec = Sim.Sched_bench.twopc_stats spec in
+let write_file file body =
+  let oc = open_out file in
+  output_string oc body;
+  close_out oc;
+  Printf.printf "wrote %s\n" file
+
+(* Print a bench report, or write it to [out]. A JSON report written
+   over an existing file keeps the file's top-level members it lacks
+   (e.g. a checker-throughput section, or an opt-in section of an
+   earlier run), and must parse back — exit 1 otherwise. *)
+let output_report ~what out report =
   let body =
-    if json then begin
-      let s =
-        Sim.Sched_bench.to_json ~mv ~semantic:sem ?twopc:twopc_sec spec rows
+    match report with
+    | `Text body -> body
+    | `Json j ->
+      let j =
+        match Option.map read_file out with
+        | Some existing -> Obs.Json.merge ~existing j
+        | None | (exception Sys_error _) -> j
       in
-      if not (Sim.Sched_bench.json_well_formed s) then begin
-        prerr_endline "ccopt: internal error: bench emitted malformed JSON";
+      let body = Obs.Json.pretty j in
+      if Obs.Json.parse body = None then begin
+        prerr_endline ("ccopt: internal error: " ^ what ^ " emitted malformed JSON");
         exit 1
       end;
-      s
-    end
-    else begin
-      let base =
-        Format.asprintf "%a%a%a" Sim.Sched_bench.pp_rows rows
-          Sim.Sched_bench.pp_sem_stats sem Sim.Sched_bench.pp_mv_stats mv
-      in
-      match twopc_sec with
-      | None -> base
-      | Some s -> base ^ Format.asprintf "%a@." Sim.Sched_bench.pp_twopc s
-    end
+      body
   in
   match out with
   | None -> print_string body
-  | Some file ->
-    (* regenerating in place keeps top-level keys other tools added to
-       the file (e.g. a checker-throughput section) *)
-    let body =
-      if json then
-        match (try Some (read_file file) with Sys_error _ -> None) with
-        | Some existing -> Sim.Sched_bench.merge_preserving ~existing body
-        | None -> body
-      else body
-    in
-    let oc = open_out file in
-    output_string oc body;
-    close_out oc;
-    Printf.printf "wrote %s\n" file
+  | Some file -> write_file file body
+
+let bench sizes mixes n_vars streams min_time seed smoke json out shards
+    shard_sizes mv_sizes mv_samples sem_sizes sem_samples parallel domains
+    twopc =
+  let module B = Sim.Sched_bench in
+  (* the sections are opt-in (--parallel, --twopc); --domains picks the
+     parallel sweep, defaulting to the base configuration's (smoke
+     keeps its tiny one) *)
+  let opt_in (base : B.spec) =
+    {
+      base with
+      par_domains =
+        (if not parallel then []
+         else if domains = "" then base.par_domains
+         else B.parse_ints ~flag:"--domains" domains);
+      twopc_fault_rates = (if twopc then base.twopc_fault_rates else []);
+    }
+  in
+  let spec =
+    if smoke then opt_in B.smoke
+    else
+      opt_in
+        {
+          B.default with
+          sizes = B.parse_sizes ~flag:"--sizes" sizes;
+          mixes = String.split_on_char ',' mixes;
+          n_vars;
+          streams;
+          min_time;
+          seed;
+          shard_ks = B.parse_ints ~flag:"--shards" shards;
+          shard_sizes = B.parse_sizes ~flag:"--shard-sizes" shard_sizes;
+          mv_sizes = B.parse_sizes ~flag:"--mv-sizes" mv_sizes;
+          mv_samples;
+          sem_sizes = B.parse_sizes ~flag:"--sem-sizes" sem_sizes;
+          sem_samples;
+        }
+  in
+  let report = B.run spec in
+  output_report ~what:"bench" out
+    (if json then `Json (B.to_json spec report)
+     else `Text (Format.asprintf "%a" B.pp report))
 
 let trace spec sched_names seed capacity samples json out =
   let syntax = parse_syntax spec in
@@ -336,7 +295,7 @@ let trace spec sched_names seed capacity samples json out =
           bad := true;
           Printf.eprintf "ccopt trace: %s: %s\n" r.Sim.Trace_run.name d)
         (Sim.Trace_run.mismatches r);
-      if not (Sim.Sched_bench.json_well_formed r.Sim.Trace_run.chrome) then begin
+      if Obs.Json.parse r.Sim.Trace_run.chrome = None then begin
         bad := true;
         Printf.eprintf "ccopt trace: %s: malformed Chrome trace JSON\n"
           r.Sim.Trace_run.name
@@ -348,92 +307,16 @@ let trace spec sched_names seed capacity samples json out =
   | Some prefix ->
     List.iter
       (fun r ->
-        let file = prefix ^ "-" ^ r.Sim.Trace_run.slug ^ ".json" in
-        let oc = open_out file in
-        output_string oc r.Sim.Trace_run.chrome;
-        close_out oc;
-        Printf.printf "wrote %s\n" file;
+        let file ext = prefix ^ "-" ^ r.Sim.Trace_run.slug ^ ext in
+        write_file (file ".json") r.Sim.Trace_run.chrome;
         (* the machine-readable twin: an exact event log that [ccopt
            check --trace] can replay *)
-        let efile = prefix ^ "-" ^ r.Sim.Trace_run.slug ^ ".events" in
-        let oc = open_out efile in
-        output_string oc
+        write_file (file ".events")
           (Obs.Event_log.to_string ~dropped:r.Sim.Trace_run.dropped
-             r.Sim.Trace_run.events);
-        close_out oc;
-        Printf.printf "wrote %s\n" efile)
+             r.Sim.Trace_run.events))
       runs);
   if json then print_endline (Sim.Trace_run.json_summary tspec runs)
   else Format.printf "%a" Sim.Trace_run.pp_summary runs
-
-(* JSON string escaping for the check report (same minimal set as the
-   other hand-emitted reports). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let witness_kind = function
-  | Analysis.Checker.Cycle _ -> "cycle"
-  | Analysis.Checker.Dangling_read _ -> "dangling-read"
-  | Analysis.Checker.Ambiguous_write _ -> "ambiguous-write"
-  | Analysis.Checker.Internal_misread _ -> "internal-misread"
-  | Analysis.Checker.No_order _ -> "no-order"
-
-let check_json ~source hist results =
-  let n = Analysis.History.n hist in
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\": %d, \"source\": \"%s\", \"label\": \"%s\", \
-        \"txns\": %d, \"events\": %d, \"complete\": %b, \"results\": ["
-       Analysis.Report.schema_version (json_escape source)
-       (json_escape (Analysis.History.label hist))
-       n
-       (Analysis.History.n_events hist)
-       (Analysis.History.complete hist));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ", ";
-      let level = Analysis.Checker.level_name r.Analysis.Checker.level in
-      let split = r.Analysis.Checker.split in
-      (match r.Analysis.Checker.verdict with
-      | Analysis.Checker.Consistent order ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"level\": \"%s\", \"verdict\": \"consistent\", \"split\": \
-              %b, \"order\": [%s]}"
-             level split
-             (String.concat ", " (List.map string_of_int order)))
-      | Analysis.Checker.Violation w ->
-        let nn = if split then 2 * n else n in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"level\": \"%s\", \"verdict\": \"violation\", \"split\": \
-              %b, \"witness\": {\"kind\": \"%s\", \"text\": \"%s\"}}"
-             level split (witness_kind w)
-             (json_escape
-                (Format.asprintf "%a"
-                   (Analysis.Checker.pp_witness ~split ~n:nn)
-                   w)))
-      | Analysis.Checker.Unknown reason ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"level\": \"%s\", \"verdict\": \"unknown\", \"split\": %b, \
-              \"reason\": \"%s\"}"
-             level split (json_escape reason))))
-    results;
-  Buffer.add_string b "]}";
-  Buffer.contents b
 
 (* The level ladder up to and including a declared level — the default
    [--levels] for a [--scheduler] run: an engine is checked against
@@ -480,31 +363,9 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
     in
     let bspec = { bspec with Sim.Check_bench.seed; levels } in
     let rows = Sim.Check_bench.run bspec in
-    let body =
-      if json then begin
-        let s = Sim.Check_bench.to_json bspec rows in
-        if not (Sim.Sched_bench.json_well_formed s) then begin
-          prerr_endline "ccopt: internal error: check emitted malformed JSON";
-          exit 1
-        end;
-        s
-      end
-      else Format.asprintf "%a" Sim.Check_bench.pp_rows rows
-    in
-    (match out with
-    | None -> print_string body
-    | Some file ->
-      let body =
-        if json then
-          match (try Some (read_file file) with Sys_error _ -> None) with
-          | Some existing -> Sim.Sched_bench.merge_preserving ~existing body
-          | None -> body
-        else body
-      in
-      let oc = open_out file in
-      output_string oc body;
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
+    output_report ~what:"check" out
+      (if json then `Json (Sim.Check_bench.to_json bspec rows)
+       else `Text (Format.asprintf "%a" Sim.Check_bench.pp_rows rows))
   | None ->
   let spec =
     match spec with
@@ -593,7 +454,7 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
   in
   let results = List.map (Analysis.Checker.check ~budget hist) levels in
   let n = Analysis.History.n hist in
-  if json then print_endline (check_json ~source hist results)
+  if json then print_endline (Analysis.Checker.to_json ~source hist results)
   else begin
     Printf.printf "history: %s (%d txns, %d events%s)\n"
       (Analysis.History.label hist)
@@ -748,21 +609,28 @@ let measure_cmd =
 
 let bench_cmd =
   let d = Sim.Sched_bench.default in
-  let sizes =
-    let default =
-      String.concat ","
-        (List.map (fun (n, m) -> Printf.sprintf "%dx%d" n m) d.Sim.Sched_bench.sizes)
-    in
+  (* a comma-separated list flag, defaulting to the full configuration's *)
+  let list_arg name ~docv show default ~doc =
+    let default = String.concat "," (List.map show default) in
+    Arg.(value & opt string default & info [ name ] ~docv ~doc)
+  in
+  let sizes_arg name =
+    list_arg name ~docv:"NxM,.." (fun (n, m) -> Printf.sprintf "%dx%d" n m)
+  in
+  let samples_arg name default table =
     Arg.(
-      value & opt string default
-      & info [ "sizes" ] ~docv:"NxM,.."
-          ~doc:"Workload sizes: transactions x steps, comma-separated.")
+      value & opt int default
+      & info [ name ]
+          ~doc:("Monte-Carlo samples per |P|/|H| breadth estimate in the "
+               ^ table ^ " admission table."))
+  in
+  let sizes =
+    sizes_arg "sizes" d.Sim.Sched_bench.sizes
+      ~doc:"Workload sizes: transactions x steps, comma-separated."
   in
   let mixes =
-    Arg.(
-      value
-      & opt string (String.concat "," d.Sim.Sched_bench.mixes)
-      & info [ "mixes" ] ~doc:"Variable mixes: uniform, hot and/or skewed.")
+    list_arg "mixes" ~docv:"MIX,.." Fun.id d.Sim.Sched_bench.mixes
+      ~doc:("Workload mixes: " ^ String.concat ", " Sim.Sched_bench.mix_names ^ ".")
   in
   let n_vars =
     Arg.(
@@ -798,70 +666,31 @@ let bench_cmd =
       & info [ "out" ] ~docv:"FILE" ~doc:"Write the report to a file.")
   in
   let shards =
-    let default =
-      String.concat "," (List.map string_of_int d.Sim.Sched_bench.shard_ks)
-    in
-    Arg.(
-      value & opt string default
-      & info [ "shards" ] ~docv:"K,.."
-          ~doc:"Shard counts for the sharded-engine section (sharded vs \
-                monolithic SGT); empty disables the section.")
+    list_arg "shards" ~docv:"K,.." string_of_int d.Sim.Sched_bench.shard_ks
+      ~doc:"Shard counts for the sharded-engine section (sharded vs \
+            monolithic SGT); empty disables the section."
   in
   let shard_sizes =
-    let default =
-      String.concat ","
-        (List.map
-           (fun (n, m) -> Printf.sprintf "%dx%d" n m)
-           d.Sim.Sched_bench.shard_sizes)
-    in
-    Arg.(
-      value & opt string default
-      & info [ "shard-sizes" ] ~docv:"NxM,.."
-          ~doc:"Workload sizes of the sharded-engine section.")
+    sizes_arg "shard-sizes" d.Sim.Sched_bench.shard_sizes
+      ~doc:"Workload sizes of the sharded-engine section."
   in
   let mv_sizes =
-    let default =
-      String.concat ","
-        (List.map
-           (fun (n, m) -> Printf.sprintf "%dx%d" n m)
-           d.Sim.Sched_bench.mv_sizes)
-    in
-    Arg.(
-      value & opt string default
-      & info [ "mv-sizes" ] ~docv:"NxM,.."
-          ~doc:"Workload sizes of the multi-version section (SGT vs \
-                MVCC/SI/SSI over typed read/update mixes); empty disables \
-                the section.")
+    sizes_arg "mv-sizes" d.Sim.Sched_bench.mv_sizes
+      ~doc:"Workload sizes of the multi-version section (SGT vs \
+            MVCC/SI/SSI over typed read/update mixes); empty disables \
+            the section."
   in
   let mv_samples =
-    Arg.(
-      value
-      & opt int d.Sim.Sched_bench.mv_samples
-      & info [ "mv-samples" ]
-          ~doc:"Monte-Carlo samples per |P|/|H| breadth estimate in the \
-                multi-version admission table.")
+    samples_arg "mv-samples" d.Sim.Sched_bench.mv_samples "multi-version"
   in
   let sem_sizes =
-    let default =
-      String.concat ","
-        (List.map
-           (fun (n, m) -> Printf.sprintf "%dx%d" n m)
-           d.Sim.Sched_bench.sem_sizes)
-    in
-    Arg.(
-      value & opt string default
-      & info [ "sem-sizes" ] ~docv:"NxM,.."
-          ~doc:"Workload sizes of the commutativity section (rw-SGT vs the \
-                semantic engine over typed counter mixes); empty disables \
-                the section.")
+    sizes_arg "sem-sizes" d.Sim.Sched_bench.sem_sizes
+      ~doc:"Workload sizes of the commutativity section (rw-SGT vs the \
+            semantic engine over typed counter mixes); empty disables the \
+            section."
   in
   let sem_samples =
-    Arg.(
-      value
-      & opt int d.Sim.Sched_bench.sem_samples
-      & info [ "sem-samples" ]
-          ~doc:"Monte-Carlo samples per |P|/|H| breadth estimate in the \
-                commutativity admission table.")
+    samples_arg "sem-samples" d.Sim.Sched_bench.sem_samples "commutativity"
   in
   let parallel =
     Arg.(

@@ -902,3 +902,44 @@ let pp_result ~n fmt r =
       (pp_witness ~split:r.split ~n:n_eff)
       w
   | Unknown msg -> Format.fprintf fmt "%-6s unknown (%s)" (level_name r.level) msg
+
+(* ---------- JSON ---------- *)
+
+let witness_kind = function
+  | Cycle _ -> "cycle"
+  | Dangling_read _ -> "dangling-read"
+  | Ambiguous_write _ -> "ambiguous-write"
+  | Internal_misread _ -> "internal-misread"
+  | No_order _ -> "no-order"
+
+let to_json ~source hist results =
+  let module J = Obs.Json in
+  let n = History.n hist in
+  let result r =
+    let verdict, detail =
+      match r.verdict with
+      | Consistent order ->
+        ("consistent", [ ("order", J.Arr (List.map J.int order)) ])
+      | Violation w ->
+        let n = if r.split then 2 * n else n in
+        let text = Format.asprintf "%a" (pp_witness ~split:r.split ~n) w in
+        let kind = J.Str (witness_kind w) in
+        ("violation", [ ("witness", J.Obj [ ("kind", kind); ("text", J.Str text) ]) ])
+      | Unknown reason -> ("unknown", [ ("reason", J.Str reason) ])
+    in
+    J.Obj
+      ([ ("level", J.Str (level_name r.level)); ("verdict", J.Str verdict);
+         ("split", J.Bool r.split) ]
+      @ detail)
+  in
+  J.compact ~spaced:true
+    (J.Obj
+       [
+         ("schema_version", J.int Report.schema_version);
+         ("source", J.Str source);
+         ("label", J.Str (History.label hist));
+         ("txns", J.int n);
+         ("events", J.int (History.n_events hist));
+         ("complete", J.Bool (History.complete hist));
+         ("results", J.Arr (List.map result results));
+       ])

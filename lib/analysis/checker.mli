@@ -157,3 +157,9 @@ val pp_witness : split:bool -> n:int -> Format.formatter -> witness -> unit
 
 val pp_result : n:int -> Format.formatter -> result -> unit
 (** [n] is the {e original} history's transaction count. *)
+
+val to_json : source:string -> History.t -> result list -> string
+(** The [ccopt check --json] report: the history's label and size, then
+    one member per result with its verdict and, for a violation, the
+    witness kind and its {!pp_witness} text. [source] says where the
+    history came from (a schedule, a scheduler run, a trace file). *)

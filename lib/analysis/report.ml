@@ -95,93 +95,36 @@ let pp ppf r =
 
 (* ---------- JSON rendering ---------- *)
 
-(* A tiny JSON printer: the repo deliberately has no JSON dependency
-   (DESIGN.md §7), and the schema is small enough to emit by hand. *)
-type json =
-  | J_bool of bool
-  | J_int of int
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+module J = Obs.Json
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let rec emit b = function
-  | J_bool v -> Buffer.add_string b (string_of_bool v)
-  | J_int i -> Buffer.add_string b (string_of_int i)
-  | J_str s ->
-    Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
-    Buffer.add_char b '"'
-  | J_list l ->
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        emit b x)
-      l;
-    Buffer.add_char b ']'
-  | J_obj fields ->
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        emit b (J_str k);
-        Buffer.add_char b ':';
-        emit b v)
-      fields;
-    Buffer.add_char b '}'
-
-let json_of_ints a = J_list (List.map (fun i -> J_int i) a)
+let json_of_ints a = J.Arr (List.map J.int a)
+let json_of_steps ss = J.Arr (List.map (fun s -> J.Str (Names.step_to_string s)) ss)
 
 let json_of_witness = function
   | Cycle txs ->
-    J_obj [ ("kind", J_str "cycle"); ("transactions", json_of_ints txs) ]
+    J.Obj [ ("kind", J.Str "cycle"); ("transactions", json_of_ints txs) ]
   | Progress (vec, prefix) ->
-    J_obj
+    J.Obj
       [
-        ("kind", J_str "progress");
+        ("kind", J.Str "progress");
         ("vector", json_of_ints (Array.to_list vec));
         ("prefix", json_of_ints (Array.to_list prefix));
       ]
   | History h ->
-    J_obj
+    J.Obj
       [
-        ("kind", J_str "history");
+        ("kind", J.Str "history");
         ( "interleaving",
           json_of_ints (Array.to_list (Schedule.to_interleaving h)) );
-        ( "steps",
-          J_list
-            (List.map
-               (fun s -> J_str (Names.step_to_string s))
-               (Array.to_list h)) );
+        ("steps", json_of_steps (Array.to_list h));
       ]
   | Locked_run il ->
-    J_obj
+    J.Obj
       [
-        ("kind", J_str "locked-run");
+        ("kind", J.Str "locked-run");
         ("interleaving", json_of_ints (Array.to_list il));
       ]
-  | Steps ss ->
-    J_obj
-      [
-        ("kind", J_str "steps");
-        ("steps",
-         J_list (List.map (fun s -> J_str (Names.step_to_string s)) ss));
-      ]
+  | Steps ss -> J.Obj [ ("kind", J.Str "steps"); ("steps", json_of_steps ss) ]
 
 let severity_string = function
   | Error -> "error"
@@ -189,39 +132,33 @@ let severity_string = function
   | Info -> "info"
 
 let json_of_diagnostic d =
-  J_obj
+  J.Obj
     ([
-       ("rule", J_str d.rule);
-       ("severity", J_str (severity_string d.severity));
+       ("rule", J.Str d.rule);
+       ("severity", J.Str (severity_string d.severity));
        ("transactions", json_of_ints d.txs);
-       ( "steps",
-         J_list
-           (List.map (fun s -> J_str (Names.step_to_string s)) d.steps) );
+       ("steps", json_of_steps d.steps);
      ]
     @ (match d.witness with
       | Some w -> [ ("witness", json_of_witness w) ]
       | None -> [])
-    @ [ ("message", J_str d.message) ])
+    @ [ ("message", J.Str d.message) ])
 
 let schema_version = 1
 
 let to_json r =
-  let j =
-    J_obj
-      [
-        ("schema_version", J_int schema_version);
-        ("target", J_str r.target);
-        ("diagnostics", J_list (List.map json_of_diagnostic r.diagnostics));
-        ( "summary",
-          J_obj
-            [
-              ("errors", J_int (errors r));
-              ("warnings", J_int (warnings r));
-              ("infos", J_int (count Info r));
-              ("ok", J_bool (errors r = 0));
-            ] );
-      ]
-  in
-  let b = Buffer.create 512 in
-  emit b j;
-  Buffer.contents b
+  J.compact
+    (J.Obj
+       [
+         ("schema_version", J.int schema_version);
+         ("target", J.Str r.target);
+         ("diagnostics", J.Arr (List.map json_of_diagnostic r.diagnostics));
+         ( "summary",
+           J.Obj
+             [
+               ("errors", J.int (errors r));
+               ("warnings", J.int (warnings r));
+               ("infos", J.int (count Info r));
+               ("ok", J.Bool (errors r = 0));
+             ] );
+       ])

@@ -173,48 +173,26 @@ let entries events =
 
 (* ---------- JSON rendering ---------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chrome_of_entries es =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"displayTimeUnit\": \"ms\",\n";
-  Buffer.add_string b "  \"traceEvents\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \
-            \"ts\": %.3f, \"pid\": %d, \"tid\": %d"
-           (escape e.name) (escape e.cat) e.ph e.ts e.pid e.tid);
-      (match e.args with
-      | [] -> ()
-      | args ->
-        Buffer.add_string b ", \"args\": { ";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_string b ", ";
-            Buffer.add_string b
-              (match v with
-              | Int n -> Printf.sprintf "\"%s\": %d" (escape k) n
-              | Str s -> Printf.sprintf "\"%s\": \"%s\"" (escape k) (escape s)))
-          args;
-        Buffer.add_string b " }");
-      Buffer.add_string b
-        (if i = List.length es - 1 then " }\n" else " },\n"))
-    es;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let arg (k, v) = (k, match v with Int n -> Json.int n | Str s -> Json.Str s) in
+  let entry e =
+    Json.Line
+      (Json.Obj
+         ([
+            ("name", Json.Str e.name);
+            ("cat", Json.Str e.cat);
+            ("ph", Json.Str (String.make 1 e.ph));
+            ("ts", Json.num "%.3f" e.ts);
+            ("pid", Json.int e.pid);
+            ("tid", Json.int e.tid);
+          ]
+         @ if e.args = [] then [] else [ ("args", Json.Obj (List.map arg e.args)) ]))
+  in
+  Json.pretty
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents", Json.Arr (List.map entry es));
+       ])
 
 let chrome events = chrome_of_entries (entries events)

@@ -71,29 +71,35 @@ let run spec =
     Checker.levels
 
 let to_json spec rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n\
-       \  \"schema_version\": %d,\n\
-       \  \"benchmark\": \"ccopt check throughput\",\n\
-       \  \"unit\": \"events/sec\",\n\
-       \  \"config\": {\"txns\": %d, \"steps\": %d, \"sessions\": %d, \
-        \"n_vars\": %d, \"seed\": %d},\n\
-       \  \"results\": [\n"
-       Analysis.Report.schema_version spec.txns spec.steps spec.sessions
-       spec.n_vars spec.seed);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"level\": \"%s\", \"events\": %d, \"seconds\": %.3f, \
-            \"events_per_sec\": %.0f}"
-           r.level r.events r.seconds r.events_per_sec))
-    rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let line kvs = J.Line (J.Obj kvs) in
+  J.Obj
+    [
+      ("schema_version", J.int Analysis.Report.schema_version);
+      ("benchmark", J.Str "ccopt check throughput");
+      ("unit", J.Str "events/sec");
+      ( "config",
+        line
+          [
+            ("txns", J.int spec.txns);
+            ("steps", J.int spec.steps);
+            ("sessions", J.int spec.sessions);
+            ("n_vars", J.int spec.n_vars);
+            ("seed", J.int spec.seed);
+          ] );
+      ( "results",
+        J.Arr
+          (List.map
+             (fun r ->
+               line
+                 [
+                   ("level", J.Str r.level);
+                   ("events", J.int r.events);
+                   ("seconds", J.num "%.3f" r.seconds);
+                   ("events_per_sec", J.num "%.0f" r.events_per_sec);
+                 ])
+             rows) );
+    ]
 
 let pp_rows fmt rows =
   Format.fprintf fmt "%-8s %12s %9s %14s@." "level" "events" "seconds"

@@ -39,9 +39,9 @@ val run : spec -> row list
     to [spec.levels]. Raises [Failure] if any verdict is not
     [Consistent]. *)
 
-val to_json : spec -> row list -> string
-(** Hand-emitted JSON: [{"schema_version", "benchmark", "unit",
-    "config", "results": [row...]}] — the schema of
-    [BENCH_check.json]. *)
+val to_json : spec -> row list -> Obs.Json.t
+(** [{"schema_version", "benchmark", "unit", "config", "results":
+    [row...]}] — the schema of [BENCH_check.json], rendered with
+    {!Obs.Json.pretty}. *)
 
 val pp_rows : Format.formatter -> row list -> unit

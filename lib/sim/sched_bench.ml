@@ -44,7 +44,7 @@ type row = {
   mix : string;
   n : int;
   m : int;
-  requests : int;
+  requests : int;  (* requests served: grants + delays + aborts *)
   seconds : float;
   req_per_sec : float;
 }
@@ -105,6 +105,12 @@ let smoke =
     twopc_parts = 2;
   }
 
+let mix_names =
+  [
+    "uniform"; "hot"; "skewed"; "disjoint"; "rw-uniform"; "rw-hot";
+    "rw-readmost"; "ctr-hot"; "ctr-skewed";
+  ]
+
 let syntax_of_mix st ~mix ~n ~m ~n_vars =
   match mix with
   | "uniform" -> Workload.uniform st ~n ~m ~n_vars
@@ -133,459 +139,395 @@ let syntax_of_mix st ~mix ~n ~m ~n_vars =
     Workload.semantic_zipf st ~n ~m ~n_vars ~s:1.2 ~read_frac:0.1
   | name ->
     invalid_arg
-      ("unknown workload mix " ^ name
-     ^ " (uniform, hot, skewed, disjoint, rw-uniform, rw-hot, \
-        rw-readmost, ctr-hot, ctr-skewed)")
+      ("unknown workload mix " ^ name ^ " (" ^ String.concat ", " mix_names
+     ^ ")")
 
-let schedulers syntax =
-  [
-    ("serial", fun () -> Sched.Serial_sched.create ~fmt:(Syntax.format syntax));
-    ("2PL", fun () -> Sched.Tpl_sched.create_2pl ~syntax ());
-    ("TO", fun () -> Sched.Timestamp.create ~syntax ());
-    ("SGT", fun () -> Sched.Sgt.create ~syntax ());
-    ("SGT-ref", fun () -> Sched.Sgt_ref.create ~syntax);
-  ]
+(* ---------- flag values ---------- *)
+
+(* Comma-separated lists; empty items are skipped, so an empty flag
+   value is the empty list (which disables an optional section). *)
+let parse_list ~what ~flag parse s =
+  List.filter_map
+    (fun item ->
+      if item = "" then None
+      else
+        match parse item with
+        | None -> invalid_arg (Printf.sprintf "bad %s %s in %s" what item flag)
+        | v -> v)
+    (String.split_on_char ',' s)
+
+let parse_sizes ~flag s =
+  parse_list ~what:"size" ~flag:(flag ^ " (want NxM)")
+    (fun cell ->
+      match List.map int_of_string_opt (String.split_on_char 'x' cell) with
+      | [ Some n; Some m ] when n > 0 && m > 0 -> Some (n, m)
+      | _ -> None)
+    s
+
+let parse_ints ~flag s =
+  parse_list ~what:"count" ~flag:(flag ^ " (want positive integers)")
+    (fun k ->
+      match int_of_string_opt k with Some k when k > 0 -> Some k | _ -> None)
+    s
+
+(* ---------- timing sections ---------- *)
+
+(* One workload cell: a fresh deterministic rng per (mix, size) — salted
+   per section — so every engine of a section sees the identical syntax
+   and arrival streams. *)
+type cell = {
+  mix : string;
+  n : int;
+  m : int;
+  syntax : Syntax.t;
+  fmt : int array;
+  arrivals : int array array;
+}
+
+(* [cap]: contended mixes (all but disjoint) keep only the sizes with
+   n <= cap. A single hot/skewed run at n >= 512 takes seconds
+   (wound-wait churn on a near-complete conflict graph), which would
+   starve every other cell of its time budget; disjoint cells run at
+   every size — the scaling story the sharded and parallel sections
+   exist to measure. *)
+let cells spec ~mixes ~sizes ~cap ~salt ~streams =
+  List.concat_map
+    (fun mix ->
+      let sizes =
+        match cap with
+        | Some cap when mix <> "disjoint" ->
+          List.filter (fun (n, _) -> n <= cap) sizes
+        | _ -> sizes
+      in
+      List.map
+        (fun (n, m) ->
+          let seed = [ spec.seed; Hashtbl.hash mix; n; m ] @ Option.to_list salt in
+          let st = Random.State.make (Array.of_list seed) in
+          let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
+          let fmt = Syntax.format syntax in
+          let arrivals =
+            Array.init streams (fun _ -> Combin.Interleave.random st fmt)
+          in
+          { mix; n; m; syntax; fmt; arrivals })
+        sizes)
+    mixes
+
+(* A timed engine: its row label and one run over one of a cell's
+   arrival streams, returning the requests it served. *)
+type engine = { label : string; serve : cell -> int array -> int }
 
 (* Requests served = scheduler decisions that consumed a submitted
    request: grants (re-executions included) plus delays plus
    outright aborts. Decision-equivalent schedulers therefore serve the
    same request count and differ only in elapsed time. *)
-let requests_of (s : Sched.Driver.stats) =
-  s.Sched.Driver.grants + s.Sched.Driver.delays + s.Sched.Driver.restarts
+let driven label make =
+  {
+    label;
+    serve =
+      (fun c a ->
+        let s = Sched.Driver.run (make c.syntax) ~fmt:c.fmt ~arrivals:a in
+        s.Sched.Driver.grants + s.Sched.Driver.delays + s.Sched.Driver.restarts);
+  }
 
-(* Time every scheduler of a cell together, in interleaved rounds: each
-   round runs one whole pass of each scheduler over every stream, timed
-   individually at pass granularity (clock overhead stays out of the
-   measurement). Interleaving matters for the reported ratios — timing
-   each scheduler in its own contiguous block lets CPU frequency drift
-   between blocks masquerade as a speedup. One warm-up pass per
-   scheduler, then rounds until the cell's time budget
-   ([min_time] x number of schedulers, matching the sequential layout's
-   total) is spent. *)
-(* The generic core: each entry of [passes] runs one whole pass of its
-   configuration and returns the requests it served. *)
-let time_cells ~min_time passes =
-  let k = Array.length passes in
+let registered name =
+  let e = Sched.Registry.find_exn name in
+  driven e.Sched.Registry.name (fun syntax -> e.Sched.Registry.make syntax)
+
+let sharded_name k = Printf.sprintf "sharded-k%d" k
+
+(* The registry has one sharded entry (K = 4); the section sweeps K. *)
+let sharded k =
+  driven (sharded_name k) (fun syntax ->
+      Sched.Sharded.create ~shards:k ~syntax ())
+
+let parallel_name ~domains ~queue =
+  Printf.sprintf "parallel-d%d-%s" domains (Sched.Chan.kind_name queue)
+
+(* Wall-clock runs of the domain-parallel engine, one shard per domain;
+   the stream is copied because the engine consumes it. *)
+let parallel ~domains ~queue =
+  {
+    label = parallel_name ~domains ~queue;
+    serve =
+      (fun c a ->
+        let r =
+          Sched.Parallel.run ~queue ~domains ~shards:domains ~syntax:c.syntax
+            ~arrivals:(Array.copy a) ()
+        in
+        r.Sched.Parallel.grants + r.Sched.Parallel.delays
+        + r.Sched.Parallel.restarts);
+  }
+
+(* [engine]'s req/s over [baseline]'s in the same cell, reported under
+   the cell's key ["mix/NxM"] plus [key] in JSON and with [tag] between
+   the cell and the ratio in the text table. *)
+type ratio = { engine : string; baseline : string; key : string; tag : string }
+
+type section = {
+  name : string;
+  engines : engine list;
+  mixes : string list;
+  sizes : (int * int) list;
+  cap : int option;
+  salt : int option;
+  streams : int;
+  ratios : ratio list;
+}
+
+(* Every timing section, in run order; one with no engines is skipped.
+   Adding a section is one record here (plus its place in [to_json] and
+   [pp] if it has ratios to report). *)
+let sections (spec : spec) =
+  let section ?cap ?salt ?(streams = spec.streams) ?(ratios = []) name
+      engines mixes sizes =
+    { name; engines; mixes; sizes; cap; salt; streams; ratios }
+  in
+  let ratio ?(key = "") ?(tag = "") engine baseline =
+    { engine; baseline; key; tag }
+  in
+  let variants =
+    List.concat_map
+      (fun d -> List.map (fun q -> (d, q)) spec.par_queues)
+      spec.par_domains
+  in
+  List.filter
+    (fun s -> s.engines <> [])
+    [
+      section "core"
+        (List.map registered [ "serial"; "2PL"; "TO"; "SGT"; "SGT-ref" ])
+        spec.mixes spec.sizes
+        ~ratios:[ ratio "SGT" "SGT-ref" ];
+      (* single-version SGT against the MV family on typed read/update
+         mixes — the workloads where snapshot reads buy admission
+         breadth *)
+      section "mv"
+        (List.map registered [ "SGT"; "MVCC"; "SI"; "SSI" ])
+        spec.mv_mixes spec.mv_sizes;
+      (* rw-SGT against the semantic engine on typed counter mixes —
+         identical machinery, the only delta being the {!Core.Commute}
+         filter on conflict edges *)
+      section "semantic"
+        (List.map registered [ "SGT"; "semantic" ])
+        spec.sem_mixes spec.sem_sizes
+        ~ratios:[ ratio "semantic" "SGT" ];
+      (* monolithic SGT against the sharded engine across K on
+         partition-sensitive mixes: disjoint is the zero-coordination
+         best case, hot and skewed keep the coordinator path timed *)
+      section "sharded"
+        (if spec.shard_ks = [] then []
+         else registered "SGT" :: List.map sharded spec.shard_ks)
+        spec.shard_mixes spec.shard_sizes ~cap:256
+        ~ratios:
+          (List.map
+             (fun k ->
+               ratio (sharded_name k) "SGT" ~key:(Printf.sprintf "/k%d" k)
+                 ~tag:(Printf.sprintf "K=%-2d " k))
+             spec.shard_ks);
+      (* every (domain count, channel build) variant on identical
+         streams; each multi-domain variant is reported against the d1
+         variant of its channel build — the wall-clock scaling curve *)
+      section "parallel"
+        (List.map (fun (domains, queue) -> parallel ~domains ~queue) variants)
+        spec.par_mixes spec.par_sizes ~cap:256 ~salt:0x9a7
+        ~streams:spec.par_streams
+        ~ratios:
+          (List.filter_map
+             (fun (d, queue) ->
+               let q = Sched.Chan.kind_name queue in
+               if d = 1 then None
+               else
+                 Some
+                   (ratio
+                      (parallel_name ~domains:d ~queue)
+                      (parallel_name ~domains:1 ~queue)
+                      ~key:(Printf.sprintf "/%s/d%d" q d)
+                      ~tag:(Printf.sprintf "%-6s d=%-2d " q d)))
+             variants);
+    ]
+
+(* Time every engine of a cell together, in interleaved rounds: each
+   round runs one whole pass of each engine, timed individually at pass
+   granularity (clock overhead stays out of the measurement).
+   Interleaving matters for the reported ratios — timing each engine in
+   its own contiguous block lets CPU frequency drift between blocks
+   masquerade as a speedup. One warm-up pass per engine, then rounds
+   until the cell's time budget ([min_time] x number of engines) is
+   spent. *)
+let time_cell ~min_time engines c =
+  let engines = Array.of_list engines in
+  let k = Array.length engines in
+  let pass j =
+    Array.fold_left (fun acc a -> acc + engines.(j).serve c a) 0 c.arrivals
+  in
   let requests = Array.make k 0 in
   let seconds = Array.make k 0. in
-  Array.iter (fun pass -> ignore (pass ())) passes;
+  Array.iteri (fun j _ -> ignore (pass j)) engines;
   let budget = min_time *. float_of_int k in
   let total = ref 0. in
   let rounds = ref 0 in
   while !rounds = 0 || !total < budget do
     for j = 0 to k - 1 do
       let t0 = Unix.gettimeofday () in
-      requests.(j) <- requests.(j) + passes.(j) ();
+      requests.(j) <- requests.(j) + pass j;
       let dt = Unix.gettimeofday () -. t0 in
       seconds.(j) <- seconds.(j) +. dt;
       total := !total +. dt
     done;
     incr rounds
   done;
-  Array.init k (fun j -> (requests.(j), seconds.(j)))
+  List.init k (fun j ->
+      let requests = requests.(j) and seconds = seconds.(j) in
+      {
+        scheduler = engines.(j).label;
+        mix = c.mix;
+        n = c.n;
+        m = c.m;
+        requests;
+        seconds;
+        req_per_sec =
+          (if seconds > 0. then float_of_int requests /. seconds else 0.);
+      })
 
-let time_cell_set ~min_time ~fmt ~arrivals mks =
-  time_cells ~min_time
-    (Array.map
-       (fun mk () ->
-         Array.fold_left
-           (fun acc a ->
-             acc + requests_of (Sched.Driver.run (mk ()) ~fmt ~arrivals:a))
-           0 arrivals)
-       mks)
-
-let run_section spec ~mixes ~sizes ~named_of_syntax =
+let time_section spec s =
   List.concat_map
-    (fun mix ->
-      List.concat_map
-        (fun (n, m) ->
-          (* fresh deterministic rng per cell: every scheduler sees the
-             identical syntax and arrival streams *)
-          let st = Random.State.make [| spec.seed; Hashtbl.hash mix; n; m |] in
-          let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-          let fmt = Syntax.format syntax in
-          let arrivals =
-            Array.init spec.streams (fun _ -> Combin.Interleave.random st fmt)
-          in
-          let named = named_of_syntax syntax in
-          let cells =
-            time_cell_set ~min_time:spec.min_time ~fmt ~arrivals
-              (Array.of_list (List.map snd named))
-          in
-          List.mapi
-            (fun j (name, _) ->
-              let requests, seconds = cells.(j) in
-              {
-                scheduler = name;
-                mix;
-                n;
-                m;
-                requests;
-                seconds;
-                req_per_sec =
-                  (if seconds > 0. then float_of_int requests /. seconds
-                   else 0.);
-              })
-            named)
-        sizes)
-    mixes
+    (time_cell ~min_time:spec.min_time s.engines)
+    (cells spec ~mixes:s.mixes ~sizes:s.sizes ~cap:s.cap ~salt:s.salt
+       ~streams:s.streams)
 
-(* The multi-version section pits single-version SGT against the MV
-   family on typed read/update mixes — the workloads where snapshot
-   reads actually buy admission breadth. *)
-let mv_schedulers syntax =
-  [
-    ("SGT", fun sink -> Sched.Sgt.create ~sink ~syntax ());
-    ("MVCC", fun sink -> Sched.Mvcc.create ~sink ~syntax ());
-    ("SI", fun sink -> Sched.Si.create ~sink ~syntax ());
-    ("SSI", fun sink -> Sched.Ssi.create ~sink ~syntax ());
-  ]
+(* ---------- admission tables ---------- *)
 
-let mv_timing syntax =
-  List.map
-    (fun (name, mk) -> (name, fun () -> mk Obs.Sink.null))
-    (mv_schedulers syntax)
+(* One count column of an admission table: its JSON key, its text
+   header and width, and what one traced event adds to it. *)
+type column = {
+  key : string;
+  header : string;
+  width : int;
+  count : Obs.Event.t -> int;
+}
 
-type mv_stat = {
-  mv_scheduler : string;
-  mv_mix : string;
-  mv_n : int;
-  mv_m : int;
+(* Per cell and engine: the Monte-Carlo breadth |P|/|H|
+   ({!Sched.Driver.zero_delay_fraction}, the paper's admission-breadth
+   measure, §6) plus the columns' counts over one traced pass of the
+   cell's streams. Same cell discipline as the timing sections, under
+   the table's own salt. *)
+type table = {
+  title : string;
+  engines : string list;
+  mixes : string list;
+  sizes : (int * int) list;
+  salt : int;
+  samples : int;
+  widths : int * int;  (* mix and scheduler columns of the text table *)
+  columns : column list;
+}
+
+type stat = {
+  scheduler : string;
+  mix : string;
+  n : int;
+  m : int;
   breadth : float;
-  mv_commits : int;
-  ww_aborts : int;
-  pivot_aborts : int;
-  false_positive_aborts : int;
+  counts : int list;
 }
 
-let mv_stats spec =
-  List.concat_map
-    (fun mix ->
-      List.concat_map
-        (fun (n, m) ->
-          (* same cell discipline as the timing sections: one
-             deterministic syntax and arrival-stream set per cell,
-             shared by every engine *)
-          let st =
-            Random.State.make [| spec.seed; Hashtbl.hash mix; n; m; 0x6d76 |]
-          in
-          let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-          let fmt = Syntax.format syntax in
-          let arrivals =
-            Array.init spec.streams (fun _ -> Combin.Interleave.random st fmt)
-          in
-          List.map
-            (fun (name, mk) ->
-              let breadth =
-                Sched.Driver.zero_delay_fraction
-                  (fun () -> mk Obs.Sink.null)
-                  ~fmt ~samples:spec.mv_samples ~seed:spec.seed
-              in
-              let ww = ref 0 and pivot = ref 0 in
-              let fp = ref 0 and commits = ref 0 in
-              let sink =
-                {
-                  Obs.Sink.now = 0.;
-                  enabled = true;
-                  emit =
-                    (fun _ e ->
-                      match e with
-                      | Obs.Event.Ww_refused _ -> incr ww
-                      | Obs.Event.Pivot_refused { cyclic; _ } ->
-                        incr pivot;
-                        if not cyclic then incr fp
-                      | Obs.Event.Committed _ -> incr commits
-                      | _ -> ());
-                }
-              in
-              Array.iter
-                (fun a ->
-                  ignore (Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals:a))
-                arrivals;
-              {
-                mv_scheduler = name;
-                mv_mix = mix;
-                mv_n = n;
-                mv_m = m;
-                breadth;
-                mv_commits = !commits;
-                ww_aborts = !ww;
-                pivot_aborts = !pivot;
-                false_positive_aborts = !fp;
-              })
-            (mv_schedulers syntax))
-        spec.mv_sizes)
-    spec.mv_mixes
+let column key header width count = { key; header; width; count }
 
-(* The commutativity section pits rw-SGT against the semantic engine on
-   typed counter mixes — identical machinery, the only delta being the
-   {!Core.Commute} filter on conflict edges. *)
-let sem_schedulers syntax =
+let tables spec =
   [
-    ("SGT", fun sink -> Sched.Sgt.create ~sink ~syntax ());
-    ("semantic", fun sink -> Sched.Semantic.create ~sink ~syntax ());
+    (* rw-SGT against the semantic engine on typed counter mixes: there
+       the semantic engine's fixpoint strictly contains rw-SGT's, so its
+       breadth reads higher *)
+    ( "semantic",
+      {
+        title = "commutativity admission (|P|/|H|, delays and commute passes):";
+        engines = [ "SGT"; "semantic" ];
+        mixes = spec.sem_mixes;
+        sizes = spec.sem_sizes;
+        salt = 0x5e6d;
+        samples = spec.sem_samples;
+        widths = (12, 9);
+        columns =
+          [
+            column "delays" "delays" 7 (function
+              | Obs.Event.Delayed _ -> 1
+              | _ -> 0);
+            (* grants that sailed past live same-variable accesses
+               because every one commuted (always 0 for the rw engine) *)
+            column "commute_passes" "passes" 7 (function
+              | Obs.Event.Commute_pass _ -> 1
+              | _ -> 0);
+            (* the accesses those passes skipped — the conflict edges the
+               commutativity table deleted *)
+            column "commute_skipped" "skipped" 8 (function
+              | Obs.Event.Commute_pass { skipped; _ } -> skipped
+              | _ -> 0);
+          ];
+      } );
+    ( "mv",
+      {
+        title = "multi-version admission (|P|/|H| and aborts):";
+        engines = [ "SGT"; "MVCC"; "SI"; "SSI" ];
+        mixes = spec.mv_mixes;
+        sizes = spec.mv_sizes;
+        salt = 0x6d76;
+        samples = spec.mv_samples;
+        widths = (10, 8);
+        columns =
+          [
+            column "commits" "commits" 8 (function
+              | Obs.Event.Committed _ -> 1
+              | _ -> 0);
+            (* first-committer-wins refusals *)
+            column "ww_aborts" "ww" 6 (function
+              | Obs.Event.Ww_refused _ -> 1
+              | _ -> 0);
+            (* SSI dangerous-structure refusals *)
+            column "pivot_aborts" "pivot" 6 (function
+              | Obs.Event.Pivot_refused _ -> 1
+              | _ -> 0);
+            (* pivot refusals whose serialization graph was acyclic — the
+               admissions SSI gives up versus an exact certifier *)
+            column "false_positive_aborts" "false-pos" 9 (function
+              | Obs.Event.Pivot_refused { cyclic = false; _ } -> 1
+              | _ -> 0);
+          ];
+      } );
   ]
 
-let sem_timing syntax =
-  List.map
-    (fun (name, mk) -> (name, fun () -> mk Obs.Sink.null))
-    (sem_schedulers syntax)
-
-type sem_stat = {
-  sem_scheduler : string;
-  sem_mix : string;
-  sem_n : int;
-  sem_m : int;
-  sem_breadth : float;
-  sem_delays : int;
-  commute_passes : int;
-  commute_skipped : int;
-}
-
-let sem_stats spec =
-  match (spec.sem_mixes, spec.sem_sizes) with
-  | [], _ | _, [] -> []
-  | mixes, sizes ->
-    List.concat_map
-      (fun mix ->
-        List.concat_map
-          (fun (n, m) ->
-            let st =
-              Random.State.make
-                [| spec.seed; Hashtbl.hash mix; n; m; 0x5e6d |]
-            in
-            let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-            let fmt = Syntax.format syntax in
-            let arrivals =
-              Array.init spec.streams (fun _ ->
-                  Combin.Interleave.random st fmt)
-            in
-            List.map
-              (fun (name, mk) ->
-                let breadth =
-                  Sched.Driver.zero_delay_fraction
-                    (fun () -> mk Obs.Sink.null)
-                    ~fmt ~samples:spec.sem_samples ~seed:spec.seed
-                in
-                let passes = ref 0 and skipped = ref 0 and delays = ref 0 in
-                let sink =
-                  {
-                    Obs.Sink.now = 0.;
-                    enabled = true;
-                    emit =
-                      (fun _ e ->
-                        match e with
-                        | Obs.Event.Commute_pass { skipped = k; _ } ->
-                          incr passes;
-                          skipped := !skipped + k
-                        | _ -> ());
-                  }
-                in
-                Array.iter
-                  (fun a ->
-                    let s =
-                      Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals:a
-                    in
-                    delays := !delays + s.Sched.Driver.delays)
-                  arrivals;
-                {
-                  sem_scheduler = name;
-                  sem_mix = mix;
-                  sem_n = n;
-                  sem_m = m;
-                  sem_breadth = breadth;
-                  sem_delays = !delays;
-                  commute_passes = !passes;
-                  commute_skipped = !skipped;
-                })
-              (sem_schedulers syntax))
-          sizes)
-      mixes
-
-let sharded_name k = Printf.sprintf "sharded-k%d" k
-
-(* The sharded section compares monolithic SGT against the sharded
-   engine across K on partition-sensitive workloads: [disjoint] is the
-   zero-coordination best case (every transaction single-shard), [hot]
-   and [skewed] keep contention so the coordinator path is timed too.
-   Sizes favour many small transactions — the regime the per-shard
-   graphs are built for. *)
-let sharded_schedulers ks syntax =
-  ("SGT", fun () -> Sched.Sgt.create ~syntax ())
-  :: List.map
-       (fun k ->
-         ( sharded_name k,
-           fun () -> Sched.Sharded.create ~shards:k ~syntax () ))
-       ks
-
-let parallel_name ~domains ~queue =
-  Printf.sprintf "parallel-d%d-%s" domains (Sched.Chan.kind_name queue)
-
-(* Wall-clock timing of the domain-parallel engine, one variant per
-   (domain count, channel build), same interleaved-round discipline as
-   the simulated sections. Every variant replays identical arrival
-   streams, so req/s ratios against the d1 variant are the engine's
-   wall-clock scaling curve. Contended mixes are capped at n <= 256
-   like the sharded section, and for the same reason. *)
-let run_parallel_section spec =
-  match spec.par_domains with
-  | [] -> []
-  | ds ->
-    let variants =
-      List.concat_map
-        (fun d -> List.map (fun q -> (d, q)) spec.par_queues)
-        ds
-    in
-    List.concat_map
-      (fun mix ->
-        let sizes =
-          if mix = "disjoint" then spec.par_sizes
-          else List.filter (fun (n, _) -> n <= 256) spec.par_sizes
-        in
-        List.concat_map
-          (fun (n, m) ->
-            let st =
-              Random.State.make [| spec.seed; Hashtbl.hash mix; n; m; 0x9a7 |]
-            in
-            let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
-            let fmt = Syntax.format syntax in
-            let arrivals =
-              Array.init spec.par_streams (fun _ ->
-                  Combin.Interleave.random st fmt)
-            in
-            let pass (domains, queue) () =
-              Array.fold_left
-                (fun acc a ->
-                  let r =
-                    Sched.Parallel.run ~queue ~domains
-                      ~shards:domains ~syntax ~arrivals:(Array.copy a)
-                      ()
-                  in
-                  acc + r.Sched.Parallel.grants + r.Sched.Parallel.delays
-                  + r.Sched.Parallel.restarts)
-                0 arrivals
-            in
-            let cells =
-              time_cells ~min_time:spec.min_time
-                (Array.of_list (List.map pass variants))
-            in
-            List.mapi
-              (fun j (domains, queue) ->
-                let requests, seconds = cells.(j) in
-                {
-                  scheduler = parallel_name ~domains ~queue;
-                  mix;
-                  n;
-                  m;
-                  requests;
-                  seconds;
-                  req_per_sec =
-                    (if seconds > 0. then float_of_int requests /. seconds
-                     else 0.);
-                })
-              variants)
-          sizes)
-      spec.par_mixes
-
-let run spec =
-  run_section spec ~mixes:spec.mixes ~sizes:spec.sizes
-    ~named_of_syntax:schedulers
-  @ (match (spec.mv_mixes, spec.mv_sizes) with
-    | [], _ | _, [] -> []
-    | mixes, sizes ->
-      run_section spec ~mixes ~sizes ~named_of_syntax:mv_timing)
-  @ (match (spec.sem_mixes, spec.sem_sizes) with
-    | [], _ | _, [] -> []
-    | mixes, sizes ->
-      run_section spec ~mixes ~sizes ~named_of_syntax:sem_timing)
-  @ (match spec.shard_ks with
-    | [] -> []
-    | ks ->
-      (* Contended mixes are capped at n <= 256: a single hot/skewed run
-         at n >= 512 takes seconds (wound-wait churn on a near-complete
-         conflict graph), which would starve every other cell of its time
-         budget. Disjoint cells run at every requested size — that is the
-         scaling story the sharded section exists to measure. *)
-      List.concat_map
-        (fun mix ->
-          let sizes =
-            if mix = "disjoint" then spec.shard_sizes
-            else List.filter (fun (n, _) -> n <= 256) spec.shard_sizes
+let admission spec t =
+  List.concat_map
+    (fun c ->
+      List.map
+        (fun name ->
+          let e = Sched.Registry.find_exn name in
+          let breadth =
+            Sched.Driver.zero_delay_fraction
+              (fun () -> e.Sched.Registry.make c.syntax)
+              ~fmt:c.fmt ~samples:t.samples ~seed:spec.seed
           in
-          run_section spec ~mixes:[ mix ] ~sizes
-            ~named_of_syntax:(sharded_schedulers ks))
-        spec.shard_mixes)
-  @ run_parallel_section spec
-
-let find rows ~scheduler ~mix ~n ~m =
-  List.find_opt
-    (fun r -> r.scheduler = scheduler && r.mix = mix && r.n = n && r.m = m)
-    rows
-
-let speedups rows =
-  (* SGT vs the brute-force oracle, per cell *)
-  List.filter_map
-    (fun r ->
-      if r.scheduler <> "SGT" then None
-      else
-        match find rows ~scheduler:"SGT-ref" ~mix:r.mix ~n:r.n ~m:r.m with
-        | Some ref_row when ref_row.req_per_sec > 0. ->
-          Some (r.mix, r.n, r.m, r.req_per_sec /. ref_row.req_per_sec)
-        | Some _ | None -> None)
-    rows
-
-let sharded_speedups rows =
-  (* the sharded engine vs monolithic SGT in the same cell, per K *)
-  List.filter_map
-    (fun r ->
-      match
-        String.length r.scheduler > 9
-        && String.sub r.scheduler 0 9 = "sharded-k"
-      with
-      | false -> None
-      | true -> (
-        match find rows ~scheduler:"SGT" ~mix:r.mix ~n:r.n ~m:r.m with
-        | Some sgt when sgt.req_per_sec > 0. ->
-          let k =
-            int_of_string
-              (String.sub r.scheduler 9 (String.length r.scheduler - 9))
+          let counts = Array.make (List.length t.columns) 0 in
+          let emit _ ev =
+            List.iteri (fun i col -> counts.(i) <- counts.(i) + col.count ev) t.columns
           in
-          Some (r.mix, r.n, r.m, k, r.req_per_sec /. sgt.req_per_sec)
-        | Some _ | None -> None))
-    rows
-
-let semantic_speedups rows =
-  (* the semantic engine vs rw-SGT in the same typed-counter cell *)
-  List.filter_map
-    (fun r ->
-      if r.scheduler <> "semantic" then None
-      else
-        match find rows ~scheduler:"SGT" ~mix:r.mix ~n:r.n ~m:r.m with
-        | Some sgt when sgt.req_per_sec > 0. ->
-          Some (r.mix, r.n, r.m, r.req_per_sec /. sgt.req_per_sec)
-        | Some _ | None -> None)
-    rows
-
-let parallel_speedups rows =
-  (* every multi-domain parallel variant vs the single-domain variant
-     of the same channel build, per cell: the wall-clock scaling curve *)
-  List.filter_map
-    (fun r ->
-      match String.split_on_char '-' r.scheduler with
-      | [ "parallel"; d; q ] when String.length d > 1 && d.[0] = 'd' -> (
-        match int_of_string_opt (String.sub d 1 (String.length d - 1)) with
-        | Some domains when domains > 1 -> (
-          match
-            find rows
-              ~scheduler:(Printf.sprintf "parallel-d1-%s" q)
-              ~mix:r.mix ~n:r.n ~m:r.m
-          with
-          | Some base when base.req_per_sec > 0. ->
-            Some (r.mix, r.n, r.m, q, domains, r.req_per_sec /. base.req_per_sec)
-          | Some _ | None -> None)
-        | _ -> None)
-      | _ -> None)
-    rows
+          let sink = { Obs.Sink.now = 0.; enabled = true; emit } in
+          Array.iter
+            (fun a ->
+              ignore
+                (Sched.Driver.run ~sink
+                   (e.Sched.Registry.make ~sink c.syntax)
+                   ~fmt:c.fmt ~arrivals:a))
+            c.arrivals;
+          {
+            scheduler = e.Sched.Registry.name;
+            mix = c.mix;
+            n = c.n;
+            m = c.m;
+            breadth;
+            counts = Array.to_list counts;
+          })
+        t.engines)
+    (cells spec ~mixes:t.mixes ~sizes:t.sizes ~cap:None ~salt:(Some t.salt)
+       ~streams:spec.streams)
 
 (* ---------- distributed-commit (2PC) section ---------- *)
 
@@ -595,18 +537,20 @@ type twopc_stat = {
   tp_commits : int;
   tp_aborts : int;
   abort_rate : float;
-  avg_latency : float;
-  avg_blocking : float;
+  avg_latency : float;  (* round start -> coordinator decision, virtual time *)
+  avg_blocking : float;  (* mean in-doubt window per round *)
   max_blocking : float;
   tp_msgs : int;
-  tp_crashes : int;
+  tp_crashes : int;  (* crash-plan entries that actually triggered *)
 }
 
 type twopc_section = {
   tp_parts : int;
-  sweep : twopc_stat list;
-  cc_repair : float;
+  sweep : twopc_stat list;  (* one row per fault rate, rate order *)
+  cc_repair : float;  (* repair delay of the forced coordinator crashes *)
   cc_avg_blocking : float;
+      (* mean in-doubt window over the placements that opened one — the
+         measured blocking cost of a coordinator crash *)
   cc_max_blocking : float;
 }
 
@@ -689,429 +633,218 @@ let pp_twopc ppf (s : twopc_section) =
     s.sweep;
   Format.fprintf ppf "@]"
 
+(* ---------- the whole report ---------- *)
+
+type report = {
+  timings : (section * row list) list;
+  admissions : (string * (table * stat list)) list;
+  twopc : twopc_section option;
+}
+
+let run spec =
+  let timings = List.map (fun s -> (s, time_section spec s)) (sections spec) in
+  let admissions =
+    List.map (fun (name, t) -> (name, (t, admission spec t))) (tables spec)
+  in
+  { timings; admissions; twopc = twopc_stats spec }
+
+let rows r = List.concat_map snd r.timings
+
+(* The named section's ratios, in row order: (row, ratio, speedup). *)
+let speedups r name =
+  match List.find_opt (fun (s, _) -> s.name = name) r.timings with
+  | None -> []
+  | Some (s, rows) ->
+    List.concat_map
+      (fun (row : row) ->
+        List.filter_map
+          (fun q ->
+            if q.engine <> row.scheduler then None
+            else
+              match
+                List.find_opt
+                  (fun (b : row) ->
+                    b.scheduler = q.baseline && b.mix = row.mix && b.n = row.n
+                    && b.m = row.m)
+                  rows
+              with
+              | Some b when b.req_per_sec > 0. ->
+                Some (row, q, row.req_per_sec /. b.req_per_sec)
+              | Some _ | None -> None)
+          s.ratios)
+      rows
+
 (* ---------- JSON ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Json
 
-let to_json ?(mv = []) ?twopc ?(semantic = []) spec rows =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"benchmark\": \"sched\",\n";
-  add "  \"unit\": \"requests_per_second\",\n";
-  add
-    (Printf.sprintf
-       "  \"config\": { \"n_vars\": %d, \"streams\": %d, \"min_time\": %g, \
-        \"seed\": %d, \"shard_ks\": [%s] },\n"
-       spec.n_vars spec.streams spec.min_time spec.seed
-       (String.concat ", " (List.map string_of_int spec.shard_ks)));
-  add "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      add
-        (Printf.sprintf
-           "    { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \"m\": \
-            %d, \"requests\": %d, \"seconds\": %.6f, \"req_per_sec\": %.1f }%s\n"
-           (json_escape r.scheduler) (json_escape r.mix) r.n r.m r.requests
-           r.seconds r.req_per_sec
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  add "  ],\n";
-  add "  \"sgt_speedup_vs_ref\": {\n";
-  let sp = speedups rows in
-  List.iteri
-    (fun i (mix, n, m, ratio) ->
-      add
-        (Printf.sprintf "    \"%s/%dx%d\": %.2f%s\n" (json_escape mix) n m
-           ratio
-           (if i = List.length sp - 1 then "" else ",")))
-    sp;
-  add "  },\n";
-  add "  \"sharded_speedup_vs_sgt\": {\n";
-  let ssp = sharded_speedups rows in
-  List.iteri
-    (fun i (mix, n, m, k, ratio) ->
-      add
-        (Printf.sprintf "    \"%s/%dx%d/k%d\": %.2f%s\n" (json_escape mix) n
-           m k ratio
-           (if i = List.length ssp - 1 then "" else ",")))
-    ssp;
-  add "  },\n";
-  (match parallel_speedups rows with
-  | [] -> ()
-  | psp ->
+let to_json spec r =
+  let line kvs = J.Line (J.Obj kvs) in
+  let cell scheduler mix n m =
+    [ ("scheduler", J.Str scheduler); ("mix", J.Str mix); ("n", J.int n);
+      ("m", J.int m) ]
+  in
+  let ratio_map name =
+    J.Obj
+      (List.map
+         (fun ((row : row), (q : ratio), x) ->
+           ( Printf.sprintf "%s/%dx%d%s" row.mix row.n row.m q.key,
+             J.num "%.2f" x ))
+         (speedups r name))
+  in
+  let optional name = function [] -> [] | members -> [ (name, J.Obj members) ] in
+  (* an admission table's rows, and its members *)
+  let admission name =
+    let t, stats = List.assoc name r.admissions in
+    ( stats,
+      [
+        ("samples", J.int t.samples);
+        ( "results",
+          J.Arr
+            (List.map
+               (fun s ->
+                 line
+                   (cell s.scheduler s.mix s.n s.m
+                   @ ("breadth", J.num "%.4f" s.breadth)
+                     :: List.map2 (fun c v -> (c.key, J.int v)) t.columns s.counts
+                   ))
+               stats) );
+      ] )
+  in
+  J.Obj
+    ([
+       ("benchmark", J.Str "sched");
+       ("unit", J.Str "requests_per_second");
+       ( "config",
+         line
+           [
+             ("n_vars", J.int spec.n_vars);
+             ("streams", J.int spec.streams);
+             ("min_time", J.num "%g" spec.min_time);
+             ("seed", J.int spec.seed);
+             ("shard_ks", J.Arr (List.map J.int spec.shard_ks));
+           ] );
+       ( "results",
+         J.Arr
+           (List.map
+              (fun (row : row) ->
+                line
+                  (cell row.scheduler row.mix row.n row.m
+                  @ [
+                      ("requests", J.int row.requests);
+                      ("seconds", J.num "%.6f" row.seconds);
+                      ("req_per_sec", J.num "%.1f" row.req_per_sec);
+                    ]))
+              (rows r)) );
+       ("sgt_speedup_vs_ref", ratio_map "core");
+       ("sharded_speedup_vs_sgt", ratio_map "sharded");
+     ]
     (* wall-clock context the ratios cannot be read without: on a host
        with fewer cores than domains the speedup is algorithmic
        (smaller per-worker graphs and histories), not concurrent *)
-    add "  \"parallel\": {\n";
-    add
-      (Printf.sprintf "    \"recommended_domains\": %d,\n"
-         (Domain.recommended_domain_count ()));
-    add
-      "    \"note\": \"wall-clock ratios vs the d1 variant on identical \
-       arrival streams; on hosts with fewer cores than domains the gain \
-       is algorithmic (smaller per-worker state), true concurrency \
-       engages on multicore\",\n";
-    add "    \"speedup_vs_d1\": {\n";
-    List.iteri
-      (fun i (mix, n, m, q, d, ratio) ->
-        add
-          (Printf.sprintf "      \"%s/%dx%d/%s/d%d\": %.2f%s\n"
-             (json_escape mix) n m (json_escape q) d ratio
-             (if i = List.length psp - 1 then "" else ",")))
-      psp;
-    add "    }\n";
-    add "  },\n");
-  (match twopc with
-  | None -> ()
-  | Some (s : twopc_section) ->
-    add "  \"twopc\": {\n";
-    add
-      (Printf.sprintf "    \"parts\": %d,\n    \"rounds_per_rate\": %d,\n"
-         s.tp_parts spec.twopc_rounds);
-    add "    \"sweep\": [\n";
-    List.iteri
-      (fun i t ->
-        add
-          (Printf.sprintf
-             "      { \"fault_rate\": %.3f, \"rounds\": %d, \"commits\": %d, \
-              \"aborts\": %d, \"abort_rate\": %.4f, \"avg_commit_latency\": \
-              %.3f, \"avg_blocking\": %.3f, \"max_blocking\": %.3f, \
-              \"msgs\": %d, \"crashes\": %d }%s\n"
-             t.fault_rate t.tp_rounds t.tp_commits t.tp_aborts t.abort_rate
-             t.avg_latency t.avg_blocking t.max_blocking t.tp_msgs
-             t.tp_crashes
-             (if i = List.length s.sweep - 1 then "" else ",")))
-      s.sweep;
-    add "    ],\n";
-    add
-      (Printf.sprintf
-         "    \"coordinator_crash\": { \"repair\": %.1f, \"avg_blocking\": \
-          %.3f, \"max_blocking\": %.3f }\n"
-         s.cc_repair s.cc_avg_blocking s.cc_max_blocking);
-    add "  },\n");
-  (match semantic with
-  | [] -> ()
-  | sem ->
-    add
-      (Printf.sprintf
-         "  \"semantic_section\": {\n    \"samples\": %d,\n    \"results\": [\n"
-         spec.sem_samples);
-    List.iteri
-      (fun i s ->
-        add
-          (Printf.sprintf
-             "      { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \
-              \"m\": %d, \"breadth\": %.4f, \"delays\": %d, \
-              \"commute_passes\": %d, \"commute_skipped\": %d }%s\n"
-             (json_escape s.sem_scheduler) (json_escape s.sem_mix) s.sem_n
-             s.sem_m s.sem_breadth s.sem_delays s.commute_passes
-             s.commute_skipped
-             (if i = List.length sem - 1 then "" else ",")))
-      sem;
-    add "    ],\n";
-    add "    \"speedup_vs_sgt\": {\n";
-    let ssp = semantic_speedups rows in
-    List.iteri
-      (fun i (mix, n, m, ratio) ->
-        add
-          (Printf.sprintf "      \"%s/%dx%d\": %.2f%s\n" (json_escape mix) n
-             m ratio
-             (if i = List.length ssp - 1 then "" else ",")))
-      ssp;
-    add "    }\n";
-    add "  },\n");
-  add
-    (Printf.sprintf "  \"mv_section\": {\n    \"samples\": %d,\n    \"results\": [\n"
-       spec.mv_samples);
-  List.iteri
-    (fun i s ->
-      add
-        (Printf.sprintf
-           "      { \"scheduler\": \"%s\", \"mix\": \"%s\", \"n\": %d, \"m\": \
-            %d, \"breadth\": %.4f, \"commits\": %d, \"ww_aborts\": %d, \
-            \"pivot_aborts\": %d, \"false_positive_aborts\": %d }%s\n"
-           (json_escape s.mv_scheduler) (json_escape s.mv_mix) s.mv_n s.mv_m
-           s.breadth s.mv_commits s.ww_aborts s.pivot_aborts
-           s.false_positive_aborts
-           (if i = List.length mv - 1 then "" else ",")))
-    mv;
-  add "    ]\n  }\n";
-  add "}\n";
-  Buffer.contents b
-
-(* Minimal recursive-descent well-formedness check over the JSON we
-   emit (objects, arrays, strings, numbers, true/false/null). Used by
-   the @check bench smoke so the harness cannot rot into emitting
-   garbage silently. [members_of] additionally records the raw extent
-   of each top-level member, which is what lets [--out] regeneration
-   preserve keys this emitter knows nothing about. *)
-let scan s ~on_member =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let fail = ref false in
-  let expect c =
-    if peek () = Some c then advance () else fail := true
-  in
-  let literal lit =
-    String.iter (fun c -> expect c) lit
-  in
-  let string_lit () =
-    expect '"';
-    let rec go () =
-      if !fail then ()
-      else
-        match peek () with
-        | None -> fail := true
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> fail := true
-            done
-          | _ -> fail := true);
-          go ()
-        | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let seen = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          seen := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !seen then fail := true
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ())
-  in
-  let depth = ref 0 in
-  let rec value () =
-    if !fail then ()
-    else begin
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        incr depth;
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let rec members () =
-            skip_ws ();
-            let kstart = !pos + 1 in
-            string_lit ();
-            let kstop = !pos - 1 in
-            skip_ws ();
-            expect ':';
-            skip_ws ();
-            let vstart = !pos in
-            value ();
-            if !depth = 1 && (not !fail) && kstop >= kstart then
-              on_member
-                ~key:(String.sub s kstart (kstop - kstart))
-                ~value:(String.sub s vstart (!pos - vstart));
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ()
-            | Some '}' -> advance ()
-            | _ -> fail := true
-          in
-          members ()
-        end;
-        decr depth
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let rec items () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items ()
-            | Some ']' -> advance ()
-            | _ -> fail := true
-          in
-          items ()
-        end
-      | Some '"' -> string_lit ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> fail := true
-    end
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
-
-let json_well_formed s = scan s ~on_member:(fun ~key:_ ~value:_ -> ())
-
-let toplevel_members s =
-  let acc = ref [] in
-  let is_object =
-    match String.index_opt s '{' with
-    | Some i -> String.trim (String.sub s 0 i) = ""
-    | None -> false
-  in
-  if is_object && scan s ~on_member:(fun ~key ~value -> acc := (key, value) :: !acc)
-  then Some (List.rev !acc)
-  else None
-
-let trim_right s =
-  let l = ref (String.length s) in
-  while !l > 0 && (match s.[!l - 1] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-    decr l
-  done;
-  String.sub s 0 !l
-
-let merge_preserving ~existing fresh =
-  match (toplevel_members existing, toplevel_members fresh) with
-  | Some old_kvs, Some new_kvs -> (
-    let extra =
-      List.filter (fun (k, _) -> not (List.mem_assoc k new_kvs)) old_kvs
-    in
-    if extra = [] then fresh
-    else
-      match String.rindex_opt fresh '}' with
-      | None -> fresh
-      | Some close ->
-        let b = Buffer.create (String.length fresh + 256) in
-        Buffer.add_string b (trim_right (String.sub fresh 0 close));
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string b
-              (Printf.sprintf ",\n  \"%s\": %s" k (String.trim v)))
-          extra;
-        Buffer.add_string b "\n}";
-        Buffer.add_string b
-          (String.sub fresh (close + 1) (String.length fresh - close - 1));
-        Buffer.contents b)
-  | _ -> fresh
+    @ optional "parallel"
+        (if speedups r "parallel" = [] then []
+         else
+           [
+             ("recommended_domains", J.int (Domain.recommended_domain_count ()));
+             ( "note",
+               J.Str
+                 "wall-clock ratios vs the d1 variant on identical arrival \
+                  streams; on hosts with fewer cores than domains the gain \
+                  is algorithmic (smaller per-worker state), true \
+                  concurrency engages on multicore" );
+             ("speedup_vs_d1", ratio_map "parallel");
+           ])
+    @ optional "twopc"
+        (match r.twopc with
+        | None -> []
+        | Some s ->
+          [
+            ("parts", J.int s.tp_parts);
+            ("rounds_per_rate", J.int spec.twopc_rounds);
+            ( "sweep",
+              J.Arr
+                (List.map
+                   (fun t ->
+                     line
+                       [
+                         ("fault_rate", J.num "%.3f" t.fault_rate);
+                         ("rounds", J.int t.tp_rounds);
+                         ("commits", J.int t.tp_commits);
+                         ("aborts", J.int t.tp_aborts);
+                         ("abort_rate", J.num "%.4f" t.abort_rate);
+                         ("avg_commit_latency", J.num "%.3f" t.avg_latency);
+                         ("avg_blocking", J.num "%.3f" t.avg_blocking);
+                         ("max_blocking", J.num "%.3f" t.max_blocking);
+                         ("msgs", J.int t.tp_msgs);
+                         ("crashes", J.int t.tp_crashes);
+                       ])
+                   s.sweep) );
+            ( "coordinator_crash",
+              line
+                [
+                  ("repair", J.num "%.1f" s.cc_repair);
+                  ("avg_blocking", J.num "%.3f" s.cc_avg_blocking);
+                  ("max_blocking", J.num "%.3f" s.cc_max_blocking);
+                ] );
+          ])
+    @ optional "semantic_section"
+        (match admission "semantic" with
+        | [], _ -> []
+        | _, members -> members @ [ ("speedup_vs_sgt", ratio_map "semantic") ])
+    @ [ ("mv_section", J.Obj (snd (admission "mv"))) ])
 
 (* ---------- text rendering ---------- *)
 
-let pp_rows ppf rows =
+let pp_rows ppf r =
   Format.fprintf ppf "%-8s %-8s %6s %12s %10s %14s@." "mix" "sched" "n x m"
     "requests" "seconds" "req/s";
   List.iter
-    (fun r ->
-      Format.fprintf ppf "%-8s %-8s %3dx%-3d %12d %10.4f %14.1f@." r.mix
-        r.scheduler r.n r.m r.requests r.seconds r.req_per_sec)
-    rows;
-  (match speedups rows with
-  | [] -> ()
-  | sp ->
-    Format.fprintf ppf "@.SGT speedup vs SGT-ref:@.";
-    List.iter
-      (fun (mix, n, m, ratio) ->
-        Format.fprintf ppf "  %-8s %3dx%-3d %6.2fx@." mix n m ratio)
-      sp);
-  (match sharded_speedups rows with
-  | [] -> ()
-  | ssp ->
-    Format.fprintf ppf "@.sharded speedup vs SGT:@.";
-    List.iter
-      (fun (mix, n, m, k, ratio) ->
-        Format.fprintf ppf "  %-8s %3dx%-3d K=%-2d %6.2fx@." mix n m k ratio)
-      ssp);
-  (match semantic_speedups rows with
-  | [] -> ()
-  | ssp ->
-    Format.fprintf ppf "@.semantic speedup vs SGT:@.";
-    List.iter
-      (fun (mix, n, m, ratio) ->
-        Format.fprintf ppf "  %-10s %3dx%-3d %6.2fx@." mix n m ratio)
-      ssp);
-  match parallel_speedups rows with
-  | [] -> ()
-  | psp ->
-    Format.fprintf ppf
-      "@.parallel wall-clock speedup vs 1 domain (%d cores recommended):@."
-      (Domain.recommended_domain_count ());
-    List.iter
-      (fun (mix, n, m, q, d, ratio) ->
-        Format.fprintf ppf "  %-8s %3dx%-3d %-6s d=%-2d %6.2fx@." mix n m q d
-          ratio)
-      psp
+    (fun (row : row) ->
+      Format.fprintf ppf "%-8s %-8s %3dx%-3d %12d %10.4f %14.1f@." row.mix
+        row.scheduler row.n row.m row.requests row.seconds row.req_per_sec)
+    (rows r);
+  (* one ratio table per section that has ratios: heading, mix width *)
+  List.iter
+    (fun (name, heading, width) ->
+      match speedups r name with
+      | [] -> ()
+      | sp ->
+        Format.fprintf ppf "@.%s@." heading;
+        List.iter
+          (fun ((row : row), q, x) ->
+            Format.fprintf ppf "  %-*s %3dx%-3d %s%6.2fx@." width row.mix row.n
+              row.m q.tag x)
+          sp)
+    [
+      ("core", "SGT speedup vs SGT-ref:", 8);
+      ("sharded", "sharded speedup vs SGT:", 8);
+      ("semantic", "semantic speedup vs SGT:", 10);
+      ( "parallel",
+        Printf.sprintf
+          "parallel wall-clock speedup vs 1 domain (%d cores recommended):"
+          (Domain.recommended_domain_count ()),
+        8 );
+    ]
 
-let pp_sem_stats ppf stats =
-  match stats with
-  | [] -> ()
-  | stats ->
-    Format.fprintf ppf
-      "@.commutativity admission (|P|/|H|, delays and commute passes):@.";
-    Format.fprintf ppf "%-12s %-9s %6s %9s %7s %7s %8s@." "mix" "sched"
-      "n x m" "breadth" "delays" "passes" "skipped";
+let pp_admission ppf (t, stats) =
+  let mw, sw = t.widths in
+  if stats <> [] then begin
+    Format.fprintf ppf "@.%s@.%-*s %-*s %6s %9s" t.title mw "mix" sw "sched"
+      "n x m" "breadth";
+    List.iter (fun c -> Format.fprintf ppf " %*s" c.width c.header) t.columns;
+    Format.fprintf ppf "@.";
     List.iter
       (fun s ->
-        Format.fprintf ppf "%-12s %-9s %3dx%-3d %9.3f %7d %7d %8d@."
-          s.sem_mix s.sem_scheduler s.sem_n s.sem_m s.sem_breadth
-          s.sem_delays s.commute_passes s.commute_skipped)
+        Format.fprintf ppf "%-*s %-*s %3dx%-3d %9.3f" mw s.mix sw s.scheduler
+          s.n s.m s.breadth;
+        List.iter2 (fun c v -> Format.fprintf ppf " %*d" c.width v) t.columns
+          s.counts;
+        Format.fprintf ppf "@.")
       stats
+  end
 
-let pp_mv_stats ppf stats =
-  match stats with
-  | [] -> ()
-  | stats ->
-    Format.fprintf ppf "@.multi-version admission (|P|/|H| and aborts):@.";
-    Format.fprintf ppf "%-10s %-8s %6s %9s %8s %6s %6s %9s@." "mix" "sched"
-      "n x m" "breadth" "commits" "ww" "pivot" "false-pos";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "%-10s %-8s %3dx%-3d %9.3f %8d %6d %6d %9d@."
-          s.mv_mix s.mv_scheduler s.mv_n s.mv_m s.breadth s.mv_commits
-          s.ww_aborts s.pivot_aborts s.false_positive_aborts)
-      stats
+let pp ppf r =
+  pp_rows ppf r;
+  List.iter (fun (_, a) -> pp_admission ppf a) r.admissions;
+  Option.iter (fun s -> Format.fprintf ppf "%a@." pp_twopc s) r.twopc

@@ -17,8 +17,7 @@ open Core
 
 type spec = {
   sizes : (int * int) list;  (** (n transactions, m steps) per cell *)
-  mixes : string list;
-      (** subset of ["uniform"; "hot"; "skewed"; "disjoint"] *)
+  mixes : string list;       (** names from {!mix_names} *)
   n_vars : int;
   streams : int;             (** arrival streams per cell *)
   min_time : float;          (** per-cell time budget, seconds *)
@@ -71,16 +70,6 @@ type spec = {
   twopc_parts : int;   (** participants per round *)
 }
 
-type row = {
-  scheduler : string;
-  mix : string;
-  n : int;
-  m : int;
-  requests : int;      (** requests served: grants + delays + aborts *)
-  seconds : float;
-  req_per_sec : float;
-}
-
 val default : spec
 (** Full run: 4x4 / 8x8 / 16x8 over uniform, hot and zipf-skewed mixes,
     plus the sharded section — monolithic SGT vs {!Sched.Sharded} at
@@ -91,159 +80,70 @@ val smoke : spec
 (** Tiny sizes, single pass — the CI smoke configuration (sharded
     section at K = 4 over one disjoint cell). *)
 
+val mix_names : string list
+(** Every workload mix {!syntax_of_mix} accepts. *)
+
 val syntax_of_mix :
   Random.State.t -> mix:string -> n:int -> m:int -> n_vars:int -> Syntax.t
 (** The workload generator behind a mix name. Raises [Invalid_argument]
     on an unknown mix. *)
 
-val run : spec -> row list
-(** Timing rows: the single-version section, the multi-version section
-    (SGT vs MVCC/SI/SSI over [mv_mixes] x [mv_sizes]), the
-    commutativity section (SGT vs the semantic engine over
-    [sem_mixes] x [sem_sizes]) and the sharded section. *)
+val parse_sizes : flag:string -> string -> (int * int) list
+(** A comma-separated [NxM] list as given to the size flag named
+    [flag] ([--sizes], [--shard-sizes], ...); empty items are skipped,
+    so [""] is [[]]. Raises [Invalid_argument] naming [flag] on a
+    malformed or non-positive cell. *)
 
-type mv_stat = {
-  mv_scheduler : string;
-  mv_mix : string;
-  mv_n : int;
-  mv_m : int;
-  breadth : float;
-      (** Monte-Carlo [|P| / |H|] ({!Sched.Driver.zero_delay_fraction})
-          — the paper's admission-breadth measure, §6 *)
-  mv_commits : int;  (** committed transactions over the cell's streams *)
-  ww_aborts : int;   (** first-committer-wins refusals ([Ww_refused]) *)
-  pivot_aborts : int;
-      (** SSI dangerous-structure refusals ([Pivot_refused]) *)
-  false_positive_aborts : int;
-      (** pivot refusals whose serialization graph was acyclic — the
-          admissions SSI gives up versus an exact certifier *)
-}
+val parse_ints : flag:string -> string -> int list
+(** A comma-separated list of positive integers ([--shards],
+    [--domains]), with the same conventions as {!parse_sizes}. *)
 
-val mv_stats : spec -> mv_stat list
-(** The multi-version admission table: per cell and engine, breadth
-    plus commit/abort counts from a traced pass over the cell's arrival
-    streams. Empty when the section is disabled. *)
+(** {2 The report} *)
 
-type sem_stat = {
-  sem_scheduler : string;
-  sem_mix : string;
-  sem_n : int;
-  sem_m : int;
-  sem_breadth : float;
-      (** Monte-Carlo [|P| / |H|] over the typed-counter cell — on these
-          mixes the semantic engine's fixpoint strictly contains
-          rw-SGT's, so its breadth reads higher *)
-  sem_delays : int;  (** delays over the cell's arrival streams *)
-  commute_passes : int;
-      (** [Obs.Event.Commute_pass] count: grants that sailed past live
-          same-variable accesses because every one commuted (always [0]
-          for the rw engine) *)
-  commute_skipped : int;
-      (** total accesses those passes skipped — the conflict edges the
-          commutativity table deleted *)
-}
+type report
+(** Every table of one run: per timing section its rows, the admission
+    tables and the 2PC sweep. *)
 
-val sem_stats : spec -> sem_stat list
-(** The commutativity admission table: per typed-counter cell, breadth
-    plus delay/commute-pass counts for rw-SGT and the semantic engine
-    on identical streams. Empty when the section is disabled. *)
+val run : spec -> report
+(** Every section of the spec.
 
-val speedups : row list -> (string * int * int * float) list
-(** [(mix, n, m, sgt_req_per_sec / sgt_ref_req_per_sec)] per cell. *)
+    Timing rows ([requests] served = grants + delays + aborts, wall-clock
+    [seconds], [req_per_sec]): the single-version section (serial, 2PL,
+    TO, SGT, SGT-ref), the multi-version section (SGT vs MVCC/SI/SSI over
+    [mv_mixes] x [mv_sizes]), the commutativity section (SGT vs the
+    semantic engine over [sem_mixes] x [sem_sizes]), the sharded section
+    and the parallel section. Engines resolve through {!Sched.Registry},
+    except the per-K sharded variants and the {!Sched.Parallel} passes.
 
-val semantic_speedups : row list -> (string * int * int * float) list
-(** [(mix, n, m, semantic_req_per_sec / sgt_req_per_sec)] per
-    commutativity-section cell. *)
+    Admission tables, per cell and engine: the Monte-Carlo breadth
+    [|P| / |H|] ({!Sched.Driver.zero_delay_fraction}, the paper's
+    admission-breadth measure, §6) and event counts over a traced pass
+    of the cell's streams — delays, commute passes and the accesses they
+    skipped for rw-SGT vs the semantic engine; commits,
+    first-committer-wins refusals, SSI pivot refusals and the acyclic
+    (false-positive) ones among them for SGT vs MVCC/SI/SSI.
 
-val sharded_speedups : row list -> (string * int * int * int * float) list
-(** [(mix, n, m, K, sharded_req_per_sec / sgt_req_per_sec)] per sharded
-    cell. *)
+    The 2PC sweep runs in virtual time, so its numbers are decision
+    counts and virtual latencies, not wall-clock: per fault rate,
+    [twopc_rounds] commit rounds through a {!Sched.Twopc.service}, plus
+    the forced coordinator-crash placements (crash between vote
+    collection and decision broadcast) that measure the protocol's
+    blocking window. *)
 
-val parallel_name : domains:int -> queue:Sched.Chan.kind -> string
-(** Row label of a parallel variant: ["parallel-d<domains>-<queue>"]. *)
-
-val parallel_speedups :
-  row list -> (string * int * int * string * int * float) list
-(** [(mix, n, m, queue, domains, speedup_vs_d1)] for every multi-domain
-    parallel row whose cell also timed the d1 variant of the same
-    channel build — the engine's wall-clock scaling curve. *)
-
-(** {2 Distributed-commit (2PC) section} *)
-
-type twopc_stat = {
-  fault_rate : float;
-  tp_rounds : int;
-  tp_commits : int;
-  tp_aborts : int;
-  abort_rate : float;
-  avg_latency : float;
-      (** mean round start → coordinator decision, virtual time units *)
-  avg_blocking : float;  (** mean in-doubt window per round *)
-  max_blocking : float;
-  tp_msgs : int;
-  tp_crashes : int;  (** crash-plan entries that actually triggered *)
-}
-
-type twopc_section = {
-  tp_parts : int;
-  sweep : twopc_stat list;  (** one row per fault rate, rate order *)
-  cc_repair : float;
-      (** the repair delay of the forced coordinator-crash placements *)
-  cc_avg_blocking : float;
-      (** mean in-doubt window over the placements that opened one —
-          the measured blocking cost of a coordinator crash *)
-  cc_max_blocking : float;
-}
-
-val twopc_stats : spec -> twopc_section option
-(** Run the distributed-commit sweep: per fault rate, [twopc_rounds]
-    commit rounds through a {!Sched.Twopc.service}; plus the forced
-    coordinator-crash placements (crash between vote collection and
-    decision broadcast) that measure the protocol's blocking window.
-    [None] when the section is disabled. Deterministic per [seed] —
-    rounds run in virtual time, so the numbers are decision counts and
-    virtual latencies, not wall-clock. *)
-
-val pp_twopc : Format.formatter -> twopc_section -> unit
-
-val to_json :
-  ?mv:mv_stat list ->
-  ?twopc:twopc_section ->
-  ?semantic:sem_stat list ->
-  spec ->
-  row list ->
-  string
-(** Hand-emitted JSON: [{"benchmark", "unit", "config", "results":
-    [row...], "sgt_speedup_vs_ref": {...},
-    "sharded_speedup_vs_sgt": {...}, "parallel": {...}, "twopc": {...},
-    "semantic_section": {...}, "mv_section": {...}}]. The
-    ["semantic_section"] member appears only when stats are passed: the
-    commutativity admission rows plus the per-cell
+val to_json : spec -> report -> Obs.Json.t
+(** The [BENCH_sched.json] schema, rendered with {!Obs.Json.pretty}:
+    [{"benchmark", "unit", "config", "results": [row...],
+    "sgt_speedup_vs_ref": {...}, "sharded_speedup_vs_sgt": {...},
+    "parallel": {...}, "twopc": {...}, "semantic_section": {...},
+    "mv_section": {...}}]. The ["semantic_section"] member appears only
+    with commutativity stats: the admission rows plus the per-cell
     ["speedup_vs_sgt"] map. The ["parallel"] member appears only when
-    the rows contain parallel variants; it records
+    some multi-domain variant has a d1 baseline in its cell; it records
     [Domain.recommended_domain_count ()] alongside the speedups so a
     reader can tell concurrent gains from algorithmic ones. The
-    ["twopc"] member appears only when a section is passed: the
-    fault-rate sweep rows plus the measured coordinator-crash blocking
-    window. *)
+    ["twopc"] member appears only with a 2PC section: the fault-rate
+    sweep rows plus the measured coordinator-crash blocking window. *)
 
-val json_well_formed : string -> bool
-(** Minimal JSON well-formedness check (full-string parse) used by the
-    bench smoke test; no external parser dependency. *)
-
-val toplevel_members : string -> (string * string) list option
-(** The top-level members of a JSON object, each value as its raw
-    text, in order; [None] unless the string is a well-formed object. *)
-
-val merge_preserving : existing:string -> string -> string
-(** [merge_preserving ~existing fresh] splices into [fresh] (a JSON
-    object this module emitted) every top-level key of [existing] that
-    [fresh] lacks, raw text preserved — so regenerating
-    [BENCH_sched.json] with [ccopt bench --out] keeps keys added by
-    other tools (e.g. [BENCH_check.json]-style companions merged into
-    one file, or hand-added annotations). An unparseable [existing]
-    leaves [fresh] unchanged. *)
-
-val pp_rows : Format.formatter -> row list -> unit
-val pp_mv_stats : Format.formatter -> mv_stat list -> unit
-val pp_sem_stats : Format.formatter -> sem_stat list -> unit
+val pp : Format.formatter -> report -> unit
+(** The text tables: timing rows, each section's ratio table, the
+    commutativity and multi-version admission tables, the 2PC sweep. *)

@@ -114,59 +114,56 @@ let pp_summary ppf runs =
       Format.fprintf ppf "wait %-8s %a@." r.name Obs.Hist.pp r.wait_hist)
     runs
 
-(* One version stamp across every machine-readable report. *)
-let schema_version = Analysis.Report.schema_version
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Obs.Json
 
 let json_summary spec runs =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\": %d, \"syntax\": \"%s\", \"seed\": %d, \
-        \"capacity\": %d, \"samples\": %d, \"schedulers\": ["
-       schema_version (json_escape spec.label) spec.seed spec.capacity
-       spec.samples);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ", ";
-      let q p =
-        match Obs.Hist.quantile r.wait_hist p with
-        | Some v -> string_of_int v
-        | None -> "null"
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"slug\": \"%s\", \"zero_delay_fraction\": \
-            %.4f, \"grants\": %d, \"delays\": %d, \"restarts\": %d, \
-            \"deadlocks\": %d, \"waiting\": %d, \"zero_delay\": %b, \
-            \"spans\": {\"scheduling\": %.1f, \"waiting\": %.1f, \
-            \"execution\": %.1f, \"elapsed\": %.1f}, \"wait\": {\"count\": \
-            %d, \"mean\": %.3f, \"p50\": %s, \"p99\": %s}, \"events\": %d, \
-            \"dropped\": %d, \"trace_matches_stats\": %b}"
-           (json_escape r.name) (json_escape r.slug) r.zero_delay_fraction
-           r.stats.Sched.Driver.grants r.stats.Sched.Driver.delays
-           r.stats.Sched.Driver.restarts r.stats.Sched.Driver.deadlocks
-           r.stats.Sched.Driver.waiting
-           (Sched.Driver.zero_delay r.stats)
-           r.totals.Obs.Span.scheduling r.totals.Obs.Span.waiting
-           r.totals.Obs.Span.execution r.totals.Obs.Span.elapsed
-           (Obs.Hist.count r.wait_hist)
-           (Obs.Hist.mean r.wait_hist)
-           (q 0.5) (q 0.99) (List.length r.events) r.dropped
-           (mismatches r = [])))
-    runs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let run r =
+    let q p =
+      match Obs.Hist.quantile r.wait_hist p with
+      | Some v -> J.int v
+      | None -> J.Null
+    in
+    let s = r.stats and t = r.totals in
+    J.Obj
+      [
+        ("name", J.Str r.name);
+        ("slug", J.Str r.slug);
+        ("zero_delay_fraction", J.num "%.4f" r.zero_delay_fraction);
+        ("grants", J.int s.Sched.Driver.grants);
+        ("delays", J.int s.Sched.Driver.delays);
+        ("restarts", J.int s.Sched.Driver.restarts);
+        ("deadlocks", J.int s.Sched.Driver.deadlocks);
+        ("waiting", J.int s.Sched.Driver.waiting);
+        ("zero_delay", J.Bool (Sched.Driver.zero_delay s));
+        ( "spans",
+          J.Obj
+            [
+              ("scheduling", J.num "%.1f" t.Obs.Span.scheduling);
+              ("waiting", J.num "%.1f" t.Obs.Span.waiting);
+              ("execution", J.num "%.1f" t.Obs.Span.execution);
+              ("elapsed", J.num "%.1f" t.Obs.Span.elapsed);
+            ] );
+        ( "wait",
+          J.Obj
+            [
+              ("count", J.int (Obs.Hist.count r.wait_hist));
+              ("mean", J.num "%.3f" (Obs.Hist.mean r.wait_hist));
+              ("p50", q 0.5);
+              ("p99", q 0.99);
+            ] );
+        ("events", J.int (List.length r.events));
+        ("dropped", J.int r.dropped);
+        ("trace_matches_stats", J.Bool (mismatches r = []));
+      ]
+  in
+  J.compact ~spaced:true
+    (J.Obj
+       [
+         (* one version stamp across every machine-readable report *)
+         ("schema_version", J.int Analysis.Report.schema_version);
+         ("syntax", J.Str spec.label);
+         ("seed", J.int spec.seed);
+         ("capacity", J.int spec.capacity);
+         ("samples", J.int spec.samples);
+         ("schedulers", J.Arr (List.map run runs));
+       ])

@@ -22,11 +22,6 @@ type spec = {
 val default_capacity : int
 (** [65536] — comfortably above any trace these workloads produce. *)
 
-val schema_version : int
-(** Version stamp carried as ["schema_version"] by every
-    machine-readable report ([ccopt analyze], [ccopt trace],
-    [ccopt check]); bumped when a consumer-visible key changes. *)
-
 type run = {
   name : string;
   slug : string;                    (** filename-safe form of [name] *)

@@ -31,4 +31,5 @@ let () =
       ("analysis", Test_analysis.suite);
       ("checker", Test_checker.suite);
       ("mv", Test_mv.suite);
+      ("json", Test_json.suite);
     ]

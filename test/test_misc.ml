@@ -259,87 +259,121 @@ let test_format_class () =
     (Info.same_class Info.Format_only a b);
   check_false "not syntactically equal" (Info.same_class Info.Syntactic a b)
 
+let member k = function Obs.Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
+
 (* Regenerating BENCH_sched.json in place must keep top-level keys
    other tools put there (e.g. the checker-throughput section). *)
 let test_bench_merge_preserving () =
-  let fresh = "{\n  \"benchmark\": \"b1\",\n  \"results\": [1, 2]\n}\n" in
+  let module J = Obs.Json in
+  let fresh = J.Obj [ ("benchmark", J.Str "b1"); ("results", J.Arr [ J.int 1; J.int 2 ]) ] in
   let existing =
     "{\"benchmark\": \"old\", \"checker\": {\"events_per_sec\": 9}, \
      \"note\": \"hand-added\"}"
   in
-  let merged = Sim.Sched_bench.merge_preserving ~existing fresh in
-  check_true "merged well-formed" (Sim.Sched_bench.json_well_formed merged);
-  (match Sim.Sched_bench.toplevel_members merged with
-  | None -> Alcotest.fail "merged not an object"
-  | Some members ->
-    check_true "fresh keys win"
-      (List.assoc "benchmark" members = "\"b1\"");
-    check_true "foreign keys preserved"
-      (List.assoc_opt "checker" members = Some "{\"events_per_sec\": 9}");
-    check_true "annotations preserved"
-      (List.assoc_opt "note" members = Some "\"hand-added\""));
+  let merged = J.merge ~existing fresh in
+  check_true "merged round-trips"
+    (J.parse (J.pretty merged) = Some merged);
+  check_true "fresh keys win" (member "benchmark" merged = Some (J.Str "b1"));
+  check_true "foreign keys preserved"
+    (member "checker" merged
+    = Some (J.Obj [ ("events_per_sec", J.Num "9") ]));
+  check_true "annotations preserved"
+    (member "note" merged = Some (J.Str "hand-added"));
   (* idempotent: merging the merge changes nothing *)
   check_true "merge idempotent"
-    (Sim.Sched_bench.merge_preserving ~existing:merged merged = merged);
+    (J.merge ~existing:(J.pretty merged) merged = merged);
   (* an unparseable existing file never corrupts fresh output *)
   check_true "garbage existing ignored"
-    (Sim.Sched_bench.merge_preserving ~existing:"not json { at all" fresh
-    = fresh);
+    (J.merge ~existing:"not json { at all" fresh = fresh);
   check_true "non-object existing ignored"
-    (Sim.Sched_bench.merge_preserving ~existing:"[1,2,3]" fresh = fresh);
+    (J.merge ~existing:"[1,2,3]" fresh = fresh);
   (* nothing to add: fresh already has every key *)
-  check_true "no-op merge"
-    (Sim.Sched_bench.merge_preserving ~existing:"{\"benchmark\": 0}" fresh
-    = fresh)
+  check_true "no-op merge" (J.merge ~existing:"{\"benchmark\": 0}" fresh = fresh)
 
 let test_bench_merge_preserves_sections () =
   (* the committed BENCH_sched.json accumulates opt-in sections
      (--parallel, --twopc, the mv table); regenerating without one of
      the flags must keep the existing member — each section is emitted
-     by real spec runs here, not hand-written strings, so this breaks
+     by real spec runs here, not hand-written trees, so this breaks
      if an emitter renames its member *)
-  let spec = { Sim.Sched_bench.smoke with min_time = 0. } in
-  let rows = Sim.Sched_bench.run { spec with par_domains = [] } in
-  let twopc =
-    match Sim.Sched_bench.twopc_stats spec with
-    | Some s -> s
-    | None -> Alcotest.fail "smoke spec must enable the 2PC section"
+  let module B = Sim.Sched_bench in
+  let module J = Obs.Json in
+  let spec = { B.smoke with min_time = 0.; par_domains = [] } in
+  (* existing file: has twopc; fresh regeneration without --twopc must
+     preserve it *)
+  let existing = J.pretty (B.to_json spec (B.run spec)) in
+  let spec = { spec with twopc_fault_rates = [] } in
+  let fresh = B.to_json spec (B.run spec) in
+  check_true "fresh run lacks the twopc member" (member "twopc" fresh = None);
+  let merged = J.parse (J.pretty (J.merge ~existing fresh)) in
+  let old = J.parse existing in
+  let get k = Option.bind merged (member k) in
+  check_true "smoke spec enables the 2PC section" (get "twopc" <> None);
+  check_true "twopc section preserved across regeneration"
+    (get "twopc" = Option.bind old (member "twopc"));
+  check_true "twopc sweep content intact"
+    (match get "twopc" with
+    | Some t -> member "coordinator_crash" t <> None && member "sweep" t <> None
+    | None -> false);
+  check_true "fresh results win"
+    (get "results" = Option.bind (J.parse (J.pretty fresh)) (member "results"))
+
+(* The committed BENCH_sched.json carries a [parallel] member a
+   smoke regeneration without --parallel does not produce: merging over
+   the file keeps it value-equal. *)
+let test_bench_merge_committed () =
+  let module B = Sim.Sched_bench in
+  let module J = Obs.Json in
+  let path =
+    if Sys.file_exists "../BENCH_sched.json" then "../BENCH_sched.json"
+    else "BENCH_sched.json"
   in
-  (* existing file: has twopc (and parallel-free results); fresh
-     regeneration without --twopc must preserve it *)
-  let existing = Sim.Sched_bench.to_json ~twopc spec rows in
-  let fresh =
-    Sim.Sched_bench.to_json { spec with twopc_fault_rates = [] } rows
+  let ic = open_in_bin path in
+  let existing = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let spec = { B.smoke with min_time = 0.; par_domains = [] } in
+  let fresh = B.to_json spec (B.run spec) in
+  let merged = J.parse (J.pretty (J.merge ~existing fresh)) in
+  let committed = Option.bind (J.parse existing) (member "parallel") in
+  check_true "committed file has a parallel member" (committed <> None);
+  check_true "parallel value-equal after merge"
+    (Option.bind merged (member "parallel") = committed)
+
+(* Each bench flag's parse error names that flag. *)
+let test_bench_flag_errors () =
+  let module B = Sim.Sched_bench in
+  let names_flag flag f =
+    match f () with
+    | _ -> Alcotest.fail (flag ^ ": accepted a bad value")
+    | exception Invalid_argument msg ->
+      let n = String.length flag in
+      let rec has i =
+        i + n <= String.length msg
+        && ((String.sub msg i n = flag
+            && (i + n = String.length msg || msg.[i + n] = ' '))
+           || has (i + 1))
+      in
+      check_true (flag ^ " named in: " ^ msg) (has 0)
   in
-  (match Sim.Sched_bench.toplevel_members fresh with
-  | Some members ->
-    check_true "fresh run lacks the twopc member"
-      (List.assoc_opt "twopc" members = None)
-  | None -> Alcotest.fail "fresh not an object");
-  let merged = Sim.Sched_bench.merge_preserving ~existing fresh in
-  check_true "merged well-formed" (Sim.Sched_bench.json_well_formed merged);
-  match
-    (Sim.Sched_bench.toplevel_members existing,
-     Sim.Sched_bench.toplevel_members merged)
-  with
-  | Some old_members, Some members ->
-    check_true "twopc section preserved across regeneration"
-      (List.assoc_opt "twopc" members = List.assoc_opt "twopc" old_members);
-    check_true "twopc sweep content intact"
-      (match List.assoc_opt "twopc" members with
-      | Some raw ->
-        let contains needle =
-          let nl = String.length needle and rl = String.length raw in
-          let rec go i = i + nl <= rl
-            && (String.sub raw i nl = needle || go (i + 1)) in
-          go 0
-        in
-        contains "coordinator_crash" && contains "fault_rate"
-      | None -> false);
-    check_true "fresh results win"
-      (List.assoc_opt "results" members = List.assoc_opt "results"
-        (Option.get (Sim.Sched_bench.toplevel_members fresh)))
-  | _ -> Alcotest.fail "merge output not an object"
+  List.iter
+    (fun flag ->
+      names_flag flag (fun () -> B.parse_sizes ~flag "3");
+      names_flag flag (fun () -> B.parse_sizes ~flag "4x0"))
+    [ "--sizes"; "--shard-sizes"; "--mv-sizes"; "--sem-sizes" ];
+  List.iter
+    (fun flag ->
+      names_flag flag (fun () -> B.parse_ints ~flag "0");
+      names_flag flag (fun () -> B.parse_ints ~flag "2,x"))
+    [ "--shards"; "--domains" ];
+  check_true "sizes parse" (B.parse_sizes ~flag:"--sizes" "4x4,16x8" = [ (4, 4); (16, 8) ]);
+  check_true "empty disables" (B.parse_sizes ~flag:"--mv-sizes" "" = []);
+  check_true "ints parse" (B.parse_ints ~flag:"--shards" "1,2,4" = [ 1; 2; 4 ]);
+  (* every mix the --mixes doc lists is one the generator accepts *)
+  List.iter
+    (fun mix ->
+      ignore
+        (B.syntax_of_mix (Random.State.make [| 1 |]) ~mix ~n:2 ~m:2 ~n_vars:3))
+    B.mix_names
 
 let suite =
   suite
@@ -351,6 +385,10 @@ let suite =
         test_bench_merge_preserving;
       Alcotest.test_case "bench JSON merge preserves opt-in sections" `Quick
         test_bench_merge_preserves_sections;
+      Alcotest.test_case "bench JSON merge over the committed file" `Quick
+        test_bench_merge_committed;
+      Alcotest.test_case "bench flag errors name their flag" `Quick
+        test_bench_flag_errors;
     ]
   @ qsuite
       [

@@ -464,6 +464,118 @@ let test_fold_history_truncated () =
   check_true "only committed txns listed" (fh.Obs.Fold.commits = [ 0 ]);
   check_false "in-flight work is not truncation" fh.Obs.Fold.truncated
 
+(* ---------- JSON ---------- *)
+
+(* Trees with every control character, the quote and the backslash in
+   keys and strings, and numbers in every shape the grammar allows. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    let chars =
+      Array.of_list
+        (List.init 32 Char.chr @ [ '"'; '\\'; 'a'; 'z'; ' '; '/'; '\xc3'; '\xa9' ])
+    in
+    string_size ~gen:(map (Array.get chars) (int_bound (Array.length chars - 1)))
+      (int_bound 8)
+  in
+  let num =
+    oneof
+      [
+        map string_of_int int;
+        map (Printf.sprintf "%.3f") (float_range (-1e3) 1e3);
+        map2 (Printf.sprintf "%de%d") (int_range (-9) 9) (int_range (-20) 20);
+        map (Printf.sprintf "-0.5E+%d") (int_bound 9);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun s -> Obs.Json.Num s) num;
+        map (fun s -> Obs.Json.Str s) str;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Obs.Json.Arr l) (list_size (int_bound 4) (self (n - 1))));
+               ( 2,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n - 1)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json: parse inverts every layout"
+    (QCheck.make json_gen) (fun t ->
+      let back s = Obs.Json.parse s = Some t in
+      back (Obs.Json.compact t)
+      && back (Obs.Json.compact ~spaced:true t)
+      && back (Obs.Json.pretty t)
+      && back (Obs.Json.pretty (Obs.Json.Line t)))
+
+let test_json_escape () =
+  let all = String.init 34 (fun i -> if i < 32 then Char.chr i else "\"\\".[i - 32]) in
+  let e = Obs.Json.escape all in
+  check_true "no raw control character survives"
+    (String.for_all (fun c -> Char.code c >= 0x20) e);
+  check_true "tab and newline use short escapes"
+    (Obs.Json.escape "\t\n" = "\\t\\n");
+  check_true "other controls use \\u00XX" (Obs.Json.escape "\001\031" = "\\u0001\\u001f");
+  check_true "quote and backslash" (Obs.Json.escape "\"\\" = "\\\"\\\\");
+  check_true "UTF-8 passes through" (Obs.Json.escape "\xc3\xa9" = "\xc3\xa9")
+
+let test_json_rejects () =
+  List.iter
+    (fun s ->
+      check_true ("rejected: " ^ String.escaped s) (Obs.Json.parse s = None))
+    [
+      (* unterminated strings *)
+      "\"abc"; "{\"a\": \"x}"; "[\"a\\\"]";
+      (* bad escapes *)
+      "\"\\u12G4\""; "\"\\u12\""; "\"\\q\"";
+      (* trailing garbage *)
+      "{} x"; "1 2"; "[1] ]"; "null,";
+      (* bare closers and broken structure *)
+      "}"; "]"; ""; "  "; "{\"a\" 1}"; "{\"a\": 1,}"; "[1,]"; "{,}"; "[,1]";
+      "{1: 2}";
+      (* bad literals and numbers *)
+      "tru"; "nul"; "-"; "1."; ".5"; "1e"; "+1"; "1e+";
+    ];
+  List.iter
+    (fun (s, v) -> check_true ("accepted: " ^ s) (Obs.Json.parse s = Some v))
+    [
+      (" {} ", Obs.Json.Obj []);
+      ("[ ]", Obs.Json.Arr []);
+      ("\"\\u00e9\\/\"", Obs.Json.Str "\xc3\xa9/");
+      ("-0.50e+3", Obs.Json.Num "-0.50e+3");
+      ("{\"a\":{\"b\":[true,false,null]}}",
+       Obs.Json.Obj
+         [ ("a", Obs.Json.Obj [ ("b", Obs.Json.Arr [ Obs.Json.Bool true; Obs.Json.Bool false; Obs.Json.Null ]) ]) ]);
+    ]
+
+let test_json_layouts () =
+  let t =
+    Obs.Json.(
+      Obj
+        [ ("a", int 1);
+          ("b", Arr [ num "%.2f" 0.5; Str "x" ]);
+          ("c", Line (Obj [ ("d", Arr [ int 2; int 3 ]) ])) ])
+  in
+  Alcotest.(check string) "compact" {|{"a":1,"b":[0.50,"x"],"c":{"d":[2,3]}}|}
+    (Obs.Json.compact t);
+  Alcotest.(check string) "spaced"
+    {|{"a": 1, "b": [0.50, "x"], "c": {"d": [2, 3]}}|}
+    (Obs.Json.compact ~spaced:true t);
+  Alcotest.(check string) "pretty"
+    "{\n  \"a\": 1,\n  \"b\": [\n    0.50,\n    \"x\"\n  ],\n  \"c\": { \"d\": [2, 3] }\n}\n"
+    (Obs.Json.pretty t)
+
 let suite =
   [
     Alcotest.test_case "hist empty and errors" `Quick test_hist_empty;
@@ -481,6 +593,9 @@ let suite =
     Alcotest.test_case "null sink" `Quick test_null_sink;
     Alcotest.test_case "memory sink" `Quick test_memory_sink;
     Alcotest.test_case "ring clear and errors" `Quick test_ring_clear;
+    Alcotest.test_case "json escape" `Quick test_json_escape;
+    Alcotest.test_case "json rejects malformed input" `Quick test_json_rejects;
+    Alcotest.test_case "json layouts" `Quick test_json_layouts;
   ]
   @ qsuite
       [
@@ -491,4 +606,5 @@ let suite =
         prop_span_invariant;
         prop_ring_model;
         prop_log_roundtrip;
+        prop_json_roundtrip;
       ]

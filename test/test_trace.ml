@@ -167,9 +167,9 @@ let test_determinism () =
   (* the summary is well-formed JSON and opens with the version stamp *)
   let json = Sim.Trace_run.json_summary sp r1 in
   check_true "json summary well-formed"
-    (Sim.Sched_bench.json_well_formed json);
+    (Obs.Json.parse json <> None);
   let stamp =
-    Printf.sprintf "{\"schema_version\": %d," Sim.Trace_run.schema_version
+    Printf.sprintf "{\"schema_version\": %d," Analysis.Report.schema_version
   in
   check_true "json summary carries schema_version"
     (String.length json >= String.length stamp
@@ -210,7 +210,7 @@ let test_truncated_ring () =
       check_true (r.Sim.Trace_run.name ^ " truncated not checkable")
         (Sim.Trace_run.mismatches r = []);
       check_true (r.Sim.Trace_run.name ^ " truncated chrome valid")
-        (Sim.Sched_bench.json_well_formed r.Sim.Trace_run.chrome))
+        (Obs.Json.parse r.Sim.Trace_run.chrome <> None))
     runs;
   ignore (Sim.Trace_run.json_summary sp runs);
   ignore (Format.asprintf "%a" Sim.Trace_run.pp_summary runs)
@@ -240,7 +240,7 @@ let test_chrome_well_formed () =
         (fun r ->
           let name = label ^ "/" ^ r.Sim.Trace_run.name in
           check_true (name ^ " chrome is valid JSON")
-            (Sim.Sched_bench.json_well_formed r.Sim.Trace_run.chrome);
+            (Obs.Json.parse r.Sim.Trace_run.chrome <> None);
           let entries = Obs.Trace_export.entries r.Sim.Trace_run.events in
           (* timestamps non-decreasing per track, B/E balanced per track *)
           let last : (int, float) Hashtbl.t = Hashtbl.create 8 in
