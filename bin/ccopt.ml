@@ -318,17 +318,6 @@ let trace spec sched_names seed capacity samples json out =
   if json then print_endline (Sim.Trace_run.json_summary tspec runs)
   else Format.printf "%a" Sim.Trace_run.pp_summary runs
 
-(* The level ladder up to and including a declared level — the default
-   [--levels] for a [--scheduler] run: an engine is checked against
-   exactly what it guarantees (SI is not serializable, and plain
-   [ccopt check --scheduler si] should not fail for it). *)
-let levels_upto level =
-  let rec go = function
-    | [] -> []
-    | l :: rest -> if l = level then [ l ] else l :: go rest
-  in
-  go Analysis.Checker.levels
-
 let check spec sched_spec sched_name seed capacity trace_file levels_spec
     mutate_name budget bench out json =
   let explicit_levels =
@@ -419,11 +408,11 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
       let levels =
         match explicit_levels with
         | Some ls -> ls
-        | None -> (
-          (* default to the ladder the engine actually guarantees *)
-          match Analysis.Checker.level_of_name e.Sched.Registry.level with
-          | Some l -> levels_upto l
-          | None -> Analysis.Checker.levels)
+        | None ->
+          (* default to the ladder the engine actually guarantees: SI
+             is not serializable, and plain [ccopt check --scheduler si]
+             should not fail for it *)
+          Analysis.Checker.levels_upto (Sim.Check_fuzz.declared_level e)
       in
       ( "scheduler " ^ sched_name,
         Sim.Check_fuzz.history_of_events ~label
@@ -697,8 +686,8 @@ let bench_cmd =
       value & flag
       & info [ "parallel" ]
           ~doc:"Also time the domain-parallel execution engine \
-                (Sched.Parallel) — wall-clock req/s per (domain count, \
-                channel build), with a speedup map vs 1 domain.")
+                (Sched.Parallel) — wall-clock req/s per domain count, \
+                with a speedup map vs 1 domain.")
   in
   let domains =
     Arg.(

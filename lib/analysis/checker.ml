@@ -19,6 +19,13 @@ let level_name = function
 
 let level_of_name s = List.find_opt (fun l -> level_name l = s) levels
 
+let levels_upto level =
+  let rec go = function
+    | [] -> []
+    | l :: rest -> if l = level then [ l ] else l :: go rest
+  in
+  go levels
+
 let level_doc = function
   | Read_committed -> "read committed (observed writers commit first)"
   | Read_atomic -> "read atomic (transactions read atomic snapshots)"

@@ -54,6 +54,10 @@ val level_name : level -> string
 
 val level_of_name : string -> level option
 
+val levels_upto : level -> level list
+(** The weakest-first prefix of {!levels} up to and including the
+    given level — what an engine declaring that level must pass. *)
+
 val level_doc : level -> string
 (** One-line human description. *)
 

@@ -12,8 +12,7 @@ open Core
      "coordinated": their verdicts flow through the summary graph, so
      all of them — and every transaction homed in them — run on one
      coordinator domain whose {!Sharded} instance admits cross-shard
-     batches against the summary graph batch-at-a-time (the channel's
-     [pop_batch] is the amortization).
+     requests against the summary graph.
    - Every other non-empty shard is free of cross traffic; its
      transactions run on an independent domain (grouped round-robin
      when fewer domains than shards are requested).
@@ -21,14 +20,16 @@ open Core
    Each worker runs an ordinary single-threaded {!Driver} over its own
    {!Sharded} instance built on the {e projection} of the syntax to the
    worker's transactions, fed its projection of the global arrival
-   stream through a {!Chan}. Because the variable-to-shard hash depends
-   only on the variable name, the projected partition agrees with the
-   global one, and each worker's shard-member sets equal the global
-   run's — so the engine is decision-identical, worker by worker, to
-   the simulated [Sharded] run over the full stream: same committed
-   schedule projection, same per-transaction abort counts. (Delay and
-   waiting counters legitimately differ: they measure queue pressure,
-   which parallel execution exists to change.) The differential test in
+   stream. Workers never exchange a word, so that projection is routed
+   into a plain array before the first domain is spawned: the hand-off
+   needs no conduit. Because the variable-to-shard hash depends only on
+   the variable name, the projected partition agrees with the global
+   one, and each worker's shard-member sets equal the global run's — so
+   the engine is decision-identical, worker by worker, to the simulated
+   [Sharded] run over the full stream: same committed schedule
+   projection, same per-transaction abort counts. (Delay and waiting
+   counters legitimately differ: they measure queue pressure, which
+   parallel execution exists to change.) The differential test in
    [test/test_parallel.ml] pins this. *)
 
 type worker_report = {
@@ -41,7 +42,6 @@ type worker_report = {
 type report = {
   shards : int;
   domains : int; (* workers actually spawned *)
-  queue : Chan.kind;
   workers : worker_report array;
   output : Schedule.t;
   delays : int;
@@ -156,8 +156,7 @@ let remap_event g : Obs.Event.t -> Obs.Event.t = function
   | Node_crashed { tx; node } -> Node_crashed { tx = g.(tx); node }
   | Node_recovered { tx; node } -> Node_recovered { tx = g.(tx); node }
 
-let run ?(queue = Chan.Ring) ?capacity ?(sink = Obs.Sink.null) ?domains
-    ~shards ~syntax ~arrivals () =
+let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
   let p = Partition.make ~syntax ~shards in
   let domains =
     match domains with Some d -> max 1 d | None -> max 1 (shards + 1)
@@ -177,110 +176,54 @@ let run ?(queue = Chan.Ring) ?capacity ?(sink = Obs.Sink.null) ?domains
   Array.iteri
     (fun _wi txns -> Array.iteri (fun l tx -> g2l.(tx) <- l) txns)
     wtxns;
-  (* exact-fit default capacity: the producer can never block, so a
-     worker raising Stall cannot deadlock the router *)
-  let pushes = Array.make w 0 in
-  Array.iter (fun tx -> pushes.(pl.owner.(tx)) <- pushes.(pl.owner.(tx)) + 1)
-    arrivals;
-  let chan_for wi =
-    let cap = match capacity with Some c -> c | None -> max 1 pushes.(wi) in
-    Chan.create ~capacity:cap queue
-  in
-  let chans = Array.init w chan_for in
   let trace = Obs.Sink.on sink in
   let t0 = Unix.gettimeofday () in
-  let spawn wi =
-    let txns = wtxns.(wi) in
-    let chan = chans.(wi) in
-    Domain.spawn (fun () ->
-        if Array.length txns = 0 then begin
-          (* unreachable by construction (every worker owns a non-empty
-             shard) — but drain to end-of-stream and report nothing
-             rather than poison the run *)
-          let buf = Array.make 1 0 in
-          while Chan.pop_batch chan buf > 0 do
-            ()
-          done;
-          Ok
-            ( Driver.
-                {
-                  output = [||];
-                  delays = 0;
-                  restarts = 0;
-                  deadlocks = 0;
-                  waiting = 0;
-                  grants = 0;
-                  aborts = [||];
-                },
-              [] )
-        end
-        else begin
-          let sub = project syntax txns in
-          let collector = Obs.Sink.Memory.create () in
-          let wsink =
-            if trace then Obs.Sink.Memory.sink collector else Obs.Sink.null
-          in
-          let sched = Sharded.create ~sink:wsink ~shards ~syntax:sub () in
-          let drv = Driver.create ~sink:wsink sched ~fmt:(Syntax.format sub) in
-          let buf = Array.make 1024 0 in
-          match
-            let rec loop () =
-              let got = Chan.pop_batch chan buf in
-              if got > 0 then begin
-                for j = 0 to got - 1 do
-                  Driver.submit drv g2l.(buf.(j))
-                done;
-                loop ()
-              end
-            in
-            loop ();
-            Driver.drain drv
-          with
-          | stats -> Ok (stats, Obs.Sink.Memory.events collector)
-          | exception e -> Error e
-        end)
+  (* route the global stream: each worker's stream is its projection,
+     in arrival order, over worker-local ids *)
+  let streams = Array.make w [] in
+  for i = Array.length arrivals - 1 downto 0 do
+    let wi = pl.owner.(arrivals.(i)) in
+    streams.(wi) <- g2l.(arrivals.(i)) :: streams.(wi)
+  done;
+  let streams = Array.map Array.of_list streams in
+  (* every worker owns a transaction: a coordinated shard's members are
+     all homed on worker 0, a free shard's on its own worker, and with
+     no non-empty shard at all the single worker owns everything *)
+  let work wi () =
+    let sub = project syntax wtxns.(wi) in
+    let collector = Obs.Sink.Memory.create () in
+    let wsink =
+      if trace then Obs.Sink.Memory.sink collector else Obs.Sink.null
+    in
+    match
+      Driver.run ~sink:wsink
+        (Sharded.create ~sink:wsink ~shards ~syntax:sub ())
+        ~fmt:(Syntax.format sub) ~arrivals:streams.(wi)
+    with
+    | stats -> Ok (stats, Obs.Sink.Memory.events collector)
+    | exception e -> Error e
   in
-  let route () =
-    (* route the global stream; per-worker order = its projection *)
-    Array.iter (fun tx -> Chan.push chans.(pl.owner.(tx)) tx) arrivals;
-    Array.iter Chan.close chans
+  (* Workers never exchange a word, so there is no reason to keep more
+     of them in flight than the machine has cores: spawn them in waves
+     of [recommended_domain_count]. On a real multicore box every
+     worker still runs concurrently; on an oversubscribed one this
+     avoids paying stop-the-world synchronization across mostly
+     preempted domains. *)
+  let wave = max 1 (Domain.recommended_domain_count ()) in
+  let rec waves lo =
+    if lo >= w then []
+    else
+      let hi = min w (lo + wave) in
+      let doms = List.init (hi - lo) (fun j -> Domain.spawn (work (lo + j))) in
+      (* join this wave before the next one is spawned *)
+      let joined = List.map Domain.join doms in
+      joined @ waves hi
   in
-  let results = Array.make w (Error Stdlib.Exit) in
-  (match capacity with
-  | None ->
-    (* Exact-fit channels: no push can ever block, so route the whole
-       stream and close before a single worker exists. Workers then
-       always find either data or end-of-stream — never an
-       empty-but-open channel — so they never enter the poll/backoff
-       path. On an oversubscribed box this is the difference between
-       scaling and collapse: a polling worker competes with the router
-       for the same core.
-
-       Because workers never exchange a word, there is also no reason
-       to keep more of them in flight than the machine has cores:
-       spawn them in waves of [recommended_domain_count]. On a real
-       multicore box every worker still runs concurrently; on an
-       oversubscribed one this avoids paying stop-the-world
-       synchronization across mostly-preempted domains. *)
-    route ();
-    let wave = max 1 (min w (Domain.recommended_domain_count ())) in
-    let i = ref 0 in
-    while !i < w do
-      let hi = min w (!i + wave) in
-      let doms = Array.init (hi - !i) (fun j -> spawn (!i + j)) in
-      Array.iteri (fun j d -> results.(!i + j) <- Domain.join d) doms;
-      i := hi
-    done
-  | Some _ ->
-    (* Caller-bounded channels: pushes may block on full queues, so
-       every worker must be live before routing starts. *)
-    let doms = Array.init w spawn in
-    route ();
-    Array.iteri (fun i d -> results.(i) <- Domain.join d) doms);
+  let results = Array.of_list (waves 0) in
   let seconds = Unix.gettimeofday () -. t0 in
-  Array.iter (function Error e -> raise e | Ok _ -> ()) results;
+  (* every worker is joined; re-raise the first failure in worker order *)
   let results =
-    Array.map (function Ok r -> r | Error _ -> assert false) results
+    Array.map (function Ok r -> r | Error e -> raise e) results
   in
   (* deterministic merge, worker order: stats totals, remapped trace *)
   let workers =
@@ -323,7 +266,6 @@ let run ?(queue = Chan.Ring) ?capacity ?(sink = Obs.Sink.null) ?domains
   {
     shards;
     domains = w;
-    queue;
     workers;
     output;
     delays = sum (fun s -> s.Driver.delays);

@@ -9,16 +9,17 @@ open Core
     cross-shard transaction touches can be scheduled by fully
     independent domains, while the shards entangled by cross-shard
     transactions — whose admission goes through the summary graph —
-    escalate to a single {e coordinator} domain that admits requests
-    batch-at-a-time from its queue ({!Chan.pop_batch} is the
-    amortization).
+    escalate to a single {e coordinator} domain that admits them
+    against the summary graph.
 
     Every worker runs the ordinary single-threaded {!Driver} over a
     {!Sharded} instance built on the projection of the syntax to the
     worker's transactions, fed its projection of the global arrival
-    stream. The variable-to-shard hash depends only on the variable
-    name, so the projected partitions agree with the global one and the
-    engine is {e decision-identical} to the simulated [Sharded] run:
+    stream. Workers never exchange a word, so each projection is routed
+    into a plain array (worker-local ids, arrival order) before the
+    first domain is spawned. The variable-to-shard hash depends only on
+    the variable name, so the projected partitions agree with the
+    global one and the engine is {e decision-identical} to the simulated [Sharded] run:
     per worker, the same committed schedule and the same
     per-transaction abort counts. Queue-pressure metrics ([delays],
     [waiting]) legitimately differ — they are what parallel execution
@@ -38,7 +39,6 @@ type worker_report = {
 type report = {
   shards : int;
   domains : int;  (** workers actually spawned (≤ requested) *)
-  queue : Chan.kind;
   workers : worker_report array;
   output : Schedule.t;
       (** committed schedule, global ids: per-worker outputs
@@ -51,12 +51,10 @@ type report = {
   waiting : int;
   grants : int;  (** summed over workers *)
   aborts : int array;  (** per-transaction abort counts, global ids *)
-  seconds : float;  (** wall-clock, spawn to last join *)
+  seconds : float;  (** wall-clock, routing to last join *)
 }
 
 val run :
-  ?queue:Chan.kind ->
-  ?capacity:int ->
   ?sink:Obs.Sink.t ->
   ?domains:int ->
   shards:int ->
@@ -66,15 +64,16 @@ val run :
   report
 (** Execute the arrival stream on up to [domains] domains (default
     [shards + 1]; clamped to the natural worker count — one per
-    independent shard plus at most one coordinator — and at least 1).
-    [queue] picks the channel build (default {!Chan.Ring});
-    [capacity] overrides the per-channel bound (default: exact fit, so
-    the router never blocks). With a [sink], each domain records into
-    a private in-memory sink and the traces are merged after the last
-    join — remapped to global transaction ids, concatenated in worker
-    order — so a fixed seed yields a byte-identical merged trace
-    regardless of how the OS interleaved the domains.
+    independent shard plus at most one coordinator — and at least 1),
+    spawned in waves of [Domain.recommended_domain_count] and joined in
+    worker order. [arrivals] is only read. With a [sink], each domain
+    records into a private in-memory sink and the traces are merged
+    after the last join — remapped to global transaction ids,
+    concatenated in worker order — so a fixed seed yields a
+    byte-identical merged trace regardless of how the OS interleaved
+    the domains.
 
-    Raises {!Driver.Stall} (after joining all workers) if any worker's
-    drain stalled or livelocked; [Invalid_argument] from
+    Raises {!Driver.Stall} (after joining all workers; the first
+    failure in worker order) if any worker's drain stalled or
+    livelocked; [Invalid_argument] from
     {!Partition.make} on a bad shard count. *)

@@ -10,19 +10,19 @@ type outcome = {
   failures : string list;
 }
 
+let declared_level (e : Sched.Registry.entry) =
+  match Checker.level_of_name e.Sched.Registry.level with
+  | Some l -> l
+  | None ->
+    invalid_arg
+      (Printf.sprintf "registry entry %s declares unknown level %S"
+         e.Sched.Registry.slug e.Sched.Registry.level)
+
 let engines syntax =
   List.map
     (fun (e : Sched.Registry.entry) ->
-      let level =
-        match Checker.level_of_name e.Sched.Registry.level with
-        | Some l -> l
-        | None ->
-          invalid_arg
-            (Printf.sprintf "registry entry %s declares unknown level %S"
-               e.Sched.Registry.slug e.Sched.Registry.level)
-      in
       ( e.Sched.Registry.slug,
-        level,
+        declared_level e,
         fun sink -> e.Sched.Registry.make ~sink syntax ))
     Sched.Registry.all
   @ List.filter_map
@@ -35,15 +35,6 @@ let engines syntax =
               Checker.Serializability,
               fun sink -> Sched.Sharded.create ~sink ~shards:k ~syntax () ))
       [ 1; 4; 8 ]
-
-(* The weakest-first prefix of the level ladder up to and including
-   [level] — what an engine declaring [level] must pass. *)
-let levels_upto level =
-  let rec go = function
-    | [] -> []
-    | l :: rest -> if l = level then [ l ] else l :: go rest
-  in
-  go Checker.levels
 
 (* Reconstruct the committed history of a recorded run. Single-version
    engines: replay the committed schedule (read-latest semantics).
@@ -175,7 +166,7 @@ let check_run ~label ~seed ~level syntax mk acc =
         fail "committed history rejected at %s" (Checker.level_name l)
       | Checker.Unknown msg ->
         fail "unknown at %s (%s)" (Checker.level_name l) msg)
-    (levels_upto level);
+    (Checker.levels_upto level);
   (if level = Checker.Snapshot_isolation || level = Checker.Serializability
    then
      let si_order =

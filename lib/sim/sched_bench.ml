@@ -26,7 +26,6 @@ type spec = {
      user without the parallel feature gets — and the sweep is the
      engine's scaling curve. *)
   par_domains : int list;
-  par_queues : Sched.Chan.kind list;
   par_sizes : (int * int) list;
   par_mixes : string list;
   par_streams : int;
@@ -67,7 +66,6 @@ let default =
     sem_mixes = [ "ctr-hot"; "ctr-skewed" ];
     sem_samples = 200;
     par_domains = [ 1; 2; 4; 8 ];
-    par_queues = [ Sched.Chan.Ring; Sched.Chan.Mutex ];
     (* 2048x2 disjoint is the scaling cell; 256x2 keeps the contended
        mix affordable (same cap as the sharded section) *)
     par_sizes = [ (2048, 2); (256, 2) ];
@@ -96,7 +94,6 @@ let smoke =
     sem_mixes = [ "ctr-hot" ];
     sem_samples = 20;
     par_domains = [ 1; 2 ];
-    par_queues = [ Sched.Chan.Ring ];
     par_sizes = [ (16, 2) ];
     par_mixes = [ "disjoint" ];
     par_streams = 1;
@@ -240,19 +237,17 @@ let sharded k =
   driven (sharded_name k) (fun syntax ->
       Sched.Sharded.create ~shards:k ~syntax ())
 
-let parallel_name ~domains ~queue =
-  Printf.sprintf "parallel-d%d-%s" domains (Sched.Chan.kind_name queue)
+let parallel_name domains = Printf.sprintf "parallel-d%d" domains
 
-(* Wall-clock runs of the domain-parallel engine, one shard per domain;
-   the stream is copied because the engine consumes it. *)
-let parallel ~domains ~queue =
+(* Wall-clock runs of the domain-parallel engine, one shard per domain. *)
+let parallel domains =
   {
-    label = parallel_name ~domains ~queue;
+    label = parallel_name domains;
     serve =
       (fun c a ->
         let r =
-          Sched.Parallel.run ~queue ~domains ~shards:domains ~syntax:c.syntax
-            ~arrivals:(Array.copy a) ()
+          Sched.Parallel.run ~domains ~shards:domains ~syntax:c.syntax
+            ~arrivals:a ()
         in
         r.Sched.Parallel.grants + r.Sched.Parallel.delays
         + r.Sched.Parallel.restarts);
@@ -284,11 +279,6 @@ let sections (spec : spec) =
   in
   let ratio ?(key = "") ?(tag = "") engine baseline =
     { engine; baseline; key; tag }
-  in
-  let variants =
-    List.concat_map
-      (fun d -> List.map (fun q -> (d, q)) spec.par_queues)
-      spec.par_domains
   in
   List.filter
     (fun s -> s.engines <> [])
@@ -323,26 +313,22 @@ let sections (spec : spec) =
                ratio (sharded_name k) "SGT" ~key:(Printf.sprintf "/k%d" k)
                  ~tag:(Printf.sprintf "K=%-2d " k))
              spec.shard_ks);
-      (* every (domain count, channel build) variant on identical
-         streams; each multi-domain variant is reported against the d1
-         variant of its channel build — the wall-clock scaling curve *)
+      (* every domain count on identical streams; each multi-domain
+         variant is reported against d1 — the wall-clock scaling curve *)
       section "parallel"
-        (List.map (fun (domains, queue) -> parallel ~domains ~queue) variants)
+        (List.map parallel spec.par_domains)
         spec.par_mixes spec.par_sizes ~cap:256 ~salt:0x9a7
         ~streams:spec.par_streams
         ~ratios:
           (List.filter_map
-             (fun (d, queue) ->
-               let q = Sched.Chan.kind_name queue in
+             (fun d ->
                if d = 1 then None
                else
                  Some
-                   (ratio
-                      (parallel_name ~domains:d ~queue)
-                      (parallel_name ~domains:1 ~queue)
-                      ~key:(Printf.sprintf "/%s/d%d" q d)
-                      ~tag:(Printf.sprintf "%-6s d=%-2d " q d)))
-             variants);
+                   (ratio (parallel_name d) (parallel_name 1)
+                      ~key:(Printf.sprintf "/d%d" d)
+                      ~tag:(Printf.sprintf "d=%-2d " d)))
+             spec.par_domains);
     ]
 
 (* Time every engine of a cell together, in interleaved rounds: each

@@ -53,7 +53,6 @@ type spec = {
           the d1 baseline is the monolithic single-shard engine on one
           domain and the sweep is the engine's end-to-end scaling
           curve. *)
-  par_queues : Sched.Chan.kind list;  (** channel builds to compare *)
   par_sizes : (int * int) list;
       (** parallel-section sizes; contended mixes capped at [n <= 256]
           as in the sharded section *)

@@ -25,8 +25,6 @@ type run = {
   chrome : string;
 }
 
-let slug_of_name = Sched.Registry.slug_of_name
-
 (* Any registered scheduler round-trips through [only], not just the
    standard suite: the registry is the single name table. *)
 let select spec =

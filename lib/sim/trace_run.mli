@@ -36,11 +36,6 @@ type run = {
   chrome : string;                  (** Chrome trace_event JSON *)
 }
 
-val slug_of_name : string -> string
-(** {!Sched.Registry.slug_of_name}: lowercased, primes spelled out,
-    everything else non-alphanumeric collapsed to ["-"]: ["2PL'"]
-    becomes ["2pl-prime"]. *)
-
 val execute : spec -> run list
 (** One traced driver run per selected scheduler, all over the same
     arrival stream. [only] resolves through {!Sched.Registry.find} (so

@@ -17,7 +17,6 @@ let () =
       ("registry", Test_registry.suite);
       ("sharded", Test_sharded.suite);
       ("twopc", Test_twopc.suite);
-      ("chan", Test_chan.suite);
       ("parallel", Test_parallel.suite);
       ("sim", Test_sim.suite);
       ("obs", Test_obs.suite);

@@ -1,13 +1,12 @@
-(* The multicore execution engine ([Sched.Parallel]) and its request
-   channels ([Sched.Chan]).
+(* The multicore execution engine ([Sched.Parallel]).
 
    The engine's contract is decision-identity with the simulated
    [Sched.Sharded] run: same committed schedule per worker, same
    per-transaction abort counts — only the queue-pressure counters
    (delays, waiting) may differ. The tests sweep workload mixes, shard
-   counts, domain counts and both channel builds; CI re-runs the suite
-   with CCOPT_DOMAINS forced to 2 and to 8 to shake out layouts where
-   domains outnumber cores and vice versa. *)
+   counts and domain counts; CI re-runs the suite with CCOPT_DOMAINS
+   forced to 2 and to 8 to shake out layouts where domains outnumber
+   cores and vice versa. *)
 
 open Util
 open Core
@@ -21,124 +20,6 @@ let env_domains =
     | _ -> 4)
   | None -> 4
 
-let kinds = [ Sched.Chan.Ring; Sched.Chan.Mutex ]
-
-(* ---------- channels, single domain ---------- *)
-
-let test_chan_basic () =
-  List.iter
-    (fun kind ->
-      let name = Sched.Chan.kind_name kind in
-      let ch = Sched.Chan.create ~capacity:3 kind in
-      check_true (name ^ " kind round-trip") (Sched.Chan.kind ch = kind);
-      (* capacity 3 rounds up to 4: four pushes must not block *)
-      for i = 1 to 4 do
-        Sched.Chan.push ch i
-      done;
-      let buf = Array.make 8 0 in
-      let n = Sched.Chan.pop_batch ch buf in
-      check_int (name ^ " batch size") 4 n;
-      for i = 1 to 4 do
-        check_int (name ^ " FIFO") i buf.(i - 1)
-      done;
-      (* a popped slot is reusable: the ring recycles cell stamps *)
-      Sched.Chan.push ch 5;
-      check_int (name ^ " after recycle") 1 (Sched.Chan.pop_batch ch buf);
-      check_int (name ^ " recycled value") 5 buf.(0);
-      Sched.Chan.close ch;
-      check_int (name ^ " closed+empty = end of stream") 0
-        (Sched.Chan.pop_batch ch buf);
-      check_true (name ^ " push after close raises")
-        (try
-           Sched.Chan.push ch 6;
-           false
-         with Sched.Chan.Closed -> true);
-      check_true (name ^ " zero-length buffer rejected")
-        (try
-           ignore (Sched.Chan.pop_batch ch [||]);
-           false
-         with Invalid_argument _ -> true))
-    kinds;
-  check_true "non-positive capacity rejected"
-    (try
-       ignore (Sched.Chan.create ~capacity:0 Sched.Chan.Ring);
-       false
-     with Invalid_argument _ -> true)
-
-let test_chan_close_keeps_backlog () =
-  (* closing does not drop undelivered elements *)
-  List.iter
-    (fun kind ->
-      let name = Sched.Chan.kind_name kind in
-      let ch = Sched.Chan.create ~capacity:8 kind in
-      for i = 0 to 5 do
-        Sched.Chan.push ch i
-      done;
-      Sched.Chan.close ch;
-      let buf = Array.make 4 0 in
-      let seen = ref [] in
-      let rec go () =
-        let n = Sched.Chan.pop_batch ch buf in
-        if n > 0 then begin
-          for j = 0 to n - 1 do
-            seen := buf.(j) :: !seen
-          done;
-          go ()
-        end
-      in
-      go ();
-      Alcotest.(check (list int))
-        (name ^ " backlog survives close")
-        [ 0; 1; 2; 3; 4; 5 ] (List.rev !seen))
-    kinds
-
-(* ---------- channels, cross-domain ---------- *)
-
-let test_chan_cross_domain () =
-  (* two producer domains, tight capacity (so pushes block on a full
-     queue), consumer on the main domain: every element arrives exactly
-     once and each producer's elements stay in its push order *)
-  List.iter
-    (fun kind ->
-      let name = Sched.Chan.kind_name kind in
-      let per_producer = 2000 in
-      let ch = Sched.Chan.create ~capacity:16 kind in
-      let producer tag =
-        Domain.spawn (fun () ->
-            for i = 0 to per_producer - 1 do
-              Sched.Chan.push ch ((tag * per_producer) + i)
-            done)
-      in
-      let d1 = producer 0 and d2 = producer 1 in
-      let buf = Array.make 64 0 in
-      let seen = ref [] in
-      let total = ref 0 in
-      while !total < 2 * per_producer do
-        let n = Sched.Chan.pop_batch ch buf in
-        for j = 0 to n - 1 do
-          seen := buf.(j) :: !seen
-        done;
-        total := !total + n
-      done;
-      Domain.join d1;
-      Domain.join d2;
-      Sched.Chan.close ch;
-      check_int (name ^ " nothing extra") 0 (Sched.Chan.pop_batch ch buf);
-      let seen = List.rev !seen in
-      check_int (name ^ " everything delivered")
-        (2 * per_producer) (List.length seen);
-      check_int (name ^ " no duplicates")
-        (2 * per_producer)
-        (List.length (List.sort_uniq compare seen));
-      List.iter
-        (fun tag ->
-          let mine = List.filter (fun v -> v / per_producer = tag) seen in
-          check_true
-            (name ^ " per-producer FIFO")
-            (mine = List.sort compare mine))
-        [ 0; 1 ])
-    kinds
-
 (* ---------- the execution engine ---------- *)
 
 let simulate ~shards syntax arrivals =
@@ -150,12 +31,11 @@ let simulate ~shards syntax arrivals =
    committed schedule is the projection of nothing but that worker's
    transactions, and it must equal the projection of the simulated
    output; abort counts must agree transaction by transaction. *)
-let check_identity ~queue ~domains ~shards syntax arrivals =
+let check_identity ~domains ~shards syntax arrivals =
   let sim = simulate ~shards syntax arrivals in
-  let par =
-    Sched.Parallel.run ~queue ~domains ~shards ~syntax
-      ~arrivals:(Array.copy arrivals) ()
-  in
+  let before = Array.copy arrivals in
+  let par = Sched.Parallel.run ~domains ~shards ~syntax ~arrivals () in
+  Alcotest.(check (array int)) "arrivals only read" before arrivals;
   check_true "some worker" (Array.length par.Sched.Parallel.workers >= 1);
   check_true "domains within request"
     (par.Sched.Parallel.domains <= max 1 domains);
@@ -199,28 +79,19 @@ let test_single_domain_exact () =
   let fmt = Syntax.format syntax in
   let arrivals = Combin.Interleave.random st fmt in
   let sim = simulate ~shards:4 syntax arrivals in
-  List.iter
-    (fun queue ->
-      let par =
-        Sched.Parallel.run ~queue ~domains:1 ~shards:4 ~syntax
-          ~arrivals:(Array.copy arrivals) ()
-      in
-      check_int "one worker" 1 par.Sched.Parallel.domains;
-      check_true "exact output"
-        (Schedule.equal sim.Sched.Driver.output par.Sched.Parallel.output);
-      check_int "exact delays" sim.Sched.Driver.delays
-        par.Sched.Parallel.delays;
-      check_int "exact waiting" sim.Sched.Driver.waiting
-        par.Sched.Parallel.waiting;
-      check_int "exact grants" sim.Sched.Driver.grants
-        par.Sched.Parallel.grants;
-      Alcotest.(check (array int))
-        "exact aborts" sim.Sched.Driver.aborts par.Sched.Parallel.aborts)
-    kinds
+  let par = Sched.Parallel.run ~domains:1 ~shards:4 ~syntax ~arrivals () in
+  check_int "one worker" 1 par.Sched.Parallel.domains;
+  check_true "exact output"
+    (Schedule.equal sim.Sched.Driver.output par.Sched.Parallel.output);
+  check_int "exact delays" sim.Sched.Driver.delays par.Sched.Parallel.delays;
+  check_int "exact waiting" sim.Sched.Driver.waiting
+    par.Sched.Parallel.waiting;
+  check_int "exact grants" sim.Sched.Driver.grants par.Sched.Parallel.grants;
+  Alcotest.(check (array int))
+    "exact aborts" sim.Sched.Driver.aborts par.Sched.Parallel.aborts
 
 let test_decision_identity_sweep () =
-  (* mixes x shard counts x both channel builds, at the CI-forced
-     domain count *)
+  (* mixes x shard counts, at the CI-forced domain count *)
   List.iter
     (fun seed ->
       let st = Random.State.make [| 0xDA; seed |] in
@@ -238,11 +109,7 @@ let test_decision_identity_sweep () =
           let arrivals = Combin.Interleave.random st fmt in
           List.iter
             (fun shards ->
-              List.iter
-                (fun queue ->
-                  check_identity ~queue ~domains:env_domains ~shards syntax
-                    arrivals)
-                kinds)
+              check_identity ~domains:env_domains ~shards syntax arrivals)
             [ 2; 4; 8 ])
         mixes)
     [ 0; 1; 2 ]
@@ -284,53 +151,39 @@ let test_merged_trace_deterministic () =
   (* two runs at a fixed seed produce byte-identical merged event logs,
      whatever the OS made of the domain interleaving: per-domain sinks
      are merged in worker order after the last join. K = 4 per the
-     acceptance criterion; both channel builds. *)
+     acceptance criterion. *)
   let st = rng 77 in
   let syntax = Sim.Workload.hotspot st ~n:12 ~m:3 ~n_vars:6 ~theta:0.4 in
   let fmt = Syntax.format syntax in
   let arrivals = Combin.Interleave.random st fmt in
-  List.iter
-    (fun queue ->
-      let render () =
-        let collector = Obs.Sink.Memory.create () in
-        ignore
-          (Sched.Parallel.run ~queue ~domains:env_domains ~shards:4
-             ~sink:(Obs.Sink.Memory.sink collector)
-             ~syntax ~arrivals:(Array.copy arrivals) ());
-        Obs.Event_log.to_string (Obs.Sink.Memory.events collector)
-      in
-      let a = render () and b = render () in
-      check_true
-        (Sched.Chan.kind_name queue ^ " merged trace byte-identical")
-        (String.equal a b);
-      check_true "merged trace non-trivial" (String.length a > 200))
-    kinds
+  let render () =
+    let collector = Obs.Sink.Memory.create () in
+    ignore
+      (Sched.Parallel.run ~domains:env_domains ~shards:4
+         ~sink:(Obs.Sink.Memory.sink collector)
+         ~syntax ~arrivals ());
+    Obs.Event_log.to_string (Obs.Sink.Memory.events collector)
+  in
+  let a = render () and b = render () in
+  check_true "merged trace byte-identical" (String.equal a b);
+  check_true "merged trace non-trivial" (String.length a > 200)
 
-let test_tight_capacity_backpressure () =
-  (* a deliberately tiny channel forces the router to block on full
-     queues mid-stream; the result must not change *)
-  let st = rng 13 in
-  let syntax = Sim.Workload.uniform st ~n:10 ~m:3 ~n_vars:5 in
-  let fmt = Syntax.format syntax in
-  let arrivals = Combin.Interleave.random st fmt in
-  List.iter
-    (fun queue ->
-      check_true "backpressured run decision-identical"
-        (let sim = simulate ~shards:4 syntax arrivals in
-         let par =
-           Sched.Parallel.run ~queue ~capacity:2 ~domains:env_domains
-             ~shards:4 ~syntax ~arrivals:(Array.copy arrivals) ()
-         in
-         sim.Sched.Driver.aborts = par.Sched.Parallel.aborts
-         && sim.Sched.Driver.grants = par.Sched.Parallel.grants))
-    kinds
+let test_empty_transactions () =
+  (* transactions with no steps touch no shard: worker 0 owns them all,
+     the stream is empty and nothing is granted *)
+  let syntax = Syntax.of_lists [ []; [] ] in
+  let par =
+    Sched.Parallel.run ~domains:env_domains ~shards:4 ~syntax ~arrivals:[||]
+      ()
+  in
+  check_int "one worker" 1 par.Sched.Parallel.domains;
+  Alcotest.(check (array int))
+    "it holds both transactions" [| 0; 1 |]
+    par.Sched.Parallel.workers.(0).Sched.Parallel.txns;
+  check_int "no grants" 0 par.Sched.Parallel.grants
 
 let suite =
   [
-    Alcotest.test_case "chan basics (both builds)" `Quick test_chan_basic;
-    Alcotest.test_case "chan close keeps backlog" `Quick
-      test_chan_close_keeps_backlog;
-    Alcotest.test_case "chan cross-domain MPSC" `Quick test_chan_cross_domain;
     Alcotest.test_case "single domain = simulated engine" `Quick
       test_single_domain_exact;
     Alcotest.test_case "decision-identity sweep" `Slow
@@ -338,6 +191,6 @@ let suite =
     Alcotest.test_case "coordinator plan" `Quick test_coordinator_plan;
     Alcotest.test_case "merged trace deterministic" `Quick
       test_merged_trace_deterministic;
-    Alcotest.test_case "tight-capacity backpressure" `Quick
-      test_tight_capacity_backpressure;
+    Alcotest.test_case "empty transactions on one worker" `Quick
+      test_empty_transactions;
   ]
