@@ -305,9 +305,12 @@ let test_shard_routed_events () =
    by digest, per engine and K. A digest covers every trace event with
    its time (grants, delays, routed requests, refusals, edges and 2PC
    messages), the driver's statistics and the per-transaction aborts.
-   The digests were recorded before the summary search was rewritten as
-   one marking search per candidate set, which must not move a single
-   decision. *)
+   Events are hashed in their exact event-log form ({!Obs.Event_log}),
+   not the human-readable text, so a change of rendering cannot move a
+   digest. The digests were recorded before the summary search was
+   rewritten as one marking search per candidate set, and again (same
+   engines) when they switched to the event-log form; neither change
+   may move a single decision. *)
 let pinned_corpus mix =
   List.init 25 (fun seed ->
       let st = Random.State.make [| 0x5EED; seed |] in
@@ -338,9 +341,8 @@ let corpus_digest ~twopc ~shards corpus =
           (Sched.Sharded.create ~sink ~shards ?commit_cross ~syntax ())
           ~fmt:(Syntax.format syntax) ~arrivals:(Array.copy arrivals)
       in
-      List.iter
-        (fun (t, e) -> Printf.bprintf buf "%h %s\n" t (Obs.Event.to_string e))
-        (Obs.Sink.Memory.events c);
+      Buffer.add_string buf
+        (Obs.Event_log.to_string (Obs.Sink.Memory.events c));
       Printf.bprintf buf "%s d=%d r=%d k=%d w=%d g=%d a=%s\n"
         (Format.asprintf "%a" Schedule.pp s.Sched.Driver.output)
         s.Sched.Driver.delays s.Sched.Driver.restarts s.Sched.Driver.deadlocks
@@ -354,18 +356,18 @@ let corpus_digest ~twopc ~shards corpus =
 
 let pinned_digests =
   [
-    ("zipf sharded K=2", "cc80638bee951a8175814668ac6d628c");
-    ("zipf sharded K=4", "1c53a5731cc3d82c883cca4f22daf8bb");
-    ("zipf sharded K=8", "2a6a8745c18e61adf9253cff8fff36b6");
-    ("zipf sharded-2pc K=2", "033a1c33ea6bc2e7de2577c7b4e5d3cf");
-    ("zipf sharded-2pc K=4", "da7e9ef44c94b82418cc3fbe38f3672a");
-    ("zipf sharded-2pc K=8", "e562f3aabf1446ac2a280ba3971a88f4");
-    ("hotspot sharded K=2", "46b4bd7a67f12683155aba34d31f47e5");
-    ("hotspot sharded K=4", "ce79a814c8822fe45fe349c6442f9eca");
-    ("hotspot sharded K=8", "f3765bf33af4d0799862670209287073");
-    ("hotspot sharded-2pc K=2", "cc76be2aa37dccda20398343f052ce82");
-    ("hotspot sharded-2pc K=4", "b5426f36ea2ca18e852ddb21a2e2952d");
-    ("hotspot sharded-2pc K=8", "7febd999ffe8317f1e67171e58ef8e00");
+    ("zipf sharded K=2", "c9f64de7fac4abbbedd0191ce3aa07ae");
+    ("zipf sharded K=4", "d8846b4b1d87e33adf1f06cbd173ce4c");
+    ("zipf sharded K=8", "8fdfc4c72b60e005094e28676dc704bd");
+    ("zipf sharded-2pc K=2", "e6a319ef3b1a16b2936b3b6a00fddbbe");
+    ("zipf sharded-2pc K=4", "ce891a026b63c1cccf9c6e95b0916a7f");
+    ("zipf sharded-2pc K=8", "32aa07bdf882f5ca40e75540a609d876");
+    ("hotspot sharded K=2", "5f30384dbbd1f18eec0fbaf1fbd997d7");
+    ("hotspot sharded K=4", "2f421c9319d0681c5a4bf037a1183b70");
+    ("hotspot sharded K=8", "1176e06122d5b32f59a267864cad7042");
+    ("hotspot sharded-2pc K=2", "5457a3f85f4ca2cc140592b900cc28a7");
+    ("hotspot sharded-2pc K=4", "b4e76ccd2ffb9fc06a38ede34f5010b0");
+    ("hotspot sharded-2pc K=8", "815989862cefad1ba1eb2f94861165cd");
   ]
 
 let test_pinned_k_gt_1 () =
