@@ -378,13 +378,17 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
       | Error msg ->
         Printf.eprintf "ccopt check: %s: %s\n" file msg;
         exit 1
-      | Ok (events, dropped) ->
+      | Ok (events, dropped) -> (
         (* MV-aware: a trace with version events is reconstructed from
            the values the engine served, not by replaying the schedule *)
-        ( "trace " ^ file,
+        match
           Sim.Check_fuzz.history_of_events ~label:file
-            ~complete:(dropped = 0) syntax events,
-          levels ))
+            ~complete:(dropped = 0) syntax events
+        with
+        | h -> ("trace " ^ file, h, levels)
+        | exception Invalid_argument msg ->
+          Printf.eprintf "ccopt check: %s: %s\n" file msg;
+          exit 1))
     | None, Some digits ->
       let h = Schedule.of_interleaving (parse_interleaving digits) in
       if not (Schedule.is_schedule_of fmt h) then begin

@@ -17,6 +17,11 @@ let request ?schedule ?policy ?certify ?(k = 2) syntax =
    write. "xy,+a+a,Xy" = T1 updates x then y, T2 increments a twice,
    T3 reads x then updates y. *)
 let parse_syntax spec =
+  (* a variable name is one character, but a blank one could not be
+     written to (or read back from) an event log *)
+  let blank = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false in
+  if String.exists blank spec then
+    invalid_arg "whitespace in --syntax (a variable is one non-blank character)";
   let groups = String.split_on_char ',' spec in
   let parse_tx g =
     if g = "" then invalid_arg "empty transaction in --syntax";

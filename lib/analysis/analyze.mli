@@ -26,7 +26,8 @@ val request :
 
 val parse_syntax : string -> Syntax.t
 (** ["xy,yx"] — comma-separated transactions, one single-character
-    variable per step. Raises [Invalid_argument] on malformed input. *)
+    variable per step. Raises [Invalid_argument] on malformed input,
+    whitespace included. *)
 
 val parse_interleaving : string -> int array
 (** ["0101"] — a digit per position naming the acting transaction. *)

@@ -104,13 +104,35 @@ val tx : t -> int option
     track, track 0). The multi-version events all carry their
     transaction. *)
 
-val payload_to_string : twopc_payload -> string
-(** Wire token of a 2PC payload — ["prepare"], ["vote-yes"],
-    ["vote-no"], ["commit"], ["abort"], ["ack"], ["decision-req"] — as
-    used by {!Event_log} and the trace exporter. *)
+type field =
+  | Tx of int   (** a transaction id: 0-based, remapped by {!map_tx} *)
+  | Int of int  (** any other integer: step index, shard, node, timestamp *)
+  | Str of string  (** a name or an enumerated value *)
 
-val payload_of_string : string -> twopc_payload option
-(** Inverse of {!payload_to_string}. *)
+val fields : t -> string * (string * field) list
+(** The one description of every constructor: its name and its named
+    fields, in print order. Every other view of an event is derived
+    from [fields] and {!of_fields}: the text form ({!pp}), the event
+    log ({!Event_log}), the parallel engine's id remap ({!map_tx}) and
+    the Chrome instants ({!Trace_export}). To add an event or a payload
+    field, add one row here and one in {!of_fields}; nothing else
+    changes. *)
+
+val of_fields : string -> (string -> string option) -> (t, string) result
+(** [of_fields name get] is the inverse of {!fields}: it rebuilds the
+    event called [name] from its fields' printed values, read with
+    [get]. Errors name the problem: ["unknown event ..."], ["missing
+    field ..."], ["field ...: bad integer ..."] (or bad boolean,
+    payload, abort reason). *)
+
+val map_tx : (int -> int) -> t -> t
+(** [map_tx f ev] maps every {!Tx} field of [ev] through [f] and leaves
+    the rest alone. *)
 
 val pp : Format.formatter -> t -> unit
+(** The event as [name k=v ...], as one line of the event log prints
+    it after its timestamp; transaction ids are 0-based. Raises
+    [Invalid_argument] when a {!Str} field holds whitespace, which the
+    log could not read back. *)
+
 val to_string : t -> string

@@ -4,59 +4,7 @@ let version = 1
    simulated clocks); 17 significant digits round-trip any of them. *)
 let ts_string ts = Printf.sprintf "%.17g" ts
 
-let line_of (ts, (ev : Event.t)) =
-  let t = ts_string ts in
-  match ev with
-  | Submitted { tx; idx } -> Printf.sprintf "%s submitted tx=%d idx=%d" t tx idx
-  | Delayed { tx; idx } -> Printf.sprintf "%s delayed tx=%d idx=%d" t tx idx
-  | Granted { tx; idx } -> Printf.sprintf "%s granted tx=%d idx=%d" t tx idx
-  | Executed { tx; idx } -> Printf.sprintf "%s executed tx=%d idx=%d" t tx idx
-  | Committed { tx } -> Printf.sprintf "%s committed tx=%d" t tx
-  | Aborted { tx; reason } ->
-    Printf.sprintf "%s aborted tx=%d reason=%s" t tx
-      (match reason with
-      | Event.Deadlock -> "deadlock"
-      | Event.Scheduler_abort -> "scheduler")
-  | Restarted { tx } -> Printf.sprintf "%s restarted tx=%d" t tx
-  | Edge_added { src; dst } ->
-    Printf.sprintf "%s edge-added src=%d dst=%d" t src dst
-  | Cycle_refused { tx; idx } ->
-    Printf.sprintf "%s cycle-refused tx=%d idx=%d" t tx idx
-  | Commute_pass { tx; idx; skipped } ->
-    Printf.sprintf "%s commute-pass tx=%d idx=%d skipped=%d" t tx idx skipped
-  | Lock_acquired { tx; lock } ->
-    Printf.sprintf "%s lock-acquired tx=%d lock=%s" t tx lock
-  | Lock_released { tx; lock } ->
-    Printf.sprintf "%s lock-released tx=%d lock=%s" t tx lock
-  | Wound { victim } -> Printf.sprintf "%s wound victim=%d" t victim
-  | Ts_refused { tx; idx } ->
-    Printf.sprintf "%s ts-refused tx=%d idx=%d" t tx idx
-  | Shard_routed { tx; idx; shard } ->
-    Printf.sprintf "%s shard-routed tx=%d idx=%d shard=%d" t tx idx shard
-  | Snapshot_taken { tx; ts } ->
-    Printf.sprintf "%s snapshot-taken tx=%d ts=%d" t tx ts
-  | Version_read { tx; var; value } ->
-    Printf.sprintf "%s version-read tx=%d var=%s value=%d" t tx var value
-  | Version_installed { tx; var; value } ->
-    Printf.sprintf "%s version-installed tx=%d var=%s value=%d" t tx var value
-  | Ww_refused { tx; var } ->
-    Printf.sprintf "%s ww-refused tx=%d var=%s" t tx var
-  | Pivot_refused { tx; cyclic } ->
-    Printf.sprintf "%s pivot-refused tx=%d cyclic=%b" t tx cyclic
-  | Twopc_sent { tx; src; dst; msg } ->
-    Printf.sprintf "%s twopc-sent tx=%d src=%d dst=%d msg=%s" t tx src dst
-      (Event.payload_to_string msg)
-  | Twopc_delivered { tx; src; dst; msg } ->
-    Printf.sprintf "%s twopc-delivered tx=%d src=%d dst=%d msg=%s" t tx src dst
-      (Event.payload_to_string msg)
-  | Twopc_decided { tx; node; commit } ->
-    Printf.sprintf "%s twopc-decided tx=%d node=%d commit=%b" t tx node commit
-  | Twopc_timeout { tx; node; timer } ->
-    Printf.sprintf "%s twopc-timeout tx=%d node=%d timer=%s" t tx node timer
-  | Node_crashed { tx; node } ->
-    Printf.sprintf "%s node-crashed tx=%d node=%d" t tx node
-  | Node_recovered { tx; node } ->
-    Printf.sprintf "%s node-recovered tx=%d node=%d" t tx node
+let line_of (ts, ev) = ts_string ts ^ " " ^ Event.to_string ev
 
 let to_string ?(dropped = 0) events =
   let b = Buffer.create 4096 in
@@ -71,172 +19,22 @@ let to_string ?(dropped = 0) events =
 
 (* ---------- parsing ---------- *)
 
-(* Lock names may contain anything but whitespace (the emitters use
-   variable names); field values are split on the first '='. *)
-let field fields key =
-  let prefix = key ^ "=" in
-  let pl = String.length prefix in
-  match
-    List.find_opt
-      (fun f -> String.length f >= pl && String.sub f 0 pl = prefix)
-      fields
-  with
-  | Some f -> Ok (String.sub f pl (String.length f - pl))
-  | None -> Error (Printf.sprintf "missing field %s" key)
-
-let int_field fields key =
-  Result.bind (field fields key) (fun v ->
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %s: bad integer %S" key v))
-
-let ( let* ) = Result.bind
+(* Field values may contain anything but whitespace (the printer
+   refuses it); each [k=v] splits on its first '='. *)
+let split_field f =
+  Option.map
+    (fun i -> (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
+    (String.index_opt f '=')
 
 let event_of_line line =
   match String.split_on_char ' ' line with
   | ts :: name :: fields -> (
-    let* ts =
-      match float_of_string_opt ts with
-      | Some t -> Ok t
-      | None -> Error (Printf.sprintf "bad timestamp %S" ts)
-    in
-    let tx () = int_field fields "tx" in
-    let idx () = int_field fields "idx" in
-    let* ev =
-      match name with
-      | "submitted" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        Ok (Event.Submitted { tx; idx })
-      | "delayed" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        Ok (Event.Delayed { tx; idx })
-      | "granted" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        Ok (Event.Granted { tx; idx })
-      | "executed" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        Ok (Event.Executed { tx; idx })
-      | "committed" ->
-        let* tx = tx () in
-        Ok (Event.Committed { tx })
-      | "aborted" ->
-        let* tx = tx () in
-        let* reason = field fields "reason" in
-        let* reason =
-          match reason with
-          | "deadlock" -> Ok Event.Deadlock
-          | "scheduler" -> Ok Event.Scheduler_abort
-          | r -> Error (Printf.sprintf "unknown abort reason %S" r)
-        in
-        Ok (Event.Aborted { tx; reason })
-      | "restarted" ->
-        let* tx = tx () in
-        Ok (Event.Restarted { tx })
-      | "edge-added" ->
-        let* src = int_field fields "src" in
-        let* dst = int_field fields "dst" in
-        Ok (Event.Edge_added { src; dst })
-      | "cycle-refused" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        Ok (Event.Cycle_refused { tx; idx })
-      | "commute-pass" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        let* skipped = int_field fields "skipped" in
-        Ok (Event.Commute_pass { tx; idx; skipped })
-      | "lock-acquired" ->
-        let* tx = tx () in
-        let* lock = field fields "lock" in
-        Ok (Event.Lock_acquired { tx; lock })
-      | "lock-released" ->
-        let* tx = tx () in
-        let* lock = field fields "lock" in
-        Ok (Event.Lock_released { tx; lock })
-      | "wound" ->
-        let* victim = int_field fields "victim" in
-        Ok (Event.Wound { victim })
-      | "ts-refused" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        Ok (Event.Ts_refused { tx; idx })
-      | "shard-routed" ->
-        let* tx = tx () in
-        let* idx = idx () in
-        let* shard = int_field fields "shard" in
-        Ok (Event.Shard_routed { tx; idx; shard })
-      | "snapshot-taken" ->
-        let* tx = tx () in
-        let* ts = int_field fields "ts" in
-        Ok (Event.Snapshot_taken { tx; ts })
-      | "version-read" ->
-        let* tx = tx () in
-        let* var = field fields "var" in
-        let* value = int_field fields "value" in
-        Ok (Event.Version_read { tx; var; value })
-      | "version-installed" ->
-        let* tx = tx () in
-        let* var = field fields "var" in
-        let* value = int_field fields "value" in
-        Ok (Event.Version_installed { tx; var; value })
-      | "ww-refused" ->
-        let* tx = tx () in
-        let* var = field fields "var" in
-        Ok (Event.Ww_refused { tx; var })
-      | "pivot-refused" ->
-        let* tx = tx () in
-        let* cyclic = field fields "cyclic" in
-        let* cyclic =
-          match cyclic with
-          | "true" -> Ok true
-          | "false" -> Ok false
-          | c -> Error (Printf.sprintf "field cyclic: bad boolean %S" c)
-        in
-        Ok (Event.Pivot_refused { tx; cyclic })
-      | "twopc-sent" | "twopc-delivered" ->
-        let* tx = tx () in
-        let* src = int_field fields "src" in
-        let* dst = int_field fields "dst" in
-        let* msg = field fields "msg" in
-        let* msg =
-          match Event.payload_of_string msg with
-          | Some m -> Ok m
-          | None -> Error (Printf.sprintf "field msg: bad payload %S" msg)
-        in
-        Ok
-          (if name = "twopc-sent" then Event.Twopc_sent { tx; src; dst; msg }
-           else Event.Twopc_delivered { tx; src; dst; msg })
-      | "twopc-decided" ->
-        let* tx = tx () in
-        let* node = int_field fields "node" in
-        let* commit = field fields "commit" in
-        let* commit =
-          match commit with
-          | "true" -> Ok true
-          | "false" -> Ok false
-          | c -> Error (Printf.sprintf "field commit: bad boolean %S" c)
-        in
-        Ok (Event.Twopc_decided { tx; node; commit })
-      | "twopc-timeout" ->
-        let* tx = tx () in
-        let* node = int_field fields "node" in
-        let* timer = field fields "timer" in
-        Ok (Event.Twopc_timeout { tx; node; timer })
-      | "node-crashed" ->
-        let* tx = tx () in
-        let* node = int_field fields "node" in
-        Ok (Event.Node_crashed { tx; node })
-      | "node-recovered" ->
-        let* tx = tx () in
-        let* node = int_field fields "node" in
-        Ok (Event.Node_recovered { tx; node })
-      | name -> Error (Printf.sprintf "unknown event %S" name)
-    in
-    Ok (ts, ev))
+    match float_of_string_opt ts with
+    | None -> Error (Printf.sprintf "bad timestamp %S" ts)
+    | Some ts ->
+      let kv = List.filter_map split_field fields in
+      Event.of_fields name (fun k -> List.assoc_opt k kv)
+      |> Result.map (fun ev -> (ts, ev)))
   | _ -> Error "malformed line"
 
 let parse s =

@@ -7,6 +7,8 @@
     step index); this format is for machines and round-trips exactly:
     [parse (to_string ~dropped es) = Ok (es, dropped)] for every event
     list, including timestamps (printed with 17 significant digits).
+    Each line is a timestamp and {!Event.to_string}: the event's name
+    and its [k=v] fields ({!Event.fields}).
 
     Layout: a header line [# ccopt-events 1] (the trailing integer is
     the format version), a [# dropped N] line carrying the ring
@@ -26,7 +28,8 @@ val version : int
 (** [1] — bumped on any change to the line grammar. *)
 
 val to_string : ?dropped:int -> (float * Event.t) list -> string
-(** Render a trace (default [dropped] 0). *)
+(** Render a trace (default [dropped] 0). Raises [Invalid_argument] on
+    a string field holding whitespace, which could not be read back. *)
 
 val parse : string -> ((float * Event.t) list * int, string) result
 (** Parse a rendered trace back; [Error] describes the first offending

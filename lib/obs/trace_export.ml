@@ -41,19 +41,23 @@ let entries events =
   let last_ts = ref 0. in
   let rev = ref [] in
   let push e = rev := e :: !rev in
-  let close_wait ~ts tx =
-    if open_wait.(tx) then begin
-      open_wait.(tx) <- false;
-      push { name = "wait"; cat = lifecycle; ph = 'E'; ts; pid = 0;
-             tid = tx + 1; args = [] }
+  let span ph name ~ts tx args =
+    push { name; cat = lifecycle; ph; ts; pid = 0; tid = tx + 1; args }
+  in
+  let close opened name ~ts tx =
+    if opened.(tx) then begin
+      opened.(tx) <- false;
+      span 'E' name ~ts tx []
     end
   in
-  let close_exec ~ts tx =
-    if open_exec.(tx) then begin
-      open_exec.(tx) <- false;
-      push { name = "exec"; cat = lifecycle; ph = 'E'; ts; pid = 0;
-             tid = tx + 1; args = [] }
-    end
+  let close_wait = close open_wait "wait" in
+  let close_exec = close open_exec "exec" in
+  (* the event's own fields, transaction ids 1-based like the tracks *)
+  let args ev =
+    List.map
+      (fun (k, (f : Event.field)) ->
+        (k, match f with Tx t -> Int (t + 1) | Int n -> Int n | Str s -> Str s))
+      (snd (Event.fields ev))
   in
   List.iter
     (fun (ts, ev) ->
@@ -64,104 +68,24 @@ let entries events =
       | Delayed { tx; idx } ->
         if not open_wait.(tx) then begin
           open_wait.(tx) <- true;
-          push { name = "wait"; cat = lifecycle; ph = 'B'; ts; pid = 0;
-                 tid = tx + 1; args = [ ("step", Int idx) ] }
+          span 'B' "wait" ~ts tx [ ("step", Int idx) ]
         end
       | Granted { tx; idx } ->
         close_wait ~ts tx;
         open_exec.(tx) <- true;
-        push { name = "exec"; cat = lifecycle; ph = 'B'; ts; pid = 0;
-               tid = tx + 1; args = [ ("step", Int idx) ] }
+        span 'B' "exec" ~ts tx [ ("step", Int idx) ]
       | Executed { tx; _ } -> close_exec ~ts tx
       | Committed { tx } -> push (instant ~ts ~tid:(tx + 1) "commit" [])
-      | Aborted { tx; reason } ->
+      | Aborted { tx; _ } ->
         close_wait ~ts tx;
         close_exec ~ts tx;
         push
-          (instant ~ts ~tid:(tx + 1) "abort"
-             [ ( "reason",
-                 Str
-                   (match reason with
-                   | Event.Deadlock -> "deadlock"
-                   | Event.Scheduler_abort -> "scheduler") ) ])
+          (instant ~ts ~tid:(tx + 1) "abort" (List.remove_assoc "tx" (args ev)))
       | Restarted { tx } -> push (instant ~ts ~tid:(tx + 1) "restart" [])
-      | Edge_added { src; dst } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "edge"
-             [ ("src", Int (src + 1)); ("dst", Int (dst + 1)) ])
-      | Cycle_refused { tx; idx } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "cycle-refused"
-             [ ("step", Int idx) ])
-      | Commute_pass { tx; idx; skipped } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "commute-pass"
-             [ ("step", Int idx); ("skipped", Int skipped) ])
-      | Lock_acquired { tx; lock } ->
-        push (instant ~cat:internal ~ts ~tid:(tx + 1) "lock"
-                [ ("var", Str lock) ])
-      | Lock_released { tx; lock } ->
-        push (instant ~cat:internal ~ts ~tid:(tx + 1) "unlock"
-                [ ("var", Str lock) ])
-      | Wound { victim } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "wound"
-             [ ("victim", Int (victim + 1)) ])
-      | Ts_refused { tx; idx } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "ts-refused"
-             [ ("step", Int idx) ])
-      | Shard_routed { tx; idx; shard } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "shard-routed"
-             [ ("tx", Int (tx + 1)); ("step", Int idx); ("shard", Int shard) ])
-      | Snapshot_taken { tx; ts = snap } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "snapshot"
-             [ ("ts", Int snap) ])
-      | Version_read { tx; var; value } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "vread"
-             [ ("var", Str var); ("value", Int value) ])
-      | Version_installed { tx; var; value } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "vinstall"
-             [ ("var", Str var); ("value", Int value) ])
-      | Ww_refused { tx; var } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "ww-refused"
-             [ ("var", Str var) ])
-      | Pivot_refused { tx; cyclic } ->
-        push
-          (instant ~cat:internal ~ts ~tid:(tx + 1) "pivot-refused"
-             [ ("cyclic", Str (if cyclic then "true" else "false")) ])
-      | Twopc_sent { tx; src; dst; msg } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "2pc-send"
-             [ ("tx", Int (tx + 1)); ("src", Int src); ("dst", Int dst);
-               ("msg", Str (Event.payload_to_string msg)) ])
-      | Twopc_delivered { tx; src; dst; msg } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "2pc-recv"
-             [ ("tx", Int (tx + 1)); ("src", Int src); ("dst", Int dst);
-               ("msg", Str (Event.payload_to_string msg)) ])
-      | Twopc_decided { tx; node; commit } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "2pc-decided"
-             [ ("tx", Int (tx + 1)); ("node", Int node);
-               ("outcome", Str (if commit then "commit" else "abort")) ])
-      | Twopc_timeout { tx; node; timer } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "2pc-timeout"
-             [ ("tx", Int (tx + 1)); ("node", Int node); ("timer", Str timer) ])
-      | Node_crashed { tx; node } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "node-crashed"
-             [ ("tx", Int (tx + 1)); ("node", Int node) ])
-      | Node_recovered { tx; node } ->
-        push
-          (instant ~cat:internal ~ts ~tid:0 "node-recovered"
-             [ ("tx", Int (tx + 1)); ("node", Int node) ]))
+      | ev ->
+        (* scheduler-internal: the event's own name and fields *)
+        let tid = match Event.tx ev with Some tx -> tx + 1 | None -> 0 in
+        push (instant ~cat:internal ~ts ~tid (fst (Event.fields ev)) (args ev)))
     events;
   (* a truncated trace (ring overflow) may leave spans open: close them
      so every B has its E *)

@@ -1,10 +1,12 @@
 (** Chrome-trace-format ([trace_event]) export, loadable in
     [about://tracing] / Perfetto.
 
-    Each transaction gets a track ([tid = tx + 1]); scheduler-internal
-    events (conflict edges, wound decisions) live on track 0. Waiting
-    periods render as [B]/[E] duration pairs named ["wait"], granted
-    executions as ["exec"] pairs, everything else as instants. The
+    Each transaction gets a track ([tid = tx + 1]). Waiting periods
+    render as [B]/[E] duration pairs named ["wait"], granted executions
+    as ["exec"] pairs, the other lifecycle events as instants.
+    Scheduler-internal events are instants named and keyed as in the
+    event log ({!Event.fields}, transaction ids 1-based), on their
+    transaction's track, or on track 0 when {!Event.tx} is [None]. The
     exporter guarantees (and the tests check): every [B] has a matching
     [E] with the same name on the same track, and timestamps are
     non-decreasing per track. *)

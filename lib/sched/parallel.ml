@@ -123,39 +123,6 @@ let project syntax txns =
              (Syntax.kind syntax id, Syntax.var syntax id)))
        txns)
 
-(* Rewrite worker-local transaction ids back to global ones. *)
-let remap_event g : Obs.Event.t -> Obs.Event.t = function
-  | Submitted { tx; idx } -> Submitted { tx = g.(tx); idx }
-  | Delayed { tx; idx } -> Delayed { tx = g.(tx); idx }
-  | Granted { tx; idx } -> Granted { tx = g.(tx); idx }
-  | Executed { tx; idx } -> Executed { tx = g.(tx); idx }
-  | Committed { tx } -> Committed { tx = g.(tx) }
-  | Aborted { tx; reason } -> Aborted { tx = g.(tx); reason }
-  | Restarted { tx } -> Restarted { tx = g.(tx) }
-  | Edge_added { src; dst } -> Edge_added { src = g.(src); dst = g.(dst) }
-  | Cycle_refused { tx; idx } -> Cycle_refused { tx = g.(tx); idx }
-  | Commute_pass { tx; idx; skipped } ->
-    Commute_pass { tx = g.(tx); idx; skipped }
-  | Lock_acquired { tx; lock } -> Lock_acquired { tx = g.(tx); lock }
-  | Lock_released { tx; lock } -> Lock_released { tx = g.(tx); lock }
-  | Wound { victim } -> Wound { victim = g.(victim) }
-  | Ts_refused { tx; idx } -> Ts_refused { tx = g.(tx); idx }
-  | Shard_routed { tx; idx; shard } -> Shard_routed { tx = g.(tx); idx; shard }
-  | Snapshot_taken { tx; ts } -> Snapshot_taken { tx = g.(tx); ts }
-  | Version_read { tx; var; value } -> Version_read { tx = g.(tx); var; value }
-  | Version_installed { tx; var; value } ->
-    Version_installed { tx = g.(tx); var; value }
-  | Ww_refused { tx; var } -> Ww_refused { tx = g.(tx); var }
-  | Pivot_refused { tx; cyclic } -> Pivot_refused { tx = g.(tx); cyclic }
-  | Twopc_sent { tx; src; dst; msg } -> Twopc_sent { tx = g.(tx); src; dst; msg }
-  | Twopc_delivered { tx; src; dst; msg } ->
-    Twopc_delivered { tx = g.(tx); src; dst; msg }
-  | Twopc_decided { tx; node; commit } ->
-    Twopc_decided { tx = g.(tx); node; commit }
-  | Twopc_timeout { tx; node; timer } -> Twopc_timeout { tx = g.(tx); node; timer }
-  | Node_crashed { tx; node } -> Node_crashed { tx = g.(tx); node }
-  | Node_recovered { tx; node } -> Node_recovered { tx = g.(tx); node }
-
 let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
   let p = Partition.make ~syntax ~shards in
   let domains =
@@ -257,9 +224,10 @@ let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
   if trace then
     Array.iteri
       (fun wi (_, events) ->
-        let g = wtxns.(wi) in
+        (* worker-local transaction ids back to global ones *)
+        let g = Array.get wtxns.(wi) in
         List.iter
-          (fun (ts, ev) -> Obs.Sink.record_at sink ts (remap_event g ev))
+          (fun (ts, ev) -> Obs.Sink.record_at sink ts (Obs.Event.map_tx g ev))
           events)
       results;
   let sum f = Array.fold_left (fun acc (s, _) -> acc + f s) 0 results in

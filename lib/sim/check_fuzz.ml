@@ -42,6 +42,20 @@ let engines syntax =
    engine actually served from its snapshots — replaying the schedule
    would misreport every snapshot read. *)
 let history_of_events ~label ?(complete = true) syntax events =
+  (* a log of some other system must not fold into a history of this
+     one (a step index out of range is [History.of_steps]' error) *)
+  let n = Syntax.n_transactions syntax in
+  List.iter
+    (fun (_, ev) ->
+      List.iter
+        (function
+          | _, Obs.Event.Tx t when t < 0 || t >= n ->
+            invalid_arg
+              (Printf.sprintf "%s: no transaction %d (the syntax has %d)"
+                 (Obs.Event.to_string ev) t n)
+          | _ -> ())
+        (snd (Obs.Event.fields ev)))
+    events;
   let mv = Obs.Fold.mv_history events in
   if not mv.Obs.Fold.recorded then
     let fold = Obs.Fold.history events in

@@ -69,7 +69,9 @@ val history_of_events :
     otherwise the committed schedule is replayed under read-latest
     semantics ({!Analysis.History.of_steps}). Pass [~complete:false]
     when the ring dropped events; fold-detected truncation is folded
-    in either way. *)
+    in either way. Raises [Invalid_argument] when an event names a
+    transaction [syntax] does not have, or when a replayed step is not
+    in its transaction. *)
 
 val sweep : ?seeds:int -> unit -> outcome
 (** The seeded sweep (default 100 seeds). Workload mixes and sizes

@@ -436,6 +436,18 @@ let test_analyze_nothing_to_do () =
   let report = Az.run (Az.request (syn "xy,yx")) in
   check_true "explains itself" (R.find "analyze/nothing-to-do" report <> None)
 
+(* a blank variable would be written to an event log as [lock= ],
+   which reads back as the empty name *)
+let test_syntax_rejects_whitespace () =
+  List.iter
+    (fun spec ->
+      check_true
+        (Printf.sprintf "%S rejected" spec)
+        (match syn spec with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ "a b,b a"; "xy, yx"; "x\ty"; "+ x"; "xy\n" ]
+
 let suite =
   [
     Alcotest.test_case "write skew (atomic)" `Quick test_write_skew_atomic;
@@ -468,5 +480,7 @@ let suite =
       test_certify_catches_greedy;
     Alcotest.test_case "report json" `Quick test_report_json;
     Alcotest.test_case "nothing to do" `Quick test_analyze_nothing_to_do;
+    Alcotest.test_case "syntax rejects whitespace" `Quick
+      test_syntax_rejects_whitespace;
   ]
   @ qsuite [ prop_expand_preserves_conflicts ]

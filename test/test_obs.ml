@@ -218,6 +218,13 @@ let log_fixture =
     (11., Obs.Event.Wound { victim = 2 });
     (12., Obs.Event.Ts_refused { tx = 2; idx = 0 });
     (13., Obs.Event.Shard_routed { tx = 2; idx = 0; shard = 3 });
+    (13.25, Obs.Event.Commute_pass { tx = 1; idx = 2; skipped = 3 });
+    (13.5, Obs.Event.Snapshot_taken { tx = 1; ts = 4 });
+    (13.5, Obs.Event.Version_read { tx = 1; var = "x"; value = -2 });
+    (13.75, Obs.Event.Version_installed { tx = 1; var = "q'"; value = 7 });
+    (13.75, Obs.Event.Ww_refused { tx = 1; var = "x" });
+    (13.875, Obs.Event.Pivot_refused { tx = 1; cyclic = true });
+    (13.875, Obs.Event.Pivot_refused { tx = 2; cyclic = false });
     (* the 2PC vocabulary: every payload shape at least once *)
     (14., Obs.Event.Twopc_sent { tx = 2; src = 4; dst = 0; msg = Obs.Event.Prepare });
     (14.5, Obs.Event.Twopc_delivered { tx = 2; src = 4; dst = 0; msg = Obs.Event.Prepare });
@@ -235,6 +242,10 @@ let log_fixture =
   ]
 
 let test_event_log_roundtrip () =
+  check_int "fixture covers every constructor" 26
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (_, e) -> fst (Obs.Event.fields e)) log_fixture)));
   let text = Obs.Event_log.to_string ~dropped:5 log_fixture in
   (match Obs.Event_log.parse text with
   | Ok (events, dropped) ->
@@ -314,6 +325,8 @@ let any_event_gen =
         ]
     in
     let timer = oneofl [ "prepare"; "vote"; "decision"; "ack" ] in
+    (* any non-blank printable name, '=' and the empty name included *)
+    let name = string_size ~gen:(char_range '!' '~') (int_range 0 3) in
     oneof
       [
         map2 (fun tx idx -> Obs.Event.Submitted { tx; idx }) id id;
@@ -335,6 +348,22 @@ let any_event_gen =
         map2 (fun src dst -> Obs.Event.Edge_added { src; dst }) id id;
         map2 (fun tx idx -> Obs.Event.Cycle_refused { tx; idx }) id id;
         map2 (fun tx idx -> Obs.Event.Shard_routed { tx; idx; shard = 1 }) id id;
+        map3
+          (fun tx idx skipped -> Obs.Event.Commute_pass { tx; idx; skipped })
+          id id id;
+        map2 (fun tx lock -> Obs.Event.Lock_acquired { tx; lock }) id name;
+        map2 (fun tx lock -> Obs.Event.Lock_released { tx; lock }) id name;
+        map (fun victim -> Obs.Event.Wound { victim }) id;
+        map2 (fun tx idx -> Obs.Event.Ts_refused { tx; idx }) id id;
+        map2 (fun tx ts -> Obs.Event.Snapshot_taken { tx; ts }) id id;
+        map3
+          (fun tx var value -> Obs.Event.Version_read { tx; var; value })
+          id name int;
+        map3
+          (fun tx var value -> Obs.Event.Version_installed { tx; var; value })
+          id name int;
+        map2 (fun tx var -> Obs.Event.Ww_refused { tx; var }) id name;
+        map2 (fun tx cyclic -> Obs.Event.Pivot_refused { tx; cyclic }) id bool;
         map3
           (fun tx src msg -> Obs.Event.Twopc_sent { tx; src; dst = src + 1; msg })
           id id payload;
@@ -367,6 +396,73 @@ let prop_log_roundtrip =
       match Obs.Event_log.parse (Obs.Event_log.to_string ~dropped events) with
       | Ok (es, d) -> es = events && d = dropped
       | Error _ -> false)
+
+(* ---------- the field table's other readers ---------- *)
+
+(* [map_tx] rewrites the Tx fields and nothing else *)
+let prop_map_tx =
+  QCheck.Test.make ~count:300 ~name:"map_tx: identity, and Tx fields only"
+    (QCheck.make any_event_gen)
+    (fun ev ->
+      let f t = (3 * t) + 1 in
+      let name, fs = Obs.Event.fields ev in
+      let name', fs' = Obs.Event.fields (Obs.Event.map_tx f ev) in
+      Obs.Event.map_tx Fun.id ev = ev
+      && name' = name
+      && fs'
+         = List.map
+             (fun (k, v) ->
+               (k, match v with Obs.Event.Tx t -> Obs.Event.Tx (f t) | v -> v))
+             fs)
+
+let test_event_text () =
+  Alcotest.(check string)
+    "text form is the log body" "lock-acquired tx=1 lock=y"
+    (Obs.Event.to_string (Obs.Event.Lock_acquired { tx = 1; lock = "y" }));
+  (* a blank name would print as [lock= ] and read back as [""] *)
+  List.iter
+    (fun ev ->
+      check_true "blank string field refused"
+        (match Obs.Event_log.to_string [ (0., ev) ] with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      Obs.Event.Lock_acquired { tx = 0; lock = " " };
+      Obs.Event.Version_read { tx = 0; var = "a b"; value = 0 };
+      Obs.Event.Ww_refused { tx = 0; var = "x\n" };
+    ]
+
+(* a log of another system must not fold into a history of this one *)
+let test_history_rejects_foreign_ids () =
+  let syntax = Analysis.Analyze.parse_syntax "xy,yx" in
+  let rejects name events =
+    check_true name
+      (match
+         Sim.Check_fuzz.history_of_events ~label:name syntax
+           (List.map (fun e -> (0., e)) events)
+       with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "multi-version trace, tx=3"
+    [
+      Obs.Event.Version_read { tx = 3; var = "q"; value = 1 };
+      Obs.Event.Committed { tx = 3 };
+    ];
+  rejects "single-version trace, tx=7"
+    [
+      Obs.Event.Submitted { tx = 7; idx = 0 };
+      Obs.Event.Granted { tx = 7; idx = 0 };
+      Obs.Event.Executed { tx = 7; idx = 0 };
+      Obs.Event.Committed { tx = 7 };
+    ];
+  rejects "single-version trace, idx=5"
+    [
+      Obs.Event.Submitted { tx = 0; idx = 5 };
+      Obs.Event.Granted { tx = 0; idx = 5 };
+      Obs.Event.Executed { tx = 0; idx = 5 };
+      Obs.Event.Committed { tx = 0 };
+    ]
 
 (* ---------- ring truncation propagates to checker Unknown ---------- *)
 
@@ -583,6 +679,10 @@ let suite =
     Alcotest.test_case "event log rejects junk" `Quick test_event_log_rejects;
     Alcotest.test_case "event log error positions" `Quick
       test_event_log_error_positions;
+    Alcotest.test_case "event text form and blank fields" `Quick
+      test_event_text;
+    Alcotest.test_case "history rejects foreign ids" `Quick
+      test_history_rejects_foreign_ids;
     Alcotest.test_case "ring truncation checks Unknown" `Quick
       test_ring_truncation_unknown;
     Alcotest.test_case "history from lifecycle trace" `Quick
@@ -606,5 +706,6 @@ let suite =
         prop_span_invariant;
         prop_ring_model;
         prop_log_roundtrip;
+        prop_map_tx;
         prop_json_roundtrip;
       ]
