@@ -243,9 +243,10 @@ module Acyclic = struct
     want : int array;    (* scratch: source marks, by epoch *)
     seen : int array;    (* scratch: forward-search marks, by epoch *)
     seen_b : int array;  (* scratch: backward-search marks, by epoch *)
-    parent : int array;  (* scratch: witness-path links *)
+    parent : int array;  (* scratch: witness-path links, -1 at a root *)
     mat : Bytes.t;       (* nv*nv adjacency bitmap: O(1) edge membership *)
     mutable epoch : int;
+    mutable hit : int;   (* the vertex the last [true] search stopped at *)
   }
 
   let create nv =
@@ -264,6 +265,7 @@ module Acyclic = struct
       parent = Array.make nv (-1);
       mat = Bytes.make (nv * nv) '\000';
       epoch = 0;
+      hit = -1;
     }
 
   let n_vertices g = g.nv
@@ -307,18 +309,31 @@ module Acyclic = struct
 
   (* The search workers live at module level and take all state as
      arguments: one [closes_cycle_any] call allocates nothing, not even
-     closures. *)
-  let rec dfs g ep bound w =
+     closures. Each first visit links the vertex to the one it was
+     reached from ([p], -1 at a root), so a [true] answer leaves its path
+     in [parent], ending at [hit]. *)
+  let rec dfs g ep bound p w =
     if g.seen.(w) = ep then false
     else begin
       g.seen.(w) <- ep;
-      g.want.(w) = ep || dfs_list g ep bound g.out_.(w)
+      g.parent.(w) <- p;
+      if g.want.(w) = ep then begin
+        g.hit <- w;
+        true
+      end
+      else dfs_list g ep bound w g.out_.(w)
     end
 
-  and dfs_list g ep bound = function
+  and dfs_list g ep bound p = function
     | [] -> false
     | x :: xs ->
-      (g.ord.(x) <= bound && dfs g ep bound x) || dfs_list g ep bound xs
+      (g.ord.(x) <= bound && dfs g ep bound p x) || dfs_list g ep bound p xs
+
+  (* A source equal to the target: the path is the target alone. *)
+  let self_loop g target =
+    g.parent.(target) <- -1;
+    g.hit <- target;
+    true
 
   (* one pass over the sources: mark, bound, and spot self-loops (the
      [max_int] sentinel) *)
@@ -344,8 +359,8 @@ module Acyclic = struct
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
     let bound = mark_sources g ep ~excluding ~target (-1) sources in
-    bound = max_int
-    || (bound >= g.ord.(target) && dfs g ep bound target)
+    if bound = max_int then self_loop g target
+    else bound >= g.ord.(target) && dfs g ep bound (-1) target
 
   let closes_cycle_any_of g ~excluding ~lists ~base ~pick ~target =
     check g target;
@@ -357,7 +372,8 @@ module Acyclic = struct
         mark_sources g ep ~excluding ~target !bound lists.(base + pick.(!j));
       incr j
     done;
-    !bound = max_int || (!bound >= g.ord.(target) && dfs g ep !bound target)
+    if !bound = max_int then self_loop g target
+    else !bound >= g.ord.(target) && dfs g ep !bound (-1) target
 
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
@@ -402,7 +418,8 @@ module Acyclic = struct
     | [] -> false
     | u :: us ->
       check g u;
-      (g.ord.(u) <= bound && dfs g ep bound u) || search_from g ep bound us
+      (g.ord.(u) <= bound && dfs g ep bound (-1) u)
+      || search_from g ep bound us
 
   (* Targets are marked as [want] with nothing excluded and no vertex
      equal to [-1]. One seen set serves every source: a vertex an earlier
@@ -413,6 +430,10 @@ module Acyclic = struct
     let ep = g.epoch in
     let bound = mark_sources g ep ~excluding:(-1) ~target:(-1) (-1) targets in
     search_from g ep bound sources
+
+  let last_path g =
+    let rec up v acc = if v < 0 then acc else up g.parent.(v) (v :: acc) in
+    up g.hit []
 
   let insert g u v =
     (* caller guarantees the edge is absent *)

@@ -176,6 +176,15 @@ module Acyclic : sig
       targets' topological-order window. Either list empty: [false].
       Pure query; nothing is allocated. *)
 
+  val last_path : t -> int list
+  (** The path behind the most recent [true] answer of
+      {!closes_cycle_any}, {!closes_cycle_any_of} or {!reaches_any}:
+      consecutive vertices are joined by edges, and it runs from the
+      [target] to the source found (from the source to the target found,
+      for {!reaches_any}). A source equal to the target answers
+      [[target]]. Every search and edge insertion reuses its scratch
+      space, so read it before calling anything else on [g]. *)
+
   val remove_edge : t -> int -> int -> unit
 
   val remove_vertex : t -> int -> unit

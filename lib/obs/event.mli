@@ -58,8 +58,10 @@ type t =
   | Ts_refused of { tx : int; idx : int }
       (** timestamp-ordering watermark refusal (leads to an abort) *)
   | Shard_routed of { tx : int; idx : int; shard : int }
-      (** the sharded engine routed a fresh request for [tx.idx] to
-          shard [shard] (cached delay re-verdicts stay silent) *)
+      (** the sharded engine routed a non-cached request for [tx.idx]
+          to shard [shard]; a retry answered from the delay cache, whose
+          refusal stands until a transaction on its witness path aborts,
+          stays silent *)
   | Snapshot_taken of { tx : int; ts : int }
       (** a multi-version engine pinned [tx]'s snapshot at commit
           timestamp [ts] (its first step; re-emitted after restarts) *)

@@ -6,6 +6,7 @@ type counters = {
   deadlocks : int;
   commits : int;
   waiting : int;
+  refusals : int;
 }
 
 (* Per-transaction FIFO of submission timestamps, mirroring the
@@ -48,6 +49,7 @@ let counters events =
         deadlocks = 0;
         commits = 0;
         waiting = 0;
+        refusals = 0;
       }
   in
   let qs = submit_queues () in
@@ -76,7 +78,8 @@ let counters events =
                | Event.Scheduler_abort -> 0);
           }
       | Committed _ -> c := { !c with commits = !c.commits + 1 }
-      | Executed _ | Restarted _ | Edge_added _ | Cycle_refused _ | Commute_pass _
+      | Cycle_refused _ -> c := { !c with refusals = !c.refusals + 1 }
+      | Executed _ | Restarted _ | Edge_added _ | Commute_pass _
       | Lock_acquired _ | Lock_released _ | Wound _ | Ts_refused _
       | Shard_routed _ | Snapshot_taken _ | Version_read _
       | Version_installed _ | Ww_refused _ | Pivot_refused _ | Twopc_sent _

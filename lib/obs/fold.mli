@@ -30,6 +30,9 @@ type counters = {
   waiting : int;
       (** Σ over grants of [grant_ts - submit_ts], FIFO-matched — the
           driver's waiting statistic *)
+  refusals : int;
+      (** [Cycle_refused] events: the refusals a graph engine searched
+          for, its cached delays left out — a deterministic work count *)
 }
 
 val counters : (float * Event.t) list -> counters

@@ -3,8 +3,8 @@ open Core
 (** The conflict-graph kernel under every serialization-graph engine:
     {!Sgt}, {!Semantic}, and each shard of {!Sharded}. It holds the
     accessor lists of the granted prefix, the conflict graph on
-    {!Digraph.Acyclic}, the version stamp behind the delay cache, and
-    removal. Vertices are the engine's transaction ids (shard-local ones
+    {!Digraph.Acyclic}, removal, and the delay cache its request loops
+    share. Vertices are the engine's transaction ids (shard-local ones
     under {!Sharded}).
 
     {b Conflict classes.} Each step's op is compiled once, at {!create},
@@ -21,7 +21,16 @@ open Core
     removed vertices and drained at each completion. Removal never makes
     an eligible vertex ineligible, so this prunes the fixpoint a full
     scan reaches. Removing a transaction walks only the variables its
-    steps name, its footprint. *)
+    steps name, its footprint.
+
+    {b Delay cache.} A refused request of [l] names a path [l ~> u] to
+    a conflicting accessor [u] ({!Digraph.Acyclic.last_path}). The
+    refusal stands until a transaction on that path aborts. Prunes never
+    remove a vertex of it: every vertex after [l] has an in-edge from
+    its predecessor, and [l] has a pending request, so it is incomplete.
+    Grants only add edges and entries. So the request loops keep, per
+    blocked transaction, the refused step and its path ({!refusals}),
+    and answer a retry from it until an abort on the path clears it. *)
 
 type t
 
@@ -44,22 +53,13 @@ val create :
     accessors emit {!Obs.Event.Commute_pass}. *)
 
 val version : t -> int
-(** Bumped by every removal (abort or prune). *)
+(** The removal count: bumped by every abort and every prune. *)
 
 val live : t -> int -> bool
 (** The vertex holds accessor entries: granted, and not removed since. *)
 
 val graph : t -> Digraph.Acyclic.t
 (** The conflict graph, for read-only queries. *)
-
-val cached : t -> int -> int -> bool
-(** [cached g l idx]: the delay {!block} recorded for step [idx] of [l]
-    still stands, because nothing was removed since: between removals
-    the graph and the accessor lists only grow, and growth never turns a
-    cycle-closing request grantable. *)
-
-val block : t -> int -> int -> unit
-(** Record a delay for step [idx] of [l] at the current version. *)
 
 val mark_reaching_sources : t -> int -> int -> unit
 (** Marks, in one backward search, every vertex that is or reaches an
@@ -73,7 +73,15 @@ val has_sources : t -> int -> int -> bool
 val refuses : t -> int -> int -> bool
 (** [l] is, or reaches, an accessor other than itself that conflicts
     with step [idx] of [l]: granting the step would close a cycle.
-    One bounded search; nothing is allocated. *)
+    One bounded search; nothing is allocated. After [true],
+    {!Digraph.Acyclic.last_path} on {!graph} is the path from [l] to
+    that accessor. *)
+
+val reaches_sources : t -> int -> int -> int -> bool
+(** [reaches_sources g v l idx]: [v] is, or reaches, an accessor other
+    than [l] that conflicts with step [idx] of [l]; {!refuses} is the
+    case [v = l]. After [true], {!Digraph.Acyclic.last_path} on {!graph}
+    is the path from [v] to that accessor. *)
 
 val grant : t -> int -> int -> unit
 (** An edge from every conflicting accessor, then the step's entry. *)
@@ -89,9 +97,29 @@ val add_vetted : Digraph.Acyclic.t -> int -> int -> unit
 (** Insert an edge admission already vetted. Raises [Failure] naming the
     broken invariant if the edge would close a cycle. *)
 
+type refusals = private {
+  blocked : int array;
+      (** per transaction, its refused step, or [-1]: a request for that
+          step is a cached Delay *)
+  path : int list array;  (** per transaction, the witness of its refusal *)
+}
+(** The delay cache of a request loop, over the ids the loop names
+    transactions by (see the header). *)
+
+val refusals : int -> refusals
+(** An empty cache for transactions [0 .. n-1]. *)
+
+val refuse : refusals -> int -> int -> int list -> unit
+(** [refuse r tx idx path]: step [idx] of [tx] was refused, and [path]
+    (which holds [tx]) witnesses it. *)
+
+val clear_through : refusals -> int -> unit
+(** [v] aborted: drop every entry whose path holds [v]. A grant needs no
+    clearing: a step is granted only when no entry holds it. *)
+
 val scheduler :
   ?sink:Obs.Sink.t -> name:string -> commute:bool -> Syntax.t -> Scheduler.t
-(** The SGT request loop over one kernel; fresh refusals emit
-    {!Obs.Event.Cycle_refused}, cached ones are silent. With [commute]
-    the classes come from the syntax's ops ({!Semantic}); without, every
-    pair conflicts ({!Sgt}). *)
+(** The SGT request loop over one kernel, with a {!refusals} cache over
+    its vertices: fresh refusals emit {!Obs.Event.Cycle_refused}, cached
+    ones are silent. With [commute] the classes come from the syntax's
+    ops ({!Semantic}); without, every pair conflicts ({!Sgt}). *)

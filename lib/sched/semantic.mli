@@ -4,7 +4,8 @@ open Core
     the {!Commute}-filtered conflict relation.
 
     Same {!Cgraph} kernel as {!Sgt} — incremental conflict graph on
-    {!Digraph.Acyclic}, version-stamped delay cache, source pruning —
+    {!Digraph.Acyclic}, a delay cache keyed on each refusal's path,
+    source pruning —
     with the steps' ops compiled into conflict classes: a prior access
     of another transaction only becomes a conflict
     edge (or a cycle-query source) when its op does {e not} commute

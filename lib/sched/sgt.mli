@@ -7,9 +7,11 @@ open Core
     iff the graph stays acyclic. Because conflict serializability is
     prefix-closed and coincides with the Herbrand notion [SR(T)] in the
     paper's step model, the fixpoint set of this scheduler is exactly
-    [SR(T)]. A request that would close a cycle can never succeed later
-    (edges only accumulate), so stalls are resolved by aborting the
-    requester, whose edges are then removed.
+    [SR(T)]. A request that would close a cycle cannot succeed until a
+    transaction on the refusing search's path aborts (grants only add
+    edges, and prunes never remove a vertex of that path), so stalls
+    are resolved by aborting the requester, whose edges are then
+    removed.
 
     The conflict graph is maintained {e incrementally} on
     {!Digraph.Acyclic} (Pearce–Kelly dynamic topological order): the
@@ -23,7 +25,9 @@ open Core
 val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
 (** With a [sink], admitted conflict edges emit
     {!Obs.Event.Edge_added} and fresh cycle refusals emit
-    {!Obs.Event.Cycle_refused} (cached delay re-verdicts stay silent —
-    they never touch the graph). Timestamps come from the driving
+    {!Obs.Event.Cycle_refused}. A retry of a refused step is answered
+    from {!Cgraph}'s delay cache, keyed on the refusal's path, until a
+    transaction on that path aborts; those re-verdicts run no search and
+    stay silent. Timestamps come from the driving
     loop's {!Obs.Sink.set_now}. Constructor shape per the convention in
     {!Scheduler}. *)

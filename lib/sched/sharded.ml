@@ -71,7 +71,6 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     if p.Partition.n_cross = 0 then None
     else Some (Digraph.Acyclic.create p.Partition.n_cross)
   in
-  let cversion = ref 0 in
   (* cross-shard transactions present in each shard, as (shard-local id,
      coordinator id): the only candidate endpoints of summary edges
      discovered in that shard *)
@@ -86,12 +85,16 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         done;
         Array.of_list !acc)
   in
-  (* Delay cache: the owning shard's kernel keys a Delay verdict on its
-     removal version, and [blocked_cv] adds the coordinator version. The
-     verdict stays valid until a removal in that shard (abort or prune
-     there) or a coordinator removal (abort of a cross transaction) — the
-     only events that can shrink the graphs it was computed on. *)
-  let blocked_cv = Array.make n (-1) in
+  (* Delay cache: {!Cgraph.refusals} over global ids. A refusal's
+     witness is the path that made it: a kernel refusal's shard path
+     [l ~> u], or a summary refusal's [l ~> b] in the shard, [b ~> a] in
+     the summary graph, and [a ~> u] in the shard. The {!Cgraph} lemma
+     covers the shard paths; summary edges are dropped only when an
+     endpoint aborts. So the verdict stands until a transaction on its
+     witness aborts. Coordinator ids [c] are stored as [-1 - c]. *)
+  let r = Cgraph.refusals n in
+  let blocked = r.Cgraph.blocked in
+  let global s path = List.map (fun l -> p.Partition.members.(s).(l)) path in
   (* Candidate summary edges of granting step (tx, idx), shard-local [l]
      in shard [s]: the new intra-shard edges are [u -> l] for prior
      accessors [u], so every new intra-shard path runs [a ~> u -> l ~> b].
@@ -120,13 +123,40 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      its [attempt] computed: nothing changes the graphs in between.
      Commit and abort clear them. *)
   let last = { tx = -1; idx = -1; a = []; b = [] } in
+  (* The witness of the summary refusal just made: its summary path
+     [b ~> a], joined to the shard paths [l ~> b] and [a ~> u], which are
+     searched only now. Both searches succeed: the marking searches put
+     [b] in B because [l] reaches it, and [a] in A because it reaches a
+     conflicting accessor. *)
+  let summary_witness s l idx cg =
+    let k = kernel.(s) in
+    let ba = Digraph.Acyclic.last_path cg in
+    let local c =
+      Array.find_map (fun (lc, c') -> if c' = c then Some lc else None)
+        cross_in_shard.(s)
+      |> Option.get
+    in
+    let shard_path found =
+      if found then global s (Digraph.Acyclic.last_path (Cgraph.graph k))
+      else failwith "Sched.Sharded: a summary witness lost its shard path"
+    in
+    let b = local (List.hd ba) and a = local (List.hd (List.rev ba)) in
+    let to_b =
+      shard_path
+        (Digraph.Acyclic.reaches_any (Cgraph.graph k) ~sources:[ l ]
+           ~targets:[ b ])
+    in
+    let to_u = shard_path (Cgraph.reaches_sources k a l idx) in
+    to_b @ List.map (fun c -> -1 - c) ba @ to_u
+  in
   (* Would adding every candidate edge close a cycle in the summary
      graph? Every new edge runs from A to B, so a cycle through any of
      them holds an existing-edge path from some target in B to some
-     source in A: one search from all of B. *)
-  let summary_refused s l idx tx =
+     source in A: one search from all of B. The answer is the refusal's
+     witness, [[]] when there is none. *)
+  let summary_refusal s l idx tx =
     match cgraph with
-    | None -> false
+    | None -> []
     | Some cg ->
       let aa, bb = summary_candidates s l idx in
       let refused =
@@ -134,13 +164,14 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         | [], _ | _, [] -> false
         | _ -> Digraph.Acyclic.reaches_any cg ~sources:bb ~targets:aa
       in
-      if not refused then begin
+      if refused then summary_witness s l idx cg
+      else begin
         last.tx <- tx;
         last.idx <- idx;
         last.a <- aa;
-        last.b <- bb
-      end;
-      refused
+        last.b <- bb;
+        []
+      end
   in
   let attempt (id : Names.step_id) =
     let tx = id.Names.tx in
@@ -148,14 +179,17 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let s = p.Partition.shard_of_step.(tx).(idx) in
     let k = kernel.(s) in
     let l = p.Partition.local_id.(s).(tx) in
-    if Cgraph.cached k l idx && blocked_cv.(tx) = !cversion then
-      Scheduler.Delay
+    if blocked.(tx) = idx then Scheduler.Delay
     else begin
       if Obs.Sink.on sink then
         Obs.Sink.record sink (Obs.Event.Shard_routed { tx; idx; shard = s });
-      if Cgraph.refuses k l idx || summary_refused s l idx tx then begin
-        Cgraph.block k l idx;
-        blocked_cv.(tx) <- !cversion;
+      let witness =
+        if Cgraph.refuses k l idx then
+          global s (Digraph.Acyclic.last_path (Cgraph.graph k))
+        else summary_refusal s l idx tx
+      in
+      if witness <> [] then begin
+        Cgraph.refuse r tx idx witness;
         if Obs.Sink.on sink then
           Obs.Sink.record sink (Obs.Event.Cycle_refused { tx; idx });
         Scheduler.Delay
@@ -195,6 +229,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   in
   let on_abort tx =
     forget last;
+    Cgraph.clear_through r tx;
     for s = 0 to shards - 1 do
       let l = p.Partition.local_id.(s).(tx) in
       if l >= 0 then Cgraph.abort kernel.(s) l
@@ -203,8 +238,8 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     | None -> ()
     | Some cg ->
       if p.Partition.cross.(tx) then begin
-        Digraph.Acyclic.remove_vertex cg p.Partition.cross_id.(tx);
-        incr cversion
+        Cgraph.clear_through r (-1 - p.Partition.cross_id.(tx));
+        Digraph.Acyclic.remove_vertex cg p.Partition.cross_id.(tx)
       end
   in
   (* No eager [detect], for the same reason as {!Sgt}: a refused request

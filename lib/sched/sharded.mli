@@ -42,7 +42,13 @@ val create :
   syntax:Syntax.t ->
   unit ->
   Scheduler.t
-(** [shards] defaults to 4. With a [sink], each fresh (non-cached)
+(** [shards] defaults to 4. A refused request's retries are answered
+    from a delay cache over global ids, keyed on the refusal's witness:
+    its shard path, or for a summary refusal the shard path to a
+    cross-shard transaction, the summary path on to another, and the
+    shard path from there to a conflicting accessor. The verdict stands
+    until a transaction on the witness aborts ({!Cgraph}'s lemma; summary
+    edges leave only with an endpoint). With a [sink], each non-cached
     request emits {!Obs.Event.Shard_routed} with the owning shard,
     admitted intra-shard conflict edges emit {!Obs.Event.Edge_added} and
     fresh refusals emit {!Obs.Event.Cycle_refused}, all with global
@@ -56,7 +62,7 @@ val create :
     turns the grant into [Abort], handing the transaction back to the
     driver for a restart — the scheduler-abort path, identical to a
     certification refusal. The hook fires only on that terminal success
-    path (never while polling a cached delay), so a fault-free hook
+    path (never for a cached delay), so a fault-free hook
     that always answers [true] — or no hook at all — yields
     bit-identical decisions, statistics and commit sets.
     Single-shard transactions never consult it: their conflicts are

@@ -384,6 +384,66 @@ let prop_marks_match_reachable =
              (fun s -> List.exists (fun t -> reach.(s).(t)) targets)
              sources)
 
+(* [last_path] after every [true] answer of the three searches, on the
+   same random graphs: each consecutive pair is an edge, the path starts
+   where the search did and ends at a wanted vertex, and a source equal
+   to the target answers [[target]]. The queries run back to back, so a
+   path left over from an earlier search would show. *)
+let prop_last_path =
+  QCheck.Test.make ~name:"last_path is a path to a wanted vertex" ~count:400
+    (QCheck.make marks_gen)
+    (fun (n, edges, lists, base, pick, sources, targets, excluding) ->
+      let a = A.create n and p = Digraph.create n in
+      List.iter
+        (fun (u, v) ->
+          if A.add_edge_acyclic a u v = Ok () then Digraph.add_edge p u v)
+        edges;
+      let reach = Array.init n (Digraph.reachable p) in
+      let rec edges_ok = function
+        | u :: (v :: _ as rest) -> A.has_edge a u v && edges_ok rest
+        | _ -> true
+      in
+      let last l = List.hd (List.rev l) in
+      (* [answer] from [start] to one of [wanted]: agrees with
+         reachability, and a [true] leaves a witness *)
+      let witnessed ~start ~wanted answer =
+        answer = List.exists (fun w -> reach.(start).(w)) wanted
+        && ((not answer)
+           ||
+           let path = A.last_path a in
+           edges_ok path
+           && List.hd path = start
+           && List.mem (last path) wanted
+           && ((not (List.mem start wanted)) || path = [ start ]))
+      in
+      let srcs =
+        List.concat_map (fun c -> lists.(base + c)) (Array.to_list pick)
+        |> List.filter (fun s -> s <> excluding)
+      in
+      let plain = List.filter (fun s -> s <> excluding) sources in
+      List.for_all
+        (fun t ->
+          witnessed ~start:t ~wanted:plain
+            (A.closes_cycle_any ~excluding a ~sources ~target:t)
+          && witnessed ~start:t ~wanted:srcs
+               (A.closes_cycle_any_of a ~excluding ~lists ~base ~pick
+                  ~target:t))
+        (List.init n Fun.id)
+      && List.for_all
+           (fun s ->
+             (* one source at a time, so the path's start is known *)
+             witnessed ~start:s ~wanted:targets
+               (A.reaches_any a ~sources:[ s ] ~targets))
+           sources
+      &&
+      (* all sources at once: the path starts at one of them *)
+      ((not (A.reaches_any a ~sources ~targets))
+      ||
+      let path = A.last_path a in
+      edges_ok path
+      && List.mem (List.hd path) sources
+      && List.mem (last path) targets))
+
 let suite =
   [
     Alcotest.test_case "basic ops" `Quick test_basic;
@@ -406,4 +466,5 @@ let suite =
         prop_closure_sound;
         prop_acyclic_matches_plain;
         prop_marks_match_reachable;
+        prop_last_path;
       ]

@@ -230,29 +230,145 @@ let test_abort_frees_completed () =
   let syntax = Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ] in
   check_int "one stall abort" 1 (check_engines syntax [| 0; 1; 0; 1 |])
 
+(* Hot-spot mixes over three variables, two arrival streams each: most
+   streams stall and abort, which is where removal does its work. *)
+let abort_heavy_corpus seeds =
+  List.concat_map
+    (fun seed ->
+      let st = Random.State.make [| 0xAB07; seed |] in
+      let n = 6 + Random.State.int st 6 in
+      let m = 3 + Random.State.int st 4 in
+      let syntax = Sim.Workload.hotspot st ~n ~m ~n_vars:3 ~theta:0.7 in
+      List.init 2 (fun _ ->
+          (syntax, Combin.Interleave.random st (Syntax.format syntax))))
+    (List.init seeds Fun.id)
+
 let test_abort_heavy_corpus () =
-  (* hot-spot mixes over three variables: most streams stall and abort,
-     which is where removal does its work *)
-  let restarts = ref 0 in
-  for seed = 0 to 59 do
-    let st = Random.State.make [| 0xAB07; seed |] in
-    let n = 6 + Random.State.int st 6 in
-    let m = 3 + Random.State.int st 4 in
-    let syntax = Sim.Workload.hotspot st ~n ~m ~n_vars:3 ~theta:0.7 in
-    for _ = 1 to 2 do
-      let arrivals = Combin.Interleave.random st (Syntax.format syntax) in
-      restarts := !restarts + check_engines syntax arrivals
-    done
-  done;
+  let restarts =
+    List.fold_left
+      (fun acc (syntax, arrivals) -> acc + check_engines syntax arrivals)
+      0 (abort_heavy_corpus 60)
+  in
   (* 889 on these seeds *)
-  check_true "the corpus is abort-heavy" (!restarts >= 800)
+  check_true "the corpus is abort-heavy" (restarts >= 800)
+
+(* The searches SGT runs for its refusals ([refusal_count]). The cache
+   keyed on each refusal's witness path answers every retry until a
+   transaction on the path aborts. Keyed on the removal version, which
+   prunes bump too, the same corpus searched 3936 times. *)
+let test_refusal_count () =
+  check_int "fresh refusals on the abort-heavy corpus" 1346
+    (refusal_count
+       (fun ~sink syntax -> Sched.Sgt.create ~sink ~syntax ())
+       (abort_heavy_corpus 60))
+
+(* A cached Delay must be one a fresh search makes. The engine under
+   test runs under the driver; every [commit] and [on_abort] it receives
+   is logged, and each Delay it answers is re-asked of a fresh engine
+   replayed through the log, which must Delay too. Commits and aborts
+   alone decide an engine's graphs, so the replica holds the same state
+   with an empty cache. Returns the number of delays checked and the
+   number a fresh engine did not repeat. *)
+let check_replay mk syntax arrivals =
+  let log = ref [] in
+  let s = mk () in
+  let fresh id =
+    let f = mk () in
+    List.iter
+      (function
+        | `Commit c -> f.Sched.Scheduler.commit c
+        | `Abort tx -> f.Sched.Scheduler.on_abort tx)
+      (List.rev !log);
+    f.Sched.Scheduler.attempt id
+  in
+  let delays = ref 0 and unrepeated = ref 0 in
+  let wrapped =
+    Sched.Scheduler.make ~name:s.Sched.Scheduler.name
+      ~attempt:(fun id ->
+        let r = s.Sched.Scheduler.attempt id in
+        if r = Sched.Scheduler.Delay then begin
+          incr delays;
+          if fresh id <> Sched.Scheduler.Delay then incr unrepeated
+        end;
+        r)
+      ~commit:(fun id ->
+        log := `Commit id :: !log;
+        s.Sched.Scheduler.commit id)
+      ~on_abort:(fun tx ->
+        log := `Abort tx :: !log;
+        s.Sched.Scheduler.on_abort tx)
+      ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
+  in
+  ignore (Sched.Driver.run wrapped ~fmt:(Syntax.format syntax) ~arrivals);
+  (!delays, !unrepeated)
+
+let test_replay_differential () =
+  let sharded ?(twopc = false) shards syntax () =
+    let commit_cross =
+      if twopc then Some (Sched.Twopc.commit (Sched.Twopc.service ~shards ()))
+      else None
+    in
+    Sched.Sharded.create ~shards ?commit_cross ~syntax ()
+  in
+  let engines syntax =
+    [
+      ("SGT", fun () -> Sched.Sgt.create ~syntax ());
+      ("sharded K=2", sharded 2 syntax);
+      ("sharded K=4", sharded 4 syntax);
+      ("sharded-2pc K=4", sharded ~twopc:true 4 syntax);
+    ]
+  in
+  let zipf =
+    List.init 25 (fun seed ->
+        let st = Random.State.make [| 0x2E9A; seed |] in
+        let n = 8 + Random.State.int st 9 in
+        let m = 2 + Random.State.int st 3 in
+        let n_vars = 6 + Random.State.int st 10 in
+        let syntax = Sim.Workload.zipf st ~n ~m ~n_vars ~s:1.1 in
+        (syntax, Combin.Interleave.random st (Syntax.format syntax)))
+  in
+  let ctr =
+    List.init 8 (fun seed ->
+        let st = Random.State.make [| 0xC7A; seed |] in
+        let n = 6 + Random.State.int st 6 in
+        let syntax =
+          Sim.Workload.semantic_counters st ~n ~m:3 ~n_vars:3 ~theta:0.7
+            ~read_frac:0.3
+        in
+        (syntax, Combin.Interleave.random st (Syntax.format syntax)))
+  in
+  let checked = Hashtbl.create 8 in
+  let run (name, mk) (syntax, arrivals) =
+    let d, u = check_replay mk syntax (Array.copy arrivals) in
+    check_int (name ^ ": every delay repeats on a fresh engine") 0 u;
+    Hashtbl.replace checked name
+      (d + Option.value (Hashtbl.find_opt checked name) ~default:0)
+  in
+  List.iter
+    (fun (syntax, arrivals) ->
+      List.iter (fun e -> run e (syntax, arrivals)) (engines syntax))
+    (abort_heavy_corpus 12 @ zipf);
+  List.iter
+    (fun (syntax, arrivals) ->
+      run
+        ("semantic", fun () -> Sched.Semantic.create ~syntax ())
+        (syntax, arrivals))
+    ctr;
+  Hashtbl.iter
+    (fun name d -> check_true (name ^ " delays were checked") (d > 0))
+    checked
 
 (* The kernel against a brute-force model of the removal it replaced:
    (transaction, op) entries per variable, a plain digraph, and a full
    scan for prunable vertices after every completion. After every random
    grant, refusal or abort the live set, the edge set and [version] must
    agree. Odd seeds carry typed ops, which checks the compiled conflict
-   classes against [Commute.conflicts] as well. *)
+   classes against [Commute.conflicts] as well.
+
+   It checks the delay cache's lemma too: each refusal's witness path
+   ([Digraph.Acyclic.last_path]) keeps every edge, and the request stays
+   refused, across later grants and prunes, until a transaction on the
+   path aborts. *)
 let test_cgraph_model () =
   let typed_ops = [| Op.Read; Op.Incr; Op.Decr; Op.Update; Op.Max |] in
   for seed = 0 to 199 do
@@ -282,6 +398,8 @@ let test_cgraph_model () =
     let edges = Digraph.create n in
     let live = Array.make n false and completed = Array.make n false in
     let version = ref 0 and pos = Array.make n 0 in
+    (* per transaction, its standing refusal: (step, witness path) *)
+    let witness = Array.make n None in
     let forget i =
       incr version;
       Array.iteri
@@ -309,7 +427,13 @@ let test_cgraph_model () =
         if Random.State.int st 5 = 0 then begin
           Cg.abort g i;
           forget i;
-          pos.(i) <- 0
+          pos.(i) <- 0;
+          Array.iteri
+            (fun t w ->
+              match w with
+              | Some (_, path) when List.mem i path -> witness.(t) <- None
+              | _ -> ())
+            witness
         end
         else begin
           let v = var_of_step.(i).(j) and op = ops.(i).(j) in
@@ -323,6 +447,8 @@ let test_cgraph_model () =
           List.iter (fun u -> Digraph.add_edge probe u i) srcs;
           let refused = Digraph.has_cycle probe in
           check_true "admission" (Cg.refuses g i j = refused);
+          if refused then
+            witness.(i) <- Some (j, Digraph.Acyclic.last_path (Cg.graph g));
           if not refused then begin
             Cg.grant g i j;
             List.iter (fun u -> Digraph.add_edge edges u i) srcs;
@@ -336,6 +462,20 @@ let test_cgraph_model () =
             end
           end
         end;
+      Array.iteri
+        (fun t w ->
+          match w with
+          | None -> ()
+          | Some (j, path) ->
+            let rec edges_kept = function
+              | u :: (v :: _ as rest) ->
+                Digraph.Acyclic.has_edge (Cg.graph g) u v && edges_kept rest
+              | _ -> true
+            in
+            check_true "witness starts at the requester" (List.hd path = t);
+            check_true "witness edges kept" (edges_kept path);
+            check_true "refusal stands" (Cg.refuses g t j))
+        witness;
       check_int "version" !version (Cg.version g);
       check_true "live set"
         (List.for_all (fun i -> Cg.live g i = live.(i)) (List.init n Fun.id));
@@ -502,6 +642,9 @@ let suite =
       `Quick test_abort_frees_completed;
     Alcotest.test_case "kernel engines = SGT-ref on an abort-heavy corpus"
       `Quick test_abort_heavy_corpus;
+    Alcotest.test_case "refusal searches pinned" `Quick test_refusal_count;
+    Alcotest.test_case "cached delays = fresh refusals on replay" `Quick
+      test_replay_differential;
     Alcotest.test_case "kernel = full-scan prune model" `Quick
       test_cgraph_model;
     Alcotest.test_case "DES vs driver corpus" `Quick test_des_driver_corpus;

@@ -308,9 +308,12 @@ let test_shard_routed_events () =
    Events are hashed in their exact event-log form ({!Obs.Event_log}),
    not the human-readable text, so a change of rendering cannot move a
    digest. The digests were recorded before the summary search was
-   rewritten as one marking search per candidate set, and again (same
-   engines) when they switched to the event-log form; neither change
-   may move a single decision. *)
+   rewritten as one marking search per candidate set, again (same
+   engines) when they switched to the event-log form, and again when
+   the delay cache was keyed on each refusal's witness path, which
+   answers more retries without a search and so drops some
+   [Cycle_refused] and [Shard_routed] events. None of these changes
+   may move a decision: [pinned_decision_digests] below hold them. *)
 let pinned_corpus mix =
   List.init 25 (fun seed ->
       let st = Random.State.make [| 0x5EED; seed |] in
@@ -373,18 +376,18 @@ let corpus_digest ~twopc ~shards corpus =
 
 let pinned_digests =
   [
-    ("zipf sharded K=2", "c9f64de7fac4abbbedd0191ce3aa07ae");
-    ("zipf sharded K=4", "d8846b4b1d87e33adf1f06cbd173ce4c");
-    ("zipf sharded K=8", "8fdfc4c72b60e005094e28676dc704bd");
-    ("zipf sharded-2pc K=2", "e6a319ef3b1a16b2936b3b6a00fddbbe");
-    ("zipf sharded-2pc K=4", "ce891a026b63c1cccf9c6e95b0916a7f");
-    ("zipf sharded-2pc K=8", "32aa07bdf882f5ca40e75540a609d876");
-    ("hotspot sharded K=2", "5f30384dbbd1f18eec0fbaf1fbd997d7");
-    ("hotspot sharded K=4", "2f421c9319d0681c5a4bf037a1183b70");
-    ("hotspot sharded K=8", "1176e06122d5b32f59a267864cad7042");
-    ("hotspot sharded-2pc K=2", "5457a3f85f4ca2cc140592b900cc28a7");
-    ("hotspot sharded-2pc K=4", "b4e76ccd2ffb9fc06a38ede34f5010b0");
-    ("hotspot sharded-2pc K=8", "815989862cefad1ba1eb2f94861165cd");
+    ("zipf sharded K=2", "37ad7e0a95f178398135005f77a50317");
+    ("zipf sharded K=4", "5886aa4d04c7916c62d498b1ba019bb9");
+    ("zipf sharded K=8", "6916a33dfff7e8fdaf9dd1e9ff65b27e");
+    ("zipf sharded-2pc K=2", "25e25698600c25c4d9d6b103a126fd72");
+    ("zipf sharded-2pc K=4", "cdc000eeda327dd947c0b6854ecd971d");
+    ("zipf sharded-2pc K=8", "01b60cb37b5c4ec2dbe17d937f7c5f43");
+    ("hotspot sharded K=2", "c3d7dda2e6151347c7e89600fca9493b");
+    ("hotspot sharded K=4", "04fc3e8803ff9514e5c248767903d2eb");
+    ("hotspot sharded K=8", "1e8cdc7b4dfe250e15c71c79b7b6fa34");
+    ("hotspot sharded-2pc K=2", "223999485931cda1f6a75a59ddc0a562");
+    ("hotspot sharded-2pc K=4", "83bd98e66a5eb6b26bee908409dfb04f");
+    ("hotspot sharded-2pc K=8", "b0926e131a7e503e0beaa94ecf851b92");
   ]
 
 (* The same corpus with [Cycle_refused] and [Shard_routed] left out
@@ -434,6 +437,16 @@ let test_pinned_k_gt_1 () =
         [ false; true ])
     [ (`Zipf, "zipf"); (`Hotspot, "hotspot") ]
 
+(* The searches sharded K=4 runs for its refusals on the zipf corpus
+   ([refusal_count]). Keyed on shard and coordinator removal versions,
+   the delay cache left 934 of them; keyed on each refusal's witness
+   path, 243. *)
+let test_refusal_count () =
+  check_int "fresh refusals on the zipf corpus at K=4" 243
+    (refusal_count
+       (fun ~sink syntax -> Sched.Sharded.create ~sink ~shards:4 ~syntax ())
+       (pinned_corpus `Zipf))
+
 let suite =
   [
     Alcotest.test_case "partition invariants" `Quick test_partition;
@@ -449,4 +462,5 @@ let suite =
     Alcotest.test_case "shard-routed events" `Quick test_shard_routed_events;
     Alcotest.test_case "K>1 decisions pinned by digest" `Quick
       test_pinned_k_gt_1;
+    Alcotest.test_case "refusal searches pinned" `Quick test_refusal_count;
   ]

@@ -83,3 +83,17 @@ let check_sweep ~name ~repro ~fails arrivals =
       name (Array.length small) (Array.length arrivals) (pp_arrivals small)
       (repro small)
   end
+
+(* The refusals a graph engine searched for over a corpus of (syntax,
+   arrivals): [Cycle_refused] events of each traced driver run, counted
+   by [Obs.Fold]. Deterministic per corpus, so tests pin it. *)
+let refusal_count create corpus =
+  List.fold_left
+    (fun acc (syntax, arrivals) ->
+      let c = Obs.Sink.Memory.create () in
+      let sink = Obs.Sink.Memory.sink c in
+      ignore
+        (Sched.Driver.run ~sink (create ~sink syntax)
+           ~fmt:(Core.Syntax.format syntax) ~arrivals:(Array.copy arrivals));
+      acc + (Obs.Fold.counters (Obs.Sink.Memory.events c)).Obs.Fold.refusals)
+    0 corpus
