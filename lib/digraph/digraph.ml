@@ -227,16 +227,24 @@ let pp ppf g =
 type graph = t
 
 module Acyclic = struct
-  (* Internals are tuned for the SGT hot path: adjacency is duplicate-free
-     int lists (degrees are tiny; list traversal beats balanced-tree
-     iteration and insertion allocates one cons), and every search uses
+  (* Internals are tuned for the SGT hot path, and every search uses
      epoch-stamped scratch arrays, so queries and edge insertions
-     allocate nothing beyond the witness on rejection. *)
+     allocate nothing beyond the witness on rejection. The two directions
+     of adjacency are stored differently because only one has an order
+     anyone can see. Out-edges are duplicate-free int lists, newest
+     first: their order fixes the DFS order, hence every [last_path]
+     witness, and degrees are tiny, so list traversal beats balanced-tree
+     iteration and insertion allocates one cons. In-edges are only ever
+     read as sets (delta-B, the backward marks, [pred], which sorts, and
+     the degrees), so each is an unordered int array filled up to
+     [indeg]: insertion writes one slot (doubling a full array), and
+     removal moves the last slot into the freed one, a scan of words with
+     no allocation where a list would copy its prefix. *)
   type t = {
     nv : int;
     out_ : int list array;
-    in_ : int list array;
-    indeg : int array;  (* List.length of [in_], kept so it is O(1) *)
+    in_ : int array array;  (* slots [0, indeg v) hold the predecessors *)
+    indeg : int array;      (* filled length of [in_.(v)] *)
     ord : int array;   (* vertex -> index in the maintained topo order *)
     back : int array;  (* index -> vertex (inverse of [ord]) *)
     mutable ne : int;
@@ -254,7 +262,7 @@ module Acyclic = struct
     {
       nv;
       out_ = Array.make nv [];
-      in_ = Array.make nv [];
+      in_ = Array.make nv [||];
       indeg = Array.make nv 0;
       ord = Array.init nv Fun.id;
       back = Array.init nv Fun.id;
@@ -288,7 +296,7 @@ module Acyclic = struct
 
   let pred g v =
     check g v;
-    List.sort compare g.in_.(v)
+    List.sort compare (Array.to_list (Array.sub g.in_.(v) 0 g.indeg.(v)))
 
   let iter_succ g u f =
     check g u;
@@ -378,31 +386,40 @@ module Acyclic = struct
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
   (* Marking searches stamp [seen] with a fresh epoch, which [marked]
-     reads back; [adj] is [out_] for a forward search, [in_] for a
-     backward one. Unbounded: they answer for every vertex at once. *)
-  let rec mark g adj ep w =
+     reads back: [mark_fwd] follows out-edges, [mark_bwd] in-edges.
+     Unbounded: they answer for every vertex at once. *)
+  let rec mark_fwd g ep w =
     if g.seen.(w) <> ep then begin
       g.seen.(w) <- ep;
-      mark_list g adj ep adj.(w)
+      mark_fwd_list g ep g.out_.(w)
     end
 
-  and mark_list g adj ep = function
+  and mark_fwd_list g ep = function
     | [] -> ()
     | x :: xs ->
-      mark g adj ep x;
-      mark_list g adj ep xs
+      mark_fwd g ep x;
+      mark_fwd_list g ep xs
+
+  let rec mark_bwd g ep w =
+    if g.seen.(w) <> ep then begin
+      g.seen.(w) <- ep;
+      let preds = g.in_.(w) in
+      for j = 0 to g.indeg.(w) - 1 do
+        mark_bwd g ep preds.(j)
+      done
+    end
 
   let rec mark_bwd_sources g ep ~excluding = function
     | [] -> ()
     | u :: us ->
       check g u;
-      if u <> excluding then mark g g.in_ ep u;
+      if u <> excluding then mark_bwd g ep u;
       mark_bwd_sources g ep ~excluding us
 
   let mark_reachable g u =
     check g u;
     g.epoch <- g.epoch + 1;
-    mark g g.out_ g.epoch u
+    mark_fwd g g.epoch u
 
   let mark_reaching_any_of g ~excluding ~lists ~base ~pick =
     g.epoch <- g.epoch + 1;
@@ -438,8 +455,14 @@ module Acyclic = struct
   let insert g u v =
     (* caller guarantees the edge is absent *)
     g.out_.(u) <- v :: g.out_.(u);
-    g.in_.(v) <- u :: g.in_.(v);
-    g.indeg.(v) <- g.indeg.(v) + 1;
+    let d = g.indeg.(v) in
+    if d = Array.length g.in_.(v) then begin
+      let grown = Array.make (max 4 (2 * d)) 0 in
+      Array.blit g.in_.(v) 0 grown 0 d;
+      g.in_.(v) <- grown
+    end;
+    g.in_.(v).(d) <- u;
+    g.indeg.(v) <- d + 1;
     Bytes.set g.mat ((u * g.nv) + v) '\001';
     g.ne <- g.ne + 1
 
@@ -488,7 +511,11 @@ module Acyclic = struct
         let rec bwd w =
           if g.seen_b.(w) <> ep then begin
             g.seen_b.(w) <- ep;
-            List.iter (fun x -> if g.ord.(x) >= lb then bwd x) g.in_.(w)
+            let preds = g.in_.(w) in
+            for j = 0 to g.indeg.(w) - 1 do
+              let x = preds.(j) in
+              if g.ord.(x) >= lb then bwd x
+            done
           end
         in
         bwd u;
@@ -523,19 +550,29 @@ module Acyclic = struct
       end
     end
 
-  (* Adjacency lists hold no repeats: drop the one occurrence, copying
-     only the prefix before it. *)
+  (* Out-lists hold no repeats: drop the one occurrence, copying only
+     the prefix before it. *)
   let rec drop x = function
     | [] -> []
     | y :: ys -> if y = x then ys else y :: drop x ys
+
+  (* Drop [u] from [v]'s in-array: the last filled slot moves into its
+     place. *)
+  let drop_pred g v u =
+    let preds = g.in_.(v) and d = g.indeg.(v) - 1 in
+    let j = ref 0 in
+    while preds.(!j) <> u do
+      incr j
+    done;
+    preds.(!j) <- preds.(d);
+    g.indeg.(v) <- d
 
   let remove_edge g u v =
     check g u;
     check g v;
     if mem_edge g u v then begin
       g.out_.(u) <- drop v g.out_.(u);
-      g.in_.(v) <- drop u g.in_.(v);
-      g.indeg.(v) <- g.indeg.(v) - 1;
+      drop_pred g v u;
       Bytes.set g.mat ((u * g.nv) + v) '\000';
       g.ne <- g.ne - 1
     end
@@ -544,24 +581,20 @@ module Acyclic = struct
     | [] -> ()
     | x :: xs ->
       Bytes.set g.mat ((i * g.nv) + x) '\000';
-      g.in_.(x) <- drop i g.in_.(x);
-      g.indeg.(x) <- g.indeg.(x) - 1;
+      drop_pred g x i;
       unlink_succs g i xs
-
-  let rec unlink_preds g i = function
-    | [] -> ()
-    | x :: xs ->
-      Bytes.set g.mat ((x * g.nv) + i) '\000';
-      g.out_.(x) <- drop i g.out_.(x);
-      unlink_preds g i xs
 
   let remove_vertex g i =
     check g i;
     g.ne <- g.ne - List.length g.out_.(i) - g.indeg.(i);
     unlink_succs g i g.out_.(i);
-    unlink_preds g i g.in_.(i);
+    let preds = g.in_.(i) in
+    for j = 0 to g.indeg.(i) - 1 do
+      let x = preds.(j) in
+      Bytes.set g.mat ((x * g.nv) + i) '\000';
+      g.out_.(x) <- drop i g.out_.(x)
+    done;
     g.out_.(i) <- [];
-    g.in_.(i) <- [];
     g.indeg.(i) <- 0
 
   let to_digraph g =

@@ -9,7 +9,9 @@ type 'msg t = {
   (* Time-ordered queue with a sequence tie-break, kept as a sorted
      list: a commit round is a few dozen events, so O(n) insertion
      beats a heap's constant factor and keeps the drain order obviously
-     deterministic. *)
+     deterministic. [push] compares the float times and int sequence
+     numbers directly: a polymorphic compare on a (time, seq) pair would
+     allocate the pair and call the generic comparison per element. *)
   mutable queue : (float * int * 'msg ev) list;
   mutable seq : int;
   mutable time : float;
@@ -58,13 +60,13 @@ let crashes_triggered t = t.crashed_n
 let delivered t = t.delivered_n
 
 let push t at ev =
-  let key = (at, t.seq) in
-  t.seq <- t.seq + 1;
+  let seq = t.seq in
+  t.seq <- seq + 1;
   let rec ins = function
-    | [] -> [ (fst key, snd key, ev) ]
+    | [] -> [ (at, seq, ev) ]
     | ((bt, bs, _) as b) :: rest ->
-      if (bt, bs) <= key then b :: ins rest
-      else (fst key, snd key, ev) :: b :: rest
+      if bt < at || (bt = at && bs <= seq) then b :: ins rest
+      else (at, seq, ev) :: b :: rest
   in
   t.queue <- ins t.queue
 

@@ -98,25 +98,28 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   (* Candidate summary edges of granting step (tx, idx), shard-local [l]
      in shard [s]: the new intra-shard edges are [u -> l] for prior
      accessors [u], so every new intra-shard path runs [a ~> u -> l ~> b].
-     Sources A are the cross transactions of [s] that are or reach some
-     accessor, marked by one backward search from the accessors; targets
-     B are the cross transactions reachable from [l], [l] included,
-     marked by one forward search. The search for A never marks [l]: [l]
-     reaching an accessor is a cycle the kernel refuses first. So A
-     leaves tx out (its only new paths are self-loops through [l]), B
-     holds tx exactly when it is cross, and A and B are disjoint: a
-     cross in both would put [l ~> a ~> u], another refused cycle. With
-     no source there is no candidate edge, and B is not searched. *)
+     Targets B are the cross transactions reachable from [l], [l]
+     included, marked by one forward search; sources A are the cross
+     transactions of [s] that are or reach some accessor, marked by one
+     backward search from the accessors. The search for A never marks
+     [l]: [l] reaching an accessor is a cycle the kernel refuses first.
+     So A leaves tx out (its only new paths are self-loops through [l]),
+     B holds tx exactly when it is cross, and A and B are disjoint: a
+     cross in both would put [l ~> a ~> u], another refused cycle. The
+     forward search runs first: the backward one starts from every
+     accessor, and B is often empty ([l] reaches no cross transaction).
+     With no target there is no candidate edge, and A is not
+     searched. *)
   let summary_candidates s l idx =
     let k = kernel.(s) and xs = cross_in_shard.(s) in
     if Array.length xs = 0 || not (Cgraph.has_sources k l idx) then ([], [])
     else begin
-      Cgraph.mark_reaching_sources k l idx;
+      Digraph.Acyclic.mark_reachable (Cgraph.graph k) l;
       match marked_cross (Cgraph.graph k) xs with
       | [] -> ([], [])
-      | aa ->
-        Digraph.Acyclic.mark_reachable (Cgraph.graph k) l;
-        (aa, marked_cross (Cgraph.graph k) xs)
+      | bb ->
+        Cgraph.mark_reaching_sources k l idx;
+        (marked_cross (Cgraph.graph k) xs, bb)
     end
   in
   (* The [commit] that directly follows a grant reuses the candidates

@@ -79,7 +79,8 @@ let round ?(sink = Obs.Sink.null) ?(at = 0.) cfg ~nodes ~coord ~parts ~tx ~seed
       if p < 0 || p >= nodes || p = coord then
         invalid_arg "Twopc.round: participant out of range")
     parts;
-  let rng = Random.State.make [| 0x27C0; seed; tx |] in
+  (* jitter is the only reader: a round without it builds no state *)
+  let rng = lazy (Random.State.make [| 0x27C0; seed; tx |]) in
   let vote_no = Array.make nodes false in
   let extra = Hashtbl.create 4 in
   let crashes =
@@ -97,7 +98,9 @@ let round ?(sink = Obs.Sink.null) ?(at = 0.) cfg ~nodes ~coord ~parts ~tx ~seed
   let delay ~src ~dst =
     cfg.delay
     +. (match Hashtbl.find_opt extra (src, dst) with Some e -> e | None -> 0.)
-    +. (if cfg.jitter > 0. then Random.State.float rng cfg.jitter else 0.)
+    +.
+    if cfg.jitter > 0. then Random.State.float (Lazy.force rng) cfg.jitter
+    else 0.
   in
   (* persistent state: survives crashes (the per-node log) *)
   let log_vote = Array.make nodes false in

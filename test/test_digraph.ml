@@ -239,8 +239,8 @@ let test_acyclic_batch_query () =
    witnesses, and a maintained order that is topological throughout. *)
 let acyclic_ops_gen =
   QCheck.Gen.(
-    int_range 2 7 >>= fun n ->
-    list_size (int_range 0 40)
+    int_range 2 10 >>= fun n ->
+    list_size (int_range 0 60)
       (oneof
          [
            map2 (fun u v -> `Add (u, v)) (int_range 0 (n - 1)) (int_range 0 (n - 1));
@@ -326,43 +326,101 @@ let prop_acyclic_matches_plain =
 (* The marking searches and [reaches_any] against [Digraph.reachable]
    on random acyclic graphs: sources spread over lists read from a
    random base (possibly none at all), a random excluded vertex, and
-   source and target lists that may be empty or overlap. *)
+   source and target lists that may be empty or overlap. Before the
+   queries, a random run of edge removals, vertex removals and re-adds
+   reshapes the graph, so the backward marks and delta-B read in-edge
+   arrays that have had slots moved by removals and have grown past
+   their first capacity. *)
+type marks_case = {
+  n : int;
+  edges : (int * int) list;
+  ops : [ `Add of int * int | `Del of int * int | `DelV of int ] list;
+  lists : int list array;
+  base : int;
+  pick : int array;
+  sources : int list;
+  targets : int list;
+  excluding : int;
+}
+
 let marks_gen =
   QCheck.Gen.(
-    int_range 1 8 >>= fun n ->
+    int_range 1 10 >>= fun n ->
     let v = int_range 0 (n - 1) in
     let vs = list_size (int_range 0 4) v in
-    list_size (int_range 0 20) (pair v v) >>= fun edges ->
+    list_size (int_range 0 30) (pair v v) >>= fun edges ->
+    list_size (int_range 0 12)
+      (oneof
+         [
+           map2 (fun u w -> `Add (u, w)) v v;
+           map2 (fun u w -> `Del (u, w)) v v;
+           map (fun u -> `DelV u) v;
+         ])
+    >>= fun ops ->
     array_size (return 4) vs >>= fun lists ->
     int_range 0 1 >>= fun base ->
     array_size (int_range 0 3) (int_range 0 2) >>= fun pick ->
     pair vs vs >>= fun (sources, targets) ->
     int_range (-1) (n - 1) >>= fun excluding ->
-    return (n, edges, lists, base, pick, sources, targets, excluding))
+    return
+      { n; edges; ops; lists; base; pick; sources; targets; excluding })
+
+let print_marks_case c =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf
+    "n=%d edges=%s ops=%s lists=%s base=%d pick=%s sources=%s targets=%s \
+     excluding=%d"
+    c.n
+    (String.concat ";"
+       (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) c.edges))
+    (String.concat ";"
+       (List.map
+          (function
+            | `Add (u, v) -> Printf.sprintf "+%d->%d" u v
+            | `Del (u, v) -> Printf.sprintf "-%d->%d" u v
+            | `DelV u -> Printf.sprintf "-v%d" u)
+          c.ops))
+    (String.concat "|" (Array.to_list (Array.map ints c.lists)))
+    c.base
+    (ints (Array.to_list c.pick))
+    (ints c.sources) (ints c.targets) c.excluding
+
+let marks_arb = QCheck.make ~print:print_marks_case marks_gen
+
+(* The case's graph, built on the incremental structure and mirrored on
+   the plain digraph: the accepted edges, then the removals and
+   re-adds. *)
+let build_marks c =
+  let a = A.create c.n and p = Digraph.create c.n in
+  let add (u, v) =
+    if A.add_edge_acyclic a u v = Ok () then Digraph.add_edge p u v
+  in
+  List.iter add c.edges;
+  List.iter
+    (function
+      | `Add e -> add e
+      | `Del (u, v) ->
+        A.remove_edge a u v;
+        Digraph.remove_edge p u v
+      | `DelV u ->
+        A.remove_vertex a u;
+        List.iter (fun v -> Digraph.remove_edge p u v) (Digraph.succ p u);
+        List.iter (fun w -> Digraph.remove_edge p w u) (Digraph.pred p u))
+    c.ops;
+  (a, p)
+
+(* The sources [mark_reaching_any_of] and [closes_cycle_any_of] read:
+   the picked lists, less the excluded vertex. *)
+let picked_sources c =
+  List.concat_map (fun k -> c.lists.(c.base + k)) (Array.to_list c.pick)
+  |> List.filter (fun s -> s <> c.excluding)
 
 let prop_marks_match_reachable =
-  let ints l = String.concat ";" (List.map string_of_int l) in
-  QCheck.Test.make ~name:"marks and reaches_any = reachable"
-    ~count:400
-    (QCheck.make
-       ~print:(fun (n, edges, lists, base, pick, sources, targets, excluding) ->
-         Printf.sprintf
-           "n=%d edges=%s lists=%s base=%d pick=%s sources=%s targets=%s \
-            excluding=%d"
-           n
-           (String.concat ";"
-              (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
-           (String.concat "|" (Array.to_list (Array.map ints lists)))
-           base
-           (ints (Array.to_list pick))
-           (ints sources) (ints targets) excluding)
-       marks_gen)
-    (fun (n, edges, lists, base, pick, sources, targets, excluding) ->
-      let a = A.create n and p = Digraph.create n in
-      List.iter
-        (fun (u, v) ->
-          if A.add_edge_acyclic a u v = Ok () then Digraph.add_edge p u v)
-        edges;
+  QCheck.Test.make ~name:"marks and reaches_any = reachable" ~count:400
+    marks_arb
+    (fun c ->
+      let n = c.n in
+      let a, p = build_marks c in
       let reach = Array.init n (Digraph.reachable p) in
       let all f = List.for_all f (List.init n Fun.id) in
       let forward =
@@ -370,19 +428,17 @@ let prop_marks_match_reachable =
             A.mark_reachable a u;
             all (fun v -> A.marked a v = reach.(u).(v)))
       in
-      let srcs =
-        List.concat_map (fun c -> lists.(base + c)) (Array.to_list pick)
-        |> List.filter (fun s -> s <> excluding)
-      in
-      A.mark_reaching_any_of a ~excluding ~lists ~base ~pick;
+      let srcs = picked_sources c in
+      A.mark_reaching_any_of a ~excluding:c.excluding ~lists:c.lists
+        ~base:c.base ~pick:c.pick;
       let backward =
         all (fun v -> A.marked a v = List.exists (fun s -> reach.(v).(s)) srcs)
       in
       forward && backward
-      && A.reaches_any a ~sources ~targets
+      && A.reaches_any a ~sources:c.sources ~targets:c.targets
          = List.exists
-             (fun s -> List.exists (fun t -> reach.(s).(t)) targets)
-             sources)
+             (fun s -> List.exists (fun t -> reach.(s).(t)) c.targets)
+             c.sources)
 
 (* [last_path] after every [true] answer of the three searches, on the
    same random graphs: each consecutive pair is an edge, the path starts
@@ -391,13 +447,11 @@ let prop_marks_match_reachable =
    path left over from an earlier search would show. *)
 let prop_last_path =
   QCheck.Test.make ~name:"last_path is a path to a wanted vertex" ~count:400
-    (QCheck.make marks_gen)
-    (fun (n, edges, lists, base, pick, sources, targets, excluding) ->
-      let a = A.create n and p = Digraph.create n in
-      List.iter
-        (fun (u, v) ->
-          if A.add_edge_acyclic a u v = Ok () then Digraph.add_edge p u v)
-        edges;
+    marks_arb
+    (fun c ->
+      let n = c.n and excluding = c.excluding in
+      let sources = c.sources and targets = c.targets in
+      let a, p = build_marks c in
       let reach = Array.init n (Digraph.reachable p) in
       let rec edges_ok = function
         | u :: (v :: _ as rest) -> A.has_edge a u v && edges_ok rest
@@ -416,18 +470,15 @@ let prop_last_path =
            && List.mem (last path) wanted
            && ((not (List.mem start wanted)) || path = [ start ]))
       in
-      let srcs =
-        List.concat_map (fun c -> lists.(base + c)) (Array.to_list pick)
-        |> List.filter (fun s -> s <> excluding)
-      in
+      let srcs = picked_sources c in
       let plain = List.filter (fun s -> s <> excluding) sources in
       List.for_all
         (fun t ->
           witnessed ~start:t ~wanted:plain
             (A.closes_cycle_any ~excluding a ~sources ~target:t)
           && witnessed ~start:t ~wanted:srcs
-               (A.closes_cycle_any_of a ~excluding ~lists ~base ~pick
-                  ~target:t))
+               (A.closes_cycle_any_of a ~excluding ~lists:c.lists
+                  ~base:c.base ~pick:c.pick ~target:t))
         (List.init n Fun.id)
       && List.for_all
            (fun s ->

@@ -62,6 +62,53 @@ let test_vote_no_aborts () =
   check_true "no-vote recorded"
     (List.assoc_opt 1 r.Sched.Twopc.votes = Some false)
 
+(* ---------- the network queue ---------- *)
+
+(* Events due at the same time drain in the order they were enqueued,
+   deliveries and timers alike, including one a handler enqueues at the
+   current time: the sequence tie-break of [Net.push]. *)
+let test_net_equal_time_fifo () =
+  let drained = ref [] in
+  let note x = drained := x :: !drained in
+  let handlers =
+    {
+      Sched.Net.on_msg =
+        (fun net ~node:_ ~src:_ m ->
+          note m;
+          if m = "a" then Sched.Net.set_timer net ~node:2 ~tag:9 ~after:0.);
+      on_timer = (fun _ ~node:_ ~tag -> note (Printf.sprintf "timer%d" tag));
+      on_crash = (fun _ ~node:_ -> ());
+      on_recover = (fun _ ~node:_ -> ());
+    }
+  in
+  let net =
+    Sched.Net.create ~nodes:3 ~delay:(fun ~src:_ ~dst:_ -> 1.) ~handlers ()
+  in
+  Sched.Net.send net ~src:0 ~dst:1 "a";
+  Sched.Net.set_timer net ~node:1 ~tag:7 ~after:1.;
+  Sched.Net.send net ~src:0 ~dst:2 "b";
+  Sched.Net.set_timer net ~node:0 ~tag:3 ~after:0.5;
+  Sched.Net.send net ~src:2 ~dst:0 "c";
+  check_true "quiescent" (Sched.Net.run net = `Quiescent);
+  Alcotest.(check (list string))
+    "time order, then enqueue order"
+    [ "timer3"; "a"; "timer7"; "b"; "c"; "timer9" ]
+    (List.rev !drained)
+
+(* Jitter draws from the round's own seeded state: the same seed gives
+   the same round, a different seed moves its timings. *)
+let test_jitter_round_replays () =
+  let cfg = { cfg with Sched.Twopc.jitter = 0.5 } in
+  let run seed =
+    Sched.Twopc.round cfg ~nodes:3 ~coord:2 ~parts:[ 0; 1 ] ~tx:4 ~seed
+      ~faults:[] ()
+  in
+  let r = run 11 in
+  check_true "commits" (r.Sched.Twopc.outcome = Some true);
+  check_true "same seed, same record" (compare r (run 11) = 0);
+  check_true "another seed, other timings"
+    (r.Sched.Twopc.finished_at <> (run 12).Sched.Twopc.finished_at)
+
 (* ---------- exhaustive single-fault micro-universes ---------- *)
 
 let test_exhaustive_universes () =
@@ -412,6 +459,10 @@ let suite =
   [
     Alcotest.test_case "happy path commits" `Quick test_happy_path;
     Alcotest.test_case "a no-vote aborts everyone" `Quick test_vote_no_aborts;
+    Alcotest.test_case "equal-time events drain in enqueue order" `Quick
+      test_net_equal_time_fifo;
+    Alcotest.test_case "a jittered round replays from its seed" `Quick
+      test_jitter_round_replays;
     Alcotest.test_case "exhaustive single-fault micro-universes (AC1-AC5)"
       `Quick test_exhaustive_universes;
     Alcotest.test_case "forget-log-on-recover rejected with witness" `Quick
