@@ -39,6 +39,11 @@ type t = {
   k : int; (* number of classes *)
   conf : int array array; (* class -> the classes it conflicts with *)
   entries : int list array; (* var * k + class -> accessors, no repeats *)
+  (* the entries each vertex is on, in the order it gained them: [l]'s
+     are the [n_held.(l)] slots from [held_at.(l)] *)
+  held : int array;
+  held_at : int array;
+  n_held : int array;
   graph : Digraph.Acyclic.t;
   flags : int array; (* per vertex: live, completed, queued bits *)
   work : int array; (* the prune worklist, a stack of work.(0 .. top-1) *)
@@ -71,11 +76,18 @@ let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
   let k = Array.length conf in
   let class_of_step = if k = 1 then [||] else class_of_step in
   let entries = Array.make (n_vars * k) [] in
+  (* A vertex holds at most one entry per step. *)
+  let held_at = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun l vs -> held_at.(l + 1) <- held_at.(l) + Array.length vs)
+    var_of_step;
+  let held = Array.make held_at.(n) 0 and n_held = Array.make n 0 in
   let graph = Digraph.Acyclic.create n and flags = Array.make n 0 in
   let work = Array.make n 0 in
   let rec g =
-    { sink; ids; var_of_step; class_of_step; prunable; k; conf;
-      entries; graph; flags; work; top = 0; version = 0; push_freed = (fun v ->
+    { sink; ids; var_of_step; class_of_step; prunable; k; conf; entries;
+      held; held_at; n_held; graph; flags; work; top = 0; version = 0;
+      push_freed = (fun v ->
         if has g v done_bit && Digraph.Acyclic.in_degree g.graph v = 1 then
           push g v) }
   in
@@ -112,16 +124,18 @@ let add_vetted graph u v =
       "Sched.Cgraph: edge %d -> %d closes a cycle, breaking the invariant \
        that attempt vetted this batch" u v
 
-let rec add_edges g l = function
+(* [insert] is false on a repeat entry, whose edges are all present (see
+   [grant]): the walk then only names them to the sink. *)
+let rec add_edges g ~insert l = function
   | [] -> ()
   | u :: us ->
     if u <> l then begin
-      add_vetted g.graph u l;
+      if insert then add_vetted g.graph u l;
       if Obs.Sink.on g.sink then
         Obs.Sink.record g.sink
           (Obs.Event.Edge_added { src = id g u; dst = id g l })
     end;
-    add_edges g l us
+    add_edges g ~insert l us
 
 (* The distinct other transactions with an entry on the variable but none
    in a class the step conflicts with: those the grant did not serialize
@@ -141,37 +155,50 @@ let passed_over g l b row =
   done;
   List.length !seen
 
+(* [l] holds entry [e]: a scan of its held slots [at .. i-1]. *)
+let rec holds g at i e = i > at && (g.held.(i - 1) = e || holds g at (i - 1) e)
+
+(* A repeat entry needs no edge: every conflicting accessor present at the
+   entry's first grant got its edge to [l] then, and one added since got
+   an edge from [l] at its own grant, so [refuses] would have delayed this
+   step. An entry and its edges leave together, at removal. *)
 let grant g l idx =
   let c = class_of g l idx and b = base g l idx in
+  let e = b + c in
   let row = g.conf.(c) in
-  for j = 0 to Array.length row - 1 do
-    add_edges g l g.entries.(b + row.(j))
-  done;
+  let at = g.held_at.(l) in
+  let fresh = not (holds g at (at + g.n_held.(l)) e) in
+  if fresh || Obs.Sink.on g.sink then
+    for j = 0 to Array.length row - 1 do
+      add_edges g ~insert:fresh l g.entries.(b + row.(j))
+    done;
   if Obs.Sink.on g.sink && Array.length row < g.k then begin
     let skipped = passed_over g l b row in
     if skipped > 0 then
       Obs.Sink.record g.sink
         (Obs.Event.Commute_pass { tx = id g l; idx; skipped })
   end;
-  if not (List.memq l g.entries.(b + c)) then
-    g.entries.(b + c) <- l :: g.entries.(b + c);
+  if fresh then begin
+    g.entries.(e) <- l :: g.entries.(e);
+    g.held.(at + g.n_held.(l)) <- e;
+    g.n_held.(l) <- g.n_held.(l) + 1
+  end;
   set g l live_bit
 
-let rec drop x = function
+let rec drop (x : int) = function
   | [] -> []
   | y :: ys -> if y = x then ys else y :: drop x ys
 
-(* Walks only the variables the vertex's steps name. A completed
-   successor whose last incoming edge this removes is queued for the next
-   drain; no other vertex can become prunable here. *)
+(* Walks only the entries the vertex holds. A completed successor whose
+   last incoming edge this removes is queued for the next drain; no other
+   vertex can become prunable here. *)
 let forget g l =
   g.version <- g.version + 1;
-  let vs = g.var_of_step.(l) in
-  for j = 0 to Array.length vs - 1 do
-    for e = vs.(j) * g.k to ((vs.(j) + 1) * g.k) - 1 do
-      if List.memq l g.entries.(e) then g.entries.(e) <- drop l g.entries.(e)
-    done
+  let at = g.held_at.(l) in
+  for i = at to at + g.n_held.(l) - 1 do
+    g.entries.(g.held.(i)) <- drop l g.entries.(g.held.(i))
   done;
+  g.n_held.(l) <- 0;
   unset g l live_bit;
   Digraph.Acyclic.iter_succ g.graph l g.push_freed;
   Digraph.Acyclic.remove_vertex g.graph l

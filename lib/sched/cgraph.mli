@@ -20,8 +20,8 @@ open Core
     worklist fed by completions and by the completed successors of
     removed vertices and drained at each completion. Removal never makes
     an eligible vertex ineligible, so this prunes the fixpoint a full
-    scan reaches. Removing a transaction walks only the variables its
-    steps name, its footprint.
+    scan reaches. Each vertex keeps the list of entries it holds, and
+    removing it walks exactly that list: its footprint.
 
     {b Delay cache.} A refused request of [l] names a path [l ~> u] to
     a conflicting accessor [u] ({!Digraph.Acyclic.last_path}). The
@@ -47,10 +47,10 @@ val create :
     vertex [l] accesses variable [var_of_step.(l).(idx)] in
     [0 .. n_vars-1] with op [op_of_step l idx], read once here (absent:
     every pair conflicts). [prunable] vetoes pruning (default: never);
-    [ids.(l)] names [l] in events (default [l]). With a [sink], inserted
-    edges emit
-    {!Obs.Event.Edge_added} and grants that passed over commuting
-    accessors emit {!Obs.Event.Commute_pass}. *)
+    [ids.(l)] names [l] in events (default [l]). With a [sink], a grant
+    emits one {!Obs.Event.Edge_added} per conflicting accessor, edges
+    already present included, and one that passed over commuting
+    accessors emits {!Obs.Event.Commute_pass}. *)
 
 val version : t -> int
 (** The removal count: bumped by every abort and every prune. *)
@@ -84,7 +84,13 @@ val reaches_sources : t -> int -> int -> int -> bool
     is the path from [v] to that accessor. *)
 
 val grant : t -> int -> int -> unit
-(** An edge from every conflicting accessor, then the step's entry. *)
+(** An edge from every conflicting accessor, then the step's entry. The
+    step must be vetted: not {!refuses}. When [l] already holds the
+    step's (variable, class) entry, every such edge is present and none
+    is added. A conflicting accessor present at the entry's first grant
+    got its edge then; one added since got an edge from [l] at its own
+    grant, as conflicts are symmetric, so [l] reaches it and {!refuses}
+    would hold. An entry and its edges leave together, at removal. *)
 
 val complete : t -> int -> unit
 (** The vertex's final step was granted: queue it and prune. *)

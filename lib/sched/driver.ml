@@ -32,7 +32,10 @@ type state = {
   mutable submissions : int;   (* total submit calls, for the drain budget *)
   blocked : Intq.t;            (* FIFO of delayed transactions *)
   mutable clock : int;         (* driver events *)
-  mutable log : (Names.step_id * int) list;  (* grant, incarnation (rev) *)
+  (* the grant log: grant g is (tx, incarnation) at 2g and 2g+1, with
+     room for 16 grants at first and doubled when full; the step index is
+     implied, as an incarnation grants its transaction's steps in order *)
+  mutable log : int array;
   mutable delays : int;
   mutable restarts : int;
   mutable deadlocks : int;
@@ -57,7 +60,7 @@ let init sched sink fmt =
     submissions = 0;
     blocked = Intq.create n;
     clock = 0;
-    log = [];
+    log = Array.make 32 0;
     delays = 0;
     restarts = 0;
     deadlocks = 0;
@@ -105,6 +108,16 @@ let do_abort st ~reason i =
   done;
   st.incarnation.(i) <- st.incarnation.(i) + 1
 
+let log_grant st i =
+  let at = 2 * st.grants in
+  if at = Array.length st.log then begin
+    let grown = Array.make (2 * at) 0 in
+    Array.blit st.log 0 grown 0 at;
+    st.log <- grown
+  end;
+  st.log.(at) <- i;
+  st.log.(at + 1) <- st.incarnation.(i)
+
 let do_grant st (id : Names.step_id) =
   (* [Granted] is stamped at the decision instant, [Executed] one tick
      later: the driver's clock tick is the grant being carried out, so
@@ -115,12 +128,12 @@ let do_grant st (id : Names.step_id) =
   st.sched.Scheduler.commit id;
   st.clock <- st.clock + 1;
   Obs.Sink.set_now st.sink (float_of_int st.clock);
+  log_grant st id.Names.tx;
   st.grants <- st.grants + 1;
   let submitted = submit_pop st id.Names.tx in
   st.waiting <- st.waiting + (st.clock - 1 - submitted);
   st.next_step.(id.Names.tx) <- id.Names.idx + 1;
   st.outstanding.(id.Names.tx) <- st.outstanding.(id.Names.tx) - 1;
-  st.log <- (id, st.incarnation.(id.Names.tx)) :: st.log;
   if Obs.Sink.on st.sink then begin
     Obs.Sink.record st.sink
       (Obs.Event.Executed { tx = id.Names.tx; idx = id.Names.idx });
@@ -249,12 +262,19 @@ let drain st =
     process_queue st;
     if st.grants = before && not (all_done ()) then resolve_stall st
   done;
-  let output =
-    List.rev st.log
-    |> List.filter_map (fun ((id : Names.step_id), inc) ->
-           if inc = st.incarnation.(id.Names.tx) then Some id else None)
-    |> Array.of_list
-  in
+  (* every transaction completed: its last incarnation granted each of
+     its steps once, in index order *)
+  let next = Array.make n 0 in
+  let output = Array.make (Array.fold_left ( + ) 0 st.fmt) (Names.step 0 0) in
+  let k = ref 0 in
+  for g = 0 to st.grants - 1 do
+    let i = st.log.(2 * g) in
+    if st.log.((2 * g) + 1) = st.incarnation.(i) then begin
+      output.(!k) <- Names.step i next.(i);
+      next.(i) <- next.(i) + 1;
+      incr k
+    end
+  done;
   {
     output;
     delays = st.delays;

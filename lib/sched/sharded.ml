@@ -52,17 +52,18 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      argument. A cross-shard transaction's shard-local in-degree says
      nothing about its edges elsewhere, and dropping its accessor entries
      would lose summary paths. A cross-shard transaction's steps
-     elsewhere name other shards' local variables. Every kernel is sized
-     for the largest shard, so those ids stay in range, and removal
-     walking them only reads lists the transaction is not on. *)
+     elsewhere name other shards' local variables, which a kernel never
+     reads: it reads a step's variable only when the step is asked of or
+     granted in it, and removal walks the entries a transaction holds.
+     So each kernel is sized for its own shard's variables. *)
   let lvars = p.Partition.lvar_of_step in
-  let n_vars = Array.fold_left max 1 p.Partition.n_lvars in
   let kernel =
     Array.init shards (fun s ->
         let mem = p.Partition.members.(s) in
         Cgraph.create ~sink ~ids:mem
           ~prunable:(fun l -> not p.Partition.cross.(mem.(l)))
-          ~n_vars ~var_of_step:(Array.map (fun g -> lvars.(g)) mem) ())
+          ~n_vars:p.Partition.n_lvars.(s)
+          ~var_of_step:(Array.map (fun g -> lvars.(g)) mem) ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an

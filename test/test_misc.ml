@@ -118,22 +118,6 @@ let test_syntax_errors () =
     (try ignore (Syntax.var Examples.fig3_pair (Names.step 5 0)); false
      with Invalid_argument _ -> true)
 
-let test_driver_livelock_guard () =
-  (* a scheduler that delays everything and cannot resolve stalls fails
-     cleanly instead of spinning *)
-  let broken =
-    Sched.Scheduler.make ~name:"never"
-      ~attempt:(fun _ -> Sched.Scheduler.Delay)
-      ~commit:(fun _ -> ())
-      ~victim:(fun _ -> None)
-      ()
-  in
-  check_true "driver raises typed Stall"
-    (try
-       ignore (Sched.Driver.run broken ~fmt:[| 1 |] ~arrivals:[| 0 |]);
-       false
-     with Sched.Driver.Stall _ -> true)
-
 let test_tree_spanning_single () =
   let h = [ ("a", "r") ] in
   Alcotest.(check (list string)) "single var" [ "a" ]
@@ -191,7 +175,6 @@ let suite =
     Alcotest.test_case "herbrand term size" `Quick test_herbrand_term_size;
     Alcotest.test_case "system printing" `Quick test_system_pp_smoke;
     Alcotest.test_case "syntax errors" `Quick test_syntax_errors;
-    Alcotest.test_case "driver livelock guard" `Quick test_driver_livelock_guard;
     Alcotest.test_case "tree spanning corners" `Quick test_tree_spanning_single;
     Alcotest.test_case "tree cross-tree rejected" `Quick test_tree_cross_trees_rejected;
   ]

@@ -107,11 +107,6 @@ let test_find_exn_lists_names () =
     (* every accepted slug appears in the message *)
     List.iter
       (fun slug ->
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-          go 0
-        in
         check_true ("lists " ^ slug) (contains msg slug))
       Sched.Registry.names
 

@@ -247,6 +247,78 @@ let test_driver_waiting_metric () =
   let s' = run_serial fmt22 [| 0; 0; 1; 1 |] in
   check_int "no waiting on fixpoint" 0 s'.Sched.Driver.waiting
 
+(* The driver's output is the grants of each transaction's last
+   incarnation, in grant order: in the trace, the [Granted] events that
+   follow the transaction's last [Restarted]. The abort-heavy corpus
+   restarts transactions under every engine, and its batches grant more
+   than 16 steps, so the grant log grows past its first size. *)
+let test_driver_output_last_incarnation () =
+  let engines =
+    [
+      ("SGT", fun syntax -> Sched.Sgt.create ~syntax ());
+      ("TO", fun syntax -> Sched.Timestamp.create ~syntax ());
+      ("2PL", fun syntax -> Sched.Tpl_sched.create_2pl ~syntax ());
+    ]
+  in
+  List.iter
+    (fun (name, mk) ->
+      let grown = ref 0 and restarted = ref 0 in
+      List.iter
+        (fun (syntax, arrivals) ->
+          let fmt = Syntax.format syntax in
+          let c = Obs.Sink.Memory.create () in
+          let s =
+            Sched.Driver.run ~sink:(Obs.Sink.Memory.sink c) (mk syntax) ~fmt
+              ~arrivals:(Array.copy arrivals)
+          in
+          let events = Array.of_list (List.map snd (Obs.Sink.Memory.events c)) in
+          let last = Array.make (Array.length fmt) (-1) in
+          Array.iteri
+            (fun at e ->
+              match e with
+              | Obs.Event.Restarted { tx } -> last.(tx) <- at
+              | _ -> ())
+            events;
+          let kept = ref [] in
+          Array.iteri
+            (fun at e ->
+              match e with
+              | Obs.Event.Granted { tx; idx } when at > last.(tx) ->
+                kept := Names.step tx idx :: !kept
+              | _ -> ())
+            events;
+          let out = s.Sched.Driver.output in
+          check_true (name ^ ": output = last-incarnation grants")
+            (Schedule.equal out (Array.of_list (List.rev !kept)));
+          check_true (name ^ ": each step once, in index order")
+            (Schedule.is_schedule_of fmt out);
+          if s.Sched.Driver.grants > 16 then incr grown;
+          if s.Sched.Driver.restarts > 0 then incr restarted)
+        (abort_heavy_corpus 20);
+      check_true (name ^ ": the log grew") (!grown > 0);
+      check_true (name ^ ": transactions restarted") (!restarted > 0))
+    engines
+
+(* Both [Stall] paths of [Driver.drain]: a stall no victim resolves, and
+   a livelock that exhausts the drain budget. A scheduler that delays
+   everything fails cleanly either way instead of spinning. *)
+let stall_message ~victim =
+  let broken =
+    Sched.Scheduler.make ~name:"never"
+      ~attempt:(fun _ -> Sched.Scheduler.Delay)
+      ~commit:(fun _ -> ())
+      ~victim ()
+  in
+  match Sched.Driver.run broken ~fmt:[| 1 |] ~arrivals:[| 0 |] with
+  | _ -> ""
+  | exception Sched.Driver.Stall msg -> msg
+
+let test_driver_livelock_guard () =
+  check_true "no victim: Stall names the stall"
+    (contains (stall_message ~victim:(fun _ -> None)) "cannot resolve a stall");
+  check_true "a victim every time: Stall names the budget"
+    (contains (stall_message ~victim:(fun _ -> Some 0)) "budget exhausted")
+
 (* Property: the driver always completes with a legal schedule, for
    every scheduler, on random arrival streams. *)
 let prop_driver_total =
@@ -334,6 +406,9 @@ let suite =
     Alcotest.test_case "assertional beyond SR" `Quick test_assertional_beyond_sr;
     Alcotest.test_case "assertional protects arcs" `Quick test_assertional_protects;
     Alcotest.test_case "waiting metric" `Quick test_driver_waiting_metric;
+    Alcotest.test_case "driver output is the last incarnation" `Quick
+      test_driver_output_last_incarnation;
+    Alcotest.test_case "driver livelock guard" `Quick test_driver_livelock_guard;
   ]
   @ qsuite
       [ prop_driver_total; prop_sgt_correct; prop_2pl_correct; prop_fixpoint_chain ]

@@ -230,19 +230,6 @@ let test_abort_frees_completed () =
   let syntax = Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ] in
   check_int "one stall abort" 1 (check_engines syntax [| 0; 1; 0; 1 |])
 
-(* Hot-spot mixes over three variables, two arrival streams each: most
-   streams stall and abort, which is where removal does its work. *)
-let abort_heavy_corpus seeds =
-  List.concat_map
-    (fun seed ->
-      let st = Random.State.make [| 0xAB07; seed |] in
-      let n = 6 + Random.State.int st 6 in
-      let m = 3 + Random.State.int st 4 in
-      let syntax = Sim.Workload.hotspot st ~n ~m ~n_vars:3 ~theta:0.7 in
-      List.init 2 (fun _ ->
-          (syntax, Combin.Interleave.random st (Syntax.format syntax))))
-    (List.init seeds Fun.id)
-
 let test_abort_heavy_corpus () =
   let restarts =
     List.fold_left
@@ -368,9 +355,14 @@ let test_replay_differential () =
    It checks the delay cache's lemma too: each refusal's witness path
    ([Digraph.Acyclic.last_path]) keeps every edge, and the request stays
    refused, across later grants and prunes, until a transaction on the
-   path aborts. *)
+   path aborts. And the repeat-entry lemma that lets [Cg.grant] skip edge
+   insertion: a transaction granted a step on a variable it already holds
+   with an op of the same commute row has every conflicting source's
+   edge already. *)
 let test_cgraph_model () =
   let typed_ops = [| Op.Read; Op.Incr; Op.Decr; Op.Update; Op.Max |] in
+  (* repeat-entry grants checked: untyped, typed *)
+  let repeats = [| 0; 0 |] in
   for seed = 0 to 199 do
     let st = rng seed in
     let n = 2 + Random.State.int st 5 in
@@ -450,6 +442,18 @@ let test_cgraph_model () =
           if refused then
             witness.(i) <- Some (j, Digraph.Acyclic.last_path (Cg.graph g));
           if not refused then begin
+            (* the repeat-entry lemma: a transaction already on [v] in
+               this step's commute row has every edge the grant names *)
+            let same_row o =
+              List.for_all
+                (fun x -> Commute.commutes o x = Commute.commutes op x)
+                Op.all
+            in
+            if List.exists (fun (u, o) -> u = i && same_row o) acc.(v) then begin
+              repeats.(seed mod 2) <- repeats.(seed mod 2) + 1;
+              check_true "repeat entry: its edges are present"
+                (List.for_all (fun u -> Digraph.has_edge edges u i) srcs)
+            end;
             Cg.grant g i j;
             List.iter (fun u -> Digraph.add_edge edges u i) srcs;
             if not (List.mem (i, op) acc.(v)) then acc.(v) <- (i, op) :: acc.(v);
@@ -482,7 +486,9 @@ let test_cgraph_model () =
       check_true "edge set"
         (Digraph.Acyclic.edges (Cg.graph g) = Digraph.edges edges)
     done
-  done
+  done;
+  check_true "untyped repeat entries checked" (repeats.(0) > 0);
+  check_true "typed repeat entries checked" (repeats.(1) > 0)
 
 (* ---------- DES vs Driver ---------- *)
 

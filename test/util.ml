@@ -6,6 +6,12 @@ let check_true name b = Alcotest.(check bool) name true b
 let check_false name b = Alcotest.(check bool) name false b
 let check_int name expected actual = Alcotest.(check int) name expected actual
 
+(* [needle] occurs in [hay]. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* A deterministic RNG per test to keep failures reproducible. *)
 let rng seed = Random.State.make [| 0xC0FFEE; seed |]
 
@@ -97,3 +103,16 @@ let refusal_count create corpus =
            ~fmt:(Core.Syntax.format syntax) ~arrivals:(Array.copy arrivals));
       acc + (Obs.Fold.counters (Obs.Sink.Memory.events c)).Obs.Fold.refusals)
     0 corpus
+
+(* Hot-spot mixes over three variables, two arrival streams each: most
+   streams stall and abort, which is where removal does its work. *)
+let abort_heavy_corpus seeds =
+  List.concat_map
+    (fun seed ->
+      let st = Random.State.make [| 0xAB07; seed |] in
+      let n = 6 + Random.State.int st 6 in
+      let m = 3 + Random.State.int st 4 in
+      let syntax = Sim.Workload.hotspot st ~n ~m ~n_vars:3 ~theta:0.7 in
+      List.init 2 (fun _ ->
+          (syntax, Combin.Interleave.random st (Core.Syntax.format syntax))))
+    (List.init seeds Fun.id)
