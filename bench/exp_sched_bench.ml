@@ -13,7 +13,7 @@ let run () =
   Format.printf "%a" Sim.Sched_bench.pp
     (Sim.Sched_bench.run Sim.Sched_bench.default);
   Printf.printf
-    "\nshape: the incremental SGT (Pearce–Kelly conflict graph) beats the \
-     copy-and-recheck SGT-ref on every mix, widening with size and \
+    "\nshape: the incremental SGT (one conflict graph kept acyclic in place) \
+     beats the copy-and-recheck SGT-ref on every mix, widening with size and \
      contention; locking and timestamp schedulers sit between, with the \
      no-test serial scheduler as the ceiling.\n"

@@ -222,27 +222,27 @@ let pp ppf g =
   List.iter (fun (u, v) -> Format.fprintf ppf "@ %d -> %d;" u v) (edges g);
   Format.fprintf ppf "@ }@]"
 
-(* ---------- online acyclicity (Pearce–Kelly) ---------- *)
+(* ---------- online acyclicity (window rotation) ---------- *)
 
 type graph = t
 
 module Acyclic = struct
   (* Internals are tuned for the SGT hot path, and every search uses
      epoch-stamped scratch arrays, so queries and edge insertions
-     allocate nothing beyond the witness on rejection. The two directions
-     of adjacency are stored differently because only one has an order
-     anyone can see. Out-edges are duplicate-free int lists, newest
-     first: their order fixes the DFS order, hence every [last_path]
-     witness, and degrees are tiny, so list traversal beats balanced-tree
-     iteration and insertion allocates one cons. In-edges are only ever
-     read as sets (delta-B, the backward marks, [pred], which sorts, and
-     the degrees), so each is an unordered int array filled up to
-     [indeg]: insertion writes one slot (doubling a full array), and
-     removal moves the last slot into the freed one, a scan of words with
-     no allocation where a list would copy its prefix. *)
+     allocate nothing beyond the witness on rejection and the growth of a
+     full adjacency array. Each direction of adjacency is an int array
+     filled up to the vertex's degree, but only the out-edges have an
+     order anyone can see. Out-arrays hold their edges oldest first and
+     every walk reads them newest first: that order fixes the DFS order,
+     hence every [last_path] witness. Insertion appends (doubling a full
+     array), and removal shifts the tail left, so the rest keep their
+     order and nothing is allocated. In-edges are only ever read as sets
+     (the backward marks, [pred], which sorts, and the degrees), so
+     removal moves the last slot into the freed one. *)
   type t = {
     nv : int;
-    out_ : int list array;
+    out_ : int array array; (* slots [0, outdeg u) hold the successors *)
+    outdeg : int array;     (* filled length of [out_.(u)] *)
     in_ : int array array;  (* slots [0, indeg v) hold the predecessors *)
     indeg : int array;      (* filled length of [in_.(v)] *)
     ord : int array;   (* vertex -> index in the maintained topo order *)
@@ -250,7 +250,6 @@ module Acyclic = struct
     mutable ne : int;
     want : int array;    (* scratch: source marks, by epoch *)
     seen : int array;    (* scratch: forward-search marks, by epoch *)
-    seen_b : int array;  (* scratch: backward-search marks, by epoch *)
     parent : int array;  (* scratch: witness-path links, -1 at a root *)
     mat : Bytes.t;       (* nv*nv adjacency bitmap: O(1) edge membership *)
     mutable epoch : int;
@@ -261,7 +260,8 @@ module Acyclic = struct
     if nv < 0 then invalid_arg "Digraph.Acyclic.create: negative size";
     {
       nv;
-      out_ = Array.make nv [];
+      out_ = Array.make nv [||];
+      outdeg = Array.make nv 0;
       in_ = Array.make nv [||];
       indeg = Array.make nv 0;
       ord = Array.init nv Fun.id;
@@ -269,7 +269,6 @@ module Acyclic = struct
       ne = 0;
       want = Array.make nv 0;
       seen = Array.make nv 0;
-      seen_b = Array.make nv 0;
       parent = Array.make nv (-1);
       mat = Bytes.make (nv * nv) '\000';
       epoch = 0;
@@ -290,17 +289,22 @@ module Acyclic = struct
     check g v;
     mem_edge g u v
 
+  let sorted a n = List.sort compare (Array.to_list (Array.sub a 0 n))
+
   let succ g u =
     check g u;
-    List.sort compare g.out_.(u)
+    sorted g.out_.(u) g.outdeg.(u)
 
   let pred g v =
     check g v;
-    List.sort compare (Array.to_list (Array.sub g.in_.(v) 0 g.indeg.(v)))
+    sorted g.in_.(v) g.indeg.(v)
 
   let iter_succ g u f =
     check g u;
-    List.iter f g.out_.(u)
+    let succs = g.out_.(u) in
+    for j = g.outdeg.(u) - 1 downto 0 do
+      f succs.(j)
+    done
 
   let in_degree g v =
     check g v;
@@ -309,7 +313,9 @@ module Acyclic = struct
   let edges g =
     let acc = ref [] in
     for u = g.nv - 1 downto 0 do
-      List.iter (fun v -> acc := (u, v) :: !acc) g.out_.(u)
+      for j = 0 to g.outdeg.(u) - 1 do
+        acc := (u, g.out_.(u).(j)) :: !acc
+      done
     done;
     List.sort compare !acc
 
@@ -329,13 +335,13 @@ module Acyclic = struct
         g.hit <- w;
         true
       end
-      else dfs_list g ep bound w g.out_.(w)
+      else dfs_succs g ep bound w g.out_.(w) (g.outdeg.(w) - 1)
     end
 
-  and dfs_list g ep bound p = function
-    | [] -> false
-    | x :: xs ->
-      (g.ord.(x) <= bound && dfs g ep bound p x) || dfs_list g ep bound p xs
+  and dfs_succs g ep bound p succs j =
+    j >= 0
+    && ((g.ord.(succs.(j)) <= bound && dfs g ep bound p succs.(j))
+       || dfs_succs g ep bound p succs (j - 1))
 
   (* A source equal to the target: the path is the target alone. *)
   let self_loop g target =
@@ -358,6 +364,16 @@ module Acyclic = struct
           us
       end
 
+  (* [mark_sources] over the lists [lists.(base + c)], [c] in [pick] *)
+  let mark_lists g ep ~excluding ~lists ~base ~pick ~target =
+    let bound = ref (-1) and j = ref 0 in
+    while !bound <> max_int && !j < Array.length pick do
+      bound :=
+        mark_sources g ep ~excluding ~target !bound lists.(base + pick.(!j));
+      incr j
+    done;
+    !bound
+
   (* Because the maintained order is topological, every edge strictly
      increases [ord]; any path from [target] back to a source therefore
      stays inside the window [ord target, max ord source], which is what
@@ -374,14 +390,9 @@ module Acyclic = struct
     check g target;
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
-    let bound = ref (-1) and j = ref 0 in
-    while !bound <> max_int && !j < Array.length pick do
-      bound :=
-        mark_sources g ep ~excluding ~target !bound lists.(base + pick.(!j));
-      incr j
-    done;
-    if !bound = max_int then self_loop g target
-    else !bound >= g.ord.(target) && dfs g ep !bound (-1) target
+    let bound = mark_lists g ep ~excluding ~lists ~base ~pick ~target in
+    if bound = max_int then self_loop g target
+    else bound >= g.ord.(target) && dfs g ep bound (-1) target
 
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
@@ -391,14 +402,11 @@ module Acyclic = struct
   let rec mark_fwd g ep w =
     if g.seen.(w) <> ep then begin
       g.seen.(w) <- ep;
-      mark_fwd_list g ep g.out_.(w)
+      let succs = g.out_.(w) in
+      for j = g.outdeg.(w) - 1 downto 0 do
+        mark_fwd g ep succs.(j)
+      done
     end
-
-  and mark_fwd_list g ep = function
-    | [] -> ()
-    | x :: xs ->
-      mark_fwd g ep x;
-      mark_fwd_list g ep xs
 
   let rec mark_bwd g ep w =
     if g.seen.(w) <> ep then begin
@@ -452,109 +460,136 @@ module Acyclic = struct
     let rec up v acc = if v < 0 then acc else up g.parent.(v) (v :: acc) in
     up g.hit []
 
-  let insert g u v =
-    (* caller guarantees the edge is absent *)
-    g.out_.(u) <- v :: g.out_.(u);
-    let d = g.indeg.(v) in
-    if d = Array.length g.in_.(v) then begin
+  (* Append [x] to [a.(u)], filled up to [deg.(u)], doubling it when
+     full. *)
+  let push_slot a deg u x =
+    let d = deg.(u) in
+    if d = Array.length a.(u) then begin
       let grown = Array.make (max 4 (2 * d)) 0 in
-      Array.blit g.in_.(v) 0 grown 0 d;
-      g.in_.(v) <- grown
+      Array.blit a.(u) 0 grown 0 d;
+      a.(u) <- grown
     end;
-    g.in_.(v).(d) <- u;
-    g.indeg.(v) <- d + 1;
-    Bytes.set g.mat ((u * g.nv) + v) '\001';
-    g.ne <- g.ne + 1
+    a.(u).(d) <- x;
+    deg.(u) <- d + 1
+
+  let link g u v =
+    if not (mem_edge g u v) then begin
+      push_slot g.out_ g.outdeg u v;
+      push_slot g.in_ g.indeg v u;
+      Bytes.set g.mat ((u * g.nv) + v) '\001';
+      g.ne <- g.ne + 1
+    end
+
+  let rec link_targets g u = function
+    | [] -> ()
+    | v :: vs ->
+      link g u v;
+      link_targets g u vs
+
+  let rec link_sources g targets = function
+    | [] -> ()
+    | u :: us ->
+      link_targets g u targets;
+      link_sources g targets us
+
+  let rec link_list g ~excluding v = function
+    | [] -> ()
+    | u :: us ->
+      if u <> excluding then link g u v;
+      link_list g ~excluding v us
+
+  (* The lowest slot of any target, or -1 when a target is a source
+     (marked [want] at [ep]), which leaves that self-loop's witness. *)
+  let rec low_slot g ep lb = function
+    | [] -> lb
+    | t :: ts ->
+      check g t;
+      if g.want.(t) = ep then begin
+        ignore (self_loop g t);
+        -1
+      end
+      else low_slot g ep (if g.ord.(t) < lb then g.ord.(t) else lb) ts
+
+  (* Slots [lb, ub] after a search from the targets that reached no
+     source: the vertices it marked move after the others, each group in
+     its order. An edge from a marked vertex ends at a marked one or past
+     [ub]; one from an unmarked vertex of the window keeps going forward;
+     and every source sits before [lb] or among the unmarked. So the
+     order stays topological with the new edges in it. The marked
+     vertices wait in [parent]. *)
+  let rotate g ep lb ub =
+    let k = ref lb and m = ref 0 in
+    for i = lb to ub do
+      let w = g.back.(i) in
+      if g.seen.(w) = ep then begin
+        g.parent.(!m) <- w;
+        incr m
+      end
+      else begin
+        g.back.(!k) <- w;
+        g.ord.(w) <- !k;
+        incr k
+      end
+    done;
+    for j = 0 to !m - 1 do
+      let w = g.parent.(j) in
+      g.back.(!k + j) <- w;
+      g.ord.(w) <- !k + j
+    done
+
+  (* Every new edge runs from a source at slot at most [ub] to a target
+     at slot at least [lb]: with [ub < lb] the order already holds them.
+     Otherwise a cycle is a path from a target back to a source, inside
+     the window, and the search for one marks exactly the vertices the
+     rotation moves. *)
+  let add_edges_acyclic g ~sources ~targets =
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let ub = mark_sources g ep ~excluding:(-1) ~target:(-1) (-1) sources in
+    let lb = low_slot g ep max_int targets in
+    if lb < 0 || (ub >= lb && search_from g ep ub targets) then false
+    else begin
+      if ub >= lb then rotate g ep lb ub;
+      g.hit <- -1;
+      link_sources g targets sources;
+      true
+    end
+
+  let add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~target =
+    check g target;
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let ub = mark_lists g ep ~excluding ~lists ~base ~pick ~target in
+    let lb = g.ord.(target) in
+    if ub = max_int then not (self_loop g target)
+    else if ub >= lb && dfs g ep ub (-1) target then false
+    else begin
+      if ub >= lb then rotate g ep lb ub;
+      g.hit <- -1;
+      for j = 0 to Array.length pick - 1 do
+        link_list g ~excluding target lists.(base + pick.(j))
+      done;
+      true
+    end
 
   let add_edge_acyclic g u v =
     check g u;
     check g v;
-    if u = v then Error [ u ]
-    else if mem_edge g u v then Ok ()
-    else if g.ord.(u) < g.ord.(v) then begin
-      insert g u v;
-      Ok ()
-    end
-    else begin
-      (* ord v < ord u: the affected region is the window [lb, ub] *)
-      let lb = g.ord.(v) and ub = g.ord.(u) in
-      g.epoch <- g.epoch + 1;
-      let ep = g.epoch in
-      let hit = ref false in
-      (* forward from v, restricted to the window; delta-F on success *)
-      let rec fwd w =
-        if not !hit then begin
-          g.seen.(w) <- ep;
-          List.iter
-            (fun x ->
-              if (not !hit) && g.ord.(x) <= ub && g.seen.(x) <> ep then begin
-                g.parent.(x) <- w;
-                if x = u then begin
-                  g.seen.(x) <- ep;
-                  hit := true
-                end
-                else fwd x
-              end)
-            g.out_.(w)
-        end
-      in
-      fwd v;
-      if !hit then begin
-        (* path v -> ... -> u exists; the new edge u -> v closes it *)
-        let rec walk w acc =
-          if w = v then v :: acc else walk g.parent.(w) (w :: acc)
-        in
-        Error (walk u [])
-      end
-      else begin
-        (* delta-B: everything reaching u inside the window *)
-        let rec bwd w =
-          if g.seen_b.(w) <> ep then begin
-            g.seen_b.(w) <- ep;
-            let preds = g.in_.(w) in
-            for j = 0 to g.indeg.(w) - 1 do
-              let x = preds.(j) in
-              if g.ord.(x) >= lb then bwd x
-            done
-          end
-        in
-        bwd u;
-        (* reassign the union's slots: delta-B keeps its relative order
-           and moves before delta-F, which keeps its relative order too *)
-        let df = ref [] and db = ref [] and slots = ref [] in
-        for i = ub downto lb do
-          let w = g.back.(i) in
-          if g.seen_b.(w) = ep then begin
-            db := w :: !db;
-            slots := i :: !slots
-          end
-          else if g.seen.(w) = ep then begin
-            df := w :: !df;
-            slots := i :: !slots
-          end
-        done;
-        let rec place ws slots =
-          match (ws, slots) with
-          | [], rest -> rest
-          | w :: ws', s :: ss' ->
-            g.ord.(w) <- s;
-            g.back.(s) <- w;
-            place ws' ss'
-          | _ :: _, [] -> assert false
-        in
-        let rest = place !db !slots in
-        let rest = place !df rest in
-        assert (rest = []);
-        insert g u v;
-        Ok ()
-      end
-    end
+    if add_edges_acyclic g ~sources:[ u ] ~targets:[ v ] then Ok ()
+    else Error (last_path g)
 
-  (* Out-lists hold no repeats: drop the one occurrence, copying only
-     the prefix before it. *)
-  let rec drop x = function
-    | [] -> []
-    | y :: ys -> if y = x then ys else y :: drop x ys
+  (* Drop [x] from [u]'s out-array, searched newest first: the slots
+     after it shift left. *)
+  let drop_succ g u x =
+    let succs = g.out_.(u) and d = g.outdeg.(u) - 1 in
+    let j = ref d in
+    while succs.(!j) <> x do
+      decr j
+    done;
+    for i = !j to d - 1 do
+      succs.(i) <- succs.(i + 1)
+    done;
+    g.outdeg.(u) <- d
 
   (* Drop [u] from [v]'s in-array: the last filled slot moves into its
      place. *)
@@ -571,32 +606,30 @@ module Acyclic = struct
     check g u;
     check g v;
     if mem_edge g u v then begin
-      g.out_.(u) <- drop v g.out_.(u);
+      drop_succ g u v;
       drop_pred g v u;
       Bytes.set g.mat ((u * g.nv) + v) '\000';
       g.ne <- g.ne - 1
     end
 
-  let rec unlink_succs g i = function
-    | [] -> ()
-    | x :: xs ->
-      Bytes.set g.mat ((i * g.nv) + x) '\000';
-      drop_pred g x i;
-      unlink_succs g i xs
-
   let remove_vertex g i =
     check g i;
-    g.ne <- g.ne - List.length g.out_.(i) - g.indeg.(i);
-    unlink_succs g i g.out_.(i);
+    g.ne <- g.ne - g.outdeg.(i) - g.indeg.(i);
+    let succs = g.out_.(i) in
+    for j = 0 to g.outdeg.(i) - 1 do
+      let x = succs.(j) in
+      Bytes.set g.mat ((i * g.nv) + x) '\000';
+      drop_pred g x i
+    done;
     let preds = g.in_.(i) in
     for j = 0 to g.indeg.(i) - 1 do
       let x = preds.(j) in
       Bytes.set g.mat ((x * g.nv) + i) '\000';
-      g.out_.(x) <- drop i g.out_.(x)
+      drop_succ g x i
     done;
-    g.out_.(i) <- [];
+    g.outdeg.(i) <- 0;
     g.indeg.(i) <- 0
 
   let to_digraph g =
-    { n = g.nv; adj = Array.map Iset.of_list g.out_ }
+    { n = g.nv; adj = Array.init g.nv (fun u -> Iset.of_list (succ g u)) }
 end

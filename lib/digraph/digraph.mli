@@ -68,17 +68,18 @@ val pp : Format.formatter -> t -> unit
 type graph = t
 (** Alias so {!Acyclic} can refer to the plain graph type. *)
 
-(** Online (incremental) acyclicity via the Pearce–Kelly dynamic
-    topological order. The structure maintains the invariant that the
-    graph is acyclic: {!Acyclic.add_edge_acyclic} refuses — with a cycle
-    witness — any edge that would break it, in time proportional to the
-    {e affected region} of the topological order rather than the whole
-    graph. Edge and vertex removals are O(degree) and never trigger a
-    reordering (deleting edges cannot invalidate a topological order).
+(** Online (incremental) acyclicity over a maintained topological
+    order. The structure keeps the invariant that the graph is acyclic:
+    {!Acyclic.add_edges_acyclic} refuses — with a cycle witness — any
+    batch of edges that would break it. Only the window of the order
+    between the new edges' targets and sources is searched, and a batch
+    that fits reorders it with one rotation. Edge and vertex removals
+    are O(degree) and never trigger a reordering (deleting edges cannot
+    invalidate a topological order).
 
     This is the substrate for the serialization-graph scheduler's hot
-    path: one admission test per request, no graph copies, no full
-    cycle-detection reruns. *)
+    path: one admission test per request, one insertion call per grant,
+    no graph copies, no full cycle-detection reruns. *)
 module Acyclic : sig
   type t
 
@@ -97,8 +98,8 @@ module Acyclic : sig
   (** Predecessors in increasing vertex order (stored, O(degree)). *)
 
   val iter_succ : t -> int -> (int -> unit) -> unit
-  (** [iter_succ g u f] applies [f] to every successor of [u], in no
-      particular order. Unlike {!succ} it neither sorts nor builds a list:
+  (** [iter_succ g u f] applies [f] to every successor of [u], newest
+      edge first. Unlike {!succ} it neither sorts nor builds a list:
       nothing is allocated. [f] must not modify [g]. *)
 
   val in_degree : t -> int -> int
@@ -107,12 +108,41 @@ module Acyclic : sig
   val edges : t -> (int * int) list
   (** All edges, lexicographically ordered. *)
 
+  val add_edges_acyclic : t -> sources:int list -> targets:int list -> bool
+  (** [add_edges_acyclic g ~sources ~targets] adds every edge [s → t],
+      [s ∈ sources], [t ∈ targets], and returns [true] if the graph stays
+      acyclic (edges already present are kept as they are). Otherwise it
+      returns [false], the graph and its order are unchanged, and
+      {!last_path} is a cycle witness: a path from a target to a source,
+      which the batch would close. A source equal to a target answers
+      [[target]]. Let [lb] be the lowest slot of any target in the
+      order, [ub] the highest of any source: with [ub < lb] the call
+      only inserts. Otherwise one search from the targets, bounded by
+      [ub], is the cycle check, and on success the vertices it reached
+      move after the rest of the window [[lb, ub]], each group keeping
+      its order. Edges are inserted source by source, each source's in
+      the order of [targets]. *)
+
+  val add_edges_acyclic_of :
+    t ->
+    excluding:int ->
+    lists:int list array ->
+    base:int ->
+    pick:int array ->
+    target:int ->
+    bool
+  (** {!add_edges_acyclic} with the one target [target] and the sources
+      read in place as in {!closes_cycle_any_of}: the union of the lists
+      [lists.(base + c)] for [c] in [pick], less [excluding] ([-1] drops
+      none). Nothing is allocated unless an adjacency array grows. *)
+
   val add_edge_acyclic : t -> int -> int -> (unit, int list) result
-  (** [add_edge_acyclic g u v] adds edge [u → v] if the graph stays
-      acyclic and returns [Ok ()] (idempotent on existing edges).
-      Otherwise the graph is unchanged and [Error path] returns a cycle
-      witness: vertices [v; ...; u] forming a path [v → ... → u] that the
-      refused edge [u → v] would close. A self-loop yields [Error [u]]. *)
+  (** [add_edge_acyclic g u v] is {!add_edges_acyclic} with the one
+      source [u] and the one target [v]: [Ok ()] when [u → v] is in the
+      graph afterwards, else [Error path] with the witness of
+      {!last_path}: vertices [v; ...; u] forming a path [v → ... → u]
+      that the refused edge [u → v] would close. A self-loop yields
+      [Error [u]]. *)
 
   val closes_cycle : t -> int -> int -> bool
   (** [closes_cycle g u v] is [true] iff adding [u → v] would create a
@@ -178,12 +208,16 @@ module Acyclic : sig
 
   val last_path : t -> int list
   (** The path behind the most recent [true] answer of
-      {!closes_cycle_any}, {!closes_cycle_any_of} or {!reaches_any}:
+      {!closes_cycle_any}, {!closes_cycle_any_of} or {!reaches_any}, or
+      [false] answer of {!add_edges_acyclic} or {!add_edges_acyclic_of}:
       consecutive vertices are joined by edges, and it runs from the
-      [target] to the source found (from the source to the target found,
+      target to the source found (from the source to the target found,
       for {!reaches_any}). A source equal to the target answers
-      [[target]]. Every search and edge insertion reuses its scratch
-      space, so read it before calling anything else on [g]. *)
+      [[target]]. The path is the search's first descent, out-edges
+      newest first, to a wanted vertex: the bound skips only vertices
+      that reach none, so the maintained order never changes it. Every
+      search and edge insertion reuses its scratch space, so read it
+      before calling anything else on [g]. *)
 
   val remove_edge : t -> int -> int -> unit
 

@@ -112,30 +112,25 @@ let mark_reaching_sources g l idx =
   Digraph.Acyclic.mark_reaching_any_of g.graph ~excluding:l ~lists:g.entries
     ~base:(base g l idx) ~pick:g.conf.(class_of g l idx)
 
+(* Some list [entries.(b + row.(i))], [i <= j], is non-empty. *)
+let rec any_nonempty entries b row j =
+  j >= 0
+  &&
+  match entries.(b + row.(j)) with
+  | _ :: _ -> true
+  | [] -> any_nonempty entries b row (j - 1)
+
 let has_sources g l idx =
-  let b = base g l idx in
-  Array.exists (fun c -> g.entries.(b + c) <> []) g.conf.(class_of g l idx)
+  let row = g.conf.(class_of g l idx) in
+  any_nonempty g.entries (base g l idx) row (Array.length row - 1)
 
-let add_vetted graph u v =
-  match Digraph.Acyclic.add_edge_acyclic graph u v with
-  | Ok () -> ()
-  | Error _ ->
-    Printf.ksprintf failwith
-      "Sched.Cgraph: edge %d -> %d closes a cycle, breaking the invariant \
-       that attempt vetted this batch" u v
-
-(* [insert] is false on a repeat entry, whose edges are all present (see
-   [grant]): the walk then only names them to the sink. *)
-let rec add_edges g ~insert l = function
+let rec emit_edges g l = function
   | [] -> ()
   | u :: us ->
-    if u <> l then begin
-      if insert then add_vetted g.graph u l;
-      if Obs.Sink.on g.sink then
-        Obs.Sink.record g.sink
-          (Obs.Event.Edge_added { src = id g u; dst = id g l })
-    end;
-    add_edges g ~insert l us
+    if u <> l then
+      Obs.Sink.record g.sink
+        (Obs.Event.Edge_added { src = id g u; dst = id g l });
+    emit_edges g l us
 
 (* The distinct other transactions with an entry on the variable but none
    in a class the step conflicts with: those the grant did not serialize
@@ -161,16 +156,28 @@ let rec holds g at i e = i > at && (g.held.(i - 1) = e || holds g at (i - 1) e)
 (* A repeat entry needs no edge: every conflicting accessor present at the
    entry's first grant got its edge to [l] then, and one added since got
    an edge from [l] at its own grant, so [refuses] would have delayed this
-   step. An entry and its edges leave together, at removal. *)
+   step. An entry and its edges leave together, at removal. A fresh
+   entry's edges go in with one insertion, made only when some
+   conflicting list is non-empty. *)
 let grant g l idx =
   let c = class_of g l idx and b = base g l idx in
   let e = b + c in
   let row = g.conf.(c) in
   let at = g.held_at.(l) in
   let fresh = not (holds g at (at + g.n_held.(l)) e) in
-  if fresh || Obs.Sink.on g.sink then
+  if
+    fresh
+    && any_nonempty g.entries b row (Array.length row - 1)
+    && not
+         (Digraph.Acyclic.add_edges_acyclic_of g.graph ~excluding:l
+            ~lists:g.entries ~base:b ~pick:row ~target:l)
+  then
+    Printf.ksprintf failwith
+      "Sched.Cgraph: granting step %d of %d closes a cycle, breaking the \
+       invariant that attempt vetted it" idx (id g l);
+  if Obs.Sink.on g.sink then
     for j = 0 to Array.length row - 1 do
-      add_edges g ~insert:fresh l g.entries.(b + row.(j))
+      emit_edges g l g.entries.(b + row.(j))
     done;
   if Obs.Sink.on g.sink && Array.length row < g.k then begin
     let skipped = passed_over g l b row in

@@ -84,13 +84,15 @@ val reaches_sources : t -> int -> int -> int -> bool
     is the path from [v] to that accessor. *)
 
 val grant : t -> int -> int -> unit
-(** An edge from every conflicting accessor, then the step's entry. The
-    step must be vetted: not {!refuses}. When [l] already holds the
-    step's (variable, class) entry, every such edge is present and none
-    is added. A conflicting accessor present at the entry's first grant
-    got its edge then; one added since got an edge from [l] at its own
-    grant, as conflicts are symmetric, so [l] reaches it and {!refuses}
-    would hold. An entry and its edges leave together, at removal. *)
+(** An edge from every conflicting accessor, inserted with one
+    {!Digraph.Acyclic.add_edges_acyclic_of}, then the step's entry. The
+    step must be vetted: not {!refuses} (else [Failure] names the broken
+    invariant). When [l] already holds the step's (variable, class)
+    entry, every such edge is present and no insertion is made. A
+    conflicting accessor present at the entry's first grant got its edge
+    then; one added since got an edge from [l] at its own grant, as
+    conflicts are symmetric, so [l] reaches it and {!refuses} would
+    hold. An entry and its edges leave together, at removal. *)
 
 val complete : t -> int -> unit
 (** The vertex's final step was granted: queue it and prune. *)
@@ -98,10 +100,6 @@ val complete : t -> int -> unit
 val abort : t -> int -> unit
 (** Remove the vertex and its entries. Vertices this frees wait on the
     worklist until the next completion. *)
-
-val add_vetted : Digraph.Acyclic.t -> int -> int -> unit
-(** Insert an edge admission already vetted. Raises [Failure] naming the
-    broken invariant if the edge would close a cycle. *)
 
 type refusals = private {
   blocked : int array;

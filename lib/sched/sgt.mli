@@ -14,12 +14,12 @@ open Core
     removed.
 
     The conflict graph is maintained {e incrementally} on
-    {!Digraph.Acyclic} (Pearce–Kelly dynamic topological order): the
-    admission test is a single reachability query bounded by the
-    affected window of the order, commits extend the graph in place, and
-    pruning/aborts remove a vertex without a rebuild. The machinery is
-    the shared {!Cgraph} kernel with every step in its one
-    conflicts-with-everything class. {!Sgt_ref} keeps the original
+    {!Digraph.Acyclic} (a dynamic topological order): the admission test
+    is a single reachability query bounded by a window of the order,
+    each commit extends the graph in place with one insertion and at
+    most one rotation of that window, and pruning/aborts remove a vertex
+    without a rebuild. The machinery is the shared {!Cgraph} kernel with
+    every step in its one conflicts-with-everything class. {!Sgt_ref} keeps the original
     copy-and-recheck implementation as the differential oracle. *)
 
 val create : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t

@@ -218,7 +218,8 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let l = p.Partition.local_id.(s).(tx) in
     (* discover summary edges against the pre-extension graph: the new
        paths are exactly A x B, and [attempt] vetted them against the
-       summary graph *)
+       summary graph. One insertion adds them all, each source's edges
+       in the order of B, with one rotation of the summary order. *)
     (match cgraph with
     | None -> ()
     | Some cg ->
@@ -227,7 +228,11 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         else summary_candidates s l idx
       in
       forget last;
-      List.iter (fun a -> List.iter (Cgraph.add_vetted cg a) bb) aa);
+      if not (Digraph.Acyclic.add_edges_acyclic cg ~sources:aa ~targets:bb)
+      then
+        failwith
+          "Sched.Sharded: the summary edges of a grant close a cycle, \
+           breaking the invariant that attempt vetted them");
     Cgraph.grant kernel.(s) l idx;
     if idx = fmt.(tx) - 1 then Cgraph.complete kernel.(s) l
   in

@@ -140,7 +140,7 @@ let prop_closure_sound =
       done;
       !ok)
 
-(* ---------- incremental acyclic graphs (Pearce–Kelly) ---------- *)
+(* ---------- incremental acyclic graphs ---------- *)
 
 module A = Digraph.Acyclic
 
@@ -232,6 +232,51 @@ let test_acyclic_batch_query () =
   check_false "no sources" (A.reaches_any g ~sources:[] ~targets:[ 2 ]);
   check_false "no targets" (A.reaches_any g ~sources:[ 0 ] ~targets:[]);
   check_int "searches did not mutate" 2 (A.n_edges g)
+
+let test_acyclic_batch_insert () =
+  let g = A.create 5 in
+  (* against the identity order: every target sits before every source *)
+  check_true "batch accepted"
+    (A.add_edges_acyclic g ~sources:[ 3; 4 ] ~targets:[ 0; 1 ]);
+  check_int "four edges" 4 (A.n_edges g);
+  let pos = Array.make 5 0 in
+  Array.iteri (fun i u -> pos.(u) <- i) (A.topological_order g);
+  check_true "order respects the batch"
+    (List.for_all (fun (u, v) -> pos.(u) < pos.(v)) (A.edges g));
+  (* out-edges newest first, in the order the targets were listed *)
+  let succs u =
+    let acc = ref [] in
+    A.iter_succ g u (fun v -> acc := v :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list int)) "insertion order" [ 1; 0 ] (succs 3);
+  let order = A.topological_order g in
+  check_false "a batch closing 0 -> ... -> 3"
+    (A.add_edges_acyclic g ~sources:[ 2; 0 ] ~targets:[ 2; 3 ]);
+  Alcotest.(check (list int)) "self-loop witness first" [ 2 ] (A.last_path g);
+  check_false "a cycle through an old edge"
+    (A.add_edges_acyclic g ~sources:[ 0 ] ~targets:[ 4 ]);
+  Alcotest.(check (list int)) "witness from the target" [ 4; 0 ]
+    (A.last_path g);
+  check_int "refused batches add nothing" 4 (A.n_edges g);
+  Alcotest.(check (array int)) "nor move the order" order
+    (A.topological_order g);
+  let lists = [| [ 2; 0 ]; [ 1 ] |] in
+  check_true "in-place sources, the target excluded"
+    (A.add_edges_acyclic_of g ~excluding:2 ~lists ~base:0 ~pick:[| 0; 1 |]
+       ~target:2);
+  Alcotest.(check (list int)) "in-edges of 2" [ 0; 1 ] (A.pred g 2);
+  check_false "in-place self-loop"
+    (A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 0 |]
+       ~target:2);
+  Alcotest.(check (list int)) "in-place self-loop witness" [ 2 ]
+    (A.last_path g);
+  check_true "empty batches"
+    (A.add_edges_acyclic g ~sources:[] ~targets:[ 0 ]
+    && A.add_edges_acyclic g ~sources:[ 0 ] ~targets:[]
+    && A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||]
+         ~target:0);
+  check_int "six edges" 6 (A.n_edges g)
 
 (* Differential property: a random op sequence on the incremental
    structure mirrors exactly onto the plain digraph — same accepted edge
@@ -328,9 +373,9 @@ let prop_acyclic_matches_plain =
    random base (possibly none at all), a random excluded vertex, and
    source and target lists that may be empty or overlap. Before the
    queries, a random run of edge removals, vertex removals and re-adds
-   reshapes the graph, so the backward marks and delta-B read in-edge
-   arrays that have had slots moved by removals and have grown past
-   their first capacity. *)
+   reshapes the graph, so the searches read adjacency arrays that have
+   had slots moved by removals and have grown past their first
+   capacity. *)
 type marks_case = {
   n : int;
   edges : (int * int) list;
@@ -495,6 +540,236 @@ let prop_last_path =
       && List.mem (List.hd path) sources
       && List.mem (last path) targets))
 
+(* Batched insertion against a plain mirror. The mirror keeps each
+   vertex's out-edges newest first, in the order the batch entry points
+   promise to insert them: source by source, each source's in target
+   order. Random runs of batches through both entry points, edge
+   removals and vertex removals (a removed vertex gains edges again in
+   later batches). *)
+type batch =
+  | Ins of int list * int list
+  | Ins_of of {
+      lists : int list array;
+      base : int;
+      pick : int array;
+      excluding : int;
+      target : int;
+    }
+  | Del of int * int
+  | Del_v of int
+
+let batch_gen n =
+  QCheck.Gen.(
+    let v = int_range 0 (n - 1) in
+    let vs = list_size (int_range 0 4) v in
+    frequency
+      [
+        (4, map2 (fun s t -> Ins (s, t)) vs vs);
+        ( 4,
+          array_size (return 4) vs >>= fun lists ->
+          int_range 0 1 >>= fun base ->
+          array_size (int_range 0 3) (int_range 0 2) >>= fun pick ->
+          int_range (-1) (n - 1) >>= fun excluding ->
+          v >>= fun target ->
+          return (Ins_of { lists; base; pick; excluding; target }) );
+        (1, map2 (fun u w -> Del (u, w)) v v);
+        (1, map (fun u -> Del_v u) v);
+      ])
+
+let print_batch =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  function
+  | Ins (s, t) -> Printf.sprintf "[%s]x[%s]" (ints s) (ints t)
+  | Ins_of { lists; base; pick; excluding; target } ->
+    Printf.sprintf "of(%s|base=%d|pick=%s|ex=%d)x%d"
+      (String.concat "," (Array.to_list (Array.map ints lists)))
+      base
+      (ints (Array.to_list pick))
+      excluding target
+  | Del (u, v) -> Printf.sprintf "-%d->%d" u v
+  | Del_v u -> Printf.sprintf "-v%d" u
+
+(* The sources and targets of a batch, in insertion order. *)
+let batch_ends = function
+  | Ins (sources, targets) -> (sources, targets)
+  | Ins_of { lists; base; pick; excluding; target } ->
+    ( List.concat_map (fun k -> lists.(base + k)) (Array.to_list pick)
+      |> List.filter (fun s -> s <> excluding),
+      [ target ] )
+  | Del _ | Del_v _ -> ([], [])
+
+let mirror_plain out =
+  let p = Digraph.create (Array.length out) in
+  Array.iteri (fun u vs -> List.iter (Digraph.add_edge p u) vs) out;
+  p
+
+let mirror_edges out =
+  Array.to_list (Array.mapi (fun u vs -> List.map (fun v -> (u, v)) vs) out)
+  |> List.concat |> List.sort compare
+
+(* The reference search behind every witness: unbounded, blind to the
+   maintained order, out-edges newest first, one seen set shared by the
+   starts in turn. The path runs from a start to the first wanted vertex
+   it meets. *)
+let ref_path out ~starts ~wanted =
+  let seen = Array.make (Array.length out) false in
+  let rec visit path w =
+    if seen.(w) then None
+    else begin
+      seen.(w) <- true;
+      if List.mem w wanted then Some (List.rev (w :: path))
+      else List.find_map (visit (w :: path)) out.(w)
+    end
+  in
+  List.find_map (visit []) starts
+
+(* A refused batch's witness: a target that is a source, the first one
+   in target order, else the search from the targets. *)
+let ref_refusal out (sources, targets) =
+  match List.find_opt (fun t -> List.mem t sources) targets with
+  | Some t -> Some [ t ]
+  | None -> ref_path out ~starts:targets ~wanted:sources
+
+(* Apply one op to the incremental graph and the mirror; [Some ok] for a
+   batch whose properties hold. *)
+let apply_batch a out op =
+  match op with
+  | Del (u, v) ->
+    A.remove_edge a u v;
+    out.(u) <- List.filter (( <> ) v) out.(u);
+    true
+  | Del_v u ->
+    A.remove_vertex a u;
+    out.(u) <- [];
+    Array.iteri (fun w vs -> out.(w) <- List.filter (( <> ) u) vs) out;
+    true
+  | Ins _ | Ins_of _ ->
+    let sources, targets = batch_ends op in
+    let probe = mirror_plain out in
+    List.iter
+      (fun s -> List.iter (fun t -> Digraph.add_edge probe s t) targets)
+      sources;
+    let fits = not (Digraph.has_cycle probe) in
+    let edges = A.edges a and order = A.topological_order a in
+    let accepted =
+      match op with
+      | Ins (sources, targets) -> A.add_edges_acyclic a ~sources ~targets
+      | Ins_of { lists; base; pick; excluding; target } ->
+        A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~target
+      | Del _ | Del_v _ -> assert false
+    in
+    accepted = fits
+    &&
+    if accepted then begin
+      List.iter
+        (fun s ->
+          List.iter
+            (fun t -> if not (List.mem t out.(s)) then out.(s) <- t :: out.(s))
+            targets)
+        sources;
+      true
+    end
+    else
+      A.edges a = edges
+      && A.topological_order a = order
+      && Some (A.last_path a) = ref_refusal out (sources, targets)
+
+let order_respects a =
+  let pos = Array.make (A.n_vertices a) 0 in
+  Array.iteri (fun i u -> pos.(u) <- i) (A.topological_order a);
+  List.for_all (fun (u, v) -> pos.(u) < pos.(v)) (A.edges a)
+
+let newest_first a out =
+  List.for_all
+    (fun u ->
+      let acc = ref [] in
+      A.iter_succ a u (fun v -> acc := v :: !acc);
+      List.rev !acc = out.(u))
+    (List.init (Array.length out) Fun.id)
+
+let batch_run_gen =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun n ->
+    list_size (int_range 0 40) (batch_gen n) >>= fun ops -> return (n, ops))
+
+let print_batch_run (n, ops) =
+  Printf.sprintf "n=%d ops=%s" n (String.concat " " (List.map print_batch ops))
+
+let prop_batch_matches_plain =
+  QCheck.Test.make ~name:"batched insertion mirrors the plain digraph"
+    ~count:400
+    (QCheck.make ~print:print_batch_run batch_run_gen)
+    (fun (n, ops) ->
+      let a = A.create n and out = Array.make n [] in
+      List.for_all
+        (fun op ->
+          apply_batch a out op
+          && A.edges a = mirror_edges out
+          && A.n_edges a = List.length (mirror_edges out)
+          && order_respects a && newest_first a out)
+        ops)
+
+(* [last_path] does not depend on the maintained order: on graphs built
+   by random batches, removals and re-adds, the witness of every
+   [closes_cycle_any_of] and [reaches_any] is the reference search's. *)
+type witness_case = {
+  wn : int;
+  wops : batch list;
+  wlists : int list array;
+  wbase : int;
+  wpick : int array;
+  wexcluding : int;
+  wsources : int list;
+  wtargets : int list;
+}
+
+let witness_gen =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun wn ->
+    let v = int_range 0 (wn - 1) in
+    let vs = list_size (int_range 0 4) v in
+    list_size (int_range 0 40) (batch_gen wn) >>= fun wops ->
+    array_size (return 4) vs >>= fun wlists ->
+    int_range 0 1 >>= fun wbase ->
+    array_size (int_range 0 3) (int_range 0 2) >>= fun wpick ->
+    int_range (-1) (wn - 1) >>= fun wexcluding ->
+    pair vs vs >>= fun (wsources, wtargets) ->
+    return
+      { wn; wops; wlists; wbase; wpick; wexcluding; wsources; wtargets })
+
+let print_witness_case c =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "%s lists=%s base=%d pick=%s excluding=%d sources=%s \
+                  targets=%s"
+    (print_batch_run (c.wn, c.wops))
+    (String.concat "|" (Array.to_list (Array.map ints c.wlists)))
+    c.wbase
+    (ints (Array.to_list c.wpick))
+    c.wexcluding (ints c.wsources) (ints c.wtargets)
+
+let prop_witness_order_free =
+  QCheck.Test.make ~name:"last_path is the order-free reference search"
+    ~count:400
+    (QCheck.make ~print:print_witness_case witness_gen)
+    (fun c ->
+      let a = A.create c.wn and out = Array.make c.wn [] in
+      List.iter (fun op -> ignore (apply_batch a out op)) c.wops;
+      let found answer = if answer then Some (A.last_path a) else None in
+      let wanted =
+        List.concat_map (fun k -> c.wlists.(c.wbase + k))
+          (Array.to_list c.wpick)
+        |> List.filter (fun s -> s <> c.wexcluding)
+      in
+      List.for_all
+        (fun t ->
+          found
+            (A.closes_cycle_any_of a ~excluding:c.wexcluding ~lists:c.wlists
+               ~base:c.wbase ~pick:c.wpick ~target:t)
+          = ref_path out ~starts:[ t ] ~wanted)
+        (List.init c.wn Fun.id)
+      && found (A.reaches_any a ~sources:c.wsources ~targets:c.wtargets)
+         = ref_path out ~starts:c.wsources ~wanted:c.wtargets)
+
 let suite =
   [
     Alcotest.test_case "basic ops" `Quick test_basic;
@@ -508,6 +783,7 @@ let suite =
     Alcotest.test_case "acyclic reorder" `Quick test_acyclic_reorder;
     Alcotest.test_case "acyclic removal" `Quick test_acyclic_removal;
     Alcotest.test_case "acyclic batch query" `Quick test_acyclic_batch_query;
+    Alcotest.test_case "acyclic batch insert" `Quick test_acyclic_batch_insert;
   ]
   @ qsuite
       [
@@ -518,4 +794,6 @@ let suite =
         prop_acyclic_matches_plain;
         prop_marks_match_reachable;
         prop_last_path;
+        prop_batch_matches_plain;
+        prop_witness_order_free;
       ]

@@ -1,6 +1,6 @@
 (* Differential tests for the incremental SGT scheduler.
 
-   [Sched.Sgt] (Pearce–Kelly incremental conflict graph) must be
+   [Sched.Sgt] (incremental conflict graph) must be
    decision-for-decision equivalent to [Sched.Sgt_ref] (the brute-force
    copy-and-recheck oracle it replaced): identical grant/delay traces on
    every interleaving of every small format, identical fixpoint sets,
