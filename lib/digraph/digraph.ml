@@ -238,7 +238,12 @@ module Acyclic = struct
      array), and removal shifts the tail left, so the rest keep their
      order and nothing is allocated. In-edges are only ever read as sets
      (the backward marks, [pred], which sorts, and the degrees), so
-     removal moves the last slot into the freed one. *)
+     removal moves the last slot into the freed one. There is no
+     adjacency matrix: insertion runs target by target, stamps the
+     target's in-neighbours in [want] at a fresh epoch, and links only
+     unstamped sources, stamping each as it is linked, so the first
+     occurrence of an edge wins; [has_edge] and [remove_edge] scan the
+     out-array. Memory is linear in vertices plus edges. *)
   type t = {
     nv : int;
     out_ : int array array; (* slots [0, outdeg u) hold the successors *)
@@ -248,10 +253,9 @@ module Acyclic = struct
     ord : int array;   (* vertex -> index in the maintained topo order *)
     back : int array;  (* index -> vertex (inverse of [ord]) *)
     mutable ne : int;
-    want : int array;    (* scratch: source marks, by epoch *)
+    want : int array;    (* scratch: source marks and edge stamps, by epoch *)
     seen : int array;    (* scratch: forward-search marks, by epoch *)
     parent : int array;  (* scratch: witness-path links, -1 at a root *)
-    mat : Bytes.t;       (* nv*nv adjacency bitmap: O(1) edge membership *)
     mutable epoch : int;
     mutable hit : int;   (* the vertex the last [true] search stopped at *)
   }
@@ -270,7 +274,6 @@ module Acyclic = struct
       want = Array.make nv 0;
       seen = Array.make nv 0;
       parent = Array.make nv (-1);
-      mat = Bytes.make (nv * nv) '\000';
       epoch = 0;
       hit = -1;
     }
@@ -282,12 +285,15 @@ module Acyclic = struct
     if u < 0 || u >= g.nv then
       invalid_arg "Digraph.Acyclic: vertex out of range"
 
-  let mem_edge g u v = Bytes.get g.mat ((u * g.nv) + v) <> '\000'
-
   let has_edge g u v =
     check g u;
     check g v;
-    mem_edge g u v
+    let succs = g.out_.(u) in
+    let j = ref (g.outdeg.(u) - 1) in
+    while !j >= 0 && succs.(!j) <> v do
+      decr j
+    done;
+    !j >= 0
 
   let sorted a n = List.sort compare (Array.to_list (Array.sub a 0 n))
 
@@ -472,31 +478,41 @@ module Acyclic = struct
     a.(u).(d) <- x;
     deg.(u) <- d + 1
 
+  (* Callers drop duplicates first, through [want] stamps. *)
   let link g u v =
-    if not (mem_edge g u v) then begin
-      push_slot g.out_ g.outdeg u v;
-      push_slot g.in_ g.indeg v u;
-      Bytes.set g.mat ((u * g.nv) + v) '\001';
-      g.ne <- g.ne + 1
-    end
+    push_slot g.out_ g.outdeg u v;
+    push_slot g.in_ g.indeg v u;
+    g.ne <- g.ne + 1
 
-  let rec link_targets g u = function
+  (* Stamp [v]'s in-neighbours at a fresh epoch, which it returns. *)
+  let stamp_preds g v =
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let preds = g.in_.(v) in
+    for j = 0 to g.indeg.(v) - 1 do
+      g.want.(preds.(j)) <- ep
+    done;
+    ep
+
+  (* Link to [v] every source but [excluding] not stamped at [ep],
+     stamping it. *)
+  let rec link_sources g ep ~excluding v = function
+    | [] -> ()
+    | u :: us ->
+      if u <> excluding && g.want.(u) <> ep then begin
+        g.want.(u) <- ep;
+        link g u v
+      end;
+      link_sources g ep ~excluding v us
+
+  (* Target by target: each source's out-edges still arrive in target
+     order, and only the in-arrays, which are sets, see the difference
+     from inserting source by source. *)
+  let rec link_targets g sources = function
     | [] -> ()
     | v :: vs ->
-      link g u v;
-      link_targets g u vs
-
-  let rec link_sources g targets = function
-    | [] -> ()
-    | u :: us ->
-      link_targets g u targets;
-      link_sources g targets us
-
-  let rec link_list g ~excluding v = function
-    | [] -> ()
-    | u :: us ->
-      if u <> excluding then link g u v;
-      link_list g ~excluding v us
+      link_sources g (stamp_preds g v) ~excluding:(-1) v sources;
+      link_targets g sources vs
 
   (* The lowest slot of any target, or -1 when a target is a source
      (marked [want] at [ep]), which leaves that self-loop's witness. *)
@@ -551,7 +567,7 @@ module Acyclic = struct
     else begin
       if ub >= lb then rotate g ep lb ub;
       g.hit <- -1;
-      link_sources g targets sources;
+      link_targets g sources targets;
       true
     end
 
@@ -566,8 +582,9 @@ module Acyclic = struct
     else begin
       if ub >= lb then rotate g ep lb ub;
       g.hit <- -1;
+      let ep = stamp_preds g target in
       for j = 0 to Array.length pick - 1 do
-        link_list g ~excluding target lists.(base + pick.(j))
+        link_sources g ep ~excluding target lists.(base + pick.(j))
       done;
       true
     end
@@ -605,10 +622,9 @@ module Acyclic = struct
   let remove_edge g u v =
     check g u;
     check g v;
-    if mem_edge g u v then begin
+    if has_edge g u v then begin
       drop_succ g u v;
       drop_pred g v u;
-      Bytes.set g.mat ((u * g.nv) + v) '\000';
       g.ne <- g.ne - 1
     end
 
@@ -617,15 +633,11 @@ module Acyclic = struct
     g.ne <- g.ne - g.outdeg.(i) - g.indeg.(i);
     let succs = g.out_.(i) in
     for j = 0 to g.outdeg.(i) - 1 do
-      let x = succs.(j) in
-      Bytes.set g.mat ((i * g.nv) + x) '\000';
-      drop_pred g x i
+      drop_pred g succs.(j) i
     done;
     let preds = g.in_.(i) in
     for j = 0 to g.indeg.(i) - 1 do
-      let x = preds.(j) in
-      Bytes.set g.mat ((x * g.nv) + i) '\000';
-      drop_succ g x i
+      drop_succ g preds.(j) i
     done;
     g.outdeg.(i) <- 0;
     g.indeg.(i) <- 0

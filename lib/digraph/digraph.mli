@@ -89,7 +89,10 @@ module Acyclic : sig
 
   val n_vertices : t -> int
   val n_edges : t -> int
+
   val has_edge : t -> int -> int -> bool
+  (** A scan of the source's out-edges: O(out-degree). No adjacency
+      matrix is kept, so memory is linear in vertices plus edges. *)
 
   val succ : t -> int -> int list
   (** Successors in increasing vertex order. *)
@@ -120,8 +123,9 @@ module Acyclic : sig
       only inserts. Otherwise one search from the targets, bounded by
       [ub], is the cycle check, and on success the vertices it reached
       move after the rest of the window [[lb, ub]], each group keeping
-      its order. Edges are inserted source by source, each source's in
-      the order of [targets]. *)
+      its order. Each source's new out-edges are appended in the order
+      of [targets]; an edge already present, or repeated in the batch,
+      is inserted once, at its first occurrence. *)
 
   val add_edges_acyclic_of :
     t ->
@@ -220,6 +224,7 @@ module Acyclic : sig
       before calling anything else on [g]. *)
 
   val remove_edge : t -> int -> int -> unit
+  (** Removes the edge if present; like {!has_edge}, O(out-degree). *)
 
   val remove_vertex : t -> int -> unit
   (** Remove every edge incident to the vertex (the vertex itself stays,

@@ -18,9 +18,13 @@ let compile var_of_step op_of_step =
       seen := (op, c) :: !seen;
       c
   in
-  let class_of_step =
-    Array.mapi (fun l -> Array.mapi (fun j _ -> class_of (op_of_step l j))) var_of_step
-  in
+  (* filled in place: [Array.mapi] over more than 256 rows would start
+     from a young row and force a minor collection *)
+  let class_of_step = Array.make (Array.length var_of_step) [||] in
+  Array.iteri
+    (fun l vs ->
+      class_of_step.(l) <- Array.mapi (fun j _ -> class_of (op_of_step l j)) vs)
+    var_of_step;
   let reps = !reps in
   let classes = List.init (Array.length reps) Fun.id in
   let conflicting a = List.filter (fun c -> Commute.conflicts a reps.(c)) classes in
@@ -254,17 +258,21 @@ let scheduler ?sink ~name ~commute syntax =
   let fmt = Syntax.format syntax in
   (* Variable names are interned once: the hot path is integer-only. *)
   let var_ids : (Names.var, int) Hashtbl.t = Hashtbl.create 16 in
-  let var_of_step =
-    Array.init (Syntax.n_transactions syntax) (fun i ->
-        Array.init fmt.(i) (fun j ->
-            let v = Syntax.var syntax (Names.step i j) in
-            match Hashtbl.find_opt var_ids v with
-            | Some k -> k
-            | None ->
-              let k = Hashtbl.length var_ids in
-              Hashtbl.add var_ids v k;
-              k))
+  let intern v =
+    match Hashtbl.find_opt var_ids v with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length var_ids in
+      Hashtbl.add var_ids v k;
+      k
   in
+  (* Rows are filled in place, not by [Array.init]: an array of more than
+     256 slots whose first value is young forces a minor collection. *)
+  let var_of_step = Array.make (Array.length fmt) [||] in
+  for i = 0 to Array.length fmt - 1 do
+    var_of_step.(i) <-
+      Array.init fmt.(i) (fun j -> intern (Syntax.var syntax (Names.step i j)))
+  done;
   let op i j = Syntax.kind syntax (Names.step i j) in
   let op_of_step = if commute then Some op else None in
   let g = create ?sink ?op_of_step ~n_vars:(Hashtbl.length var_ids) ~var_of_step () in

@@ -22,8 +22,10 @@ type state = {
   outstanding : int array;     (* submitted but ungranted requests *)
   (* submission clocks, a FIFO ring per transaction: a transaction never
      has more than [fmt.(i)] requests in flight, so capacity is fixed
-     and pushes/pops allocate nothing *)
-  submit_times : int array array;
+     and pushes/pops allocate nothing. The rings share one flat array:
+     [i]'s is slots [submit_base.(i), submit_base.(i + 1)). *)
+  submit_times : int array;
+  submit_base : int array;
   submit_head : int array;
   submit_len : int array;
   incarnation : int array;
@@ -45,13 +47,18 @@ type state = {
 
 let init sched sink fmt =
   let n = Array.length fmt in
+  let submit_base = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    submit_base.(i + 1) <- submit_base.(i) + max 1 fmt.(i)
+  done;
   {
     sched;
     sink;
     fmt;
     next_step = Array.make n 0;
     outstanding = Array.make n 0;
-    submit_times = Array.init n (fun i -> Array.make (max 1 fmt.(i)) 0);
+    submit_times = Array.make submit_base.(n) 0;
+    submit_base;
     submit_head = Array.make n 0;
     submit_len = Array.make n 0;
     incarnation = Array.make n 0;
@@ -68,18 +75,19 @@ let init sched sink fmt =
     grants = 0;
   }
 
+let submit_cap st i = st.submit_base.(i + 1) - st.submit_base.(i)
+
 let submit_push st i t =
-  let buf = st.submit_times.(i) in
-  let cap = Array.length buf in
+  let cap = submit_cap st i in
   assert (st.submit_len.(i) < cap);
-  buf.((st.submit_head.(i) + st.submit_len.(i)) mod cap) <- t;
+  let slot = (st.submit_head.(i) + st.submit_len.(i)) mod cap in
+  st.submit_times.(st.submit_base.(i) + slot) <- t;
   st.submit_len.(i) <- st.submit_len.(i) + 1
 
 let submit_pop st i =
   assert (st.submit_len.(i) > 0);
-  let buf = st.submit_times.(i) in
-  let t = buf.(st.submit_head.(i)) in
-  st.submit_head.(i) <- (st.submit_head.(i) + 1) mod Array.length buf;
+  let t = st.submit_times.(st.submit_base.(i) + st.submit_head.(i)) in
+  st.submit_head.(i) <- (st.submit_head.(i) + 1) mod submit_cap st i;
   st.submit_len.(i) <- st.submit_len.(i) - 1;
   t
 
@@ -215,6 +223,14 @@ let resolve_stall st =
 
 (* ---------- incremental interface ---------- *)
 
+(* [drain]'s output filler. [Array.make] of more than 256 slots whose
+   initial value is a block in the minor heap runs a minor collection
+   first (the runtime's [caml_make_vect] will not point a major-heap
+   array at a young value), so the filler is a static constant: a fresh
+   [Names.step 0 0] would force that collection in every drain of a
+   batch over 256 steps. *)
+let filler = { Names.tx = 0; idx = 0 }
+
 type t = state
 
 let create ?(sink = Obs.Sink.null) sched ~fmt = init sched sink fmt
@@ -265,7 +281,7 @@ let drain st =
   (* every transaction completed: its last incarnation granted each of
      its steps once, in index order *)
   let next = Array.make n 0 in
-  let output = Array.make (Array.fold_left ( + ) 0 st.fmt) (Names.step 0 0) in
+  let output = Array.make (Array.fold_left ( + ) 0 st.fmt) filler in
   let k = ref 0 in
   for g = 0 to st.grants - 1 do
     let i = st.log.(2 * g) in

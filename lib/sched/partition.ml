@@ -31,9 +31,12 @@ let make ~syntax ~shards =
     Array.init shards (fun _ -> Hashtbl.create 16)
   in
   let n_lvars = Array.make shards 0 in
-  let shard_of_step = Array.init n (fun i -> Array.make fmt.(i) 0) in
-  let lvar_of_step = Array.init n (fun i -> Array.make fmt.(i) 0) in
+  (* Rows are filled in place, not by [Array.init]: an array of more than
+     256 slots whose first value is young forces a minor collection. *)
+  let shard_of_step = Array.make n [||] and lvar_of_step = Array.make n [||] in
   for i = 0 to n - 1 do
+    shard_of_step.(i) <- Array.make fmt.(i) 0;
+    lvar_of_step.(i) <- Array.make fmt.(i) 0;
     for j = 0 to fmt.(i) - 1 do
       let v = Syntax.var syntax (Names.step i j) in
       let s = shard_of_var ~shards v in

@@ -36,15 +36,16 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     match commit_cross with
     | None -> [||]
     | Some _ ->
-      Array.init n (fun tx ->
-          if not p.Partition.cross.(tx) then []
-          else begin
-            let acc = ref [] in
-            for s = shards - 1 downto 0 do
-              if p.Partition.mask.(tx) land (1 lsl s) <> 0 then acc := s :: !acc
-            done;
-            !acc
-          end)
+      (* filled in place: [Array.init] over more than 256 transactions
+         would start from a young list and force a minor collection *)
+      let a = Array.make n [] in
+      for tx = 0 to n - 1 do
+        if p.Partition.cross.(tx) then
+          for s = shards - 1 downto 0 do
+            if p.Partition.mask.(tx) land (1 lsl s) <> 0 then a.(tx) <- s :: a.(tx)
+          done
+      done;
+      a
   in
   (* One {!Cgraph} kernel per shard, over shard-local ids. Only
      single-shard transactions are prunable: for them a zero in-degree in
@@ -60,10 +61,12 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let kernel =
     Array.init shards (fun s ->
         let mem = p.Partition.members.(s) in
+        (* not [Array.map]: see [shards_of_tx] *)
+        let var_of_step = Array.make (Array.length mem) [||] in
+        Array.iteri (fun l g -> var_of_step.(l) <- lvars.(g)) mem;
         Cgraph.create ~sink ~ids:mem
           ~prunable:(fun l -> not p.Partition.cross.(mem.(l)))
-          ~n_vars:p.Partition.n_lvars.(s)
-          ~var_of_step:(Array.map (fun g -> lvars.(g)) mem) ())
+          ~n_vars:p.Partition.n_lvars.(s) ~var_of_step ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an

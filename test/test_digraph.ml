@@ -709,6 +709,78 @@ let prop_batch_matches_plain =
           && order_respects a && newest_first a out)
         ops)
 
+(* Duplicate edges are dropped at insertion, with no adjacency matrix to
+   look them up in. Batches that repeat sources, repeat targets (within
+   one list, or across the picked lists) and repeat edges already present
+   (the same batch twice in a row): after each one, [n_edges], [succ],
+   [pred] and [has_edge] match the mirror, and [succ] and [pred] hold no
+   vertex twice. It fails on these mutants of the insertion: no stamp
+   (every occurrence linked), stamping the wrong side (the target's
+   out-neighbours) and no per-target stamp (one epoch for every target
+   of [add_edges_acyclic], so a source linked to one target is skipped
+   for the next). *)
+let dup_batch_gen n =
+  QCheck.Gen.(
+    let v = int_range 0 (n - 1) in
+    let twice l = map (fun b -> if b then l @ l else l) bool in
+    let vs = list_size (int_range 0 3) v >>= twice in
+    let op =
+      frequency
+        [
+          (4, map2 (fun s t -> Ins (s, t)) vs vs);
+          ( 4,
+            array_size (return 3) vs >>= fun lists ->
+            array_size (int_range 1 4) (int_range 0 1) >>= fun pick ->
+            int_range (-1) (n - 1) >>= fun excluding ->
+            v >>= fun target ->
+            return (Ins_of { lists; base = 1; pick; excluding; target }) );
+          (1, map2 (fun u w -> Del (u, w)) v v);
+          (1, map (fun u -> Del_v u) v);
+        ]
+    in
+    op >>= fun o -> map (fun again -> if again then [ o; o ] else [ o ]) bool)
+
+let adjacency_matches a out =
+  let n = Array.length out in
+  let vertices = List.init n Fun.id in
+  let preds v = List.filter (fun u -> List.mem v out.(u)) vertices in
+  let dup_free sorted = List.sort_uniq compare sorted = sorted in
+  A.n_edges a = Array.fold_left (fun k vs -> k + List.length vs) 0 out
+  && List.for_all
+       (fun u ->
+         let succ = A.succ a u and pred = A.pred a u in
+         dup_free succ && dup_free pred
+         && succ = List.sort compare out.(u)
+         && pred = preds u
+         && List.for_all
+              (fun v -> A.has_edge a u v = List.mem v out.(u))
+              vertices)
+       vertices
+
+let prop_duplicates_dropped =
+  QCheck.Test.make ~name:"repeated sources, targets and edges insert once"
+    ~count:400
+    (QCheck.make ~print:print_batch_run
+       QCheck.Gen.(
+         int_range 1 6 >>= fun n ->
+         list_size (int_range 0 30) (dup_batch_gen n) >>= fun ops ->
+         return (n, List.concat ops)))
+    (fun (n, ops) ->
+      let a = A.create n and out = Array.make n [] in
+      List.for_all
+        (fun op -> apply_batch a out op && adjacency_matches a out)
+        ops)
+
+(* Memory is linear in the vertices: a fresh graph on 2048 vertices holds
+   a few int arrays of length 2048, where an n*n byte matrix would cost
+   256 words per vertex on its own. *)
+let test_acyclic_linear_memory () =
+  let n = 2048 in
+  let words = Obj.reachable_words (Obj.repr (A.create n)) in
+  check_true
+    (Printf.sprintf "%d words for %d vertices, under 64 per vertex" words n)
+    (words < 64 * n)
+
 (* [last_path] does not depend on the maintained order: on graphs built
    by random batches, removals and re-adds, the witness of every
    [closes_cycle_any_of] and [reaches_any] is the reference search's. *)
@@ -784,6 +856,7 @@ let suite =
     Alcotest.test_case "acyclic removal" `Quick test_acyclic_removal;
     Alcotest.test_case "acyclic batch query" `Quick test_acyclic_batch_query;
     Alcotest.test_case "acyclic batch insert" `Quick test_acyclic_batch_insert;
+    Alcotest.test_case "acyclic memory is linear" `Quick test_acyclic_linear_memory;
   ]
   @ qsuite
       [
@@ -795,5 +868,6 @@ let suite =
         prop_marks_match_reachable;
         prop_last_path;
         prop_batch_matches_plain;
+        prop_duplicates_dropped;
         prop_witness_order_free;
       ]

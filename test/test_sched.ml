@@ -351,6 +351,35 @@ let prop_driver_total =
           Schedule.is_schedule_of fmt s.Sched.Driver.output)
         mks)
 
+(* A batch over 256 steps builds arrays too large for the minor heap,
+   which go straight to the major heap. [Array.make]/[Array.init] of such
+   an array starting from a young block first runs a minor collection, so
+   one careless filler costs a collection per batch. On [disjoint], which
+   needs no delays, nothing from building the engine to the drained
+   output may trigger one. *)
+let test_no_minor_collection () =
+  List.iter
+    (fun (name, create) ->
+      List.iter
+        (fun n ->
+          let syntax = Sim.Workload.disjoint ~n ~m:2 in
+          let fmt = Syntax.format syntax in
+          let arrivals = Combin.Interleave.random (rng n) fmt in
+          Gc.minor ();
+          let before = (Gc.quick_stat ()).Gc.minor_collections in
+          let drv = Sched.Driver.create (create syntax) ~fmt in
+          Array.iter (Sched.Driver.submit drv) arrivals;
+          let s = Sched.Driver.drain drv in
+          let after = (Gc.quick_stat ()).Gc.minor_collections in
+          check_true "zero delay" (Sched.Driver.zero_delay s);
+          check_int (Printf.sprintf "%s at n = %d: minor collections" name n) 0
+            (after - before))
+        [ 256; 512 ])
+    [
+      ("SGT", fun syntax -> Sched.Sgt.create ~syntax ());
+      ("semantic", fun syntax -> Sched.Semantic.create ~syntax ());
+    ]
+
 (* Property: SGT's output is always conflict-serializable. *)
 let prop_sgt_correct =
   QCheck.Test.make ~name:"SGT outputs serializable (random)" ~count:80
@@ -409,6 +438,7 @@ let suite =
     Alcotest.test_case "driver output is the last incarnation" `Quick
       test_driver_output_last_incarnation;
     Alcotest.test_case "driver livelock guard" `Quick test_driver_livelock_guard;
+    Alcotest.test_case "no forced minor collection" `Quick test_no_minor_collection;
   ]
   @ qsuite
       [ prop_driver_total; prop_sgt_correct; prop_2pl_correct; prop_fixpoint_chain ]
