@@ -13,7 +13,11 @@
    it prints, per phase, its share of the samples and its minor
    collections per batch, then the [top] functions by inclusive share
    (the samples with the function anywhere on the stack) with their
-   self share (the samples with it on top).
+   self share (the samples with it on top). Before those it prints the
+   driver's work over the first [counted] batches: engine [attempt]
+   calls (counted by a wrapper that keeps the engine's standing
+   refusals), delays, grants and restarts per request, and stalls (the
+   driver's deadlocks) per batch.
 
    The handler allocates one small array per sample, so sampling itself
    adds at most a few minor collections a minute; a phase that forces
@@ -29,6 +33,7 @@ let submit = 2
 let drain = 3
 let unsampled = -1
 let top = 30
+let counted = 200
 
 (* The phase running now, and the samples so far, newest first. *)
 let phase = ref unsampled
@@ -57,6 +62,46 @@ let frames stack =
     |> List.filter_map Printexc.Slot.name
     |> List.filter (fun name -> not (String.starts_with ~prefix:"Dune__exe__Prof" name))
 
+(* Driver work over the counted batches: attempt calls (from the
+   wrapper), then the sums of [Driver.stats]. *)
+type work = {
+  mutable batches : int;
+  mutable requests : int;
+  mutable attempts : int;
+  mutable delays : int;
+  mutable grants : int;
+  mutable restarts : int;
+  mutable stalls : int;
+}
+
+let work =
+  { batches = 0; requests = 0; attempts = 0; delays = 0; grants = 0;
+    restarts = 0; stalls = 0 }
+
+(* The engine with every [attempt] counted; [standing] is kept, so the
+   driver asks exactly what it asks the bare engine. *)
+let counting (e : Sched.Scheduler.t) =
+  { e with
+    attempt = (fun id -> work.attempts <- work.attempts + 1; e.attempt id) }
+
+let add_work requests (s : Sched.Driver.stats) =
+  work.batches <- work.batches + 1;
+  work.requests <- work.requests + requests;
+  work.delays <- work.delays + s.delays;
+  work.grants <- work.grants + s.grants;
+  work.restarts <- work.restarts + s.restarts;
+  work.stalls <- work.stalls + s.deadlocks
+
+let report_work () =
+  let per d k = float_of_int k /. float_of_int (max 1 d) in
+  Printf.printf "driver work over the first %d batches (%d requests), per request:\n"
+    work.batches work.requests;
+  Printf.printf "%8s %8s %8s %8s %14s\n" "attempts" "delays" "grants" "restarts"
+    "stalls/batch";
+  Printf.printf "%8.3f %8.3f %8.3f %8.3f %14.2f\n\n" (per work.requests work.attempts)
+    (per work.requests work.delays) (per work.requests work.grants)
+    (per work.requests work.restarts) (per work.batches work.stalls)
+
 let report ~batches gcs =
   let n = List.length !samples in
   let share k = if n = 0 then 0. else float_of_int k /. float_of_int n in
@@ -74,7 +119,9 @@ let report ~batches gcs =
         bump self top;
         List.iter (bump incl) (List.sort_uniq compare names))
     !samples;
-  Printf.printf "%d samples\n\n%-8s %8s %18s\n" n "phase" "share" "minor GCs/batch";
+  Printf.printf "%d samples\n\n" n;
+  report_work ();
+  Printf.printf "%-8s %8s %18s\n" "phase" "share" "minor GCs/batch";
   Array.iteri
     (fun k name ->
       Printf.printf "%-8s %8.3f %18.3f\n" name (share in_phase.(k))
@@ -129,10 +176,12 @@ let () =
   let stop = Sys.time () +. float_of_int !seconds in
   while Sys.time () < stop do
     let b = in_phase gcs gen (fun index -> Harness.batch w ~seed:!seed ~index) !batches in
+    let counts = !batches < counted in
     let drv =
       in_phase gcs create
         (fun syntax ->
           let engine = Workloads.make w ~sink:Obs.Sink.null ~cross:Fun.id syntax in
+          let engine = if counts then counting engine else engine in
           Sched.Driver.create engine ~fmt:b.fmt)
         b.syntax
     in
@@ -144,6 +193,9 @@ let () =
         None
     in
     if not (Harness.verified b stats) || stats = None then correct := false;
+    (match stats with
+    | Some s when counts -> add_work (Array.length b.arrivals) s
+    | _ -> ());
     incr batches
   done;
   ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.; it_value = 0. });

@@ -278,7 +278,10 @@ let scheduler ?sink ~name ~commute syntax =
   let g = create ?sink ?op_of_step ~n_vars:(Hashtbl.length var_ids) ~var_of_step () in
   let r = refusals (Array.length fmt) in
   (* The cache lookup, spelled out: calling a function for it measured
-     ~5% lower end-to-end capacity on the contended [hot] workload. *)
+     ~5% lower end-to-end capacity on the contended [hot] workload. The
+     driver reads [blocked] as the engine's standing refusals and skips
+     them itself; [attempt] keeps the check for callers that poll it
+     directly, such as [Sim.Des]. *)
   let blocked = r.blocked in
   let attempt ({ tx; idx } : Names.step_id) =
     if blocked.(tx) = idx then Scheduler.Delay
@@ -303,4 +306,4 @@ let scheduler ?sink ~name ~commute syntax =
      blocks nobody, so the stall path aborts lazily, wound-wait style.
      Eagerly aborting each doomed requester replays it straight back into
      the same conflicts and thrashes restarts a thousandfold. *)
-  Scheduler.make ~name ~attempt ~commit ~on_abort ()
+  Scheduler.make ~name ~attempt ~commit ~on_abort ~standing:blocked ()

@@ -125,5 +125,7 @@ val scheduler :
   ?sink:Obs.Sink.t -> name:string -> commute:bool -> Syntax.t -> Scheduler.t
 (** The SGT request loop over one kernel, with a {!refusals} cache over
     its vertices: fresh refusals emit {!Obs.Event.Cycle_refused}, cached
-    ones are silent. With [commute] the classes come from the syntax's
-    ops ({!Semantic}); without, every pair conflicts ({!Sgt}). *)
+    ones are silent. The cache's [blocked] array is the scheduler's
+    [standing], so the driver answers cached refusals without asking.
+    With [commute] the classes come from the syntax's ops ({!Semantic});
+    without, every pair conflicts ({!Sgt}). *)

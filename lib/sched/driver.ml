@@ -29,7 +29,9 @@ type state = {
   submit_head : int array;
   submit_len : int array;
   incarnation : int array;
-  arrival_rank : int array;    (* fixed seniority: first-submission order *)
+  (* fixed seniority: [by_rank.(r)] is the [r]-th transaction to arrive,
+     for [r < arrived]; restarts keep their rank *)
+  by_rank : int array;
   mutable arrived : int;
   mutable submissions : int;   (* total submit calls, for the drain budget *)
   blocked : Intq.t;            (* FIFO of delayed transactions *)
@@ -62,7 +64,7 @@ let init sched sink fmt =
     submit_head = Array.make n 0;
     submit_len = Array.make n 0;
     incarnation = Array.make n 0;
-    arrival_rank = Array.make n (-1);
+    by_rank = Array.make n 0;
     arrived = 0;
     submissions = 0;
     blocked = Intq.create n;
@@ -178,22 +180,34 @@ let try_drain st i =
   if st.outstanding.(i) = 0 then dequeue st i;
   !made_progress
 
-(* Repeatedly scan the FIFO queue, restarting from the head after every
-   grant, until a full pass yields nothing. The cursor walk is safe
-   without a snapshot: a no-progress [try_drain] (Delay of an
-   already-queued transaction) leaves the queue untouched, and on any
-   mutation we restart from the head anyway. *)
+(* One pass over the FIFO queue from [i]: true at the first transaction
+   that makes progress. A transaction whose next step is one of the
+   engine's standing refusals is answered here, exactly as [try_drain]
+   would answer its [Delay] (a delay counted and traced, the queue
+   untouched), without asking the engine. The cursor walk is safe
+   without a snapshot: a no-progress answer leaves the queue untouched,
+   and on any mutation the caller restarts from the head anyway. *)
+let rec scan st standing i =
+  if i < 0 then false
+  else begin
+    let nxt = Intq.next st.blocked i in
+    let idx = st.next_step.(i) in
+    if Array.length standing > 0 && standing.(i) = idx && st.outstanding.(i) > 0
+    then begin
+      st.delays <- st.delays + 1;
+      if Obs.Sink.on st.sink then
+        Obs.Sink.record st.sink (Obs.Event.Delayed { tx = i; idx });
+      scan st standing nxt
+    end
+    else try_drain st i || scan st standing nxt
+  end
+
+(* Repeatedly scan the queue, restarting from the head after every
+   grant, until a full pass yields nothing. *)
 let process_queue st =
-  let continue = ref true in
-  while !continue do
-    let rec scan i =
-      if i < 0 then false
-      else begin
-        let nxt = Intq.next st.blocked i in
-        if try_drain st i then true else scan nxt
-      end
-    in
-    continue := scan (Intq.head st.blocked)
+  let standing = st.sched.Scheduler.standing in
+  while scan st standing (Intq.head st.blocked) do
+    ()
   done
 
 (* Victim priority is wound-wait style: seniority is fixed at a
@@ -202,12 +216,17 @@ let process_queue st =
    default [victim] takes the head; [Tpl_sched] picks the youngest member
    of the wait-for cycle) never aborts the oldest live transaction, so
    the oldest always completes and the drain loop terminates instead of
-   rotating abort victims round-robin forever. *)
+   rotating abort victims round-robin forever. The list is a seniority
+   walk, not a sort: oldest to youngest over [by_rank], consing every
+   queued transaction with an outstanding request, so the youngest ends
+   up first. *)
 let resolve_stall st =
-  let stuck =
-    List.filter (fun i -> st.outstanding.(i) > 0) (Intq.to_list st.blocked)
-    |> List.sort (fun a b -> compare st.arrival_rank.(b) st.arrival_rank.(a))
-  in
+  let stuck = ref [] in
+  for r = 0 to st.arrived - 1 do
+    let i = st.by_rank.(r) in
+    if st.outstanding.(i) > 0 && in_queue st i then stuck := i :: !stuck
+  done;
+  let stuck = !stuck in
   match st.sched.Scheduler.victim stuck with
   | Some v ->
     st.deadlocks <- st.deadlocks + 1;
@@ -244,8 +263,10 @@ let submit st i =
   st.submissions <- st.submissions + 1;
   st.clock <- st.clock + 1;
   Obs.Sink.set_now st.sink (float_of_int st.clock);
-  if st.arrival_rank.(i) < 0 then begin
-    st.arrival_rank.(i) <- st.arrived;
+  (* a first arrival: nothing submitted, granted or aborted before *)
+  if st.outstanding.(i) = 0 && st.next_step.(i) = 0 && st.incarnation.(i) = 0
+  then begin
+    st.by_rank.(st.arrived) <- i;
     st.arrived <- st.arrived + 1
   end;
   st.outstanding.(i) <- st.outstanding.(i) + 1;

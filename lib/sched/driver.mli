@@ -12,7 +12,15 @@ open Core
     youngest-first by each transaction's {e first} arrival (seniority is
     wound-wait style: fixed once, kept across restarts), so a scheduler
     that prefers victims early in the list never aborts the oldest live
-    transaction and the drain loop provably terminates.
+    transaction and the drain loop provably terminates. The list is a
+    seniority walk over the arrival order, not a sort.
+
+    A queued request whose step is one of the engine's standing refusals
+    ([standing] in {!Scheduler.t}) is answered by the driver itself, without
+    an [attempt] call: it is counted in [delays] and traced as
+    [Delayed] exactly as the engine's [Delay] would be, so the stats,
+    the events and {!Obs.Fold.counters} over them are unchanged; only
+    the engine's call count drops.
 
     An aborted transaction restarts from its first step; its outstanding
     requests are replayed. The final [output] is the committed schedule

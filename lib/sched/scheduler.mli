@@ -43,7 +43,7 @@ type t = {
       (** The transaction restarts: discard all bookkeeping about it. *)
   victim : int list -> int option;
       (** Deadlock resolution: given the transactions blocked in a
-          stall, choose one to abort ([None] = scheduler cannot resolve;
+          stall (a seniority walk, youngest first), choose one to abort ([None] = scheduler cannot resolve;
           the driver then fails). *)
   detect : (int * Names.step_id) list -> int option;
       (** Eager deadlock detection: given every blocked transaction with
@@ -56,6 +56,13 @@ type t = {
           stall path aborts lazily, after everything able to finish has
           finished, which is strictly cheaper in restarts. Used by the
           timed simulation after every delay. *)
+  standing : int array;
+      (** Standing refusals, read-only: [standing.(tx) = idx] promises
+          that [attempt {tx; idx}] would return [Delay] and change
+          nothing (no state, no event). The driver answers such a request
+          itself instead of asking. The engine owns the array and updates
+          it in place; [[||]] (the default) promises nothing, and every
+          request is asked. *)
 }
 
 val make :
@@ -65,13 +72,14 @@ val make :
   ?on_abort:(int -> unit) ->
   ?victim:(int list -> int option) ->
   ?detect:((int * Names.step_id) list -> int option) ->
+  ?standing:int array ->
   unit ->
   t
 (** Defaults: [on_abort] does nothing; [victim] picks the first blocked
-    transaction; [detect] reports nothing.
+    transaction; [detect] reports nothing; [standing] is [[||]].
 
     Why "first" is safe: {!Driver.resolve_stall} presents the stuck
-    list {e youngest first} (sorted by arrival rank, descending), so the
+    list as a seniority walk, {e youngest first} by first arrival, so the
     default victim is the youngest blocked transaction — exactly the
     wound-wait seniority order that guarantees termination (the oldest
     transaction is never chosen, so some transaction always survives

@@ -95,7 +95,8 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      the summary graph, and [a ~> u] in the shard. The {!Cgraph} lemma
      covers the shard paths; summary edges are dropped only when an
      endpoint aborts. So the verdict stands until a transaction on its
-     witness aborts. Coordinator ids [c] are stored as [-1 - c]. *)
+     witness aborts, and [blocked] is the engine's standing refusals.
+     Coordinator ids [c] are stored as [-1 - c]. *)
   let r = Cgraph.refusals n in
   let blocked = r.Cgraph.blocked in
   let global s path = List.map (fun l -> p.Partition.members.(s).(l)) path in
@@ -257,4 +258,4 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   (* No eager [detect], for the same reason as {!Sgt}: a refused request
      dooms only its requester and blocks nobody, so lazy stall
      resolution is strictly cheaper in restarts. *)
-  Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort ()
+  Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort ~standing:blocked ()

@@ -48,7 +48,8 @@ val create :
     cross-shard transaction, the summary path on to another, and the
     shard path from there to a conflicting accessor. The verdict stands
     until a transaction on the witness aborts ({!Cgraph}'s lemma; summary
-    edges leave only with an endpoint). With a [sink], each non-cached
+    edges leave only with an endpoint), and the cache is the scheduler's
+    [standing], which the driver answers itself. With a [sink], each non-cached
     request emits {!Obs.Event.Shard_routed} with the owning shard,
     admitted intra-shard conflict edges emit {!Obs.Event.Edge_added} and
     fresh refusals emit {!Obs.Event.Cycle_refused}, all with global

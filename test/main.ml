@@ -31,4 +31,5 @@ let () =
       ("checker", Test_checker.suite);
       ("mv", Test_mv.suite);
       ("json", Test_json.suite);
+      ("driver", Test_driver.suite);
     ]
