@@ -505,6 +505,17 @@ module Acyclic = struct
       end;
       link_sources g ep ~excluding v us
 
+  (* Link to [v] the first source but [excluding], unless stamped at
+     [ep]: the head of a chain list. *)
+  let rec link_head g ep ~excluding v = function
+    | [] -> ()
+    | u :: us ->
+      if u = excluding then link_head g ep ~excluding v us
+      else if g.want.(u) <> ep then begin
+        g.want.(u) <- ep;
+        link g u v
+      end
+
   (* Target by target: each source's out-edges still arrive in target
      order, and only the in-arrays, which are sets, see the difference
      from inserting source by source. *)
@@ -571,7 +582,7 @@ module Acyclic = struct
       true
     end
 
-  let add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~target =
+  let add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~chain ~target =
     check g target;
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
@@ -584,10 +595,34 @@ module Acyclic = struct
       g.hit <- -1;
       let ep = stamp_preds g target in
       for j = 0 to Array.length pick - 1 do
-        link_sources g ep ~excluding target lists.(base + pick.(j))
+        let c = pick.(j) in
+        if chain.(c) then link_head g ep ~excluding target lists.(base + c)
+        else link_sources g ep ~excluding target lists.(base + c)
       done;
       true
     end
+
+  (* [u -> m] puts [u] before [m], and [m] before each of its successors,
+     so the order already holds every new edge: nothing is searched. *)
+  let bypass g u m keep =
+    check g u;
+    check g m;
+    g.epoch <- g.epoch + 1;
+    let ep = g.epoch in
+    let succs = g.out_.(u) in
+    for j = 0 to g.outdeg.(u) - 1 do
+      g.want.(succs.(j)) <- ep
+    done;
+    if g.want.(m) <> ep then
+      invalid_arg "Digraph.Acyclic.bypass: no edge to the bypassed vertex";
+    let succs = g.out_.(m) in
+    for j = 0 to g.outdeg.(m) - 1 do
+      let v = succs.(j) in
+      if g.want.(v) <> ep && keep v then begin
+        g.want.(v) <- ep;
+        link g u v
+      end
+    done
 
   let add_edge_acyclic g u v =
     check g u;

@@ -133,12 +133,28 @@ module Acyclic : sig
     lists:int list array ->
     base:int ->
     pick:int array ->
+    chain:bool array ->
     target:int ->
     bool
   (** {!add_edges_acyclic} with the one target [target] and the sources
       read in place as in {!closes_cycle_any_of}: the union of the lists
       [lists.(base + c)] for [c] in [pick], less [excluding] ([-1] drops
-      none). Nothing is allocated unless an adjacency array grows. *)
+      none). The cycle check and its witness read every source. The
+      edges come from every source of a list whose [chain.(c)] is false,
+      but only from the {e head} of one whose flag is true: its first
+      member other than [excluding]. A caller sets the flag for a list
+      whose members already reach its head, so the head's edge implies
+      the rest; all flags false link every source. Nothing is allocated
+      unless an adjacency array grows. *)
+
+  val bypass : t -> int -> int -> (int -> bool) -> unit
+  (** [bypass g u m keep] adds an edge [u → v] for every successor [v] of
+      [m] with [keep v] that [u] lacks, in [m]'s out-edge order, so
+      that each kept path [u → m → v] survives the removal of [m].
+      [u] must have an edge to [m] (else [Invalid_argument]), so the
+      maintained order already holds the new edges and nothing is
+      searched. [keep] must not modify [g]. Nothing is allocated unless
+      an adjacency array grows. *)
 
   val add_edge_acyclic : t -> int -> int -> (unit, int list) result
   (** [add_edge_acyclic g u v] is {!add_edges_acyclic} with the one

@@ -42,6 +42,7 @@ type t = {
   prunable : int -> bool;
   k : int; (* number of classes *)
   conf : int array array; (* class -> the classes it conflicts with *)
+  chain : bool array; (* per class: it conflicts with itself *)
   entries : int list array; (* var * k + class -> accessors, no repeats *)
   (* the entries each vertex is on, in the order it gained them: [l]'s
      are the [n_held.(l)] slots from [held_at.(l)] *)
@@ -54,11 +55,20 @@ type t = {
   mutable top : int;
   mutable version : int;
   push_freed : int -> unit; (* built once, so forget allocates no closure *)
+  mutable bypassed : int; (* the entry [keep] reads *)
+  keep : int -> bool; (* built once, like [push_freed] *)
 }
 
 let has g l bit = g.flags.(l) land bit <> 0
 let set g l bit = g.flags.(l) <- g.flags.(l) lor bit
 let unset g l bit = g.flags.(l) <- g.flags.(l) land lnot bit
+
+(* Some held slot in [i .. stop-1] is an entry on the variable of base
+   [b], in a class of [row]. *)
+let rec holds_any g b row i stop =
+  i < stop
+  && (let c = g.held.(i) - b in
+      (c >= 0 && c < g.k && Array.mem c row) || holds_any g b row (i + 1) stop)
 
 (* The queued bit keeps a vertex on the stack at most once, so n slots
    suffice. *)
@@ -90,10 +100,17 @@ let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
   let work = Array.make n 0 in
   let rec g =
     { sink; ids; var_of_step; class_of_step; prunable; k; conf; entries;
-      held; held_at; n_held; graph; flags; work; top = 0; version = 0;
+      chain = Array.mapi Array.mem conf; held; held_at; n_held; graph;
+      flags; work; top = 0; version = 0;
       push_freed = (fun v ->
         if has g v done_bit && Digraph.Acyclic.in_degree g.graph v = 1 then
-          push g v) }
+          push g v);
+      bypassed = 0;
+      keep = (fun v ->
+        let e = g.bypassed in
+        let c = e mod g.k in
+        holds_any g (e - c) g.conf.(c) g.held_at.(v)
+          (g.held_at.(v) + g.n_held.(v))) }
   in
   g
 
@@ -158,11 +175,12 @@ let passed_over g l b row =
 let rec holds g at i e = i > at && (g.held.(i - 1) = e || holds g at (i - 1) e)
 
 (* A repeat entry needs no edge: every conflicting accessor present at the
-   entry's first grant got its edge to [l] then, and one added since got
-   an edge from [l] at its own grant, so [refuses] would have delayed this
-   step. An entry and its edges leave together, at removal. A fresh
-   entry's edges go in with one insertion, made only when some
-   conflicting list is non-empty. *)
+   entry's first grant reaches [l] since then (through its chain's head,
+   on a chain list), and one added since got an edge from [l] at its own
+   grant, so [refuses] would have delayed this step. An entry and its
+   edges leave together, at removal. A fresh entry's edges go in with
+   one insertion, made only when some conflicting list is non-empty: from
+   each chain list's head, and from every member of any other list. *)
 let grant g l idx =
   let c = class_of g l idx and b = base g l idx in
   let e = b + c in
@@ -174,7 +192,7 @@ let grant g l idx =
     && any_nonempty g.entries b row (Array.length row - 1)
     && not
          (Digraph.Acyclic.add_edges_acyclic_of g.graph ~excluding:l
-            ~lists:g.entries ~base:b ~pick:row ~target:l)
+            ~lists:g.entries ~base:b ~pick:row ~chain:g.chain ~target:l)
   then
     Printf.ksprintf failwith
       "Sched.Cgraph: granting step %d of %d closes a cycle, breaking the \
@@ -200,14 +218,37 @@ let rec drop (x : int) = function
   | [] -> []
   | y :: ys -> if y = x then ys else y :: drop x ys
 
-(* Walks only the entries the vertex holds. A completed successor whose
-   last incoming edge this removes is queued for the next drain; no other
-   vertex can become prunable here. *)
+(* The member after [x] in a list, newest first: its next-older
+   neighbour, or -1. *)
+let rec older (x : int) = function
+  | [] | [ _ ] -> -1
+  | y :: (p :: _ as ys) -> if y = x then p else older x ys
+
+(* Walks only the entries the vertex holds. On a chain list, [l]'s
+   next-older neighbour [p] has an edge to [l], and [l] to its newer
+   neighbour and to every vertex whose grant took [l] as the list's
+   head: [p] gets an edge to each successor of [l] that conflicts with
+   the list, so the paths through [l] that the full conflict graph keeps
+   survive its removal. Each is a conflict-graph edge, [p]'s entry being
+   older than the successor's, so no cycle closes. A vertex with no
+   in-edge has no next-older neighbour, so prunes bypass nothing. This
+   runs before the successors are queued: a completed successor whose
+   last incoming edge this removes is queued for the next drain; no
+   other vertex can become prunable here. *)
 let forget g l =
   g.version <- g.version + 1;
   let at = g.held_at.(l) in
+  let bypassing = Digraph.Acyclic.in_degree g.graph l > 0 in
   for i = at to at + g.n_held.(l) - 1 do
-    g.entries.(g.held.(i)) <- drop l g.entries.(g.held.(i))
+    let e = g.held.(i) in
+    if bypassing && g.chain.(e mod g.k) then begin
+      let p = older l g.entries.(e) in
+      if p >= 0 then begin
+        g.bypassed <- e;
+        Digraph.Acyclic.bypass g.graph p l g.keep
+      end
+    end;
+    g.entries.(e) <- drop l g.entries.(e)
   done;
   g.n_held.(l) <- 0;
   unset g l live_bit;

@@ -15,20 +15,35 @@ open Core
     Accessor lists are kept per (variable, class), so a request's
     candidate edge sources are whole lists, read in place.
 
-    {b Removal.} A completed transaction with no incoming edge never
-    gains one, so it can never lie on a cycle: it is pruned, through a
-    worklist fed by completions and by the completed successors of
-    removed vertices and drained at each completion. Removal never makes
-    an eligible vertex ineligible, so this prunes the fixpoint a full
-    scan reaches. Each vertex keeps the list of entries it holds, and
-    removing it walks exactly that list: its footprint.
+    {b Chains.} Every decision reads only reachability, so the graph
+    need not hold every conflict edge, only the same reachability as the
+    full conflict graph over the live vertices. The accessor list of a
+    class that conflicts with itself is a chain: each member has an edge
+    to the next newer one, so it reaches every newer one. A grant links
+    only a chain's head, its newest member, and every member of a list
+    whose class commutes with itself.
+
+    {b Removal.} Before a vertex with in-edges is removed, the next-older
+    neighbour [p] on each of its chain lists gets a bypass edge to every
+    successor that holds an entry conflicting with that list: an edge of
+    the full conflict graph, so it closes no cycle, and the full graph's
+    reachability survives the removal. A completed transaction with no
+    incoming edge never gains one (a bypass ends only at a successor of
+    the removed vertex), so it can never lie on a cycle: it is pruned,
+    through a worklist fed by completions and by the completed
+    successors of removed vertices and drained at each completion.
+    Removal never makes an eligible vertex ineligible, so this prunes
+    the fixpoint a full scan reaches. Each vertex keeps the list of
+    entries it holds, and removing it walks exactly that list: its
+    footprint.
 
     {b Delay cache.} A refused request of [l] names a path [l ~> u] to
     a conflicting accessor [u] ({!Digraph.Acyclic.last_path}). The
     refusal stands until a transaction on that path aborts. Prunes never
     remove a vertex of it: every vertex after [l] has an in-edge from
     its predecessor, and [l] has a pending request, so it is incomplete.
-    Grants only add edges and entries. So the request loops keep, per
+    Grants and bypasses only add edges and entries, and an abort off the
+    path removes none of its edges. So the request loops keep, per
     blocked transaction, the refused step and its path ({!refusals}),
     and answer a retry from it until an abort on the path clears it. *)
 
@@ -49,8 +64,9 @@ val create :
     every pair conflicts). [prunable] vetoes pruning (default: never);
     [ids.(l)] names [l] in events (default [l]). With a [sink], a grant
     emits one {!Obs.Event.Edge_added} per conflicting accessor, edges
-    already present included, and one that passed over commuting
-    accessors emits {!Obs.Event.Commute_pass}. *)
+    already present or left implied by a chain included, so events are
+    those of the full conflict graph, and one that passed over
+    commuting accessors emits {!Obs.Event.Commute_pass}. *)
 
 val version : t -> int
 (** The removal count: bumped by every abort and every prune. *)
@@ -59,7 +75,8 @@ val live : t -> int -> bool
 (** The vertex holds accessor entries: granted, and not removed since. *)
 
 val graph : t -> Digraph.Acyclic.t
-(** The conflict graph, for read-only queries. *)
+(** The graph, for read-only queries: its reachability is the conflict
+    graph's, not its edge set (see the header). *)
 
 val mark_reaching_sources : t -> int -> int -> unit
 (** Marks, in one backward search, every vertex that is or reaches an
@@ -84,22 +101,25 @@ val reaches_sources : t -> int -> int -> int -> bool
     is the path from [v] to that accessor. *)
 
 val grant : t -> int -> int -> unit
-(** An edge from every conflicting accessor, inserted with one
+(** An edge from every conflicting accessor, or from the head alone of
+    a conflicting chain list, inserted with one
     {!Digraph.Acyclic.add_edges_acyclic_of}, then the step's entry. The
     step must be vetted: not {!refuses} (else [Failure] names the broken
     invariant). When [l] already holds the step's (variable, class)
-    entry, every such edge is present and no insertion is made. A
-    conflicting accessor present at the entry's first grant got its edge
-    then; one added since got an edge from [l] at its own grant, as
-    conflicts are symmetric, so [l] reaches it and {!refuses} would
-    hold. An entry and its edges leave together, at removal. *)
+    entry, every conflicting accessor already reaches [l] and no
+    insertion is made. One present at the entry's first grant was
+    linked then, or reaches its chain's head, which was; one added
+    since got an edge from [l] at its own grant, as conflicts are
+    symmetric, so [l] reaches it and {!refuses} would hold. An entry
+    and its edges leave together, at removal. *)
 
 val complete : t -> int -> unit
 (** The vertex's final step was granted: queue it and prune. *)
 
 val abort : t -> int -> unit
-(** Remove the vertex and its entries. Vertices this frees wait on the
-    worklist until the next completion. *)
+(** Remove the vertex and its entries, bypassing it on its chain lists.
+    Vertices this frees wait on the worklist until the next
+    completion. *)
 
 type refusals = private {
   blocked : int array;

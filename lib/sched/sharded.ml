@@ -101,8 +101,9 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let blocked = r.Cgraph.blocked in
   let global s path = List.map (fun l -> p.Partition.members.(s).(l)) path in
   (* Candidate summary edges of granting step (tx, idx), shard-local [l]
-     in shard [s]: the new intra-shard edges are [u -> l] for prior
-     accessors [u], so every new intra-shard path runs [a ~> u -> l ~> b].
+     in shard [s]: the new intra-shard edges are [h -> l] from the head
+     [h] of each prior accessor list, which every prior accessor [u]
+     reaches, so every new intra-shard path runs [a ~> u ~> h -> l ~> b].
      Targets B are the cross transactions reachable from [l], [l]
      included, marked by one forward search; sources A are the cross
      transactions of [s] that are or reach some accessor, marked by one

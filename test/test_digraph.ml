@@ -264,19 +264,39 @@ let test_acyclic_batch_insert () =
   let lists = [| [ 2; 0 ]; [ 1 ] |] in
   check_true "in-place sources, the target excluded"
     (A.add_edges_acyclic_of g ~excluding:2 ~lists ~base:0 ~pick:[| 0; 1 |]
-       ~target:2);
+       ~chain:[| false; false |] ~target:2);
   Alcotest.(check (list int)) "in-edges of 2" [ 0; 1 ] (A.pred g 2);
   check_false "in-place self-loop"
     (A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 0 |]
-       ~target:2);
+       ~chain:[| false; false |] ~target:2);
   Alcotest.(check (list int)) "in-place self-loop witness" [ 2 ]
     (A.last_path g);
   check_true "empty batches"
     (A.add_edges_acyclic g ~sources:[] ~targets:[ 0 ]
     && A.add_edges_acyclic g ~sources:[ 0 ] ~targets:[]
     && A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||]
-         ~target:0);
+         ~chain:[||] ~target:0);
   check_int "six edges" 6 (A.n_edges g)
+
+(* [bypass g u m keep] gives [u] an edge to each kept successor of [m]
+   it lacks, appended in [m]'s order, and needs the edge [u -> m]. *)
+let test_acyclic_bypass () =
+  let g = A.create 5 in
+  List.iter
+    (fun (u, v) -> ignore (A.add_edge_acyclic g u v))
+    [ (0, 1); (0, 3); (1, 2); (1, 3); (1, 4) ];
+  A.bypass g 0 1 (fun v -> v <> 4);
+  Alcotest.(check (list int)) "kept successors, the present one once"
+    [ 1; 2; 3 ] (A.succ g 0);
+  let succs = ref [] in
+  A.iter_succ g 0 (fun v -> succs := v :: !succs);
+  Alcotest.(check (list int)) "appended after the old edges" [ 1; 3; 2 ]
+    !succs;
+  check_int "one edge added" 6 (A.n_edges g);
+  check_true "no edge to the bypassed vertex"
+    (match A.bypass g 2 1 (fun _ -> true) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* Differential property: a random op sequence on the incremental
    structure mirrors exactly onto the plain digraph — same accepted edge
@@ -545,13 +565,17 @@ let prop_last_path =
    promise to insert them: source by source, each source's in target
    order. Random runs of batches through both entry points, edge
    removals and vertex removals (a removed vertex gains edges again in
-   later batches). *)
+   later batches). [add_edges_acyclic_of] gets random chain flags: the
+   mirror links only the head of a flagged list, its first member other
+   than the excluded vertex, while the cycle check still reads every
+   listed source. *)
 type batch =
   | Ins of int list * int list
   | Ins_of of {
       lists : int list array;
       base : int;
       pick : int array;
+      chain : bool array;
       excluding : int;
       target : int;
     }
@@ -569,9 +593,10 @@ let batch_gen n =
           array_size (return 4) vs >>= fun lists ->
           int_range 0 1 >>= fun base ->
           array_size (int_range 0 3) (int_range 0 2) >>= fun pick ->
+          array_size (return 3) bool >>= fun chain ->
           int_range (-1) (n - 1) >>= fun excluding ->
           v >>= fun target ->
-          return (Ins_of { lists; base; pick; excluding; target }) );
+          return (Ins_of { lists; base; pick; chain; excluding; target }) );
         (1, map2 (fun u w -> Del (u, w)) v v);
         (1, map (fun u -> Del_v u) v);
       ])
@@ -580,11 +605,13 @@ let print_batch =
   let ints l = String.concat ";" (List.map string_of_int l) in
   function
   | Ins (s, t) -> Printf.sprintf "[%s]x[%s]" (ints s) (ints t)
-  | Ins_of { lists; base; pick; excluding; target } ->
-    Printf.sprintf "of(%s|base=%d|pick=%s|ex=%d)x%d"
+  | Ins_of { lists; base; pick; chain; excluding; target } ->
+    Printf.sprintf "of(%s|base=%d|pick=%s|chain=%s|ex=%d)x%d"
       (String.concat "," (Array.to_list (Array.map ints lists)))
       base
       (ints (Array.to_list pick))
+      (String.concat ""
+         (Array.to_list (Array.map (fun b -> if b then "1" else "0") chain)))
       excluding target
   | Del (u, v) -> Printf.sprintf "-%d->%d" u v
   | Del_v u -> Printf.sprintf "-v%d" u
@@ -592,11 +619,22 @@ let print_batch =
 (* The sources and targets of a batch, in insertion order. *)
 let batch_ends = function
   | Ins (sources, targets) -> (sources, targets)
-  | Ins_of { lists; base; pick; excluding; target } ->
+  | Ins_of { lists; base; pick; excluding; target; _ } ->
     ( List.concat_map (fun k -> lists.(base + k)) (Array.to_list pick)
       |> List.filter (fun s -> s <> excluding),
       [ target ] )
   | Del _ | Del_v _ -> ([], [])
+
+(* The sources a batch links, in insertion order: a flagged list gives
+   only its head. *)
+let batch_links = function
+  | Ins_of { lists; base; pick; chain; excluding; _ } ->
+    List.concat_map
+      (fun k ->
+        let members = List.filter (fun s -> s <> excluding) lists.(base + k) in
+        if chain.(k) then List.filteri (fun i _ -> i = 0) members else members)
+      (Array.to_list pick)
+  | op -> fst (batch_ends op)
 
 let mirror_plain out =
   let p = Digraph.create (Array.length out) in
@@ -654,8 +692,8 @@ let apply_batch a out op =
     let accepted =
       match op with
       | Ins (sources, targets) -> A.add_edges_acyclic a ~sources ~targets
-      | Ins_of { lists; base; pick; excluding; target } ->
-        A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~target
+      | Ins_of { lists; base; pick; chain; excluding; target } ->
+        A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~chain ~target
       | Del _ | Del_v _ -> assert false
     in
     accepted = fits
@@ -666,7 +704,7 @@ let apply_batch a out op =
           List.iter
             (fun t -> if not (List.mem t out.(s)) then out.(s) <- t :: out.(s))
             targets)
-        sources;
+        (batch_links op);
       true
     end
     else
@@ -733,7 +771,10 @@ let dup_batch_gen n =
             array_size (int_range 1 4) (int_range 0 1) >>= fun pick ->
             int_range (-1) (n - 1) >>= fun excluding ->
             v >>= fun target ->
-            return (Ins_of { lists; base = 1; pick; excluding; target }) );
+            return
+              (Ins_of
+                 { lists; base = 1; pick; chain = [| false; false; false |];
+                   excluding; target }) );
           (1, map2 (fun u w -> Del (u, w)) v v);
           (1, map (fun u -> Del_v u) v);
         ]
@@ -856,6 +897,7 @@ let suite =
     Alcotest.test_case "acyclic removal" `Quick test_acyclic_removal;
     Alcotest.test_case "acyclic batch query" `Quick test_acyclic_batch_query;
     Alcotest.test_case "acyclic batch insert" `Quick test_acyclic_batch_insert;
+    Alcotest.test_case "acyclic bypass" `Quick test_acyclic_bypass;
     Alcotest.test_case "acyclic memory is linear" `Quick test_acyclic_linear_memory;
   ]
   @ qsuite

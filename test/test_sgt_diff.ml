@@ -230,6 +230,68 @@ let test_abort_frees_completed () =
   let syntax = Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ] in
   check_int "one stall abort" 1 (check_engines syntax [| 0; 1; 0; 1 |])
 
+(* A self-conflicting accessor list costs one edge per member, not one
+   per pair: n untyped transactions granted in turn on one variable
+   leave the n-1 edges of a chain, where the full conflict graph has
+   n(n-1)/2. Aborting a middle member bypasses it, keeping the chain's
+   reachability with n-2 edges; pruning the oldest bypasses nothing.
+   Each transaction's second step keeps it from completing early. *)
+let test_chain_edges () =
+  let chain n =
+    let g =
+      Cg.create ~n_vars:1 ~var_of_step:(Array.make n [| 0; 0 |]) ()
+    in
+    for l = 0 to n - 1 do
+      Cg.grant g l 0
+    done;
+    g
+  in
+  let edges g = Digraph.Acyclic.n_edges (Cg.graph g) in
+  for n = 2 to 8 do
+    let name what = Printf.sprintf "n=%d: %s" n what in
+    let g = chain n in
+    check_int (name "one edge per member after the first") (n - 1) (edges g);
+    if n > 2 then begin
+      let m = n / 2 in
+      Cg.abort g m;
+      check_int (name "an abort in the middle bypasses it") (n - 2) (edges g);
+      let reach = Digraph.reachable (Digraph.Acyclic.to_digraph (Cg.graph g)) in
+      for u = 0 to n - 1 do
+        for w = u + 1 to n - 1 do
+          if u <> m && w <> m then
+            check_true (name (Printf.sprintf "%d reaches %d" u w))
+              (reach u).(w)
+        done
+      done
+    end;
+    let g = chain n in
+    Cg.grant g 0 1;
+    Cg.complete g 0;
+    check_false (name "the oldest is pruned") (Cg.live g 0);
+    check_int (name "a prune adds no edge") (n - 2) (edges g)
+  done;
+  (* typed: Update T0, Update T1, Read T2, Update T3. The Update list is
+     a chain and the Read list is not, so T2 gets its edge from the
+     Update head T1 alone, and T3 from T1 and T2. Aborting T1 must link
+     T0 to the Read as well as to the next Update. *)
+  let ops = [| Op.Update; Op.Update; Op.Read; Op.Update |] in
+  let g =
+    Cg.create ~op_of_step:(fun l _ -> ops.(l)) ~n_vars:1
+      ~var_of_step:(Array.make 4 [| 0; 0 |]) ()
+  in
+  for l = 0 to 3 do
+    Cg.grant g l 0
+  done;
+  let graph = Cg.graph g in
+  Alcotest.(check (list (pair int int)))
+    "typed chain" [ (0, 1); (1, 2); (1, 3); (2, 3) ]
+    (Digraph.Acyclic.edges graph);
+  Cg.abort g 1;
+  Alcotest.(check (list (pair int int)))
+    "the older Update reaches past the aborted one"
+    [ (0, 2); (0, 3); (2, 3) ]
+    (Digraph.Acyclic.edges graph)
+
 let test_abort_heavy_corpus () =
   let restarts =
     List.fold_left
@@ -242,9 +304,13 @@ let test_abort_heavy_corpus () =
 (* The searches SGT runs for its refusals ([refusal_count]). The cache
    keyed on each refusal's witness path answers every retry until a
    transaction on the path aborts. Keyed on the removal version, which
-   prunes bump too, the same corpus searched 3936 times. *)
+   prunes bump too, the same corpus searched 3936 times. 1346 -> 1668
+   when the kernel began to store one edge per accessor-list head: a
+   witness now runs along the list through every member between the
+   requester and the accessor it reaches, so an abort clears more
+   refusals and their retries search again. *)
 let test_refusal_count () =
-  check_int "fresh refusals on the abort-heavy corpus" 1346
+  check_int "fresh refusals on the abort-heavy corpus" 1668
     (refusal_count
        (fun ~sink syntax -> Sched.Sgt.create ~sink ~syntax ())
        (abort_heavy_corpus 60))
@@ -346,11 +412,19 @@ let test_replay_differential () =
     checked
 
 (* The kernel against a brute-force model of the removal it replaced:
-   (transaction, op) entries per variable, a plain digraph, and a full
-   scan for prunable vertices after every completion. After every random
-   grant, refusal or abort the live set, the edge set and [version] must
-   agree. Odd seeds carry typed ops, which checks the compiled conflict
-   classes against [Commute.conflicts] as well.
+   (transaction, op) entries per variable, the full conflict graph (an
+   edge from every conflicting accessor at each grant) and a full scan
+   for prunable vertices after every completion. The kernel keeps only
+   the head edge of a self-conflicting list and bypasses removed
+   members, so its edge set is not the model's. After every random
+   grant, refusal or abort the live set and [version] must agree, and:
+   every kernel edge is a model edge; the two transitive closures are
+   equal; consecutive members of every self-conflicting list are joined
+   by a kernel path, the older reaching the newer; and each grant's
+   [Edge_added] events name exactly the model's conflicting accessors.
+   Odd seeds carry typed ops, which checks the compiled conflict classes
+   against [Commute.conflicts] as well; their reads catch a bypass that
+   links only the successors on the removed member's own list.
 
    It checks the delay cache's lemma too: each refusal's witness path
    ([Digraph.Acyclic.last_path]) keeps every edge, and the request stays
@@ -360,7 +434,25 @@ let test_replay_differential () =
    with an op of the same commute row has every conflicting source's
    edge already. *)
 let test_cgraph_model () =
-  let typed_ops = [| Op.Read; Op.Incr; Op.Decr; Op.Update; Op.Max |] in
+  let typed_ops =
+    [| Op.Read; Op.Incr; Op.Decr; Op.Update; Op.Write; Op.Max |]
+  in
+  let row o = List.map (Commute.commutes o) Op.all in
+  (* The transactions holding an op of [o]'s class in a variable's
+     entries [es] (newest first), oldest first by first grant: a
+     transaction may hold two ops of one class. *)
+  let class_members es o =
+    List.rev es
+    |> List.filter_map (fun (u, o') -> if row o' = row o then Some u else None)
+    |> List.fold_left
+         (fun seen u -> if List.mem u seen then seen else u :: seen)
+         []
+    |> List.rev
+  in
+  let rec joined g = function
+    | u :: (w :: _ as rest) -> (Digraph.reachable g u).(w) && joined g rest
+    | _ -> true
+  in
   (* repeat-entry grants checked: untyped, typed *)
   let repeats = [| 0; 0 |] in
   for seed = 0 to 199 do
@@ -381,10 +473,13 @@ let test_cgraph_model () =
               else Op.Update))
         len
     in
+    let events = Obs.Sink.Memory.create () in
+    let sink = Obs.Sink.Memory.sink events in
     let g =
       if typed then
-        Cg.create ~op_of_step:(fun l j -> ops.(l).(j)) ~n_vars ~var_of_step ()
-      else Cg.create ~n_vars ~var_of_step ()
+        Cg.create ~sink ~op_of_step:(fun l j -> ops.(l).(j)) ~n_vars
+          ~var_of_step ()
+      else Cg.create ~sink ~n_vars ~var_of_step ()
     in
     let acc = Array.make n_vars [] in
     let edges = Digraph.create n in
@@ -454,7 +549,19 @@ let test_cgraph_model () =
               check_true "repeat entry: its edges are present"
                 (List.for_all (fun u -> Digraph.has_edge edges u i) srcs)
             end;
+            Obs.Sink.Memory.clear events;
             Cg.grant g i j;
+            let named =
+              List.filter_map
+                (function
+                  | _, Obs.Event.Edge_added { src; dst } ->
+                    check_int "an edge event names the requester" i dst;
+                    Some src
+                  | _ -> None)
+                (Obs.Sink.Memory.events events)
+            in
+            check_true "edge events = the conflicting accessors"
+              (List.sort_uniq compare named = List.sort_uniq compare srcs);
             List.iter (fun u -> Digraph.add_edge edges u i) srcs;
             if not (List.mem (i, op) acc.(v)) then acc.(v) <- (i, op) :: acc.(v);
             live.(i) <- true;
@@ -483,8 +590,23 @@ let test_cgraph_model () =
       check_int "version" !version (Cg.version g);
       check_true "live set"
         (List.for_all (fun i -> Cg.live g i = live.(i)) (List.init n Fun.id));
-      check_true "edge set"
-        (Digraph.Acyclic.edges (Cg.graph g) = Digraph.edges edges)
+      let kernel = Digraph.Acyclic.to_digraph (Cg.graph g) in
+      check_true "kernel edges are model edges"
+        (List.for_all
+           (fun (u, v) -> Digraph.has_edge edges u v)
+           (Digraph.edges kernel));
+      check_true "closure"
+        (Digraph.edges (Digraph.transitive_closure kernel)
+        = Digraph.edges (Digraph.transitive_closure edges));
+      Array.iter
+        (fun es ->
+          List.iter
+            (fun (_, o) ->
+              if Commute.conflicts o o then
+                check_true "chain members joined"
+                  (joined kernel (class_members es o)))
+            es)
+        acc
     done
   done;
   check_true "untyped repeat entries checked" (repeats.(0) > 0);
@@ -646,6 +768,8 @@ let suite =
       test_repeated_access_regression;
     Alcotest.test_case "kernel: an abort frees a completed transaction"
       `Quick test_abort_frees_completed;
+    Alcotest.test_case "kernel: one edge per chain member, bypassed on abort"
+      `Quick test_chain_edges;
     Alcotest.test_case "kernel engines = SGT-ref on an abort-heavy corpus"
       `Quick test_abort_heavy_corpus;
     Alcotest.test_case "refusal searches pinned" `Quick test_refusal_count;
