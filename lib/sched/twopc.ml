@@ -51,6 +51,9 @@ type record = {
    reachable input-indexed placement); it is internal and not traced. *)
 type msg = Start | Prepare | Vote of bool | Decision of bool | Ack | Decision_req
 
+(* Constant messages are static data: sending one allocates nothing. *)
+let decision_msg d = if d then Decision true else Decision false
+
 let payload = function
   | Start -> None
   | Prepare -> Some Obs.Event.Prepare
@@ -71,256 +74,352 @@ let timer_name = function
   | 2 -> "decision"
   | _ -> "ack"
 
-let round ?(sink = Obs.Sink.null) ?(at = 0.) cfg ~nodes ~coord ~parts ~tx ~seed
-    ~faults () =
+(* A round's state, one slot per node. A decision or vote that may be
+   absent is an int: [none], 0 (abort / no) or 1 (commit / yes). *)
+let none = -1
+
+type state = {
+  cfg : config;
+  tx : int;
+  coord : int;
+  parts : int array;
+  sink : Obs.Sink.t;
+  at : float;
+  keep : bool;  (* collect [events] and [decisions] for a [record] *)
+  mutable events : (float * Obs.Event.t) list;  (* newest first *)
+  mutable decisions : (float * int * bool) list;  (* newest first *)
+  jitter : Random.State.t option;  (* only with [cfg.jitter > 0.] *)
+  extra : float array;
+      (* slow-link extra delay at [src * nodes + dst]; empty unless a
+         [Slow_link] fault is in the plan *)
+  vote_no : bool array;
+  (* persistent state: survives crashes (the per-node log) *)
+  log_vote : bool array;
+  log_decision : int array;
+  mutable log_end : bool;
+  (* volatile state: dropped by [on_crash] *)
+  decided : int array;
+  got_prepare : bool array;
+  tally : int array;
+  acked : bool array;
+  (* measurements (outside the failure model) *)
+  sent_vote : int array;
+  vote_time : float array;
+  mutable blocking : float;
+  mutable decided_at : float;  (* the coordinator's first decision *)
+}
+
+let nodes st = Array.length st.decided
+
+(* Events are built only when someone reads them: the record being
+   kept, or the sink. *)
+let tracing st = st.keep || Obs.Sink.on st.sink
+
+let emit st t ev =
+  let t = st.at +. t in
+  if st.keep then st.events <- (t, ev) :: st.events;
+  if Obs.Sink.on st.sink then Obs.Sink.record_at st.sink t ev
+
+let delay st ~src ~dst =
+  st.cfg.delay
+  +. (if Array.length st.extra = 0 then 0.
+      else st.extra.((src * nodes st) + dst))
+  +.
+  match st.jitter with
+  | Some rng -> Random.State.float rng st.cfg.jitter
+  | None -> 0.
+
+let rec all_yes st i =
+  i = Array.length st.parts
+  || (st.tally.(st.parts.(i)) = 1 && all_yes st (i + 1))
+
+let rec all_acked st i =
+  i = Array.length st.parts || (st.acked.(st.parts.(i)) && all_acked st (i + 1))
+
+(* A fresh decision: recorded, traced, and the closing edge of the
+   node's in-doubt window. Reloading a logged decision after recovery
+   sets [decided.(node)] directly instead — the decision was already
+   made and recorded. *)
+let decide st net node commit =
+  let d = Bool.to_int commit in
+  if st.decided.(node) <> d then begin
+    st.decided.(node) <- d;
+    let t = Net.now net in
+    if st.keep then st.decisions <- (t, node, commit) :: st.decisions;
+    if node = st.coord && Float.is_nan st.decided_at then st.decided_at <- t;
+    if tracing st then
+      emit st t (Obs.Event.Twopc_decided { tx = st.tx; node; commit });
+    if node <> st.coord && not (Float.is_nan st.vote_time.(node)) then begin
+      let w = t -. st.vote_time.(node) in
+      if w > st.blocking then st.blocking <- w;
+      st.vote_time.(node) <- nan
+    end
+  end
+
+let send st net src dst m =
+  (if tracing st then
+     match payload m with
+     | Some pl ->
+       emit st (Net.now net)
+         (Obs.Event.Twopc_sent { tx = st.tx; src; dst; msg = pl })
+     | None -> ());
+  Net.send net ~src ~dst m
+
+let timeout st net node tag =
+  if tracing st then
+    emit st (Net.now net)
+      (Obs.Event.Twopc_timeout { tx = st.tx; node; timer = timer_name tag })
+
+let broadcast st net d =
+  for i = 0 to Array.length st.parts - 1 do
+    send st net st.coord st.parts.(i) (decision_msg d)
+  done
+
+let vote st net node v =
+  if st.sent_vote.(node) = none then st.sent_vote.(node) <- Bool.to_int v;
+  if v then begin
+    (* forced log write, then the send — one atomic handler step *)
+    st.log_vote.(node) <- true;
+    st.vote_time.(node) <- Net.now net;
+    send st net node st.coord (Vote true);
+    Net.set_timer net ~node ~tag:tag_decision ~after:st.cfg.t_decision
+  end
+  else begin
+    send st net node st.coord (Vote false);
+    (* a no-voter aborts unilaterally; presumed abort needs no log *)
+    decide st net node false
+  end
+
+let coord_msg st net src m =
+  let coord = st.coord in
+  match m with
+  | Start ->
+    for i = 0 to Array.length st.parts - 1 do
+      send st net coord st.parts.(i) Prepare
+    done;
+    Net.set_timer net ~node:coord ~tag:tag_vote ~after:st.cfg.t_vote
+  | Vote v ->
+    st.tally.(src) <- Bool.to_int v;
+    let d = st.decided.(coord) in
+    if d = none then begin
+      if not v then begin
+        (* presumed abort: decide and broadcast without logging *)
+        decide st net coord false;
+        broadcast st net false
+      end
+      else if all_yes st 0 then begin
+        st.log_decision.(coord) <- 1;
+        decide st net coord true;
+        broadcast st net true;
+        Net.set_timer net ~node:coord ~tag:tag_ack ~after:st.cfg.t_ack
+      end
+    end
+    else if v then
+      (* a straggler vote after the outcome: answer it directly so a
+         yes-voter that missed the broadcast is not left in doubt *)
+      send st net coord src (decision_msg (d = 1))
+  | Ack ->
+    st.acked.(src) <- true;
+    if st.decided.(coord) = 1 && all_acked st 0 then st.log_end <- true
+  | Decision_req ->
+    let logged = st.log_decision.(coord) in
+    let d = if logged <> none then logged else st.decided.(coord) in
+    (* undecided: the requester's timer re-polls *)
+    if d <> none then send st net coord src (decision_msg (d = 1))
+  | Prepare | Decision _ -> ()
+
+let part_msg st net node m =
+  match m with
+  | Prepare ->
+    st.got_prepare.(node) <- true;
+    if st.decided.(node) <> none then begin
+      (* already presumed abort (prepare timeout beat a slow link) *)
+      if st.sent_vote.(node) = none then st.sent_vote.(node) <- 0;
+      send st net node st.coord (Vote false)
+    end
+    else vote st net node (not st.vote_no.(node))
+  | Decision d ->
+    if st.decided.(node) = none then begin
+      st.log_decision.(node) <- Bool.to_int d;
+      decide st net node d
+    end;
+    if d then send st net node st.coord Ack
+  | Start | Vote _ | Ack | Decision_req -> ()
+
+let on_msg st net ~node ~src m =
+  (if tracing st then
+     match payload m with
+     | Some pl ->
+       emit st (Net.now net)
+         (Obs.Event.Twopc_delivered { tx = st.tx; src; dst = node; msg = pl })
+     | None -> ());
+  if node = st.coord then coord_msg st net src m else part_msg st net node m
+
+let on_timer st net ~node ~tag =
+  let coord = st.coord in
+  if node = coord then begin
+    if tag = tag_vote && st.decided.(coord) = none then begin
+      timeout st net node tag;
+      decide st net coord false;
+      broadcast st net false
+    end
+    else if
+      tag = tag_ack && st.decided.(coord) = 1 && (not st.log_end)
+      && not (all_acked st 0)
+    then begin
+      timeout st net node tag;
+      for i = 0 to Array.length st.parts - 1 do
+        let p = st.parts.(i) in
+        if not st.acked.(p) then send st net coord p (Decision true)
+      done;
+      Net.set_timer net ~node:coord ~tag:tag_ack ~after:st.cfg.t_ack
+    end
+  end
+  else if tag = tag_prepare then begin
+    if (not st.got_prepare.(node)) && st.decided.(node) = none then begin
+      timeout st net node tag;
+      (* never asked to vote: unilateral presumed abort *)
+      decide st net node false
+    end
+  end
+  else if tag = tag_decision then
+    if st.log_vote.(node) && st.decided.(node) = none then begin
+      timeout st net node tag;
+      match st.cfg.variant with
+      | Presume_commit_on_timeout ->
+        (* deliberately broken: unilateral commit while in doubt *)
+        decide st net node true
+      | Correct | Forget_log_on_recover ->
+        send st net node coord Decision_req;
+        Net.set_timer net ~node ~tag:tag_decision ~after:st.cfg.t_decision
+    end
+
+let on_crash st net ~node =
+  if tracing st then
+    emit st (Net.now net) (Obs.Event.Node_crashed { tx = st.tx; node });
+  st.decided.(node) <- none;
+  st.got_prepare.(node) <- false;
+  if node = st.coord then begin
+    Array.fill st.tally 0 (nodes st) none;
+    Array.fill st.acked 0 (nodes st) false
+  end
+
+let on_recover st net ~node =
+  if tracing st then
+    emit st (Net.now net) (Obs.Event.Node_recovered { tx = st.tx; node });
+  (match st.cfg.variant with
+  | Forget_log_on_recover ->
+    st.log_vote.(node) <- false;
+    st.log_decision.(node) <- none;
+    if node = st.coord then st.log_end <- false
+  | Correct | Presume_commit_on_timeout -> ());
+  let coord = st.coord in
+  let logged = st.log_decision.(node) in
+  if node = coord then begin
+    if logged <> none then begin
+      st.decided.(coord) <- logged;
+      if logged = 1 && not st.log_end then begin
+        (* volatile acks are gone: re-broadcast until acked again *)
+        broadcast st net true;
+        Net.set_timer net ~node:coord ~tag:tag_ack ~after:st.cfg.t_ack
+      end
+    end
+    else begin
+      (* no commit record: presume abort, and broadcast it so in-doubt
+         participants are released without waiting for their polls *)
+      decide st net coord false;
+      broadcast st net false
+    end
+  end
+  else if logged <> none then st.decided.(node) <- logged
+  else if st.log_vote.(node) then begin
+    (* in doubt: only the coordinator can say *)
+    send st net node coord Decision_req;
+    Net.set_timer net ~node ~tag:tag_decision ~after:st.cfg.t_decision
+  end
+  else decide st net node false
+
+(* Note a non-crash fault in the state; crashes go to the network's
+   crash plan. *)
+let plan_fault st = function
+  | Crash { node; at_input; repair } -> Some (node, at_input, repair)
+  | Slow_link { src; dst; extra } ->
+    let n = nodes st in
+    if src >= 0 && src < n && dst >= 0 && dst < n then
+      st.extra.((src * n) + dst) <- extra;
+    None
+  | Vote_no { node } ->
+    if node >= 0 && node < nodes st then st.vote_no.(node) <- true;
+    None
+
+let is_slow_link = function Slow_link _ -> true | Crash _ | Vote_no _ -> false
+
+(* The round body behind [round] and [commit]; [keep] says whether the
+   round's events and decisions are collected for its record. *)
+let run_round ~keep ~sink ~at cfg ~nodes ~coord ~parts ~tx ~seed ~faults =
   if coord < 0 || coord >= nodes then invalid_arg "Twopc.round: coord";
-  List.iter
+  let parts = Array.of_list parts in
+  Array.iter
     (fun p ->
       if p < 0 || p >= nodes || p = coord then
         invalid_arg "Twopc.round: participant out of range")
     parts;
-  (* jitter is the only reader: a round without it builds no state *)
-  let rng = lazy (Random.State.make [| 0x27C0; seed; tx |]) in
-  let vote_no = Array.make nodes false in
-  let extra = Hashtbl.create 4 in
-  let crashes =
-    List.filter_map
-      (function
-        | Crash { node; at_input; repair } -> Some (node, at_input, repair)
-        | Slow_link { src; dst; extra = e } ->
-          Hashtbl.replace extra (src, dst) e;
-          None
-        | Vote_no { node } ->
-          if node >= 0 && node < nodes then vote_no.(node) <- true;
-          None)
-      faults
+  let st =
+    {
+      cfg;
+      tx;
+      coord;
+      parts;
+      sink;
+      at;
+      keep;
+      events = [];
+      decisions = [];
+      jitter =
+        (if cfg.jitter > 0. then Some (Random.State.make [| 0x27C0; seed; tx |])
+         else None);
+      extra =
+        (if List.exists is_slow_link faults then Array.make (nodes * nodes) 0.
+         else [||]);
+      vote_no = Array.make nodes false;
+      log_vote = Array.make nodes false;
+      log_decision = Array.make nodes none;
+      log_end = false;
+      decided = Array.make nodes none;
+      got_prepare = Array.make nodes false;
+      tally = Array.make nodes none;
+      acked = Array.make nodes false;
+      sent_vote = Array.make nodes none;
+      vote_time = Array.make nodes nan;
+      blocking = 0.;
+      decided_at = nan;
+    }
   in
-  let delay ~src ~dst =
-    cfg.delay
-    +. (match Hashtbl.find_opt extra (src, dst) with Some e -> e | None -> 0.)
-    +.
-    if cfg.jitter > 0. then Random.State.float (Lazy.force rng) cfg.jitter
-    else 0.
+  let crashes = List.filter_map (plan_fault st) faults in
+  let handlers =
+    {
+      Net.on_msg = on_msg st;
+      on_timer = on_timer st;
+      on_crash = on_crash st;
+      on_recover = on_recover st;
+    }
   in
-  (* persistent state: survives crashes (the per-node log) *)
-  let log_vote = Array.make nodes false in
-  let log_decision = Array.make nodes None in
-  let log_end = ref false in
-  (* volatile state: dropped by [on_crash] *)
-  let decided = Array.make nodes None in
-  let got_prepare = Array.make nodes false in
-  let tally = Array.make nodes None in
-  let acked = Array.make nodes false in
-  (* measurements (outside the failure model) *)
-  let sent_vote = Array.make nodes None in
-  let vote_time = Array.make nodes nan in
-  let blocking = ref 0. in
-  let decisions = ref [] in
-  let events = ref [] in
-  let emit t ev =
-    events := (at +. t, ev) :: !events;
-    if Obs.Sink.on sink then Obs.Sink.record_at sink (at +. t) ev
-  in
-  (* A fresh decision: recorded, traced, and the closing edge of the
-     node's in-doubt window. Reloading a logged decision after recovery
-     goes through [decided.(node) <- ...] directly instead — the
-     decision was already made and recorded. *)
-  let decide net node commit =
-    match decided.(node) with
-    | Some d when d = commit -> ()
-    | _ ->
-      decided.(node) <- Some commit;
-      let t = Net.now net in
-      decisions := (t, node, commit) :: !decisions;
-      emit t (Obs.Event.Twopc_decided { tx; node; commit });
-      if node <> coord && not (Float.is_nan vote_time.(node)) then begin
-        let w = t -. vote_time.(node) in
-        if w > !blocking then blocking := w;
-        vote_time.(node) <- nan
-      end
-  in
-  let send_msg net src dst m =
-    (match payload m with
-    | Some pl ->
-      emit (Net.now net) (Obs.Event.Twopc_sent { tx; src; dst; msg = pl })
-    | None -> ());
-    Net.send net ~src ~dst m
-  in
-  let vote net node v =
-    if sent_vote.(node) = None then sent_vote.(node) <- Some v;
-    if v then begin
-      (* forced log write, then the send — one atomic handler step *)
-      log_vote.(node) <- true;
-      vote_time.(node) <- Net.now net;
-      send_msg net node coord (Vote true);
-      Net.set_timer net ~node ~tag:tag_decision ~after:cfg.t_decision
-    end
-    else begin
-      send_msg net node coord (Vote false);
-      (* a no-voter aborts unilaterally; presumed abort needs no log *)
-      decide net node false
-    end
-  in
-  let broadcast net d = List.iter (fun p -> send_msg net coord p (Decision d)) parts in
-  let coord_msg net src m =
-    match m with
-    | Start ->
-      List.iter (fun p -> send_msg net coord p Prepare) parts;
-      Net.set_timer net ~node:coord ~tag:tag_vote ~after:cfg.t_vote
-    | Vote v -> (
-      tally.(src) <- Some v;
-      match decided.(coord) with
-      | None ->
-        if not v then begin
-          (* presumed abort: decide and broadcast without logging *)
-          decide net coord false;
-          broadcast net false
-        end
-        else if List.for_all (fun p -> tally.(p) = Some true) parts then begin
-          log_decision.(coord) <- Some true;
-          decide net coord true;
-          broadcast net true;
-          Net.set_timer net ~node:coord ~tag:tag_ack ~after:cfg.t_ack
-        end
-      | Some d ->
-        (* a straggler vote after the outcome: answer it directly so a
-           yes-voter that missed the broadcast is not left in doubt *)
-        if v then send_msg net coord src (Decision d))
-    | Ack ->
-      acked.(src) <- true;
-      if decided.(coord) = Some true && List.for_all (fun p -> acked.(p)) parts
-      then log_end := true
-    | Decision_req -> (
-      match (log_decision.(coord), decided.(coord)) with
-      | Some d, _ | None, Some d -> send_msg net coord src (Decision d)
-      | None, None -> () (* undecided; the requester's timer re-polls *))
-    | Prepare | Decision _ -> ()
-  in
-  let part_msg net node _src m =
-    match m with
-    | Prepare -> (
-      got_prepare.(node) <- true;
-      match decided.(node) with
-      | Some _ ->
-        (* already presumed abort (prepare timeout beat a slow link) *)
-        if sent_vote.(node) = None then sent_vote.(node) <- Some false;
-        send_msg net node coord (Vote false)
-      | None -> vote net node (not vote_no.(node)))
-    | Decision d ->
-      (match decided.(node) with
-      | None ->
-        log_decision.(node) <- Some d;
-        decide net node d
-      | Some _ -> ());
-      if d then send_msg net node coord Ack
-    | Start | Vote _ | Ack | Decision_req -> ()
-  in
-  let on_msg net ~node ~src m =
-    (match payload m with
-    | Some pl ->
-      emit (Net.now net)
-        (Obs.Event.Twopc_delivered { tx; src; dst = node; msg = pl })
-    | None -> ());
-    if node = coord then coord_msg net src m else part_msg net node src m
-  in
-  let on_timer net ~node ~tag =
-    let timeout () =
-      emit (Net.now net)
-        (Obs.Event.Twopc_timeout { tx; node; timer = timer_name tag })
-    in
-    if node = coord then begin
-      if tag = tag_vote && decided.(coord) = None then begin
-        timeout ();
-        decide net coord false;
-        broadcast net false
-      end
-      else if
-        tag = tag_ack && decided.(coord) = Some true && not !log_end
-        && not (List.for_all (fun p -> acked.(p)) parts)
-      then begin
-        timeout ();
-        List.iter
-          (fun p -> if not acked.(p) then send_msg net coord p (Decision true))
-          parts;
-        Net.set_timer net ~node:coord ~tag:tag_ack ~after:cfg.t_ack
-      end
-    end
-    else if tag = tag_prepare then begin
-      if (not got_prepare.(node)) && decided.(node) = None then begin
-        timeout ();
-        (* never asked to vote: unilateral presumed abort *)
-        decide net node false
-      end
-    end
-    else if tag = tag_decision then
-      if log_vote.(node) && decided.(node) = None then begin
-        timeout ();
-        match cfg.variant with
-        | Presume_commit_on_timeout ->
-          (* deliberately broken: unilateral commit while in doubt *)
-          decide net node true
-        | Correct | Forget_log_on_recover ->
-          send_msg net node coord Decision_req;
-          Net.set_timer net ~node ~tag:tag_decision ~after:cfg.t_decision
-      end
-  in
-  let on_crash net ~node =
-    emit (Net.now net) (Obs.Event.Node_crashed { tx; node });
-    decided.(node) <- None;
-    got_prepare.(node) <- false;
-    if node = coord then begin
-      Array.fill tally 0 nodes None;
-      Array.fill acked 0 nodes false
-    end
-  in
-  let on_recover net ~node =
-    emit (Net.now net) (Obs.Event.Node_recovered { tx; node });
-    if cfg.variant = Forget_log_on_recover then begin
-      log_vote.(node) <- false;
-      log_decision.(node) <- None;
-      if node = coord then log_end := false
-    end;
-    if node = coord then begin
-      match log_decision.(coord) with
-      | Some d ->
-        decided.(coord) <- Some d;
-        if d && not !log_end then begin
-          (* volatile acks are gone: re-broadcast until acked again *)
-          broadcast net true;
-          Net.set_timer net ~node:coord ~tag:tag_ack ~after:cfg.t_ack
-        end
-      | None ->
-        (* no commit record: presume abort, and broadcast it so in-doubt
-           participants are released without waiting for their polls *)
-        decide net coord false;
-        broadcast net false
-    end
-    else begin
-      match log_decision.(node) with
-      | Some d -> decided.(node) <- Some d
-      | None ->
-        if log_vote.(node) then begin
-          (* in doubt: only the coordinator can say *)
-          send_msg net node coord Decision_req;
-          Net.set_timer net ~node ~tag:tag_decision ~after:cfg.t_decision
-        end
-        else decide net node false
-    end
-  in
-  let handlers = { Net.on_msg; on_timer; on_crash; on_recover } in
-  let net = Net.create ~nodes ~delay ~crashes ~handlers () in
+  let net = Net.create ~nodes ~delay:(delay st) ~crashes ~handlers () in
   (* initial state: participants arm their prepare timeouts, the
      coordinator kicks itself off *)
-  List.iter
-    (fun p -> Net.set_timer net ~node:p ~tag:tag_prepare ~after:cfg.t_prepare)
-    parts;
+  for i = 0 to Array.length parts - 1 do
+    Net.set_timer net ~node:parts.(i) ~tag:tag_prepare ~after:cfg.t_prepare
+  done;
   Net.send net ~src:coord ~dst:coord Start;
   let quiescent = Net.run ~budget:cfg.budget net = `Quiescent in
-  let decisions = List.rev !decisions in
-  let decided_at =
-    match List.find_opt (fun (_, n, _) -> n = coord) decisions with
-    | Some (t, _, _) -> t
-    | None -> nan
+  (st, net, quiescent)
+
+let opt_of d = if d = none then None else Some (d = 1)
+
+let round ?(sink = Obs.Sink.null) ?(at = 0.) cfg ~nodes ~coord ~parts ~tx ~seed
+    ~faults () =
+  let st, net, quiescent =
+    run_round ~keep:true ~sink ~at cfg ~nodes ~coord ~parts ~tx ~seed ~faults
   in
   {
     tx;
@@ -329,26 +428,25 @@ let round ?(sink = Obs.Sink.null) ?(at = 0.) cfg ~nodes ~coord ~parts ~tx ~seed
     faults;
     votes =
       List.filter_map
-        (fun p ->
-          match sent_vote.(p) with Some v -> Some (p, v) | None -> None)
+        (fun p -> Option.map (fun v -> (p, v)) (opt_of st.sent_vote.(p)))
         parts;
-    decisions;
-    outcome = decided.(coord);
+    decisions = List.rev st.decisions;
+    outcome = opt_of st.decided.(coord);
     quiescent;
-    decided_at;
+    decided_at = st.decided_at;
     finished_at = Net.now net;
-    blocking = !blocking;
+    blocking = st.blocking;
     msgs = Net.delivered net;
     crashes = Net.crashes_triggered net;
     node_inputs = Array.init nodes (Net.steps net);
-    events = List.rev !events;
+    events = List.rev st.events;
   }
 
 (* ---------- AC1-AC5 ---------- *)
 
 type violation = { ac : int; detail : string }
 
-let check r =
+let check (r : record) =
   let vs = ref [] in
   let add ac detail = vs := { ac; detail } :: !vs in
   let involved = r.parts @ [ r.coord ] in
@@ -445,7 +543,7 @@ let pp_fault ppf = function
 let pp_violation ppf { ac; detail } =
   Format.fprintf ppf "AC%d: %s" ac detail
 
-let witness r violations =
+let witness (r : record) violations =
   let b = Buffer.create 1024 in
   let bf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   bf "2PC round tx=%d coord=%d parts=[%s] faults=[%s]\n" r.tx r.coord
@@ -544,6 +642,8 @@ let sample_faults svc ~coord ~parts =
     !fs
   end
 
+(* A service round builds no record: its events go to the service's
+   sink only, and none is built while that sink is off. *)
 let commit svc ~tx ~shards =
   let coord = svc.shards in
   let nodes = svc.shards + 1 in
@@ -551,13 +651,15 @@ let commit svc ~tx ~shards =
   let at =
     max svc.clock (if Obs.Sink.on svc.sink then svc.sink.Obs.Sink.now else 0.)
   in
-  let r =
-    round ~sink:svc.sink ~at svc.cfg ~nodes ~coord ~parts:shards ~tx
+  let st, net, _ =
+    run_round ~keep:false ~sink:svc.sink ~at svc.cfg ~nodes ~coord
+      ~parts:shards ~tx
       ~seed:(Random.State.int svc.rng 0x3FFFFFFF)
-      ~faults ()
+      ~faults
   in
-  svc.clock <- at +. r.finished_at;
-  let ok = r.outcome = Some true in
+  let finished_at = Net.now net in
+  svc.clock <- at +. finished_at;
+  let ok = st.decided.(coord) = 1 in
   let a = svc.acc in
   svc.acc <-
     {
@@ -566,11 +668,11 @@ let commit svc ~tx ~shards =
       aborted = (a.aborted + if ok then 0 else 1);
       latency_sum =
         (a.latency_sum
-        +. if Float.is_nan r.decided_at then r.finished_at else r.decided_at);
-      blocking_sum = a.blocking_sum +. r.blocking;
-      blocking_max = Float.max a.blocking_max r.blocking;
-      total_msgs = a.total_msgs + r.msgs;
-      total_crashes = a.total_crashes + r.crashes;
+        +. if Float.is_nan st.decided_at then finished_at else st.decided_at);
+      blocking_sum = a.blocking_sum +. st.blocking;
+      blocking_max = Float.max a.blocking_max st.blocking;
+      total_msgs = a.total_msgs + Net.delivered net;
+      total_crashes = a.total_crashes + Net.crashes_triggered net;
     };
   ok
 

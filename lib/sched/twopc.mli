@@ -116,7 +116,9 @@ type record = {
           index space used by {!universe} *)
   events : (float * Obs.Event.t) list;
       (** the round's own trace (also emitted to the sink when given),
-          offset by [at] — the witness a violation replays *)
+          offset by [at] — the witness a violation replays. Only
+          {!round} builds it: a service round ({!commit}) keeps no
+          record *)
 }
 
 val round :
@@ -199,7 +201,9 @@ val service :
   service
 (** [crash_rate] is per involved node per round (coordinator included);
     [slow_rate] per participant link per round. Both default to [0.] —
-    the no-fault service. *)
+    the no-fault service. A service round emits its events to [sink]
+    only, and builds none while [sink] is off (the default): it
+    allocates its round state and its messages, nothing per event. *)
 
 val commit : service -> tx:int -> shards:int list -> bool
 (** Run a commit round for [tx] over participant set [shards]; [true]

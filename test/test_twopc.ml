@@ -95,6 +95,67 @@ let test_net_equal_time_fifo () =
     [ "timer3"; "a"; "timer7"; "b"; "c"; "timer9" ]
     (List.rev !drained)
 
+(* The drain order is a stable sort of the pushes by time: random sends
+   and timers with times drawn from a small set (so ties are common),
+   some pushed by handlers while the queue drains, and enough of them
+   that the queue outgrows its first capacity. Each push is labelled
+   with its enqueue index. *)
+let prop_net_drain_order =
+  QCheck.Test.make ~name:"Net drains in (time, enqueue) order" ~count:300
+    QCheck.(pair small_nat (int_range 1 40))
+    (fun (seed, n) ->
+      let st = Random.State.make [| 0x9E7; seed |] in
+      let pushed = ref [] and drained = ref [] in
+      let label = ref 0 in
+      let fresh at =
+        let l = !label in
+        incr label;
+        pushed := (at, l) :: !pushed;
+        l
+      in
+      (* delays and timer offsets from {0, 0.5, 1}: a message to node
+         [d] takes [d / 2]; payloads are labels, timers carry their
+         label as tag *)
+      let push net =
+        let now = Sched.Net.now net in
+        let d = Random.State.int st 3 in
+        let after = float_of_int d /. 2. in
+        if Random.State.bool st then
+          Sched.Net.send net ~src:0 ~dst:d (fresh (now +. after))
+        else
+          Sched.Net.set_timer net ~node:d ~tag:(fresh (now +. after)) ~after
+      in
+      let handlers =
+        {
+          Sched.Net.on_msg =
+            (fun net ~node:_ ~src:_ l ->
+              drained := l :: !drained;
+              if Random.State.int st 3 = 0 then push net);
+          on_timer =
+            (fun net ~node:_ ~tag ->
+              drained := tag :: !drained;
+              if Random.State.int st 3 = 0 then push net);
+          on_crash = (fun _ ~node:_ -> ());
+          on_recover = (fun _ ~node:_ -> ());
+        }
+      in
+      let net =
+        Sched.Net.create ~nodes:3
+          ~delay:(fun ~src:_ ~dst -> float_of_int dst /. 2.)
+          ~handlers ()
+      in
+      for _ = 1 to n do
+        push net
+      done;
+      ignore (Sched.Net.run net);
+      let expected =
+        List.map snd
+          (List.stable_sort
+             (fun (a, _) (b, _) -> Float.compare a b)
+             (List.rev !pushed))
+      in
+      List.rev !drained = expected)
+
 (* Jitter draws from the round's own seeded state: the same seed gives
    the same round, a different seed moves its timings. *)
 let test_jitter_round_replays () =
@@ -108,6 +169,103 @@ let test_jitter_round_replays () =
   check_true "same seed, same record" (compare r (run 11) = 0);
   check_true "another seed, other timings"
     (r.Sched.Twopc.finished_at <> (run 12).Sched.Twopc.finished_at)
+
+(* ---------- the layer's results, pinned by digest ---------- *)
+
+(* One digest over everything the 2PC layer computes: every round of
+   the single-fault universes at 1-3 participants under each variant
+   (plus a jittered universe, so the delay draws are pinned too), with
+   its full record, event trace and verdict; then the service totals of
+   the [ccopt verify --twopc] fault grid. A change to the protocol, to
+   the network's drain order or to the fault sampling moves it. *)
+let layer_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let bf fmt = Printf.bprintf b fmt in
+  let round_line (faults, r, vs) =
+    let open Sched.Twopc in
+    bf "faults=[%s] outcome=%s votes=[%s]\n"
+      (String.concat ";" (List.map (Format.asprintf "%a" pp_fault) faults))
+      (match r.outcome with
+      | Some true -> "commit"
+      | Some false -> "abort"
+      | None -> "none")
+      (String.concat ";"
+         (List.map (fun (p, v) -> Printf.sprintf "%d:%b" p v) r.votes));
+    List.iter (fun (t, n, d) -> bf "  decided %h %d %b\n" t n d) r.decisions;
+    bf "  decided_at=%h finished_at=%h blocking=%h msgs=%d crashes=%d \
+        quiescent=%b inputs=[%s]\n"
+      r.decided_at r.finished_at r.blocking r.msgs r.crashes r.quiescent
+      (String.concat ","
+         (Array.to_list (Array.map string_of_int r.node_inputs)));
+    List.iter
+      (fun (t, ev) -> bf "  %h %s\n" t (Obs.Event.to_string ev))
+      r.events;
+    List.iter (fun v -> bf "  %s\n" (Format.asprintf "%a" pp_violation v)) vs
+  in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun n_parts ->
+          List.iter round_line
+            (Sched.Twopc.universe
+               { cfg with Sched.Twopc.variant }
+               ~n_parts ~seed:1))
+        [ 1; 2; 3 ])
+    Sched.Twopc.[ Correct; Forget_log_on_recover; Presume_commit_on_timeout ];
+  List.iter round_line
+    (Sched.Twopc.universe
+       { cfg with Sched.Twopc.jitter = 0.3 }
+       ~n_parts:2 ~seed:5);
+  List.iter
+    (fun crash_rate ->
+      List.iter
+        (fun slow_rate ->
+          let svc =
+            Sched.Twopc.service ~crash_rate ~slow_rate ~seed:11 ~shards:3 ()
+          in
+          for tx = 0 to 19 do
+            ignore (Sched.Twopc.commit svc ~tx ~shards:[ 0; 1; 2 ])
+          done;
+          let t = Sched.Twopc.totals svc in
+          let open Sched.Twopc in
+          bf "grid %g/%g rounds=%d committed=%d aborted=%d latency=%h \
+              blocking=%h max=%h msgs=%d crashes=%d\n"
+            crash_rate slow_rate t.rounds t.committed t.aborted t.latency_sum
+            t.blocking_sum t.blocking_max t.total_msgs t.total_crashes)
+        [ 0.; 0.2; 0.5 ])
+    [ 0.; 0.2; 0.5 ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_layer_digest () =
+  Alcotest.(check string)
+    "universe rounds and fault-grid totals"
+    "ec83f1ae0e4895747df4d4bc4e8eebcc" (layer_digest ())
+
+(* ---------- a disabled sink costs nothing ---------- *)
+
+(* A fault-free service round with the null sink builds no event, no
+   option and no per-message closure: what it allocates is its state
+   and its messages. Words per round over 1000 rounds, on the 4-shard
+   cluster the sharded-2PC engine uses. *)
+let words_per_round ~parts =
+  let svc = Sched.Twopc.service ~shards:4 () in
+  let shards = List.init parts (fun p -> p) in
+  ignore (Sched.Twopc.commit svc ~tx:0 ~shards);
+  let before = Gc.minor_words () in
+  for tx = 1 to 1000 do
+    ignore (Sched.Twopc.commit svc ~tx ~shards)
+  done;
+  (Gc.minor_words () -. before) /. 1000.
+
+let test_null_sink_allocation () =
+  let bound parts limit =
+    let w = words_per_round ~parts in
+    if w > limit then
+      Alcotest.failf "%d participants: %.0f words per round (bound %.0f)"
+        parts w limit
+  in
+  bound 2 600.;
+  bound 4 900.
 
 (* ---------- exhaustive single-fault micro-universes ---------- *)
 
@@ -461,8 +619,13 @@ let suite =
     Alcotest.test_case "a no-vote aborts everyone" `Quick test_vote_no_aborts;
     Alcotest.test_case "equal-time events drain in enqueue order" `Quick
       test_net_equal_time_fifo;
+    QCheck_alcotest.to_alcotest prop_net_drain_order;
     Alcotest.test_case "a jittered round replays from its seed" `Quick
       test_jitter_round_replays;
+    Alcotest.test_case "universe rounds and fault grid pinned by digest" `Quick
+      test_layer_digest;
+    Alcotest.test_case "null-sink rounds allocate only state and messages"
+      `Quick test_null_sink_allocation;
     Alcotest.test_case "exhaustive single-fault micro-universes (AC1-AC5)"
       `Quick test_exhaustive_universes;
     Alcotest.test_case "forget-log-on-recover rejected with witness" `Quick
