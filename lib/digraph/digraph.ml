@@ -258,6 +258,12 @@ module Acyclic = struct
     parent : int array;  (* scratch: witness-path links, -1 at a root *)
     mutable epoch : int;
     mutable hit : int;   (* the vertex the last [true] search stopped at *)
+    mutable n_marked : int; (* how many the last marking search put in [parent] *)
+    (* the last clear [closes_cycle_any_of]: its epoch, target and bound;
+       [clear <> epoch] once anything searched or changed the graph *)
+    mutable clear : int;
+    mutable clear_target : int;
+    mutable clear_ub : int;
   }
 
   let create nv =
@@ -276,6 +282,10 @@ module Acyclic = struct
       parent = Array.make nv (-1);
       epoch = 0;
       hit = -1;
+      n_marked = 0;
+      clear = -1;
+      clear_target = -1;
+      clear_ub = -1;
     }
 
   let n_vertices g = g.nv
@@ -356,29 +366,58 @@ module Acyclic = struct
     true
 
   (* one pass over the sources: mark, bound, and spot self-loops (the
-     [max_int] sentinel) *)
-  let rec mark_sources g ep ~excluding ~target bound = function
+     [max_int] sentinel). Without [all], only the first source but
+     [excluding]: the head of a chain list. *)
+  let rec mark_sources g ep ~excluding ~target ~all bound = function
     | [] -> bound
     | u :: us ->
       check g u;
-      if u = excluding then mark_sources g ep ~excluding ~target bound us
+      if u = excluding then mark_sources g ep ~excluding ~target ~all bound us
       else if u = target then max_int
       else begin
         g.want.(u) <- ep;
-        mark_sources g ep ~excluding ~target
-          (if g.ord.(u) > bound then g.ord.(u) else bound)
-          us
+        let bound = if g.ord.(u) > bound then g.ord.(u) else bound in
+        if all then mark_sources g ep ~excluding ~target ~all bound us
+        else bound
       end
 
-  (* [mark_sources] over the lists [lists.(base + c)], [c] in [pick] *)
-  let mark_lists g ep ~excluding ~lists ~base ~pick ~target =
+  (* [mark_sources] over the lists [lists.(base + c)], [c] in [pick]: the
+     head alone of a chain list. Every member reaches its head, so the
+     head has the highest slot and the bound is the full read's. *)
+  let mark_lists g ep ~excluding ~lists ~base ~pick ~chain ~target =
     let bound = ref (-1) and j = ref 0 in
     while !bound <> max_int && !j < Array.length pick do
+      let c = pick.(!j) in
       bound :=
-        mark_sources g ep ~excluding ~target !bound lists.(base + pick.(!j));
+        mark_sources g ep ~excluding ~target ~all:(not chain.(c)) !bound
+          lists.(base + c);
       incr j
     done;
     !bound
+
+  (* The vertex nearest the root, on the path up from [v], stamped at
+     [ep]. *)
+  let rec first_wanted g ep v found =
+    if v < 0 then found
+    else first_wanted g ep g.parent.(v) (if g.want.(v) = ep then v else found)
+
+  (* The witness cut, after a head read found a path: stamp the members
+     the read skipped, and move [hit] back to the first source on the
+     path. A search that stamps every member descends the same way until
+     it meets a source, and stops there: each member reaches its head,
+     and a vertex the search has left reaches nothing wanted. *)
+  let cut g ep ~excluding ~lists ~base ~pick ~chain =
+    let chained = ref false in
+    for j = 0 to Array.length pick - 1 do
+      let c = pick.(j) in
+      if chain.(c) then begin
+        chained := true;
+        ignore
+          (mark_sources g ep ~excluding ~target:(-1) ~all:true (-1)
+             lists.(base + c))
+      end
+    done;
+    if !chained then g.hit <- first_wanted g ep g.hit g.hit
 
   (* Because the maintained order is topological, every edge strictly
      increases [ord]; any path from [target] back to a source therefore
@@ -388,26 +427,44 @@ module Acyclic = struct
     check g target;
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
-    let bound = mark_sources g ep ~excluding ~target (-1) sources in
+    let bound = mark_sources g ep ~excluding ~target ~all:true (-1) sources in
     if bound = max_int then self_loop g target
     else bound >= g.ord.(target) && dfs g ep bound (-1) target
 
-  let closes_cycle_any_of g ~excluding ~lists ~base ~pick ~target =
+  (* A clear answer leaves its epoch, target and bound for
+     [add_edges_vetted_of]; the marks the rotation needs are its DFS's
+     [seen] stamps. *)
+  let closes_cycle_any_of g ~excluding ~lists ~base ~pick ~chain ~target =
     check g target;
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
-    let bound = mark_lists g ep ~excluding ~lists ~base ~pick ~target in
+    let bound = mark_lists g ep ~excluding ~lists ~base ~pick ~chain ~target in
     if bound = max_int then self_loop g target
-    else bound >= g.ord.(target) && dfs g ep bound (-1) target
+    else if bound >= g.ord.(target) && dfs g ep bound (-1) target then begin
+      cut g ep ~excluding ~lists ~base ~pick ~chain;
+      true
+    end
+    else begin
+      g.clear <- ep;
+      g.clear_target <- target;
+      g.clear_ub <- bound;
+      false
+    end
 
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
   (* Marking searches stamp [seen] with a fresh epoch, which [marked]
-     reads back: [mark_fwd] follows out-edges, [mark_bwd] in-edges.
+     reads back, and list what they mark in [parent], which no marking
+     search reads: [mark_fwd] follows out-edges, [mark_bwd] in-edges.
      Unbounded: they answer for every vertex at once. *)
+  let note g w =
+    g.parent.(g.n_marked) <- w;
+    g.n_marked <- g.n_marked + 1
+
   let rec mark_fwd g ep w =
     if g.seen.(w) <> ep then begin
       g.seen.(w) <- ep;
+      note g w;
       let succs = g.out_.(w) in
       for j = g.outdeg.(w) - 1 downto 0 do
         mark_fwd g ep succs.(j)
@@ -417,33 +474,50 @@ module Acyclic = struct
   let rec mark_bwd g ep w =
     if g.seen.(w) <> ep then begin
       g.seen.(w) <- ep;
+      note g w;
       let preds = g.in_.(w) in
       for j = 0 to g.indeg.(w) - 1 do
         mark_bwd g ep preds.(j)
       done
     end
 
-  let rec mark_bwd_sources g ep ~excluding = function
+  (* Without [all], only the head, as in [mark_sources]: every vertex
+     that reaches a member reaches the head. *)
+  let rec mark_bwd_sources g ep ~excluding ~all = function
     | [] -> ()
     | u :: us ->
       check g u;
-      if u <> excluding then mark_bwd g ep u;
-      mark_bwd_sources g ep ~excluding us
+      if u = excluding then mark_bwd_sources g ep ~excluding ~all us
+      else begin
+        mark_bwd g ep u;
+        if all then mark_bwd_sources g ep ~excluding ~all us
+      end
 
   let mark_reachable g u =
     check g u;
     g.epoch <- g.epoch + 1;
+    g.n_marked <- 0;
     mark_fwd g g.epoch u
 
-  let mark_reaching_any_of g ~excluding ~lists ~base ~pick =
+  let mark_reaching_any_of g ~excluding ~lists ~base ~pick ~chain =
     g.epoch <- g.epoch + 1;
+    g.n_marked <- 0;
     for j = 0 to Array.length pick - 1 do
-      mark_bwd_sources g g.epoch ~excluding lists.(base + pick.(j))
+      let c = pick.(j) in
+      mark_bwd_sources g g.epoch ~excluding ~all:(not chain.(c))
+        lists.(base + c)
     done
 
   let marked g v =
     check g v;
     g.seen.(v) = g.epoch
+
+  let n_marked g = g.n_marked
+
+  let nth_marked g i =
+    if i < 0 || i >= g.n_marked then
+      invalid_arg "Digraph.Acyclic.nth_marked: out of range";
+    g.parent.(i)
 
   let rec search_from g ep bound = function
     | [] -> false
@@ -459,7 +533,9 @@ module Acyclic = struct
   let reaches_any g ~sources ~targets =
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
-    let bound = mark_sources g ep ~excluding:(-1) ~target:(-1) (-1) targets in
+    let bound =
+      mark_sources g ep ~excluding:(-1) ~target:(-1) ~all:true (-1) targets
+    in
     search_from g ep bound sources
 
   let last_path g =
@@ -572,7 +648,9 @@ module Acyclic = struct
   let add_edges_acyclic g ~sources ~targets =
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
-    let ub = mark_sources g ep ~excluding:(-1) ~target:(-1) (-1) sources in
+    let ub =
+      mark_sources g ep ~excluding:(-1) ~target:(-1) ~all:true (-1) sources
+    in
     let lb = low_slot g ep max_int targets in
     if lb < 0 || (ub >= lb && search_from g ep ub targets) then false
     else begin
@@ -582,25 +660,35 @@ module Acyclic = struct
       true
     end
 
+  (* The search-free half of [add_edges_acyclic_of], after the clear
+     [closes_cycle_any_of] it records: rotate the window [ord target,
+     clear_ub] by that search's marks, then link. *)
+  let rotate_and_link g ~excluding ~lists ~base ~pick ~chain ~target =
+    let lb = g.ord.(target) and ub = g.clear_ub in
+    if ub >= lb then rotate g g.clear lb ub;
+    g.hit <- -1;
+    let ep = stamp_preds g target in
+    for j = 0 to Array.length pick - 1 do
+      let c = pick.(j) in
+      if chain.(c) then link_head g ep ~excluding target lists.(base + c)
+      else link_sources g ep ~excluding target lists.(base + c)
+    done
+
   let add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~chain ~target =
-    check g target;
-    g.epoch <- g.epoch + 1;
-    let ep = g.epoch in
-    let ub = mark_lists g ep ~excluding ~lists ~base ~pick ~target in
-    let lb = g.ord.(target) in
-    if ub = max_int then not (self_loop g target)
-    else if ub >= lb && dfs g ep ub (-1) target then false
-    else begin
-      if ub >= lb then rotate g ep lb ub;
-      g.hit <- -1;
-      let ep = stamp_preds g target in
-      for j = 0 to Array.length pick - 1 do
-        let c = pick.(j) in
-        if chain.(c) then link_head g ep ~excluding target lists.(base + c)
-        else link_sources g ep ~excluding target lists.(base + c)
-      done;
+    (not (closes_cycle_any_of g ~excluding ~lists ~base ~pick ~chain ~target))
+    && begin
+      rotate_and_link g ~excluding ~lists ~base ~pick ~chain ~target;
       true
     end
+
+  (* Every search bumps the epoch, and so does every link, after
+     [stamp_preds] or in [bypass]; removals drop the record. *)
+  let add_edges_vetted_of g ~excluding ~lists ~base ~pick ~chain ~target =
+    if g.clear = g.epoch && g.clear_target = target then begin
+      rotate_and_link g ~excluding ~lists ~base ~pick ~chain ~target;
+      true
+    end
+    else add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~chain ~target
 
   (* [u -> m] puts [u] before [m], and [m] before each of its successors,
      so the order already holds every new edge: nothing is searched. *)
@@ -657,6 +745,7 @@ module Acyclic = struct
   let remove_edge g u v =
     check g u;
     check g v;
+    g.clear <- -1;
     if has_edge g u v then begin
       drop_succ g u v;
       drop_pred g v u;
@@ -665,6 +754,7 @@ module Acyclic = struct
 
   let remove_vertex g i =
     check g i;
+    g.clear <- -1;
     g.ne <- g.ne - g.outdeg.(i) - g.indeg.(i);
     let succs = g.out_.(i) in
     for j = 0 to g.outdeg.(i) - 1 do

@@ -139,13 +139,35 @@ module Acyclic : sig
   (** {!add_edges_acyclic} with the one target [target] and the sources
       read in place as in {!closes_cycle_any_of}: the union of the lists
       [lists.(base + c)] for [c] in [pick], less [excluding] ([-1] drops
-      none). The cycle check and its witness read every source. The
-      edges come from every source of a list whose [chain.(c)] is false,
-      but only from the {e head} of one whose flag is true: its first
-      member other than [excluding]. A caller sets the flag for a list
-      whose members already reach its head, so the head's edge implies
-      the rest; all flags false link every source. Nothing is allocated
+      none). It is that search, then, when it is clear, a search-free
+      rotate-and-link step: the window moves by the search's marks, and
+      the edges are linked. The cycle check reads a chain list at its
+      head, and its witness is the full read's. The edges come from
+      every source of a list whose [chain.(c)] is false, but only from
+      the head of one whose flag is true, so the head's edge implies the
+      rest; all flags false link every source. Nothing is allocated
       unless an adjacency array grows. *)
+
+  val add_edges_vetted_of :
+    t ->
+    excluding:int ->
+    lists:int list array ->
+    base:int ->
+    pick:int array ->
+    chain:bool array ->
+    target:int ->
+    bool
+  (** {!add_edges_acyclic_of}, reusing the search of the last clear
+      {!closes_cycle_any_of}: when that was for [target] and nothing
+      has searched or changed [g] since, only the rotate-and-link step
+      runs, and leaves the graph, its out-array order and its
+      topological order exactly as the full insertion would. Any search
+      (a query, a marking, an insertion), any link and any removal in
+      between voids the record, and the full insertion runs. The caller
+      vouches that the lists, [pick] and [excluding] are those that
+      search read, unchanged. [chain] picks the links; it may differ
+      from the search's flags only on lists that meet the chain
+      precondition, where flags move neither the marks nor the bound. *)
 
   val bypass : t -> int -> int -> (int -> bool) -> unit
   (** [bypass g u m keep] adds an edge [u → v] for every successor [v] of
@@ -166,7 +188,7 @@ module Acyclic : sig
 
   val closes_cycle : t -> int -> int -> bool
   (** [closes_cycle g u v] is [true] iff adding [u → v] would create a
-      cycle. Pure query: the graph is never modified. *)
+      cycle. The graph is never modified. *)
 
   val closes_cycle_any :
     ?excluding:int -> t -> sources:int list -> target:int -> bool
@@ -177,8 +199,8 @@ module Acyclic : sig
       topological-order window, one pass for the whole edge batch.
       [?excluding] drops one vertex from [sources] without the caller
       having to build a filtered list (the SGT scheduler passes a
-      variable's accessor list, which may include the requester). Pure
-      query: the graph is never modified, and nothing is allocated. *)
+      variable's accessor list, which may include the requester). The
+      graph is never modified, and nothing is allocated. *)
 
   val closes_cycle_any_of :
     t ->
@@ -186,13 +208,28 @@ module Acyclic : sig
     lists:int list array ->
     base:int ->
     pick:int array ->
+    chain:bool array ->
     target:int ->
     bool
   (** {!closes_cycle_any} where [sources] is the union of the lists
       [lists.(base + c)] for [c] in [pick], read in place: a request whose
       conflicting accessors are spread over several lists is tested
       without building their union. [excluding] drops one vertex from the
-      sources ([-1] drops none). Pure query; nothing is allocated. *)
+      sources ([-1] drops none).
+
+      {b Chains.} A list whose [chain.(c)] is true is read at its {e
+      head}, its first member other than [excluding]: the search stamps
+      the head alone. Precondition: every member of a flagged list
+      reaches its head (members other than [excluding]; a path may pass
+      through it). Then the answer, the window bound and, after the
+      {e witness cut}, {!last_path} are those of a read of every member:
+      on [true], the members are stamped and the path is cut at the
+      first source on it, where a full read stops. Without the
+      precondition the answer stays sound only for flags all false.
+
+      The graph and its order are never modified, and nothing is
+      allocated on [false]. A [false] answer records its search for
+      {!add_edges_vetted_of}. *)
 
   val mark_reachable : t -> int -> unit
   (** [mark_reachable g u] marks every vertex reachable from [u], [u]
@@ -205,19 +242,31 @@ module Acyclic : sig
     lists:int list array ->
     base:int ->
     pick:int array ->
+    chain:bool array ->
     unit
   (** Marks every vertex that is, or reaches, a source: one search over
       in-edges from every source at once. The sources are read in place
       as in {!closes_cycle_any_of}: the union of [lists.(base + c)] for
-      [c] in [pick], less [excluding] ([-1] drops none). An excluded
-      vertex is still marked when it reaches a source. Read back with
-      {!marked}; nothing is allocated. *)
+      [c] in [pick], less [excluding] ([-1] drops none), a flagged list
+      read at its head under the same precondition, which leaves the
+      marks unchanged. An excluded vertex is still marked when it
+      reaches a source. Read back with {!marked} or {!nth_marked};
+      nothing is allocated. *)
 
   val marked : t -> int -> bool
   (** Whether the most recent {!mark_reachable} or
       {!mark_reaching_any_of} marked the vertex. Every other query and
       every edge insertion reuses the marks' scratch space, so read them
       before calling anything else on [g]. *)
+
+  val n_marked : t -> int
+  (** How many vertices the most recent marking search marked. *)
+
+  val nth_marked : t -> int -> int
+  (** [nth_marked g i], [0 <= i < n_marked g] (else [Invalid_argument]):
+      the marked vertices, each once, in no promised order. Reporting
+      costs what the search reached, not the graph's size. Read them as
+      {!marked}: before anything else on [g]. *)
 
   val reaches_any : t -> sources:int list -> targets:int list -> bool
   (** Some source is, or reaches, some target: would adding every edge
@@ -236,6 +285,8 @@ module Acyclic : sig
       [[target]]. The path is the search's first descent, out-edges
       newest first, to a wanted vertex: the bound skips only vertices
       that reach none, so the maintained order never changes it. Every
+      member of a list read at its head counts as wanted (the witness
+      cut of {!closes_cycle_any_of}). Every
       search and edge insertion reuses its scratch space, so read it
       before calling anything else on [g]. *)
 

@@ -57,6 +57,10 @@ type t = {
   push_freed : int -> unit; (* built once, so forget allocates no closure *)
   mutable bypassed : int; (* the entry [keep] reads *)
   keep : int -> bool; (* built once, like [push_freed] *)
+  (* the step the last clear [refuses] vetted, or -1: its [grant] reuses
+     that search while the graph's record of it stands *)
+  mutable vetted : int;
+  mutable vetted_idx : int;
 }
 
 let has g l bit = g.flags.(l) land bit <> 0
@@ -110,7 +114,8 @@ let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
         let e = g.bypassed in
         let c = e mod g.k in
         holds_any g (e - c) g.conf.(c) g.held_at.(v)
-          (g.held_at.(v) + g.n_held.(v))) }
+          (g.held_at.(v) + g.n_held.(v)));
+      vetted = -1; vetted_idx = -1 }
   in
   g
 
@@ -121,17 +126,28 @@ let id g l = if Array.length g.ids = 0 then l else g.ids.(l)
 let class_of g l idx = if g.k = 1 then 0 else g.class_of_step.(l).(idx)
 let base g l idx = g.var_of_step.(l).(idx) * g.k
 
-let reaches_sources g v l idx =
+let search g v l idx =
   Digraph.Acyclic.closes_cycle_any_of g.graph ~excluding:l ~lists:g.entries
-    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~target:v
+    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~chain:g.chain
+    ~target:v
+
+let reaches_sources g v l idx =
+  g.vetted <- -1;
+  search g v l idx
 
 (* Every candidate edge u -> l ends at [l], so the batch closes a cycle
    iff some conflicting accessor is reachable from [l]. *)
-let refuses g l idx = reaches_sources g l l idx
+let refuses g l idx =
+  search g l l idx
+  || begin
+    g.vetted <- l;
+    g.vetted_idx <- idx;
+    false
+  end
 
 let mark_reaching_sources g l idx =
   Digraph.Acyclic.mark_reaching_any_of g.graph ~excluding:l ~lists:g.entries
-    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx)
+    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~chain:g.chain
 
 (* Some list [entries.(b + row.(i))], [i <= j], is non-empty. *)
 let rec any_nonempty entries b row j =
@@ -180,19 +196,28 @@ let rec holds g at i e = i > at && (g.held.(i - 1) = e || holds g at (i - 1) e)
    grant, so [refuses] would have delayed this step. An entry and its
    edges leave together, at removal. A fresh entry's edges go in with
    one insertion, made only when some conflicting list is non-empty: from
-   each chain list's head, and from every member of any other list. *)
+   each chain list's head, and from every member of any other list. When
+   the last clear [refuses] vetted this very step, the insertion reuses
+   its search: the lists are the ones it read, and the graph's own record
+   says whether anything searched or changed it since. *)
 let grant g l idx =
   let c = class_of g l idx and b = base g l idx in
   let e = b + c in
   let row = g.conf.(c) in
   let at = g.held_at.(l) in
   let fresh = not (holds g at (at + g.n_held.(l)) e) in
+  let vetted = g.vetted = l && g.vetted_idx = idx in
+  g.vetted <- -1;
   if
     fresh
     && any_nonempty g.entries b row (Array.length row - 1)
     && not
-         (Digraph.Acyclic.add_edges_acyclic_of g.graph ~excluding:l
-            ~lists:g.entries ~base:b ~pick:row ~chain:g.chain ~target:l)
+         (if vetted then
+            Digraph.Acyclic.add_edges_vetted_of g.graph ~excluding:l
+              ~lists:g.entries ~base:b ~pick:row ~chain:g.chain ~target:l
+          else
+            Digraph.Acyclic.add_edges_acyclic_of g.graph ~excluding:l
+              ~lists:g.entries ~base:b ~pick:row ~chain:g.chain ~target:l)
   then
     Printf.ksprintf failwith
       "Sched.Cgraph: granting step %d of %d closes a cycle, breaking the \
@@ -237,6 +262,7 @@ let rec older (x : int) = function
    other vertex can become prunable here. *)
 let forget g l =
   g.version <- g.version + 1;
+  g.vetted <- -1;
   let at = g.held_at.(l) in
   let bypassing = Digraph.Acyclic.in_degree g.graph l > 0 in
   for i = at to at + g.n_held.(l) - 1 do

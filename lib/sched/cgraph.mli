@@ -21,7 +21,11 @@ open Core
     class that conflicts with itself is a chain: each member has an edge
     to the next newer one, so it reaches every newer one. A grant links
     only a chain's head, its newest member, and every member of a list
-    whose class commutes with itself.
+    whose class commutes with itself. The searches read a chain list at
+    its head as well ({!Digraph.Acyclic.closes_cycle_any_of}): the
+    refusal search, the grant's cycle check and {!mark_reaching_sources}
+    stamp the head alone, with the same answers, marks and witnesses as
+    a read of every member.
 
     {b Removal.} Before a vertex with in-edges is removed, the next-older
     neighbour [p] on each of its chain lists gets a bypass edge to every
@@ -105,9 +109,13 @@ val grant : t -> int -> int -> unit
     a conflicting chain list, inserted with one
     {!Digraph.Acyclic.add_edges_acyclic_of}, then the step's entry. The
     step must be vetted: not {!refuses} (else [Failure] names the broken
-    invariant). When [l] already holds the step's (variable, class)
-    entry, every conflicting accessor already reaches [l] and no
-    insertion is made. One present at the entry's first grant was
+    invariant). When the last clear {!refuses} was for this very step,
+    the insertion reuses its search
+    ({!Digraph.Acyclic.add_edges_vetted_of}): only the rotate-and-link
+    step runs if nothing has searched or changed the graph since. When
+    [l] already holds the step's (variable, class) entry, every
+    conflicting accessor already reaches [l] and no insertion is
+    made. One present at the entry's first grant was
     linked then, or reaches its chain's head, which was; one added
     since got an edge from [l] at its own grant, as conflicts are
     symmetric, so [l] reaches it and {!refuses} would hold. An entry

@@ -144,6 +144,10 @@ let prop_closure_sound =
 
 module A = Digraph.Acyclic
 
+(* Chain flags for lists read in full: the three classes [pick] draws
+   from, none a chain. *)
+let no_chain = [| false; false; false |]
+
 let test_acyclic_basic () =
   let g = A.create 3 in
   check_true "add 0->1" (A.add_edge_acyclic g 0 1 = Ok ());
@@ -200,28 +204,31 @@ let test_acyclic_batch_query () =
   check_true "batch cycle" (A.closes_cycle_any g ~sources:[ 3; 2 ] ~target:0);
   check_true "self in batch" (A.closes_cycle_any g ~sources:[ 0 ] ~target:0);
   (* the same queries with the sources spread over several lists *)
-  let lists = [| [ 0 ]; [ 3 ]; [ 2 ] |] in
+  let lists = [| [ 0 ]; [ 3 ]; [ 2 ] |] and chain = no_chain in
   check_false "union ok"
     (A.closes_cycle_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 0; 2 |]
-       ~target:3);
+       ~chain ~target:3);
   check_true "union cycle"
     (A.closes_cycle_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 1; 2 |]
-       ~target:0);
+       ~chain ~target:0);
   check_false "excluded source"
     (A.closes_cycle_any_of g ~excluding:2 ~lists ~base:1 ~pick:[| 1 |]
-       ~target:0);
+       ~chain ~target:0);
   (* the same graph through the marking searches and [reaches_any] *)
   let marks () = List.filter (A.marked g) [ 0; 1; 2; 3 ] in
   A.mark_reachable g 1;
   Alcotest.(check (list int)) "forward mark" [ 1; 2 ] (marks ());
-  A.mark_reaching_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 2 |];
+  A.mark_reaching_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 2 |]
+    ~chain;
   Alcotest.(check (list int)) "backward mark" [ 0; 1; 2 ] (marks ());
-  A.mark_reaching_any_of g ~excluding:2 ~lists ~base:0 ~pick:[| 0; 2 |];
+  A.mark_reaching_any_of g ~excluding:2 ~lists ~base:0 ~pick:[| 0; 2 |]
+    ~chain;
   Alcotest.(check (list int)) "excluded source" [ 0 ] (marks ());
-  A.mark_reaching_any_of g ~excluding:0 ~lists ~base:0 ~pick:[| 0; 2 |];
+  A.mark_reaching_any_of g ~excluding:0 ~lists ~base:0 ~pick:[| 0; 2 |]
+    ~chain;
   Alcotest.(check (list int)) "excluded vertex reaching a source"
     [ 0; 1; 2 ] (marks ());
-  A.mark_reaching_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||];
+  A.mark_reaching_any_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||] ~chain;
   Alcotest.(check (list int)) "no sources" [] (marks ());
   check_true "reaches a target"
     (A.reaches_any g ~sources:[ 3; 0 ] ~targets:[ 2 ]);
@@ -388,8 +395,9 @@ let prop_acyclic_matches_plain =
           && order_ok () && iter_succ_ok ())
         ops)
 
-(* The marking searches and [reaches_any] against [Digraph.reachable]
-   on random acyclic graphs: sources spread over lists read from a
+(* The marking searches and [reaches_any] against [Digraph.reachable],
+   and the vertices each marking search reports against its marks, on
+   random acyclic graphs: sources spread over lists read from a
    random base (possibly none at all), a random excluded vertex, and
    source and target lists that may be empty or overlap. Before the
    queries, a random run of edge removals, vertex removals and re-adds
@@ -488,16 +496,22 @@ let prop_marks_match_reachable =
       let a, p = build_marks c in
       let reach = Array.init n (Digraph.reachable p) in
       let all f = List.for_all f (List.init n Fun.id) in
+      (* the reported vertices are the marked ones, each once *)
+      let reported () =
+        List.sort compare (List.init (A.n_marked a) (A.nth_marked a))
+        = List.filter (A.marked a) (List.init n Fun.id)
+      in
       let forward =
         all (fun u ->
             A.mark_reachable a u;
-            all (fun v -> A.marked a v = reach.(u).(v)))
+            all (fun v -> A.marked a v = reach.(u).(v)) && reported ())
       in
       let srcs = picked_sources c in
       A.mark_reaching_any_of a ~excluding:c.excluding ~lists:c.lists
-        ~base:c.base ~pick:c.pick;
+        ~base:c.base ~pick:c.pick ~chain:no_chain;
       let backward =
         all (fun v -> A.marked a v = List.exists (fun s -> reach.(v).(s)) srcs)
+        && reported ()
       in
       forward && backward
       && A.reaches_any a ~sources:c.sources ~targets:c.targets
@@ -543,7 +557,7 @@ let prop_last_path =
             (A.closes_cycle_any ~excluding a ~sources ~target:t)
           && witnessed ~start:t ~wanted:srcs
                (A.closes_cycle_any_of a ~excluding ~lists:c.lists
-                  ~base:c.base ~pick:c.pick ~target:t))
+                  ~base:c.base ~pick:c.pick ~chain:no_chain ~target:t))
         (List.init n Fun.id)
       && List.for_all
            (fun s ->
@@ -565,10 +579,11 @@ let prop_last_path =
    promise to insert them: source by source, each source's in target
    order. Random runs of batches through both entry points, edge
    removals and vertex removals (a removed vertex gains edges again in
-   later batches). [add_edges_acyclic_of] gets random chain flags: the
-   mirror links only the head of a flagged list, its first member other
-   than the excluded vertex, while the cycle check still reads every
-   listed source. *)
+   later batches). [add_edges_acyclic_of] gets random chain flags, and
+   each flagged list is made a chain first (see [chain_up]): the mirror
+   links only the head of a flagged list, its first member other than
+   the excluded vertex, while the cycle check and its witness answer
+   for every listed source. *)
 type batch =
   | Ins of int list * int list
   | Ins_of of {
@@ -668,8 +683,65 @@ let ref_refusal out (sources, targets) =
   | Some t -> Some [ t ]
   | None -> ref_path out ~starts:targets ~wanted:sources
 
-(* Apply one op to the incremental graph and the mirror; [Some ok] for a
-   batch whose properties hold. *)
+(* Give each flagged list the chain precondition: an edge from every
+   member to its next newer one, inserted and mirrored in [out]. A list
+   whose edges would close a cycle cannot be a chain, so its flag is
+   dropped. Returns the flags kept. *)
+let chain_up a out ~lists ~base ~pick ~chain =
+  let kept = Array.copy chain in
+  let rec link = function
+    | newer :: (older :: _ as rest) ->
+      (newer = older
+      ||
+      match A.add_edge_acyclic a older newer with
+      | Ok () ->
+        if not (List.mem newer out.(older)) then
+          out.(older) <- newer :: out.(older);
+        true
+      | Error _ -> false)
+      && link rest
+    | _ -> true
+  in
+  Array.iter
+    (fun k -> if kept.(k) && not (link lists.(base + k)) then kept.(k) <- false)
+    pick;
+  kept
+
+(* Insert one batch into the incremental graph and the mirror: true
+   when its properties hold. *)
+let insert_batch a out op =
+  let sources, targets = batch_ends op in
+  let probe = mirror_plain out in
+  List.iter
+    (fun s -> List.iter (fun t -> Digraph.add_edge probe s t) targets)
+    sources;
+  let fits = not (Digraph.has_cycle probe) in
+  let edges = A.edges a and order = A.topological_order a in
+  let accepted =
+    match op with
+    | Ins (sources, targets) -> A.add_edges_acyclic a ~sources ~targets
+    | Ins_of { lists; base; pick; chain; excluding; target } ->
+      A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~chain ~target
+    | Del _ | Del_v _ -> assert false
+  in
+  accepted = fits
+  &&
+  if accepted then begin
+    List.iter
+      (fun s ->
+        List.iter
+          (fun t -> if not (List.mem t out.(s)) then out.(s) <- t :: out.(s))
+          targets)
+      (batch_links op);
+    true
+  end
+  else
+    A.edges a = edges
+    && A.topological_order a = order
+    && Some (A.last_path a) = ref_refusal out (sources, targets)
+
+(* Apply one op to the incremental graph and the mirror: true when its
+   properties hold. A batch's flagged lists are made chains first. *)
 let apply_batch a out op =
   match op with
   | Del (u, v) ->
@@ -681,36 +753,12 @@ let apply_batch a out op =
     out.(u) <- [];
     Array.iteri (fun w vs -> out.(w) <- List.filter (( <> ) u) vs) out;
     true
-  | Ins _ | Ins_of _ ->
-    let sources, targets = batch_ends op in
-    let probe = mirror_plain out in
-    List.iter
-      (fun s -> List.iter (fun t -> Digraph.add_edge probe s t) targets)
-      sources;
-    let fits = not (Digraph.has_cycle probe) in
-    let edges = A.edges a and order = A.topological_order a in
-    let accepted =
-      match op with
-      | Ins (sources, targets) -> A.add_edges_acyclic a ~sources ~targets
-      | Ins_of { lists; base; pick; chain; excluding; target } ->
-        A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~chain ~target
-      | Del _ | Del_v _ -> assert false
+  | Ins_of r when Array.exists Fun.id r.chain ->
+    let chain =
+      chain_up a out ~lists:r.lists ~base:r.base ~pick:r.pick ~chain:r.chain
     in
-    accepted = fits
-    &&
-    if accepted then begin
-      List.iter
-        (fun s ->
-          List.iter
-            (fun t -> if not (List.mem t out.(s)) then out.(s) <- t :: out.(s))
-            targets)
-        (batch_links op);
-      true
-    end
-    else
-      A.edges a = edges
-      && A.topological_order a = order
-      && Some (A.last_path a) = ref_refusal out (sources, targets)
+    insert_batch a out (Ins_of { r with chain })
+  | Ins _ | Ins_of _ -> insert_batch a out op
 
 let order_respects a =
   let pos = Array.make (A.n_vertices a) 0 in
@@ -824,13 +872,16 @@ let test_acyclic_linear_memory () =
 
 (* [last_path] does not depend on the maintained order: on graphs built
    by random batches, removals and re-adds, the witness of every
-   [closes_cycle_any_of] and [reaches_any] is the reference search's. *)
+   [closes_cycle_any_of] and [reaches_any] is the reference search's.
+   The lists get random chain flags, each flagged list made a chain
+   first, and the reference search wants every member. *)
 type witness_case = {
   wn : int;
   wops : batch list;
   wlists : int list array;
   wbase : int;
   wpick : int array;
+  wchain : bool array;
   wexcluding : int;
   wsources : int list;
   wtargets : int list;
@@ -845,28 +896,41 @@ let witness_gen =
     array_size (return 4) vs >>= fun wlists ->
     int_range 0 1 >>= fun wbase ->
     array_size (int_range 0 3) (int_range 0 2) >>= fun wpick ->
+    array_size (return 3) bool >>= fun wchain ->
     int_range (-1) (wn - 1) >>= fun wexcluding ->
     pair vs vs >>= fun (wsources, wtargets) ->
     return
-      { wn; wops; wlists; wbase; wpick; wexcluding; wsources; wtargets })
+      { wn; wops; wlists; wbase; wpick; wchain; wexcluding; wsources;
+        wtargets })
 
 let print_witness_case c =
   let ints l = String.concat ";" (List.map string_of_int l) in
-  Printf.sprintf "%s lists=%s base=%d pick=%s excluding=%d sources=%s \
-                  targets=%s"
+  Printf.sprintf "%s lists=%s base=%d pick=%s chain=%s excluding=%d \
+                  sources=%s targets=%s"
     (print_batch_run (c.wn, c.wops))
     (String.concat "|" (Array.to_list (Array.map ints c.wlists)))
     c.wbase
     (ints (Array.to_list c.wpick))
+    (String.concat ""
+       (Array.to_list (Array.map (fun b -> if b then "1" else "0") c.wchain)))
     c.wexcluding (ints c.wsources) (ints c.wtargets)
+
+(* The case's graph and its mirror, the flagged lists made chains: the
+   flags kept. *)
+let build_witness c =
+  let a = A.create c.wn and out = Array.make c.wn [] in
+  List.iter (fun op -> ignore (apply_batch a out op)) c.wops;
+  let chain =
+    chain_up a out ~lists:c.wlists ~base:c.wbase ~pick:c.wpick ~chain:c.wchain
+  in
+  (a, out, chain)
 
 let prop_witness_order_free =
   QCheck.Test.make ~name:"last_path is the order-free reference search"
     ~count:400
     (QCheck.make ~print:print_witness_case witness_gen)
     (fun c ->
-      let a = A.create c.wn and out = Array.make c.wn [] in
-      List.iter (fun op -> ignore (apply_batch a out op)) c.wops;
+      let a, out, chain = build_witness c in
       let found answer = if answer then Some (A.last_path a) else None in
       let wanted =
         List.concat_map (fun k -> c.wlists.(c.wbase + k))
@@ -877,11 +941,202 @@ let prop_witness_order_free =
         (fun t ->
           found
             (A.closes_cycle_any_of a ~excluding:c.wexcluding ~lists:c.wlists
-               ~base:c.wbase ~pick:c.wpick ~target:t)
+               ~base:c.wbase ~pick:c.wpick ~chain ~target:t)
           = ref_path out ~starts:[ t ] ~wanted)
         (List.init c.wn Fun.id)
       && found (A.reaches_any a ~sources:c.wsources ~targets:c.wtargets)
          = ref_path out ~starts:c.wsources ~wanted:c.wtargets)
+
+(* Each vertex's out-edges, newest first. *)
+let out_arrays g =
+  List.init (A.n_vertices g) (fun u ->
+      let acc = ref [] in
+      A.iter_succ g u (fun v -> acc := v :: !acc);
+      List.rev !acc)
+
+let same_graph a b =
+  A.edges a = A.edges b
+  && out_arrays a = out_arrays b
+  && A.topological_order a = A.topological_order b
+
+(* A head read equals a full read. Two copies of the same graph, its
+   flagged lists made chains; target by target, each search runs on one
+   copy with the kept flags and on the other with none. Answers and
+   [last_path] agree, and so do the backward marks, both as [marked]
+   and as reported. The full read's insertion is its search followed by
+   the rotate-and-link step alone ([add_edges_vetted_of], linking heads
+   as the head read's insertion does), so the two insertions differ only
+   in their search, and must leave the same edges, out-array order and
+   topological order; the next target runs on the graph they left. It
+   fails on a mutant that skips the witness cut. *)
+let prop_head_read =
+  QCheck.Test.make ~name:"a head read equals a full read" ~count:400
+    (QCheck.make ~print:print_witness_case witness_gen)
+    (fun c ->
+      let a, _, chain = build_witness c and f, _, _ = build_witness c in
+      let excluding = c.wexcluding and lists = c.wlists in
+      let base = c.wbase and pick = c.wpick in
+      let search g chain t =
+        A.closes_cycle_any_of g ~excluding ~lists ~base ~pick ~chain ~target:t
+      in
+      let agree x y = x = y && ((not x) || A.last_path a = A.last_path f) in
+      let marks g = List.filter (A.marked g) (List.init c.wn Fun.id) in
+      let reported g =
+        List.sort compare (List.init (A.n_marked g) (A.nth_marked g))
+      in
+      List.for_all
+        (fun t ->
+          agree (search a chain t) (search f no_chain t)
+          && begin
+            A.mark_reaching_any_of a ~excluding ~lists ~base ~pick ~chain;
+            A.mark_reaching_any_of f ~excluding ~lists ~base ~pick
+              ~chain:no_chain;
+            marks a = marks f && reported a = reported f
+          end
+          && agree
+               (A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~chain
+                  ~target:t)
+               ((not (search f no_chain t))
+               && A.add_edges_vetted_of f ~excluding ~lists ~base ~pick ~chain
+                    ~target:t)
+          && same_graph a f)
+        (List.init c.wn Fun.id))
+
+(* The rotate-and-link step alone equals the full insertion. Two copies
+   of the same graph; per step, a clear [closes_cycle_any_of] on both,
+   one op in between, then [add_edges_vetted_of] on one copy and
+   [add_edges_acyclic_of] on the other: the answers, a refusal's
+   [last_path], the edges, the out-array order and the topological
+   order agree. In between: nothing or the same search again (the
+   record stands), or another target's search, a marking search,
+   [reaches_any], an edge insertion, an edge removal or a vertex
+   removal (each voids it). A removal picks what the search reached,
+   inside its window: an edge between two such vertices, or one of them
+   other than the target, so that reusing the search would move the
+   order. Lists are read in
+   full, so every graph stays acyclic whatever the removals do to the
+   chains. It fails on mutants that ignore the voiding: no epoch check,
+   or an edge or vertex removal that keeps the record. *)
+type between =
+  | Nothing
+  | Again
+  | Query of int
+  | Mark_fwd of int
+  | Mark_bwd
+  | Reach of int * int
+  | Link of int * int
+  | Unlink of int
+  | Drop of int
+
+let print_between = function
+  | Nothing -> "nothing"
+  | Again -> "again"
+  | Query v -> Printf.sprintf "query %d" v
+  | Mark_fwd v -> Printf.sprintf "mark %d" v
+  | Mark_bwd -> "mark sources"
+  | Reach (u, v) -> Printf.sprintf "reach %d %d" u v
+  | Link (u, v) -> Printf.sprintf "+%d->%d" u v
+  | Unlink i -> Printf.sprintf "unlink #%d" i
+  | Drop i -> Printf.sprintf "drop #%d" i
+
+let vetted_gen =
+  QCheck.Gen.(
+    witness_gen >>= fun c ->
+    let v = int_range 0 (c.wn - 1) in
+    let op =
+      frequency
+        [
+          (1, return Nothing);
+          (1, return Again);
+          (1, map (fun u -> Query u) v);
+          (1, map (fun u -> Mark_fwd u) v);
+          (1, return Mark_bwd);
+          (1, map2 (fun u w -> Reach (u, w)) v v);
+          (2, map2 (fun u w -> Link (u, w)) v v);
+          (3, map (fun i -> Unlink i) small_nat);
+          (3, map (fun i -> Drop i) small_nat);
+        ]
+    in
+    list_size (int_range 1 20) (pair v op) >>= fun steps -> return (c, steps))
+
+let print_vetted (c, steps) =
+  Printf.sprintf "%s steps=%s" (print_witness_case c)
+    (String.concat ", "
+       (List.map
+          (fun (t, op) -> Printf.sprintf "%d after %s" t (print_between op))
+          steps))
+
+let prop_vetted_link =
+  QCheck.Test.make ~name:"a search-free link equals the full insertion"
+    ~count:1000
+    (QCheck.make ~print:print_vetted vetted_gen)
+    (fun (c, steps) ->
+      let a, _, _ = build_witness c and f, _, _ = build_witness c in
+      let excluding = c.wexcluding and lists = c.wlists in
+      let base = c.wbase and pick = c.wpick and chain = no_chain in
+      let search g t =
+        A.closes_cycle_any_of g ~excluding ~lists ~base ~pick ~chain ~target:t
+      in
+      (* the vertices the search from [t] reaches inside its window:
+         slots up to the highest source's *)
+      let sources =
+        List.concat_map (fun k -> lists.(base + k)) (Array.to_list pick)
+        |> List.filter (fun s -> s <> excluding)
+      in
+      let reached g t =
+        let pos = Array.make c.wn 0 in
+        Array.iteri (fun i u -> pos.(u) <- i) (A.topological_order g);
+        let ub = List.fold_left (fun m s -> max m pos.(s)) (-1) sources in
+        let seen = Array.make c.wn false in
+        let rec go u =
+          if (not seen.(u)) && pos.(u) <= ub then begin
+            seen.(u) <- true;
+            A.iter_succ g u go
+          end
+        in
+        go t;
+        fun u -> seen.(u)
+      in
+      let between t g = function
+        | Nothing -> ()
+        | Again -> ignore (search g t)
+        | Query u -> ignore (search g u)
+        | Mark_fwd u -> A.mark_reachable g u
+        | Mark_bwd -> A.mark_reaching_any_of g ~excluding ~lists ~base ~pick ~chain
+        | Reach (u, w) -> ignore (A.reaches_any g ~sources:[ u ] ~targets:[ w ])
+        | Link (u, w) -> ignore (A.add_edge_acyclic g u w)
+        | Unlink i -> (
+          let r = reached g t in
+          match List.filter (fun (u, w) -> r u && r w) (A.edges g) with
+          | [] -> ()
+          | es ->
+            let u, w = List.nth es (i mod List.length es) in
+            A.remove_edge g u w)
+        | Drop i -> (
+          let r = reached g t in
+          match List.filter (fun u -> u <> t && r u) (List.init c.wn Fun.id) with
+          | [] -> ()
+          | vs -> A.remove_vertex g (List.nth vs (i mod List.length vs)))
+      in
+      List.for_all
+        (fun (t, op) ->
+          let clear_a = not (search a t) and clear_f = not (search f t) in
+          clear_a = clear_f
+          && ((not clear_a)
+             || begin
+               between t a op;
+               between t f op;
+               let x =
+                 A.add_edges_vetted_of a ~excluding ~lists ~base ~pick ~chain
+                   ~target:t
+               and y =
+                 A.add_edges_acyclic_of f ~excluding ~lists ~base ~pick ~chain
+                   ~target:t
+               in
+               x = y && ((not x) || A.last_path a = A.last_path f)
+             end)
+          && same_graph a f)
+        steps)
 
 let suite =
   [
@@ -912,4 +1167,6 @@ let suite =
         prop_batch_matches_plain;
         prop_duplicates_dropped;
         prop_witness_order_free;
+        prop_head_read;
+        prop_vetted_link;
       ]

@@ -230,6 +230,45 @@ let test_abort_frees_completed () =
   let syntax = Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ] in
   check_int "one stall abort" 1 (check_engines syntax [| 0; 1; 0; 1 |])
 
+(* Clear decisions allocate nothing with the null sink: 1000 SGT
+   [attempt]s of a step behind a three-member chain list, each a clear
+   refusal search that reads the list at its head, and 1000
+   chain-flagged [closes_cycle_any_of] answers of [false], each with a
+   bounded search. An optional argument on either path would box its
+   value on every call. *)
+let test_clear_decisions_allocate_nothing () =
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let syntax = Syntax.of_lists (List.init 4 (fun _ -> [ "x"; "y" ])) in
+  let s = Sched.Sgt.create ~syntax () in
+  for tx = 0 to 2 do
+    let id = Names.step tx 0 in
+    check_true "chain member granted" (s.Sched.Scheduler.attempt id = Grant);
+    s.Sched.Scheduler.commit id
+  done;
+  let id = Names.step 3 0 in
+  check_true "the request is clear" (s.Sched.Scheduler.attempt id = Grant);
+  let attempt () = ignore (s.Sched.Scheduler.attempt id) in
+  Alcotest.(check (float 0.)) "words for 1000 clear attempts" 0. (words attempt);
+  let g = Digraph.Acyclic.create 5 in
+  List.iter
+    (fun (u, v) -> ignore (Digraph.Acyclic.add_edge_acyclic g u v))
+    [ (3, 4); (0, 1) ];
+  let lists = [| [ 4; 3 ] |] and pick = [| 0 |] and chain = [| true |] in
+  let search () =
+    Digraph.Acyclic.closes_cycle_any_of g ~excluding:(-1) ~lists ~base:0 ~pick
+      ~chain ~target:0
+  in
+  check_false "the head is out of reach" (search ());
+  Alcotest.(check (float 0.))
+    "words for 1000 clear chain searches" 0.
+    (words (fun () -> ignore (search ())))
+
 (* A self-conflicting accessor list costs one edge per member, not one
    per pair: n untyped transactions granted in turn on one variable
    leave the n-1 edges of a chain, where the full conflict graph has
@@ -773,6 +812,8 @@ let suite =
     Alcotest.test_case "kernel engines = SGT-ref on an abort-heavy corpus"
       `Quick test_abort_heavy_corpus;
     Alcotest.test_case "refusal searches pinned" `Quick test_refusal_count;
+    Alcotest.test_case "clear decisions allocate nothing" `Quick
+      test_clear_decisions_allocate_nothing;
     Alcotest.test_case "cached delays = fresh refusals on replay" `Quick
       test_replay_differential;
     Alcotest.test_case "kernel = full-scan prune model" `Quick
