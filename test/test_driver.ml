@@ -203,6 +203,48 @@ let test_stuck_list_order () =
       check_true (name ^ ": stalls iff the engine delays") (stalls = (!lists > 0)))
     engines
 
+(* The driver's stats under every registered engine, plus a sharded
+   2PC engine whose crashing rounds abort transactions while refusals
+   stand, on the corpus above with the null sink: one digest over the
+   output, delays, waiting, restarts, deadlocks, grants and per-
+   transaction aborts of every run. A driver change that moves a count
+   or a decision moves it. *)
+let pinned_stats_digest = "8893a479921894ec234fd07b1a4fc5de"
+
+let test_pinned_stats () =
+  let faulty ?sink syntax =
+    let svc =
+      Sched.Twopc.service ?sink ~crash_rate:0.2 ~seed:5 ~shards:4 ()
+    in
+    Sched.Sharded.create ?sink ~shards:4 ~commit_cross:(Sched.Twopc.commit svc)
+      ~syntax ()
+  in
+  let engines =
+    List.map (fun (e : Sched.Registry.entry) -> (e.name, e.make)) Sched.Registry.all
+    @ [ ("sharded-2PC, crashing rounds", faulty) ]
+  in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun (syntax, arrivals) ->
+          Buffer.add_string buf name;
+          match
+            Sched.Driver.run (make ?sink:None syntax) ~fmt:(Syntax.format syntax)
+              ~arrivals:(Array.copy arrivals)
+          with
+          | s ->
+            Printf.bprintf buf " %s d=%d w=%d r=%d k=%d g=%d a=%s\n"
+              (Schedule.to_string s.output) s.delays s.waiting s.restarts
+              s.deadlocks s.grants
+              (String.concat "," (Array.to_list (Array.map string_of_int s.aborts)))
+          | exception Sched.Driver.Stall msg -> Printf.bprintf buf " %s\n" msg)
+        corpus)
+    engines;
+  Alcotest.(check string)
+    "stats digest" pinned_stats_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "no standing question is asked" `Quick
@@ -210,4 +252,5 @@ let suite =
     Alcotest.test_case "standing hidden: same run" `Quick
       test_standing_hidden_differential;
     Alcotest.test_case "stuck list youngest first" `Quick test_stuck_list_order;
+    Alcotest.test_case "stats pinned under every engine" `Quick test_pinned_stats;
   ]
