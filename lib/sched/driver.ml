@@ -35,6 +35,10 @@ type state = {
   mutable arrived : int;
   mutable submissions : int;   (* total submit calls, for the drain budget *)
   blocked : Intq.t;            (* FIFO of delayed transactions *)
+  (* every queued request is one of the engine's standing refusals, as
+     the last pass found and no abort or queueing has undone since *)
+  mutable quiet : bool;
+  mutable open_txns : int;     (* transactions not [completed] *)
   mutable clock : int;         (* driver events *)
   (* the grant log: grant g is (tx, incarnation) at 2g and 2g+1, with
      room for 16 grants at first and doubled when full; the step index is
@@ -68,6 +72,8 @@ let init sched sink fmt =
     arrived = 0;
     submissions = 0;
     blocked = Intq.create n;
+    quiet = false;
+    open_txns = Array.fold_left (fun k f -> if f > 0 then k + 1 else k) 0 fmt;
     clock = 0;
     log = Array.make 32 0;
     delays = 0;
@@ -79,17 +85,21 @@ let init sched sink fmt =
 
 let submit_cap st i = st.submit_base.(i + 1) - st.submit_base.(i)
 
+(* Ring slots wrap by a compare, not [mod]: head and length are both
+   below the capacity, so one subtraction brings their sum back. *)
 let submit_push st i t =
   let cap = submit_cap st i in
   assert (st.submit_len.(i) < cap);
-  let slot = (st.submit_head.(i) + st.submit_len.(i)) mod cap in
+  let slot = st.submit_head.(i) + st.submit_len.(i) in
+  let slot = if slot >= cap then slot - cap else slot in
   st.submit_times.(st.submit_base.(i) + slot) <- t;
   st.submit_len.(i) <- st.submit_len.(i) + 1
 
 let submit_pop st i =
   assert (st.submit_len.(i) > 0);
   let t = st.submit_times.(st.submit_base.(i) + st.submit_head.(i)) in
-  st.submit_head.(i) <- (st.submit_head.(i) + 1) mod submit_cap st i;
+  let head = st.submit_head.(i) + 1 in
+  st.submit_head.(i) <- (if head = submit_cap st i then 0 else head);
   st.submit_len.(i) <- st.submit_len.(i) - 1;
   t
 
@@ -100,8 +110,17 @@ let dequeue st i = Intq.remove st.blocked i
 let completed st i =
   st.next_step.(i) >= st.fmt.(i) && st.outstanding.(i) = 0
 
+(* [i]'s next request is one of the engine's standing refusals. *)
+let stands st standing i =
+  Array.length standing > 0
+  && standing.(i) = st.next_step.(i)
+  && st.outstanding.(i) > 0
+
 let do_abort st ~reason i =
   st.restarts <- st.restarts + 1;
+  (* [on_abort] may withdraw any transaction's refusal *)
+  st.quiet <- false;
+  if completed st i then st.open_txns <- st.open_txns + 1;
   if Obs.Sink.on st.sink then begin
     Obs.Sink.record st.sink (Obs.Event.Aborted { tx = i; reason });
     Obs.Sink.record st.sink (Obs.Event.Restarted { tx = i })
@@ -137,17 +156,19 @@ let do_grant st (id : Names.step_id) =
       (Obs.Event.Granted { tx = id.Names.tx; idx = id.Names.idx });
   st.sched.Scheduler.commit id;
   st.clock <- st.clock + 1;
-  Obs.Sink.set_now st.sink (float_of_int st.clock);
+  if Obs.Sink.on st.sink then Obs.Sink.set_now st.sink (float_of_int st.clock);
   log_grant st id.Names.tx;
   st.grants <- st.grants + 1;
   let submitted = submit_pop st id.Names.tx in
   st.waiting <- st.waiting + (st.clock - 1 - submitted);
   st.next_step.(id.Names.tx) <- id.Names.idx + 1;
   st.outstanding.(id.Names.tx) <- st.outstanding.(id.Names.tx) - 1;
+  let committed = completed st id.Names.tx in
+  if committed then st.open_txns <- st.open_txns - 1;
   if Obs.Sink.on st.sink then begin
     Obs.Sink.record st.sink
       (Obs.Event.Executed { tx = id.Names.tx; idx = id.Names.idx });
-    if completed st id.Names.tx then
+    if committed then
       Obs.Sink.record st.sink (Obs.Event.Committed { tx = id.Names.tx })
   end
 
@@ -157,7 +178,7 @@ let try_drain st i =
   let made_progress = ref false in
   let continue = ref true in
   while !continue && st.outstanding.(i) > 0 do
-    let id = Names.step i st.next_step.(i) in
+    let id = { Names.tx = i; idx = st.next_step.(i) } in
     match st.sched.Scheduler.attempt id with
     | Scheduler.Grant ->
       do_grant st id;
@@ -168,6 +189,7 @@ let try_drain st i =
         Obs.Sink.record st.sink
           (Obs.Event.Delayed { tx = i; idx = st.next_step.(i) });
       enqueue st i;
+      if not (stands st st.sched.Scheduler.standing i) then st.quiet <- false;
       continue := false
     | Scheduler.Abort ->
       do_abort st ~reason:Obs.Event.Scheduler_abort i;
@@ -180,35 +202,75 @@ let try_drain st i =
   if st.outstanding.(i) = 0 then dequeue st i;
   !made_progress
 
-(* One pass over the FIFO queue from [i]: true at the first transaction
-   that makes progress. A transaction whose next step is one of the
-   engine's standing refusals is answered here, exactly as [try_drain]
-   would answer its [Delay] (a delay counted and traced, the queue
-   untouched), without asking the engine. The cursor walk is safe
-   without a snapshot: a no-progress answer leaves the queue untouched,
-   and on any mutation the caller restarts from the head anyway. *)
-let rec scan st standing i =
-  if i < 0 then false
-  else begin
-    let nxt = Intq.next st.blocked i in
-    let idx = st.next_step.(i) in
-    if Array.length standing > 0 && standing.(i) = idx && st.outstanding.(i) > 0
-    then begin
-      st.delays <- st.delays + 1;
-      if Obs.Sink.on st.sink then
-        Obs.Sink.record st.sink (Obs.Event.Delayed { tx = i; idx });
-      scan st standing nxt
-    end
-    else try_drain st i || scan st standing nxt
+(* The first [k] queued requests are standing refusals, each a delay:
+   counted at once, and with the sink on traced one [Delayed] per entry
+   in queue order, as a pass asking each would. *)
+let rec trace_standing st k i =
+  if k > 0 then begin
+    Obs.Sink.record st.sink (Obs.Event.Delayed { tx = i; idx = st.next_step.(i) });
+    trace_standing st (k - 1) (Intq.next st.blocked i)
   end
 
-(* Repeatedly scan the queue, restarting from the head after every
-   grant, until a full pass yields nothing. *)
+let delay_standing st k =
+  st.delays <- st.delays + k;
+  if Obs.Sink.on st.sink then trace_standing st k (Intq.head st.blocked)
+
+(* One pass over the FIFO queue from [i]; [run] counts the entries
+   before [i] in this pass, all standing refusals (a fresh refusal the
+   engine now publishes included), or is -1 once one of them does not
+   stand. A standing refusal is answered here, exactly as
+   [try_drain] would answer its [Delay] (a delay counted and traced, the
+   queue untouched), without asking the engine. True when the pass must
+   restart from the head; false when it ends with no progress, which
+   marks the queue quiet if it saw only standing refusals.
+
+   After a grant with no abort, the [run] entries before [i] still
+   stand: a refusal stands until [on_abort] withdraws it, and neither a
+   grant's [attempt] nor its [commit] touches another transaction's
+   entry. A pass from the head would count each of them as a delay and
+   come back to [i], so the pass counts them and resumes at [i] (at its
+   successor, if [i] left the queue): only the questions are paid for.
+   After an abort, or when an entry before [i] does not stand, it
+   restarts. The cursor walk is safe without a snapshot: [try_drain]
+   moves only [i] in the queue, and only an abort moves it anywhere but
+   out. *)
+let rec pass st standing run i =
+  if i < 0 then begin
+    if run >= 0 then st.quiet <- true;
+    false
+  end
+  else begin
+    let nxt = Intq.next st.blocked i in
+    if stands st standing i then begin
+      st.delays <- st.delays + 1;
+      if Obs.Sink.on st.sink then
+        Obs.Sink.record st.sink
+          (Obs.Event.Delayed { tx = i; idx = st.next_step.(i) });
+      pass st standing (if run >= 0 then run + 1 else run) nxt
+    end
+    else begin
+      let restarts = st.restarts in
+      if not (try_drain st i) then
+        pass st standing (if run >= 0 && stands st standing i then run + 1 else -1) nxt
+      else if run >= 0 && st.restarts = restarts then begin
+        delay_standing st run;
+        pass st standing run (if in_queue st i then i else nxt)
+      end
+      else true
+    end
+  end
+
+(* Pass over the queue until a full pass yields nothing. A quiet queue
+   would yield one delay per entry and nothing else, so it is counted,
+   not walked. *)
 let process_queue st =
-  let standing = st.sched.Scheduler.standing in
-  while scan st standing (Intq.head st.blocked) do
-    ()
-  done
+  if st.quiet then delay_standing st (Intq.length st.blocked)
+  else begin
+    let standing = st.sched.Scheduler.standing in
+    while pass st standing 0 (Intq.head st.blocked) do
+      ()
+    done
+  end
 
 (* Victim priority is wound-wait style: seniority is fixed at a
    transaction's first arrival and survives restarts, and the stuck list
@@ -262,7 +324,8 @@ let create ?(sink = Obs.Sink.null) sched ~fmt = init sched sink fmt
 let submit st i =
   st.submissions <- st.submissions + 1;
   st.clock <- st.clock + 1;
-  Obs.Sink.set_now st.sink (float_of_int st.clock);
+  if Obs.Sink.on st.sink then Obs.Sink.set_now st.sink (float_of_int st.clock);
+  if completed st i then st.open_txns <- st.open_txns + 1;
   (* a first arrival: nothing submitted, granted or aborted before *)
   if st.outstanding.(i) = 0 && st.next_step.(i) = 0 && st.incarnation.(i) = 0
   then begin
@@ -284,11 +347,7 @@ let drain st =
   (* drain the tail; bound the work to defend against livelock *)
   let budget = ref (100 * (st.submissions + 1) * (Array.length st.fmt + 1)) in
   let n = Array.length st.fmt in
-  let all_done () =
-    let rec go i = i >= n || (completed st i && go (i + 1)) in
-    go 0
-  in
-  while not (all_done ()) do
+  while st.open_txns > 0 do
     decr budget;
     if !budget < 0 then
       raise
@@ -297,7 +356,7 @@ let drain st =
               st.sched.Scheduler.name));
     let before = st.grants in
     process_queue st;
-    if st.grants = before && not (all_done ()) then resolve_stall st
+    if st.grants = before && st.open_txns > 0 then resolve_stall st
   done;
   (* every transaction completed: its last incarnation granted each of
      its steps once, in index order *)

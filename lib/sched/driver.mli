@@ -4,7 +4,11 @@ open Core
 
     Feeds an arrival stream (an interleaving of the format — the history
     the users would produce with no interference) to a scheduler,
-    queueing delayed requests FIFO and retrying them after every grant.
+    queueing delayed requests FIFO and retrying them after every grant,
+    in counted passes: a queued request that is one of the engine's
+    standing refusals is counted as a delay, not asked, and one that
+    the driver already saw standing since the last abort is counted
+    without being walked again.
     When the stream is exhausted, remaining requests are retried until
     everything completes; a stall (no grantable request) is resolved by
     aborting the scheduler's chosen victim, counting a {e deadlock}.

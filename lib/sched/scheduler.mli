@@ -62,7 +62,10 @@ type t = {
           nothing (no state, no event). The driver answers such a request
           itself instead of asking. The engine owns the array and updates
           it in place; [[||]] (the default) promises nothing, and every
-          request is asked. *)
+          request is asked. [attempt] sets entries and [on_abort]
+          withdraws them; no [attempt] or [commit] changes another
+          transaction's entry, so the driver counts a refusal it saw
+          standing as standing until the next abort. *)
 }
 
 val make :

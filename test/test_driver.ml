@@ -245,6 +245,82 @@ let test_pinned_stats () =
     "stats digest" pinned_stats_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The contract the driver's counted passes rest on: neither [attempt]
+   nor [commit] changes another transaction's entry of [standing]. The
+   engines keep more: only [attempt] sets an entry, the requester's own,
+   and [on_abort] only withdraws entries (sets them to -1). Checked
+   around every call each engine takes on the corpus. *)
+let test_standing_contract () =
+  List.iter
+    (fun (name, mk) ->
+      let sets = ref 0 and commits_beside = ref 0 in
+      List.iter
+        (fun (syntax, arrivals) ->
+          let e = mk Obs.Sink.null syntax in
+          let standing = e.Sched.Scheduler.standing in
+          let around what own f =
+            let before = Array.copy standing in
+            let r = f () in
+            Array.iteri
+              (fun tx was ->
+                let now = standing.(tx) in
+                if now <> was then
+                  if tx = own && what = "attempt" then incr sets
+                  else if what = "on_abort" then
+                    check_int (name ^ ": on_abort only withdraws") (-1) now
+                  else
+                    Alcotest.failf "%s: %s of T%d changed T%d's entry %d -> %d"
+                      name what own tx was now)
+              before;
+            r
+          in
+          let wrapped =
+            {
+              e with
+              attempt =
+                (fun (id : Names.step_id) ->
+                  around "attempt" id.tx (fun () -> e.attempt id));
+              commit =
+                (fun (id : Names.step_id) ->
+                  if Array.exists (fun idx -> idx >= 0) standing then
+                    incr commits_beside;
+                  around "commit" id.tx (fun () -> e.commit id));
+              on_abort =
+                (fun tx -> around "on_abort" tx (fun () -> e.on_abort tx));
+            }
+          in
+          ignore
+            (Sched.Driver.run wrapped ~fmt:(Syntax.format syntax)
+               ~arrivals:(Array.copy arrivals)))
+        corpus;
+      check_true (name ^ ": attempts set entries") (!sets > 0);
+      check_true (name ^ ": commits beside standing entries") (!commits_beside > 0))
+    engines
+
+(* A null-sink request allocates only the step id it asks about: with
+   an engine that grants everything, [submit] ticks the clock, grants
+   and logs the grant, and three minor words (the id record) per
+   request is all. The warm-up grows the grant log past the 1000
+   measured grants, so no growth lands in the window. A clock tick
+   handed to the sink unconditionally would box a float per tick. *)
+let test_request_allocation () =
+  let sched =
+    Sched.Scheduler.make ~name:"grant-all"
+      ~attempt:(fun _ -> Sched.Scheduler.Grant)
+      ~commit:ignore ()
+  in
+  let d = Sched.Driver.create sched ~fmt:[| 3100 |] in
+  for _ = 1 to 2100 do
+    Sched.Driver.submit d 0
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Sched.Driver.submit d 0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words per request" 3. (words /. 1000.);
+  check_int "every request granted" 3100 (Sched.Driver.drain d).grants
+
 let suite =
   [
     Alcotest.test_case "no standing question is asked" `Quick
@@ -253,4 +329,8 @@ let suite =
       test_standing_hidden_differential;
     Alcotest.test_case "stuck list youngest first" `Quick test_stuck_list_order;
     Alcotest.test_case "stats pinned under every engine" `Quick test_pinned_stats;
+    Alcotest.test_case "standing entries: who sets and withdraws" `Quick
+      test_standing_contract;
+    Alcotest.test_case "a null-sink request allocates its id only" `Quick
+      test_request_allocation;
   ]
