@@ -204,7 +204,7 @@ let try_drain st i =
 
 (* The first [k] queued requests are standing refusals, each a delay:
    counted at once, and with the sink on traced one [Delayed] per entry
-   in queue order, as a pass asking each would. *)
+   in queue order, as a pass over them would. *)
 let rec trace_standing st k i =
   if k > 0 then begin
     Obs.Sink.record st.sink (Obs.Event.Delayed { tx = i; idx = st.next_step.(i) });
