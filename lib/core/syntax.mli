@@ -16,7 +16,20 @@
     non-[Read] step as an update, which preserves all their guarantees;
     the multi-version engines ([Sched.Mvcc]/[Si]/[Ssi]), the semantic
     scheduler ([Sched.Semantic]) and the history recorder
-    ([Analysis.History]) honour the distinction. *)
+    ([Analysis.History]) honour the distinction.
+
+    {b Representation.} Each distinct variable has an integer id,
+    numbered by first use in step order (transaction by transaction,
+    step by step), and its name is kept once, in a pool indexed by id.
+    A step stores only its variable's id. The numbering is canonical:
+    two syntaxes access the same names at the same steps exactly when
+    their ids and pools are equal. Every constructor goes through one
+    path, which reads pool indices in step order and renumbers them by
+    first use: {!init} takes the indices from its caller, and {!make}
+    interns names into a pool with one string table first. Operations
+    are stored only when some step is not an [Op.Update]. Engine set-up
+    ([Sched.Cgraph], [Sched.Partition]) reads the ids ({!var_ids}) and
+    hashes no name per step. *)
 
 type t
 
@@ -28,6 +41,22 @@ val make : Names.var array array -> t
 
 val make_typed : (Op.t * Names.var) array array -> t
 (** Like {!make} but with an explicit operation per step. *)
+
+val init : Names.var array -> int array -> (int -> int -> int) -> t
+(** [init pool fmt f] builds the syntax of format [fmt] whose step [j]
+    of transaction [i] accesses [pool.(f i j)]; every step is an
+    [Op.Update]. [f] is called once per step, in step order, so a
+    generator may draw from a random state inside it. The names of
+    [pool] must be distinct (two indices naming one variable would give
+    it two ids); names no step uses are dropped. No name is hashed.
+    Equal to {!make} over the same names. Raises [Invalid_argument] on
+    an empty format or an index outside the pool. *)
+
+val init_typed :
+  Names.var array -> int array -> (int -> int -> Op.t * int) -> t
+(** {!init} with an explicit operation per step: [f i j] is the step's
+    operation and pool index. Equal to {!make_typed} over the same
+    names. *)
 
 val of_lists : Names.var list list -> t
 
@@ -56,6 +85,17 @@ val typed : t -> bool
 (** Whether any step is not an [Op.Update] (i.e. the syntax leaves the
     paper's pure read-modify-write fragment). *)
 
+val n_vars : t -> int
+(** The number of distinct variables: ids run over [0 .. n_vars - 1]. *)
+
+val var_ids : t -> int array array
+(** [(var_ids s).(i).(j)] is the id of [x_ij]. The rows are the
+    syntax's own, shared with every caller, and must not be written. *)
+
+val var_name : t -> int -> Names.var
+(** The name of a variable id. Raises [Invalid_argument] on an
+    out-of-range id. *)
+
 val vars : t -> Names.var list
 (** All distinct variable names, sorted. *)
 
@@ -75,7 +115,9 @@ val transactions_on : t -> Names.var -> int list
 
 val rename : (Names.var -> Names.var) -> t -> t
 (** Apply a variable renaming (used for the §5.4 discussion of policies
-    correct under arbitrary renamings). Operations are preserved. *)
+    correct under arbitrary renamings). Operations are preserved. A
+    renaming that merges two names merges their ids, and the ids are
+    numbered by first use again. *)
 
 val equal : t -> t -> bool
 

@@ -253,10 +253,13 @@ module Acyclic = struct
     ord : int array;   (* vertex -> index in the maintained topo order *)
     back : int array;  (* index -> vertex (inverse of [ord]) *)
     mutable ne : int;
-    want : int array;    (* scratch: source marks and edge stamps, by epoch *)
+    (* scratch: source marks and edge stamps, by epoch, and the marking
+       searches' marks, by mark epoch *)
+    want : int array;
     seen : int array;    (* scratch: forward-search marks, by epoch *)
     parent : int array;  (* scratch: witness-path links, -1 at a root *)
     mutable epoch : int;
+    mutable mark_ep : int; (* negative, so it never meets an epoch *)
     mutable hit : int;   (* the vertex the last [true] search stopped at *)
     mutable n_marked : int; (* how many the last marking search put in [parent] *)
     (* the last clear [closes_cycle_any_of]: its epoch, target and bound;
@@ -281,6 +284,7 @@ module Acyclic = struct
       seen = Array.make nv 0;
       parent = Array.make nv (-1);
       epoch = 0;
+      mark_ep = 0;
       hit = -1;
       n_marked = 0;
       clear = -1;
@@ -453,17 +457,21 @@ module Acyclic = struct
 
   let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
-  (* Marking searches stamp [seen] with a fresh epoch, which [marked]
-     reads back, and list what they mark in [parent], which no marking
-     search reads: [mark_fwd] follows out-edges, [mark_bwd] in-edges.
-     Unbounded: they answer for every vertex at once. *)
+  (* Marking searches stamp [want] with a fresh mark epoch, which
+     [marked] reads back, and list what they mark in [parent], which no
+     marking search reads: [mark_fwd] follows out-edges, [mark_bwd]
+     in-edges. Unbounded: they answer for every vertex at once. Mark
+     epochs count down from -1 and epochs up from 1, and every other
+     reader of [want] compares it to the epoch it just took, so a marking
+     search leaves [seen], [epoch] and the record of the last clear
+     search as they were. *)
   let note g w =
     g.parent.(g.n_marked) <- w;
     g.n_marked <- g.n_marked + 1
 
   let rec mark_fwd g ep w =
-    if g.seen.(w) <> ep then begin
-      g.seen.(w) <- ep;
+    if g.want.(w) <> ep then begin
+      g.want.(w) <- ep;
       note g w;
       let succs = g.out_.(w) in
       for j = g.outdeg.(w) - 1 downto 0 do
@@ -472,8 +480,8 @@ module Acyclic = struct
     end
 
   let rec mark_bwd g ep w =
-    if g.seen.(w) <> ep then begin
-      g.seen.(w) <- ep;
+    if g.want.(w) <> ep then begin
+      g.want.(w) <- ep;
       note g w;
       let preds = g.in_.(w) in
       for j = 0 to g.indeg.(w) - 1 do
@@ -495,22 +503,22 @@ module Acyclic = struct
 
   let mark_reachable g u =
     check g u;
-    g.epoch <- g.epoch + 1;
+    g.mark_ep <- g.mark_ep - 1;
     g.n_marked <- 0;
-    mark_fwd g g.epoch u
+    mark_fwd g g.mark_ep u
 
   let mark_reaching_any_of g ~excluding ~lists ~base ~pick ~chain =
-    g.epoch <- g.epoch + 1;
+    g.mark_ep <- g.mark_ep - 1;
     g.n_marked <- 0;
     for j = 0 to Array.length pick - 1 do
       let c = pick.(j) in
-      mark_bwd_sources g g.epoch ~excluding ~all:(not chain.(c))
+      mark_bwd_sources g g.mark_ep ~excluding ~all:(not chain.(c))
         lists.(base + c)
     done
 
   let marked g v =
     check g v;
-    g.seen.(v) = g.epoch
+    g.want.(v) = g.mark_ep
 
   let n_marked g = g.n_marked
 
@@ -681,8 +689,10 @@ module Acyclic = struct
       true
     end
 
-  (* Every search bumps the epoch, and so does every link, after
-     [stamp_preds] or in [bypass]; removals drop the record. *)
+  (* Every query and insertion bumps the epoch, and so does every link,
+     after [stamp_preds] or in [bypass]; removals drop the record. A
+     marking search keeps it: it takes a mark epoch and writes neither
+     [seen] nor the graph. *)
   let add_edges_vetted_of g ~excluding ~lists ~base ~pick ~chain ~target =
     if g.clear = g.epoch && g.clear_target = target then begin
       rotate_and_link g ~excluding ~lists ~base ~pick ~chain ~target;

@@ -161,9 +161,11 @@ module Acyclic : sig
       {!closes_cycle_any_of}: when that was for [target] and nothing
       has searched or changed [g] since, only the rotate-and-link step
       runs, and leaves the graph, its out-array order and its
-      topological order exactly as the full insertion would. Any search
-      (a query, a marking, an insertion), any link and any removal in
-      between voids the record, and the full insertion runs. The caller
+      topological order exactly as the full insertion would. Any query
+      or insertion, any link and any removal in between voids the
+      record, and the full insertion runs. A marking search
+      ({!mark_reachable}, {!mark_reaching_any_of}) keeps it: its marks
+      are stamps of their own. The caller
       vouches that the lists, [pick] and [excluding] are those that
       search read, unchanged. [chain] picks the links; it may differ
       from the search's flags only on lists that meet the chain
@@ -257,7 +259,9 @@ module Acyclic : sig
   (** Whether the most recent {!mark_reachable} or
       {!mark_reaching_any_of} marked the vertex. Every other query and
       every edge insertion reuses the marks' scratch space, so read them
-      before calling anything else on [g]. *)
+      before calling anything else on [g]. A marking search keeps the
+      record {!add_edges_vetted_of} reads, but overwrites
+      {!last_path}. *)
 
   val n_marked : t -> int
   (** How many vertices the most recent marking search marked. *)

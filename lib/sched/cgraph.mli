@@ -66,7 +66,8 @@ val create :
     vertex [l] accesses variable [var_of_step.(l).(idx)] in
     [0 .. n_vars-1] with op [op_of_step l idx], read once here (absent:
     every pair conflicts). [prunable] vetoes pruning (default: never);
-    [ids.(l)] names [l] in events (default [l]). With a [sink], a grant
+    [ids.(l)] names [l] in events (default [l]). [var_of_step] is kept,
+    not copied, and never written. With a [sink], a grant
     emits one {!Obs.Event.Edge_added} per conflicting accessor, edges
     already present or left implied by a chain included, so events are
     those of the full conflict graph, and one that passed over
@@ -156,4 +157,6 @@ val scheduler :
     ones are silent. The cache's [blocked] array is the scheduler's
     [standing], so the driver answers cached refusals without asking.
     With [commute] the classes come from the syntax's ops ({!Semantic});
-    without, every pair conflicts ({!Sgt}). *)
+    without, every pair conflicts ({!Sgt}). The kernel's variables are
+    the syntax's ids ({!Core.Syntax.var_ids}), read in place: building
+    the engine interns no name. *)

@@ -80,9 +80,11 @@ val drain : t -> stats
 (** Retry the queued remainder until every submitted transaction
     completes, resolving stalls by victim abort; then return the run's
     statistics. Raises {!Stall} if the scheduler cannot resolve a stall
-    or the run livelocks. Draining is terminal: submitting into a
-    drained driver restarts the tail loop on the next {!drain}, but the
-    intended protocol is submit*, then one drain. *)
+    or the run livelocks: [20 * (n + 1)] passes over the queue, for [n]
+    transactions, without a transaction completing. Draining is
+    terminal: submitting into a drained driver restarts the tail loop on
+    the next {!drain}, but the intended protocol is submit*, then one
+    drain. *)
 
 val run :
   ?sink:Obs.Sink.t -> Scheduler.t -> fmt:int array -> arrivals:int array ->

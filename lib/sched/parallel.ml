@@ -113,15 +113,14 @@ let plan_of (p : Partition.t) ~domains =
   in
   { n_workers; owner; shard_sets; has_coordinator }
 
-(* Projection of the syntax to a transaction subset, kinds preserved. *)
+(* Projection of the syntax to a transaction subset, kinds preserved:
+   the syntax's own names are the pool, so nothing is hashed. *)
 let project syntax txns =
-  Syntax.make_typed
-    (Array.map
-       (fun tx ->
-         Array.init (Syntax.length syntax tx) (fun idx ->
-             let id = Names.step tx idx in
-             (Syntax.kind syntax id, Syntax.var syntax id)))
-       txns)
+  let ids = Syntax.var_ids syntax in
+  Syntax.init_typed
+    (Array.init (Syntax.n_vars syntax) (Syntax.var_name syntax))
+    (Array.map (Syntax.length syntax) txns)
+    (fun i j -> (Syntax.kind syntax (Names.step txns.(i) j), ids.(txns.(i)).(j)))
 
 let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
   let p = Partition.make ~syntax ~shards in

@@ -24,32 +24,27 @@ let popcount m =
 let make ~syntax ~shards =
   if shards < 1 || shards > 62 then
     invalid_arg "Partition.make: shards must be in 1..62";
-  let fmt = Syntax.format syntax in
-  let n = Array.length fmt in
-  (* one pass per step: hash the variable once, intern it once *)
-  let lvar_tbls : (Names.var, int) Hashtbl.t array =
-    Array.init shards (fun _ -> Hashtbl.create 16)
-  in
+  let n = Syntax.n_transactions syntax in
+  (* Each distinct variable is hashed once, by name, for its shard, and
+     numbered within it in id order. Ids run in first-use order, so a
+     shard's variables are numbered by their first use there, as interning
+     step by step would number them. Nothing is hashed per step. *)
+  let nv = Syntax.n_vars syntax in
+  let shard_of_id = Array.make nv 0 and lvar_of_id = Array.make nv 0 in
   let n_lvars = Array.make shards 0 in
-  (* Rows are filled in place, not by [Array.init]: an array of more than
+  for v = 0 to nv - 1 do
+    let s = shard_of_var ~shards (Syntax.var_name syntax v) in
+    shard_of_id.(v) <- s;
+    lvar_of_id.(v) <- n_lvars.(s);
+    n_lvars.(s) <- n_lvars.(s) + 1
+  done;
+  (* Rows are filled in place, not by [Array.map]: an array of more than
      256 slots whose first value is young forces a minor collection. *)
+  let ids = Syntax.var_ids syntax in
   let shard_of_step = Array.make n [||] and lvar_of_step = Array.make n [||] in
   for i = 0 to n - 1 do
-    shard_of_step.(i) <- Array.make fmt.(i) 0;
-    lvar_of_step.(i) <- Array.make fmt.(i) 0;
-    for j = 0 to fmt.(i) - 1 do
-      let v = Syntax.var syntax (Names.step i j) in
-      let s = shard_of_var ~shards v in
-      shard_of_step.(i).(j) <- s;
-      lvar_of_step.(i).(j) <-
-        (match Hashtbl.find_opt lvar_tbls.(s) v with
-        | Some k -> k
-        | None ->
-          let k = n_lvars.(s) in
-          Hashtbl.add lvar_tbls.(s) v k;
-          n_lvars.(s) <- k + 1;
-          k)
-    done
+    shard_of_step.(i) <- Array.map (fun v -> shard_of_id.(v)) ids.(i);
+    lvar_of_step.(i) <- Array.map (fun v -> lvar_of_id.(v)) ids.(i)
   done;
   let mask = Array.make n 0 in
   for i = 0 to n - 1 do
@@ -68,20 +63,22 @@ let make ~syntax ~shards =
       incr n_cross
     end
   done;
-  let members =
-    Array.init shards (fun s ->
-        let acc = ref [] in
-        for i = n - 1 downto 0 do
-          if mask.(i) land (1 lsl s) <> 0 then acc := i :: !acc
-        done;
-        Array.of_list !acc)
-  in
-  let local_id =
-    Array.init shards (fun s ->
-        let a = Array.make n (-1) in
-        Array.iteri (fun l g -> a.(g) <- l) members.(s);
-        a)
-  in
+  (* Each shard's members, ascending, and their shard-local ids: counted
+     first, then filled, so no list is built. *)
+  let local_id = Array.init shards (fun _ -> Array.make n (-1)) in
+  let size = Array.make shards 0 in
+  for i = 0 to n - 1 do
+    for s = 0 to shards - 1 do
+      if mask.(i) land (1 lsl s) <> 0 then begin
+        local_id.(s).(i) <- size.(s);
+        size.(s) <- size.(s) + 1
+      end
+    done
+  done;
+  let members = Array.init shards (fun s -> Array.make size.(s) 0) in
+  for s = 0 to shards - 1 do
+    Array.iteri (fun i l -> if l >= 0 then members.(s).(l) <- i) local_id.(s)
+  done;
   {
     shards;
     n;

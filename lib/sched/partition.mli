@@ -23,7 +23,8 @@ type t = {
       (** [shard_of_step.(tx).(idx)]: the shard owning that step's
           variable *)
   lvar_of_step : int array array;
-      (** shard-local variable id of the step (interned per shard) *)
+      (** shard-local variable id of the step: a shard's variables are
+          numbered by first use in step order *)
   mask : int array;
       (** per-transaction bitmask of touched shards (bit [s] set iff the
           transaction accesses a variable of shard [s]); [0] for an
@@ -49,7 +50,10 @@ val shard_of_var : shards:int -> Names.var -> int
 (** The deterministic variable-to-shard hash ([Hashtbl.hash mod K]). *)
 
 val make : syntax:Syntax.t -> shards:int -> t
-(** Raises [Invalid_argument] unless [1 <= shards <= 62] (shard sets are
+(** Reads the syntax's variable ids ({!Core.Syntax.var_ids}): each
+    distinct variable's name is hashed once, for its shard, and every
+    per-step field is filled from int arrays indexed by id. Raises
+    [Invalid_argument] unless [1 <= shards <= 62] (shard sets are
     represented as bits of one OCaml [int]). *)
 
 val cross_fraction : t -> float

@@ -23,9 +23,11 @@ open Core
     marking search in the shard find the candidate summary edges, and
     one {!Digraph.Acyclic.reaches_any} search tests them all against
     the summary graph. [commit] inserts the edges its granting
-    [attempt] found. Summary edges are kept until an endpoint aborts
-    (a conservative superset — stale paths can only over-delay, never
-    admit a cycle).
+    [attempt] found, and the shard kernel's insertion reuses that
+    attempt's refusal search: the marking searches in between leave its
+    record ({!Digraph.Acyclic.add_edges_vetted_of}). Summary edges are
+    kept until an endpoint aborts (a conservative superset — stale paths
+    can only over-delay, never admit a cycle).
 
     Single-shard completed source transactions are pruned per shard
     exactly as in {!Sgt}; cross-shard transactions are never pruned (a

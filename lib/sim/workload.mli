@@ -4,7 +4,11 @@ open Core
 
     Transaction-system syntaxes with controlled contention (which
     variable each step touches), plus simple semantic fillings for when
-    concrete execution is needed. *)
+    concrete execution is needed. Each generator names its variables
+    from a pool [v0 .. v(n_vars - 1)] built once per call and hands
+    {!Core.Syntax.init} the pool index of every step, drawn in step
+    order: no name is formatted with [Printf] or hashed, and the syntax
+    equals the one {!Core.Syntax.make} builds over the same names. *)
 
 val var_pool : int -> Names.var list
 (** [v0 .. v(n-1)]. *)

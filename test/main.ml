@@ -32,4 +32,5 @@ let () =
       ("mv", Test_mv.suite);
       ("json", Test_json.suite);
       ("driver", Test_driver.suite);
+      ("setup", Test_setup.suite);
     ]

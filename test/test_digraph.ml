@@ -1007,10 +1007,10 @@ let prop_head_read =
    one op in between, then [add_edges_vetted_of] on one copy and
    [add_edges_acyclic_of] on the other: the answers, a refusal's
    [last_path], the edges, the out-array order and the topological
-   order agree. In between: nothing or the same search again (the
-   record stands), or another target's search, a marking search,
-   [reaches_any], an edge insertion, an edge removal or a vertex
-   removal (each voids it). A removal picks what the search reached,
+   order agree. In between: nothing, the same search again or a
+   marking search, which stamps marks of its own (the record stands),
+   or another target's search, [reaches_any], an edge insertion, an
+   edge removal or a vertex removal (each voids it). A removal picks what the search reached,
    inside its window: an edge between two such vertices, or one of them
    other than the target, so that reusing the search would move the
    order. Lists are read in

@@ -1,0 +1,265 @@
+(* Engine set-up: the syntax's interned variable ids and what the
+   engines build from them. A pool-built syntax is the syntax
+   [Syntax.make] builds over the same names; [Partition.make] numbers
+   shards and shard-local variables as a per-shard string table would;
+   and building an engine allocates no more than its pinned ceiling. *)
+
+open Util
+open Core
+
+(* A random syntax as pool indices: [n] transactions of up to [m] steps
+   (some empty) over a pool of [np] names, of which some go unused, and
+   a kind per step, all [Op.Update] when [typed] is false. *)
+let random_case st ~typed =
+  let n = 1 + Random.State.int st 8 and m = Random.State.int st 5 in
+  let np = 1 + Random.State.int st 10 in
+  let pool = Array.init np (fun i -> Printf.sprintf "p%d" (np - i)) in
+  let fmt = Array.init n (fun _ -> Random.State.int st (m + 1)) in
+  let steps =
+    Array.map
+      (fun len ->
+        Array.init len (fun _ ->
+            let k =
+              if typed then List.nth Op.all (Random.State.int st 7)
+              else Op.Update
+            in
+            (k, Random.State.int st np)))
+      fmt
+  in
+  (pool, fmt, steps)
+
+(* The ids a step-by-step string table would give: first use in step
+   order. *)
+let first_use_ids names =
+  let tbl = Hashtbl.create 16 in
+  Array.map
+    (Array.map (fun v ->
+         match Hashtbl.find_opt tbl v with
+         | Some k -> k
+         | None ->
+           let k = Hashtbl.length tbl in
+           Hashtbl.add tbl v k;
+           k))
+    names
+
+(* [s] answers every question as the syntax of step names [names] and
+   kinds [kinds] does, and its ids are first-use ids. *)
+let same_answers s names kinds =
+  let ids = first_use_ids names in
+  let ok = ref (Syntax.format s = Array.map Array.length names) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v ->
+          let id = Names.step i j in
+          ok :=
+            !ok
+            && Syntax.var s id = v
+            && Syntax.kind s id = kinds.(i).(j)
+            && Syntax.var_name s ids.(i).(j) = v)
+        row)
+    names;
+  let distinct =
+    List.sort_uniq String.compare
+      (List.concat_map Array.to_list (Array.to_list names))
+  in
+  !ok
+  && Syntax.vars s = distinct
+  && Syntax.var_ids s = ids
+  && Syntax.n_vars s = List.length distinct
+
+let prop_pool_equals_make =
+  QCheck.Test.make ~name:"a pool-built syntax equals Syntax.make" ~count:500
+    QCheck.(pair small_nat bool)
+    (fun (seed, typed) ->
+      let st = Random.State.make [| 0x5E7; seed |] in
+      let pool, fmt, steps = random_case st ~typed in
+      let names = Array.map (Array.map (fun (_, p) -> pool.(p))) steps in
+      let kinds = Array.map (Array.map fst) steps in
+      let built =
+        if typed then Syntax.init_typed pool fmt (fun i j -> steps.(i).(j))
+        else Syntax.init pool fmt (fun i j -> snd steps.(i).(j))
+      in
+      let made =
+        if typed then
+          Syntax.make_typed (Array.map (Array.map (fun (k, p) -> (k, pool.(p)))) steps)
+        else Syntax.make names
+      in
+      Syntax.equal built made
+      && same_answers built names kinds
+      && same_answers made names kinds
+      && Syntax.typed built = Syntax.typed made
+      (* a renaming that merges the first two pool names into one *)
+      &&
+      let merge v = if v = pool.(0) then pool.(Array.length pool - 1) else v in
+      let renamed = Syntax.rename merge built in
+      let names' = Array.map (Array.map merge) names in
+      Syntax.equal renamed
+        (if typed then
+           Syntax.make_typed
+             (Array.map2 (Array.map2 (fun k v -> (k, v))) kinds names')
+         else Syntax.make names')
+      && same_answers renamed names' kinds)
+
+(* A hand-checked case: the pool's order is not the ids' order, an
+   unused name is dropped, and a merging rename renumbers. *)
+let test_pool_by_hand () =
+  let pool = [| "c"; "b"; "a"; "unused" |] in
+  let rows = [| [| 2; 0 |]; [||]; [| 0; 1; 2 |] |] in
+  let s = Syntax.init pool [| 2; 0; 3 |] (fun i j -> rows.(i).(j)) in
+  check_true "equals make"
+    (Syntax.equal s (Syntax.of_lists [ [ "a"; "c" ]; []; [ "c"; "b"; "a" ] ]));
+  Alcotest.(check (array (array int)))
+    "first-use ids" [| [| 0; 1 |]; [||]; [| 1; 2; 0 |] |] (Syntax.var_ids s);
+  Alcotest.(check (list string)) "vars" [ "a"; "b"; "c" ] (Syntax.vars s);
+  check_int "n_vars" 3 (Syntax.n_vars s);
+  Alcotest.(check string) "name of id 1" "c" (Syntax.var_name s 1);
+  let r = Syntax.rename (fun v -> if v = "a" then "b" else v) s in
+  Alcotest.(check (array (array int)))
+    "merged ids" [| [| 0; 1 |]; [||]; [| 1; 0; 0 |] |] (Syntax.var_ids r);
+  check_true "merged equals make"
+    (Syntax.equal r (Syntax.of_lists [ [ "b"; "c" ]; []; [ "c"; "b"; "b" ] ]));
+  check_true "index outside the pool"
+    (try ignore (Syntax.init pool [| 1 |] (fun _ _ -> 4)); false
+     with Invalid_argument _ -> true);
+  check_true "empty format"
+    (try ignore (Syntax.init pool [||] (fun _ _ -> 0)); false
+     with Invalid_argument _ -> true)
+
+(* Every generator's syntax equals [Syntax.make] over its own names. *)
+let test_generators_equal_make () =
+  let st = rng 31 in
+  let remade s =
+    let fmt = Syntax.format s in
+    let step i j = Names.step i j in
+    if Syntax.typed s then
+      Syntax.make_typed
+        (Array.mapi
+           (fun i m ->
+             Array.init m (fun j -> (Syntax.kind s (step i j), Syntax.var s (step i j))))
+           fmt)
+    else
+      Syntax.make
+        (Array.mapi (fun i m -> Array.init m (fun j -> Syntax.var s (step i j))) fmt)
+  in
+  List.iter
+    (fun (name, s) -> check_true (name ^ " equals make") (Syntax.equal s (remade s)))
+    Sim.Workload.
+      [
+        ("uniform", uniform st ~n:9 ~m:3 ~n_vars:5);
+        ("hotspot", hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
+        ("zipf", zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2);
+        ("mixed", mixed st ~n:8 ~m:4 ~n_vars:4 ~read_frac:0.5 ~theta:0.5);
+        ( "semantic_counters",
+          semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 ~read_frac:0.1 );
+        ( "semantic_zipf",
+          semantic_zipf st ~n:12 ~m:3 ~n_vars:6 ~s:1.1 ~read_frac:0.2 );
+        ("disjoint", disjoint ~n:300 ~m:2);
+      ]
+
+(* The partition as one string table per shard built it, step by step:
+   the reference [Partition.make] must match. *)
+let reference_partition syntax shards =
+  let fmt = Syntax.format syntax in
+  let tbls = Array.init shards (fun _ -> Hashtbl.create 16) in
+  let n_lvars = Array.make shards 0 in
+  let shard_of_step = Array.map (fun m -> Array.make m 0) fmt in
+  let lvar_of_step = Array.map (fun m -> Array.make m 0) fmt in
+  Array.iteri
+    (fun i m ->
+      for j = 0 to m - 1 do
+        let v = Syntax.var syntax (Names.step i j) in
+        let s = Hashtbl.hash v mod shards in
+        shard_of_step.(i).(j) <- s;
+        lvar_of_step.(i).(j) <-
+          (match Hashtbl.find_opt tbls.(s) v with
+          | Some k -> k
+          | None ->
+            let k = n_lvars.(s) in
+            Hashtbl.add tbls.(s) v k;
+            n_lvars.(s) <- k + 1;
+            k)
+      done)
+    fmt;
+  (shard_of_step, lvar_of_step, n_lvars)
+
+let prop_partition_reference =
+  QCheck.Test.make ~name:"Partition.make matches a string-table reference"
+    ~count:300
+    QCheck.(pair small_nat bool)
+    (fun (seed, typed) ->
+      let st = Random.State.make [| 0x9A7; seed |] in
+      let pool, fmt, steps = random_case st ~typed in
+      let syntax = Syntax.init_typed pool fmt (fun i j -> steps.(i).(j)) in
+      List.for_all
+        (fun shards ->
+          let p = Sched.Partition.make ~syntax ~shards in
+          let shard_of_step, lvar_of_step, n_lvars =
+            reference_partition syntax shards
+          in
+          p.Sched.Partition.shard_of_step = shard_of_step
+          && p.Sched.Partition.lvar_of_step = lvar_of_step
+          && p.Sched.Partition.n_lvars = n_lvars)
+        [ 1; 2; 4; 8 ])
+
+(* ---------- allocation ceilings ---------- *)
+
+(* Minor words one engine build allocates, averaged over 100 builds of
+   the same syntax (the builds allocate alike; the average hides the
+   first build's one-off work). *)
+let build_words make syntax =
+  ignore (make syntax);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (make syntax))
+  done;
+  (Gc.minor_words () -. before) /. 100.
+
+(* The bench shapes: 16x8 hot spots and 64x2 zipf mixes, untyped for SGT
+   and the sharded engine (K = 4), counter bumps for the semantic one.
+   Each ceiling is about 10% over what a build allocates on OCaml 5.1,
+   and below what it allocated while the engines interned names through
+   string tables (in brackets): 537 [1475], 1687 [2625] and 2182 [2883]
+   words at 16x8; 1305 [2627], 2887 [4209] and 4801 [5373] at 64x2. *)
+let ceilings =
+  let st () = rng 0x5E7 in
+  let hot = Sim.Workload.hotspot (st ()) ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 in
+  let bumps =
+    Sim.Workload.semantic_counters (st ()) ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
+      ~read_frac:0.1
+  in
+  let zipf = Sim.Workload.zipf (st ()) ~n:64 ~m:2 ~n_vars:8 ~s:1.2 in
+  let zipf_bumps =
+    Sim.Workload.semantic_zipf (st ()) ~n:64 ~m:2 ~n_vars:8 ~s:1.2
+      ~read_frac:0.1
+  in
+  let sgt syntax = Sched.Sgt.create ~syntax () in
+  let semantic syntax = Sched.Semantic.create ~syntax () in
+  let sharded syntax = Sched.Sharded.create ~shards:4 ~syntax () in
+  [
+    ("sgt 16x8", sgt, hot, 600.);
+    ("semantic 16x8", semantic, bumps, 1850.);
+    ("sharded 16x8", sharded, hot, 2400.);
+    ("sgt 64x2", sgt, zipf, 1450.);
+    ("semantic 64x2", semantic, zipf_bumps, 3150.);
+    ("sharded 64x2", sharded, zipf, 5200.);
+  ]
+
+let test_setup_allocation () =
+  List.iter
+    (fun (name, make, syntax, limit) ->
+      let w = build_words make syntax in
+      if w > limit then
+        Alcotest.failf "%s: %.0f minor words per build (ceiling %.0f)" name w
+          limit)
+    ceilings
+
+let suite =
+  qsuite [ prop_pool_equals_make; prop_partition_reference ]
+  @ [
+      Alcotest.test_case "a pool-built syntax, by hand" `Quick test_pool_by_hand;
+      Alcotest.test_case "every generator equals make" `Quick
+        test_generators_equal_make;
+      Alcotest.test_case "engine set-up allocation ceilings" `Quick
+        test_setup_allocation;
+    ]
