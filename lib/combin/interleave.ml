@@ -101,22 +101,46 @@ let unrank fmt r =
   done;
   il
 
+(* Choose transaction i with probability remaining.(i) / left, which
+   yields the uniform distribution over interleavings: draw k below left
+   and take the smallest i whose prefix count of remaining steps exceeds
+   k. The counts live in a Fenwick tree padded with zeros to a power of
+   two [size], node j holding the counts of (j - lowbit j, j] (1-based).
+   The descent from [size] visits one node per level: it takes the node
+   (moves past it) when the node's count is at most what is left of k,
+   and otherwise the chosen transaction lies inside it, so the same
+   visit decrements it. The nodes not taken are exactly the nodes that
+   cover the chosen leaf. [take] is -1 or 0 from the sign of
+   [rem - t], so no step branches on the data. *)
 let random st fmt =
+  let n = Array.length fmt in
   let len = total fmt in
-  let remaining = Array.copy fmt in
-  let left = ref len in
-  Array.init len (fun _ ->
-      (* choose transaction i with probability remaining.(i) / left,
-         which yields the uniform distribution over interleavings *)
-      let k = Random.State.int st !left in
-      let rec pick i acc =
-        let acc = acc + remaining.(i) in
-        if k < acc then i else pick (i + 1) acc
-      in
-      let i = pick 0 0 in
-      remaining.(i) <- remaining.(i) - 1;
-      decr left;
-      i)
+  let size = ref 1 in
+  while !size < n do size := 2 * !size done;
+  let size = !size in
+  let tree = Array.make (size + 1) 0 in
+  Array.blit fmt 0 tree 1 n;
+  (* every node below [size] adds into its parent, padding included *)
+  for j = 1 to size - 1 do
+    let p = j + (j land -j) in
+    tree.(p) <- tree.(p) + tree.(j)
+  done;
+  let il = Array.make len 0 in
+  for left = len downto 1 do
+    let k = Random.State.int st left in
+    let pos = ref 0 and rem = ref k and step = ref size in
+    while !step > 0 do
+      let j = !pos + !step in
+      let t = tree.(j) in
+      let take = lnot ((!rem - t) asr (Sys.int_size - 1)) in
+      tree.(j) <- t - (1 + take);
+      pos := !pos + (!step land take);
+      rem := !rem - (t land take);
+      step := !step lsr 1
+    done;
+    il.(len - left) <- !pos
+  done;
+  il
 
 let is_valid fmt il =
   let n = Array.length fmt in

@@ -36,7 +36,18 @@ val unrank : int array -> int -> int array
 val random : Random.State.t -> int array -> int array
 (** [random st fmt] draws an interleaving uniformly at random (by
     sequentially choosing each position proportionally to the remaining
-    completions). *)
+    completions).
+
+    Each position calls [Random.State.int st left] once, [left] the
+    steps not yet placed, and takes the smallest transaction whose
+    prefix count of remaining steps exceeds the draw. So the result,
+    and the state [st] is left in, are the same function of [st] as the
+    inverse-CDF scan over the remaining counts, and seeded callers draw
+    the same arrivals whichever way it is computed. The counts live in
+    a Fenwick tree padded to a power of two, descended without a
+    data-dependent branch: a draw costs O(log n), a whole interleaving
+    O(N log n) for [N = Σ fmt_i] steps, and the call allocates the
+    output and the tree and nothing per position. *)
 
 val is_valid : int array -> int array -> bool
 (** [is_valid fmt il] checks that [il] uses transaction [i] exactly

@@ -2,6 +2,15 @@ type t = Read | Write | Update | Incr | Decr | Enqueue | Max
 
 let all = [ Read; Write; Update; Incr; Decr; Enqueue; Max ]
 
+let index = function
+  | Read -> 0
+  | Write -> 1
+  | Update -> 2
+  | Incr -> 3
+  | Decr -> 4
+  | Enqueue -> 5
+  | Max -> 6
+
 let writes = function
   | Read -> false
   | Write | Update | Incr | Decr | Enqueue | Max -> true

@@ -27,6 +27,10 @@ type t = Read | Write | Update | Incr | Decr | Enqueue | Max
 val all : t list
 (** Every operation, fixed order — the domain of {!Commute}'s table. *)
 
+val index : t -> int
+(** The operation's position in {!all}, in [0 .. 6]: a slot in a table
+    indexed by operation. *)
+
 val writes : t -> bool
 (** Whether the step installs a new value into its variable — true for
     everything except [Read]. *)

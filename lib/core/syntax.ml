@@ -114,6 +114,8 @@ let n_vars s = Array.length s.names
 
 let var_ids s = s.ids
 
+let kinds s = s.kinds
+
 let var_name s v =
   if v < 0 || v >= n_vars s then invalid_arg "Syntax.var_name: id out of range";
   s.names.(v)

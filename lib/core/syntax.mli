@@ -92,6 +92,12 @@ val var_ids : t -> int array array
 (** [(var_ids s).(i).(j)] is the id of [x_ij]. The rows are the
     syntax's own, shared with every caller, and must not be written. *)
 
+val kinds : t -> Op.t array array
+(** [(kinds s).(i).(j)] is the operation of step [j] of transaction
+    [i], and [kinds s] is [[||]] when the syntax is untyped (every step
+    an [Op.Update]). Shared like {!var_ids}: the rows must not be
+    written. *)
+
 val var_name : t -> int -> Names.var
 (** The name of a variable id. Raises [Invalid_argument] on an
     out-of-range id. *)

@@ -3,32 +3,52 @@ open Core
 (* Commute compiled to classes. Ops with the same row of the table commute
    with exactly the same ops, so one representative decides every
    conflict of its class. Classes are numbered by first use, so a syntax
-   that uses one class pays for one. *)
-let row o = List.map (Commute.commutes o) Op.all
+   that uses one class pays for one. An op's class is found at its first
+   use and kept in the op's slot ([Op.index]), which every later step
+   reads. *)
+let same_row a b =
+  List.for_all (fun o -> Commute.commutes a o = Commute.commutes b o) Op.all
 
 let compile var_of_step op_of_step =
-  let seen = ref [] and reps = ref [||] in
+  let n_ops = List.length Op.all in
+  let class_of_op = Array.make n_ops (-1) in
+  let reps = Array.make n_ops Op.Update and k = ref 0 in
   let class_of op =
-    match List.assq_opt op !seen with
-    | Some c -> c
-    | None ->
-      let same = Array.find_index (fun r -> row r = row op) !reps in
-      let c = Option.value same ~default:(Array.length !reps) in
-      if same = None then reps := Array.append !reps [| op |];
-      seen := (op, c) :: !seen;
-      c
+    let c = class_of_op.(Op.index op) in
+    if c >= 0 then c
+    else begin
+      let c = ref 0 in
+      while !c < !k && not (same_row reps.(!c) op) do incr c done;
+      if !c = !k then begin
+        reps.(!k) <- op;
+        incr k
+      end;
+      class_of_op.(Op.index op) <- !c;
+      !c
+    end
   in
   (* filled in place: [Array.mapi] over more than 256 rows would start
      from a young row and force a minor collection *)
   let class_of_step = Array.make (Array.length var_of_step) [||] in
-  Array.iteri
-    (fun l vs ->
-      class_of_step.(l) <- Array.mapi (fun j _ -> class_of (op_of_step l j)) vs)
-    var_of_step;
-  let reps = !reps in
-  let classes = List.init (Array.length reps) Fun.id in
-  let conflicting a = List.filter (fun c -> Commute.conflicts a reps.(c)) classes in
-  (class_of_step, Array.map (fun a -> Array.of_list (conflicting a)) reps)
+  for l = 0 to Array.length var_of_step - 1 do
+    let cls = Array.make (Array.length var_of_step.(l)) 0 in
+    for j = 0 to Array.length cls - 1 do
+      cls.(j) <- class_of (op_of_step l j)
+    done;
+    class_of_step.(l) <- cls
+  done;
+  let k = !k in
+  let conflicting a =
+    let cs = Array.make k 0 and n = ref 0 in
+    for c = 0 to k - 1 do
+      if Commute.conflicts reps.(a) reps.(c) then begin
+        cs.(!n) <- c;
+        incr n
+      end
+    done;
+    Array.sub cs 0 !n
+  in
+  (class_of_step, Array.init k conflicting)
 
 let live_bit = 1
 let done_bit = 2
@@ -326,8 +346,12 @@ let clear_through r v =
    here, and the engine keeps no reference to the syntax itself. *)
 let scheduler ?sink ~name ~commute syntax =
   let fmt = Syntax.format syntax in
-  let op i j = Syntax.kind syntax (Names.step i j) in
-  let op_of_step = if commute then Some op else None in
+  (* an untyped syntax is all updates: the one class, as without ops *)
+  let kinds = Syntax.kinds syntax in
+  let op_of_step =
+    if commute && Array.length kinds > 0 then Some (fun i j -> kinds.(i).(j))
+    else None
+  in
   let g =
     create ?sink ?op_of_step ~n_vars:(Syntax.n_vars syntax)
       ~var_of_step:(Syntax.var_ids syntax) ()

@@ -91,6 +91,45 @@ let prop_interleave_random_valid =
       let st = rng (Array.fold_left ( + ) 0 fmt) in
       Combin.Interleave.is_valid fmt (Combin.Interleave.random st fmt))
 
+(* The inverse-CDF scan [Interleave.random] replaced: each position
+   draws k below the steps left and walks the transactions' remaining
+   counts to the first prefix that exceeds k. Seeded callers rely on the
+   Fenwick descent being this same function of the random state. *)
+let reference_random st fmt =
+  let remaining = Array.copy fmt in
+  let left = ref (Array.fold_left ( + ) 0 fmt) in
+  Array.init !left (fun _ ->
+      let k = Random.State.int st !left in
+      let rec pick i acc =
+        let acc = acc + remaining.(i) in
+        if k < acc then i else pick (i + 1) acc
+      in
+      let i = pick 0 0 in
+      remaining.(i) <- remaining.(i) - 1;
+      decr left;
+      i)
+
+(* Formats with empty transactions, of sizes at and around powers of
+   two: 1, small ones, 17 (one past 16) and 300 (padded to 512). *)
+let identity_format_gen =
+  QCheck.Gen.(
+    oneofl [ 1; 2; 3; 5; 8; 17; 300 ] >>= fun n ->
+    int_range 0 4 >>= fun max_m ->
+    array_size (return n) (int_range 0 max_m))
+
+let prop_interleave_random_reference =
+  QCheck.Test.make ~name:"random draw equals the linear-scan reference"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array int) int)
+       QCheck.Gen.(pair identity_format_gen int))
+    (fun (fmt, seed) ->
+      let st = Random.State.make [| seed |] in
+      let st' = Random.State.copy st in
+      let il = Combin.Interleave.random st fmt in
+      let il' = reference_random st' fmt in
+      il = il' && Random.State.bits st = Random.State.bits st')
+
 let test_interleave_serial () =
   let fmt = [| 2; 3 |] in
   let il = Combin.Interleave.serial fmt [| 1; 0 |] in
@@ -125,4 +164,5 @@ let suite =
         prop_interleave_count_matches_enum;
         prop_interleave_rank_unrank;
         prop_interleave_random_valid;
+        prop_interleave_random_reference;
       ]

@@ -2,7 +2,8 @@
    engines build from them. A pool-built syntax is the syntax
    [Syntax.make] builds over the same names; [Partition.make] numbers
    shards and shard-local variables as a per-shard string table would;
-   and building an engine allocates no more than its pinned ceiling. *)
+   and building an engine, or drawing a batch's arrival order, allocates
+   no more than its pinned ceiling. *)
 
 open Util
 open Core
@@ -204,9 +205,9 @@ let prop_partition_reference =
 
 (* ---------- allocation ceilings ---------- *)
 
-(* Minor words one engine build allocates, averaged over 100 builds of
-   the same syntax (the builds allocate alike; the average hides the
-   first build's one-off work). *)
+(* Minor words one call of [make] allocates (an engine build, or an
+   arrival draw), averaged over 100 calls on the same input (the calls
+   allocate alike; the average hides the first call's one-off work). *)
 let build_words make syntax =
   ignore (make syntax);
   let before = Gc.minor_words () in
@@ -219,8 +220,10 @@ let build_words make syntax =
    and the sharded engine (K = 4), counter bumps for the semantic one.
    Each ceiling is about 10% over what a build allocates on OCaml 5.1,
    and below what it allocated while the engines interned names through
-   string tables (in brackets): 537 [1475], 1687 [2625] and 2182 [2883]
-   words at 16x8; 1305 [2627], 2887 [4209] and 4801 [5373] at 64x2. *)
+   string tables (in brackets): 532 [1475], 758 [2625] and 2182 [2883]
+   words at 16x8; 1300 [2627], 1622 [4209] and 4801 [5373] at 64x2. The
+   semantic builds allocated 1687 and 2887 words while the class compile
+   looked each step's op up through [Syntax.kind] and built lists. *)
 let ceilings =
   let st () = rng 0x5E7 in
   let hot = Sim.Workload.hotspot (st ()) ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 in
@@ -238,10 +241,10 @@ let ceilings =
   let sharded syntax = Sched.Sharded.create ~shards:4 ~syntax () in
   [
     ("sgt 16x8", sgt, hot, 600.);
-    ("semantic 16x8", semantic, bumps, 1850.);
+    ("semantic 16x8", semantic, bumps, 830.);
     ("sharded 16x8", sharded, hot, 2400.);
     ("sgt 64x2", sgt, zipf, 1450.);
-    ("semantic 64x2", semantic, zipf_bumps, 3150.);
+    ("semantic 64x2", semantic, zipf_bumps, 1800.);
     ("sharded 64x2", sharded, zipf, 5200.);
   ]
 
@@ -254,6 +257,25 @@ let test_setup_allocation () =
           limit)
     ceilings
 
+(* The arrival draw allocates its output and its Fenwick tree
+   ([size + 1] slots, [size] the power of two at or above n) and nothing
+   per draw. An array of more than 256 words is allocated in the major
+   heap and counts no minor words, so at 256x2 both arrays do; at 16x8
+   both are young. One word per draw would cost 2 (with its header), 256
+   at 16x8 and 1024 at 256x2, far over the 16 words of slack. *)
+let test_arrivals_allocation () =
+  let young words = if words <= 256 then words + 1 else 0 in
+  List.iter
+    (fun (n, m, size) ->
+      let fmt = Array.make n m in
+      let st = rng n in
+      let w = build_words (Combin.Interleave.random st) fmt in
+      let limit = float (young (n * m) + young (size + 1) + 16) in
+      if w > limit then
+        Alcotest.failf "%dx%d: %.0f minor words per draw (ceiling %.0f)" n m w
+          limit)
+    [ (256, 2, 256); (16, 8, 16) ]
+
 let suite =
   qsuite [ prop_pool_equals_make; prop_partition_reference ]
   @ [
@@ -262,4 +284,6 @@ let suite =
         test_generators_equal_make;
       Alcotest.test_case "engine set-up allocation ceilings" `Quick
         test_setup_allocation;
+      Alcotest.test_case "arrival draw allocation ceilings" `Quick
+        test_arrivals_allocation;
     ]
