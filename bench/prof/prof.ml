@@ -19,6 +19,15 @@
    refusals), delays, grants and restarts per request, and stalls (the
    driver's deadlocks) per batch.
 
+   The libraries under lib/ are built with a raised inlining budget
+   (lib/dune), so many small helpers run inlined in their callers. The
+   debug information still names an inlined helper as a frame of its
+   own, but its body is compiled into each caller, without a call or an
+   entry of its own, and the points where the runtime takes the signal
+   move with it. So function-level shares from a build before that
+   budget cannot be compared by name with later ones; phase shares and
+   the driver's counts can.
+
    The handler allocates one small array per sample, so sampling itself
    adds at most a few minor collections a minute; a phase that forces
    collections shows one or more per batch. Exit 1 when a batch is not

@@ -872,17 +872,24 @@ let check_cmd =
       const check $ syntax $ sched_spec $ sched $ seed $ capacity
       $ trace_file $ levels $ mutate $ budget $ bench $ out $ json)
 
+(* Malformed flags, unknown subcommands and term errors exit 2, not
+   cmdliner's default 124. *)
 let () =
   let doc = "concurrency-control optimality toolbox (Kung-Papadimitriou 1979)" in
   exit
     (try
-       Cmd.eval ~catch:false
-         (Cmd.group (Cmd.info "ccopt" ~doc)
-            [
-              classify_cmd; herbrand_cmd; geometry_cmd; analyze_cmd;
-              schedule_run_cmd; verify_cmd; measure_cmd; bench_cmd;
-              trace_cmd; check_cmd;
-            ])
+       match
+         Cmd.eval_value ~catch:false
+           (Cmd.group (Cmd.info "ccopt" ~doc)
+              [
+                classify_cmd; herbrand_cmd; geometry_cmd; analyze_cmd;
+                schedule_run_cmd; verify_cmd; measure_cmd; bench_cmd;
+                trace_cmd; check_cmd;
+              ])
+       with
+       | Ok (`Ok () | `Version | `Help) -> 0
+       | Error (`Parse | `Term) -> 2
+       | Error `Exn -> Cmd.Exit.internal_error
      with
      | Invalid_argument msg ->
        Printf.eprintf "ccopt: %s\n" msg;

@@ -23,9 +23,12 @@ let engines =
   ]
 
 (* Abort-heavy hot spots, hot-key counter bumps (typed, so the semantic
-   engine commutes some of them) and zipf mixes: (syntax, arrivals). *)
+   engine commutes some of them) and zipf mixes: (syntax, arrivals).
+   Drawn on first use inside a test case, so a raising draw or generator
+   fails the cases that use it by name instead of aborting the binary. *)
 let corpus =
-  let seeded tag gen =
+  lazy
+  (let seeded tag gen =
     List.init 12 (fun seed ->
         let st = Random.State.make [| tag; seed |] in
         let n = 8 + Random.State.int st 9 in
@@ -38,7 +41,7 @@ let corpus =
         Sim.Workload.semantic_counters st ~n ~m ~n_vars:4 ~theta:0.7
           ~read_frac:0.2)
   @ seeded 0xD42 (fun st ~n ~m ->
-        Sim.Workload.zipf st ~n ~m ~n_vars:(4 + (n / 2)) ~s:1.1)
+        Sim.Workload.zipf st ~n ~m ~n_vars:(4 + (n / 2)) ~s:1.1))
 
 (* One traced driver run: the stats and the recorded events. *)
 let traced_run mk syntax arrivals =
@@ -89,7 +92,7 @@ let test_no_standing_question () =
           answered :=
             !answered + s.Sched.Driver.delays
             - (Obs.Fold.counters events).Obs.Fold.refusals)
-        corpus)
+        (Lazy.force corpus))
     engines;
   check_true "the driver answered standing refusals" (!answered > 0)
 
@@ -140,7 +143,7 @@ let test_standing_hidden_differential () =
           check_int (name ^ ": same waiting") b.waiting a.waiting;
           check_int (name ^ ": same grants") b.grants a.grants;
           same "aborts" (a.aborts = b.aborts))
-        corpus)
+        (Lazy.force corpus))
     (engines @ [ ("SGT, stale entries", stale_sgt) ])
 
 (* Every stuck list handed to [victim] is youngest-first by first
@@ -239,7 +242,7 @@ let test_pinned_stats () =
               s.deadlocks s.grants
               (String.concat "," (Array.to_list (Array.map string_of_int s.aborts)))
           | exception Sched.Driver.Stall msg -> Printf.bprintf buf " %s\n" msg)
-        corpus)
+        (Lazy.force corpus))
     engines;
   Alcotest.(check string)
     "stats digest" pinned_stats_digest
@@ -292,7 +295,7 @@ let test_standing_contract () =
           ignore
             (Sched.Driver.run wrapped ~fmt:(Syntax.format syntax)
                ~arrivals:(Array.copy arrivals)))
-        corpus;
+        (Lazy.force corpus);
       check_true (name ^ ": attempts set entries") (!sets > 0);
       check_true (name ^ ": commits beside standing entries") (!commits_beside > 0))
     engines
