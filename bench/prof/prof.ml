@@ -5,12 +5,15 @@
    It runs the workload's batches back to back, unpaced and untraced,
    each through the same four phases as the benchmark's set-up and timed
    region: gen (the batch), create (the engine and [Driver.create]),
-   submit (every arrival) and drain. [ITIMER_PROF] asks for a signal
-   every millisecond of CPU time (the kernel's tick may space them
-   wider), and the handler keeps the interrupted call stack
-   ([Printexc.get_callstack]) with the phase it fell in. Each batch is
-   then checked as the benchmark checks it, unsampled. At the end
-   it prints, per phase, its share of the samples and its minor
+   submit (every arrival) and drain. [ITIMER_PROF] is set to a
+   millisecond of CPU time, but the kernel delivers the signal at its
+   own tick, so far fewer arrive: about 250 per CPU second on a 250 Hz
+   kernel. The handler counts every signal and keeps the interrupted
+   call stack ([Printexc.get_callstack]) of those that fall in a phase.
+   Each batch is then checked as the benchmark checks it, unsampled (on
+   [hot] most signals land there). At the end it prints the signals
+   taken, the samples kept and the CPU seconds they came from, then,
+   per phase, its share of the samples and its minor
    collections per batch, then the [top] functions by inclusive share
    (the samples with the function anywhere on the stack) with their
    self share (the samples with it on top). Before those it prints the
@@ -44,11 +47,14 @@ let unsampled = -1
 let top = 30
 let counted = 200
 
-(* The phase running now, and the samples so far, newest first. *)
+(* The phase running now, the signals taken so far, and the samples
+   kept (those taken in a phase), newest first. *)
 let phase = ref unsampled
+let signals = ref 0
 let samples : (int * Printexc.raw_backtrace) list ref = ref []
 
 let on_sample _ =
+  incr signals;
   if !phase <> unsampled then
     samples := (!phase, Printexc.get_callstack 256) :: !samples
 
@@ -111,7 +117,7 @@ let report_work () =
     (per work.requests work.delays) (per work.requests work.grants)
     (per work.requests work.restarts) (per work.batches work.stalls)
 
-let report ~batches gcs =
+let report ~batches ~cpu gcs =
   let n = List.length !samples in
   let share k = if n = 0 then 0. else float_of_int k /. float_of_int n in
   let in_phase = Array.make (Array.length phases) 0 in
@@ -128,7 +134,8 @@ let report ~batches gcs =
         bump self top;
         List.iter (bump incl) (List.sort_uniq compare names))
     !samples;
-  Printf.printf "%d samples\n\n" n;
+  Printf.printf "%d signals (%.0f per CPU s), %d samples kept\n\n" !signals
+    (float_of_int !signals /. cpu) n;
   report_work ();
   Printf.printf "%-8s %8s %18s\n" "phase" "share" "minor GCs/batch";
   Array.iteri
@@ -182,7 +189,8 @@ let () =
   Sys.set_signal Sys.sigprof (Sys.Signal_handle on_sample);
   let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
   ignore (Unix.setitimer Unix.ITIMER_PROF tick);
-  let stop = Sys.time () +. float_of_int !seconds in
+  let start = Sys.time () in
+  let stop = start +. float_of_int !seconds in
   while Sys.time () < stop do
     let b = in_phase gcs gen (fun index -> Harness.batch w ~seed:!seed ~index) !batches in
     let counts = !batches < counted in
@@ -208,8 +216,9 @@ let () =
     incr batches
   done;
   ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.; it_value = 0. });
+  let cpu = Sys.time () -. start in
   Sys.set_signal Sys.sigprof Sys.Signal_default;
-  Printf.printf "workload %s: %s, %dx%d, seed %d, %d batches unpaced in %d CPU s, "
-    w.name (Workloads.engine_name w) w.n w.m !seed !batches !seconds;
-  report ~batches:!batches gcs;
+  Printf.printf "workload %s: %s, %dx%d, seed %d, %d batches unpaced in %.2f CPU s, "
+    w.name (Workloads.engine_name w) w.n w.m !seed !batches cpu;
+  report ~batches:!batches ~cpu gcs;
   if not !correct then exit 1

@@ -8,10 +8,14 @@
      ccopt schedule  --syntax "xy,yx" --arrivals 0101 --scheduler sgt
      ccopt verify    [--k 2]                    theorem micro-universes
      ccopt measure   --syntax "xy,yx" --samples 500
-     ccopt bench     [--json] [--out BENCH_sched.json]  scheduler req/s
+     ccopt bench     [--smoke] [--json] [--out BENCH_sched.json]
      ccopt trace     --syntax "xy,yx" --seed 42 [--out PREFIX] [--json]
      ccopt check     --syntax "xy,yx" --scheduler sgt --seed 42
                      | --schedule 0101 | --trace FILE.events  [--levels ..]
+     ccopt check     --bench smoke|default [--json] [--out BENCH_check.json]
+
+   [bench] has two presets and no other knob: the full run and [--smoke],
+   which runs every section, engine and mix at tiny sizes.
 *)
 
 open Core
@@ -200,8 +204,8 @@ let write_file file body =
 
 (* Print a bench report, or write it to [out]. A JSON report written
    over an existing file keeps the file's top-level members it lacks
-   (e.g. a checker-throughput section, or an opt-in section of an
-   earlier run), and must parse back — exit 1 otherwise. *)
+   (e.g. a hand-added note, or a member an earlier version wrote), and
+   must parse back — exit 1 otherwise. *)
 let output_report ~what out report =
   let body =
     match report with
@@ -223,43 +227,9 @@ let output_report ~what out report =
   | None -> print_string body
   | Some file -> write_file file body
 
-let bench sizes mixes n_vars streams min_time seed smoke json out shards
-    shard_sizes mv_sizes mv_samples sem_sizes sem_samples parallel domains
-    twopc =
+let bench smoke json out =
   let module B = Sim.Sched_bench in
-  (* the sections are opt-in (--parallel, --twopc); --domains picks the
-     parallel sweep, defaulting to the base configuration's (smoke
-     keeps its tiny one) *)
-  let opt_in (base : B.spec) =
-    {
-      base with
-      par_domains =
-        (if not parallel then []
-         else if domains = "" then base.par_domains
-         else B.parse_ints ~flag:"--domains" domains);
-      twopc_fault_rates = (if twopc then base.twopc_fault_rates else []);
-    }
-  in
-  let spec =
-    if smoke then opt_in B.smoke
-    else
-      opt_in
-        {
-          B.default with
-          sizes = B.parse_sizes ~flag:"--sizes" sizes;
-          mixes = String.split_on_char ',' mixes;
-          n_vars;
-          streams;
-          min_time;
-          seed;
-          shard_ks = B.parse_ints ~flag:"--shards" shards;
-          shard_sizes = B.parse_sizes ~flag:"--shard-sizes" shard_sizes;
-          mv_sizes = B.parse_sizes ~flag:"--mv-sizes" mv_sizes;
-          mv_samples;
-          sem_sizes = B.parse_sizes ~flag:"--sem-sizes" sem_sizes;
-          sem_samples;
-        }
-  in
+  let spec = if smoke then B.smoke else B.default in
   let report = B.run spec in
   output_report ~what:"bench" out
     (if json then `Json (B.to_json spec report)
@@ -341,15 +311,9 @@ let check spec sched_spec sched_name seed capacity trace_file levels_spec
     Option.value ~default:Analysis.Checker.levels explicit_levels
   in
   match bench with
-  | Some size ->
+  | Some bspec ->
     (* throughput mode: a generated serializable history; any verdict
        other than Consistent fails the run *)
-    let bspec =
-      match size with
-      | "smoke" -> Sim.Check_bench.smoke
-      | "default" -> Sim.Check_bench.default
-      | s -> Sim.Check_bench.parse_dims s Sim.Check_bench.default
-    in
     let bspec = { bspec with Sim.Check_bench.seed; levels } in
     let rows = Sim.Check_bench.run bspec in
     output_report ~what:"check" out
@@ -601,53 +565,12 @@ let measure_cmd =
     Term.(const measure $ syntax_arg $ samples)
 
 let bench_cmd =
-  let d = Sim.Sched_bench.default in
-  (* a comma-separated list flag, defaulting to the full configuration's *)
-  let list_arg name ~docv show default ~doc =
-    let default = String.concat "," (List.map show default) in
-    Arg.(value & opt string default & info [ name ] ~docv ~doc)
-  in
-  let sizes_arg name =
-    list_arg name ~docv:"NxM,.." (fun (n, m) -> Printf.sprintf "%dx%d" n m)
-  in
-  let samples_arg name default table =
-    Arg.(
-      value & opt int default
-      & info [ name ]
-          ~doc:("Monte-Carlo samples per |P|/|H| breadth estimate in the "
-               ^ table ^ " admission table."))
-  in
-  let sizes =
-    sizes_arg "sizes" d.Sim.Sched_bench.sizes
-      ~doc:"Workload sizes: transactions x steps, comma-separated."
-  in
-  let mixes =
-    list_arg "mixes" ~docv:"MIX,.." Fun.id d.Sim.Sched_bench.mixes
-      ~doc:("Workload mixes: " ^ String.concat ", " Sim.Sched_bench.mix_names ^ ".")
-  in
-  let n_vars =
-    Arg.(
-      value & opt int d.Sim.Sched_bench.n_vars
-      & info [ "vars" ] ~doc:"Size of the variable pool.")
-  in
-  let streams =
-    Arg.(
-      value & opt int d.Sim.Sched_bench.streams
-      & info [ "streams" ] ~doc:"Arrival streams per cell.")
-  in
-  let min_time =
-    Arg.(
-      value & opt float d.Sim.Sched_bench.min_time
-      & info [ "min-time" ] ~doc:"Per-cell time budget in seconds.")
-  in
-  let seed =
-    Arg.(value & opt int d.Sim.Sched_bench.seed & info [ "seed" ] ~doc:"RNG seed.")
-  in
   let smoke =
     Arg.(
       value & flag
       & info [ "smoke" ]
-          ~doc:"Tiny single-pass configuration (overrides the other knobs).")
+          ~doc:"Tiny single-pass run of every section (the CI smoke) \
+                instead of the full run.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit BENCH_sched.json schema.")
@@ -658,68 +581,13 @@ let bench_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Write the report to a file.")
   in
-  let shards =
-    list_arg "shards" ~docv:"K,.." string_of_int d.Sim.Sched_bench.shard_ks
-      ~doc:"Shard counts for the sharded-engine section (sharded vs \
-            monolithic SGT); empty disables the section."
-  in
-  let shard_sizes =
-    sizes_arg "shard-sizes" d.Sim.Sched_bench.shard_sizes
-      ~doc:"Workload sizes of the sharded-engine section."
-  in
-  let mv_sizes =
-    sizes_arg "mv-sizes" d.Sim.Sched_bench.mv_sizes
-      ~doc:"Workload sizes of the multi-version section (SGT vs \
-            MVCC/SI/SSI over typed read/update mixes); empty disables \
-            the section."
-  in
-  let mv_samples =
-    samples_arg "mv-samples" d.Sim.Sched_bench.mv_samples "multi-version"
-  in
-  let sem_sizes =
-    sizes_arg "sem-sizes" d.Sim.Sched_bench.sem_sizes
-      ~doc:"Workload sizes of the commutativity section (rw-SGT vs the \
-            semantic engine over typed counter mixes); empty disables the \
-            section."
-  in
-  let sem_samples =
-    samples_arg "sem-samples" d.Sim.Sched_bench.sem_samples "commutativity"
-  in
-  let parallel =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Also time the domain-parallel execution engine \
-                (Sched.Parallel) — wall-clock req/s per domain count, \
-                with a speedup map vs 1 domain.")
-  in
-  let domains =
-    Arg.(
-      value & opt string ""
-      & info [ "domains" ] ~docv:"D,.."
-          ~doc:"Domain counts for the --parallel sweep (include 1: it is \
-                the speedup baseline). Defaults to the configuration's \
-                sweep.")
-  in
-  let twopc =
-    Arg.(
-      value & flag
-      & info [ "twopc" ]
-          ~doc:"Also run the distributed-commit section (Sched.Twopc): \
-                commit latency, abort rate and in-doubt blocking window \
-                per fault rate, plus the measured coordinator-crash \
-                blocking window.")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"scheduler micro-benchmark (requests/sec, incl. SGT vs SGT-ref, \
-             sharded vs monolithic SGT, the multi-version admission section, \
-             the --parallel wall-clock engine sweep and the --twopc \
-             distributed-commit section)")
-    Term.(
-      const bench $ sizes $ mixes $ n_vars $ streams $ min_time $ seed $ smoke
-      $ json $ out $ shards $ shard_sizes $ mv_sizes $ mv_samples $ sem_sizes
-      $ sem_samples $ parallel $ domains $ twopc)
+             sharded vs monolithic SGT, the multi-version and \
+             commutativity admission tables, the parallel wall-clock \
+             engine sweep and the distributed-commit section)")
+    Term.(const bench $ smoke $ json $ out)
 
 let trace_cmd =
   let sched =
@@ -845,12 +713,18 @@ let check_cmd =
   let bench =
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (some
+             (enum
+                [
+                  ("smoke", Sim.Check_bench.smoke);
+                  ("default", Sim.Check_bench.default);
+                ]))
+          None
       & info [ "bench" ] ~docv:"SIZE"
           ~doc:"Throughput mode: check a generated serializable history and \
-                report events/sec per level. SIZE is smoke, default (1M \
-                events — the committed BENCH_check.json configuration) or \
-                NxMxSxV (transactions x steps x sessions x variables).")
+                report events/sec per level. SIZE is smoke or default (1M \
+                events — the committed BENCH_check.json configuration).")
   in
   let out =
     Arg.(

@@ -29,13 +29,6 @@ let default =
 
 let smoke = { default with txns = 2_000; steps = 2; n_vars = 500 }
 
-let parse_dims s base =
-  match List.map int_of_string_opt (String.split_on_char 'x' s) with
-  | [ Some n; Some m; Some sess; Some v ]
-    when n > 0 && m > 0 && sess > 0 && v > 0 ->
-    { base with txns = n; steps = m; sessions = sess; n_vars = v }
-  | _ -> invalid_arg ("bad --bench size " ^ s ^ " (want NxMxSxV)")
-
 let run spec =
   let h =
     History.generate ~seed:spec.seed ~sessions:spec.sessions ~txns:spec.txns

@@ -30,10 +30,6 @@ val default : spec
 val smoke : spec
 (** Tiny configuration for the CI smoke (8k events). *)
 
-val parse_dims : string -> spec -> spec
-(** ["NxMxSxV"] — transactions x steps x sessions x variables — over a
-    base spec. Raises [Invalid_argument] on malformed input. *)
-
 val run : spec -> row list
 (** One row per level, in {!Analysis.Checker.levels} order restricted
     to [spec.levels]. Raises [Failure] if any verdict is not

@@ -1,36 +1,38 @@
 open Core
 
+(* One preset: the sizes, mixes and sweeps of every section. Both
+   presets run every section; a contended mix (all but disjoint) in the
+   sharded and parallel sections keeps only its sizes with n <= 256. *)
 type spec = {
-  sizes : (int * int) list;
+  sizes : (int * int) list;  (* (n transactions, m steps) per cell *)
   mixes : string list;
   n_vars : int;
-  streams : int;
-  min_time : float;
+  streams : int;  (* arrival streams per cell *)
+  min_time : float;  (* per-cell time budget, seconds *)
   seed : int;
   shard_ks : int list;
   shard_sizes : (int * int) list;
   shard_mixes : string list;
   mv_sizes : (int * int) list;
   mv_mixes : string list;
-  mv_samples : int;
-  (* commutativity section; empty [sem_sizes] or [sem_mixes] skips it.
-     SGT vs the semantic engine on typed counter mixes — the hot and
+  mv_samples : int;  (* Monte-Carlo samples behind each breadth *)
+  (* SGT vs the semantic engine on typed counter mixes — the hot and
      skewed workloads where the commutativity table actually removes
      conflict edges. *)
   sem_sizes : (int * int) list;
   sem_mixes : string list;
   sem_samples : int;
-  (* wall-clock parallel-execution section; empty [par_domains] skips it.
-     Each variant runs one shard per domain (K = D), so d1 is the
-     monolithic single-shard engine on one domain — the configuration a
-     user without the parallel feature gets — and the sweep is the
-     engine's scaling curve. *)
+  (* Each parallel variant runs one shard per domain (K = D), so d1 is
+     the monolithic single-shard engine on one domain — the configuration
+     a user without the parallel feature gets — and the sweep is the
+     engine's scaling curve. [par_streams] is kept apart from [streams]:
+     a parallel pass at n = 2048 is orders of magnitude more work than a
+     16x8 cell. *)
   par_domains : int list;
   par_sizes : (int * int) list;
   par_mixes : string list;
   par_streams : int;
-  (* distributed-commit section; empty [twopc_fault_rates] skips it.
-     Each rate drives [twopc_rounds] commit rounds through a
+  (* Each rate drives [twopc_rounds] commit rounds through a
      [Sched.Twopc.service] over [twopc_parts] participants, with the
      crash rate at the sweep value and the slow-link rate at half it. *)
   twopc_fault_rates : float list;
@@ -76,26 +78,22 @@ let default =
     twopc_parts = 3;
   }
 
+(* Every section and mix of [default], at tiny sizes, in one pass. *)
 let smoke =
   {
+    default with
     sizes = [ (2, 2); (3, 2) ];
-    mixes = [ "uniform"; "hot" ];
     n_vars = 3;
     streams = 2;
     min_time = 0.;
-    seed = 42;
     shard_ks = [ 4 ];
     shard_sizes = [ (8, 2) ];
-    shard_mixes = [ "disjoint" ];
     mv_sizes = [ (3, 2) ];
-    mv_mixes = [ "rw-hot" ];
     mv_samples = 20;
     sem_sizes = [ (3, 2) ];
-    sem_mixes = [ "ctr-hot" ];
     sem_samples = 20;
     par_domains = [ 1; 2 ];
     par_sizes = [ (16, 2) ];
-    par_mixes = [ "disjoint" ];
     par_streams = 1;
     twopc_fault_rates = [ 0.; 0.3 ];
     twopc_rounds = 20;
@@ -138,34 +136,6 @@ let syntax_of_mix st ~mix ~n ~m ~n_vars =
     invalid_arg
       ("unknown workload mix " ^ name ^ " (" ^ String.concat ", " mix_names
      ^ ")")
-
-(* ---------- flag values ---------- *)
-
-(* Comma-separated lists; empty items are skipped, so an empty flag
-   value is the empty list (which disables an optional section). *)
-let parse_list ~what ~flag parse s =
-  List.filter_map
-    (fun item ->
-      if item = "" then None
-      else
-        match parse item with
-        | None -> invalid_arg (Printf.sprintf "bad %s %s in %s" what item flag)
-        | v -> v)
-    (String.split_on_char ',' s)
-
-let parse_sizes ~flag s =
-  parse_list ~what:"size" ~flag:(flag ^ " (want NxM)")
-    (fun cell ->
-      match List.map int_of_string_opt (String.split_on_char 'x' cell) with
-      | [ Some n; Some m ] when n > 0 && m > 0 -> Some (n, m)
-      | _ -> None)
-    s
-
-let parse_ints ~flag s =
-  parse_list ~what:"count" ~flag:(flag ^ " (want positive integers)")
-    (fun k ->
-      match int_of_string_opt k with Some k when k > 0 -> Some k | _ -> None)
-    s
 
 (* ---------- timing sections ---------- *)
 
@@ -269,9 +239,9 @@ type section = {
   ratios : ratio list;
 }
 
-(* Every timing section, in run order; one with no engines is skipped.
-   Adding a section is one record here (plus its place in [to_json] and
-   [pp] if it has ratios to report). *)
+(* Every timing section, in run order. Adding a section is one record
+   here (plus its place in [to_json] and [pp] if it has ratios to
+   report). *)
 let sections (spec : spec) =
   let section ?cap ?salt ?(streams = spec.streams) ?(ratios = []) name
       engines mixes sizes =
@@ -280,56 +250,53 @@ let sections (spec : spec) =
   let ratio ?(key = "") ?(tag = "") engine baseline =
     { engine; baseline; key; tag }
   in
-  List.filter
-    (fun s -> s.engines <> [])
-    [
-      section "core"
-        (List.map registered [ "serial"; "2PL"; "TO"; "SGT"; "SGT-ref" ])
-        spec.mixes spec.sizes
-        ~ratios:[ ratio "SGT" "SGT-ref" ];
-      (* single-version SGT against the MV family on typed read/update
-         mixes — the workloads where snapshot reads buy admission
-         breadth *)
-      section "mv"
-        (List.map registered [ "SGT"; "MVCC"; "SI"; "SSI" ])
-        spec.mv_mixes spec.mv_sizes;
-      (* rw-SGT against the semantic engine on typed counter mixes —
-         identical machinery, the only delta being the {!Core.Commute}
-         filter on conflict edges *)
-      section "semantic"
-        (List.map registered [ "SGT"; "semantic" ])
-        spec.sem_mixes spec.sem_sizes
-        ~ratios:[ ratio "semantic" "SGT" ];
-      (* monolithic SGT against the sharded engine across K on
-         partition-sensitive mixes: disjoint is the zero-coordination
-         best case, hot and skewed keep the coordinator path timed *)
-      section "sharded"
-        (if spec.shard_ks = [] then []
-         else registered "SGT" :: List.map sharded spec.shard_ks)
-        spec.shard_mixes spec.shard_sizes ~cap:256
-        ~ratios:
-          (List.map
-             (fun k ->
-               ratio (sharded_name k) "SGT" ~key:(Printf.sprintf "/k%d" k)
-                 ~tag:(Printf.sprintf "K=%-2d " k))
-             spec.shard_ks);
-      (* every domain count on identical streams; each multi-domain
-         variant is reported against d1 — the wall-clock scaling curve *)
-      section "parallel"
-        (List.map parallel spec.par_domains)
-        spec.par_mixes spec.par_sizes ~cap:256 ~salt:0x9a7
-        ~streams:spec.par_streams
-        ~ratios:
-          (List.filter_map
-             (fun d ->
-               if d = 1 then None
-               else
-                 Some
-                   (ratio (parallel_name d) (parallel_name 1)
-                      ~key:(Printf.sprintf "/d%d" d)
-                      ~tag:(Printf.sprintf "d=%-2d " d)))
-             spec.par_domains);
-    ]
+  [
+    section "core"
+      (List.map registered [ "serial"; "2PL"; "TO"; "SGT"; "SGT-ref" ])
+      spec.mixes spec.sizes
+      ~ratios:[ ratio "SGT" "SGT-ref" ];
+    (* single-version SGT against the MV family on typed read/update
+       mixes — the workloads where snapshot reads buy admission
+       breadth *)
+    section "mv"
+      (List.map registered [ "SGT"; "MVCC"; "SI"; "SSI" ])
+      spec.mv_mixes spec.mv_sizes;
+    (* rw-SGT against the semantic engine on typed counter mixes —
+       identical machinery, the only delta being the {!Core.Commute}
+       filter on conflict edges *)
+    section "semantic"
+      (List.map registered [ "SGT"; "semantic" ])
+      spec.sem_mixes spec.sem_sizes
+      ~ratios:[ ratio "semantic" "SGT" ];
+    (* monolithic SGT against the sharded engine across K on
+       partition-sensitive mixes: disjoint is the zero-coordination
+       best case, hot and skewed keep the coordinator path timed *)
+    section "sharded"
+      (registered "SGT" :: List.map sharded spec.shard_ks)
+      spec.shard_mixes spec.shard_sizes ~cap:256
+      ~ratios:
+        (List.map
+           (fun k ->
+             ratio (sharded_name k) "SGT" ~key:(Printf.sprintf "/k%d" k)
+               ~tag:(Printf.sprintf "K=%-2d " k))
+           spec.shard_ks);
+    (* every domain count on identical streams; each multi-domain
+       variant is reported against d1 — the wall-clock scaling curve *)
+    section "parallel"
+      (List.map parallel spec.par_domains)
+      spec.par_mixes spec.par_sizes ~cap:256 ~salt:0x9a7
+      ~streams:spec.par_streams
+      ~ratios:
+        (List.filter_map
+           (fun d ->
+             if d = 1 then None
+             else
+               Some
+                 (ratio (parallel_name d) (parallel_name 1)
+                    ~key:(Printf.sprintf "/d%d" d)
+                    ~tag:(Printf.sprintf "d=%-2d " d)))
+           spec.par_domains);
+  ]
 
 (* Time every engine of a cell together, in interleaved rounds: each
    round runs one whole pass of each engine, timed individually at pass
@@ -541,68 +508,65 @@ type twopc_section = {
 }
 
 let twopc_stats spec =
-  match spec.twopc_fault_rates with
-  | [] -> None
-  | rates ->
-    let parts = List.init spec.twopc_parts (fun p -> p) in
-    let sweep =
-      List.map
-        (fun rate ->
-          let svc =
-            Sched.Twopc.service ~crash_rate:rate ~slow_rate:(rate /. 2.)
-              ~seed:spec.seed ~shards:spec.twopc_parts ()
-          in
-          for tx = 0 to spec.twopc_rounds - 1 do
-            ignore (Sched.Twopc.commit svc ~tx ~shards:parts)
-          done;
-          let t = Sched.Twopc.totals svc in
-          let fl n = float_of_int (max 1 n) in
-          {
-            fault_rate = rate;
-            tp_rounds = t.Sched.Twopc.rounds;
-            tp_commits = t.Sched.Twopc.committed;
-            tp_aborts = t.Sched.Twopc.aborted;
-            abort_rate =
-              float_of_int t.Sched.Twopc.aborted /. fl t.Sched.Twopc.rounds;
-            avg_latency = t.Sched.Twopc.latency_sum /. fl t.Sched.Twopc.rounds;
-            avg_blocking =
-              t.Sched.Twopc.blocking_sum /. fl t.Sched.Twopc.rounds;
-            max_blocking = t.Sched.Twopc.blocking_max;
-            tp_msgs = t.Sched.Twopc.total_msgs;
-            tp_crashes = t.Sched.Twopc.total_crashes;
-          })
-        rates
-    in
-    (* The headline number of the section: the coordinator crashes
-       between collecting the votes and broadcasting the decision, so
-       every yes-voter sits in doubt until the coordinator is back —
-       the blocking window of 2PC, measured over every crash placement
-       inside the vote-collection phase. *)
-    let cc_repair = 25. in
-    let coord = spec.twopc_parts in
-    let cfg = Sched.Twopc.default in
-    let windows =
-      List.map
-        (fun at_input ->
-          let r =
-            Sched.Twopc.round cfg ~nodes:(spec.twopc_parts + 1) ~coord ~parts
-              ~tx:0 ~seed:spec.seed
-              ~faults:
-                [ Sched.Twopc.Crash { node = coord; at_input; repair = cc_repair } ]
-              ()
-          in
-          r.Sched.Twopc.blocking)
-        (List.init spec.twopc_parts (fun i -> i + 1))
-    in
-    let nonzero = List.filter (fun w -> w > 0.) windows in
-    let cc_avg_blocking =
-      match nonzero with
-      | [] -> 0.
-      | ws -> List.fold_left ( +. ) 0. ws /. float_of_int (List.length ws)
-    in
-    let cc_max_blocking = List.fold_left max 0. windows in
-    Some { tp_parts = spec.twopc_parts; sweep; cc_repair; cc_avg_blocking;
-           cc_max_blocking }
+  let parts = List.init spec.twopc_parts (fun p -> p) in
+  let sweep =
+    List.map
+      (fun rate ->
+        let svc =
+          Sched.Twopc.service ~crash_rate:rate ~slow_rate:(rate /. 2.)
+            ~seed:spec.seed ~shards:spec.twopc_parts ()
+        in
+        for tx = 0 to spec.twopc_rounds - 1 do
+          ignore (Sched.Twopc.commit svc ~tx ~shards:parts)
+        done;
+        let t = Sched.Twopc.totals svc in
+        let fl n = float_of_int (max 1 n) in
+        {
+          fault_rate = rate;
+          tp_rounds = t.Sched.Twopc.rounds;
+          tp_commits = t.Sched.Twopc.committed;
+          tp_aborts = t.Sched.Twopc.aborted;
+          abort_rate =
+            float_of_int t.Sched.Twopc.aborted /. fl t.Sched.Twopc.rounds;
+          avg_latency = t.Sched.Twopc.latency_sum /. fl t.Sched.Twopc.rounds;
+          avg_blocking =
+            t.Sched.Twopc.blocking_sum /. fl t.Sched.Twopc.rounds;
+          max_blocking = t.Sched.Twopc.blocking_max;
+          tp_msgs = t.Sched.Twopc.total_msgs;
+          tp_crashes = t.Sched.Twopc.total_crashes;
+        })
+      spec.twopc_fault_rates
+  in
+  (* The headline number of the section: the coordinator crashes
+     between collecting the votes and broadcasting the decision, so
+     every yes-voter sits in doubt until the coordinator is back —
+     the blocking window of 2PC, measured over every crash placement
+     inside the vote-collection phase. *)
+  let cc_repair = 25. in
+  let coord = spec.twopc_parts in
+  let cfg = Sched.Twopc.default in
+  let windows =
+    List.map
+      (fun at_input ->
+        let r =
+          Sched.Twopc.round cfg ~nodes:(spec.twopc_parts + 1) ~coord ~parts
+            ~tx:0 ~seed:spec.seed
+            ~faults:
+              [ Sched.Twopc.Crash { node = coord; at_input; repair = cc_repair } ]
+            ()
+        in
+        r.Sched.Twopc.blocking)
+      (List.init spec.twopc_parts (fun i -> i + 1))
+  in
+  let nonzero = List.filter (fun w -> w > 0.) windows in
+  let cc_avg_blocking =
+    match nonzero with
+    | [] -> 0.
+    | ws -> List.fold_left ( +. ) 0. ws /. float_of_int (List.length ws)
+  in
+  let cc_max_blocking = List.fold_left max 0. windows in
+  { tp_parts = spec.twopc_parts; sweep; cc_repair; cc_avg_blocking;
+    cc_max_blocking }
 
 let pp_twopc ppf (s : twopc_section) =
   Format.fprintf ppf
@@ -624,7 +588,7 @@ let pp_twopc ppf (s : twopc_section) =
 type report = {
   timings : (section * row list) list;
   admissions : (string * (table * stat list)) list;
-  twopc : twopc_section option;
+  twopc : twopc_section;
 }
 
 let run spec =
@@ -638,27 +602,25 @@ let rows r = List.concat_map snd r.timings
 
 (* The named section's ratios, in row order: (row, ratio, speedup). *)
 let speedups r name =
-  match List.find_opt (fun (s, _) -> s.name = name) r.timings with
-  | None -> []
-  | Some (s, rows) ->
-    List.concat_map
-      (fun (row : row) ->
-        List.filter_map
-          (fun q ->
-            if q.engine <> row.scheduler then None
-            else
-              match
-                List.find_opt
-                  (fun (b : row) ->
-                    b.scheduler = q.baseline && b.mix = row.mix && b.n = row.n
-                    && b.m = row.m)
-                  rows
-              with
-              | Some b when b.req_per_sec > 0. ->
-                Some (row, q, row.req_per_sec /. b.req_per_sec)
-              | Some _ | None -> None)
-          s.ratios)
-      rows
+  let s, rows = List.find (fun (s, _) -> s.name = name) r.timings in
+  List.concat_map
+    (fun (row : row) ->
+      List.filter_map
+        (fun q ->
+          if q.engine <> row.scheduler then None
+          else
+            match
+              List.find_opt
+                (fun (b : row) ->
+                  b.scheduler = q.baseline && b.mix = row.mix && b.n = row.n
+                  && b.m = row.m)
+                rows
+            with
+            | Some b when b.req_per_sec > 0. ->
+              Some (row, q, row.req_per_sec /. b.req_per_sec)
+            | Some _ | None -> None)
+        s.ratios)
+    rows
 
 (* ---------- JSON ---------- *)
 
@@ -678,27 +640,26 @@ let to_json spec r =
              J.num "%.2f" x ))
          (speedups r name))
   in
-  let optional name = function [] -> [] | members -> [ (name, J.Obj members) ] in
-  (* an admission table's rows, and its members *)
+  (* an admission table's members *)
   let admission name =
     let t, stats = List.assoc name r.admissions in
-    ( stats,
-      [
-        ("samples", J.int t.samples);
-        ( "results",
-          J.Arr
-            (List.map
-               (fun s ->
-                 line
-                   (cell s.scheduler s.mix s.n s.m
-                   @ ("breadth", J.num "%.4f" s.breadth)
-                     :: List.map2 (fun c v -> (c.key, J.int v)) t.columns s.counts
-                   ))
-               stats) );
-      ] )
+    [
+      ("samples", J.int t.samples);
+      ( "results",
+        J.Arr
+          (List.map
+             (fun s ->
+               line
+                 (cell s.scheduler s.mix s.n s.m
+                 @ ("breadth", J.num "%.4f" s.breadth)
+                   :: List.map2 (fun c v -> (c.key, J.int v)) t.columns s.counts
+                 ))
+             stats) );
+    ]
   in
+  let s = r.twopc in
   J.Obj
-    ([
+    [
        ("benchmark", J.Str "sched");
        ("unit", J.Str "requests_per_second");
        ( "config",
@@ -724,13 +685,11 @@ let to_json spec r =
               (rows r)) );
        ("sgt_speedup_vs_ref", ratio_map "core");
        ("sharded_speedup_vs_sgt", ratio_map "sharded");
-     ]
-    (* wall-clock context the ratios cannot be read without: on a host
-       with fewer cores than domains the speedup is algorithmic
-       (smaller per-worker graphs and histories), not concurrent *)
-    @ optional "parallel"
-        (if speedups r "parallel" = [] then []
-         else
+       (* wall-clock context the ratios cannot be read without: on a host
+          with fewer cores than domains the speedup is algorithmic
+          (smaller per-worker graphs and histories), not concurrent *)
+       ( "parallel",
+         J.Obj
            [
              ("recommended_domains", J.int (Domain.recommended_domain_count ()));
              ( "note",
@@ -740,45 +699,44 @@ let to_json spec r =
                   is algorithmic (smaller per-worker state), true \
                   concurrency engages on multicore" );
              ("speedup_vs_d1", ratio_map "parallel");
-           ])
-    @ optional "twopc"
-        (match r.twopc with
-        | None -> []
-        | Some s ->
-          [
-            ("parts", J.int s.tp_parts);
-            ("rounds_per_rate", J.int spec.twopc_rounds);
-            ( "sweep",
-              J.Arr
-                (List.map
-                   (fun t ->
-                     line
-                       [
-                         ("fault_rate", J.num "%.3f" t.fault_rate);
-                         ("rounds", J.int t.tp_rounds);
-                         ("commits", J.int t.tp_commits);
-                         ("aborts", J.int t.tp_aborts);
-                         ("abort_rate", J.num "%.4f" t.abort_rate);
-                         ("avg_commit_latency", J.num "%.3f" t.avg_latency);
-                         ("avg_blocking", J.num "%.3f" t.avg_blocking);
-                         ("max_blocking", J.num "%.3f" t.max_blocking);
-                         ("msgs", J.int t.tp_msgs);
-                         ("crashes", J.int t.tp_crashes);
-                       ])
-                   s.sweep) );
-            ( "coordinator_crash",
-              line
-                [
-                  ("repair", J.num "%.1f" s.cc_repair);
-                  ("avg_blocking", J.num "%.3f" s.cc_avg_blocking);
-                  ("max_blocking", J.num "%.3f" s.cc_max_blocking);
-                ] );
-          ])
-    @ optional "semantic_section"
-        (match admission "semantic" with
-        | [], _ -> []
-        | _, members -> members @ [ ("speedup_vs_sgt", ratio_map "semantic") ])
-    @ [ ("mv_section", J.Obj (snd (admission "mv"))) ])
+           ] );
+       ( "twopc",
+         J.Obj
+           [
+             ("parts", J.int s.tp_parts);
+             ("rounds_per_rate", J.int spec.twopc_rounds);
+             ( "sweep",
+               J.Arr
+                 (List.map
+                    (fun t ->
+                      line
+                        [
+                          ("fault_rate", J.num "%.3f" t.fault_rate);
+                          ("rounds", J.int t.tp_rounds);
+                          ("commits", J.int t.tp_commits);
+                          ("aborts", J.int t.tp_aborts);
+                          ("abort_rate", J.num "%.4f" t.abort_rate);
+                          ("avg_commit_latency", J.num "%.3f" t.avg_latency);
+                          ("avg_blocking", J.num "%.3f" t.avg_blocking);
+                          ("max_blocking", J.num "%.3f" t.max_blocking);
+                          ("msgs", J.int t.tp_msgs);
+                          ("crashes", J.int t.tp_crashes);
+                        ])
+                    s.sweep) );
+             ( "coordinator_crash",
+               line
+                 [
+                   ("repair", J.num "%.1f" s.cc_repair);
+                   ("avg_blocking", J.num "%.3f" s.cc_avg_blocking);
+                   ("max_blocking", J.num "%.3f" s.cc_max_blocking);
+                 ] );
+           ] );
+       ( "semantic_section",
+         J.Obj
+           (admission "semantic" @ [ ("speedup_vs_sgt", ratio_map "semantic") ])
+       );
+       ("mv_section", J.Obj (admission "mv"));
+     ]
 
 (* ---------- text rendering ---------- *)
 
@@ -793,15 +751,12 @@ let pp_rows ppf r =
   (* one ratio table per section that has ratios: heading, mix width *)
   List.iter
     (fun (name, heading, width) ->
-      match speedups r name with
-      | [] -> ()
-      | sp ->
-        Format.fprintf ppf "@.%s@." heading;
-        List.iter
-          (fun ((row : row), q, x) ->
-            Format.fprintf ppf "  %-*s %3dx%-3d %s%6.2fx@." width row.mix row.n
-              row.m q.tag x)
-          sp)
+      Format.fprintf ppf "@.%s@." heading;
+      List.iter
+        (fun ((row : row), q, x) ->
+          Format.fprintf ppf "  %-*s %3dx%-3d %s%6.2fx@." width row.mix row.n
+            row.m q.tag x)
+        (speedups r name))
     [
       ("core", "SGT speedup vs SGT-ref:", 8);
       ("sharded", "sharded speedup vs SGT:", 8);
@@ -815,22 +770,20 @@ let pp_rows ppf r =
 
 let pp_admission ppf (t, stats) =
   let mw, sw = t.widths in
-  if stats <> [] then begin
-    Format.fprintf ppf "@.%s@.%-*s %-*s %6s %9s" t.title mw "mix" sw "sched"
-      "n x m" "breadth";
-    List.iter (fun c -> Format.fprintf ppf " %*s" c.width c.header) t.columns;
-    Format.fprintf ppf "@.";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "%-*s %-*s %3dx%-3d %9.3f" mw s.mix sw s.scheduler
-          s.n s.m s.breadth;
-        List.iter2 (fun c v -> Format.fprintf ppf " %*d" c.width v) t.columns
-          s.counts;
-        Format.fprintf ppf "@.")
-      stats
-  end
+  Format.fprintf ppf "@.%s@.%-*s %-*s %6s %9s" t.title mw "mix" sw "sched"
+    "n x m" "breadth";
+  List.iter (fun c -> Format.fprintf ppf " %*s" c.width c.header) t.columns;
+  Format.fprintf ppf "@.";
+  List.iter
+    (fun s ->
+      Format.fprintf ppf "%-*s %-*s %3dx%-3d %9.3f" mw s.mix sw s.scheduler
+        s.n s.m s.breadth;
+      List.iter2 (fun c v -> Format.fprintf ppf " %*d" c.width v) t.columns
+        s.counts;
+      Format.fprintf ppf "@.")
+    stats
 
 let pp ppf r =
   pp_rows ppf r;
   List.iter (fun (_, a) -> pp_admission ppf a) r.admissions;
-  Option.iter (fun s -> Format.fprintf ppf "%a@." pp_twopc s) r.twopc
+  Format.fprintf ppf "%a@." pp_twopc r.twopc

@@ -15,69 +15,26 @@ open Core
     bench experiment B1; the JSON form is the schema of
     [BENCH_sched.json]. *)
 
-type spec = {
-  sizes : (int * int) list;  (** (n transactions, m steps) per cell *)
-  mixes : string list;       (** names from {!mix_names} *)
-  n_vars : int;
-  streams : int;             (** arrival streams per cell *)
-  min_time : float;          (** per-cell time budget, seconds *)
-  seed : int;
-  shard_ks : int list;
-      (** sharded-engine section: K values ([[]] disables the section) *)
-  shard_sizes : (int * int) list;
-      (** sizes of the sharded section; contended (non-disjoint) mixes
-          are capped at [n <= 256] — a single hot run at [n >= 512]
-          takes seconds, starving every other cell — while disjoint
-          cells run at every size to expose the scaling *)
-  shard_mixes : string list;       (** mixes of the sharded section *)
-  mv_sizes : (int * int) list;
-      (** multi-version section sizes ([[]] disables the section) *)
-  mv_mixes : string list;
-      (** multi-version section mixes, typically the typed
-          ["rw-uniform"]/["rw-hot"] read/update mixes *)
-  mv_samples : int;
-      (** Monte-Carlo samples behind each [breadth] estimate *)
-  sem_sizes : (int * int) list;
-      (** commutativity section sizes ([[]] disables the section) *)
-  sem_mixes : string list;
-      (** commutativity section mixes, typically the typed
-          ["ctr-hot"]/["ctr-skewed"] counter mixes where {!Core.Commute}
-          actually removes conflict edges *)
-  sem_samples : int;
-      (** Monte-Carlo samples behind each semantic [breadth] estimate *)
-  par_domains : int list;
-      (** parallel-execution section: domain counts to sweep ([[]]
-          disables the section; include [1] — it is the wall-clock
-          baseline the speedup map divides by). Each variant runs one
-          shard per domain (K = D handed to {!Sched.Parallel.run}), so
-          the d1 baseline is the monolithic single-shard engine on one
-          domain and the sweep is the engine's end-to-end scaling
-          curve. *)
-  par_sizes : (int * int) list;
-      (** parallel-section sizes; contended mixes capped at [n <= 256]
-          as in the sharded section *)
-  par_mixes : string list;
-  par_streams : int;
-      (** arrival streams per parallel cell (each pass replays all of
-          them; kept separate from [streams] because a parallel pass at
-          n = 2048 is orders of magnitude more work than a 16x8 cell) *)
-  twopc_fault_rates : float list;
-      (** distributed-commit section: crash rates to sweep ([[]]
-          disables the section; the slow-link rate rides along at half
-          the crash rate) *)
-  twopc_rounds : int;  (** commit rounds per fault rate *)
-  twopc_parts : int;   (** participants per round *)
-}
+type spec
+(** A preset: the cells and sweeps of every section. There are two, and
+    both run every section. *)
 
 val default : spec
-(** Full run: 4x4 / 8x8 / 16x8 over uniform, hot and zipf-skewed mixes,
-    plus the sharded section — monolithic SGT vs {!Sched.Sharded} at
-    K ∈ 1, 2, 4, 8 over disjoint/hot/skewed at 64x2 and 256x2, with a
-    2048x2 disjoint scaling cell. *)
+(** Full run, the configuration of the committed [BENCH_sched.json]:
+    4x4 / 8x8 / 16x8 over uniform, hot and zipf-skewed mixes; the
+    sharded section — monolithic SGT vs {!Sched.Sharded} at K ∈ 1, 2, 4,
+    8 over disjoint/hot/skewed at 64x2 and 256x2, with a 2048x2 disjoint
+    scaling cell (contended mixes stop at n = 256 in the sharded and
+    parallel sections: a single hot run at n >= 512 takes seconds); the
+    multi-version section over rw-uniform/rw-hot/rw-readmost; the
+    commutativity section over ctr-hot/ctr-skewed; the parallel sweep at
+    1, 2, 4 and 8 domains over disjoint 2048x2 and 256x2 and hot 256x2;
+    and the 2PC sweep at five fault rates. *)
 
 val smoke : spec
-(** Tiny sizes, single pass — the CI smoke configuration (sharded
-    section at K = 4 over one disjoint cell). *)
+(** The CI smoke: every section, engine and mix of {!default} at tiny
+    sizes in a single pass — the sharded section at K = 4, the parallel
+    sweep at 1 and 2 domains, the 2PC sweep at two fault rates. *)
 
 val mix_names : string list
 (** Every workload mix {!syntax_of_mix} accepts. *)
@@ -86,16 +43,6 @@ val syntax_of_mix :
   Random.State.t -> mix:string -> n:int -> m:int -> n_vars:int -> Syntax.t
 (** The workload generator behind a mix name. Raises [Invalid_argument]
     on an unknown mix. *)
-
-val parse_sizes : flag:string -> string -> (int * int) list
-(** A comma-separated [NxM] list as given to the size flag named
-    [flag] ([--sizes], [--shard-sizes], ...); empty items are skipped,
-    so [""] is [[]]. Raises [Invalid_argument] naming [flag] on a
-    malformed or non-positive cell. *)
-
-val parse_ints : flag:string -> string -> int list
-(** A comma-separated list of positive integers ([--shards],
-    [--domains]), with the same conventions as {!parse_sizes}. *)
 
 (** {2 The report} *)
 
@@ -109,8 +56,8 @@ val run : spec -> report
     Timing rows ([requests] served = grants + delays + aborts, wall-clock
     [seconds], [req_per_sec]): the single-version section (serial, 2PL,
     TO, SGT, SGT-ref), the multi-version section (SGT vs MVCC/SI/SSI over
-    [mv_mixes] x [mv_sizes]), the commutativity section (SGT vs the
-    semantic engine over [sem_mixes] x [sem_sizes]), the sharded section
+    the typed read/update mixes), the commutativity section (SGT vs the
+    semantic engine over the typed counter mixes), the sharded section
     and the parallel section. Engines resolve through {!Sched.Registry},
     except the per-K sharded variants and the {!Sched.Parallel} passes.
 
@@ -124,7 +71,7 @@ val run : spec -> report
 
     The 2PC sweep runs in virtual time, so its numbers are decision
     counts and virtual latencies, not wall-clock: per fault rate,
-    [twopc_rounds] commit rounds through a {!Sched.Twopc.service}, plus
+    the preset's commit rounds through a {!Sched.Twopc.service}, plus
     the forced coordinator-crash placements (crash between vote
     collection and decision broadcast) that measure the protocol's
     blocking window. *)
@@ -134,14 +81,13 @@ val to_json : spec -> report -> Obs.Json.t
     [{"benchmark", "unit", "config", "results": [row...],
     "sgt_speedup_vs_ref": {...}, "sharded_speedup_vs_sgt": {...},
     "parallel": {...}, "twopc": {...}, "semantic_section": {...},
-    "mv_section": {...}}]. The ["semantic_section"] member appears only
-    with commutativity stats: the admission rows plus the per-cell
-    ["speedup_vs_sgt"] map. The ["parallel"] member appears only when
-    some multi-domain variant has a d1 baseline in its cell; it records
-    [Domain.recommended_domain_count ()] alongside the speedups so a
-    reader can tell concurrent gains from algorithmic ones. The
-    ["twopc"] member appears only with a 2PC section: the fault-rate
-    sweep rows plus the measured coordinator-crash blocking window. *)
+    "mv_section": {...}}], every member in both presets. The
+    ["semantic_section"] member holds the commutativity admission rows
+    plus the per-cell ["speedup_vs_sgt"] map; ["parallel"] records
+    [Domain.recommended_domain_count ()] alongside the speedups vs d1,
+    so a reader can tell concurrent gains from algorithmic ones;
+    ["twopc"] holds the fault-rate sweep rows plus the measured
+    coordinator-crash blocking window. *)
 
 val pp : Format.formatter -> report -> unit
 (** The text tables: timing rows, each section's ratio table, the

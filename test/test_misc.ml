@@ -273,25 +273,38 @@ let test_bench_merge_preserving () =
   (* nothing to add: fresh already has every key *)
   check_true "no-op merge" (J.merge ~existing:"{\"benchmark\": 0}" fresh = fresh)
 
+(* One smoke run shared by the tests below that only read its JSON. *)
+let smoke_json =
+  lazy Sim.Sched_bench.(to_json smoke (run smoke))
+
+let committed_bench () =
+  let path =
+    if Sys.file_exists "../BENCH_sched.json" then "../BENCH_sched.json"
+    else "BENCH_sched.json"
+  in
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+let without k = function
+  | Obs.Json.Obj kvs -> Obs.Json.Obj (List.remove_assoc k kvs)
+  | j -> j
+
 let test_bench_merge_preserves_sections () =
-  (* the committed BENCH_sched.json accumulates opt-in sections
-     (--parallel, --twopc, the mv table); regenerating without one of
-     the flags must keep the existing member — each section is emitted
-     by real spec runs here, not hand-written trees, so this breaks
+  (* regenerating over a file that holds a member the fresh report
+     lacks (a hand-added note, or a member an earlier version wrote)
+     must keep it; both trees come from real smoke runs, so this breaks
      if an emitter renames its member *)
   let module B = Sim.Sched_bench in
   let module J = Obs.Json in
-  let spec = { B.smoke with min_time = 0.; par_domains = [] } in
-  (* existing file: has twopc; fresh regeneration without --twopc must
-     preserve it *)
-  let existing = J.pretty (B.to_json spec (B.run spec)) in
-  let spec = { spec with twopc_fault_rates = [] } in
-  let fresh = B.to_json spec (B.run spec) in
-  check_true "fresh run lacks the twopc member" (member "twopc" fresh = None);
+  let existing = J.pretty (B.to_json B.smoke (B.run B.smoke)) in
+  let fresh = without "twopc" (Lazy.force smoke_json) in
+  check_true "fresh tree lacks the twopc member" (member "twopc" fresh = None);
   let merged = J.parse (J.pretty (J.merge ~existing fresh)) in
   let old = J.parse existing in
   let get k = Option.bind merged (member k) in
-  check_true "smoke spec enables the 2PC section" (get "twopc" <> None);
+  check_true "smoke preset runs the 2PC section" (get "twopc" <> None);
   check_true "twopc section preserved across regeneration"
     (get "twopc" = Option.bind old (member "twopc"));
   check_true "twopc sweep content intact"
@@ -301,62 +314,80 @@ let test_bench_merge_preserves_sections () =
   check_true "fresh results win"
     (get "results" = Option.bind (J.parse (J.pretty fresh)) (member "results"))
 
-(* The committed BENCH_sched.json carries a [parallel] member a
-   smoke regeneration without --parallel does not produce: merging over
-   the file keeps it value-equal. *)
+(* The committed BENCH_sched.json carries a [parallel] member: merging
+   a report without it over the file keeps it value-equal. *)
 let test_bench_merge_committed () =
-  let module B = Sim.Sched_bench in
   let module J = Obs.Json in
-  let path =
-    if Sys.file_exists "../BENCH_sched.json" then "../BENCH_sched.json"
-    else "BENCH_sched.json"
-  in
-  let ic = open_in_bin path in
-  let existing = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let spec = { B.smoke with min_time = 0.; par_domains = [] } in
-  let fresh = B.to_json spec (B.run spec) in
+  let existing = committed_bench () in
+  let fresh = without "parallel" (Lazy.force smoke_json) in
   let merged = J.parse (J.pretty (J.merge ~existing fresh)) in
   let committed = Option.bind (J.parse existing) (member "parallel") in
   check_true "committed file has a parallel member" (committed <> None);
   check_true "parallel value-equal after merge"
     (Option.bind merged (member "parallel") = committed)
 
-(* Each bench flag's parse error names that flag. *)
-let test_bench_flag_errors () =
-  let module B = Sim.Sched_bench in
-  let names_flag flag f =
-    match f () with
-    | _ -> Alcotest.fail (flag ^ ": accepted a bad value")
-    | exception Invalid_argument msg ->
-      let n = String.length flag in
-      let rec has i =
-        i + n <= String.length msg
-        && ((String.sub msg i n = flag
-            && (i + n = String.length msg || msg.[i + n] = ' '))
-           || has (i + 1))
-      in
-      check_true (flag ^ " named in: " ^ msg) (has 0)
+(* The smoke preset emits exactly the committed file's top-level members,
+   each with rows, and covers every mix of each section: a section gated
+   off, emptied or renamed fails here. *)
+let test_bench_smoke_members () =
+  let module J = Obs.Json in
+  let keys = function J.Obj kvs -> List.sort compare (List.map fst kvs) | _ -> [] in
+  let fresh = Option.get (J.parse (J.pretty (Lazy.force smoke_json))) in
+  let committed = Option.get (J.parse (committed_bench ())) in
+  Alcotest.(check (list string)) "top-level members" (keys committed) (keys fresh);
+  let rec has_rows name = function
+    | J.Arr l -> check_true (name ^ " has rows") (l <> [])
+    | J.Obj kvs ->
+      check_true (name ^ " has members") (kvs <> []);
+      List.iter
+        (fun (k, v) ->
+          match v with
+          | J.Arr _ | J.Obj _ -> has_rows (name ^ "." ^ k) v
+          | _ -> ())
+        kvs
+    | _ -> ()
   in
   List.iter
-    (fun flag ->
-      names_flag flag (fun () -> B.parse_sizes ~flag "3");
-      names_flag flag (fun () -> B.parse_sizes ~flag "4x0"))
-    [ "--sizes"; "--shard-sizes"; "--mv-sizes"; "--sem-sizes" ];
-  List.iter
-    (fun flag ->
-      names_flag flag (fun () -> B.parse_ints ~flag "0");
-      names_flag flag (fun () -> B.parse_ints ~flag "2,x"))
-    [ "--shards"; "--domains" ];
-  check_true "sizes parse" (B.parse_sizes ~flag:"--sizes" "4x4,16x8" = [ (4, 4); (16, 8) ]);
-  check_true "empty disables" (B.parse_sizes ~flag:"--mv-sizes" "" = []);
-  check_true "ints parse" (B.parse_ints ~flag:"--shards" "1,2,4" = [ 1; 2; 4 ]);
-  (* every mix the --mixes doc lists is one the generator accepts *)
+    (fun (k, v) -> if k <> "config" then has_rows k v)
+    (match fresh with J.Obj kvs -> kvs | _ -> []);
+  (* the mixes of a section's result rows (or of its ratio map's keys) *)
+  let mixes_of rows =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r -> match member "mix" r with Some (J.Str m) -> Some m | _ -> None)
+         rows)
+  in
+  let rows k =
+    match Option.bind (member k fresh) (member "results") with
+    | Some (J.Arr l) -> l
+    | _ -> []
+  in
+  let key_mixes = function
+    | Some (J.Obj kvs) ->
+      List.sort_uniq compare
+        (List.map (fun (k, _) -> List.hd (String.split_on_char '/' k)) kvs)
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "sharded mixes" [ "disjoint"; "hot"; "skewed" ]
+    (key_mixes (member "sharded_speedup_vs_sgt" fresh));
+  Alcotest.(check (list string)) "mv mixes"
+    [ "rw-hot"; "rw-readmost"; "rw-uniform" ] (mixes_of (rows "mv_section"));
+  Alcotest.(check (list string)) "semantic mixes" [ "ctr-hot"; "ctr-skewed" ]
+    (mixes_of (rows "semantic_section"));
+  check_true "parallel d2 against d1"
+    (match Option.bind (member "parallel" fresh) (member "speedup_vs_d1") with
+    | Some (J.Obj kvs) ->
+      List.exists (fun (k, _) -> String.ends_with ~suffix:"/d2" k) kvs
+    | _ -> false)
+
+(* Every mix the bench names is one the generator accepts. *)
+let test_bench_mix_names () =
   List.iter
     (fun mix ->
       ignore
-        (B.syntax_of_mix (Random.State.make [| 1 |]) ~mix ~n:2 ~m:2 ~n_vars:3))
-    B.mix_names
+        (Sim.Sched_bench.syntax_of_mix (Random.State.make [| 1 |]) ~mix ~n:2
+           ~m:2 ~n_vars:3))
+    Sim.Sched_bench.mix_names
 
 let suite =
   suite
@@ -366,12 +397,14 @@ let suite =
       Alcotest.test_case "format class" `Quick test_format_class;
       Alcotest.test_case "bench JSON merge preserves keys" `Quick
         test_bench_merge_preserving;
-      Alcotest.test_case "bench JSON merge preserves opt-in sections" `Quick
+      Alcotest.test_case "bench JSON merge preserves missing sections" `Quick
         test_bench_merge_preserves_sections;
       Alcotest.test_case "bench JSON merge over the committed file" `Quick
         test_bench_merge_committed;
-      Alcotest.test_case "bench flag errors name their flag" `Quick
-        test_bench_flag_errors;
+      Alcotest.test_case "bench smoke emits every committed member" `Quick
+        test_bench_smoke_members;
+      Alcotest.test_case "bench mix names all generate" `Quick
+        test_bench_mix_names;
     ]
   @ qsuite
       [
