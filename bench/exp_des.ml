@@ -26,10 +26,12 @@ let run () =
   Printf.printf "\nHIGH contention (4 variables, theta 0.8):\n";
   List.iter (run_point hot) [ 0.2; 1.0; 2.0 ];
   Printf.printf
-    "\nshape: under low contention the concurrent schedulers (2PL, SGT) beat \
-     the serial scheduler as load grows — exactly the intro's argument \
+    "\nshape: under low contention the concurrent schedulers (SGT, preclaim, \
+     2PL up to rate 1.0) beat the serial scheduler as load grows — exactly the intro's argument \
      against the one-user-at-a-time strawman; under a hot spot everything \
      conflicts, waiting or restarts dominate, and serial execution is no \
-     longer the bottleneck. Restart-based schedulers (SGT aborts on cycle, \
-     TO on timestamp misses) convert waiting into re-execution, which the \
-     decomposition shows as execution-time growth instead of waiting.\n"
+     longer the bottleneck. Restart-based schedulers (SGT stall victims, \
+     TO and SI/SSI on timestamp and write conflicts) trade waiting for \
+     restarts: a restarted transaction's replays are decided back to back \
+     and their executions overlap, so a restart shows as scheduling time and \
+     a little execution time, not as a full re-run.\n"

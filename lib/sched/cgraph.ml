@@ -360,8 +360,9 @@ let scheduler ?sink ~name ~commute syntax =
   (* The cache lookup, spelled out: calling a function for it measured
      ~5% lower end-to-end capacity on the contended [hot] workload. The
      driver reads [blocked] as the engine's standing refusals and skips
-     them itself; [attempt] keeps the check for callers that poll it
-     directly, such as [Sim.Des]. *)
+     them itself; [attempt] keeps the check for callers that ask without
+     reading it, such as [Sim.Des], whose wrapper hides [standing] so
+     that every refusal costs a timed decision. *)
   let blocked = r.blocked in
   let attempt ({ tx; idx } : Names.step_id) =
     if blocked.(tx) = idx then Scheduler.Delay
@@ -382,8 +383,4 @@ let scheduler ?sink ~name ~commute syntax =
     clear_through r tx;
     abort g tx
   in
-  (* No eager [detect]: a delayed request is doomed until an abort but
-     blocks nobody, so the stall path aborts lazily, wound-wait style.
-     Eagerly aborting each doomed requester replays it straight back into
-     the same conflicts and thrashes restarts a thousandfold. *)
   Scheduler.make ~name ~attempt ~commit ~on_abort ~standing:blocked ()

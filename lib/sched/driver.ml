@@ -291,9 +291,11 @@ let resolve_stall st =
   | Some v ->
     st.deadlocks <- st.deadlocks + 1;
     do_abort st ~reason:Obs.Event.Deadlock v;
-    (* the victim yields: everyone it was blocking goes first *)
+    (* the victim yields: everyone it was blocking goes first in the
+       queue retry *)
     dequeue st v;
-    enqueue st v
+    enqueue st v;
+    process_queue st
   | None ->
     raise
       (Stall
@@ -352,7 +354,7 @@ let gap_budget n = 20 * (n + 1)
 
 let drain st =
   let n = Array.length st.fmt in
-  let gap = ref 0 and open_txns = ref st.open_txns in
+  let gap = ref 0 and open_txns = ref st.open_txns and stalled = ref false in
   while st.open_txns > 0 do
     if st.open_txns < !open_txns then begin
       open_txns := st.open_txns;
@@ -367,8 +369,8 @@ let drain st =
                without a completion)"
               st.sched.Scheduler.name (gap_budget n)));
     let before = st.grants in
-    process_queue st;
-    if st.grants = before && st.open_txns > 0 then resolve_stall st
+    if !stalled then resolve_stall st else process_queue st;
+    stalled := st.grants = before
   done;
   (* every transaction completed: its last incarnation granted each of
      its steps once, in index order *)

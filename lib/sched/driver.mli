@@ -76,9 +76,18 @@ val submit : t -> int -> unit
 val submit_many : t -> int array -> unit
 (** [Array.iter (submit t)]. *)
 
+val resolve_stall : t -> unit
+(** Resolve one stall: abort the scheduler's [victim] among the queued
+    transactions (the seniority walk above, youngest first), count a
+    deadlock, queue the victim's replay behind everyone it was blocking,
+    then retry the queue once. {!drain} runs it after every pass that
+    grants nothing; a caller with its own clock (such as [Sim.Des]) runs
+    it when every open request is queued and refused. Raises {!Stall}
+    if the scheduler names no victim. *)
+
 val drain : t -> stats
 (** Retry the queued remainder until every submitted transaction
-    completes, resolving stalls by victim abort; then return the run's
+    completes, resolving stalls with {!resolve_stall}; then return the run's
     statistics. Raises {!Stall} if the scheduler cannot resolve a stall
     or the run livelocks: [20 * (n + 1)] passes over the queue, for [n]
     transactions, without a transaction completing. Draining is

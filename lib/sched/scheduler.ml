@@ -8,12 +8,11 @@ type t = {
   commit : Names.step_id -> unit;
   on_abort : int -> unit;
   victim : int list -> int option;
-  detect : (int * Names.step_id) list -> int option;
   standing : int array;
 }
 
 let default_victim = function [] -> None | tx :: _ -> Some tx
 
 let make ~name ~attempt ~commit ?(on_abort = fun _ -> ())
-    ?(victim = default_victim) ?(detect = fun _ -> None) ?(standing = [||]) () =
-  { name; attempt; commit; on_abort; victim; detect; standing }
+    ?(victim = default_victim) ?(standing = [||]) () =
+  { name; attempt; commit; on_abort; victim; standing }

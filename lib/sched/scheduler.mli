@@ -43,19 +43,13 @@ type t = {
       (** The transaction restarts: discard all bookkeeping about it. *)
   victim : int list -> int option;
       (** Deadlock resolution: given the transactions blocked in a
-          stall (a seniority walk, youngest first), choose one to abort ([None] = scheduler cannot resolve;
-          the driver then fails). *)
-  detect : (int * Names.step_id) list -> int option;
-      (** Eager deadlock detection: given every blocked transaction with
-          its pending step (youngest first), return a victim only when an
-          abort is {e required} for progress — the blocked transactions
-          mutually prevent each other from ever proceeding, as in a
-          wait-for cycle under locking. Blockage that other transactions
-          can still drain around (e.g. an SGT delay, which dooms the
-          requester but impedes nobody else) must report [None]: the
-          stall path aborts lazily, after everything able to finish has
-          finished, which is strictly cheaper in restarts. Used by the
-          timed simulation after every delay. *)
+          stall (a seniority walk, youngest first), choose one to abort
+          ([None] = scheduler cannot resolve; the driver then fails).
+          Stalls are resolved lazily, by {!Driver.resolve_stall} alone:
+          only once every queued request has been refused and nothing
+          else can move (a drain pass that grants nothing; in the timed
+          simulation, no step executing), so a refusal that dooms only
+          its requester costs no abort while others can still finish. *)
   standing : int array;
       (** Standing refusals, read-only: [standing.(tx) = idx] promises
           that [attempt {tx; idx}] would return [Delay] and change
@@ -74,12 +68,11 @@ val make :
   commit:(Names.step_id -> unit) ->
   ?on_abort:(int -> unit) ->
   ?victim:(int list -> int option) ->
-  ?detect:((int * Names.step_id) list -> int option) ->
   ?standing:int array ->
   unit ->
   t
 (** Defaults: [on_abort] does nothing; [victim] picks the first blocked
-    transaction; [detect] reports nothing; [standing] is [[||]].
+    transaction; [standing] is [[||]].
 
     Why "first" is safe: {!Driver.resolve_stall} presents the stuck
     list as a seniority walk, {e youngest first} by first arrival, so the

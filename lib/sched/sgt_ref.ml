@@ -83,7 +83,4 @@ let create ~syntax =
     completed.(i) <- false;
     forget i
   in
-  (* No eager [detect], mirroring [Sgt]: a delayed request is doomed
-     until an abort but blocks nobody, so victim selection is left to the
-     lazy stall path. *)
   Scheduler.make ~name:"SGT-ref" ~attempt ~commit ~on_abort ()

@@ -273,7 +273,4 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         Digraph.Acyclic.remove_vertex cg p.Partition.cross_id.(tx)
       end
   in
-  (* No eager [detect], for the same reason as {!Sgt}: a refused request
-     dooms only its requester and blocks nobody, so lazy stall
-     resolution is strictly cheaper in restarts. *)
   Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort ~standing:blocked ()

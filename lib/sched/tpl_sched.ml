@@ -1,36 +1,41 @@
 open Core
 
-let cycle_victim ~holders ~wanted blocked =
-  (* build the wait-for relation among blocked transactions and pick a
-     member of a cycle if any; prefer the member earliest in [blocked],
-     which the driver orders youngest-first (wound-wait seniority) *)
+(* The wait-for relation among blocked transactions, each waiting for
+   the holder of the first lock it lacks. A victim is a member of a
+   cycle, the one earliest in [blocked], which the driver orders
+   youngest-first (wound-wait seniority), among the members that are
+   their cycle predecessor's only blocker. Under 2PL every member is;
+   a 2PL' request can lack several locks, and aborting a member the
+   predecessor also waits on elsewhere lets nobody through: its replay
+   takes its locks straight back and the stall recurs. With no cycle,
+   the first blocked transaction. *)
+let wait_for_victim ~blockers blocked =
   match blocked with
   | [] -> None
-  | _ ->
+  | first :: _ ->
+    let txs = Array.of_list blocked in
     let idx = List.mapi (fun k i -> (i, k)) blocked in
-    let n = List.length blocked in
-    let g = Digraph.create n in
-    List.iter
-      (fun (i, k) ->
-        match wanted i with
-        | None -> ()
-        | Some x -> (
-          match holders x with
-          | Some j when j <> i -> (
-            match List.assoc_opt j idx with
-            | Some k' -> Digraph.add_edge g k k'
-            | None -> ())
-          | Some _ | None -> ()))
-      idx;
+    let g = Digraph.create (Array.length txs) in
+    Array.iteri
+      (fun k i ->
+        match blockers i with
+        | j :: _ -> (
+          match List.assoc_opt j idx with
+          | Some k' -> Digraph.add_edge g k k'
+          | None -> ())
+        | [] -> ())
+      txs;
     (match Digraph.find_cycle g with
-    | Some (_ :: _ as cyc) ->
-      Some (List.nth blocked (List.fold_left min max_int cyc))
-    | Some [] | None -> None)
-
-let wait_for_victim ~holders ~wanted blocked =
-  match cycle_victim ~holders ~wanted blocked with
-  | Some v -> Some v
-  | None -> (match blocked with [] -> None | first :: _ -> Some first)
+    | Some (c :: _ as cyc) ->
+      let rec sole = function
+        | p :: (v :: _ as rest) ->
+          let only = List.for_all (Int.equal txs.(v)) (blockers txs.(p)) in
+          if only then v :: sole rest else sole rest
+        | [ _ ] | [] -> []
+      in
+      let members = match sole (cyc @ [ c ]) with [] -> cyc | vs -> vs in
+      Some txs.(List.fold_left min max_int members)
+    | Some [] | None -> Some first)
 
 let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
   let locked = policy.Locking.Policy.apply syntax in
@@ -79,18 +84,17 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
       in
       segment i position.(i) [] @ tail
   in
-  (* the first lock another transaction holds, if any: the wait-for edge *)
-  let blocking_lock i =
-    List.find_map
+  (* who holds the locks [i]'s next action needs: its wait-for edges *)
+  let blockers i =
+    List.filter_map
       (function
-        | Locking.Locked.Lock x when not (free_or_mine i x) -> Some x
+        | Locking.Locked.Lock x when not (free_or_mine i x) ->
+          Hashtbl.find_opt holder x
         | Locking.Locked.Lock _ | Locking.Locked.Unlock _ | Locking.Locked.Action _ -> None)
       (locks_needed i)
   in
   let attempt (id : Names.step_id) =
-    match blocking_lock id.Names.tx with
-    | Some _ -> Scheduler.Delay
-    | None -> Scheduler.Grant
+    if blockers id.Names.tx = [] then Scheduler.Grant else Scheduler.Delay
   in
   let exec i s =
     (match s with
@@ -139,28 +143,17 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
       (fun _ j -> if j = i then None else Some j)
       holder
   in
-  let wound = function
-    | Some v as r ->
-      if Obs.Sink.on sink then
-        Obs.Sink.record sink (Obs.Event.Wound { victim = v });
-      r
-    | None -> None
-  in
   let victim blocked =
-    wound
-      (wait_for_victim
-         ~holders:(fun x -> Hashtbl.find_opt holder x)
-         ~wanted:blocking_lock blocked)
-  in
-  let detect blocked =
-    wound
-      (cycle_victim
-         ~holders:(fun x -> Hashtbl.find_opt holder x)
-         ~wanted:blocking_lock (List.map fst blocked))
+    let v = wait_for_victim ~blockers blocked in
+    (match v with
+    | Some victim when Obs.Sink.on sink ->
+      Obs.Sink.record sink (Obs.Event.Wound { victim })
+    | Some _ | None -> ());
+    v
   in
   Scheduler.make
     ~name:("LRS[" ^ policy.Locking.Policy.name ^ "]")
-    ~attempt ~commit ~on_abort ~victim ~detect ()
+    ~attempt ~commit ~on_abort ~victim ()
 
 let create_2pl ?sink ~syntax () =
   create ?sink ~policy:Locking.Two_phase.policy ~syntax ()

@@ -25,10 +25,9 @@ val create :
 
 val create_2pl : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
 
-val wait_for_victim :
-  holders:(Locking.Locked.lock_var -> int option) ->
-  wanted:(int -> Locking.Locked.lock_var option) ->
-  int list ->
-  int option
-(** Exposed for tests: picks a transaction on a wait-for cycle if there
-    is one, else the first blocked transaction. *)
+val wait_for_victim : blockers:(int -> int list) -> int list -> int option
+(** The stall victim among the blocked transactions (youngest first),
+    given each one's [blockers], the holders of the locks it lacks: the
+    youngest member of a cycle of first-lacked-lock waits that is its
+    cycle predecessor's only blocker (any member if none is), else the
+    first blocked transaction. *)

@@ -19,22 +19,6 @@ type result = {
   deadlocks : int;
 }
 
-(* Future external events, ordered by time (with a tiebreaking id). *)
-module Events = Set.Make (struct
-  type t = float * int * [ `Arrival of int | `Resubmit of int | `Step_done of int ]
-
-  let compare (t1, i1, _) (t2, i2, _) =
-    match Float.compare t1 t2 with 0 -> Int.compare i1 i2 | c -> c
-end)
-
-type tx_stats = {
-  mutable arrival : float;
-  mutable completion : float;
-  mutable scheduling : float;
-  mutable waiting : float;
-  mutable execution : float;
-}
-
 let exponential st rate = -.log (1. -. Random.State.float st 1.) /. rate
 
 let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
@@ -42,243 +26,141 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
   let n = Array.length fmt in
   let sched = scheduler () in
   let st = Random.State.make [| params.seed |] in
-  let stats =
-    Array.init n (fun _ ->
-        {
-          arrival = 0.;
-          completion = 0.;
-          scheduling = 0.;
-          waiting = 0.;
-          execution = 0.;
-        })
-  in
-  let restarts = ref 0 and deadlocks = ref 0 in
-  let tx_restarts = Array.make n 0 in
-  let next_step = Array.make n 0 in
-  let events = ref Events.empty in
-  let event_id = ref 0 in
-  let add_event t e =
-    incr event_id;
-    events := Events.add (t, !event_id, e) !events
-  in
-  (* Poisson arrivals *)
+  (* Poisson arrivals, in transaction order *)
   let t = ref 0. in
-  for i = 0 to n - 1 do
-    t := !t +. exponential st params.arrival_rate;
-    add_event !t (`Arrival i)
-  done;
-  (* the scheduler's FIFO request queue and the parked list *)
-  let queue : (int * float) Queue.t = Queue.create () in
-  let parked : (int * float) Queue.t = Queue.create () in
-  let sched_free = ref 0. in
-  let done_count = ref 0 in
-  let makespan = ref 0. in
-  let submit tx time =
-    if Obs.Sink.on sink then
-      Obs.Sink.record_at sink time
-        (Obs.Event.Submitted { tx; idx = next_step.(tx) });
-    Queue.add (tx, time) queue
+  let arrivals =
+    Array.init n (fun _ ->
+        t := !t +. exponential st params.arrival_rate;
+        !t)
   in
-  (* parked requests wait until a grant changes the state; the parked
-     span is the paper's waiting time *)
-  let unpark now =
-    Queue.iter
-      (fun (tx, since) ->
-        stats.(tx).waiting <- stats.(tx).waiting +. (now -. since);
-        Queue.add (tx, now) queue)
-      parked;
-    Queue.clear parked
+  (* Every driver call happens at the virtual time [!clock], which also
+     stamps the caller's sink: the engine's own events and, through
+     [stamped], the driver's. The one scheduler is a FIFO server free
+     from [!server]. *)
+  let clock = ref 0. and server = ref 0. in
+  let tick t =
+    clock := t;
+    Obs.Sink.set_now sink t
   in
-  (* Victim-candidate lists follow the driver's convention: youngest
-     first (latest arrival first), so a scheduler that prefers early
-     candidates never victimizes the most senior live transaction.
-     Presenting the parked queue oldest-first instead makes the eager
-     detector abort the longest-waiting transaction over and over —
-     wound-wait inverted, thrashing restarts into the thousands on
-     contended workloads. *)
-  let by_seniority txs =
-    List.stable_sort
-      (fun a b -> Float.compare stats.(b).arrival stats.(a).arrival)
-      txs
+  let stamped =
+    { sink with Obs.Sink.emit = (fun _ ev -> Obs.Sink.record sink ev) }
   in
-  let blocked_list () =
-    Queue.fold (fun acc (tx, _) -> tx :: acc) [] parked
-    |> List.rev |> by_seniority
-    |> List.map (fun tx -> (tx, Names.step tx next_step.(tx)))
+  (* Phases. While a granted step executes its transaction is
+     [Executing]; otherwise it is in [bg]: [Scheduling] while a request
+     is queued or being decided, [Waiting] after a refusal. After an
+     abort the driver replays granted steps while earlier ones still
+     execute, so an execution's end, known at its grant, is entered
+     lazily by [settle], before the transaction's next phase change. *)
+  let spans = Obs.Span.create n in
+  let bg = Array.make n Obs.Span.Scheduling and ends = Array.make n infinity in
+  let settle i =
+    if ends.(i) <= !clock then begin
+      Obs.Span.enter spans i ~now:ends.(i) bg.(i);
+      ends.(i) <- infinity
+    end
   in
-  (* abort [v] at time [now]: release its bookkeeping, credit waiting to
-     everything parked, resubmit the victim with backoff and give the
-     others an immediate retry *)
-  let abort_victim now v =
-    incr deadlocks;
-    incr restarts;
-    tx_restarts.(v) <- tx_restarts.(v) + 1;
-    if Obs.Sink.on sink then begin
-      Obs.Sink.record_at sink now
-        (Obs.Event.Aborted { tx = v; reason = Obs.Event.Deadlock });
-      Obs.Sink.record_at sink now (Obs.Event.Restarted { tx = v })
-    end;
-    sched.Sched.Scheduler.on_abort v;
-    next_step.(v) <- 0;
-    let keep = Queue.create () in
-    Queue.iter
-      (fun (tx, since) ->
-        stats.(tx).waiting <- stats.(tx).waiting +. (now -. since);
-        if tx <> v then Queue.add (tx, now) keep)
-      parked;
-    Queue.clear parked;
-    Queue.transfer keep queue;
-    (* back off by whole scheduling round-trips, not just execution
-       time: with sched_time dominating, an exec-scaled backoff lets the
-       victim re-enter the queue before any waiter has even been served
-       once, and two restarted juniors can starve a senior by
-       alternately re-acquiring the contested lock — thousands of
-       rotation aborts before a linear exec-time backoff grows past one
-       service time *)
-    let backoff =
-      (params.sched_time +. params.exec_time) *. float_of_int tx_restarts.(v)
-    in
-    add_event (now +. backoff) (`Resubmit v)
+  let phase i p =
+    settle i;
+    bg.(i) <- p;
+    if ends.(i) = infinity then Obs.Span.enter spans i ~now:!clock p
   in
-  let serve () =
-    (* serve the queue head; returns the decision completion time *)
-    let tx, submitted = Queue.pop queue in
-    let start = Float.max submitted !sched_free in
-    let decided = start +. params.sched_time in
-    sched_free := decided;
-    stats.(tx).scheduling <-
-      stats.(tx).scheduling +. (start -. submitted) +. params.sched_time;
-    let id = Names.step tx next_step.(tx) in
-    (* scheduler-internal emissions (edges, locks, wounds) happen during
-       [attempt]/[commit]/[detect]; stamp them with the decision time *)
-    Obs.Sink.set_now sink decided;
-    match sched.Sched.Scheduler.attempt id with
-    | Sched.Scheduler.Grant ->
-      if Obs.Sink.on sink then
-        Obs.Sink.record_at sink decided
-          (Obs.Event.Granted { tx; idx = next_step.(tx) });
-      sched.Sched.Scheduler.commit id;
-      next_step.(tx) <- next_step.(tx) + 1;
-      stats.(tx).execution <- stats.(tx).execution +. params.exec_time;
-      add_event (decided +. params.exec_time) (`Step_done tx);
-      unpark decided
-    | Sched.Scheduler.Delay -> (
-      if Obs.Sink.on sink then
-        Obs.Sink.record_at sink decided
-          (Obs.Event.Delayed { tx; idx = next_step.(tx) });
-      Queue.add (tx, decided) parked;
-      (* eager deadlock detection: do not let a doomed request sit in
-         the parked list until the end of the run *)
-      match sched.Sched.Scheduler.detect (blocked_list ()) with
-      | None -> ()
-      | Some v -> abort_victim decided v)
-    | Sched.Scheduler.Abort ->
-      incr restarts;
-      tx_restarts.(tx) <- tx_restarts.(tx) + 1;
-      if Obs.Sink.on sink then begin
-        Obs.Sink.record_at sink decided
-          (Obs.Event.Aborted { tx; reason = Obs.Event.Scheduler_abort });
-        Obs.Sink.record_at sink decided (Obs.Event.Restarted { tx })
-      end;
-      sched.Sched.Scheduler.on_abort tx;
-      next_step.(tx) <- 0;
-      (* restart with backoff: without it, two timestamp-ordered
-         transactions on a hot spot abort each other forever; scaled by
-         the full service round-trip as in [abort_victim] *)
-      let backoff =
-        (params.sched_time +. params.exec_time)
-        *. float_of_int tx_restarts.(tx)
-      in
-      add_event (decided +. backoff) (`Resubmit tx);
-      unpark decided
+  (* a grant or an abort sends the driver back over its queue: every
+     refused request, the aborted one's too, awaits a decision again *)
+  let unpark () =
+    Array.iteri
+      (fun i p -> if p = Obs.Span.Waiting then phase i Obs.Span.Scheduling)
+      bg
   in
+  (* step completions, in time order: decisions are served in time order
+     and each execution takes [exec_time] *)
+  let completions = Queue.create () in
+  let attempt (id : Names.step_id) =
+    tick (Float.max !clock !server);
+    phase id.Names.tx Obs.Span.Scheduling;
+    server := !clock +. params.sched_time;
+    tick !server;
+    let r = sched.Sched.Scheduler.attempt id in
+    if r = Sched.Scheduler.Delay then phase id.Names.tx Obs.Span.Waiting;
+    r
+  in
+  let commit (id : Names.step_id) =
+    sched.Sched.Scheduler.commit id;
+    let i = id.Names.tx in
+    settle i;
+    Obs.Span.enter spans i ~now:!clock Obs.Span.Executing;
+    bg.(i) <- Obs.Span.Scheduling;
+    ends.(i) <- !clock +. params.exec_time;
+    Queue.add (ends.(i), i, id.Names.idx) completions;
+    unpark ()
+  in
+  let on_abort i =
+    unpark ();
+    sched.Sched.Scheduler.on_abort i
+  in
+  let driver =
+    Sched.Driver.create ~sink:stamped
+      (Sched.Scheduler.make ~name:sched.Sched.Scheduler.name ~attempt ~commit
+         ~on_abort ~victim:sched.Sched.Scheduler.victim ())
+      ~fmt
+  in
+  (* [submitted.(i)] steps of [i] were submitted; the last one's
+     completion submits the next step or ends the transaction *)
+  let submitted = Array.make n 0 in
+  let submit i =
+    submitted.(i) <- submitted.(i) + 1;
+    Sched.Driver.submit driver i
+  in
+  let live = ref 0 and makespan = ref 0. in
+  let finish i =
+    decr live;
+    Obs.Span.finish spans i ~now:!clock;
+    makespan := Float.max !makespan !clock
+  in
+  let next = ref 0 in
   let rec loop () =
-    (* next external event vs. next possible scheduler service *)
-    let next_ev = Events.min_elt_opt !events in
-    let can_serve = not (Queue.is_empty queue) in
-    match next_ev, can_serve with
-    | None, false ->
-      if Queue.is_empty parked then ()
-      else begin
-        (* stall: every open request is parked *)
-        let blocked =
-          Queue.fold (fun acc (tx, _) -> tx :: acc) [] parked
-          |> List.rev |> by_seniority
-        in
-        Obs.Sink.set_now sink !sched_free;
-        match sched.Sched.Scheduler.victim blocked with
-        | None ->
-          raise
-            (Sched.Driver.Stall
-               ("des: scheduler " ^ sched.Sched.Scheduler.name
-              ^ " cannot resolve a stall"))
-        | Some v ->
-          abort_victim !sched_free v;
-          loop ()
-      end
-    | Some ((te, _, ev) as entry), serveable ->
-      let service_time =
-        if serveable then
-          let _, submitted = Queue.peek queue in
-          Some (Float.max submitted !sched_free)
-        else None
-      in
-      (match service_time with
-      | Some ts when ts <= te ->
-        serve ()
-      | Some _ | None -> (
-        events := Events.remove entry !events;
-        match ev with
-        | `Arrival tx ->
-          stats.(tx).arrival <- te;
-          if fmt.(tx) = 0 then begin
-            stats.(tx).completion <- te;
-            makespan := Float.max !makespan te;
-            incr done_count;
-            if Obs.Sink.on sink then
-              Obs.Sink.record_at sink te (Obs.Event.Committed { tx })
-          end
-          else submit tx te
-        | `Resubmit tx -> submit tx te
-        | `Step_done tx ->
-          if Obs.Sink.on sink then
-            Obs.Sink.record_at sink te
-              (Obs.Event.Executed { tx; idx = next_step.(tx) - 1 });
-          if next_step.(tx) >= fmt.(tx) then begin
-            stats.(tx).completion <- te;
-            makespan := Float.max !makespan te;
-            incr done_count;
-            if Obs.Sink.on sink then
-              Obs.Sink.record_at sink te (Obs.Event.Committed { tx })
-          end
-          else submit tx te));
+    let due =
+      match Queue.peek_opt completions with
+      | Some (t, _, _) -> t
+      | None -> infinity
+    in
+    if due = infinity && !live > 0 then begin
+      (* every open request is queued and refused, and no arrival can
+         grant one: the stall is resolved at once *)
+      tick (Float.max !clock !server);
+      Sched.Driver.resolve_stall driver;
       loop ()
-    | None, true ->
-      serve ();
+    end
+    else if !next < n && arrivals.(!next) <= due then begin
+      let i = !next in
+      incr next;
+      incr live;
+      tick arrivals.(i);
+      Obs.Span.enter spans i ~now:!clock Obs.Span.Scheduling;
+      if fmt.(i) = 0 then finish i else submit i;
       loop ()
+    end
+    else if due < infinity then begin
+      let t, i, idx = Queue.pop completions in
+      tick t;
+      if idx = submitted.(i) - 1 then
+        if submitted.(i) = fmt.(i) then finish i else submit i;
+      loop ()
+    end
   in
   loop ();
-  if !done_count <> n then
-    raise (Sched.Driver.Stall "des: incomplete simulation");
-  let sum f = Array.fold_left (fun acc s -> acc +. f s) 0. stats in
+  let stats = Sched.Driver.drain driver in
+  let total = Obs.Span.totals spans in
   let fn = float_of_int n in
-  let total_latency = sum (fun s -> s.completion -. s.arrival) in
-  let total_sched = sum (fun s -> s.scheduling) in
-  let total_wait = sum (fun s -> s.waiting) in
-  let total_exec = sum (fun s -> s.execution) in
   {
     n_transactions = n;
     makespan = !makespan;
     throughput = (if !makespan > 0. then fn /. !makespan else 0.);
-    avg_latency = total_latency /. fn;
-    (* the residual latency - sched - wait - exec is idle overlap between
-       a step's completion and the next decision; with instantaneous
-       resubmission it is zero per construction *)
-    avg_scheduling = total_sched /. fn;
-    avg_waiting = total_wait /. fn;
-    avg_execution = total_exec /. fn;
-    restarts = !restarts;
-    deadlocks = !deadlocks;
+    avg_latency = total.Obs.Span.elapsed /. fn;
+    avg_scheduling = total.Obs.Span.scheduling /. fn;
+    avg_waiting = total.Obs.Span.waiting /. fn;
+    avg_execution = total.Obs.Span.execution /. fn;
+    restarts = stats.Sched.Driver.restarts;
+    deadlocks = stats.Sched.Driver.deadlocks;
   }
 
 let pp_result ppf r =

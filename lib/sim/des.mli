@@ -6,15 +6,26 @@
 
     - {b scheduling time}: waiting for the scheduler to become free plus
       the (constant) time it takes to decide;
-    - {b waiting time}: parked by the scheduler until other users' steps
-      complete (plus re-decisions after aborts);
+    - {b waiting time}: parked by a refusal until a grant or an abort
+      sends the scheduler back over its queue;
     - {b execution time}: the (constant) time the step itself takes,
       assumed independent of the scheduler; executions of different
       users overlap.
 
-    The simulation drives any {!Sched.Scheduler.t}; delayed requests are
-    reconsidered after every grant, aborts restart the transaction, and
-    full stalls are resolved through the scheduler's victim choice. *)
+    The simulation is a clock around {!Sched.Driver}: each request (a
+    transaction's first step at its arrival, step [k + 1] when step [k]
+    finishes executing) is one [Driver.submit], and the driver makes
+    every decision, re-ask, abort and replay. Each engine [attempt] the
+    driver makes costs [sched_time] on the one server, in the driver's
+    order; each grant's execution ends [exec_time] after its decision.
+    No refusal is answered without a decision (the engine's standing
+    refusals are not published to the driver). An aborted transaction
+    is replayed at once, with no backoff; its replayed steps are decided
+    back to back and their executions may overlap. When no step is
+    executing and requests are queued, every one of them was refused
+    and no arrival can undo that (an SGT refusal stands until an abort,
+    a lock wait until its holder moves), so the stall is resolved at
+    once by {!Sched.Driver.resolve_stall}. *)
 
 type params = {
   arrival_rate : float;   (** transactions per time unit (Poisson) *)
@@ -42,20 +53,25 @@ val run :
   scheduler:(unit -> Sched.Scheduler.t) ->
   result
 (** Simulates every transaction of the syntax exactly once (arrivals in
-    transaction order at Poisson instants). The decomposition satisfies
-    [latency ≈ scheduling + waiting + exec] per transaction.
-    Raises {!Sched.Driver.Stall} if the scheduler cannot resolve a
-    stall.
+    transaction order at Poisson instants). The phases are kept in
+    {!Obs.Span}, so [latency = scheduling + waiting + execution] holds
+    per transaction, restarts included: while one of its steps executes
+    a transaction is executing, else scheduling while a request is
+    queued or decided, else waiting from a refusal to the next grant
+    or abort. [restarts] and
+    [deadlocks] are the driver's. Raises {!Sched.Driver.Stall} if the
+    scheduler cannot resolve a stall, and [Invalid_argument] if a phase
+    clock moves backwards.
 
-    With a [sink], the full request lifecycle is emitted at virtual
-    time: [Submitted] at each (re)submission, [Granted]/[Delayed] at
-    the decision instant, [Aborted]+[Restarted] on scheduler aborts
-    (reason [Scheduler_abort]) and deadlock victims (reason
-    [Deadlock]), [Executed] when a step's execution completes and
-    [Committed] at transaction completion. On the folded trace,
-    [Fold.counters] reproduces [restarts], [deadlocks] and a commit
-    per transaction exactly. Emission order follows simulation
-    causality, but [Executed] timestamps interleave with later
-    decisions — sort by timestamp before exporting. *)
+    With a [sink], the driver's request lifecycle ([Submitted],
+    [Granted]/[Delayed], [Aborted]+[Restarted], [Executed],
+    [Committed]) and the engine's own events are stamped at the virtual
+    time of the driver call that emits them: a submission at its
+    arrival or completion instant, a replay at its abort, a decision at
+    its end. [Executed]
+    and [Committed] are the driver's, stamped at the grant, not at the
+    execution's end; a transaction without steps emits nothing. On the
+    folded trace, [Fold.counters] reproduces [restarts], [deadlocks] and
+    a commit per transaction with steps. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -103,6 +103,24 @@ let test_2pl_deadlock_resolved () =
   check_true "a deadlock happened" (s.Sched.Driver.deadlocks >= 1);
   check_true "serializable anyway" (Conflict.serializable syntax s.Sched.Driver.output)
 
+let test_2pl_prime_stalls_progress () =
+  (* A 2PL' request can lack locks from several holders. A victim that
+     is not the only blocker of the transaction waiting for it lets
+     nobody through: its replay takes its locks straight back, and two
+     such victims can trade a lock forever. On this 20x3 hot spot (the
+     P3 low-contention workload) about one arrival order in six reaches
+     a stall whose youngest cycle member is such a victim. *)
+  let st = Random.State.make [| 5 |] in
+  let syntax = Sim.Workload.hotspot st ~n:20 ~m:3 ~n_vars:8 ~theta:0.15 in
+  let fmt = Syntax.format syntax in
+  let entry = Sched.Registry.find_exn "2PL'" in
+  let rs = Random.State.make [| 1 |] in
+  for _ = 1 to 200 do
+    let arrivals = Combin.Interleave.random rs fmt in
+    let s = Sched.Driver.run (entry.Sched.Registry.make syntax) ~fmt ~arrivals in
+    check_true "completed legally" (Schedule.is_schedule_of fmt s.Sched.Driver.output)
+  done
+
 let test_default_victim_youngest () =
   (* The head-of-list default victim is wound-wait-correct because the
      driver presents the stuck list youngest first (see
@@ -429,6 +447,8 @@ let suite =
     Alcotest.test_case "2PL fixpoint between" `Quick test_2pl_fixpoint_between;
     Alcotest.test_case "2PL = greedy passes" `Quick test_2pl_matches_greedy_passes;
     Alcotest.test_case "2PL deadlock resolution" `Quick test_2pl_deadlock_resolved;
+    Alcotest.test_case "2PL' stalls make progress" `Quick
+      test_2pl_prime_stalls_progress;
     Alcotest.test_case "default victim is youngest" `Quick test_default_victim_youngest;
     Alcotest.test_case "TO restarts" `Quick test_to_restarts;
     Alcotest.test_case "TO fixpoint in SR" `Quick test_to_fixpoint_subset_sr;

@@ -79,7 +79,7 @@ let traced trace (s : Sched.Scheduler.t) =
       trace := ((id, r) : decision) :: !trace;
       r)
     ~commit:s.Sched.Scheduler.commit ~on_abort:s.Sched.Scheduler.on_abort
-    ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
+    ~victim:s.Sched.Scheduler.victim ()
 
 let same_stats (a : Sched.Driver.stats) (b : Sched.Driver.stats) =
   Schedule.equal a.Sched.Driver.output b.Sched.Driver.output

@@ -7,13 +7,13 @@
    and identical driver statistics on large seeded workloads.
 
    The timed simulation is differentially checked against the untimed
-   driver as well: with instantaneous arrivals in transaction order and
-   scheduling dominating execution, [Sim.Des.run] serves requests in
-   round-robin order, so its abort/deadlock counts must agree with
-   [Sched.Driver.run] on the matching arrival sequence. This pins down
-   the eager-detect regression where every SGT delay was answered with
-   an abort and contended workloads thrashed through thousands of
-   restarts. *)
+   driver as well: [Sim.Des.run] decides through a [Sched.Driver], and
+   with instantaneous arrivals in transaction order and scheduling
+   dominating execution it submits requests in round-robin order, so
+   its abort/deadlock counts must agree with [Sched.Driver.run] on the
+   matching arrival sequence. Its stalls are resolved lazily, once no
+   step executes, so contended workloads keep the driver's restart
+   counts instead of thrashing through thousands of restarts. *)
 
 open Util
 open Core
@@ -32,7 +32,7 @@ let traced trace (s : Sched.Scheduler.t) =
       trace := (id, r) :: !trace;
       r)
     ~commit:s.Sched.Scheduler.commit ~on_abort:s.Sched.Scheduler.on_abort
-    ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
+    ~victim:s.Sched.Scheduler.victim ()
 
 let same_stats (a : Sched.Driver.stats) (b : Sched.Driver.stats) =
   Schedule.equal a.Sched.Driver.output b.Sched.Driver.output
@@ -389,7 +389,7 @@ let check_replay mk syntax arrivals =
       ~on_abort:(fun tx ->
         log := `Abort tx :: !log;
         s.Sched.Scheduler.on_abort tx)
-      ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
+      ~victim:s.Sched.Scheduler.victim ()
   in
   ignore (Sched.Driver.run wrapped ~fmt:(Syntax.format syntax) ~arrivals);
   (!delays, !unrepeated)
@@ -678,9 +678,8 @@ let driver syntax mk =
 
 let test_des_driver_corpus () =
   (* fixed corpus: both SGT implementations agree exactly with the
-     driver on aborts and deadlocks; 2PL agrees on the cases where its
-     eager wait-for-cycle detection fires exactly when the lazy driver
-     stalls *)
+     driver on aborts and deadlocks, and so does 2PL on three small
+     cases *)
   let cases =
     [
       Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ];
@@ -707,8 +706,7 @@ let test_des_driver_corpus () =
           (fun () -> Sched.Sgt_ref.create ~syntax);
         ])
     cases;
-  (* low-contention 2PL cases resolve identically under eager and lazy
-     victim selection *)
+  (* low-contention 2PL cases: the DES stalls where the driver does *)
   List.iter
     (fun syntax ->
       let mk () = Sched.Tpl_sched.create_2pl ~syntax () in

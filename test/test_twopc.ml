@@ -28,7 +28,7 @@ let traced trace (s : Sched.Scheduler.t) =
       trace := (id, r) :: !trace;
       r)
     ~commit:s.Sched.Scheduler.commit ~on_abort:s.Sched.Scheduler.on_abort
-    ~victim:s.Sched.Scheduler.victim ~detect:s.Sched.Scheduler.detect ()
+    ~victim:s.Sched.Scheduler.victim ()
 
 (* ---------- protocol happy path ---------- *)
 
