@@ -248,7 +248,7 @@ let cycle_witness g =
 (* Causal past: [past t3 t2] iff t3 -> t2 in (SO ∪ WR)+. Two engines:
    session vector clocks (any n, few sessions) or per-txn bitsets
    (any sessions, small n). Computed over an acyclic base graph. *)
-let causal_past c g order =
+let causal_past c order =
   let s = History.n_sessions c.h in
   let preds t =
     (* base-graph predecessors: session predecessor + read sources *)
@@ -258,7 +258,6 @@ let causal_past c g order =
     in
     chain @ List.filter (fun u -> u <> c.t0) c.srcs.(t)
   in
-  ignore g;
   if s <= causal_vc_sessions then begin
     let vc = Array.make_matrix (c.n + 1) s 0 in
     List.iter
@@ -345,11 +344,12 @@ let saturation_check c level =
       true
     | Causal -> (
       (* the premise needs the causal order, which only exists if the
-         base is acyclic; a base cycle is already a violation *)
-      match topo_order (base_graph c) with
+         base is acyclic; a base cycle is already a violation. [g] holds
+         just the base edges yet. *)
+      match topo_order g with
       | None -> true (* cyclic base: skip premises, fail below *)
       | Some order -> (
-        match causal_past c g order with
+        match causal_past c order with
         | Some premise ->
           add_forced_with_premise c g premise;
           true

@@ -85,6 +85,24 @@ let history_of_events ~label ?(complete = true) syntax events =
       sess
   end
 
+type recording = {
+  stats : Sched.Driver.stats;
+  events : (float * Obs.Event.t) list;
+  dropped : int;
+  history : History.t;
+}
+
+let record ?(capacity = Trace_run.default_capacity) ~label ~seed syntax mk =
+  let fmt = Syntax.format syntax in
+  let arrivals = Combin.Interleave.random (Random.State.make [| seed |]) fmt in
+  let ring = Obs.Sink.Ring.create ~capacity in
+  let sink = Obs.Sink.Ring.sink ring in
+  let stats = Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals in
+  let events = Obs.Sink.Ring.events ring in
+  let dropped = Obs.Sink.Ring.dropped ring in
+  { stats; events; dropped;
+    history = history_of_events ~label ~complete:(dropped = 0) syntax events }
+
 (* A rejected mutant needs a witness that replays; which replay applies
    depends on the witness shape. *)
 let witness_replays h level (w : Checker.witness) =
@@ -136,18 +154,12 @@ let check_mutants ~label ~seed h (fails, total, rejected) =
    gauntlet; SI engines feed the positive write-skew counter whenever
    the checker catches them above their level. *)
 let check_run ~label ~seed ~level syntax mk acc =
-  let fmt = Syntax.format syntax in
-  let n = Array.length fmt in
-  let st = Random.State.make [| seed |] in
-  let arrivals = Combin.Interleave.random st fmt in
-  let ring = Obs.Sink.Ring.create ~capacity:(1 lsl 16) in
-  let sink = Obs.Sink.Ring.sink ring in
-  let stats = Sched.Driver.run ~sink (mk sink) ~fmt ~arrivals in
-  let events = Obs.Sink.Ring.events ring in
+  let n = Syntax.n_transactions syntax in
+  let { stats; events; dropped; history = h } = record ~label ~seed syntax mk in
   let fold = Obs.Fold.history events in
   let fails = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> fails := (label ^ ": " ^ m) :: !fails) fmt in
-  if Obs.Sink.Ring.dropped ring > 0 then fail "ring dropped events";
+  if dropped > 0 then fail "ring dropped events";
   if fold.Obs.Fold.truncated then fail "fold claims truncation on a complete trace";
   let out_steps =
     Array.to_list
@@ -166,7 +178,6 @@ let check_run ~label ~seed ~level syntax mk acc =
     if mv.Obs.Fold.mv_commits <> List.init n Fun.id then
       fail "mv fold commit set incomplete"
   end;
-  let h = history_of_events ~label syntax events in
   List.iter
     (fun l ->
       let r = Checker.check h l in
@@ -320,3 +331,186 @@ let exhaustive () =
         (Schedule.all (Syntax.format syntax)))
     universes;
   { !acc with failures = List.rev !acc.failures }
+
+(* ---------- the [ccopt check] command ---------- *)
+
+let ( let* ) = Result.bind
+let error fmt = Printf.ksprintf (fun m -> Error m) fmt
+
+type request = {
+  syntax : string option;
+  schedule : string option;
+  scheduler : string;
+  seed : int;
+  capacity : int;
+  trace : string option;
+  levels : string option;
+  mutate : string option;
+  budget : int;
+  bench : Check_bench.spec option;
+  out : string option;
+  json : bool;
+}
+
+let defaults =
+  { syntax = None; schedule = None; scheduler = "sgt"; seed = 42;
+    capacity = Trace_run.default_capacity; trace = None; levels = None;
+    mutate = None; budget = 2_000_000; bench = None; out = None; json = false }
+
+let parse_levels = function
+  | None -> Ok None
+  | Some s -> (
+    let names = List.filter (fun s -> s <> "") (String.split_on_char ',' s) in
+    match List.find_opt (fun nm -> Checker.level_of_name nm = None) names with
+    | Some nm ->
+      error "ccopt check: unknown level %s (have: %s)" nm
+        (String.concat ", " (List.map Checker.level_name Checker.levels))
+    | None -> Ok (Some (List.filter_map Checker.level_of_name names)))
+
+(* The history to check, its source line and, for a scheduler run
+   without [--levels], the ladder up to the engine's declared level. *)
+let source_history r spec syntax levels =
+  match (r.trace, r.schedule) with
+  | Some file, _ -> (
+    match In_channel.with_open_bin file In_channel.input_all with
+    | exception Sys_error m -> error "ccopt check: %s" m
+    | text -> (
+      match Obs.Event_log.parse text with
+      | Error msg -> error "ccopt check: %s: %s" file msg
+      | Ok (events, dropped) -> (
+        (* MV-aware: a trace with version events is reconstructed from
+           the values the engine served, not by replaying the schedule *)
+        let complete = dropped = 0 in
+        match history_of_events ~label:file ~complete syntax events with
+        | h -> Ok ("trace " ^ file, h, levels)
+        | exception Invalid_argument m -> error "ccopt check: %s: %s" file m)))
+  | None, Some digits ->
+    let h = Schedule.of_interleaving (Analyze.parse_interleaving digits) in
+    if not (Schedule.is_schedule_of (Syntax.format syntax) h) then
+      error "ccopt check: not a schedule of the syntax"
+    else
+      let label = spec ^ " @ " ^ digits in
+      Ok ("schedule " ^ digits, History.of_schedule ~label syntax h, levels)
+  | None, None ->
+    let* e = Trace_run.registry_entry r.scheduler in
+    let label = Printf.sprintf "%s via %s (seed %d)" spec r.scheduler r.seed in
+    let run =
+      record ~capacity:r.capacity ~label ~seed:r.seed syntax (fun sink ->
+          e.Sched.Registry.make ~sink syntax)
+    in
+    (* default to the ladder the engine actually guarantees: SI is not
+       serializable, and plain [ccopt check --scheduler si] should not
+       fail for it *)
+    let ladder = Checker.levels_upto (declared_level e) in
+    let levels = Option.value levels ~default:ladder in
+    Ok ("scheduler " ^ r.scheduler, run.history, Some levels)
+
+let mutate r hist =
+  match r.mutate with
+  | None -> Ok hist
+  | Some name -> (
+    match History.mutation_of_name name with
+    | None ->
+      error "ccopt check: unknown mutation %s (have: %s)" name
+        (String.concat ", " (List.map History.mutation_name History.mutations))
+    | Some m -> (
+      let rng = Random.State.make [| r.seed; 0x6d75 |] in
+      match History.mutate m rng hist with
+      | Some h -> Ok h
+      | None -> error "ccopt check: mutation %s has no applicable site" name))
+
+let command r =
+  Trace_run.reply_of
+    (let* explicit = parse_levels r.levels in
+     match (r.bench, r.syntax) with
+     | Some b, _ ->
+       (* throughput mode: a generated serializable history; any verdict
+          other than Consistent fails the run *)
+       let levels = Option.value explicit ~default:Checker.levels in
+       let b = { b with Check_bench.seed = r.seed; levels } in
+       let rows = Check_bench.run b in
+       Ok
+         (Trace_run.output_report ~what:"check" r.out
+            (if r.json then `Json (Check_bench.to_json b rows)
+             else `Text (Format.asprintf "%a" Check_bench.pp_rows rows)))
+     | None, None -> error "ccopt check: --syntax is required (unless --bench)"
+     | None, Some spec ->
+       let syntax = Analyze.parse_syntax spec in
+       let* source, hist, levels = source_history r spec syntax explicit in
+       let levels = Option.value levels ~default:Checker.levels in
+       let* hist = mutate r hist in
+       let results = List.map (Checker.check ~budget:r.budget hist) levels in
+       let n = History.n hist in
+       let stdout =
+         if r.json then Checker.to_json ~source hist results ^ "\n"
+         else
+           Printf.sprintf "history: %s (%d txns, %d events%s)\n"
+             (History.label hist) n (History.n_events hist)
+             (if History.complete hist then "" else ", truncated")
+           ^ String.concat ""
+               (List.map (Format.asprintf "%a@." (Checker.pp_result ~n)) results)
+       in
+       let violated (res : Checker.result) =
+         match res.verdict with Checker.Violation _ -> true | _ -> false
+       in
+       Ok { Trace_run.stdout; stderr = "";
+            code = (if List.exists violated results then 1 else 0) })
+
+(* ---------- the [ccopt verify --twopc] pass ---------- *)
+
+let twopc_universes cfg =
+  List.map
+    (fun n_parts -> (n_parts, Sched.Twopc.universe cfg ~n_parts ~seed:1))
+    [ 1; 2; 3 ]
+
+let twopc_grid () =
+  let rates = [ 0.; 0.2; 0.5 ] in
+  List.concat_map
+    (fun crash_rate ->
+      List.map
+        (fun slow_rate ->
+          let svc =
+            Sched.Twopc.service ~crash_rate ~slow_rate ~seed:11 ~shards:3 ()
+          in
+          for tx = 0 to 19 do
+            ignore (Sched.Twopc.commit svc ~tx ~shards:[ 0; 1; 2 ])
+          done;
+          (crash_rate, slow_rate, Sched.Twopc.totals svc))
+        rates)
+    rates
+
+let verify_twopc () =
+  let err = Buffer.create 256 and bad = ref 0 in
+  let violation fmt =
+    incr bad;
+    Printf.bprintf err fmt
+  in
+  let universes = twopc_universes Sched.Twopc.default in
+  List.iter
+    (fun (n_parts, rounds) ->
+      List.iter
+        (fun (_, r, vs) ->
+          if vs <> [] then
+            violation "ccopt verify: 2PC violation (%d participants):\n%s\n"
+              n_parts (Sched.Twopc.witness r vs))
+        rounds)
+    universes;
+  let grid = twopc_grid () in
+  List.iter
+    (fun (crash_rate, slow_rate, (t : Sched.Twopc.totals)) ->
+      if t.rounds <> t.committed + t.aborted then
+        violation "ccopt verify: 2PC service accounting broken at rates %g/%g\n"
+          crash_rate slow_rate)
+    grid;
+  let sum f l = List.fold_left (fun a x -> a + f x) 0 l in
+  {
+    Trace_run.stdout =
+      Printf.sprintf
+        "2PC AC1-AC5: %d single-fault rounds exhaustively checked, %d \
+         fault-matrix service rounds, %d violations\n"
+        (sum (fun (_, rounds) -> List.length rounds) universes)
+        (sum (fun (_, _, (t : Sched.Twopc.totals)) -> t.rounds) grid)
+        !bad;
+    stderr = Buffer.contents err;
+    code = (if !bad > 0 then 1 else 0);
+  }

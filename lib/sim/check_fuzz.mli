@@ -30,7 +30,9 @@ open Core
       from {!Analysis.Checker.exists_order} on the smallest ones.
 
     Any broken obligation lands in [failures] as a labelled message;
-    the tests assert the list is empty. *)
+    the tests assert the list is empty. The module also holds the one
+    recording step ({!record}) and the bodies of [ccopt check] and
+    [ccopt verify --twopc]. *)
 
 type outcome = {
   runs : int;  (** scheduler runs checked end to end *)
@@ -73,6 +75,22 @@ val history_of_events :
     transaction [syntax] does not have, or when a replayed step is not
     in its transaction. *)
 
+type recording = {
+  stats : Sched.Driver.stats;
+  events : (float * Obs.Event.t) list;
+  dropped : int;  (** ring overwrites; 0 = complete trace *)
+  history : Analysis.History.t;  (** {!history_of_events} of [events] *)
+}
+
+val record :
+  ?capacity:int -> label:string -> seed:int -> Syntax.t ->
+  (Obs.Sink.t -> Sched.Scheduler.t) -> recording
+(** One recorded run, the step [ccopt check --scheduler] and {!sweep}
+    share: the arrivals drawn from [seed], the engine driven into a ring
+    of [capacity] events (default {!Trace_run.default_capacity}), and
+    the committed history reconstructed, marked incomplete if the ring
+    dropped events. *)
+
 val sweep : ?seeds:int -> unit -> outcome
 (** The seeded sweep (default 100 seeds). Workload mixes and sizes
     rotate deterministically per seed; every fourth seed uses the typed
@@ -82,3 +100,51 @@ val sweep : ?seeds:int -> unit -> outcome
 val exhaustive : unit -> outcome
 (** Every schedule of a fixed family of small universes, checked
     against the Herbrand oracle; [runs] counts schedules. *)
+
+(** {1 The [ccopt check] and [ccopt verify --twopc] commands}
+
+    Bodies of the executable's commands (see {!Trace_run.reply}). A usage
+    error (an unknown scheduler, level or mutation, a missing
+    [--syntax], an unreadable or malformed trace file, a schedule that is
+    not of the syntax) exits 1 with its message, as does a violation. A
+    syntax or schedule that does not parse raises [Invalid_argument]. *)
+
+(** [ccopt check]'s flags, field for field. *)
+type request = {
+  syntax : string option;
+  schedule : string option;
+  scheduler : string;
+  seed : int;
+  capacity : int;
+  trace : string option;
+  levels : string option;
+  mutate : string option;
+  budget : int;
+  bench : Check_bench.spec option;
+  out : string option;
+  json : bool;
+}
+
+val defaults : request
+(** The flag defaults: no syntax, scheduler ["sgt"], seed 42. *)
+
+val command : request -> Trace_run.reply
+(** [ccopt check]: check a trace file, else a schedule, else a seeded
+    run of the scheduler ({!record}), at [levels] (a scheduler run
+    defaults to the ladder up to its declared level); exit 1 on a
+    violation. With [bench], the {!Check_bench} report instead. *)
+
+val twopc_universes :
+  Sched.Twopc.config ->
+  (int * (Sched.Twopc.fault list * Sched.Twopc.record
+         * Sched.Twopc.violation list) list) list
+(** The single-fault universes at 1, 2 and 3 participants, seed 1. *)
+
+val twopc_grid : unit -> (float * float * Sched.Twopc.totals) list
+(** The fault matrix: crash x slow rate over 0, 0.2 and 0.5, each 20
+    three-shard commits through one seeded service. *)
+
+val verify_twopc : unit -> Trace_run.reply
+(** [ccopt verify --twopc]: AC1-AC5 over {!twopc_universes} of the
+    default config and the service accounting of {!twopc_grid}, each
+    violation's witness on stderr. *)

@@ -21,6 +21,15 @@ type result = {
 
 let exponential st rate = -.log (1. -. Random.State.float st 1.) /. rate
 
+(* The livelock guard: a stall resolution aborts a victim and retries
+   the queue, and if that grants nothing the next resolution follows at
+   once, so an engine that refuses every replay would be resolved
+   forever. As [Driver.drain] bounds its passes between completions,
+   [stall_budget] resolutions without a step completing raise [Stall].
+   No run of the test suite or of bench P3 needs more than one in a
+   row; the budget is the driver's, for the same margin. *)
+let stall_budget n = 20 * (n + 1)
+
 let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
   let fmt = Syntax.format syntax in
   let n = Array.length fmt in
@@ -116,7 +125,7 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
     Obs.Span.finish spans i ~now:!clock;
     makespan := Float.max !makespan !clock
   in
-  let next = ref 0 in
+  let next = ref 0 and stalls = ref 0 in
   let rec loop () =
     let due =
       match Queue.peek_opt completions with
@@ -126,6 +135,14 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
     if due = infinity && !live > 0 then begin
       (* every open request is queued and refused, and no arrival can
          grant one: the stall is resolved at once *)
+      incr stalls;
+      if !stalls > stall_budget n then
+        raise
+          (Sched.Driver.Stall
+             (Printf.sprintf
+                "des: scheduler %s livelocked (budget exhausted: %d stall \
+                 resolutions without a step completing)"
+                sched.Sched.Scheduler.name (stall_budget n)));
       tick (Float.max !clock !server);
       Sched.Driver.resolve_stall driver;
       loop ()
@@ -141,6 +158,7 @@ let run ?(sink = Obs.Sink.null) params ~syntax ~scheduler =
     end
     else if due < infinity then begin
       let t, i, idx = Queue.pop completions in
+      stalls := 0;
       tick t;
       if idx = submitted.(i) - 1 then
         if submitted.(i) = fmt.(i) then finish i else submit i;

@@ -60,7 +60,9 @@ val run :
     queued or decided, else waiting from a refusal to the next grant
     or abort. [restarts] and
     [deadlocks] are the driver's. Raises {!Sched.Driver.Stall} if the
-    scheduler cannot resolve a stall, and [Invalid_argument] if a phase
+    scheduler cannot resolve a stall or [20 * (n + 1)] stall resolutions
+    follow each other without a step completing (an engine that refuses
+    every replay), and [Invalid_argument] if a phase
     clock moves backwards.
 
     With a [sink], the driver's request lifecycle ([Submitted],

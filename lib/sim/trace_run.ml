@@ -165,3 +165,86 @@ let json_summary spec runs =
          ("samples", J.int spec.samples);
          ("schedulers", J.Arr (List.map run runs));
        ])
+
+(* ---------- the [ccopt trace] command ---------- *)
+
+type reply = { stdout : string; stderr : string; code : int }
+
+let reply_of = function
+  | Ok r -> r
+  | Error m -> { stdout = ""; stderr = m ^ "\n"; code = 1 }
+
+let unknown_scheduler name =
+  Printf.sprintf "ccopt: unknown scheduler %s (have: %s)" name
+    (String.concat ", " Sched.Registry.names)
+
+let registry_entry name =
+  Option.to_result ~none:(unknown_scheduler name) (Sched.Registry.find name)
+
+(* writes [body] to [file] and returns the line that says so *)
+let write_file file body =
+  Out_channel.with_open_bin file (fun oc -> output_string oc body);
+  Printf.sprintf "wrote %s\n" file
+
+let ok stdout = { stdout; stderr = ""; code = 0 }
+
+let output_report ~what out report =
+  let body =
+    match report with
+    | `Text body -> Ok body
+    | `Json j ->
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      let j =
+        match Option.map read out with
+        | Some existing -> Obs.Json.merge ~existing j
+        | None | (exception Sys_error _) -> j
+      in
+      let body = Obs.Json.pretty j in
+      if Obs.Json.parse body <> None then Ok body
+      else Error ("ccopt: internal error: " ^ what ^ " emitted malformed JSON")
+  in
+  match (body, out) with
+  | Error m, _ -> reply_of (Error m)
+  | Ok body, None -> ok body
+  | Ok body, Some file -> ok (write_file file body)
+
+type request = { spec : spec; out : string option; json : bool }
+
+let command { spec; out; json } =
+  match List.find_opt (fun nm -> Sched.Registry.find nm = None) spec.only with
+  | Some nm -> reply_of (Error (unknown_scheduler nm))
+  | None ->
+    let runs = execute spec in
+    (* the trace is only worth shipping if it is a faithful witness *)
+    let bad =
+      List.concat_map
+        (fun run ->
+          List.map (Printf.sprintf "ccopt trace: %s: %s\n" run.name)
+            (mismatches run
+            @
+            if Obs.Json.parse run.chrome = None then
+              [ "malformed Chrome trace JSON" ]
+            else []))
+        runs
+    in
+    if bad <> [] then { stdout = ""; stderr = String.concat "" bad; code = 1 }
+    else
+      let files =
+        match out with
+        | None -> []
+        | Some prefix ->
+          List.concat_map
+            (fun run ->
+              let file ext = prefix ^ "-" ^ run.slug ^ ext in
+              let chrome = write_file (file ".json") run.chrome in
+              (* the machine-readable twin: an exact event log that
+                 [ccopt check --trace] can replay *)
+              let log = Obs.Event_log.to_string ~dropped:run.dropped run.events in
+              [ chrome; write_file (file ".events") log ])
+            runs
+      in
+      let summary =
+        if json then json_summary spec runs ^ "\n"
+        else Format.asprintf "%a" pp_summary runs
+      in
+      ok (String.concat "" files ^ summary)

@@ -56,3 +56,34 @@ val pp_summary : Format.formatter -> run list -> unit
 
 val json_summary : spec -> run list -> string
 (** The same report as a deterministic JSON object. *)
+
+(** {1 The [ccopt trace] command}
+
+    Each command body ([command] here, {!Check_fuzz.command} and
+    {!Check_fuzz.verify_twopc}) maps a request to the text for stdout
+    and stderr and the exit code; the executable only parses flags and
+    prints, and the tests call the same functions. *)
+
+type reply = { stdout : string; stderr : string; code : int }
+
+val reply_of : (reply, string) result -> reply
+(** [Error msg] is a usage error: [msg] on stderr, exit 1. *)
+
+val registry_entry : string -> (Sched.Registry.entry, string) result
+(** The entry of that name, or the usage error that lists the names. *)
+
+val output_report :
+  what:string -> string option -> [ `Text of string | `Json of Obs.Json.t ] ->
+  reply
+(** Print a report, or with [Some file] write it there and say so. A
+    JSON report written over an existing file keeps the file's top-level
+    members it lacks, and must parse back (else exit 1). *)
+
+type request = { spec : spec; out : string option; json : bool }
+
+val command : request -> reply
+(** [ccopt trace]: {!execute} after checking [spec.only] against the
+    registry (exit 1 on an unknown name), exit 1 on a trace-vs-stats
+    mismatch or a malformed Chrome trace, else write
+    PREFIX-<slug>.json and .events for [out = Some PREFIX] and print
+    the summary. *)

@@ -159,17 +159,13 @@ let test_level_ladder () =
 
 (* ---------- trace reconstruction ---------- *)
 
-let run_history ?(capacity = Sim.Trace_run.default_capacity) syntax seed =
-  let fmt = Syntax.format syntax in
-  let st = Random.State.make [| seed |] in
-  let arrivals = Combin.Interleave.random st fmt in
-  let ring = Obs.Sink.Ring.create ~capacity in
-  let sink = Obs.Sink.Ring.sink ring in
+let run_history ?capacity syntax seed =
   let e = Sched.Registry.find_exn "sgt" in
-  let stats =
-    Sched.Driver.run ~sink (e.Sched.Registry.make ~sink syntax) ~fmt ~arrivals
+  let r =
+    Sim.Check_fuzz.record ?capacity ~label:"sgt" ~seed syntax (fun sink ->
+        e.Sched.Registry.make ~sink syntax)
   in
-  (stats, Obs.Sink.Ring.events ring, Obs.Sink.Ring.dropped ring)
+  (r.Sim.Check_fuzz.stats, r.Sim.Check_fuzz.events, r.Sim.Check_fuzz.dropped)
 
 let test_fold_matches_driver () =
   let syntax = syn "xyz,zx,yz" in

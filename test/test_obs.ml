@@ -476,18 +476,13 @@ let test_ring_truncation_unknown () =
     Core.Syntax.of_lists
       [ [ "x"; "y" ]; [ "y"; "x" ]; [ "x"; "z" ]; [ "z"; "y" ] ]
   in
-  let fmt = Core.Syntax.format syntax in
-  let buf = Obs.Sink.Ring.create ~capacity:8 in
-  let sink = Obs.Sink.Ring.sink buf in
-  let arrivals = Combin.Interleave.random (rng 2) fmt in
-  let _ =
-    Sched.Driver.run ~sink (Sched.Sgt.create ~sink ~syntax ()) ~fmt ~arrivals
+  let run =
+    Sim.Check_fuzz.record ~capacity:8 ~label:"ring-truncated" ~seed:2 syntax
+      (fun sink -> Sched.Sgt.create ~sink ~syntax ())
   in
-  check_true "the ring actually dropped" (Obs.Sink.Ring.dropped buf > 0);
-  let h =
-    Sim.Check_fuzz.history_of_events ~label:"ring-truncated" ~complete:false
-      syntax (Obs.Sink.Ring.events buf)
-  in
+  check_true "the ring actually dropped" (run.Sim.Check_fuzz.dropped > 0);
+  let h = run.Sim.Check_fuzz.history in
+  check_true "marked incomplete" (not (Analysis.History.complete h));
   List.iter
     (fun (r : Analysis.Checker.result) ->
       match r.Analysis.Checker.verdict with

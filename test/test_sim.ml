@@ -173,6 +173,22 @@ let test_des_stall_at_idle () =
     check_true "stall resolved before the last arrival" (stall < arrival)
   | _ -> Alcotest.fail "no deadlock victim or no last arrival"
 
+(* An engine that refuses every request forever: each stall resolution
+   aborts a victim whose replay is refused again, so no step ever
+   completes. The driver's drain raises [Stall] on such an engine; the
+   simulation must too, instead of resolving stalls forever. *)
+let test_des_livelock_stalls () =
+  let syntax = Syntax.of_lists [ [ "x"; "y" ]; [ "y"; "x" ] ] in
+  let refuse () =
+    Sched.Scheduler.make ~name:"refuse-all"
+      ~attempt:(fun _ -> Sched.Scheduler.Delay)
+      ~commit:(fun _ -> ())
+      ()
+  in
+  match Sim.Des.run des_params ~syntax ~scheduler:refuse with
+  | _ -> Alcotest.fail "a run that never grants returned"
+  | exception Sched.Driver.Stall _ -> ()
+
 let test_des_contention_hurts () =
   (* under the serial scheduler, a hot-spot workload cannot have smaller
      average waiting than the same-size disjoint workload *)
@@ -227,5 +243,7 @@ let suite =
     Alcotest.test_case "DES stall at idle" `Quick test_des_stall_at_idle;
     Alcotest.test_case "DES decomposition" `Quick test_des_decomposition;
     Alcotest.test_case "DES contention" `Quick test_des_contention_hurts;
+    Alcotest.test_case "DES livelock raises Stall" `Quick
+      test_des_livelock_stalls;
   ]
   @ qsuite [ prop_des_total ]

@@ -286,10 +286,12 @@ let test_chrome_well_formed () =
 (* ---------- golden summary ---------- *)
 
 let test_golden_summary () =
-  (* the exact table [ccopt trace --syntax xy,yx --seed 42] prints; the
-     expectation lives in trace_summary.expected next to this file *)
-  let runs = Sim.Trace_run.execute (spec ()) in
-  let got = Format.asprintf "%a" Sim.Trace_run.pp_summary runs in
+  (* the exact table [ccopt trace --syntax xy,yx --seed 42] prints, from
+     the function the CLI calls; the expectation lives in
+     trace_summary.expected next to this file *)
+  let r = Sim.Trace_run.command { spec = spec (); out = None; json = false } in
+  Alcotest.(check int) "exit code" 0 r.Sim.Trace_run.code;
+  let got = r.Sim.Trace_run.stdout in
   let path =
     (* dune runtest runs inside test/; dune exec from the root *)
     if Sys.file_exists "trace_summary.expected" then "trace_summary.expected"

@@ -176,8 +176,10 @@ let test_jitter_round_replays () =
    the single-fault universes at 1-3 participants under each variant
    (plus a jittered universe, so the delay draws are pinned too), with
    its full record, event trace and verdict; then the service totals of
-   the [ccopt verify --twopc] fault grid. A change to the protocol, to
-   the network's drain order or to the fault sampling moves it. *)
+   the [ccopt verify --twopc] fault grid. The universes and the grid are
+   the ones [Sim.Check_fuzz.verify_twopc] checks. A change to the
+   protocol, to the network's drain order or to the fault sampling moves
+   it. *)
 let layer_digest () =
   let b = Buffer.create (1 lsl 20) in
   let bf fmt = Printf.bprintf b fmt in
@@ -205,41 +207,34 @@ let layer_digest () =
   List.iter
     (fun variant ->
       List.iter
-        (fun n_parts ->
-          List.iter round_line
-            (Sched.Twopc.universe
-               { cfg with Sched.Twopc.variant }
-               ~n_parts ~seed:1))
-        [ 1; 2; 3 ])
+        (fun (_, rounds) -> List.iter round_line rounds)
+        (Sim.Check_fuzz.twopc_universes { cfg with Sched.Twopc.variant }))
     Sched.Twopc.[ Correct; Forget_log_on_recover; Presume_commit_on_timeout ];
   List.iter round_line
     (Sched.Twopc.universe
        { cfg with Sched.Twopc.jitter = 0.3 }
        ~n_parts:2 ~seed:5);
   List.iter
-    (fun crash_rate ->
-      List.iter
-        (fun slow_rate ->
-          let svc =
-            Sched.Twopc.service ~crash_rate ~slow_rate ~seed:11 ~shards:3 ()
-          in
-          for tx = 0 to 19 do
-            ignore (Sched.Twopc.commit svc ~tx ~shards:[ 0; 1; 2 ])
-          done;
-          let t = Sched.Twopc.totals svc in
-          let open Sched.Twopc in
-          bf "grid %g/%g rounds=%d committed=%d aborted=%d latency=%h \
-              blocking=%h max=%h msgs=%d crashes=%d\n"
-            crash_rate slow_rate t.rounds t.committed t.aborted t.latency_sum
-            t.blocking_sum t.blocking_max t.total_msgs t.total_crashes)
-        [ 0.; 0.2; 0.5 ])
-    [ 0.; 0.2; 0.5 ];
+    (fun (crash_rate, slow_rate, t) ->
+      let open Sched.Twopc in
+      bf "grid %g/%g rounds=%d committed=%d aborted=%d latency=%h \
+          blocking=%h max=%h msgs=%d crashes=%d\n"
+        crash_rate slow_rate t.rounds t.committed t.aborted t.latency_sum
+        t.blocking_sum t.blocking_max t.total_msgs t.total_crashes)
+    (Sim.Check_fuzz.twopc_grid ());
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_layer_digest () =
   Alcotest.(check string)
     "universe rounds and fault-grid totals"
-    "ec83f1ae0e4895747df4d4bc4e8eebcc" (layer_digest ())
+    "ec83f1ae0e4895747df4d4bc4e8eebcc" (layer_digest ());
+  let r = Sim.Check_fuzz.verify_twopc () in
+  Alcotest.(check (pair string int))
+    "ccopt verify --twopc"
+    ( "2PC AC1-AC5: 111 single-fault rounds exhaustively checked, 180 \
+       fault-matrix service rounds, 0 violations\n",
+      0 )
+    (r.Sim.Trace_run.stdout, r.Sim.Trace_run.code)
 
 (* ---------- a disabled sink costs nothing ---------- *)
 
