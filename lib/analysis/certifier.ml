@@ -6,7 +6,9 @@ let level_string = function
   | Format_only -> "format-only"
   | Syntactic -> "syntactic"
 
-let certify ?(k = 2) ?(max_h = 800) ~name ~make ~level syntax =
+let max_h = 800
+
+let certify ?(k = 2) ~name ~make ~level syntax =
   let fmt = Syntax.format syntax in
   let n_h = Schedule.count fmt in
   if n_h > max_h then

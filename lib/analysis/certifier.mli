@@ -32,7 +32,6 @@ type level =
 
 val certify :
   ?k:int ->
-  ?max_h:int ->
   name:string ->
   make:(unit -> Sched.Scheduler.t) ->
   level:level ->
@@ -40,7 +39,7 @@ val certify :
   Report.diagnostic list
 (** [certify ~name ~make ~level syntax] runs the check over [Z_k]
     (default [k = 2]). Skips with [certify/skipped] when [|H|] exceeds
-    [max_h] (default 800) — the replay and the intersection are both
-    exhaustive over [H]. Reports [certify/information-bound] as an error
+    800 — the replay and the intersection are both exhaustive over
+    [H]. Reports [certify/information-bound] as an error
     per violating history (with the history as witness), or as an info
     with the measured [|P|], the bound's size and the slack. *)

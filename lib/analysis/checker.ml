@@ -26,13 +26,6 @@ let levels_upto level =
   in
   go levels
 
-let level_doc = function
-  | Read_committed -> "read committed (observed writers commit first)"
-  | Read_atomic -> "read atomic (transactions read atomic snapshots)"
-  | Causal -> "causal consistency (reads respect causal past)"
-  | Snapshot_isolation -> "snapshot isolation (via commit-order splitting)"
-  | Serializability -> "serializability (some total order explains all reads)"
-
 type edge_reason =
   | Session
   | Reads_from of Names.var
@@ -51,8 +44,6 @@ type witness =
 type verdict = Consistent of int list | Violation of witness | Unknown of string
 
 type result = { level : level; verdict : verdict; split : bool }
-
-let init_txn h = History.n h
 
 (* Search / chase size policy. *)
 let default_budget = 2_000_000

@@ -58,11 +58,11 @@ val levels_upto : level -> level list
 (** The weakest-first prefix of {!levels} up to and including the
     given level — what an engine declaring that level must pass. *)
 
-val level_doc : level -> string
-(** One-line human description. *)
-
 type edge_reason =
-  | Session  (** source precedes target in a session (or is [init]) *)
+  | Session
+      (** source precedes target in a session, or is [init]: the
+          virtual initial transaction (id [History.n]), which writes
+          value [0] of every variable and precedes everything *)
   | Reads_from of Names.var  (** target read the source's write *)
   | Forced_before of { var : Names.var; source : int; reader : int }
       (** axiom instance: the edge's source is a [var]-writer already
@@ -117,11 +117,6 @@ val check : ?budget:int -> History.t -> level -> result
 
 val check_all : ?budget:int -> History.t -> result list
 (** All of {!levels}, weakest first. *)
-
-val init_txn : History.t -> int
-(** The id of the virtual initial transaction (= [History.n]): writes
-    value [0] of every variable, precedes everything. May appear in
-    witnesses. *)
 
 val split_si : History.t -> History.t
 (** The SI-to-SER reduction. Read halves keep the external reads and

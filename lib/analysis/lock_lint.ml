@@ -257,7 +257,9 @@ let deadlock_diags (locked : Locked.t) =
 
 (* ---------- output serializability ---------- *)
 
-let outputs_diags ~max_interleavings (locked : Locked.t) =
+let max_interleavings = 50_000
+
+let outputs_diags (locked : Locked.t) =
   let fmt = Locked.format locked in
   let count = try Schedule.count fmt with Invalid_argument _ -> max_int in
   if count > max_interleavings then
@@ -302,7 +304,7 @@ let outputs_diags ~max_interleavings (locked : Locked.t) =
 
 (* ---------- the pass ---------- *)
 
-let lint ?(max_interleavings = 50_000) input =
+let lint input =
   let shape = pairing_diags input @ structure_diags input in
   if shape <> [] then shape
   else
@@ -311,4 +313,4 @@ let lint ?(max_interleavings = 50_000) input =
     @ two_phase_diags locked
     @ separability_diags input
     @ deadlock_diags locked
-    @ outputs_diags ~max_interleavings locked
+    @ outputs_diags locked

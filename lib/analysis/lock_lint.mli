@@ -45,10 +45,10 @@ val reaching_prefix : Locking.Geometry_nd.t -> int array -> int array
     non-forbidden grid point (used to make deadlock witnesses
     replayable). *)
 
-val lint : ?max_interleavings:int -> input -> Report.diagnostic list
-(** Run every applicable check. [max_interleavings] (default [50_000])
-    bounds the exhaustive output-serializability enumeration; when the
-    locked system is larger the check is skipped with an informational
+val lint : input -> Report.diagnostic list
+(** Run every applicable check. A bound of 50 000 interleavings caps the
+    exhaustive output-serializability enumeration; when the locked
+    system is larger the check is skipped with an informational
     diagnostic ([lock/outputs-skipped]) — no silent truncation. The
     geometry pass is likewise skipped ([lock/geometry-skipped]) when the
     progress grid would exceed {!Locking.Geometry_nd.analyse}'s guard. *)

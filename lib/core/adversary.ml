@@ -112,7 +112,7 @@ let serial_hstate syntax order_list =
     order_list;
   !g
 
-let herbrand_reachable ?slack:_ syntax target =
+let herbrand_reachable syntax target =
   let n = Syntax.n_transactions syntax in
   let mult = multiplicities n target in
   (* depth-first enumeration of the permutations of the multiset given by

@@ -36,12 +36,12 @@ val theorem2_refutes : int array -> Schedule.t -> bool
     all transactions individually correct, initial state consistent,
     final state of [h] inconsistent. [false] if [h] is serial. *)
 
-val herbrand_reachable : ?slack:int -> Syntax.t -> Herbrand.hstate -> bool
+val herbrand_reachable : Syntax.t -> Herbrand.hstate -> bool
 (** The Theorem-3 integrity constraint: is a Herbrand state reachable
     from the initial values by a concatenation of serial transaction
-    executions? Searched over concatenations of length up to
-    [n + slack] (default slack 0 — length [n] suffices for full
-    schedules, since symbolic states count symbol applications). *)
+    executions? Searched over concatenations of length [n], which
+    suffices for full schedules, since symbolic states count symbol
+    applications. *)
 
 val theorem3_refutes : Syntax.t -> Schedule.t -> bool
 (** For [h ∉ SR(T)]: checks that executing [h] under the Herbrand

@@ -32,16 +32,6 @@ let to_char = function
   | Enqueue -> 'q'
   | Max -> 'm'
 
-let of_char = function
-  | 'r' -> Some Read
-  | 'w' -> Some Write
-  | 'u' -> Some Update
-  | '+' -> Some Incr
-  | '-' -> Some Decr
-  | 'q' -> Some Enqueue
-  | 'm' -> Some Max
-  | _ -> None
-
 let to_string = function
   | Read -> "read"
   | Write -> "write"

@@ -50,8 +50,6 @@ val to_char : t -> char
 (** One-letter code, used by {!Analysis.Analyze.parse_syntax} specs:
     [r w u + - q m]. *)
 
-val of_char : char -> t option
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -53,7 +53,7 @@ let is_weakly_serializable ?max_len ?max_states sys ~probes h =
   | Weakly_serializable _ -> true
   | Refuted _ -> false
 
-let default_probes ?(bound = 8) ?(count = 25) ~seed sys =
+let default_probes ?(count = 25) ~seed sys =
   let domains = sys.System.domains in
   let product =
     List.fold_left
@@ -71,4 +71,4 @@ let default_probes ?(bound = 8) ?(count = 25) ~seed sys =
     | None -> assert false)
   | None ->
     let st = Random.State.make [| seed |] in
-    List.init count (fun _ -> State.sample st ~bound domains)
+    List.init count (fun _ -> State.sample st ~bound:8 domains)

@@ -45,7 +45,7 @@ val reachable_finals :
     complete transactions within the bounds, each with one witness
     concatenation (shortest-first exploration). *)
 
-val default_probes : ?bound:int -> ?count:int -> seed:int -> System.t -> State.t list
+val default_probes : ?count:int -> seed:int -> System.t -> State.t list
 (** Probe states: full enumeration when every domain is finite and the
     product is small, otherwise [count] (default 25) random states
-    sampled with values in [-bound..bound] (default 8). *)
+    sampled with values in [-8..8]. *)

@@ -20,7 +20,6 @@ exception Type_error of string
 let int n = Const (Value.Int n)
 let bool b = Const (Value.Bool b)
 let ge a b = Le (b, a)
-let gt a b = Lt (b, a)
 
 let as_int who v =
   match v with

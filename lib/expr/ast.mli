@@ -33,7 +33,6 @@ exception Type_error of string
 val int : int -> t
 val bool : bool -> t
 val ge : t -> t -> t
-val gt : t -> t -> t
 
 val eval : locals:(int -> Value.t) -> globals:(string -> Value.t) -> t -> Value.t
 (** Evaluate. [locals k] supplies [Local k]; [globals v] supplies

@@ -116,8 +116,6 @@ let holds_after tx x p =
   done;
   !held
 
-let step_of l i p = l.txs.(i).(p)
-
 (* Lock-state machine shared by the legality checks. *)
 let try_step held s =
   match s with

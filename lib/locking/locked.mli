@@ -56,9 +56,6 @@ val holds_after : transaction -> lock_var -> int -> bool
 (** [holds_after tx x p]: after executing the first [p] steps of the
     locked transaction, is [X] held? *)
 
-val step_of : t -> int -> int -> step
-(** [step_of l i p] is the [p]-th step of locked transaction [i]. *)
-
 (** {1 Legality of locked schedules}
 
     A locked schedule is an interleaving of the locked transactions,

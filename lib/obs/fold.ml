@@ -263,11 +263,6 @@ let blocking_windows events =
     events;
   List.sort compare (Hashtbl.fold (fun tx w l -> (tx, w) :: l) acc [])
 
-let grant_waits events =
-  let acc = ref [] in
-  fold_grants events ~on_grant:(fun w -> acc := w :: !acc);
-  List.rev !acc
-
 let wait_histogram events =
   let h = Hist.create () in
   fold_grants events ~on_grant:(Hist.add h);

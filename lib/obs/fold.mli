@@ -46,12 +46,9 @@ val spans : n:int -> (float * Event.t) list -> Span.t
     [Executing] from [Granted] to [Executed], and [Scheduling] the rest
     of the time between first submission and commit. *)
 
-val grant_waits : (float * Event.t) list -> int list
-(** Per-grant waiting times (FIFO-matched [grant_ts - submit_ts],
-    truncated to int), in grant order — histogram fodder. *)
-
 val wait_histogram : (float * Event.t) list -> Hist.t
-(** {!grant_waits} folded into a log₂ histogram. *)
+(** Per-grant waiting times (FIFO-matched [grant_ts - submit_ts],
+    truncated to int) folded into a log₂ histogram. *)
 
 type history = {
   steps : (int * int) list;

@@ -87,7 +87,3 @@ let totals t =
       })
     { scheduling = 0.; waiting = 0.; execution = 0.; elapsed = 0. }
     t
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf "sched %.2f + wait %.2f + exec %.2f = %.2f" b.scheduling
-    b.waiting b.execution b.elapsed

@@ -49,5 +49,3 @@ val breakdown : t -> int -> breakdown
 
 val totals : t -> breakdown
 (** Componentwise sum over all transactions. *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

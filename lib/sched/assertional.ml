@@ -2,9 +2,6 @@ open Core
 
 type arcs = Expr.Ast.t array array
 
-let trivial_arcs fmt =
-  Array.map (fun m -> Array.make (m + 1) (Expr.Ast.bool true)) fmt
-
 let ic_arcs sys =
   match sys.System.ic with
   | System.Pred e ->

@@ -23,9 +23,6 @@ type arcs = Expr.Ast.t array array
 (** Boolean expressions over global variables; [arcs.(i)] has length
     [m_i + 1]. *)
 
-val trivial_arcs : int array -> arcs
-(** All assertions [true] — degenerates into first-come-first-served. *)
-
 val ic_arcs : System.t -> arcs
 (** Entry and exit arcs carry the system's [Pred] integrity constraint,
     interior arcs are [true]. Raises [Invalid_argument] for non-[Pred]

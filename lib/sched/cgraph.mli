@@ -74,7 +74,9 @@ val create :
     commuting accessors emits {!Obs.Event.Commute_pass}. *)
 
 val version : t -> int
-(** The removal count: bumped by every abort and every prune. *)
+(** The removal count: bumped by every abort and every prune. The
+    "kernel = full-scan prune model" differential (test_sgt_diff)
+    checks it against the model's count after every step. *)
 
 val live : t -> int -> bool
 (** The vertex holds accessor entries: granted, and not removed since. *)

@@ -54,10 +54,8 @@ let begin_txn st id =
   txn
 
 let live_txn st id = Hashtbl.find_opt st.live id
-let live_txns st = Hashtbl.fold (fun _ t acc -> t :: acc) st.live []
 let snapshot t = t.snap
 let reads_of t = Names.Vset.elements t.reads
-let commit_ts t = t.commit_ts
 
 (* Newest committed version visible at snapshot [snap]; the store is
    born with every variable at [initial_value] (timestamp 0). *)

@@ -49,10 +49,8 @@ val begin_txn : t -> int -> txn
 (** Start (or restart) transaction [id] with snapshot [clock st]. *)
 
 val live_txn : t -> int -> txn option
-val live_txns : t -> txn list
 val snapshot : txn -> int
 val reads_of : txn -> Core.Names.var list
-val commit_ts : txn -> int option
 
 val read : t -> txn -> Core.Names.var -> int * int option
 (** [read st t x] is [(value, writer)]: [t]'s own buffered write of [x]
@@ -62,8 +60,9 @@ val read : t -> txn -> Core.Names.var -> int * int option
 
 val read_at : t -> Core.Names.var -> snap:int -> int
 (** Pure snapshot read: newest committed value of the variable at or
-    before [snap] ({!initial_value} when none) — the property the
-    model-based store tests check. *)
+    before [snap] ({!initial_value} when none). The "version store vs
+    naive model" test (test_mv) checks it against a naive model at
+    every reachable snapshot. *)
 
 val write : t -> txn -> Core.Names.var -> int
 (** Buffer a globally fresh value for the variable; returns it. *)

@@ -6,7 +6,6 @@ type t = {
   shard_of_step : int array array;
   lvar_of_step : int array array;
   mask : int array;
-  home : int array;
   cross : bool array;
   n_cross : int;
   cross_id : int array;
@@ -51,10 +50,6 @@ let make ~syntax ~shards =
     Array.iter (fun s -> mask.(i) <- mask.(i) lor (1 lsl s)) shard_of_step.(i)
   done;
   let cross = Array.map (fun m -> popcount m > 1) mask in
-  let home =
-    Array.init n (fun i ->
-        if mask.(i) = 0 || cross.(i) then -1 else shard_of_step.(i).(0))
-  in
   let cross_id = Array.make n (-1) in
   let n_cross = ref 0 in
   for i = 0 to n - 1 do
@@ -85,7 +80,6 @@ let make ~syntax ~shards =
     shard_of_step;
     lvar_of_step;
     mask;
-    home;
     cross;
     n_cross = !n_cross;
     cross_id;

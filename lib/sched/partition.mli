@@ -12,9 +12,10 @@ open Core
 
     Because a conflict edge joins two accessors of the {e same}
     variable, every conflict edge lives in exactly one shard; a
-    transaction whose variables all hash to one shard ([home]) has all
-    its edges there and needs no cross-shard coordination at all — the
-    coordination-avoidance reading of the paper's conflict geometry. *)
+    transaction whose variables all hash to one shard (one bit set in
+    its [mask]) has all its edges there and needs no cross-shard
+    coordination at all — the coordination-avoidance reading of the
+    paper's conflict geometry. *)
 
 type t = {
   shards : int;  (** number of shards K, [1 <= K <= 62] *)
@@ -29,9 +30,6 @@ type t = {
       (** per-transaction bitmask of touched shards (bit [s] set iff the
           transaction accesses a variable of shard [s]); [0] for an
           empty transaction *)
-  home : int array;
-      (** the single shard of a single-shard transaction; [-1] for
-          cross-shard and empty transactions *)
   cross : bool array;  (** touches two or more shards *)
   n_cross : int;  (** number of cross-shard transactions *)
   cross_id : int array;

@@ -416,10 +416,10 @@ let run_round ~keep ~sink ~at cfg ~nodes ~coord ~parts ~tx ~seed ~faults =
 
 let opt_of d = if d = none then None else Some (d = 1)
 
-let round ?(sink = Obs.Sink.null) ?(at = 0.) cfg ~nodes ~coord ~parts ~tx ~seed
-    ~faults () =
+let round ?(sink = Obs.Sink.null) cfg ~nodes ~coord ~parts ~tx ~seed ~faults
+    () =
   let st, net, quiescent =
-    run_round ~keep:true ~sink ~at cfg ~nodes ~coord ~parts ~tx ~seed ~faults
+    run_round ~keep:true ~sink ~at:0. cfg ~nodes ~coord ~parts ~tx ~seed ~faults
   in
   {
     tx;
@@ -488,7 +488,7 @@ let check (r : record) =
 
 (* ---------- exhaustive single-fault micro-universe ---------- *)
 
-let universe ?repairs cfg ~n_parts ~seed =
+let universe cfg ~n_parts ~seed =
   let nodes = n_parts + 1 and coord = n_parts in
   let parts = List.init n_parts (fun p -> p) in
   let run faults =
@@ -497,18 +497,13 @@ let universe ?repairs cfg ~n_parts ~seed =
   in
   let base = run [] in
   let _, br, _ = base in
-  let repairs =
-    match repairs with
-    | Some rs -> rs
-    | None ->
-      let longest =
-        List.fold_left max 0.
-          [ cfg.t_prepare; cfg.t_vote; cfg.t_decision; cfg.t_ack ]
-      in
-      (* one repair inside every timeout, one past all of them: both the
-         "came right back" and the "everyone timed out first" schedules *)
-      [ 2.5 *. cfg.delay; (3. *. longest) +. cfg.delay ]
+  let longest =
+    List.fold_left max 0.
+      [ cfg.t_prepare; cfg.t_vote; cfg.t_decision; cfg.t_ack ]
   in
+  (* one repair inside every timeout, one past all of them: both the
+     "came right back" and the "everyone timed out first" schedules *)
+  let repairs = [ 2.5 *. cfg.delay; (3. *. longest) +. cfg.delay ] in
   let placements = ref [] in
   List.iter
     (fun node ->
@@ -579,7 +574,6 @@ type totals = {
 
 type service = {
   sink : Obs.Sink.t;
-  cfg : config;
   crash_rate : float;
   slow_rate : float;
   rng : Random.State.t;
@@ -588,11 +582,10 @@ type service = {
   mutable acc : totals;
 }
 
-let service ?(sink = Obs.Sink.null) ?(config = default) ?(crash_rate = 0.)
-    ?(slow_rate = 0.) ?(seed = 0) ~shards () =
+let service ?(sink = Obs.Sink.null) ?(crash_rate = 0.) ?(slow_rate = 0.)
+    ?(seed = 0) ~shards () =
   {
     sink;
-    cfg = config;
     crash_rate;
     slow_rate;
     rng = Random.State.make [| 0x27C5; seed |];
@@ -620,7 +613,7 @@ let sample_faults svc ~coord ~parts =
         if Random.State.float svc.rng 1.0 < svc.crash_rate then begin
           let at_input = Random.State.int svc.rng 6 in
           let repair =
-            svc.cfg.delay *. (2. +. Random.State.float svc.rng 30.)
+            default.delay *. (2. +. Random.State.float svc.rng 30.)
           in
           fs := Crash { node; at_input; repair } :: !fs
         end)
@@ -629,8 +622,8 @@ let sample_faults svc ~coord ~parts =
       (fun p ->
         if Random.State.float svc.rng 1.0 < svc.slow_rate then begin
           let extra =
-            svc.cfg.t_decision
-            +. Random.State.float svc.rng (2. *. svc.cfg.t_decision)
+            default.t_decision
+            +. Random.State.float svc.rng (2. *. default.t_decision)
           in
           fs :=
             (if Random.State.bool svc.rng then
@@ -652,7 +645,7 @@ let commit svc ~tx ~shards =
     max svc.clock (if Obs.Sink.on svc.sink then svc.sink.Obs.Sink.now else 0.)
   in
   let st, net, _ =
-    run_round ~keep:false ~sink:svc.sink ~at svc.cfg ~nodes ~coord
+    run_round ~keep:false ~sink:svc.sink ~at default ~nodes ~coord
       ~parts:shards ~tx
       ~seed:(Random.State.int svc.rng 0x3FFFFFFF)
       ~faults

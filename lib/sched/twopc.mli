@@ -115,15 +115,14 @@ type record = {
       (** per node, protocol inputs processed — the crash-placement
           index space used by {!universe} *)
   events : (float * Obs.Event.t) list;
-      (** the round's own trace (also emitted to the sink when given),
-          offset by [at] — the witness a violation replays. Only
+      (** the round's own trace (also emitted to the sink when given)
+          — the witness a violation replays. Only
           {!round} builds it: a service round ({!commit}) keeps no
           record *)
 }
 
 val round :
   ?sink:Obs.Sink.t ->
-  ?at:float ->
   config ->
   nodes:int ->
   coord:int ->
@@ -133,9 +132,8 @@ val round :
   faults:fault list ->
   unit ->
   record
-(** Run one commit round. [at] offsets the trace timestamps (the
-    sharded engine passes its driver clock so commit rounds land inside
-    the run's timeline); [seed] drives delivery jitter only —
+(** Run one commit round, its trace timestamped from [0.]. [seed]
+    drives delivery jitter only —
     with [jitter = 0.] a round is a deterministic function of its
     fault list. Raises [Invalid_argument] if [coord] or a participant
     is out of range, or a participant equals [coord]. *)
@@ -146,7 +144,6 @@ val check : record -> violation list
 (** AC1–AC5 over a finished round; empty = conforming. *)
 
 val universe :
-  ?repairs:float list ->
   config ->
   n_parts:int ->
   seed:int ->
@@ -155,8 +152,8 @@ val universe :
     [n_parts] participants plus coordinator ([coord = n_parts],
     [tx = 0]): the fault-free baseline, then every single-fault
     placement derived from the baseline's input counts (crashes at
-    every input of every involved node × every repair in [repairs] —
-    default one repair below and one above every timeout — plus every
+    every input of every involved node × two repairs, one below and one
+    above every timeout — plus every
     [Vote_no] and every timeout-forcing [Slow_link]). Each round is
     paired with its {!check} result. *)
 
@@ -192,14 +189,14 @@ type totals = {
 
 val service :
   ?sink:Obs.Sink.t ->
-  ?config:config ->
   ?crash_rate:float ->
   ?slow_rate:float ->
   ?seed:int ->
   shards:int ->
   unit ->
   service
-(** [crash_rate] is per involved node per round (coordinator included);
+(** A service runs every round under {!default}. [crash_rate] is per
+    involved node per round (coordinator included);
     [slow_rate] per participant link per round. Both default to [0.] —
     the no-fault service. A service round emits its events to [sink]
     only, and builds none while [sink] is off (the default): it

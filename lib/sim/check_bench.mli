@@ -10,7 +10,6 @@
 type spec = {
   txns : int;
   steps : int;      (** RMW steps per transaction; [2 * txns * steps] events *)
-  sessions : int;
   n_vars : int;
   seed : int;
   levels : Analysis.Checker.level list;
@@ -28,7 +27,8 @@ val default : spec
     steps on 40k variables over 8 sessions — one million events. *)
 
 val smoke : spec
-(** Tiny configuration for the CI smoke (8k events). *)
+(** Tiny configuration for the CI smoke (8k events). Both presets run
+    8 sessions. *)
 
 val run : spec -> row list
 (** One row per level, in {!Analysis.Checker.levels} order restricted

@@ -5,23 +5,14 @@ open Core
    sharded and parallel sections keeps only its sizes with n <= 256. *)
 type spec = {
   sizes : (int * int) list;  (* (n transactions, m steps) per cell *)
-  mixes : string list;
   n_vars : int;
   streams : int;  (* arrival streams per cell *)
   min_time : float;  (* per-cell time budget, seconds *)
-  seed : int;
   shard_ks : int list;
   shard_sizes : (int * int) list;
-  shard_mixes : string list;
   mv_sizes : (int * int) list;
-  mv_mixes : string list;
-  mv_samples : int;  (* Monte-Carlo samples behind each breadth *)
-  (* SGT vs the semantic engine on typed counter mixes — the hot and
-     skewed workloads where the commutativity table actually removes
-     conflict edges. *)
   sem_sizes : (int * int) list;
-  sem_mixes : string list;
-  sem_samples : int;
+  samples : int;  (* Monte-Carlo samples behind each admission breadth *)
   (* Each parallel variant runs one shard per domain (K = D), so d1 is
      the monolithic single-shard engine on one domain — the configuration
      a user without the parallel feature gets — and the sweep is the
@@ -30,7 +21,6 @@ type spec = {
      16x8 cell. *)
   par_domains : int list;
   par_sizes : (int * int) list;
-  par_mixes : string list;
   par_streams : int;
   (* Each rate drives [twopc_rounds] commit rounds through a
      [Sched.Twopc.service] over [twopc_parts] participants, with the
@@ -50,28 +40,25 @@ type row = {
   req_per_sec : float;
 }
 
+(* Seeds every cell's syntax and arrivals, every admission breadth and
+   the 2PC rounds, in both presets. *)
+let seed = 42
+
 let default =
   {
     sizes = [ (4, 4); (8, 8); (16, 8) ];
-    mixes = [ "uniform"; "hot"; "skewed" ];
     n_vars = 8;
     streams = 20;
     min_time = 0.2;
-    seed = 42;
     shard_ks = [ 1; 2; 4; 8 ];
     shard_sizes = [ (64, 2); (256, 2); (2048, 2) ];
-    shard_mixes = [ "disjoint"; "hot"; "skewed" ];
     mv_sizes = [ (4, 3); (6, 3); (8, 2) ];
-    mv_mixes = [ "rw-uniform"; "rw-hot"; "rw-readmost" ];
-    mv_samples = 200;
     sem_sizes = [ (4, 4); (8, 8); (16, 8) ];
-    sem_mixes = [ "ctr-hot"; "ctr-skewed" ];
-    sem_samples = 200;
+    samples = 200;
     par_domains = [ 1; 2; 4; 8 ];
     (* 2048x2 disjoint is the scaling cell; 256x2 keeps the contended
        mix affordable (same cap as the sharded section) *)
     par_sizes = [ (2048, 2); (256, 2) ];
-    par_mixes = [ "disjoint"; "hot" ];
     par_streams = 2;
     twopc_fault_rates = [ 0.; 0.05; 0.1; 0.2; 0.4 ];
     twopc_rounds = 400;
@@ -81,7 +68,6 @@ let default =
 (* Every section and mix of [default], at tiny sizes, in one pass. *)
 let smoke =
   {
-    default with
     sizes = [ (2, 2); (3, 2) ];
     n_vars = 3;
     streams = 2;
@@ -89,9 +75,8 @@ let smoke =
     shard_ks = [ 4 ];
     shard_sizes = [ (8, 2) ];
     mv_sizes = [ (3, 2) ];
-    mv_samples = 20;
     sem_sizes = [ (3, 2) ];
-    sem_samples = 20;
+    samples = 20;
     par_domains = [ 1; 2 ];
     par_sizes = [ (16, 2) ];
     par_streams = 1;
@@ -168,7 +153,7 @@ let cells spec ~mixes ~sizes ~cap ~salt ~streams =
       in
       List.map
         (fun (n, m) ->
-          let seed = [ spec.seed; Hashtbl.hash mix; n; m ] @ Option.to_list salt in
+          let seed = [ seed; Hashtbl.hash mix; n; m ] @ Option.to_list salt in
           let st = Random.State.make (Array.of_list seed) in
           let syntax = syntax_of_mix st ~mix ~n ~m ~n_vars:spec.n_vars in
           let fmt = Syntax.format syntax in
@@ -253,27 +238,28 @@ let sections (spec : spec) =
   [
     section "core"
       (List.map registered [ "serial"; "2PL"; "TO"; "SGT"; "SGT-ref" ])
-      spec.mixes spec.sizes
+      [ "uniform"; "hot"; "skewed" ] spec.sizes
       ~ratios:[ ratio "SGT" "SGT-ref" ];
     (* single-version SGT against the MV family on typed read/update
        mixes — the workloads where snapshot reads buy admission
        breadth *)
     section "mv"
       (List.map registered [ "SGT"; "MVCC"; "SI"; "SSI" ])
-      spec.mv_mixes spec.mv_sizes;
-    (* rw-SGT against the semantic engine on typed counter mixes —
-       identical machinery, the only delta being the {!Core.Commute}
-       filter on conflict edges *)
+      [ "rw-uniform"; "rw-hot"; "rw-readmost" ] spec.mv_sizes;
+    (* rw-SGT against the semantic engine on typed counter mixes — the
+       hot and skewed workloads where the commutativity table actually
+       removes conflict edges; identical machinery, the only delta being
+       the {!Core.Commute} filter on conflict edges *)
     section "semantic"
       (List.map registered [ "SGT"; "semantic" ])
-      spec.sem_mixes spec.sem_sizes
+      [ "ctr-hot"; "ctr-skewed" ] spec.sem_sizes
       ~ratios:[ ratio "semantic" "SGT" ];
     (* monolithic SGT against the sharded engine across K on
        partition-sensitive mixes: disjoint is the zero-coordination
        best case, hot and skewed keep the coordinator path timed *)
     section "sharded"
       (registered "SGT" :: List.map sharded spec.shard_ks)
-      spec.shard_mixes spec.shard_sizes ~cap:256
+      [ "disjoint"; "hot"; "skewed" ] spec.shard_sizes ~cap:256
       ~ratios:
         (List.map
            (fun k ->
@@ -284,7 +270,7 @@ let sections (spec : spec) =
        variant is reported against d1 — the wall-clock scaling curve *)
     section "parallel"
       (List.map parallel spec.par_domains)
-      spec.par_mixes spec.par_sizes ~cap:256 ~salt:0x9a7
+      [ "disjoint"; "hot" ] spec.par_sizes ~cap:256 ~salt:0x9a7
       ~streams:spec.par_streams
       ~ratios:
         (List.filter_map
@@ -369,7 +355,6 @@ type table = {
   mixes : string list;
   sizes : (int * int) list;
   salt : int;
-  samples : int;
   widths : int * int;  (* mix and scheduler columns of the text table *)
   columns : column list;
 }
@@ -394,10 +379,9 @@ let tables spec =
       {
         title = "commutativity admission (|P|/|H|, delays and commute passes):";
         engines = [ "SGT"; "semantic" ];
-        mixes = spec.sem_mixes;
+        mixes = [ "ctr-hot"; "ctr-skewed" ];
         sizes = spec.sem_sizes;
         salt = 0x5e6d;
-        samples = spec.sem_samples;
         widths = (12, 9);
         columns =
           [
@@ -420,10 +404,9 @@ let tables spec =
       {
         title = "multi-version admission (|P|/|H| and aborts):";
         engines = [ "SGT"; "MVCC"; "SI"; "SSI" ];
-        mixes = spec.mv_mixes;
+        mixes = [ "rw-uniform"; "rw-hot"; "rw-readmost" ];
         sizes = spec.mv_sizes;
         salt = 0x6d76;
-        samples = spec.mv_samples;
         widths = (10, 8);
         columns =
           [
@@ -456,7 +439,7 @@ let admission spec t =
           let breadth =
             Sched.Driver.zero_delay_fraction
               (fun () -> e.Sched.Registry.make c.syntax)
-              ~fmt:c.fmt ~samples:t.samples ~seed:spec.seed
+              ~fmt:c.fmt ~samples:spec.samples ~seed
           in
           let counts = Array.make (List.length t.columns) 0 in
           let emit _ ev =
@@ -514,7 +497,7 @@ let twopc_stats spec =
       (fun rate ->
         let svc =
           Sched.Twopc.service ~crash_rate:rate ~slow_rate:(rate /. 2.)
-            ~seed:spec.seed ~shards:spec.twopc_parts ()
+            ~seed ~shards:spec.twopc_parts ()
         in
         for tx = 0 to spec.twopc_rounds - 1 do
           ignore (Sched.Twopc.commit svc ~tx ~shards:parts)
@@ -550,7 +533,7 @@ let twopc_stats spec =
       (fun at_input ->
         let r =
           Sched.Twopc.round cfg ~nodes:(spec.twopc_parts + 1) ~coord ~parts
-            ~tx:0 ~seed:spec.seed
+            ~tx:0 ~seed
             ~faults:
               [ Sched.Twopc.Crash { node = coord; at_input; repair = cc_repair } ]
             ()
@@ -644,7 +627,7 @@ let to_json spec r =
   let admission name =
     let t, stats = List.assoc name r.admissions in
     [
-      ("samples", J.int t.samples);
+      ("samples", J.int spec.samples);
       ( "results",
         J.Arr
           (List.map
@@ -668,7 +651,7 @@ let to_json spec r =
              ("n_vars", J.int spec.n_vars);
              ("streams", J.int spec.streams);
              ("min_time", J.num "%g" spec.min_time);
-             ("seed", J.int spec.seed);
+             ("seed", J.int seed);
              ("shard_ks", J.Arr (List.map J.int spec.shard_ks));
            ] );
        ( "results",

@@ -181,10 +181,17 @@ let unknown_scheduler name =
 let registry_entry name =
   Option.to_result ~none:(unknown_scheduler name) (Sched.Registry.find name)
 
-(* writes [body] to [file] and returns the line that says so *)
+(* writes [body] to [file] and returns the line that says so; a file
+   that cannot be written is a usage error *)
 let write_file file body =
-  Out_channel.with_open_bin file (fun oc -> output_string oc body);
-  Printf.sprintf "wrote %s\n" file
+  match Out_channel.with_open_bin file (fun oc -> output_string oc body) with
+  | () -> Ok (Printf.sprintf "wrote %s\n" file)
+  | exception Sys_error m ->
+    (* an open failure's message already starts with the file name *)
+    let m =
+      if String.starts_with ~prefix:(file ^ ": ") m then m else file ^ ": " ^ m
+    in
+    Error ("ccopt: cannot write " ^ m)
 
 let ok stdout = { stdout; stderr = ""; code = 0 }
 
@@ -206,7 +213,7 @@ let output_report ~what out report =
   match (body, out) with
   | Error m, _ -> reply_of (Error m)
   | Ok body, None -> ok body
-  | Ok body, Some file -> ok (write_file file body)
+  | Ok body, Some file -> reply_of (Result.map ok (write_file file body))
 
 type request = { spec : spec; out : string option; json : bool }
 
@@ -236,15 +243,22 @@ let command { spec; out; json } =
           List.concat_map
             (fun run ->
               let file ext = prefix ^ "-" ^ run.slug ^ ext in
-              let chrome = write_file (file ".json") run.chrome in
               (* the machine-readable twin: an exact event log that
                  [ccopt check --trace] can replay *)
               let log = Obs.Event_log.to_string ~dropped:run.dropped run.events in
-              [ chrome; write_file (file ".events") log ])
+              [ (file ".json", run.chrome); (file ".events", log) ])
             runs
+      in
+      (* stops at the first file that cannot be written *)
+      let wrote =
+        List.fold_left
+          (fun acc (file, body) ->
+            Result.bind acc (fun lines ->
+                Result.map (( ^ ) lines) (write_file file body)))
+          (Ok "") files
       in
       let summary =
         if json then json_summary spec runs ^ "\n"
         else Format.asprintf "%a" pp_summary runs
       in
-      ok (String.concat "" files ^ summary)
+      reply_of (Result.map (fun wrote -> ok (wrote ^ summary)) wrote)

@@ -75,9 +75,10 @@ val registry_entry : string -> (Sched.Registry.entry, string) result
 val output_report :
   what:string -> string option -> [ `Text of string | `Json of Obs.Json.t ] ->
   reply
-(** Print a report, or with [Some file] write it there and say so. A
-    JSON report written over an existing file keeps the file's top-level
-    members it lacks, and must parse back (else exit 1). *)
+(** Print a report, or with [Some file] write it there and say so (exit
+    1 if the file cannot be written). A JSON report written over an
+    existing file keeps the file's top-level members it lacks, and must
+    parse back (else exit 1). *)
 
 type request = { spec : spec; out : string option; json : bool }
 
@@ -85,5 +86,5 @@ val command : request -> reply
 (** [ccopt trace]: {!execute} after checking [spec.only] against the
     registry (exit 1 on an unknown name), exit 1 on a trace-vs-stats
     mismatch or a malformed Chrome trace, else write
-    PREFIX-<slug>.json and .events for [out = Some PREFIX] and print
-    the summary. *)
+    PREFIX-<slug>.json and .events for [out = Some PREFIX] (exit 1 at
+    the first file that cannot be written) and print the summary. *)

@@ -39,8 +39,16 @@ let test_check () =
   golden "json_check_unknown.expected"
     (stdout 0 (check (fun r -> { r with budget = 1; json = true })))
 
+let trace ?(only = []) ?out label seed =
+  let spec =
+    { Sim.Trace_run.label; syntax = Analysis.Analyze.parse_syntax label; seed;
+      capacity = Sim.Trace_run.default_capacity; samples = 200; only }
+  in
+  Sim.Trace_run.command { spec; out; json = out = None }
+
 (* Every usage error of [ccopt check] exits 1 with its message, and a
-   well-formed request exits 0. *)
+   well-formed request exits 0; so does an unwritable --out of [ccopt
+   trace], [ccopt bench] and [ccopt check --bench], writing no file. *)
 let test_check_usage_errors () =
   let fails name needle (r : Sim.Trace_run.reply) =
     Alcotest.(check int) (name ^ ": exit code") 1 r.code;
@@ -68,6 +76,15 @@ let test_check_usage_errors () =
   Sys.remove garbage;
   fails "schedule of another syntax" "ccopt check: not a schedule of the syntax"
     (check (fun r -> { r with schedule = Some "0101" }));
+  (* ccopt trace --syntax xy,yx --out no-such-dir/p *)
+  fails "unwritable trace --out"
+    "ccopt: cannot write no-such-dir/p-serial.json: "
+    (trace ~out:"no-such-dir/p" "xy,yx" 42);
+  (* ccopt bench --json --out no-such-dir/b.json *)
+  fails "unwritable report --out" "ccopt: cannot write no-such-dir/b.json: "
+    (Sim.Trace_run.output_report ~what:"bench" (Some "no-such-dir/b.json")
+       (`Json (Obs.Json.Obj [])));
+  Alcotest.(check bool) "no file written" false (Sys.file_exists "no-such-dir");
   (* ccopt check --syntax xyz,zx,yz --scheduler sgt --seed 42 *)
   ignore (stdout 0 (check (fun r -> r)) : string)
 
@@ -81,13 +98,6 @@ let test_analyze () =
   in
   golden "json_analyze.expected"
     (Analysis.Report.to_json (Analysis.Analyze.run req) ^ "\n")
-
-let trace ?(only = []) ?out label seed =
-  let spec =
-    { Sim.Trace_run.label; syntax = Analysis.Analyze.parse_syntax label; seed;
-      capacity = Sim.Trace_run.default_capacity; samples = 200; only }
-  in
-  Sim.Trace_run.command { spec; out; json = out = None }
 
 (* ccopt trace --syntax xy,yx --seed 42 --json *)
 let test_trace_summary () =

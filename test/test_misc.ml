@@ -327,8 +327,9 @@ let test_bench_merge_committed () =
     (Option.bind merged (member "parallel") = committed)
 
 (* The smoke preset emits exactly the committed file's top-level members,
-   each with rows, and covers every mix of each section: a section gated
-   off, emptied or renamed fails here. *)
+   each with rows, covers every mix of each section, and reports the
+   preset's own settings: a section gated off, emptied or renamed, or a
+   setting that moves, fails here. *)
 let test_bench_smoke_members () =
   let module J = Obs.Json in
   let keys = function J.Obj kvs -> List.sort compare (List.map fst kvs) | _ -> [] in
@@ -378,7 +379,23 @@ let test_bench_smoke_members () =
     (match Option.bind (member "parallel" fresh) (member "speedup_vs_d1") with
     | Some (J.Obj kvs) ->
       List.exists (fun (k, _) -> String.ends_with ~suffix:"/d2" k) kvs
-    | _ -> false)
+    | _ -> false);
+  let value path =
+    List.fold_left (fun j k -> Option.bind j (member k)) (Some fresh) path
+    |> Option.fold ~none:"missing" ~some:(J.compact ~spaced:true)
+  in
+  Alcotest.(check string) "config"
+    {|{"n_vars": 3, "streams": 2, "min_time": 0, "seed": 42, "shard_ks": [4]}|}
+    (value [ "config" ]);
+  List.iter
+    (fun (path, v) ->
+      Alcotest.(check string) (String.concat "." path) v (value path))
+    [
+      ([ "mv_section"; "samples" ], "20");
+      ([ "semantic_section"; "samples" ], "20");
+      ([ "twopc"; "parts" ], "2");
+      ([ "twopc"; "rounds_per_rate" ], "20");
+    ]
 
 (* Every mix the bench names is one the generator accepts. *)
 let test_bench_mix_names () =

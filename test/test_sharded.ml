@@ -82,13 +82,17 @@ let test_partition () =
   check_true "mask subset"
     (p.Sched.Partition.mask.(1) land p.Sched.Partition.mask.(0)
     = p.Sched.Partition.mask.(1));
-  (* single-shard transactions have a home; empty transactions do not *)
+  (* a single-shard transaction's mask is the one bit of its shard; an
+     empty transaction touches no shard and is not cross-shard *)
   check_int "empty tx mask" 0 p.Sched.Partition.mask.(3);
-  check_int "empty tx home" (-1) p.Sched.Partition.home.(3);
-  check_true "T1 single-shard"
-    ((not p.Sched.Partition.cross.(1)) && p.Sched.Partition.home.(1) >= 0);
-  check_true "T2 single-shard (one variable twice)"
-    ((not p.Sched.Partition.cross.(2)) && p.Sched.Partition.home.(2) >= 0);
+  check_true "empty tx not cross" (not p.Sched.Partition.cross.(3));
+  let single tx =
+    (not p.Sched.Partition.cross.(tx))
+    && p.Sched.Partition.mask.(tx)
+       = 1 lsl p.Sched.Partition.shard_of_step.(tx).(0)
+  in
+  check_true "T1 single-shard" (single 1);
+  check_true "T2 single-shard (one variable twice)" (single 2);
   (* members lists are ascending and agree with local_id *)
   Array.iteri
     (fun s ms ->
