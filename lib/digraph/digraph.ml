@@ -262,11 +262,14 @@ module Acyclic = struct
     mutable mark_ep : int; (* negative, so it never meets an epoch *)
     mutable hit : int;   (* the vertex the last [true] search stopped at *)
     mutable n_marked : int; (* how many the last marking search put in [parent] *)
-    (* the last clear [closes_cycle_any_of]: its epoch, target and bound;
+    (* the last clear [closes_cycle_any_of] or [reaches_any]: its epoch,
+       target (-1 for [reaches_any]) and bound, and [reaches_any]'s lists;
        [clear <> epoch] once anything searched or changed the graph *)
     mutable clear : int;
     mutable clear_target : int;
     mutable clear_ub : int;
+    mutable clear_from : int list;
+    mutable clear_to : int list;
   }
 
   let create nv =
@@ -290,6 +293,8 @@ module Acyclic = struct
       clear = -1;
       clear_target = -1;
       clear_ub = -1;
+      clear_from = [];
+      clear_to = [];
     }
 
   let n_vertices g = g.nv
@@ -537,7 +542,9 @@ module Acyclic = struct
   (* Targets are marked as [want] with nothing excluded and no vertex
      equal to [-1]. One seen set serves every source: a vertex an earlier
      source explored without reaching a target cannot reach one from a
-     later source. *)
+     later source. A clear answer leaves its epoch, bound and lists for
+     [add_edges_vetted], with target -1, which no [add_edges_vetted_of]
+     asks for. *)
   let reaches_any g ~sources ~targets =
     g.epoch <- g.epoch + 1;
     let ep = g.epoch in
@@ -545,6 +552,14 @@ module Acyclic = struct
       mark_sources g ep ~excluding:(-1) ~target:(-1) ~all:true (-1) targets
     in
     search_from g ep bound sources
+    || begin
+      g.clear <- ep;
+      g.clear_target <- -1;
+      g.clear_ub <- bound;
+      g.clear_from <- sources;
+      g.clear_to <- targets;
+      false
+    end
 
   let last_path g =
     let rec up v acc = if v < 0 then acc else up g.parent.(v) (v :: acc) in
@@ -699,6 +714,25 @@ module Acyclic = struct
       true
     end
     else add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~chain ~target
+
+  (* The search [add_edges_acyclic] would run is the recorded
+     [reaches_any]'s, from the targets to the sources: the same marks on
+     the sources, the same bound, and a search from every target that,
+     finding nothing, stamps the same vertices whatever the order. So
+     only its rotation and links run. The lists are the very ones that
+     search read, so no other search can pass for it. *)
+  let add_edges_vetted g ~sources ~targets =
+    if
+      g.clear = g.epoch && g.clear_target = -1 && g.clear_from == targets
+      && g.clear_to == sources
+    then begin
+      let lb = low_slot g g.clear max_int targets and ub = g.clear_ub in
+      if ub >= lb then rotate g g.clear lb ub;
+      g.hit <- -1;
+      link_targets g sources targets;
+      true
+    end
+    else add_edges_acyclic g ~sources ~targets
 
   (* [u -> m] puts [u] before [m], and [m] before each of its successors,
      so the order already holds every new edge: nothing is searched. *)

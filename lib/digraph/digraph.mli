@@ -127,6 +127,17 @@ module Acyclic : sig
       of [targets]; an edge already present, or repeated in the batch,
       is inserted once, at its first occurrence. *)
 
+  val add_edges_vetted : t -> sources:int list -> targets:int list -> bool
+  (** {!add_edges_acyclic}, reusing the search of the last clear
+      {!reaches_any}: when that was [reaches_any g ~sources:targets
+      ~targets:sources], on these very lists (physically equal), and
+      nothing has searched or changed [g] since, only the rotation and
+      the links run, and leave the graph, its out-array order and its
+      topological order exactly as the full insertion would. Any query
+      or insertion, any link and any removal in between voids the
+      record, and the full insertion runs. A marking search keeps it,
+      as for {!add_edges_vetted_of}. *)
+
   val add_edges_acyclic_of :
     t ->
     excluding:int ->
@@ -277,7 +288,8 @@ module Acyclic : sig
       [t → s], [t ∈ targets], [s ∈ sources], close a cycle? One search
       from all sources, sharing one seen set and bounded by the
       targets' topological-order window. Either list empty: [false].
-      Pure query; nothing is allocated. *)
+      Pure query; nothing is allocated. A [false] answer leaves the
+      record {!add_edges_vetted} reads. *)
 
   val last_path : t -> int list
   (** The path behind the most recent [true] answer of

@@ -4,11 +4,13 @@ open Core
 
     A partition assigns every variable of a syntax to one of [shards]
     shards by a deterministic hash, and precomputes everything the
-    {!Sharded} engine needs on its integer-only hot path: the shard and
-    shard-local variable id of every step, each transaction's shard
-    bitmask, shard membership lists, and a dense numbering of the
-    {e cross-shard} transactions (those touching two or more shards) for
-    the coordinator graph.
+    {!Sharded} engine needs on its integer-only hot path: the shard of
+    every variable id, each transaction's shard bitmask, shard
+    membership lists, and a dense numbering of the {e cross-shard}
+    transactions (those touching two or more shards) for the coordinator
+    graph. It costs per variable and per transaction, never per step: a
+    step's shard is [shard_of_var.(ids.(tx).(idx))], read through the
+    syntax's own id rows.
 
     Because a conflict edge joins two accessors of the {e same}
     variable, every conflict edge lives in exactly one shard; a
@@ -20,12 +22,13 @@ open Core
 type t = {
   shards : int;  (** number of shards K, [1 <= K <= 62] *)
   n : int;  (** number of transactions *)
-  shard_of_step : int array array;
-      (** [shard_of_step.(tx).(idx)]: the shard owning that step's
-          variable *)
-  lvar_of_step : int array array;
-      (** shard-local variable id of the step: a shard's variables are
-          numbered by first use in step order *)
+  shard_of_var : int array;
+      (** [shard_of_var.(v)]: the shard owning variable id [v]
+          ({!Core.Syntax.var_ids}) *)
+  ids : int array array;
+      (** the syntax's own variable-id rows ({!Core.Syntax.var_ids}),
+          kept, not copied: step [idx] of [tx] is in shard
+          [shard_of_var.(ids.(tx).(idx))] *)
   mask : int array;
       (** per-transaction bitmask of touched shards (bit [s] set iff the
           transaction accesses a variable of shard [s]); [0] for an
@@ -41,7 +44,6 @@ type t = {
   local_id : int array array;
       (** [local_id.(s).(tx)]: shard-local id of [tx] in shard [s];
           [-1] if [tx] does not touch [s] *)
-  n_lvars : int array;  (** distinct variables per shard *)
 }
 
 val shard_of_var : shards:int -> Names.var -> int
@@ -50,7 +52,8 @@ val shard_of_var : shards:int -> Names.var -> int
 val make : syntax:Syntax.t -> shards:int -> t
 (** Reads the syntax's variable ids ({!Core.Syntax.var_ids}): each
     distinct variable's name is hashed once, for its shard, and every
-    per-step field is filled from int arrays indexed by id. Raises
+    per-transaction field is filled by counting loops over the id rows,
+    with nothing allocated per step. Raises
     [Invalid_argument] unless [1 <= shards <= 62] (shard sets are
     represented as bits of one OCaml [int]). *)
 

@@ -72,21 +72,25 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      the home shard is a zero global in-degree, exactly the {!Sgt}
      argument. A cross-shard transaction's shard-local in-degree says
      nothing about its edges elsewhere, and dropping its accessor entries
-     would lose summary paths. A cross-shard transaction's steps
-     elsewhere name other shards' local variables, which a kernel never
-     reads: it reads a step's variable only when the step is asked of or
-     granted in it, and removal walks the entries a transaction holds.
-     So each kernel is sized for its own shard's variables. *)
-  let lvars = p.Partition.lvar_of_step in
+     would lose summary paths. Each kernel reads its members' rows of the
+     syntax's own variable ids, as {!Sgt}'s reads them all, and is sized
+     for every variable of the syntax: a kernel reads a step's variable
+     only when the step is asked of or granted in it, so the other
+     shards' variables keep empty accessor lists there. Nothing is
+     numbered or copied per step. *)
+  let n_vars = Syntax.n_vars syntax in
   let kernel =
     Array.init shards (fun s ->
         let mem = p.Partition.members.(s) in
-        (* not [Array.map]: see [shards_of_tx] *)
+        (* filled in place: [Array.init] over more than 256 members would
+           start from a young row and force a minor collection *)
         let var_of_step = Array.make (Array.length mem) [||] in
-        Array.iteri (fun l g -> var_of_step.(l) <- lvars.(g)) mem;
+        for l = 0 to Array.length mem - 1 do
+          var_of_step.(l) <- p.Partition.ids.(mem.(l))
+        done;
         Cgraph.create ~sink ~ids:mem
           ~prunable:(fun l -> not p.Partition.cross.(mem.(l)))
-          ~n_vars:p.Partition.n_lvars.(s) ~var_of_step ())
+          ~n_vars ~var_of_step ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an
@@ -99,11 +103,16 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      single-shard transaction: the cross-shard transactions present in a
      shard are the only candidate endpoints of summary edges discovered
      in it *)
-  let coord =
-    Array.map (Array.map (fun g -> p.Partition.cross_id.(g)))
-      p.Partition.members
-  in
-  let has_cross = Array.map (Array.exists (fun c -> c >= 0)) coord in
+  let coord = Array.make shards [||] and has_cross = Array.make shards false in
+  for s = 0 to shards - 1 do
+    let mem = p.Partition.members.(s) in
+    let c = Array.make (Array.length mem) (-1) in
+    for l = 0 to Array.length mem - 1 do
+      c.(l) <- p.Partition.cross_id.(mem.(l));
+      if c.(l) >= 0 then has_cross.(s) <- true
+    done;
+    coord.(s) <- c
+  done;
   (* Delay cache: {!Cgraph.refusals} over global ids. A refusal's
      witness is the path that made it: a kernel refusal's shard path
      [l ~> u], or a summary refusal's [l ~> b] in the shard, [b ~> a] in
@@ -202,7 +211,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let attempt (id : Names.step_id) =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
-    let s = p.Partition.shard_of_step.(tx).(idx) in
+    let s = p.Partition.shard_of_var.(p.Partition.ids.(tx).(idx)) in
     let k = kernel.(s) in
     let l = p.Partition.local_id.(s).(tx) in
     if blocked.(tx) = idx then Scheduler.Delay
@@ -236,22 +245,26 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let commit (id : Names.step_id) =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
-    let s = p.Partition.shard_of_step.(tx).(idx) in
+    let s = p.Partition.shard_of_var.(p.Partition.ids.(tx).(idx)) in
     let l = p.Partition.local_id.(s).(tx) in
     (* discover summary edges against the pre-extension graph: the new
        paths are exactly A x B, and [attempt] vetted them against the
        summary graph. One insertion adds them all, each source's edges
-       in the order of B, with one rotation of the summary order. *)
+       in the order of B, with one rotation of the summary order; after
+       [attempt]'s clear search it rotates by that search's marks and
+       searches nothing. *)
     (match cgraph with
     | None -> ()
     | Some cg ->
-      let aa, bb =
-        if last.tx = tx && last.idx = idx then (last.a, last.b)
-        else summary_candidates s l idx
+      let added =
+        if last.tx = tx && last.idx = idx then
+          Digraph.Acyclic.add_edges_vetted cg ~sources:last.a ~targets:last.b
+        else
+          let aa, bb = summary_candidates s l idx in
+          Digraph.Acyclic.add_edges_acyclic cg ~sources:aa ~targets:bb
       in
       forget last;
-      if not (Digraph.Acyclic.add_edges_acyclic cg ~sources:aa ~targets:bb)
-      then
+      if not added then
         failwith
           "Sched.Sharded: the summary edges of a grant close a cycle, \
            breaking the invariant that attempt vetted them");

@@ -4,7 +4,9 @@ open Core
 
     Variables are partitioned across K shards ({!Partition}); each shard
     runs the incremental SGT admission test of {!Sgt} on its own private
-    conflict graph over shard-local transaction ids. Because every
+    conflict graph over shard-local transaction ids, reading its
+    members' rows of the syntax's own variable ids as {!Sgt} reads
+    them all. Because every
     conflict edge joins two accessors of one variable, every edge lives
     in exactly one shard, and a request from a {e single-shard}
     transaction is decided entirely inside its home shard — no shared
@@ -23,9 +25,11 @@ open Core
     marking search in the shard find the candidate summary edges, and
     one {!Digraph.Acyclic.reaches_any} search tests them all against
     the summary graph. [commit] inserts the edges its granting
-    [attempt] found, and the shard kernel's insertion reuses that
-    attempt's refusal search: the marking searches in between leave its
-    record ({!Digraph.Acyclic.add_edges_vetted_of}). Summary edges are
+    [attempt] found, and both insertions reuse that attempt's searches:
+    the shard kernel's its refusal search, as the marking searches in
+    between leave its record ({!Digraph.Acyclic.add_edges_vetted_of}),
+    and the summary graph's its {!Digraph.Acyclic.reaches_any}
+    ({!Digraph.Acyclic.add_edges_vetted}). Summary edges are
     kept until an endpoint aborts (a conservative superset — stale paths
     can only over-delay, never admit a cycle).
 

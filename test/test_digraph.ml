@@ -1138,6 +1138,106 @@ let prop_vetted_link =
           && same_graph a f)
         steps)
 
+(* The list form: per step, a [reaches_any] from a list B to a list A
+   on two copies of the same graph; when it is clear, one op in between,
+   then [add_edges_vetted] of A x B on one copy and [add_edges_acyclic]
+   on the other. The answers, a refusal's [last_path], the edges, the
+   out-array order and the topological order agree. In between: nothing,
+   the same search again, or a marking search (the record stands), or a
+   cycle query, a search over other lists (fresh ones, equal in value
+   when [Reach] names the same vertices), an edge insertion, an edge
+   removal or a vertex removal (each voids it). A removal picks what the
+   search reached inside its window, so that reusing the search would
+   move the order. *)
+let vetted_list_gen =
+  QCheck.Gen.(
+    witness_gen >>= fun c ->
+    let v = int_range 0 (c.wn - 1) in
+    let vs = list_size (int_range 1 3) v in
+    let op =
+      frequency
+        [
+          (1, return Nothing);
+          (1, return Again);
+          (1, map (fun u -> Query u) v);
+          (1, map (fun u -> Mark_fwd u) v);
+          (1, map2 (fun u w -> Reach (u, w)) v v);
+          (2, map2 (fun u w -> Link (u, w)) v v);
+          (3, map (fun i -> Unlink i) small_nat);
+          (3, map (fun i -> Drop i) small_nat);
+        ]
+    in
+    list_size (int_range 1 20) (triple vs vs op) >>= fun steps ->
+    return (c, steps))
+
+let print_vetted_list (c, steps) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "%s steps=%s" (print_witness_case c)
+    (String.concat ", "
+       (List.map
+          (fun (aa, bb, op) ->
+            Printf.sprintf "[%s]x[%s] after %s" (ints aa) (ints bb)
+              (print_between op))
+          steps))
+
+let prop_vetted_list =
+  QCheck.Test.make ~name:"a vetted list insertion equals the full insertion"
+    ~count:1000
+    (QCheck.make ~print:print_vetted_list vetted_list_gen)
+    (fun (c, steps) ->
+      let a, _, _ = build_witness c and f, _, _ = build_witness c in
+      (* the vertices the search from [bb] reaches inside its window:
+         slots up to the highest of [aa] *)
+      let reached g aa bb =
+        let pos = Array.make c.wn 0 in
+        Array.iteri (fun i u -> pos.(u) <- i) (A.topological_order g);
+        let ub = List.fold_left (fun m s -> max m pos.(s)) (-1) aa in
+        let seen = Array.make c.wn false in
+        let rec go u =
+          if (not seen.(u)) && pos.(u) <= ub then begin
+            seen.(u) <- true;
+            A.iter_succ g u go
+          end
+        in
+        List.iter go bb;
+        fun u -> seen.(u)
+      in
+      let between aa bb g = function
+        | Nothing | Mark_bwd -> ()
+        | Again -> ignore (A.reaches_any g ~sources:bb ~targets:aa)
+        | Query u -> ignore (A.closes_cycle g u u)
+        | Mark_fwd u -> A.mark_reachable g u
+        | Reach (u, w) -> ignore (A.reaches_any g ~sources:[ u ] ~targets:[ w ])
+        | Link (u, w) -> ignore (A.add_edge_acyclic g u w)
+        | Unlink i -> (
+          let r = reached g aa bb in
+          match List.filter (fun (u, w) -> r u && r w) (A.edges g) with
+          | [] -> ()
+          | es ->
+            let u, w = List.nth es (i mod List.length es) in
+            A.remove_edge g u w)
+        | Drop i -> (
+          let r = reached g aa bb in
+          match List.filter r (List.init c.wn Fun.id) with
+          | [] -> ()
+          | vs -> A.remove_vertex g (List.nth vs (i mod List.length vs)))
+      in
+      List.for_all
+        (fun (aa, bb, op) ->
+          let clear_a = not (A.reaches_any a ~sources:bb ~targets:aa)
+          and clear_f = not (A.reaches_any f ~sources:bb ~targets:aa) in
+          clear_a = clear_f
+          && ((not clear_a)
+             || begin
+               between aa bb a op;
+               between aa bb f op;
+               let x = A.add_edges_vetted a ~sources:aa ~targets:bb
+               and y = A.add_edges_acyclic f ~sources:aa ~targets:bb in
+               x = y && (x || A.last_path a = A.last_path f)
+             end)
+          && same_graph a f)
+        steps)
+
 let suite =
   [
     Alcotest.test_case "basic ops" `Quick test_basic;
@@ -1169,4 +1269,5 @@ let suite =
         prop_witness_order_free;
         prop_head_read;
         prop_vetted_link;
+        prop_vetted_list;
       ]

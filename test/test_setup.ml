@@ -1,9 +1,9 @@
 (* Engine set-up: the syntax's interned variable ids and what the
    engines build from them. A pool-built syntax is the syntax
-   [Syntax.make] builds over the same names; [Partition.make] numbers
-   shards and shard-local variables as a per-shard string table would;
-   and building an engine, or drawing a batch's arrival order, allocates
-   no more than its pinned ceiling. *)
+   [Syntax.make] builds over the same names; [Partition.make] assigns
+   shards as a string table would, and allocates nothing per step; and
+   building an engine, or drawing a batch's arrival order, allocates no
+   more than its pinned ceiling. *)
 
 open Util
 open Core
@@ -158,31 +158,48 @@ let test_generators_equal_make () =
         ("disjoint", disjoint ~n:300 ~m:2);
       ]
 
-(* The partition as one string table per shard built it, step by step:
-   the reference [Partition.make] must match. *)
+(* The partition as a step-by-step reference builds it: each step's
+   shard looked up by name in a string table, hashed at the name's first
+   use, each transaction's mask from its steps' shards, and the member
+   lists, shard-local ids and cross ids by searching those in
+   transaction order. [Partition.make] must match. *)
 let reference_partition syntax shards =
   let fmt = Syntax.format syntax in
-  let tbls = Array.init shards (fun _ -> Hashtbl.create 16) in
-  let n_lvars = Array.make shards 0 in
-  let shard_of_step = Array.map (fun m -> Array.make m 0) fmt in
-  let lvar_of_step = Array.map (fun m -> Array.make m 0) fmt in
-  Array.iteri
-    (fun i m ->
-      for j = 0 to m - 1 do
-        let v = Syntax.var syntax (Names.step i j) in
-        let s = Hashtbl.hash v mod shards in
-        shard_of_step.(i).(j) <- s;
-        lvar_of_step.(i).(j) <-
-          (match Hashtbl.find_opt tbls.(s) v with
-          | Some k -> k
-          | None ->
-            let k = n_lvars.(s) in
-            Hashtbl.add tbls.(s) v k;
-            n_lvars.(s) <- k + 1;
-            k)
-      done)
-    fmt;
-  (shard_of_step, lvar_of_step, n_lvars)
+  let tbl = Hashtbl.create 16 in
+  let shard v =
+    match Hashtbl.find_opt tbl v with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.hash v mod shards in
+      Hashtbl.add tbl v s;
+      s
+  in
+  let shard_of_step =
+    Array.mapi
+      (fun i m -> Array.init m (fun j -> shard (Syntax.var syntax (Names.step i j))))
+      fmt
+  in
+  let mask =
+    Array.map (Array.fold_left (fun m s -> m lor (1 lsl s)) 0) shard_of_step
+  in
+  let touches s i = mask.(i) land (1 lsl s) <> 0 in
+  let txs = List.init (Array.length fmt) Fun.id in
+  let shard_ids = List.init shards Fun.id in
+  let members =
+    Array.of_list
+      (List.map (fun s -> Array.of_list (List.filter (touches s) txs)) shard_ids)
+  in
+  let index_in a i =
+    Option.value ~default:(-1) (Array.find_index (Int.equal i) a)
+  in
+  let local_id =
+    Array.map (fun mem -> Array.of_list (List.map (index_in mem) txs)) members
+  in
+  let n_touched i = List.length (List.filter (fun s -> touches s i) shard_ids) in
+  let cross = Array.of_list (List.map (fun i -> n_touched i > 1) txs) in
+  let crossing = Array.of_list (List.filter (fun i -> cross.(i)) txs) in
+  let cross_id = Array.of_list (List.map (index_in crossing) txs) in
+  (shard_of_step, mask, cross, cross_id, members, local_id)
 
 let prop_partition_reference =
   QCheck.Test.make ~name:"Partition.make matches a string-table reference"
@@ -195,12 +212,15 @@ let prop_partition_reference =
       List.for_all
         (fun shards ->
           let p = Sched.Partition.make ~syntax ~shards in
-          let shard_of_step, lvar_of_step, n_lvars =
+          let shard_of_step, mask, cross, cross_id, members, local_id =
             reference_partition syntax shards
           in
-          p.Sched.Partition.shard_of_step = shard_of_step
-          && p.Sched.Partition.lvar_of_step = lvar_of_step
-          && p.Sched.Partition.n_lvars = n_lvars)
+          let open Sched.Partition in
+          Array.map (Array.map (Array.get p.shard_of_var)) p.ids
+          = shard_of_step
+          && p.mask = mask && p.cross = cross && p.cross_id = cross_id
+          && p.n_cross = Array.fold_left max (-1) cross_id + 1
+          && p.members = members && p.local_id = local_id)
         [ 1; 2; 4; 8 ])
 
 (* ---------- allocation ceilings ---------- *)
@@ -217,13 +237,17 @@ let build_words make syntax =
   (Gc.minor_words () -. before) /. 100.
 
 (* The bench shapes: 16x8 hot spots and 64x2 zipf mixes, untyped for SGT
-   and the sharded engine (K = 4), counter bumps for the semantic one.
-   Each ceiling is about 10% over what a build allocates on OCaml 5.1,
-   and below what it allocated while the engines interned names through
-   string tables (in brackets): 532 [1475], 758 [2625] and 2182 [2883]
-   words at 16x8; 1300 [2627], 1622 [4209] and 4801 [5373] at 64x2. The
-   semantic builds allocated 1687 and 2887 words while the class compile
-   looked each step's op up through [Syntax.kind] and built lists. *)
+   and the sharded engine (K = 4, and K = 1 at 64x2), counter bumps for
+   the semantic one. Each ceiling is about 10% over what a build
+   allocates on OCaml 5.1, and below what it allocated while the engines
+   interned names through string tables (in brackets): 532 [1475], 758
+   [2625] and 1550 [2883] words at 16x8; 1300 [2627], 1622 [4209], 3305
+   [5373] and 1857 at 64x2. The semantic builds allocated 1687 and 2887
+   words while the class compile looked each step's op up through
+   [Syntax.kind] and built lists. The sharded builds allocated 2159,
+   4730 and 3250 words while the partition built a shard row and a
+   shard-local variable row per transaction and each kernel was sized
+   for its own variables; the K = 4 64x2 ceiling is held at 3500. *)
 let ceilings =
   let st () = rng 0x5E7 in
   let hot = Sim.Workload.hotspot (st ()) ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 in
@@ -238,14 +262,15 @@ let ceilings =
   in
   let sgt syntax = Sched.Sgt.create ~syntax () in
   let semantic syntax = Sched.Semantic.create ~syntax () in
-  let sharded syntax = Sched.Sharded.create ~shards:4 ~syntax () in
+  let sharded shards syntax = Sched.Sharded.create ~shards ~syntax () in
   [
     ("sgt 16x8", sgt, hot, 600.);
     ("semantic 16x8", semantic, bumps, 830.);
-    ("sharded 16x8", sharded, hot, 2400.);
+    ("sharded 16x8", sharded 4, hot, 1700.);
     ("sgt 64x2", sgt, zipf, 1450.);
     ("semantic 64x2", semantic, zipf_bumps, 1800.);
-    ("sharded 64x2", sharded, zipf, 5200.);
+    ("sharded 64x2", sharded 4, zipf, 3500.);
+    ("sharded K=1 64x2", sharded 1, zipf, 2050.);
   ]
 
 let test_setup_allocation () =
@@ -255,7 +280,43 @@ let test_setup_allocation () =
       if w > limit then
         Alcotest.failf "%s: %.0f minor words per build (ceiling %.0f)" name w
           limit)
-    ceilings
+    ceilings;
+  (* One shard runs SGT's kernel on SGT's rows: the rest of the build
+     (partition, the one shard's member rows, the delay cache's wiring)
+     costs per transaction, 558 words over SGT's here. *)
+  let zipf = Sim.Workload.zipf (rng 0x5E7) ~n:64 ~m:2 ~n_vars:8 ~s:1.2 in
+  let sgt = build_words (fun syntax -> Sched.Sgt.create ~syntax ()) zipf in
+  let k1 =
+    build_words (fun syntax -> Sched.Sharded.create ~shards:1 ~syntax ()) zipf
+  in
+  if k1 -. sgt > 600. then
+    Alcotest.failf "sharded K=1 64x2: %.0f minor words over SGT's (at most 600)"
+      (k1 -. sgt)
+
+(* [Partition.make] costs per variable and per transaction, never per
+   step: on two hot-spot syntaxes of 16 transactions over the same 8
+   variables, each transaction touching the same variables in both, one
+   of 2 steps a transaction and one of 8, it allocates the same words.
+   Each transaction reads the hot variable and one other, alternately,
+   once at 16x2 and four times at 16x8. *)
+let test_partition_per_step () =
+  let pool = Array.init 8 (Printf.sprintf "v%d") in
+  let hot m =
+    Syntax.init pool (Array.make 16 m) (fun i j ->
+        if j mod 2 = 0 then 0 else 1 + (i mod 7))
+  in
+  let short = hot 2 and long = hot 8 in
+  check_int "same n_vars" (Syntax.n_vars short) (Syntax.n_vars long);
+  List.iter
+    (fun shards ->
+      let words syntax =
+        build_words (fun syntax -> Sched.Partition.make ~syntax ~shards) syntax
+      in
+      let w2 = words short and w8 = words long in
+      if w2 <> w8 then
+        Alcotest.failf "K=%d: %.0f minor words at 16x2, %.0f at 16x8" shards
+          w2 w8)
+    [ 1; 4; 8 ]
 
 (* The arrival draw allocates its output and its Fenwick tree
    ([size + 1] slots, [size] the power of two at or above n) and nothing
@@ -284,6 +345,8 @@ let suite =
         test_generators_equal_make;
       Alcotest.test_case "engine set-up allocation ceilings" `Quick
         test_setup_allocation;
+      Alcotest.test_case "Partition.make allocates nothing per step" `Quick
+        test_partition_per_step;
       Alcotest.test_case "arrival draw allocation ceilings" `Quick
         test_arrivals_allocation;
     ]

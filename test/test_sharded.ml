@@ -65,18 +65,27 @@ let syntax_of_fmt ~n_vars ~seed fmt =
 
 (* ---------- partition ---------- *)
 
+(* A step's shard, read as the engine reads it: through the syntax's id
+   rows the partition keeps. *)
+let step_shard (p : Sched.Partition.t) tx idx =
+  p.Sched.Partition.shard_of_var.(p.Sched.Partition.ids.(tx).(idx))
+
 let test_partition () =
   let syntax =
     Syntax.of_lists [ [ "x"; "y" ]; [ "y" ]; [ "z"; "z" ]; [] ]
   in
   let p = Sched.Partition.make ~syntax ~shards:4 in
   check_int "n" 4 p.Sched.Partition.n;
+  check_true "keeps the syntax's id rows, uncopied"
+    (p.Sched.Partition.ids == Syntax.var_ids syntax);
+  check_int "one shard per variable id" (Syntax.n_vars syntax)
+    (Array.length p.Sched.Partition.shard_of_var);
   (* the hash is deterministic: recompute and compare every step *)
   List.iter
     (fun ({ Names.tx; idx } as id) ->
       check_int "step shard"
         (Sched.Partition.shard_of_var ~shards:4 (Syntax.var syntax id))
-        p.Sched.Partition.shard_of_step.(tx).(idx))
+        (step_shard p tx idx))
     (Syntax.steps syntax);
   (* T0 touches x and y; T1 only y: T1's mask is a subset of T0's *)
   check_true "mask subset"
@@ -89,7 +98,7 @@ let test_partition () =
   let single tx =
     (not p.Sched.Partition.cross.(tx))
     && p.Sched.Partition.mask.(tx)
-       = 1 lsl p.Sched.Partition.shard_of_step.(tx).(0)
+       = 1 lsl step_shard p tx 0
   in
   check_true "T1 single-shard" (single 1);
   check_true "T2 single-shard (one variable twice)" (single 2);
@@ -109,6 +118,17 @@ let test_partition () =
     |> List.length
   in
   check_int "n_cross" crosses p.Sched.Partition.n_cross;
+  let next = ref 0 in
+  Array.iteri
+    (fun tx c ->
+      check_true "cross iff two or more shard bits"
+        (c = (p.Sched.Partition.mask.(tx) land (p.Sched.Partition.mask.(tx) - 1) <> 0));
+      if c then begin
+        check_int "cross ids ascending" !next p.Sched.Partition.cross_id.(tx);
+        incr next
+      end
+      else check_int "no cross id" (-1) p.Sched.Partition.cross_id.(tx))
+    p.Sched.Partition.cross;
   check_true "K bounds enforced"
     ((try
         ignore (Sched.Partition.make ~syntax ~shards:0);
@@ -296,9 +316,7 @@ let test_shard_routed_events () =
   check_true "routed events present" (routed <> []);
   List.iter
     (fun (tx, idx, shard) ->
-      check_int "routed to the owning shard"
-        p.Sched.Partition.shard_of_step.(tx).(idx)
-        shard)
+      check_int "routed to the owning shard" (step_shard p tx idx) shard)
     routed
 
 (* ---------- K > 1 decisions, pinned ---------- *)
