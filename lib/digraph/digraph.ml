@@ -347,10 +347,10 @@ module Acyclic = struct
   let topological_order g = Array.copy g.back
 
   (* The search workers live at module level and take all state as
-     arguments: one [closes_cycle_any] call allocates nothing, not even
-     closures. Each first visit links the vertex to the one it was
-     reached from ([p], -1 at a root), so a [true] answer leaves its path
-     in [parent], ending at [hit]. *)
+     arguments: one search allocates nothing, not even closures. Each
+     first visit links the vertex to the one it was reached from ([p], -1
+     at a root), so a [true] answer leaves its path in [parent], ending
+     at [hit]. *)
   let rec dfs g ep bound p w =
     if g.seen.(w) = ep then false
     else begin
@@ -431,18 +431,9 @@ module Acyclic = struct
   (* Because the maintained order is topological, every edge strictly
      increases [ord]; any path from [target] back to a source therefore
      stays inside the window [ord target, max ord source], which is what
-     bounds the search. *)
-  let closes_cycle_any ?(excluding = -1) g ~sources ~target =
-    check g target;
-    g.epoch <- g.epoch + 1;
-    let ep = g.epoch in
-    let bound = mark_sources g ep ~excluding ~target ~all:true (-1) sources in
-    if bound = max_int then self_loop g target
-    else bound >= g.ord.(target) && dfs g ep bound (-1) target
-
-  (* A clear answer leaves its epoch, target and bound for
-     [add_edges_vetted_of]; the marks the rotation needs are its DFS's
-     [seen] stamps. *)
+     bounds the search. A clear answer leaves its epoch, target and bound
+     for [add_edges_vetted_of]; the marks the rotation needs are its
+     DFS's [seen] stamps. *)
   let closes_cycle_any_of g ~excluding ~lists ~base ~pick ~chain ~target =
     check g target;
     g.epoch <- g.epoch + 1;
@@ -459,8 +450,6 @@ module Acyclic = struct
       g.clear_ub <- bound;
       false
     end
-
-  let closes_cycle g u v = closes_cycle_any g ~sources:[ u ] ~target:v
 
   (* Marking searches stamp [want] with a fresh mark epoch, which
      [marked] reads back, and list what they mark in [parent], which no
@@ -543,7 +532,7 @@ module Acyclic = struct
      equal to [-1]. One seen set serves every source: a vertex an earlier
      source explored without reaching a target cannot reach one from a
      later source. A clear answer leaves its epoch, bound and lists for
-     [add_edges_vetted], with target -1, which no [add_edges_vetted_of]
+     [add_edges_acyclic], with target -1, which no [add_edges_vetted_of]
      asks for. *)
   let reaches_any g ~sources ~targets =
     g.epoch <- g.epoch + 1;
@@ -663,25 +652,53 @@ module Acyclic = struct
       g.ord.(w) <- !k + j
     done
 
+  (* Rotate the window [lb, ub] by the marks of a search at [ep] that
+     reached no source, then link. *)
+  let insert g ep lb ub sources targets =
+    if ub >= lb then rotate g ep lb ub;
+    g.hit <- -1;
+    link_targets g sources targets
+
   (* Every new edge runs from a source at slot at most [ub] to a target
      at slot at least [lb]: with [ub < lb] the order already holds them.
      Otherwise a cycle is a path from a target back to a source, inside
      the window, and the search for one marks exactly the vertices the
-     rotation moves. *)
+     rotation moves. That search is the recorded [reaches_any]'s when it
+     ran from these targets to these sources with nothing since: the
+     same marks on the sources, the same bound, and a search from every
+     target that, finding nothing, stamps the same vertices whatever the
+     order. Lists are immutable, so the very lists it read (physically
+     equal) hold the same vertices, and only the rotation and the links
+     run. An empty side has no edge to add, and nothing is stamped. *)
   let add_edges_acyclic g ~sources ~targets =
-    g.epoch <- g.epoch + 1;
-    let ep = g.epoch in
-    let ub =
-      mark_sources g ep ~excluding:(-1) ~target:(-1) ~all:true (-1) sources
-    in
-    let lb = low_slot g ep max_int targets in
-    if lb < 0 || (ub >= lb && search_from g ep ub targets) then false
-    else begin
-      if ub >= lb then rotate g ep lb ub;
+    match (sources, targets) with
+    | [], _ | _, [] ->
       g.hit <- -1;
-      link_targets g sources targets;
       true
-    end
+    | _ ->
+      if
+        g.clear = g.epoch && g.clear_target = -1 && g.clear_from == targets
+        && g.clear_to == sources
+      then begin
+        insert g g.clear (low_slot g g.clear max_int targets) g.clear_ub
+          sources targets;
+        true
+      end
+      else begin
+        g.epoch <- g.epoch + 1;
+        let ep = g.epoch in
+        let ub =
+          mark_sources g ep ~excluding:(-1) ~target:(-1) ~all:true (-1)
+            sources
+        in
+        let lb = low_slot g ep max_int targets in
+        lb >= 0
+        && (not (ub >= lb && search_from g ep ub targets))
+        && begin
+          insert g ep lb ub sources targets;
+          true
+        end
+      end
 
   (* The search-free half of [add_edges_acyclic_of], after the clear
      [closes_cycle_any_of] it records: rotate the window [ord target,
@@ -707,32 +724,14 @@ module Acyclic = struct
   (* Every query and insertion bumps the epoch, and so does every link,
      after [stamp_preds] or in [bypass]; removals drop the record. A
      marking search keeps it: it takes a mark epoch and writes neither
-     [seen] nor the graph. *)
+     [seen] nor the graph. So does a list-form insertion with an empty
+     side, which changes nothing. *)
   let add_edges_vetted_of g ~excluding ~lists ~base ~pick ~chain ~target =
     if g.clear = g.epoch && g.clear_target = target then begin
       rotate_and_link g ~excluding ~lists ~base ~pick ~chain ~target;
       true
     end
     else add_edges_acyclic_of g ~excluding ~lists ~base ~pick ~chain ~target
-
-  (* The search [add_edges_acyclic] would run is the recorded
-     [reaches_any]'s, from the targets to the sources: the same marks on
-     the sources, the same bound, and a search from every target that,
-     finding nothing, stamps the same vertices whatever the order. So
-     only its rotation and links run. The lists are the very ones that
-     search read, so no other search can pass for it. *)
-  let add_edges_vetted g ~sources ~targets =
-    if
-      g.clear = g.epoch && g.clear_target = -1 && g.clear_from == targets
-      && g.clear_to == sources
-    then begin
-      let lb = low_slot g g.clear max_int targets and ub = g.clear_ub in
-      if ub >= lb then rotate g g.clear lb ub;
-      g.hit <- -1;
-      link_targets g sources targets;
-      true
-    end
-    else add_edges_acyclic g ~sources ~targets
 
   (* [u -> m] puts [u] before [m], and [m] before each of its successors,
      so the order already holds every new edge: nothing is searched. *)
@@ -755,12 +754,6 @@ module Acyclic = struct
         link g u v
       end
     done
-
-  let add_edge_acyclic g u v =
-    check g u;
-    check g v;
-    if add_edges_acyclic g ~sources:[ u ] ~targets:[ v ] then Ok ()
-    else Error (last_path g)
 
   (* Drop [x] from [u]'s out-array, searched newest first: the slots
      after it shift left. *)

@@ -77,6 +77,12 @@ type graph = t
     are O(degree) and never trigger a reordering (deleting edges cannot
     invalidate a topological order).
 
+    Insertion takes lists ({!Acyclic.add_edges_acyclic}) or reads one
+    target's sources in place ({!Acyclic.add_edges_acyclic_of}). One
+    that follows the clear search it needs reuses it and only rotates
+    and links: the list form sees this for itself, the in-place form is
+    told ({!Acyclic.add_edges_vetted_of}).
+
     This is the substrate for the serialization-graph scheduler's hot
     path: one admission test per request, one insertion call per grant,
     no graph copies, no full cycle-detection reruns. *)
@@ -125,18 +131,21 @@ module Acyclic : sig
       move after the rest of the window [[lb, ub]], each group keeping
       its order. Each source's new out-edges are appended in the order
       of [targets]; an edge already present, or repeated in the batch,
-      is inserted once, at its first occurrence. *)
+      is inserted once, at its first occurrence.
 
-  val add_edges_vetted : t -> sources:int list -> targets:int list -> bool
-  (** {!add_edges_acyclic}, reusing the search of the last clear
-      {!reaches_any}: when that was [reaches_any g ~sources:targets
-      ~targets:sources], on these very lists (physically equal), and
-      nothing has searched or changed [g] since, only the rotation and
-      the links run, and leave the graph, its out-array order and its
-      topological order exactly as the full insertion would. Any query
-      or insertion, any link and any removal in between voids the
-      record, and the full insertion runs. A marking search keeps it,
-      as for {!add_edges_vetted_of}. *)
+      Either list empty: [true] at once, with nothing stamped, checked or
+      changed, and {!last_path} is [[]].
+
+      {b Reuse.} When the last clear {!reaches_any} was [reaches_any g
+      ~sources:targets ~targets:sources] on these very lists (physically
+      equal) and nothing has searched or changed [g] since, its search
+      is this insertion's: only the rotation and the links run, and they
+      leave the graph, its out-array order and its topological order
+      exactly as the full insertion would. Lists are immutable, so
+      physical identity proves the contents. Any query or insertion, any
+      link and any removal in between voids the record, and the full
+      insertion runs. A marking search, or an insertion with an empty
+      side, keeps it. *)
 
   val add_edges_acyclic_of :
     t ->
@@ -150,7 +159,8 @@ module Acyclic : sig
   (** {!add_edges_acyclic} with the one target [target] and the sources
       read in place as in {!closes_cycle_any_of}: the union of the lists
       [lists.(base + c)] for [c] in [pick], less [excluding] ([-1] drops
-      none). It is that search, then, when it is clear, a search-free
+      none). It reuses no earlier search ({!add_edges_vetted_of} does):
+      it is that search, then, when it is clear, a search-free
       rotate-and-link step: the window moves by the search's marks, and
       the edges are linked. The cycle check reads a chain list at its
       head, and its witness is the full read's. The edges come from
@@ -180,7 +190,18 @@ module Acyclic : sig
       vouches that the lists, [pick] and [excluding] are those that
       search read, unchanged. [chain] picks the links; it may differ
       from the search's flags only on lists that meet the chain
-      precondition, where flags move neither the marks nor the bound. *)
+      precondition, where flags move neither the marks nor the bound.
+
+      Why an explicit entry, when the list form checks for itself: the
+      graph cannot see the contents of [lists], a mutable array the
+      caller may change between the search and the insertion without
+      touching [g] (a [Sched.Cgraph] grant that links nothing adds its
+      entry with no epoch bump), so neither the epoch nor the target
+      proves that the sources are the ones searched. The caller's own
+      record of the step its search vetted does, and with it a grant
+      that breaks the search-then-grant contract runs the full
+      insertion, which fails loudly on a cycle instead of rotating by
+      the wrong marks. *)
 
   val bypass : t -> int -> int -> (int -> bool) -> unit
   (** [bypass g u m keep] adds an edge [u → v] for every successor [v] of
@@ -191,30 +212,6 @@ module Acyclic : sig
       searched. [keep] must not modify [g]. Nothing is allocated unless
       an adjacency array grows. *)
 
-  val add_edge_acyclic : t -> int -> int -> (unit, int list) result
-  (** [add_edge_acyclic g u v] is {!add_edges_acyclic} with the one
-      source [u] and the one target [v]: [Ok ()] when [u → v] is in the
-      graph afterwards, else [Error path] with the witness of
-      {!last_path}: vertices [v; ...; u] forming a path [v → ... → u]
-      that the refused edge [u → v] would close. A self-loop yields
-      [Error [u]]. *)
-
-  val closes_cycle : t -> int -> int -> bool
-  (** [closes_cycle g u v] is [true] iff adding [u → v] would create a
-      cycle. The graph is never modified. *)
-
-  val closes_cycle_any :
-    ?excluding:int -> t -> sources:int list -> target:int -> bool
-  (** [closes_cycle_any g ~sources ~target]: would adding {e all} edges
-      [u → target], [u ∈ sources], create a cycle? Since every new edge
-      ends at [target], this holds iff some source is reachable from
-      [target] (or is [target] itself); the search is bounded by the
-      topological-order window, one pass for the whole edge batch.
-      [?excluding] drops one vertex from [sources] without the caller
-      having to build a filtered list (the SGT scheduler passes a
-      variable's accessor list, which may include the requester). The
-      graph is never modified, and nothing is allocated. *)
-
   val closes_cycle_any_of :
     t ->
     excluding:int ->
@@ -224,11 +221,16 @@ module Acyclic : sig
     chain:bool array ->
     target:int ->
     bool
-  (** {!closes_cycle_any} where [sources] is the union of the lists
-      [lists.(base + c)] for [c] in [pick], read in place: a request whose
-      conflicting accessors are spread over several lists is tested
-      without building their union. [excluding] drops one vertex from the
-      sources ([-1] drops none).
+  (** Would adding every edge [u → target], [u] a source, create a
+      cycle? The sources are the union of the lists [lists.(base + c)]
+      for [c] in [pick], read in place: a request whose conflicting
+      accessors are spread over several lists is tested without building
+      their union. [excluding] drops one vertex from the sources ([-1]
+      drops none; the SGT scheduler passes the requester, which its
+      variables' accessor lists may hold). Since every new edge ends at
+      [target], a cycle is a source reachable from [target], or equal to
+      it; one search from [target], bounded by the topological-order
+      window, answers for the whole batch.
 
       {b Chains.} A list whose [chain.(c)] is true is read at its {e
       head}, its first member other than [excluding]: the search stamps
@@ -289,22 +291,25 @@ module Acyclic : sig
       from all sources, sharing one seen set and bounded by the
       targets' topological-order window. Either list empty: [false].
       Pure query; nothing is allocated. A [false] answer leaves the
-      record {!add_edges_vetted} reads. *)
+      record {!add_edges_acyclic} reads. So [reaches_any g
+      ~sources:[v] ~targets:us] asks whether the edges [u → v], [u ∈
+      us], would close a cycle, with a witness from [v] on [true]. *)
 
   val last_path : t -> int list
   (** The path behind the most recent [true] answer of
-      {!closes_cycle_any}, {!closes_cycle_any_of} or {!reaches_any}, or
-      [false] answer of {!add_edges_acyclic} or {!add_edges_acyclic_of}:
-      consecutive vertices are joined by edges, and it runs from the
-      target to the source found (from the source to the target found,
-      for {!reaches_any}). A source equal to the target answers
-      [[target]]. The path is the search's first descent, out-edges
-      newest first, to a wanted vertex: the bound skips only vertices
-      that reach none, so the maintained order never changes it. Every
-      member of a list read at its head counts as wanted (the witness
-      cut of {!closes_cycle_any_of}). Every
-      search and edge insertion reuses its scratch space, so read it
-      before calling anything else on [g]. *)
+      {!closes_cycle_any_of} or {!reaches_any}, or [false] answer of
+      {!add_edges_acyclic} or {!add_edges_acyclic_of}: consecutive
+      vertices are joined by edges, and it runs from the target to the
+      source found (from the source to the target found, for
+      {!reaches_any}). A source equal to the target answers
+      [[target]]; an insertion that answers [true] leaves [[]]. The
+      path is the search's first descent, out-edges newest first, to a
+      wanted vertex: the bound skips only vertices that reach none, so
+      the maintained order never changes it. Every member of a list
+      read at its head counts as wanted (the witness cut of
+      {!closes_cycle_any_of}). Every search and edge insertion reuses
+      its scratch space, so read it before calling anything else on
+      [g]. *)
 
   val remove_edge : t -> int -> int -> unit
   (** Removes the edge if present; like {!has_edge}, O(out-degree). *)

@@ -34,13 +34,11 @@ open Core
 
 type worker_report = {
   txns : int array; (* global transaction ids, ascending; local id = index *)
-  worker_shards : int list; (* shards this worker owns, ascending *)
   coordinator : bool;
   stats : Driver.stats; (* over worker-local transaction ids *)
 }
 
 type report = {
-  shards : int;
   domains : int; (* workers actually spawned *)
   workers : worker_report array;
   output : Schedule.t;
@@ -50,7 +48,6 @@ type report = {
   waiting : int;
   grants : int;
   aborts : int array;
-  seconds : float;
 }
 
 (* ---------- planning ---------- *)
@@ -58,7 +55,6 @@ type report = {
 type plan = {
   n_workers : int;
   owner : int array; (* transaction -> worker *)
-  shard_sets : int list array; (* worker -> owned shards, ascending *)
   has_coordinator : bool;
 }
 
@@ -73,32 +69,27 @@ let plan_of (p : Partition.t) ~domains =
             coordinated.(s) <- true
         done)
     p.Partition.cross;
-  let nonempty s = Array.length p.Partition.members.(s) > 0 in
-  let coord_shards = ref [] and free_shards = ref [] in
-  for s = k - 1 downto 0 do
-    if nonempty s then
-      if coordinated.(s) then coord_shards := s :: !coord_shards
-      else free_shards := s :: !free_shards
-  done;
-  let has_coordinator = !coord_shards <> [] in
-  let natural =
-    (if has_coordinator then 1 else 0) + List.length !free_shards
+  (* a coordinated shard has a member: the cross transaction touching it *)
+  let has_coordinator = Array.exists Fun.id coordinated in
+  let free_shards =
+    List.filter
+      (fun s ->
+        Array.length p.Partition.members.(s) > 0 && not coordinated.(s))
+      (List.init k Fun.id)
   in
-  let n_workers = max 1 (min domains (max 1 natural)) in
-  let shard_sets = Array.make n_workers [] in
   let base = if has_coordinator then 1 else 0 in
-  if has_coordinator then shard_sets.(0) <- !coord_shards;
+  let n_workers =
+    max 1 (min domains (max 1 (base + List.length free_shards)))
+  in
+  (* the coordinated shards go to worker 0 *)
+  let shard_owner = Array.make k 0 in
   List.iteri
     (fun i s ->
       (* round-robin the independent shards over the remaining workers;
          with a single worker everything folds onto it *)
-      let w = if n_workers <= base then 0 else base + (i mod (n_workers - base)) in
-      shard_sets.(w) <- shard_sets.(w) @ [ s ])
-    !free_shards;
-  let shard_owner = Array.make k 0 in
-  Array.iteri
-    (fun w ss -> List.iter (fun s -> shard_owner.(s) <- w) ss)
-    shard_sets;
+      shard_owner.(s) <-
+        (if n_workers <= base then 0 else base + (i mod (n_workers - base))))
+    free_shards;
   let owner =
     Array.init p.Partition.n (fun tx ->
         if p.Partition.mask.(tx) = 0 then 0 (* empty: never arrives *)
@@ -111,7 +102,7 @@ let plan_of (p : Partition.t) ~domains =
           shard_owner.(!s)
         end)
   in
-  { n_workers; owner; shard_sets; has_coordinator }
+  { n_workers; owner; has_coordinator }
 
 (* Projection of the syntax to a transaction subset, kinds preserved:
    the syntax's own names are the pool, so nothing is hashed. *)
@@ -143,7 +134,6 @@ let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
     (fun _wi txns -> Array.iteri (fun l tx -> g2l.(tx) <- l) txns)
     wtxns;
   let trace = Obs.Sink.on sink in
-  let t0 = Unix.gettimeofday () in
   (* route the global stream: each worker's stream is its projection,
      in arrival order, over worker-local ids *)
   let streams = Array.make w [] in
@@ -186,7 +176,6 @@ let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
       joined @ waves hi
   in
   let results = Array.of_list (waves 0) in
-  let seconds = Unix.gettimeofday () -. t0 in
   (* every worker is joined; re-raise the first failure in worker order *)
   let results =
     Array.map (function Ok r -> r | Error e -> raise e) results
@@ -197,7 +186,6 @@ let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
         let stats, _ = results.(wi) in
         {
           txns = wtxns.(wi);
-          worker_shards = pl.shard_sets.(wi);
           coordinator = pl.has_coordinator && wi = 0;
           stats;
         })
@@ -231,7 +219,6 @@ let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
       results;
   let sum f = Array.fold_left (fun acc (s, _) -> acc + f s) 0 results in
   {
-    shards;
     domains = w;
     workers;
     output;
@@ -241,5 +228,4 @@ let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
     waiting = sum (fun s -> s.Driver.waiting);
     grants = sum (fun s -> s.Driver.grants);
     aborts;
-    seconds;
   }

@@ -29,7 +29,6 @@ type worker_report = {
   txns : int array;
       (** the worker's transactions, global ids ascending — its local
           id space ([stats] and [stats.output] use local ids) *)
-  worker_shards : int list;  (** shards this worker owned, ascending *)
   coordinator : bool;
       (** whether this was the coordinator domain (all cross-shard
           traffic and every shard such traffic touches) *)
@@ -37,7 +36,6 @@ type worker_report = {
 }
 
 type report = {
-  shards : int;
   domains : int;  (** workers actually spawned (≤ requested) *)
   workers : worker_report array;
   output : Schedule.t;
@@ -51,7 +49,6 @@ type report = {
   waiting : int;
   grants : int;  (** summed over workers *)
   aborts : int array;  (** per-transaction abort counts, global ids *)
-  seconds : float;  (** wall-clock, routing to last join *)
 }
 
 val run :

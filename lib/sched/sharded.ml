@@ -250,18 +250,20 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     (* discover summary edges against the pre-extension graph: the new
        paths are exactly A x B, and [attempt] vetted them against the
        summary graph. One insertion adds them all, each source's edges
-       in the order of B, with one rotation of the summary order; after
-       [attempt]'s clear search it rotates by that search's marks and
-       searches nothing. *)
+       in the order of B, with one rotation of the summary order. On the
+       very lists [attempt]'s clear search read, the insertion sees that
+       search in the graph's record, rotates by its marks and searches
+       nothing; with no candidate edge it costs nothing. *)
     (match cgraph with
     | None -> ()
     | Some cg ->
+      if last.tx <> tx || last.idx <> idx then begin
+        let aa, bb = summary_candidates s l idx in
+        last.a <- aa;
+        last.b <- bb
+      end;
       let added =
-        if last.tx = tx && last.idx = idx then
-          Digraph.Acyclic.add_edges_vetted cg ~sources:last.a ~targets:last.b
-        else
-          let aa, bb = summary_candidates s l idx in
-          Digraph.Acyclic.add_edges_acyclic cg ~sources:aa ~targets:bb
+        Digraph.Acyclic.add_edges_acyclic cg ~sources:last.a ~targets:last.b
       in
       forget last;
       if not added then

@@ -28,8 +28,9 @@ open Core
     [attempt] found, and both insertions reuse that attempt's searches:
     the shard kernel's its refusal search, as the marking searches in
     between leave its record ({!Digraph.Acyclic.add_edges_vetted_of}),
-    and the summary graph's its {!Digraph.Acyclic.reaches_any}
-    ({!Digraph.Acyclic.add_edges_vetted}). Summary edges are
+    and the summary graph's its {!Digraph.Acyclic.reaches_any}, which
+    {!Digraph.Acyclic.add_edges_acyclic} finds in the graph's record
+    when handed the same candidate lists. Summary edges are
     kept until an endpoint aborts (a conservative superset — stale paths
     can only over-delay, never admit a cycle).
 

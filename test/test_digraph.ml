@@ -148,61 +148,67 @@ module A = Digraph.Acyclic
    from, none a chain. *)
 let no_chain = [| false; false; false |]
 
+(* The edge [u -> v] through the list-form insertion: [Ok ()], or
+   [Error] with the refusal's witness [v; ...; u]. *)
+let insert_edge g u v =
+  if A.add_edges_acyclic g ~sources:[ u ] ~targets:[ v ] then Ok ()
+  else Error (A.last_path g)
+
 let test_acyclic_basic () =
   let g = A.create 3 in
-  check_true "add 0->1" (A.add_edge_acyclic g 0 1 = Ok ());
-  check_true "add 1->2" (A.add_edge_acyclic g 1 2 = Ok ());
+  check_true "add 0->1" (insert_edge g 0 1 = Ok ());
+  check_true "add 1->2" (insert_edge g 1 2 = Ok ());
   check_true "has 0->1" (A.has_edge g 0 1);
   check_int "two edges" 2 (A.n_edges g);
-  check_true "idempotent" (A.add_edge_acyclic g 0 1 = Ok ());
+  check_true "idempotent" (insert_edge g 0 1 = Ok ());
   check_int "still two edges" 2 (A.n_edges g);
-  (match A.add_edge_acyclic g 2 0 with
+  (match insert_edge g 2 0 with
   | Error [ 0; 1; 2 ] -> ()
   | Error w ->
     Alcotest.failf "unexpected witness [%s]"
       (String.concat ";" (List.map string_of_int w))
   | Ok () -> Alcotest.fail "cycle accepted");
   check_int "rejected edge not added" 2 (A.n_edges g);
-  check_true "self-loop refused" (A.add_edge_acyclic g 1 1 = Error [ 1 ]);
-  check_true "closes_cycle query" (A.closes_cycle g 2 0);
-  check_false "harmless edge" (A.closes_cycle g 0 2);
+  check_true "self-loop refused" (insert_edge g 1 1 = Error [ 1 ]);
+  check_true "cycle query" (A.reaches_any g ~sources:[ 0 ] ~targets:[ 2 ]);
+  check_false "harmless edge" (A.reaches_any g ~sources:[ 2 ] ~targets:[ 0 ]);
   check_int "query did not mutate" 2 (A.n_edges g)
 
 let test_acyclic_reorder () =
   (* insertions against the initial identity order force reorderings *)
   let g = A.create 4 in
-  check_true "3->2" (A.add_edge_acyclic g 3 2 = Ok ());
-  check_true "2->1" (A.add_edge_acyclic g 2 1 = Ok ());
-  check_true "1->0" (A.add_edge_acyclic g 1 0 = Ok ());
+  check_true "3->2" (insert_edge g 3 2 = Ok ());
+  check_true "2->1" (insert_edge g 2 1 = Ok ());
+  check_true "1->0" (insert_edge g 1 0 = Ok ());
   let order = A.topological_order g in
   Alcotest.(check (array int)) "reversed order" [| 3; 2; 1; 0 |] order;
-  check_true "0->3 closes cycle" (Result.is_error (A.add_edge_acyclic g 0 3))
+  check_true "0->3 closes cycle" (Result.is_error (insert_edge g 0 3))
 
 let test_acyclic_removal () =
   let g = A.create 4 in
   List.iter
-    (fun (u, v) -> check_true "acyclic add" (A.add_edge_acyclic g u v = Ok ()))
+    (fun (u, v) -> check_true "acyclic add" (insert_edge g u v = Ok ()))
     [ (0, 1); (1, 2); (2, 3) ];
   check_true "3->0 blocked by the chain"
-    (Result.is_error (A.add_edge_acyclic g 3 0));
+    (Result.is_error (insert_edge g 3 0));
   A.remove_vertex g 1;
   check_int "edges after removal" 1 (A.n_edges g);
   Alcotest.(check (list int)) "1 isolated succ" [] (A.succ g 1);
   Alcotest.(check (list int)) "1 isolated pred" [] (A.pred g 1);
-  check_true "3->0 now fine" (A.add_edge_acyclic g 3 0 = Ok ());
+  check_true "3->0 now fine" (insert_edge g 3 0 = Ok ());
   A.remove_edge g 2 3;
   check_false "edge removed" (A.has_edge g 2 3)
 
 let test_acyclic_batch_query () =
   let g = A.create 4 in
   List.iter
-    (fun (u, v) -> ignore (A.add_edge_acyclic g u v))
+    (fun (u, v) -> ignore (insert_edge g u v))
     [ (0, 1); (1, 2) ];
   (* adding {0 -> 3, 2 -> 3} is fine; {0 -> 1's tail...}: adding
      {3 -> 0} batched with anything is fine too since 3 unreachable *)
-  check_false "batch ok" (A.closes_cycle_any g ~sources:[ 0; 2 ] ~target:3);
-  check_true "batch cycle" (A.closes_cycle_any g ~sources:[ 3; 2 ] ~target:0);
-  check_true "self in batch" (A.closes_cycle_any g ~sources:[ 0 ] ~target:0);
+  check_false "batch ok" (A.reaches_any g ~sources:[ 3 ] ~targets:[ 0; 2 ]);
+  check_true "batch cycle" (A.reaches_any g ~sources:[ 0 ] ~targets:[ 3; 2 ]);
+  check_true "self in batch" (A.reaches_any g ~sources:[ 0 ] ~targets:[ 0 ]);
   (* the same queries with the sources spread over several lists *)
   let lists = [| [ 0 ]; [ 3 ]; [ 2 ] |] and chain = no_chain in
   check_false "union ok"
@@ -278,19 +284,32 @@ let test_acyclic_batch_insert () =
        ~chain:[| false; false |] ~target:2);
   Alcotest.(check (list int)) "in-place self-loop witness" [ 2 ]
     (A.last_path g);
-  check_true "empty batches"
-    (A.add_edges_acyclic g ~sources:[] ~targets:[ 0 ]
-    && A.add_edges_acyclic g ~sources:[ 0 ] ~targets:[]
-    && A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||]
-         ~chain:[||] ~target:0);
-  check_int "six edges" 6 (A.n_edges g)
+  (* an empty side: [true] at once, nothing changed, and no witness
+     left from the refusal just before *)
+  let edges = A.edges g and order = A.topological_order g in
+  List.iter
+    (fun (sources, targets) ->
+      check_false "a refusal first"
+        (A.add_edges_acyclic g ~sources:[ 2 ] ~targets:[ 2 ]);
+      check_true "an empty side" (A.add_edges_acyclic g ~sources ~targets);
+      Alcotest.(check (list int)) "no witness" [] (A.last_path g);
+      Alcotest.(check (list (pair int int))) "edges unchanged" edges
+        (A.edges g);
+      Alcotest.(check (array int)) "order unchanged" order
+        (A.topological_order g);
+      check_int "six edges" 6 (A.n_edges g))
+    [ ([], [ 0 ]); ([ 0 ], []); ([], []) ];
+  check_true "an empty in-place batch"
+    (A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[||]
+       ~chain:[||] ~target:0);
+  check_int "still six edges" 6 (A.n_edges g)
 
 (* [bypass g u m keep] gives [u] an edge to each kept successor of [m]
    it lacks, appended in [m]'s order, and needs the edge [u -> m]. *)
 let test_acyclic_bypass () =
   let g = A.create 5 in
   List.iter
-    (fun (u, v) -> ignore (A.add_edge_acyclic g u v))
+    (fun (u, v) -> ignore (insert_edge g u v))
     [ (0, 1); (0, 3); (1, 2); (1, 3); (1, 4) ];
   A.bypass g 0 1 (fun v -> v <> 4);
   Alcotest.(check (list int)) "kept successors, the present one once"
@@ -374,8 +393,8 @@ let prop_acyclic_matches_plain =
           | `Add (u, v) -> (
             let probe = Digraph.copy p in
             Digraph.add_edge probe u v;
-            let query = A.closes_cycle a u v in
-            match A.add_edge_acyclic a u v with
+            let query = A.reaches_any a ~sources:[ v ] ~targets:[ u ] in
+            match insert_edge a u v with
             | Ok () ->
               Digraph.add_edge p u v;
               (not query) && not (Digraph.has_cycle p)
@@ -466,7 +485,7 @@ let marks_arb = QCheck.make ~print:print_marks_case marks_gen
 let build_marks c =
   let a = A.create c.n and p = Digraph.create c.n in
   let add (u, v) =
-    if A.add_edge_acyclic a u v = Ok () then Digraph.add_edge p u v
+    if insert_edge a u v = Ok () then Digraph.add_edge p u v
   in
   List.iter add c.edges;
   List.iter
@@ -519,7 +538,7 @@ let prop_marks_match_reachable =
              (fun s -> List.exists (fun t -> reach.(s).(t)) c.targets)
              c.sources)
 
-(* [last_path] after every [true] answer of the three searches, on the
+(* [last_path] after every [true] answer of the searches, on the
    same random graphs: each consecutive pair is an edge, the path starts
    where the search did and ends at a wanted vertex, and a source equal
    to the target answers [[target]]. The queries run back to back, so a
@@ -554,7 +573,7 @@ let prop_last_path =
       List.for_all
         (fun t ->
           witnessed ~start:t ~wanted:plain
-            (A.closes_cycle_any ~excluding a ~sources ~target:t)
+            (A.reaches_any a ~sources:[ t ] ~targets:plain)
           && witnessed ~start:t ~wanted:srcs
                (A.closes_cycle_any_of a ~excluding ~lists:c.lists
                   ~base:c.base ~pick:c.pick ~chain:no_chain ~target:t))
@@ -693,7 +712,7 @@ let chain_up a out ~lists ~base ~pick ~chain =
     | newer :: (older :: _ as rest) ->
       (newer = older
       ||
-      match A.add_edge_acyclic a older newer with
+      match insert_edge a older newer with
       | Ok () ->
         if not (List.mem newer out.(older)) then
           out.(older) <- newer :: out.(older);
@@ -979,7 +998,10 @@ let prop_head_read =
       let search g chain t =
         A.closes_cycle_any_of g ~excluding ~lists ~base ~pick ~chain ~target:t
       in
-      let agree x y = x = y && ((not x) || A.last_path a = A.last_path f) in
+      (* a search's witness is on [true], an insertion's on [false] *)
+      let same_path () = A.last_path a = A.last_path f in
+      let agree x y = x = y && ((not x) || same_path ()) in
+      let agree_insert x y = x = y && (x || same_path ()) in
       let marks g = List.filter (A.marked g) (List.init c.wn Fun.id) in
       let reported g =
         List.sort compare (List.init (A.n_marked g) (A.nth_marked g))
@@ -993,7 +1015,7 @@ let prop_head_read =
               ~chain:no_chain;
             marks a = marks f && reported a = reported f
           end
-          && agree
+          && agree_insert
                (A.add_edges_acyclic_of a ~excluding ~lists ~base ~pick ~chain
                   ~target:t)
                ((not (search f no_chain t))
@@ -1104,7 +1126,7 @@ let prop_vetted_link =
         | Mark_fwd u -> A.mark_reachable g u
         | Mark_bwd -> A.mark_reaching_any_of g ~excluding ~lists ~base ~pick ~chain
         | Reach (u, w) -> ignore (A.reaches_any g ~sources:[ u ] ~targets:[ w ])
-        | Link (u, w) -> ignore (A.add_edge_acyclic g u w)
+        | Link (u, w) -> ignore (insert_edge g u w)
         | Unlink i -> (
           let r = reached g t in
           match List.filter (fun (u, w) -> r u && r w) (A.edges g) with
@@ -1133,22 +1155,26 @@ let prop_vetted_link =
                  A.add_edges_acyclic_of f ~excluding ~lists ~base ~pick ~chain
                    ~target:t
                in
-               x = y && ((not x) || A.last_path a = A.last_path f)
+               x = y && (x || A.last_path a = A.last_path f)
              end)
           && same_graph a f)
         steps)
 
 (* The list form: per step, a [reaches_any] from a list B to a list A
    on two copies of the same graph; when it is clear, one op in between,
-   then [add_edges_vetted] of A x B on one copy and [add_edges_acyclic]
-   on the other. The answers, a refusal's [last_path], the edges, the
-   out-array order and the topological order agree. In between: nothing,
-   the same search again, or a marking search (the record stands), or a
-   cycle query, a search over other lists (fresh ones, equal in value
-   when [Reach] names the same vertices), an edge insertion, an edge
-   removal or a vertex removal (each voids it). A removal picks what the
-   search reached inside its window, so that reusing the search would
-   move the order. *)
+   then [add_edges_acyclic] of A x B on both. Copy [a] gets the very
+   lists the search read, so it reuses the search whenever the record
+   stands. Copy [f] gets fresh lists, equal in value, after a cycle
+   query that voids its record, so it runs the full insertion even on a
+   mutant that skips the list identity check. The answers, a refusal's
+   [last_path], the edges, the out-array order and the topological order
+   agree. In between: nothing, the same search again, or a marking
+   search (the record stands), or a cycle query, a search over other
+   lists (fresh ones, equal in value when [Reach] names the same
+   vertices), an edge insertion, an edge removal or a vertex removal
+   (each voids it). A removal picks what the search reached inside its
+   window, so that reusing the search would move the order. It fails on
+   mutants that drop the epoch check or the list identity check. *)
 let vetted_list_gen =
   QCheck.Gen.(
     witness_gen >>= fun c ->
@@ -1205,10 +1231,10 @@ let prop_vetted_list =
       let between aa bb g = function
         | Nothing | Mark_bwd -> ()
         | Again -> ignore (A.reaches_any g ~sources:bb ~targets:aa)
-        | Query u -> ignore (A.closes_cycle g u u)
+        | Query u -> ignore (A.reaches_any g ~sources:[ u ] ~targets:[ u ])
         | Mark_fwd u -> A.mark_reachable g u
         | Reach (u, w) -> ignore (A.reaches_any g ~sources:[ u ] ~targets:[ w ])
-        | Link (u, w) -> ignore (A.add_edge_acyclic g u w)
+        | Link (u, w) -> ignore (insert_edge g u w)
         | Unlink i -> (
           let r = reached g aa bb in
           match List.filter (fun (u, w) -> r u && r w) (A.edges g) with
@@ -1231,8 +1257,12 @@ let prop_vetted_list =
              || begin
                between aa bb a op;
                between aa bb f op;
-               let x = A.add_edges_vetted a ~sources:aa ~targets:bb
-               and y = A.add_edges_acyclic f ~sources:aa ~targets:bb in
+               let fresh l = List.map Fun.id l in
+               let x = A.add_edges_acyclic a ~sources:aa ~targets:bb in
+               ignore (A.reaches_any f ~sources:[ 0 ] ~targets:[ 0 ]);
+               let y =
+                 A.add_edges_acyclic f ~sources:(fresh aa) ~targets:(fresh bb)
+               in
                x = y && (x || A.last_path a = A.last_path f)
              end)
           && same_graph a f)

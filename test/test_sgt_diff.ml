@@ -257,7 +257,8 @@ let test_clear_decisions_allocate_nothing () =
   Alcotest.(check (float 0.)) "words for 1000 clear attempts" 0. (words attempt);
   let g = Digraph.Acyclic.create 5 in
   List.iter
-    (fun (u, v) -> ignore (Digraph.Acyclic.add_edge_acyclic g u v))
+    (fun (u, v) ->
+      ignore (Digraph.Acyclic.add_edges_acyclic g ~sources:[ u ] ~targets:[ v ]))
     [ (3, 4); (0, 1) ];
   let lists = [| [ 4; 3 ] |] and pick = [| 0 |] and chain = [| true |] in
   let search () =
