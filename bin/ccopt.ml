@@ -94,6 +94,13 @@ let schedule_cmd spec arrivals_spec sched_name =
   let arrivals = parse_interleaving arrivals_spec in
   match Sim.Trace_run.registry_entry sched_name with
   | Error msg -> fail msg
+  | Ok _ when not (Combin.Interleave.is_valid fmt arrivals) ->
+    fail
+      (Printf.sprintf
+         "ccopt: --arrivals %s is not an interleaving of the format (%s): \
+          each transaction must arrive once per step"
+         arrivals_spec
+         (String.concat "," (Array.to_list (Array.map string_of_int fmt))))
   | Ok e ->
     let s = Sched.Driver.run (e.Sched.Registry.make syntax) ~fmt ~arrivals in
     Format.printf "output:    %a@." Schedule.pp s.Sched.Driver.output;

@@ -9,10 +9,10 @@ type counters = {
   refusals : int;
 }
 
-(* Per-transaction FIFO of submission timestamps, mirroring the
-   driver's submission ring: grants pop in order, aborts leave pending
-   submissions in place (the replayed steps are re-submitted as fresh
-   events). *)
+(* Per-transaction FIFO of submission timestamps: grants pop in order,
+   aborts leave pending submissions in place (the replayed steps are
+   re-submitted as fresh events). Over a complete trace the matched
+   total is the driver's [waiting], which keeps it as one running sum. *)
 let submit_queues () : (int, float Queue.t) Hashtbl.t = Hashtbl.create 16
 
 let queue_of qs tx =

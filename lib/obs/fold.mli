@@ -12,7 +12,8 @@
     [Submitted] is stamped with the clock at submission, [Granted] with
     the clock at the decision instant (one tick before the corresponding
     [Executed]); submissions are matched to grants per transaction in
-    FIFO order, exactly like the driver's submission ring.
+    FIFO order. Over a complete trace the matched total equals the
+    driver's [waiting], which sums the same clocks without matching.
 
     All folds tolerate traces that start mid-stream (a ring buffer that
     dropped its oldest events): a grant whose submission was truncated

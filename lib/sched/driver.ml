@@ -20,14 +20,6 @@ type state = {
   fmt : int array;
   next_step : int array;       (* next step index, current incarnation *)
   outstanding : int array;     (* submitted but ungranted requests *)
-  (* submission clocks, a FIFO ring per transaction: a transaction never
-     has more than [fmt.(i)] requests in flight, so capacity is fixed
-     and pushes/pops allocate nothing. The rings share one flat array:
-     [i]'s is slots [submit_base.(i), submit_base.(i + 1)). *)
-  submit_times : int array;
-  submit_base : int array;
-  submit_head : int array;
-  submit_len : int array;
   incarnation : int array;
   (* fixed seniority: [by_rank.(r)] is the [r]-th transaction to arrive,
      for [r < arrived]; restarts keep their rank *)
@@ -39,33 +31,28 @@ type state = {
   mutable quiet : bool;
   mutable open_txns : int;     (* transactions not [completed] *)
   mutable clock : int;         (* driver events *)
-  (* the grant log: grant g is (tx, incarnation) at 2g and 2g+1, with
-     room for 16 grants at first and doubled when full; the step index is
-     implied, as an incarnation grants its transaction's steps in order *)
+  (* the grant log: grant g's transaction at slot g, with room for 16
+     grants at first and doubled when full; the incarnation and step
+     index are implied (see [drain]) *)
   mutable log : int array;
   mutable delays : int;
   mutable restarts : int;
   mutable deadlocks : int;
+  (* the sum over grants of the grant's clock less one, less the sum
+     over submissions of the submission's clock: [stats.waiting] once
+     every submitted request is granted *)
   mutable waiting : int;
   mutable grants : int;
 }
 
 let init sched sink fmt =
   let n = Array.length fmt in
-  let submit_base = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    submit_base.(i + 1) <- submit_base.(i) + max 1 fmt.(i)
-  done;
   {
     sched;
     sink;
     fmt;
     next_step = Array.make n 0;
     outstanding = Array.make n 0;
-    submit_times = Array.make submit_base.(n) 0;
-    submit_base;
-    submit_head = Array.make n 0;
-    submit_len = Array.make n 0;
     incarnation = Array.make n 0;
     by_rank = Array.make n 0;
     arrived = 0;
@@ -73,33 +60,13 @@ let init sched sink fmt =
     quiet = false;
     open_txns = Array.fold_left (fun k f -> if f > 0 then k + 1 else k) 0 fmt;
     clock = 0;
-    log = Array.make 32 0;
+    log = Array.make 16 0;
     delays = 0;
     restarts = 0;
     deadlocks = 0;
     waiting = 0;
     grants = 0;
   }
-
-let submit_cap st i = st.submit_base.(i + 1) - st.submit_base.(i)
-
-(* Ring slots wrap by a compare, not [mod]: head and length are both
-   below the capacity, so one subtraction brings their sum back. *)
-let submit_push st i t =
-  let cap = submit_cap st i in
-  assert (st.submit_len.(i) < cap);
-  let slot = st.submit_head.(i) + st.submit_len.(i) in
-  let slot = if slot >= cap then slot - cap else slot in
-  st.submit_times.(st.submit_base.(i) + slot) <- t;
-  st.submit_len.(i) <- st.submit_len.(i) + 1
-
-let submit_pop st i =
-  assert (st.submit_len.(i) > 0);
-  let t = st.submit_times.(st.submit_base.(i) + st.submit_head.(i)) in
-  let head = st.submit_head.(i) + 1 in
-  st.submit_head.(i) <- (if head = submit_cap st i then 0 else head);
-  st.submit_len.(i) <- st.submit_len.(i) - 1;
-  t
 
 let in_queue st i = Intq.mem st.blocked i
 let enqueue st i = Intq.push st.blocked i
@@ -128,22 +95,21 @@ let do_abort st ~reason i =
   let granted = st.next_step.(i) in
   st.next_step.(i) <- 0;
   st.outstanding.(i) <- st.outstanding.(i) + granted;
-  for k = 1 to granted do
-    submit_push st i st.clock;
-    if Obs.Sink.on st.sink then
-      Obs.Sink.record st.sink (Obs.Event.Submitted { tx = i; idx = k - 1 })
-  done;
+  st.waiting <- st.waiting - (granted * st.clock);
+  if Obs.Sink.on st.sink then
+    for k = 0 to granted - 1 do
+      Obs.Sink.record st.sink (Obs.Event.Submitted { tx = i; idx = k })
+    done;
   st.incarnation.(i) <- st.incarnation.(i) + 1
 
 let log_grant st i =
-  let at = 2 * st.grants in
+  let at = st.grants in
   if at = Array.length st.log then begin
     let grown = Array.make (2 * at) 0 in
     Array.blit st.log 0 grown 0 at;
     st.log <- grown
   end;
-  st.log.(at) <- i;
-  st.log.(at + 1) <- st.incarnation.(i)
+  st.log.(at) <- i
 
 let do_grant st (id : Names.step_id) =
   (* [Granted] is stamped at the decision instant, [Executed] one tick
@@ -157,8 +123,7 @@ let do_grant st (id : Names.step_id) =
   if Obs.Sink.on st.sink then Obs.Sink.set_now st.sink (float_of_int st.clock);
   log_grant st id.Names.tx;
   st.grants <- st.grants + 1;
-  let submitted = submit_pop st id.Names.tx in
-  st.waiting <- st.waiting + (st.clock - 1 - submitted);
+  st.waiting <- st.waiting + (st.clock - 1);
   st.next_step.(id.Names.tx) <- id.Names.idx + 1;
   st.outstanding.(id.Names.tx) <- st.outstanding.(id.Names.tx) - 1;
   let committed = completed st id.Names.tx in
@@ -322,9 +287,11 @@ let create ?(sink = Obs.Sink.null) sched ~fmt = init sched sink fmt
    reimplementation, so every engine built on [submit]/[drain] inherits
    the exact single-threaded semantics. *)
 let submit st i =
+  if st.next_step.(i) + st.outstanding.(i) >= st.fmt.(i) then
+    invalid_arg
+      (Printf.sprintf "Driver.submit: transaction %d has no step left to request" i);
   st.clock <- st.clock + 1;
   if Obs.Sink.on st.sink then Obs.Sink.set_now st.sink (float_of_int st.clock);
-  if completed st i then st.open_txns <- st.open_txns + 1;
   (* a first arrival: nothing submitted, granted or aborted before *)
   if st.outstanding.(i) = 0 && st.next_step.(i) = 0 && st.incarnation.(i) = 0
   then begin
@@ -332,15 +299,13 @@ let submit st i =
     st.arrived <- st.arrived + 1
   end;
   st.outstanding.(i) <- st.outstanding.(i) + 1;
-  submit_push st i st.clock;
+  st.waiting <- st.waiting - st.clock;
   if Obs.Sink.on st.sink then
     Obs.Sink.record st.sink
       (Obs.Event.Submitted
          { tx = i; idx = st.next_step.(i) + st.outstanding.(i) - 1 });
   if in_queue st i then ()
   else if try_drain st i then process_queue st
-
-let submit_many st arrivals = Array.iter (submit st) arrivals
 
 (* The livelock guard bounds the passes between completions: no abort
    in [drain] undoes a completion (its victims all have a request
@@ -373,16 +338,19 @@ let drain st =
     stalled := st.grants = before
   done;
   (* every transaction completed: its last incarnation granted each of
-     its steps once, in index order *)
-  let next = Array.make n 0 in
-  let output = Array.make (Array.fold_left ( + ) 0 st.fmt) filler in
-  let k = ref 0 in
-  for g = 0 to st.grants - 1 do
-    let i = st.log.(2 * g) in
-    if st.log.((2 * g) + 1) = st.incarnation.(i) then begin
-      output.(!k) <- Names.step i next.(i);
-      next.(i) <- next.(i) + 1;
-      incr k
+     its steps once, in index order, and no grant of it came later. So
+     walking the log backwards, a transaction's first [fmt.(i)] grants
+     are its last incarnation's, met from its last step down, and the
+     output fills from its end *)
+  let left = Array.copy st.fmt in
+  let k = ref (Array.fold_left ( + ) 0 st.fmt) in
+  let output = Array.make !k filler in
+  for g = st.grants - 1 downto 0 do
+    let i = st.log.(g) in
+    if left.(i) > 0 then begin
+      left.(i) <- left.(i) - 1;
+      decr k;
+      output.(!k) <- Names.step i left.(i)
     end
   done;
   {
@@ -397,7 +365,7 @@ let drain st =
 
 let run ?sink sched ~fmt ~arrivals =
   let st = create ?sink sched ~fmt in
-  submit_many st arrivals;
+  Array.iter (submit st) arrivals;
   drain st
 
 let fixpoint_of mk fmt =

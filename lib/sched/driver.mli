@@ -71,10 +71,10 @@ val submit : t -> int -> unit
 (** Feed one arrival (a transaction index): the request is recorded and
     as many queued requests as the new arrival unblocks are granted
     immediately — the same eager policy the monolithic {!run} always
-    had. May raise {!Stall} via a scheduler abort cascade. *)
-
-val submit_many : t -> int array -> unit
-(** [Array.iter (submit t)]. *)
+    had. May raise {!Stall} via a scheduler abort cascade. Raises
+    [Invalid_argument], before anything is recorded, when every step of
+    the transaction's current incarnation is already requested: a
+    transaction has no more requests in flight than steps. *)
 
 val resolve_stall : t -> unit
 (** Resolve one stall: abort the scheduler's [victim] among the queued
@@ -98,7 +98,8 @@ val drain : t -> stats
 val run :
   ?sink:Obs.Sink.t -> Scheduler.t -> fmt:int array -> arrivals:int array ->
   stats
-(** [create], {!submit_many}, {!drain} — the one-shot composition.
+(** [create], {!submit} of each arrival in order, {!drain} — the
+    one-shot composition.
     Raises {!Stall} if the scheduler cannot resolve a stall or the run
     livelocks.
 

@@ -3,13 +3,13 @@
    The driver's blocked queue needs O(1) membership, O(1) enqueue and
    O(1) removal of an arbitrary element while preserving FIFO order —
    the [int list] it replaces paid O(n) [List.mem] + O(n) append per
-   request. Doubly linked through two index arrays plus a membership
-   bitset; each element can be present at most once. *)
+   request. Doubly linked through two index arrays; each element can be
+   present at most once, and is present iff it has a predecessor or is
+   the head, so membership needs no array of its own. *)
 
 type t = {
   next : int array;
   prev : int array;
-  mem : bool array;
   mutable head : int; (* -1 when empty *)
   mutable tail : int;
   mutable size : int;
@@ -20,27 +20,27 @@ let create n =
   {
     next = Array.make n (-1);
     prev = Array.make n (-1);
-    mem = Array.make n false;
     head = -1;
     tail = -1;
     size = 0;
   }
 
 let check q i =
-  if i < 0 || i >= Array.length q.mem then
+  if i < 0 || i >= Array.length q.next then
     invalid_arg "Intq: element out of range"
+
+let present q i = q.prev.(i) >= 0 || q.head = i
 
 let mem q i =
   check q i;
-  q.mem.(i)
+  present q i
 
 let is_empty q = q.size = 0
 let length q = q.size
 
 let push q i =
   check q i;
-  if not q.mem.(i) then begin
-    q.mem.(i) <- true;
+  if not (present q i) then begin
     q.prev.(i) <- q.tail;
     q.next.(i) <- -1;
     if q.tail >= 0 then q.next.(q.tail) <- i else q.head <- i;
@@ -50,8 +50,7 @@ let push q i =
 
 let remove q i =
   check q i;
-  if q.mem.(i) then begin
-    q.mem.(i) <- false;
+  if present q i then begin
     let p = q.prev.(i) and n = q.next.(i) in
     if p >= 0 then q.next.(p) <- n else q.head <- n;
     if n >= 0 then q.prev.(n) <- p else q.tail <- p;

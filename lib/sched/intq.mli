@@ -3,7 +3,9 @@
     O(1) membership test, O(1) enqueue at the tail, O(1) removal of an
     arbitrary element, FIFO iteration. An element is present at most
     once; [push] on a present element and [remove] on an absent one are
-    no-ops. Backs the driver's blocked-transaction queue. *)
+    no-ops. Two link arrays and nothing else: an element is present iff
+    it has a predecessor or is the head. Backs the driver's
+    blocked-transaction queue. *)
 
 type t
 

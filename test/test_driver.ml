@@ -324,6 +324,83 @@ let test_request_allocation () =
   Alcotest.(check (float 0.)) "minor words per request" 3. (words /. 1000.);
   check_int "every request granted" 3100 (Sched.Driver.drain d).grants
 
+(* The engine's and the driver's state in words, read after every
+   [submit] of one fixed batch per engine and workload, as the
+   benchmark's [state_mb] reads it after the last: the peak and the
+   last reading. The driver keeps one counter for [waiting], one log
+   slot per grant and two link arrays for its queue, so any bookkeeping
+   added per request, per grant or per transaction moves the pins. *)
+let test_state_words () =
+  let pin name ~peak ~last make gen =
+    let st = Random.State.make [| 41 |] in
+    let syntax = gen st in
+    let fmt = Syntax.format syntax in
+    let arrivals = Combin.Interleave.random st fmt in
+    let d = Sched.Driver.create (make syntax) ~fmt in
+    let top = ref 0 and now = ref 0 in
+    Array.iter
+      (fun i ->
+        Sched.Driver.submit d i;
+        now := Obj.reachable_words (Obj.repr d);
+        top := max !top !now)
+      arrivals;
+    check_int (name ^ ": peak words") peak !top;
+    check_int (name ^ ": words after the last submit") last !now;
+    check_true (name ^ ": drains to a schedule of the format")
+      (Schedule.is_schedule_of fmt (Sched.Driver.drain d).output)
+  in
+  let sgt syntax = Sched.Sgt.create ~syntax () in
+  pin "SGT, hotspot 16x8" ~peak:1158 ~last:1158 sgt (fun st ->
+      Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
+  pin "SGT, disjoint 256x2" ~peak:8745 ~last:8349 sgt (fun _ ->
+      Sim.Workload.disjoint ~n:256 ~m:2);
+  pin "sharded-2PC K=4, zipf 64x2" ~peak:6513 ~last:6513
+    (fun syntax ->
+      Sched.Sharded.create ~shards:4
+        ~commit_cross:(Sched.Twopc.commit (Sched.Twopc.service ~shards:4 ()))
+        ~syntax ())
+    (fun st -> Sim.Workload.zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2)
+
+(* A request past a transaction's last step is refused before anything
+   is recorded: with the transaction complete, and with every one of its
+   steps requested but some still queued behind a closed gate. The run
+   goes on to the stats and the event log of the same run without it. *)
+let test_submit_past_last_step () =
+  let run_with ~extra arrivals =
+    let closed = ref true in
+    let sched =
+      Sched.Scheduler.make ~name:"gate"
+        ~attempt:(fun (id : Names.step_id) ->
+          if id.tx = 1 && !closed then Sched.Scheduler.Delay
+          else Sched.Scheduler.Grant)
+        ~commit:ignore ()
+    in
+    let c = Obs.Sink.Memory.create () in
+    let d =
+      Sched.Driver.create ~sink:(Obs.Sink.Memory.sink c) sched ~fmt:[| 2; 2 |]
+    in
+    Array.iter (Sched.Driver.submit d) arrivals;
+    if extra then
+      List.iter
+        (fun i ->
+          match Sched.Driver.submit d i with
+          | () -> Alcotest.failf "T%d: a request past its last step taken" i
+          | exception Invalid_argument _ -> ())
+        [ 0; 1 ];
+    closed := false;
+    let s = Sched.Driver.drain d in
+    (s, Obs.Event_log.to_string (Obs.Sink.Memory.events c))
+  in
+  let arrivals = [| 0; 1; 0; 1 |] in
+  let a, ea = run_with ~extra:true arrivals in
+  let b, eb = run_with ~extra:false arrivals in
+  check_true "same event log" (String.equal ea eb);
+  check_true "same output" (Schedule.equal a.output b.output);
+  check_int "same delays" b.delays a.delays;
+  check_int "same waiting" b.waiting a.waiting;
+  check_int "same grants" b.grants a.grants;
+  check_true "T2 was held" (a.delays > 0)
+
 let suite =
   [
     Alcotest.test_case "no standing question is asked" `Quick
@@ -336,4 +413,8 @@ let suite =
       test_standing_contract;
     Alcotest.test_case "a null-sink request allocates its id only" `Quick
       test_request_allocation;
+    Alcotest.test_case "state words after every submit" `Quick
+      test_state_words;
+    Alcotest.test_case "a request past the last step is refused" `Quick
+      test_submit_past_last_step;
   ]
