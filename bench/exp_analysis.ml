@@ -30,7 +30,7 @@ let make_tests () =
                ignore
                  (Analysis.Lock_lint.lint
                     (Analysis.Lock_lint.of_policy
-                       (Analysis.Analyze.policy_of_name name)
+                       (Analysis.Analyze.policy_of_name name lint_syntax)
                        lint_syntax)))))
       [ "2pl"; "2pl'"; "preclaim"; "mutex" ]
   in

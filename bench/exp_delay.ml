@@ -29,7 +29,7 @@ let run () =
   List.iter
     (fun (name, mk) ->
       if name <> "TO" then
-        let p = Sim.Measure.exact_fixpoint_count mk fmt in
+        let p = List.length (Sched.Driver.fixpoint_of mk fmt) in
         Printf.printf "  %-8s |P| = %2d  |P|/|H| = %.3f\n" name p
           (Tables.ratio p (Schedule.count fmt)))
     (Sim.Measure.standard_suite syntax);

@@ -77,7 +77,7 @@ let geometry spec policy_name =
   if Syntax.n_transactions syntax <> 2 then
     fail "geometry needs exactly two transactions"
   else begin
-    let policy = Analysis.Analyze.policy_of_name policy_name in
+    let policy = Analysis.Analyze.policy_of_name policy_name syntax in
     let locked = policy.Locking.Policy.apply syntax in
     print_endline (Locking.Render.figure locked);
     let g = Locking.Geometry.analyse locked in

@@ -28,7 +28,7 @@ let () =
   hr "lock linting: 2pl vs preclaim on xy,yx";
   List.iter
     (fun name ->
-      let policy = Analysis.Analyze.policy_of_name name in
+      let policy = Analysis.Analyze.policy_of_name name syntax in
       let diags =
         Analysis.Lock_lint.lint (Analysis.Lock_lint.of_policy policy syntax)
       in
@@ -45,7 +45,8 @@ let () =
   hr "replaying the 2pl deadlock witness";
   let diags =
     Analysis.Lock_lint.lint
-      (Analysis.Lock_lint.of_policy (Analysis.Analyze.policy_of_name "2pl")
+      (Analysis.Lock_lint.of_policy
+         (Analysis.Analyze.policy_of_name "2pl" syntax)
          syntax)
   in
   (match

@@ -62,9 +62,10 @@ let parse_interleaving spec =
       if c < '0' || c > '9' then invalid_arg "--schedule expects digits";
       Char.code c - Char.code '0')
 
-let policy_of_name = function
+let policy_of_name name syntax =
+  match name with
   | "2pl" -> Locking.Two_phase.policy
-  | "2pl'" | "2plprime" -> Locking.Two_phase_prime.policy ~distinguished:"x"
+  | "2pl'" | "2plprime" -> Locking.Two_phase_prime.on_first_var syntax
   | "preclaim" -> Locking.Preclaim.policy
   | "mutex" -> Locking.Mutex_policy.policy
   | name ->
@@ -101,7 +102,7 @@ let run req =
   | None -> ());
   (match req.policy with
   | Some name ->
-    let policy = policy_of_name name in
+    let policy = policy_of_name name req.syntax in
     add (Lock_lint.lint (Lock_lint.of_policy policy req.syntax))
   | None -> ());
   (match req.certify with

@@ -32,21 +32,15 @@ val parse_syntax : string -> Syntax.t
 val parse_interleaving : string -> int array
 (** ["0101"] — a digit per position naming the acting transaction. *)
 
-val policy_of_name : string -> Locking.Policy.t
-(** [2pl], [2pl'] (alias [2plprime]), [preclaim], [mutex]. *)
+val policy_of_name : string -> Syntax.t -> Locking.Policy.t
+(** [2pl], [2pl'] (alias [2plprime]; the syntax's first variable
+    distinguished, {!Locking.Two_phase_prime.on_first_var}), [preclaim],
+    [mutex]. *)
 
 val scheduler_of_name : Syntax.t -> string -> unit -> Sched.Scheduler.t
 (** Fresh instances via {!Sched.Registry.find_exn} (any registered name
     or slug, case-insensitive); raises [Invalid_argument] listing
     {!Sched.Registry.names} on an unknown one. *)
-
-val certifier_level : string -> Certifier.level
-(** The information level each named scheduler operates at: [serial] is
-    format-only; everything else is syntactic. *)
-
-val syntax_string : Syntax.t -> string
-(** Render a syntax back to the [--syntax] notation when every variable
-    is a single character, else a spaced variant. *)
 
 val run : request -> Report.t
 (** Runs the anomaly pass when [schedule] is present, the lock linter

@@ -39,9 +39,6 @@ type classification =
       (** A conflict cycle not matching a more specific pattern
           (e.g. any cycle through three or more transactions). *)
 
-val classification_rule : classification -> string
-(** The diagnostic rule slug, e.g. ["anomaly/write-skew"]. *)
-
 val expand : Syntax.t -> Schedule.t -> Rw_model.history
 (** Each atomic step [T_ij] on [x] becomes [r(x); w(x)] — adjacent, so
     no foreign action ever separates a step's read from its write. *)
@@ -50,17 +47,6 @@ val minimal_cycle : Digraph.t -> int list option
 (** A shortest directed cycle, rotated to start at its smallest vertex;
     among equally short cycles the one through the smallest vertices.
     [None] iff acyclic. *)
-
-val conflict_graph : int -> Rw_model.history -> Digraph.t
-(** Transaction-level conflict graph of a read/write history ([r-w],
-    [w-r] and [w-w] pairs on the same variable). *)
-
-val classify : int -> Rw_model.history -> int list -> classification
-(** [classify n h cycle] matches the anomaly patterns over the history
-    restricted to the transactions of a minimal [cycle]. Pair patterns
-    (lost update, non-repeatable read, write skew, dirty read) are only
-    matched when the minimal cycle has length 2; longer cycles are
-    {!Serialization_cycle}. *)
 
 val check : Syntax.t -> Schedule.t -> Report.diagnostic list
 (** The full pass: serializability verdict (with a serial-order or

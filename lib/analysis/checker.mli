@@ -147,18 +147,11 @@ val replay_cycle : History.t -> level -> edge list -> bool
 
 (* ---------- printing ---------- *)
 
-val node_name : split:bool -> n:int -> int -> string
-(** [n] is the transaction count of the {e checked} history (after
-    splitting, if any); renders ["T3"], ["T3.r"], ["T3.c"], ["init"]. *)
-
-val pp_edge : split:bool -> n:int -> Format.formatter -> edge -> unit
-val pp_witness : split:bool -> n:int -> Format.formatter -> witness -> unit
-
 val pp_result : n:int -> Format.formatter -> result -> unit
 (** [n] is the {e original} history's transaction count. *)
 
 val to_json : source:string -> History.t -> result list -> string
 (** The [ccopt check --json] report: the history's label and size, then
     one member per result with its verdict and, for a violation, the
-    witness kind and its {!pp_witness} text. [source] says where the
+    witness kind and its text as {!pp_result} prints it. [source] says where the
     history came from (a schedule, a scheduler run, a trace file). *)

@@ -325,27 +325,3 @@ let generate ~seed ~sessions ~txns ~steps ~n_vars =
          txns steps n_vars)
     ~complete:true sess
 
-(* ---------- printing ---------- *)
-
-let pp_event fmt e =
-  Format.fprintf fmt "%s %s:%d"
-    (match e.kind with R -> "R" | W -> "W")
-    e.var e.value
-
-let pp fmt h =
-  Format.fprintf fmt "@[<v>history %S (%d txns, %d events%s)" h.label (n h)
-    h.n_events
-    (if h.complete then "" else ", truncated");
-  Array.iteri
-    (fun s ts ->
-      Format.fprintf fmt "@,s%d:" s;
-      Array.iter
-        (fun t ->
-          Format.fprintf fmt " T%d[%a]" (t + 1)
-            (Format.pp_print_list
-               ~pp_sep:(fun fmt () -> Format.fprintf fmt "; ")
-               pp_event)
-            h.txns.(t))
-        ts)
-    h.sessions;
-  Format.fprintf fmt "@]"

@@ -123,5 +123,3 @@ val generate :
     sessions (so the session order embeds into the execution order and
     the history is consistent at every level). [n_events = txns *
     steps * 2]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,11 +40,6 @@ type input = {
 val of_policy : Locking.Policy.t -> Syntax.t -> input
 val of_locked : ?policy:Locking.Policy.t -> Locking.Locked.t -> input
 
-val reaching_prefix : Locking.Geometry_nd.t -> int array -> int array
-(** A legal monotone interleaving prefix from the origin to a reachable,
-    non-forbidden grid point (used to make deadlock witnesses
-    replayable). *)
-
 val lint : input -> Report.diagnostic list
 (** Run every applicable check. A bound of 50 000 interleavings caps the
     exhaustive output-serializability enumeration; when the locked

@@ -55,7 +55,6 @@ val make : target:string -> diagnostic list -> t
 val count : severity -> t -> int
 
 val errors : t -> int
-val warnings : t -> int
 
 val find : string -> t -> diagnostic option
 (** First diagnostic with the given rule slug, if any. *)
@@ -63,8 +62,6 @@ val find : string -> t -> diagnostic option
 val all : string -> t -> diagnostic list
 (** Every diagnostic with the given rule slug. *)
 
-val pp_severity : Format.formatter -> severity -> unit
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val pp : Format.formatter -> t -> unit
 (** Text rendering: a header line, one block per diagnostic, a summary
     tail ([N errors, M warnings, K infos]). *)

@@ -20,10 +20,6 @@ val swappable : Syntax.t -> Schedule.t -> int -> bool
     changing the semantics — different transactions and different
     variables? *)
 
-val swap : Schedule.t -> int -> Schedule.t
-(** Exchange positions [k] and [k+1] (no legality check beyond array
-    bounds). *)
-
 val neighbours : Syntax.t -> Schedule.t -> Schedule.t list
 (** All schedules one elementary transformation away. *)
 

@@ -26,9 +26,6 @@ let start sys g =
 let eligible st (id : Names.step_id) =
   id.tx >= 0 && id.tx < Array.length st.pc && st.pc.(id.tx) = id.idx
 
-let finished st =
-  Array.for_all2 (fun j m -> j = m) st.pc (Array.map Array.length st.locals)
-
 exception Not_eligible of Names.step_id
 
 let exec_step sys st (id : Names.step_id) =

@@ -17,11 +17,6 @@ val start : System.t -> State.t -> run_state
     [Invalid_argument] if the global state does not bind every variable
     of the system or binds one outside its domain. *)
 
-val eligible : run_state -> Names.step_id -> bool
-(** [T_ij] is eligible iff [J_i = j]. *)
-
-val finished : run_state -> bool
-
 exception Not_eligible of Names.step_id
 
 val exec_step : System.t -> run_state -> Names.step_id -> run_state
@@ -50,10 +45,6 @@ val correct_schedule : System.t -> probes:State.t list -> Schedule.t -> bool
     accepted iff from every {e consistent} probe state its execution ends
     consistent. (Sound refutation; acceptance is relative to the probe
     set — see DESIGN.md substitutions.) *)
-
-val transaction_correct : System.t -> probes:State.t list -> int -> bool
-(** The paper's basic assumption, checked on probes: a transaction run
-    alone maps consistent states to consistent states. *)
 
 val basic_assumption : System.t -> probes:State.t list -> bool
 (** All transactions individually correct on the probe set. *)

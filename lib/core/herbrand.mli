@@ -37,11 +37,7 @@ type term =
       (** a sorted multiset of commuting same-group operations applied
           over a base term *)
 
-val group_of_op : Op.t -> group option
-
-val equal_term : term -> term -> bool
 val compare_term : term -> term -> int
-val pp_term : Format.formatter -> term -> unit
 val term_to_string : term -> string
 val term_size : term -> int
 

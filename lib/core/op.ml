@@ -19,10 +19,6 @@ let observes = function
   | Read | Update -> true
   | Write | Incr | Decr | Enqueue | Max -> false
 
-let semantic = function
-  | Incr | Decr | Enqueue | Max -> true
-  | Read | Write | Update -> false
-
 let to_char = function
   | Read -> 'r'
   | Write -> 'w'
@@ -40,7 +36,3 @@ let to_string = function
   | Decr -> "decr"
   | Enqueue -> "enqueue"
   | Max -> "max"
-
-let pp ppf op = Format.pp_print_string ppf (to_string op)
-
-let equal (a : t) b = a = b

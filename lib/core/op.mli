@@ -43,13 +43,8 @@ val observes : t -> bool
     local. {!System.step_kind} demotes a would-be semantic step to
     [Update] when that discipline is violated. *)
 
-val semantic : t -> bool
-(** [Incr], [Decr], [Enqueue] or [Max]. *)
-
 val to_char : t -> char
 (** One-letter code, used by {!Analysis.Analyze.parse_syntax} specs:
     [r w u + - q m]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

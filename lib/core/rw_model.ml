@@ -1,6 +1,5 @@
 type action = { op : Op.t; var : Names.var }
 
-let act op var = { op; var }
 let read v = { op = Op.Read; var = v }
 let write v = { op = Op.Write; var = v }
 

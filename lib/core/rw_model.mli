@@ -19,7 +19,6 @@
 
 type action = { op : Op.t; var : Names.var }
 
-val act : Op.t -> Names.var -> action
 val read : Names.var -> action
 (** [{ op = Op.Read; var }]. *)
 

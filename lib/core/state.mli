@@ -28,10 +28,8 @@ val compare : t -> t -> int
 val restrict : Names.var list -> t -> t
 (** Keep only the listed variables (missing ones are ignored). *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints [{A=150, B=50}]. *)
-
 val to_string : t -> string
+(** [{A=150, B=50}]. *)
 
 val enumerate : (Names.var * Expr.Value.domain) list -> t list option
 (** All states over the given finite domains ([None] if some domain is

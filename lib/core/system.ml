@@ -60,11 +60,6 @@ let phi t (id : Names.step_id) =
   then invalid_arg "System.phi: step out of range";
   t.interp.(id.tx).(id.idx)
 
-let domain t v =
-  match List.assoc_opt v t.domains with
-  | Some d -> d
-  | None -> invalid_arg ("System.domain: unknown variable " ^ v)
-
 let consistent t g =
   match t.ic with
   | Trivial -> true

@@ -40,8 +40,6 @@ val n_transactions : t -> int
 val phi : t -> Names.step_id -> Expr.Ast.t
 (** The interpretation of a step's function symbol. *)
 
-val domain : t -> Names.var -> Expr.Value.domain
-
 val consistent : t -> State.t -> bool
 (** Whether a global state satisfies the integrity constraints. *)
 
@@ -49,27 +47,22 @@ val step_kind : t -> Names.step_id -> Op.t
 (** Syntactic classification of §2, extended to the semantic
     operations: a step whose [φ] is the identity on its own read
     ([t_ij]) is an [Op.Read]; [t_ij ± c] is [Op.Incr]/[Op.Decr];
-    [max t_ij c] (as the [If]/[Lt] pattern {!canonical_phi} emits) is
+    [max t_ij c] (as the [If]/[Lt] pattern {!of_syntax} emits) is
     [Op.Max]; a [φ] that ignores [t_ij] is an [Op.Write]; anything else
     is [Op.Update]. A blind or semantic classification is {e demoted}
     to [Op.Update] when a later [φ] of the same transaction uses the
     step's local — the read would be observable, so commuting the step
     would not be sound. *)
 
-val canonical_phi : tx:int -> idx:int -> Op.t -> Expr.Ast.t
-(** The canonical interpretation of a declared operation — the concrete
-    semantics {!of_syntax} assigns. [classify ∘ canonical_phi] is the
-    identity except for [Op.Enqueue], whose bag-insert is modelled as
-    adding a per-step element token and reads back as [Op.Incr]. *)
-
 val of_syntax :
   ?domains:(Names.var * Expr.Value.domain) list -> ?ic:ic -> Syntax.t -> t
-(** Interpret a typed syntax with {!canonical_phi} per step — the
-    bridge from the declared operation model to the executable machine
-    ([Exec], [Sched.Assertional]) and the concrete half of the
-    semantic-scheduler oracle. *)
+(** Interpret a typed syntax with each step's canonical interpretation
+    of its declared operation — the bridge from the declared operation
+    model to the executable machine ([Exec], [Sched.Assertional]) and
+    the concrete half of the semantic-scheduler oracle. {!step_kind}
+    reads every declared operation back, except [Op.Enqueue], whose
+    bag-insert is modelled as adding a per-step element token and reads
+    back as [Op.Incr]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Listing with interpretations: [Tij: x <- (t1 + 1)]. *)
-
-val pp_ic : Format.formatter -> ic -> unit

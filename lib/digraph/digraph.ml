@@ -93,45 +93,6 @@ let topological_sort g =
   done;
   if !filled = g.n then Some order else None
 
-let scc g =
-  (* Tarjan's algorithm, iterative to be safe on large graphs. *)
-  let index = Array.make g.n (-1) in
-  let lowlink = Array.make g.n 0 in
-  let on_stack = Array.make g.n false in
-  let comp = Array.make g.n (-1) in
-  let stack = Stack.create () in
-  let next_index = ref 0 in
-  let next_comp = ref 0 in
-  let rec strong u =
-    index.(u) <- !next_index;
-    lowlink.(u) <- !next_index;
-    incr next_index;
-    Stack.push u stack;
-    on_stack.(u) <- true;
-    Iset.iter
-      (fun v ->
-        if index.(v) < 0 then begin
-          strong v;
-          lowlink.(u) <- min lowlink.(u) lowlink.(v)
-        end
-        else if on_stack.(v) then lowlink.(u) <- min lowlink.(u) index.(v))
-      g.adj.(u);
-    if lowlink.(u) = index.(u) then begin
-      let continue = ref true in
-      while !continue do
-        let w = Stack.pop stack in
-        on_stack.(w) <- false;
-        comp.(w) <- !next_comp;
-        if w = u then continue := false
-      done;
-      incr next_comp
-    end
-  in
-  for u = 0 to g.n - 1 do
-    if index.(u) < 0 then strong u
-  done;
-  comp
-
 let find_cycle g =
   let colour = Array.make g.n 0 in
   let parent = Array.make g.n (-1) in
@@ -216,11 +177,6 @@ let undirected_components g =
     end
   done;
   comp
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph(%d) {" g.n;
-  List.iter (fun (u, v) -> Format.fprintf ppf "@ %d -> %d;" u v) (edges g);
-  Format.fprintf ppf "@ }@]"
 
 (* ---------- online acyclicity (window rotation) ---------- *)
 

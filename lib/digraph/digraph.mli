@@ -42,11 +42,6 @@ val topological_sort : t -> int array option
     [None] if the graph is cyclic. Kahn's algorithm; ties broken by
     smallest vertex for determinism. *)
 
-val scc : t -> int array
-(** [scc g] labels each vertex with the index of its strongly connected
-    component (Tarjan). Component indices are in reverse topological
-    order of the condensation. *)
-
 val find_cycle : t -> int list option
 (** [find_cycle g] returns the vertices of some directed cycle in order
     (first vertex repeated implicitly), or [None]. Used to pick deadlock
@@ -61,9 +56,9 @@ val transitive_closure : t -> t
     by a non-empty path. *)
 
 val undirected_components : t -> int array
-(** Connected components ignoring edge direction; labels as in {!scc}. *)
-
-val pp : Format.formatter -> t -> unit
+(** Connected components ignoring edge direction: each vertex labelled
+    with its component's index, numbered from 0 in order of each
+    component's smallest vertex. *)
 
 type graph = t
 (** Alias so {!Acyclic} can refer to the plain graph type. *)

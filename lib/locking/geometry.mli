@@ -70,10 +70,6 @@ val path_points : bool array -> (int * int) list
 val path_legal : t -> bool array -> bool
 (** Avoids every forbidden point. Agrees with {!Locked.legal} (tested). *)
 
-val block_side : t -> bool array -> rect -> side
-(** Which side a legal complete path passes a block on. Raises
-    [Invalid_argument] on an illegal path. *)
-
 val sides : t -> bool array -> (rect * side) list
 
 val geometric_serializable : t -> bool array -> bool

@@ -33,8 +33,5 @@ val deadlock : t -> int array -> bool
 val deadlock_points : t -> int array list
 val has_deadlock : t -> bool
 
-val path_of_interleaving : t -> int array -> int array list
-(** The lattice points a locked interleaving visits, origin first. *)
-
 val interleaving_legal : t -> int array -> bool
 (** Geometric legality: agrees with {!Locked.legal} (tested). *)

@@ -72,10 +72,6 @@ val project : t -> int array -> Schedule.t
 (** Erase lock steps, keep the base schedule (§5.2's comparison with
     ordinary schedulers). *)
 
-val all_legal : t -> int array list
-(** Every legal complete locked interleaving. Exponential; small systems
-    only (guarded like {!Combin.Interleave.all}). *)
-
 val outputs : t -> Schedule.t list
 (** The performance set of the policy: projections of all legal locked
     schedules, deduplicated, in first-seen order. *)

@@ -5,10 +5,6 @@ open Core
     serial schedules — the optimal behaviour for minimum information
     (Theorem 2), and the baseline every other policy should beat. *)
 
-val mutex : Locked.lock_var
-
-val transform_transaction : int -> Names.var array -> Locked.step list
-
 val policy : Policy.t
 
 val apply : Syntax.t -> Locked.t

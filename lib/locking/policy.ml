@@ -24,11 +24,6 @@ let correct_exhaustive p syntax =
   let l = p.apply syntax in
   List.for_all (Conflict.serializable syntax) (Locked.outputs l)
 
-let correct_2d p syntax =
-  if Syntax.n_transactions syntax <> 2 then
-    invalid_arg "Policy.correct_2d: expects two transactions";
-  correct_exhaustive p syntax
-
 let output_count p syntax = List.length (Locked.outputs (p.apply syntax))
 
 let subset a b =

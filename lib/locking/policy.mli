@@ -20,11 +20,6 @@ val separable : string -> (int -> Names.var array -> Locked.step list) -> t
     transformation: [f i accesses] returns the locked step list of
     transaction [i] given its access list. *)
 
-val correct_2d : t -> Syntax.t -> bool
-(** Empirical correctness on a two-transaction system: every legal
-    locked schedule projects to a conflict-serializable base schedule.
-    Exhaustive; small systems only. *)
-
 val correct_exhaustive : t -> Syntax.t -> bool
 (** Same check for any (small) number of transactions. *)
 

@@ -18,8 +18,6 @@ open Core
     cannot. The benches report both counts as an ablation of the
     placement rule (DESIGN.md §5). *)
 
-val transform_transaction : int -> Names.var array -> Locked.step list
-
 val policy : Policy.t
 
 val apply : Syntax.t -> Locked.t

@@ -48,9 +48,6 @@ val legal : program array -> int array -> bool
 (** Is an interleaving of the locked programs admitted by the lock
     table? (No incompatible grant; upgrades wait for other sharers.) *)
 
-val project : program array -> int array -> Rw_model.history
-(** Erase lock steps. *)
-
 val outputs : program array -> Rw_model.history list
 (** All projections of admitted interleavings, deduplicated. Small
     systems only. *)

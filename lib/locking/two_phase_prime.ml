@@ -95,4 +95,10 @@ let policy ~distinguished =
     ("2PL'(" ^ distinguished ^ ")")
     (transform_transaction ~distinguished)
 
+(* A variable-free syntax gets a fixed nonsense name, which no step ever
+   locks anyway. *)
+let on_first_var syntax =
+  policy
+    ~distinguished:(match Syntax.vars syntax with v :: _ -> v | [] -> "x")
+
 let apply ~distinguished syntax = (policy ~distinguished).Policy.apply syntax

@@ -19,11 +19,11 @@ open Core
     interleavings — but it singles out [x], so it does not contradict
     2PL's optimality over {e unstructured} variables. *)
 
-val aux_lock : Names.var -> Locked.lock_var
-(** The auxiliary lock name [X′] for the distinguished variable. *)
-
-val transform_transaction : distinguished:Names.var -> int -> Names.var array -> Locked.step list
-
 val policy : distinguished:Names.var -> Policy.t
+
+val on_first_var : Syntax.t -> Policy.t
+(** 2PL′ with the syntax's first variable distinguished: the one rule
+    both the [2PL'] registry engine and the analyzer's [2pl'] policy
+    use. *)
 
 val apply : distinguished:Names.var -> Syntax.t -> Locked.t

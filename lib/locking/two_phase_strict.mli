@@ -12,8 +12,6 @@ open Core
     output set is contained in 2PL's (tested), and strictly so whenever
     some variable's last use precedes another's first use. *)
 
-val transform_transaction : int -> Names.var array -> Locked.step list
-
 val policy : Policy.t
 
 val apply : Syntax.t -> Locked.t

@@ -131,10 +131,8 @@ val map_tx : (int -> int) -> t -> t
 (** [map_tx f ev] maps every {!Tx} field of [ev] through [f] and leaves
     the rest alone. *)
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** The event as [name k=v ...], as one line of the event log prints
     it after its timestamp; transaction ids are 0-based. Raises
     [Invalid_argument] when a {!Str} field holds whitespace, which the
     log could not read back. *)
-
-val to_string : t -> string

@@ -24,9 +24,6 @@
     ...
     v} *)
 
-val version : int
-(** [1] — bumped on any change to the line grammar. *)
-
 val to_string : ?dropped:int -> (float * Event.t) list -> string
 (** Render a trace (default [dropped] 0). Raises [Invalid_argument] on
     a string field holding whitespace, which could not be read back. *)

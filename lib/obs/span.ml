@@ -26,7 +26,6 @@ let fresh () =
   }
 
 let create n = Array.init n (fun _ -> fresh ())
-let n t = Array.length t
 let started t i = t.(i).active
 
 (* Credit [now - last] to the open phase. The elapsed invariant is

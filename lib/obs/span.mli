@@ -21,8 +21,6 @@ type t
 val create : int -> t
 (** One span per transaction, all unstarted. *)
 
-val n : t -> int
-
 val started : t -> int -> bool
 (** Whether the transaction's span has begun (first {!enter}). *)
 

@@ -1,5 +1,12 @@
 open Core
 
+(* Z_k = {0, .., k-1}. Every entry point goes through here: below 2 the
+   domain has no room for the theorems' adversaries, and at 0 the value
+   tables would divide by k. *)
+let check_k k =
+  if k < 2 then
+    invalid_arg (Printf.sprintf "the domain size k must be at least 2, got %d" k)
+
 (* Encode a total function Z_k^arity -> Z_k given by its value table
    (indexed by mixed-radix argument tuples) as a decision tree over
    Local 0 .. Local (arity-1). *)
@@ -27,6 +34,7 @@ let pow b e =
   go 1 e
 
 let all_functions ~k ~arity =
+  check_k k;
   let entries = pow k arity in
   if entries > 8 then invalid_arg "Universe.all_functions: too large";
   let count = pow k entries in
@@ -81,9 +89,12 @@ let all_semantics ~k syntax =
         fmt)
     (product choices)
 
+let domains ~k ~vars =
+  check_k k;
+  List.map (fun v -> (v, Expr.Value.Int_range (0, k - 1))) vars
+
 let states ~k ~vars =
-  let domains = List.map (fun v -> (v, Expr.Value.Int_range (0, k - 1))) vars in
-  match State.enumerate domains with
+  match State.enumerate (domains ~k ~vars) with
   | Some l -> l
   | None -> assert false
 
@@ -106,7 +117,7 @@ let systems ~k ?syntaxes ~fmt ~vars () =
     match syntaxes with Some s -> s | None -> all_syntaxes ~fmt ~vars
   in
   let probes = states ~k ~vars in
-  let domains = List.map (fun v -> (v, Expr.Value.Int_range (0, k - 1))) vars in
+  let domains = domains ~k ~vars in
   let ics = all_ics ~k ~vars in
   Seq.concat_map
     (fun syntax ->

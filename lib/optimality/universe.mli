@@ -10,7 +10,10 @@ open Core
     expression), and every integrity constraint an arbitrary subset of
     the finite state space. The systems violating the paper's basic
     assumption (some transaction individually incorrect) are filtered
-    out. *)
+    out.
+
+    Every function here raises [Invalid_argument] when [k < 2]: the
+    theorems are stated for [k ≥ 2] (see {!Verify}). *)
 
 val all_functions : k:int -> arity:int -> Expr.Ast.t list
 (** Every function [Z_k^arity → Z_k], as expressions over
@@ -19,9 +22,6 @@ val all_functions : k:int -> arity:int -> Expr.Ast.t list
 
 val all_syntaxes : fmt:int array -> vars:Names.var list -> Syntax.t list
 (** Every access pattern of the format over the given variables. *)
-
-val all_semantics : k:int -> Syntax.t -> Expr.Ast.t array array Seq.t
-(** Every interpretation assignment for the syntax over [Z_k], lazily. *)
 
 val all_ics : k:int -> vars:Names.var list -> System.ic list
 (** Every subset of the state space [Z_k^vars], as [Sat] predicates

@@ -376,6 +376,8 @@ let fixpoint_of mk fmt =
     (Schedule.all fmt)
 
 let zero_delay_fraction mk ~fmt ~samples ~seed =
+  if samples < 1 then
+    invalid_arg (Printf.sprintf "samples must be at least 1, got %d" samples);
   let stt = Random.State.make [| seed |] in
   let hits = ref 0 in
   for _ = 1 to samples do

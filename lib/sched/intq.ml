@@ -68,5 +68,3 @@ let next q i =
 let to_list q =
   let rec walk i acc = if i < 0 then List.rev acc else walk q.next.(i) (i :: acc) in
   walk q.head []
-
-let peek q = if q.head >= 0 then Some q.head else None

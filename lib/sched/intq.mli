@@ -33,6 +33,3 @@ val next : t -> int -> int
 val to_list : t -> int list
 (** Elements in FIFO order (head first). Fresh list, safe to iterate
     while the queue is mutated. *)
-
-val peek : t -> int option
-(** The head, if any. *)

@@ -73,7 +73,6 @@ let create ~nodes ~delay ?(crashes = []) ~handlers () =
   }
 
 let now t = t.clock.now
-let alive t n = t.alive.(n)
 let steps t n = t.steps.(n)
 let crashes_triggered t = t.crashed_n
 let delivered t = t.delivered_n

@@ -57,7 +57,6 @@ val create :
     (it may consult a jitter source). *)
 
 val now : _ t -> float
-val alive : _ t -> int -> bool
 
 val steps : _ t -> int -> int
 (** Inputs (messages + timers) the node has processed so far — the

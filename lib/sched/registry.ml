@@ -30,12 +30,6 @@ let slug_of_name name =
 let entry ?(standard = false) ?(level = "ser") name make =
   { name; slug = slug_of_name name; standard; level; make }
 
-(* The distinguished variable of the 2PL' protocol: the syntax's first
-   variable (a fixed nonsense name on a variable-free syntax, where no
-   step ever locks it anyway). *)
-let first_var syntax =
-  match Syntax.vars syntax with v :: _ -> v | [] -> "x"
-
 let all =
   [
     entry ~standard:true "serial" (fun ?sink:_ syntax ->
@@ -44,7 +38,7 @@ let all =
         Tpl_sched.create_2pl ?sink ~syntax ());
     entry ~standard:true "2PL'" (fun ?sink syntax ->
         Tpl_sched.create ?sink
-          ~policy:(Locking.Two_phase_prime.policy ~distinguished:(first_var syntax))
+          ~policy:(Locking.Two_phase_prime.on_first_var syntax)
           ~syntax ());
     entry ~standard:true "preclaim" (fun ?sink syntax ->
         Tpl_sched.create ?sink ~policy:Locking.Preclaim.policy ~syntax ());

@@ -80,4 +80,5 @@ val make :
     wound-wait seniority order that guarantees termination (the oldest
     transaction is never chosen, so some transaction always survives
     long enough to finish). A scheduler supplying its own [victim] must
-    preserve that property itself; see {!Tpl_sched.wait_for_victim}. *)
+    preserve that property itself, as the lock engines' wait-for-cycle
+    victim does ({!Tpl_sched.create}). *)

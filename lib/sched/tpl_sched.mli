@@ -24,10 +24,3 @@ val create :
     shape per the convention in {!Scheduler}. *)
 
 val create_2pl : ?sink:Obs.Sink.t -> syntax:Syntax.t -> unit -> Scheduler.t
-
-val wait_for_victim : blockers:(int -> int list) -> int list -> int option
-(** The stall victim among the blocked transactions (youngest first),
-    given each one's [blockers], the holders of the locks it lacks: the
-    youngest member of a cycle of first-lacked-lock waits that is its
-    cycle predecessor's only blocker (any member if none is), else the
-    first blocked transaction. *)

@@ -46,11 +46,6 @@ type outcome = {
   failures : string list;
 }
 
-val declared_level : Sched.Registry.entry -> Analysis.Checker.level
-(** The entry's declared consistency level, resolved via
-    {!Analysis.Checker.level_of_name}. Raises [Invalid_argument] if the
-    entry names no level. *)
-
 val engines :
   Syntax.t ->
   (string * Analysis.Checker.level * (Obs.Sink.t -> Sched.Scheduler.t)) list

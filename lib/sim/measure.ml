@@ -13,9 +13,9 @@ type row = {
   avg_exec_span : float;
 }
 
-let exact_fixpoint_count mk fmt = List.length (Sched.Driver.fixpoint_of mk fmt)
-
 let sample ~name mk ~fmt ~samples ~seed =
+  if samples < 1 then
+    invalid_arg (Printf.sprintf "samples must be at least 1, got %d" samples);
   let st = Random.State.make [| seed |] in
   let n = Array.length fmt in
   let zero = ref 0 in

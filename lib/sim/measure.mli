@@ -22,9 +22,6 @@ type row = {
   avg_exec_span : float;   (** … and to executing granted steps. *)
 }
 
-val exact_fixpoint_count : (unit -> Sched.Scheduler.t) -> int array -> int
-(** |P| by exhaustive enumeration of [H]. Small formats. *)
-
 val sample :
   name:string ->
   (unit -> Sched.Scheduler.t) ->
@@ -34,7 +31,8 @@ val sample :
   row
 (** Monte-Carlo over uniformly random arrival histories. Each run is
     traced into an in-memory sink and its event stream folded into the
-    §6 span decomposition ([avg_*_span]). *)
+    §6 span decomposition ([avg_*_span]). Raises [Invalid_argument] if
+    [samples < 1]. *)
 
 val compare_schedulers :
   (string * (unit -> Sched.Scheduler.t)) list ->

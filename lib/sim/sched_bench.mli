@@ -1,5 +1,3 @@
-open Core
-
 (** Scheduler micro-benchmark harness: requests/sec per scheduler across
     workload sizes and variable-access mixes.
 
@@ -35,14 +33,6 @@ val smoke : spec
 (** The CI smoke: every section, engine and mix of {!default} at tiny
     sizes in a single pass — the sharded section at K = 4, the parallel
     sweep at 1 and 2 domains, the 2PC sweep at two fault rates. *)
-
-val mix_names : string list
-(** Every workload mix {!syntax_of_mix} accepts. *)
-
-val syntax_of_mix :
-  Random.State.t -> mix:string -> n:int -> m:int -> n_vars:int -> Syntax.t
-(** The workload generator behind a mix name. Raises [Invalid_argument]
-    on an unknown mix. *)
 
 (** {2 The report} *)
 

@@ -186,7 +186,7 @@ let prop_expand_preserves_conflicts =
 
 let test_lint_2pl_deadlock_witness () =
   let syntax = syn "xy,yx" in
-  let policy = Az.policy_of_name "2pl" in
+  let policy = Az.policy_of_name "2pl" syntax in
   let ds = Ll.lint (Ll.of_policy policy syntax) in
   check_true "two-phase info" (has_rule "lock/two-phase" ds);
   check_true "separable" (has_rule "lock/separable" ds);
@@ -318,7 +318,8 @@ let test_lint_unlock_without_lock () =
        (Ll.lint input))
 
 let test_lint_preclaim_deadlock_free () =
-  let ds = Ll.lint (Ll.of_policy (Az.policy_of_name "preclaim") (syn "xy,yx")) in
+  let syntax = syn "xy,yx" in
+  let ds = Ll.lint (Ll.of_policy (Az.policy_of_name "preclaim" syntax) syntax) in
   check_true "deadlock-free" (has_rule "lock/deadlock-free" ds);
   check_false "no deadlock warning" (has_rule "lock/deadlock" ds)
 
@@ -431,6 +432,23 @@ let test_analyze_nothing_to_do () =
   let report = Az.run (Az.request (syn "xy,yx")) in
   check_true "explains itself" (R.find "analyze/nothing-to-do" report <> None)
 
+(* 2PL' distinguishes the syntax's first variable, in the analyzer as in
+   the registry's 2PL' engine: on ab,ab a fixed "x" would be plain 2PL *)
+let test_2pl_prime_first_var () =
+  let syntax = syn "ab,ab" in
+  let policy name = Az.policy_of_name name syntax in
+  let figure name = Locking.Render.figure ((policy name).Locking.Policy.apply syntax) in
+  check_true "geometry differs from 2pl" (figure "2pl'" <> figure "2pl");
+  let analysis name =
+    Format.asprintf "%a" R.pp (Az.run (Az.request ~policy:name syntax))
+  in
+  check_true "analysis differs from 2pl" (analysis "2pl'" <> analysis "2pl");
+  Alcotest.(check string) "the registry engine's policy"
+    ("LRS[" ^ (policy "2pl'").Locking.Policy.name ^ "]")
+    ((Sched.Registry.find_exn "2pl'").Sched.Registry.make syntax)
+      .Sched.Scheduler.name;
+  Alcotest.(check string) "first variable" "2PL'(a)" (policy "2pl'").Locking.Policy.name
+
 (* a blank variable would be written to an event log as [lock= ],
    which reads back as the empty name *)
 let test_syntax_rejects_whitespace () =
@@ -477,5 +495,7 @@ let suite =
     Alcotest.test_case "nothing to do" `Quick test_analyze_nothing_to_do;
     Alcotest.test_case "syntax rejects whitespace" `Quick
       test_syntax_rejects_whitespace;
+    Alcotest.test_case "2pl' distinguishes the first variable" `Quick
+      test_2pl_prime_first_var;
   ]
   @ qsuite [ prop_expand_preserves_conflicts ]

@@ -40,13 +40,6 @@ let test_find_cycle () =
   | None -> Alcotest.fail "expected a cycle");
   check_true "acyclic none" (Digraph.find_cycle (mk [ (0, 1) ] 2) = None)
 
-let test_scc () =
-  let g = mk [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] 4 in
-  let comp = Digraph.scc g in
-  check_true "0,1 same" (comp.(0) = comp.(1));
-  check_true "2,3 same" (comp.(2) = comp.(3));
-  check_true "0,2 differ" (comp.(0) <> comp.(2))
-
 let test_reachable () =
   let g = mk [ (0, 1); (1, 2); (3, 0) ] 4 in
   let r = Digraph.reachable g 0 in
@@ -1274,7 +1267,6 @@ let suite =
     Alcotest.test_case "cycles" `Quick test_cycles;
     Alcotest.test_case "topological sort" `Quick test_topo;
     Alcotest.test_case "find cycle" `Quick test_find_cycle;
-    Alcotest.test_case "scc" `Quick test_scc;
     Alcotest.test_case "reachable" `Quick test_reachable;
     Alcotest.test_case "components" `Quick test_components;
     Alcotest.test_case "acyclic basic" `Quick test_acyclic_basic;

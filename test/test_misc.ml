@@ -72,11 +72,6 @@ let test_interleave_fold () =
   let count = Combin.Interleave.fold [| 2; 1 |] (fun acc _ -> acc + 1) 0 in
   check_int "fold visits all" 3 count
 
-let test_digraph_pp () =
-  let g = Digraph.create 2 in
-  Digraph.add_edge g 0 1;
-  check_true "pp renders" (String.length (Format.asprintf "%a" Digraph.pp g) > 0)
-
 let test_state_pp () =
   Alcotest.(check string) "state" "{a=1}"
     (State.to_string (State.of_ints [ ("a", 1) ]));
@@ -168,7 +163,6 @@ let suite =
     Alcotest.test_case "schedule prefix/positions" `Quick test_schedule_prefix_positions;
     Alcotest.test_case "names printing" `Quick test_names_pp;
     Alcotest.test_case "interleave fold" `Quick test_interleave_fold;
-    Alcotest.test_case "digraph printing" `Quick test_digraph_pp;
     Alcotest.test_case "state printing" `Quick test_state_pp;
     Alcotest.test_case "value printing" `Quick test_value_pp;
     Alcotest.test_case "weak-sr state budget" `Quick test_weak_sr_max_states_guard;
@@ -397,15 +391,6 @@ let test_bench_smoke_members () =
       ([ "twopc"; "rounds_per_rate" ], "20");
     ]
 
-(* Every mix the bench names is one the generator accepts. *)
-let test_bench_mix_names () =
-  List.iter
-    (fun mix ->
-      ignore
-        (Sim.Sched_bench.syntax_of_mix (Random.State.make [| 1 |]) ~mix ~n:2
-           ~m:2 ~n_vars:3))
-    Sim.Sched_bench.mix_names
-
 let suite =
   suite
   @ [
@@ -420,8 +405,6 @@ let suite =
         test_bench_merge_committed;
       Alcotest.test_case "bench smoke emits every committed member" `Quick
         test_bench_smoke_members;
-      Alcotest.test_case "bench mix names all generate" `Quick
-        test_bench_mix_names;
     ]
   @ qsuite
       [

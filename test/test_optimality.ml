@@ -119,6 +119,27 @@ let prop_serial_correct_in_universe =
       |> Seq.for_all (fun sys ->
              List.for_all (Exec.correct_schedule sys ~probes) serial))
 
+(* the theorems are stated for k >= 2: below that every entry point
+   refuses, instead of dividing by k = 0 or judging a one-value domain *)
+let test_k_below_two () =
+  List.iter
+    (fun k ->
+      let refused name f =
+        Alcotest.check_raises name
+          (Invalid_argument
+             (Printf.sprintf "the domain size k must be at least 2, got %d" k))
+          (fun () -> ignore (f ()))
+      in
+      refused "all_functions" (fun () ->
+          Optimality.Universe.all_functions ~k ~arity:1);
+      refused "states" (fun () -> Optimality.Universe.states ~k ~vars:[ "x" ]);
+      refused "all_ics" (fun () -> Optimality.Universe.all_ics ~k ~vars:[ "x" ]);
+      refused "systems" (fun () ->
+          Optimality.Universe.systems ~k ~fmt:[| 1 |] ~vars:[ "x" ] ());
+      refused "theorem 2" (fun () ->
+          Optimality.Verify.theorem2_report ~k ~fmt:[| 2; 1 |] ~vars:[ "x" ]))
+    [ 0; 1; -1 ]
+
 let suite =
   [
     Alcotest.test_case "function enumeration" `Quick test_all_functions;
@@ -133,5 +154,6 @@ let suite =
     Alcotest.test_case "theorem 3 micro-universe" `Slow test_theorem3_micro;
     Alcotest.test_case "theorem 3 shared var" `Quick test_theorem3_micro_shared;
     Alcotest.test_case "report printer" `Quick test_report_printer;
+    Alcotest.test_case "k below 2 is refused" `Quick test_k_below_two;
   ]
   @ qsuite [ prop_serial_correct_in_universe ]

@@ -67,9 +67,25 @@ let hot22 = Examples.hot_spot 2 2
 let test_exact_fixpoint_counts () =
   let fmt = Syntax.format hot22 in
   check_int "serial |P| = 2" 2
-    (Sim.Measure.exact_fixpoint_count (fun () -> Sched.Serial_sched.create ~fmt) fmt);
+    (List.length
+       (Sched.Driver.fixpoint_of (fun () -> Sched.Serial_sched.create ~fmt) fmt));
   check_int "SGT |P| = |SR| = 2" 2
-    (Sim.Measure.exact_fixpoint_count (fun () -> Sched.Sgt.create ~syntax:hot22 ()) fmt)
+    (List.length
+       (Sched.Driver.fixpoint_of (fun () -> Sched.Sgt.create ~syntax:hot22 ()) fmt))
+
+(* no samples would make every average 0 / 0, printed as nan *)
+let test_samples_below_one () =
+  let fmt = Syntax.format hot22 in
+  let mk () = Sched.Sgt.create ~syntax:hot22 () in
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument "samples must be at least 1, got 0")
+      (fun () -> ignore (f ()))
+  in
+  refused "zero_delay_fraction" (fun () ->
+      Sched.Driver.zero_delay_fraction mk ~fmt ~samples:0 ~seed:1);
+  refused "Measure.sample" (fun () ->
+      Sim.Measure.sample ~name:"SGT" mk ~fmt ~samples:0 ~seed:1)
 
 let test_sample_row () =
   let fmt = Syntax.format hot22 in
@@ -237,6 +253,8 @@ let suite =
     Alcotest.test_case "transfers semantics" `Quick test_transfers_system;
     Alcotest.test_case "exact fixpoint counts" `Quick test_exact_fixpoint_counts;
     Alcotest.test_case "sample row" `Quick test_sample_row;
+    Alcotest.test_case "samples below 1 are refused" `Quick
+      test_samples_below_one;
     Alcotest.test_case "scheduler ordering" `Quick test_compare_ordering;
     Alcotest.test_case "standard suite" `Quick test_standard_suite_runs;
     Alcotest.test_case "DES serial" `Quick test_des_serial;
