@@ -179,6 +179,44 @@ let test_make_validation () =
     (try ignore (Locking.Locked.make s bad3); false
      with Invalid_argument _ -> true)
 
+(* The online engine's zero-delay set is the offline greedy
+   lock-respecting scheduler's: [Driver.fixpoint_of] of [Tpl_sched]
+   equals {h | Locked.passes (policy T) h} for 2PL, 2PL' and preclaim,
+   over every syntax of formats 2x2, 2x3, 3x2 over {x, y} and 2x2x2 over
+   {x, y, z} (809 systems, 199,038 histories). *)
+let test_zero_delay_identity () =
+  let universes =
+    [ ([| 2; 2 |], [ "x"; "y" ]); ([| 2; 3 |], [ "x"; "y" ]);
+      ([| 3; 2 |], [ "x"; "y" ]); ([| 2; 2; 2 |], [ "x"; "y"; "z" ]) ]
+  in
+  let systems = ref 0 and histories = ref 0 in
+  List.iter
+    (fun (fmt, vars) ->
+      let all = Schedule.all fmt in
+      List.iter
+        (fun syntax ->
+          incr systems;
+          List.iter
+            (fun (policy : Locking.Policy.t) ->
+              let locked = policy.apply syntax in
+              let fixpoint =
+                Sched.Driver.fixpoint_of
+                  (fun () -> Sched.Tpl_sched.create ~policy ~syntax ())
+                  fmt
+              in
+              histories := !histories + List.length all;
+              if fixpoint <> List.filter (Locking.Locked.passes locked) all
+              then
+                Alcotest.failf "%s on %a: zero-delay set <> Locked.passes"
+                  policy.name Syntax.pp syntax)
+            [ Locking.Two_phase.policy;
+              Locking.Two_phase_prime.on_first_var syntax;
+              Locking.Preclaim.policy ])
+        (Optimality.Universe.all_syntaxes ~fmt ~vars))
+    universes;
+  check_int "systems" 809 !systems;
+  check_int "histories" 199_038 !histories
+
 (* Property: 2PL outputs are serializable on random 2-3 transaction
    syntaxes. *)
 let prop_2pl_correct_random =
@@ -234,6 +272,8 @@ let suite =
     Alcotest.test_case "tree locking" `Quick test_tree_lock;
     Alcotest.test_case "tree cycle rejected" `Quick test_tree_lock_cycle;
     Alcotest.test_case "locked validation" `Quick test_make_validation;
+    Alcotest.test_case "Tpl_sched zero delay = Locked.passes" `Quick
+      test_zero_delay_identity;
   ]
   @ qsuite
       [
