@@ -112,7 +112,7 @@ let expand syntax h =
        (Array.to_list h))
 
 let var_of p (h : Rw_model.history) =
-  Rw_model.var_of_action_exposed h.(p).Rw_model.action
+  Rw_model.var_of h.(p).Rw_model.action
 
 let tx_of p (h : Rw_model.history) = h.(p).Rw_model.id.Names.tx
 

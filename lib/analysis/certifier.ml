@@ -8,27 +8,34 @@ let level_string = function
 
 let max_h = 800
 
+let max_candidates = 500_000
+
 let certify ?(k = 2) ~name ~make ~level syntax =
   let fmt = Syntax.format syntax in
+  let vars =
+    match level with Format_only -> [ "x" ] | Syntactic -> Syntax.vars syntax
+  in
+  let n_c = Optimality.Universe.candidates ~k ~fmt ~vars in
   let n_h = Schedule.count fmt in
-  if n_h > max_h then
+  let skipped why =
     [
       Report.diagnostic ~rule:"certify/skipped" ~severity:Report.Info
-        (Printf.sprintf
-           "certification skipped: |H| = %d exceeds the bound %d" n_h
-           max_h);
+        ("certification skipped: " ^ why);
     ]
+  in
+  if n_h > max_h then
+    skipped (Printf.sprintf "|H| = %d exceeds the bound %d" n_h max_h)
+  else if n_c > max_candidates then
+    skipped
+      (Printf.sprintf "the universe has %s candidate systems, over the bound %d"
+         (if n_c = max_int then "too many" else string_of_int n_c)
+         max_candidates)
   else
-    let vars, systems =
+    let systems =
       match level with
-      | Format_only ->
-        let vars = [ "x" ] in
-        (vars, Optimality.Universe.systems ~k ~fmt ~vars ())
+      | Format_only -> Optimality.Universe.systems ~k ~fmt ~vars ()
       | Syntactic ->
-        let vars = Syntax.vars syntax in
-        ( vars,
-          Optimality.Universe.systems ~k ~syntaxes:[ syntax ] ~fmt ~vars ()
-        )
+        Optimality.Universe.systems ~k ~syntaxes:[ syntax ] ~fmt ~vars ()
     in
     let probes = Optimality.Universe.states ~k ~vars in
     let bound, universe_size =

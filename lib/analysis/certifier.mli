@@ -38,8 +38,12 @@ val certify :
   Syntax.t ->
   Report.diagnostic list
 (** [certify ~name ~make ~level syntax] runs the check over [Z_k]
-    (default [k = 2]). Skips with [certify/skipped] when [|H|] exceeds
-    800 — the replay and the intersection are both exhaustive over
-    [H]. Reports [certify/information-bound] as an error
+    (default [k = 2]); [k < 2] raises [Invalid_argument] before any
+    other check. Skips with [certify/skipped] when [|H|] exceeds 800 —
+    the replay and the intersection are both exhaustive over [H] — or
+    when the universe has more than 500,000 candidate systems
+    ({!Optimality.Universe.candidates}; [xy,yx] has 61,440 at [k = 2]
+    and certifies in a fraction of a second, [xx,xx,xx]'s 786,432 take
+    about 8 s). Reports [certify/information-bound] as an error
     per violating history (with the history as witness), or as an info
     with the measured [|P|], the bound's size and the slack. *)

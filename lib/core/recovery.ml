@@ -91,7 +91,7 @@ let strict n h =
       match e with
       | Commit i | Abort i -> Hashtbl.replace terminated i ()
       | Act { Rw_model.id; action } ->
-        let v = Rw_model.var_of_action_exposed action in
+        let v = Rw_model.var_of action in
         (match Hashtbl.find_opt last_writer v with
         | Some i when i <> id.Names.tx && not (Hashtbl.mem terminated i) ->
           ok := false
@@ -120,7 +120,7 @@ let pp ppf h =
         in
         Format.fprintf ppf "%s%d(%s)" letter
           (s.Rw_model.id.Names.tx + 1)
-          (Rw_model.var_of_action_exposed s.Rw_model.action)
+          (Rw_model.var_of s.Rw_model.action)
       | Commit i -> Format.fprintf ppf "C%d" (i + 1)
       | Abort i -> Format.fprintf ppf "A%d" (i + 1))
     h;

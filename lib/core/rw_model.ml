@@ -260,8 +260,6 @@ let vsr_not_fsr_witness () =
   let t2 = [ write "x"; write "y" ] in
   (2, interleave [ t1; t2 ] [| 1; 0; 0; 1 |])
 
-let var_of_action_exposed = var_of
-
 let pp ppf h =
   Format.fprintf ppf "(";
   Array.iteri

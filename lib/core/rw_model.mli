@@ -86,9 +86,6 @@ val vsr_not_fsr_witness : unit -> int * history
 (** A history that is final-state-serializable but not
     view-serializable (a dead read). *)
 
-val var_of_action_exposed : action -> Names.var
-(** The variable an action touches. *)
-
 val n_of_history : history -> int
 (** Smallest transaction count covering every step of the history. *)
 

@@ -56,11 +56,18 @@ val holds_after : transaction -> lock_var -> int -> bool
 (** [holds_after tx x p]: after executing the first [p] steps of the
     locked transaction, is [X] held? *)
 
+val machine : t -> (step, Names.step_id) Lrs.t
+(** The lock-respecting scheduler over the locked transactions, each
+    [Lock x] an [Exclusive] request: the machine the online engine
+    [Sched.Tpl_sched] drives. *)
+
 (** {1 Legality of locked schedules}
 
     A locked schedule is an interleaving of the locked transactions,
     represented as an [int array] of transaction indices (entry [k] =
-    which transaction performs its next locked step at position [k]). *)
+    which transaction performs its next locked step at position [k]).
+    Every check below is {!Lrs}'s, which holds the lock table and the
+    machine shared with {!Rw_lock}. *)
 
 val legal : t -> int array -> bool
 (** No lock error and every lock free at the end. *)
@@ -78,20 +85,22 @@ val outputs : t -> Schedule.t list
 
 val can_output : t -> Schedule.t -> bool
 (** Membership of a base schedule in {!outputs} without enumerating all
-    interleavings: a memoized reachability search over (per-transaction
-    progress, matched prefix of [h], lock state). This is §5.2's
-    performance set for the policy. *)
+    interleavings: a memoized reachability search over the
+    per-transaction progress. This is §5.2's performance set for the
+    policy. *)
 
 val passes : t -> Schedule.t -> bool
 (** Zero-delay passability of a base schedule through the {e greedy}
-    lock-respecting scheduler: actions are granted in the order of [h];
-    before an action, its transaction's pending steps up to that action
-    run in order (a failing [Lock] = not passable), and after an action
-    the immediately following [Unlock] steps are released eagerly.
-    [passes l h] implies [can_output l h]; the converse can fail, because
-    a real scheduler only reaches the lock steps between two actions when
-    the second action is requested, whereas {!can_output} may schedule
-    them earlier. Both notions are reported in the benches. *)
+    lock-respecting scheduler ({!Lrs.passes}): actions are granted in
+    the order of [h]; before an action, its transaction's pending steps
+    up to that action run in order (a [Lock] held elsewhere = not
+    passable), and after an action the immediately following [Unlock]
+    steps are released eagerly, or after the final action the whole
+    trailing protocol. [passes l h] implies [can_output l h]; the
+    converse can fail, because a real scheduler only reaches the lock
+    steps between two actions when the second action is requested,
+    whereas {!can_output} may schedule them earlier. Both notions are
+    reported in the benches. *)
 
 val pp_step : Format.formatter -> step -> unit
 val pp : Format.formatter -> t -> unit

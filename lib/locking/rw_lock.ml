@@ -1,11 +1,8 @@
 open Core
 
-type mode = Shared | Exclusive
+type mode = Lrs.mode = Shared | Exclusive
 
-let compatible held requested =
-  match held, requested with
-  | Shared, Shared -> true
-  | Shared, Exclusive | Exclusive, Shared | Exclusive, Exclusive -> false
+let compatible = Lrs.compatible
 
 type step =
   | Acquire of Names.var * mode
@@ -13,8 +10,6 @@ type step =
   | Do of Rw_model.step
 
 type program = step array
-
-let var_of_action = Rw_model.var_of
 
 let transform_with ~mode_for i actions =
   let actions = Array.of_list actions in
@@ -25,7 +20,7 @@ let transform_with ~mode_for i actions =
     let first_write = Hashtbl.create 8 in
     Array.iteri
       (fun j a ->
-        let v = var_of_action a in
+        let v = Rw_model.var_of a in
         if not (Hashtbl.mem first v) then Hashtbl.add first v j;
         Hashtbl.replace last v j;
         if Rw_model.is_write a && not (Hashtbl.mem first_write v) then
@@ -56,7 +51,7 @@ let transform_with ~mode_for i actions =
     let steps = ref [] in
     let emit s = steps := s :: !steps in
     for j = 0 to m - 1 do
-      let v = var_of_action actions.(j) in
+      let v = Rw_model.var_of actions.(j) in
       if Hashtbl.find first v = j then emit (Acquire (v, initial_mode v));
       if upgrade_at v = Some j then emit (Acquire (v, Exclusive));
       if j = phase_shift then
@@ -79,140 +74,15 @@ let exclusive_only i actions =
 
 let programs per_tx = Array.of_list (List.mapi transform per_tx)
 
-(* The lock table: variable -> holders with their mode. Upgrades succeed
-   when the requester is the sole holder. *)
-type table = (Names.var, (int * mode) list) Hashtbl.t
+let view = function
+  | Acquire (v, mode) -> Lrs.Lock (v, mode)
+  | Release v -> Lrs.Unlock v
+  | Do s -> Lrs.Act s
 
-let grantable (tbl : table) i = function
-  | Release _ | Do _ -> true
-  | Acquire (v, want) ->
-    let holders = try Hashtbl.find tbl v with Not_found -> [] in
-    List.for_all
-      (fun (j, held) -> j = i || compatible held want)
-      holders
-
-let apply (tbl : table) i = function
-  | Do _ -> ()
-  | Acquire (v, want) ->
-    let holders = try Hashtbl.find tbl v with Not_found -> [] in
-    Hashtbl.replace tbl v ((i, want) :: List.remove_assoc i holders)
-  | Release v ->
-    let holders = try Hashtbl.find tbl v with Not_found -> [] in
-    (match List.remove_assoc i holders with
-    | [] -> Hashtbl.remove tbl v
-    | rest -> Hashtbl.replace tbl v rest)
-
-let legal progs il =
-  let n = Array.length progs in
-  let progress = Array.make n 0 in
-  let tbl : table = Hashtbl.create 16 in
-  let ok = ref true in
-  Array.iter
-    (fun i ->
-      if !ok then
-        if i < 0 || i >= n || progress.(i) >= Array.length progs.(i) then
-          ok := false
-        else begin
-          let s = progs.(i).(progress.(i)) in
-          if grantable tbl i s then begin
-            apply tbl i s;
-            progress.(i) <- progress.(i) + 1
-          end
-          else ok := false
-        end)
-    il;
-  !ok
-  && Array.for_all2 (fun p prog -> p = Array.length prog) progress progs
-  && Hashtbl.length tbl = 0
-
-let project progs il =
-  let n = Array.length progs in
-  let progress = Array.make n 0 in
-  let actions = ref [] in
-  Array.iter
-    (fun i ->
-      (match progs.(i).(progress.(i)) with
-      | Do s -> actions := s :: !actions
-      | Acquire _ | Release _ -> ());
-      progress.(i) <- progress.(i) + 1)
-    il;
-  Array.of_list (List.rev !actions)
-
-let outputs progs =
-  let fmt = Array.map Array.length progs in
-  let seen = Hashtbl.create 64 in
-  Combin.Interleave.fold fmt
-    (fun acc il ->
-      if legal progs il then begin
-        let h = project progs il in
-        if Hashtbl.mem seen h then acc
-        else begin
-          Hashtbl.add seen h ();
-          h :: acc
-        end
-      end
-      else acc)
-    []
-  |> List.rev
-
-let passes progs (h : Rw_model.history) =
-  let n = Array.length progs in
-  let progress = Array.make n 0 in
-  let tbl : table = Hashtbl.create 16 in
-  let ok = ref true in
-  let exec i s =
-    if grantable tbl i s then begin
-      apply tbl i s;
-      progress.(i) <- progress.(i) + 1
-    end
-    else ok := false
-  in
-  let eager_releases i =
-    let continue = ref true in
-    while !ok && !continue do
-      let p = progress.(i) in
-      if p < Array.length progs.(i) then
-        match progs.(i).(p) with
-        | Release _ as s -> exec i s
-        | Acquire _ | Do _ -> continue := false
-      else continue := false
-    done
-  in
-  Array.iter
-    (fun (s : Rw_model.step) ->
-      if !ok then begin
-        let i = s.Rw_model.id.Names.tx in
-        let continue = ref true in
-        while !ok && !continue do
-          let p = progress.(i) in
-          if p >= Array.length progs.(i) then ok := false
-          else begin
-            let step = progs.(i).(p) in
-            exec i step;
-            match step with
-            | Do s' ->
-              if not (Names.equal_step s.Rw_model.id s'.Rw_model.id) then
-                ok := false;
-              continue := false
-            | Acquire _ | Release _ -> ()
-          end
-        done;
-        if !ok then eager_releases i
-      end)
-    h;
-  !ok && Hashtbl.length tbl = 0
-
-let is_two_phase prog =
-  let released = ref false in
-  Array.for_all
-    (fun s ->
-      match s with
-      | Release _ ->
-        released := true;
-        true
-      | Acquire _ -> not !released
-      | Do _ -> true)
-    prog
+let legal progs il = Lrs.legal view progs il
+let outputs progs = Lrs.outputs view progs
+let passes progs h = Lrs.passes view (fun s -> s.Rw_model.id) progs h
+let is_two_phase prog = Lrs.is_two_phase view prog
 
 let pp_step ppf = function
   | Acquire (v, Shared) -> Format.fprintf ppf "lock-S %s" v
@@ -225,7 +95,7 @@ let pp_step ppf = function
     in
     Format.fprintf ppf "%s%d(%s)" letter
       (s.Rw_model.id.Names.tx + 1)
-      (var_of_action s.Rw_model.action)
+      (Rw_model.var_of s.Rw_model.action)
 
 let pp_program ppf prog =
   Format.fprintf ppf "@[<v>";

@@ -12,8 +12,9 @@ open Core
       locked program (shared lock before the first read, upgrade to
       exclusive before the first write, all releases after the last
       acquisition — two-phase);
-    - a lock-table simulation deciding which interleaved histories the
-      locked programs admit, and the zero-delay ([passes]) check;
+    - which interleaved histories the locked programs admit, and the
+      zero-delay ([passes]) check, both on {!Lrs}'s lock table and
+      machine, the ones {!Locked} and [Sched.Tpl_sched] run;
     - the classical correctness theorem, checked here empirically:
       every admitted history is conflict-serializable.
 
@@ -21,7 +22,7 @@ open Core
     read-heavy workloads admit strictly more histories because readers
     no longer exclude each other. *)
 
-type mode = Shared | Exclusive
+type mode = Lrs.mode = Shared | Exclusive
 
 val compatible : mode -> mode -> bool
 (** [compatible held requested] — only [Shared]/[Shared]. *)
@@ -53,8 +54,9 @@ val outputs : program array -> Rw_model.history list
     systems only. *)
 
 val passes : program array -> Rw_model.history -> bool
-(** Zero-delay admission of a history: locks acquired just in time
-    before each action, releases eager, like {!Locked.passes}. *)
+(** Zero-delay admission of a history ({!Lrs.passes}): locks acquired
+    just in time before each action, releases eager, like
+    {!Locked.passes}. *)
 
 val is_two_phase : program -> bool
 

@@ -112,6 +112,22 @@ let all_ics ~k ~vars =
         ( Printf.sprintf "ic#%d" mask,
           fun g -> List.exists (State.equal g) members ))
 
+let candidates ~k ~fmt ~vars =
+  check_k k;
+  let mul a b = if b <= max_int / a then a * b else max_int in
+  let rec power b e = if e = 0 then 1 else mul b (power b (e - 1)) in
+  let functions arity =
+    let entries = power k arity in
+    if entries > 8 then max_int else power k entries
+  in
+  let space = power k (List.length vars) in
+  let ics = if space > 12 then max_int else power 2 space - 1 in
+  Array.fold_left
+    (fun acc m ->
+      List.fold_left (fun acc j -> mul acc (functions (j + 1))) acc
+        (List.init m Fun.id))
+    ics fmt
+
 let systems ~k ?syntaxes ~fmt ~vars () =
   let syntaxes =
     match syntaxes with Some s -> s | None -> all_syntaxes ~fmt ~vars

@@ -28,6 +28,14 @@ val all_ics : k:int -> vars:Names.var list -> System.ic list
     (named by their bitmask). The empty subset is excluded (no
     consistent state = vacuous). *)
 
+val candidates : k:int -> fmt:int array -> vars:Names.var list -> int
+(** The systems {!systems} enumerates per syntax before its filter,
+    counted without enumerating: the product over steps of
+    [k^(k^arity)] (step [j] of a transaction reads [j + 1] values)
+    times the [2^(k^|vars|) - 1] constraints. Saturates at [max_int],
+    and is [max_int] when a step's arity or the state space is one
+    {!all_functions} or {!all_ics} refuses. *)
+
 val systems :
   k:int -> ?syntaxes:Syntax.t list -> fmt:int array -> vars:Names.var list ->
   unit -> System.t Seq.t

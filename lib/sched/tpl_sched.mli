@@ -3,17 +3,20 @@ open Core
 (** A locking-policy scheduler: the lock-respecting scheduler driven by
     any {!Locking.Policy.t} (2PL by default in the benches).
 
-    Each transaction executes its locked program; a step request runs
-    the pending segment of lock steps just before the action
-    (just-in-time acquisition) and is delayed if any lock is held by
-    another transaction. After an action, the immediately following
-    unlock steps release eagerly. Deadlocks surface as driver stalls;
-    the victim (the blocked transaction whose abort frees a wait-for
-    cycle, or the first blocked one) releases its locks and restarts.
+    It drives {!Locking.Lrs}, the machine and lock table that
+    {!Locking.Locked.passes} runs offline: a step is granted when no
+    other transaction holds a lock its segment (or, for a final action,
+    its whole trailing protocol) needs, and the grant runs the segment,
+    the action and the eager unlock run. Deadlocks surface as driver
+    stalls; the victim (the blocked transaction whose abort frees a
+    wait-for cycle, or the first blocked one) releases its locks and
+    restarts.
 
-    Its zero-delay set is {!Locking.Locked.passes}' set — strictly inside
-    the SGT scheduler's fixpoint, which is the formal content of §5.4's
-    "2PL cannot be optimal as a scheduler". *)
+    Its zero-delay set is {!Locking.Locked.passes}' set, checked by the
+    locking suite's "Tpl_sched zero delay = Locked.passes" test for 2PL,
+    2PL′ and preclaim over every syntax of four small formats — strictly
+    inside the SGT scheduler's fixpoint, which is the formal content of
+    §5.4's "2PL cannot be optimal as a scheduler". *)
 
 val create :
   ?sink:Obs.Sink.t -> policy:Locking.Policy.t -> syntax:Syntax.t -> unit ->

@@ -361,6 +361,44 @@ let test_certify_sgt_passes () =
          d.R.rule = "certify/information-bound" && d.R.severity = R.Info)
        ds)
 
+(* The universe bound: [xy,yx] (61,440 candidate systems at k = 2)
+   certifies; [xyz,x] (16,711,680) and [xyz,xyz,xy] are skipped without
+   enumerating; [xxxx,x] has a step arity no function table covers, and
+   is skipped instead of raising. *)
+let test_certify_universe_bound () =
+  let certify s =
+    let syntax = syn s in
+    Cert.certify ~name:"sgt"
+      ~make:(Az.scheduler_of_name syntax "sgt")
+      ~level:Cert.Syntactic syntax
+  in
+  check_int "xy,yx candidates" 61_440
+    (Optimality.Universe.candidates ~k:2 ~fmt:[| 2; 2 |] ~vars:[ "x"; "y" ]);
+  check_int "xyz,x candidates" 16_711_680
+    (Optimality.Universe.candidates ~k:2 ~fmt:[| 3; 1 |]
+       ~vars:[ "x"; "y"; "z" ]);
+  check_true "xy,yx certifies"
+    (has_rule "certify/information-bound" (certify "xy,yx"));
+  List.iter
+    (fun s ->
+      Alcotest.(check (list string))
+        (s ^ " skipped") [ "certify/skipped" ]
+        (rules (certify s)))
+    [ "xyz,x"; "xyz,xyz,xy"; "xxxx,x" ]
+
+(* k is checked before the |H| guard: a system too large to certify
+   still refuses k = 0. *)
+let test_certify_checks_k_first () =
+  let syntax = syn "xyzw,xyzw,xy" in
+  check_true "k = 0 refused"
+    (try
+       ignore
+         (Cert.certify ~k:0 ~name:"sgt"
+            ~make:(Az.scheduler_of_name syntax "sgt")
+            ~level:Cert.Syntactic syntax);
+       false
+     with Invalid_argument _ -> true)
+
 let test_certify_serial_passes () =
   let syntax = syn "xx,x" in
   let ds =
@@ -489,6 +527,10 @@ let suite =
     Alcotest.test_case "non-separable policy" `Quick test_lint_non_separable;
     Alcotest.test_case "certify sgt" `Quick test_certify_sgt_passes;
     Alcotest.test_case "certify serial" `Quick test_certify_serial_passes;
+    Alcotest.test_case "certify universe bound" `Quick
+      test_certify_universe_bound;
+    Alcotest.test_case "certify checks k first" `Quick
+      test_certify_checks_k_first;
     Alcotest.test_case "certify catches greedy" `Quick
       test_certify_catches_greedy;
     Alcotest.test_case "report json" `Quick test_report_json;
