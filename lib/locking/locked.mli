@@ -56,7 +56,7 @@ val holds_after : transaction -> lock_var -> int -> bool
 (** [holds_after tx x p]: after executing the first [p] steps of the
     locked transaction, is [X] held? *)
 
-val machine : t -> (step, Names.step_id) Lrs.t
+val machine : t -> Names.step_id Lrs.t
 (** The lock-respecting scheduler over the locked transactions, each
     [Lock x] an [Exclusive] request: the machine the online engine
     [Sched.Tpl_sched] drives. *)

@@ -12,16 +12,17 @@ type 'a op =
   | Unlock of string
   | Act of 'a
 
-type ('s, 'a) t = {
-  view : 's -> 'a op;
-  progs : 's array array;
+type 'a t = {
+  progs : 'a op array array;  (* read through the view once, at [create] *)
   pos : int array;
   table : (string, (int * mode) list) Hashtbl.t;  (* lock -> holders *)
 }
 
-let create view progs =
-  { view; progs; pos = Array.make (Array.length progs) 0;
-    table = Hashtbl.create 16 }
+let of_ops progs =
+  { progs; pos = Array.make (Array.length progs) 0; table = Hashtbl.create 16 }
+
+let ops view progs = Array.map (Array.map view) progs
+let create view progs = of_ops (ops view progs)
 
 let copy t = { t with pos = Array.copy t.pos; table = Hashtbl.copy t.table }
 
@@ -41,7 +42,7 @@ let finished t =
 (* Run [i]'s step at its position, which the caller has cleared. *)
 let exec t i notify =
   let s = t.progs.(i).(t.pos.(i)) in
-  (match t.view s with
+  (match s with
   | Lock (x, want) ->
     Hashtbl.replace t.table x ((i, want) :: List.remove_assoc i (holders t x));
     notify s
@@ -59,7 +60,7 @@ let exec t i notify =
 let rec find_act t i p =
   if p >= Array.length t.progs.(i) then None
   else
-    match t.view t.progs.(i).(p) with
+    match t.progs.(i).(p) with
     | Act a -> Some (p, a)
     | Lock _ | Unlock _ -> find_act t i (p + 1)
 
@@ -76,7 +77,7 @@ let blockers t i =
     let rec go p =
       if p >= stop then []
       else
-        match t.view t.progs.(i).(p) with
+        match t.progs.(i).(p) with
         | Lock (x, want) -> conflicts t i x want @ go (p + 1)
         | Unlock _ | Act _ -> go (p + 1)
     in
@@ -86,7 +87,7 @@ let advance t i notify =
   let run_while more =
     while
       t.pos.(i) < Array.length t.progs.(i)
-      && more (t.view t.progs.(i).(t.pos.(i)))
+      && more t.progs.(i).(t.pos.(i))
     do
       exec t i notify
     done
@@ -121,21 +122,22 @@ let passes view id progs h =
 (* Run [i]'s next step if it is there and the table admits it. *)
 let step t i =
   t.pos.(i) < Array.length t.progs.(i)
-  && (match t.view t.progs.(i).(t.pos.(i)) with
+  && (match t.progs.(i).(t.pos.(i)) with
      | Lock (x, want) -> conflicts t i x want = []
      | Unlock _ | Act _ -> true)
   && (exec t i ignore; true)
 
-let scan view progs il =
-  let t = create view progs in
+let scan progs il =
+  let t = of_ops progs in
   let n = Array.length progs in
   (Array.for_all (fun i -> i >= 0 && i < n && step t i) il, t)
 
-let legal_prefix view progs il = fst (scan view progs il)
-
-let legal view progs il =
-  let ok, t = scan view progs il in
+let legal_ops progs il =
+  let ok, t = scan progs il in
   ok && finished t && idle t
+
+let legal_prefix view progs il = fst (scan (ops view progs) il)
+let legal view progs il = legal_ops (ops view progs) il
 
 let project view progs il =
   let pos = Array.make (Array.length progs) 0 in
@@ -148,12 +150,13 @@ let project view progs il =
   |> List.rev |> Array.of_list
 
 let outputs view progs =
+  let progs = ops view progs in
   let seen = Hashtbl.create 64 in
   Combin.Interleave.fold (Array.map Array.length progs)
     (fun acc il ->
-      if not (legal view progs il) then acc
+      if not (legal_ops progs il) then acc
       else
-        let h = project view progs il in
+        let h = project Fun.id progs il in
         if Hashtbl.mem seen h then acc
         else begin
           Hashtbl.add seen h ();
@@ -165,6 +168,7 @@ let outputs view progs =
 (* Depth-first over the machine's states. On legal paths the positions
    determine the lock table, so they alone are the memo key. *)
 let can_output view id progs h =
+  let progs = ops view progs in
   let len = Array.length h in
   let visited = Hashtbl.create 256 in
   let rec go t matched =
@@ -175,7 +179,7 @@ let can_output view id progs h =
          let try_tx i =
            t.pos.(i) < Array.length progs.(i)
            &&
-           match view progs.(i).(t.pos.(i)) with
+           match progs.(i).(t.pos.(i)) with
            | Act a ->
              matched < len
              && Names.equal_step (id a) (id h.(matched))
@@ -188,7 +192,7 @@ let can_output view id progs h =
          any 0
        end
   in
-  go (create view progs) 0
+  go (of_ops progs) 0
 
 let is_two_phase view prog =
   let unlocked = ref false in

@@ -22,30 +22,31 @@ type 'a op =
   | Unlock of string
   | Act of 'a  (** an action of the base system *)
 
-type ('s, 'a) t
-(** The machine over programs of steps ['s] whose actions read as
-    ['a]: a position per transaction and the lock table. *)
+type 'a t
+(** The machine over programs whose actions read as ['a]: a position
+    per transaction and the lock table. *)
 
-val create : ('s -> 'a op) -> 's array array -> ('s, 'a) t
-(** Every transaction at its first step, no lock held. *)
+val create : ('s -> 'a op) -> 's array array -> 'a t
+(** The programs read through the view, every transaction at its first
+    step, no lock held. *)
 
-val next_action : ('s, 'a) t -> int -> 'a option
+val next_action : 'a t -> int -> 'a option
 (** Transaction [i]'s next action, [None] once none is left. *)
 
-val blockers : ('s, 'a) t -> int -> int list
+val blockers : 'a t -> int -> int list
 (** The other transactions whose locks the grant of [i]'s next action
     would need, one per conflicting holder of each lock step it runs, in
     program order: the lock segment before the action, and when the
     action is [i]'s last, the whole trailing protocol too (2PL′ ends with
     a [lock x'] step). Empty when the grant can go ahead. *)
 
-val advance : ('s, 'a) t -> int -> ('s -> unit) -> unit
+val advance : 'a t -> int -> ('a op -> unit) -> unit
 (** Grant [i]'s next action: run its lock segment, the action, then the
     eager run of releases after it, or the whole trailing protocol after
     [i]'s last action. The callback sees each lock step that changes the
     table, in order. Call only when {!blockers} is empty. *)
 
-val reset : ('s, 'a) t -> int -> unit
+val reset : 'a t -> int -> unit
 (** Abort: [i] back at its first step, its locks released. *)
 
 val passes :

@@ -124,8 +124,8 @@ let candidates ~k ~fmt ~vars =
   let ics = if space > 12 then max_int else power 2 space - 1 in
   Array.fold_left
     (fun acc m ->
-      List.fold_left (fun acc j -> mul acc (functions (j + 1))) acc
-        (List.init m Fun.id))
+      List.fold_left (fun acc arity -> mul acc (functions arity)) acc
+        (List.init m succ))
     ics fmt
 
 let systems ~k ?syntaxes ~fmt ~vars () =

@@ -43,14 +43,14 @@ let create ?(sink = Obs.Sink.null) ~policy ~syntax () =
   let attempt (id : Names.step_id) =
     if blockers id.Names.tx = [] then Scheduler.Grant else Scheduler.Delay
   in
-  let record tx = function
-    | Locking.Locked.Lock lock ->
-      if Obs.Sink.on sink then
+  let record tx s =
+    if Obs.Sink.on sink then
+      match s with
+      | Locking.Lrs.Lock (lock, _) ->
         Obs.Sink.record sink (Obs.Event.Lock_acquired { tx; lock })
-    | Locking.Locked.Unlock lock ->
-      if Obs.Sink.on sink then
+      | Locking.Lrs.Unlock lock ->
         Obs.Sink.record sink (Obs.Event.Lock_released { tx; lock })
-    | Locking.Locked.Action _ -> ()
+      | Locking.Lrs.Act _ -> ()
   in
   let commit (id : Names.step_id) =
     let i = id.Names.tx in
