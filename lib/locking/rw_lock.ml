@@ -2,8 +2,6 @@ open Core
 
 type mode = Lrs.mode = Shared | Exclusive
 
-let compatible = Lrs.compatible
-
 type step =
   | Acquire of Names.var * mode
   | Release of Names.var

@@ -24,9 +24,6 @@ open Core
 
 type mode = Lrs.mode = Shared | Exclusive
 
-val compatible : mode -> mode -> bool
-(** [compatible held requested] — only [Shared]/[Shared]. *)
-
 type step =
   | Acquire of Names.var * mode
   | Release of Names.var

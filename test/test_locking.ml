@@ -179,6 +179,27 @@ let test_make_validation () =
     (try ignore (Locking.Locked.make s bad3); false
      with Invalid_argument _ -> true)
 
+(* A final action waits for every lock of its trailing protocol (2PL'
+   ends with [lock x'] after its last action): T1 = lock a, T11,
+   lock b, unlock a, unlock b may not run T11 while T2 holds b. *)
+let test_final_action_waits_for_trailing_locks () =
+  let module L = Locking.Locked in
+  let l =
+    L.make (Syntax.of_lists [ [ "x" ]; [ "y"; "y" ] ])
+      [ [ L.Lock "a"; L.Action (Names.step 0 0); L.Lock "b"; L.Unlock "a";
+          L.Unlock "b" ];
+        [ L.Lock "b"; L.Action (Names.step 1 0); L.Action (Names.step 1 1);
+          L.Unlock "b" ] ]
+  in
+  let h order = Array.of_list (List.map (fun (i, j) -> Names.step i j) order) in
+  check_false "T11 while T2 holds b"
+    (L.passes l (h [ (1, 0); (0, 0); (1, 1) ]));
+  check_true "T11 after T2 releases b"
+    (L.passes l (h [ (1, 0); (1, 1); (0, 0) ]));
+  let m = L.machine l in
+  Locking.Lrs.advance m 1 ignore;
+  Alcotest.(check (list int)) "T1's blockers" [ 1 ] (Locking.Lrs.blockers m 0)
+
 (* The online engine's zero-delay set is the offline greedy
    lock-respecting scheduler's: [Driver.fixpoint_of] of [Tpl_sched]
    equals {h | Locked.passes (policy T) h} for 2PL, 2PL' and preclaim,
@@ -272,6 +293,8 @@ let suite =
     Alcotest.test_case "tree locking" `Quick test_tree_lock;
     Alcotest.test_case "tree cycle rejected" `Quick test_tree_lock_cycle;
     Alcotest.test_case "locked validation" `Quick test_make_validation;
+    Alcotest.test_case "final action waits for trailing locks" `Quick
+      test_final_action_waits_for_trailing_locks;
     Alcotest.test_case "Tpl_sched zero delay = Locked.passes" `Quick
       test_zero_delay_identity;
   ]

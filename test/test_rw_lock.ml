@@ -8,10 +8,10 @@ let r v = Rw_model.read v
 let w v = Rw_model.write v
 
 let test_compatibility () =
-  check_true "S/S" (Locking.Rw_lock.compatible Locking.Rw_lock.Shared Locking.Rw_lock.Shared);
-  check_false "S/X" (Locking.Rw_lock.compatible Locking.Rw_lock.Shared Locking.Rw_lock.Exclusive);
-  check_false "X/S" (Locking.Rw_lock.compatible Locking.Rw_lock.Exclusive Locking.Rw_lock.Shared);
-  check_false "X/X" (Locking.Rw_lock.compatible Locking.Rw_lock.Exclusive Locking.Rw_lock.Exclusive)
+  check_true "S/S" (Locking.Lrs.compatible Locking.Rw_lock.Shared Locking.Rw_lock.Shared);
+  check_false "S/X" (Locking.Lrs.compatible Locking.Rw_lock.Shared Locking.Rw_lock.Exclusive);
+  check_false "X/S" (Locking.Lrs.compatible Locking.Rw_lock.Exclusive Locking.Rw_lock.Shared);
+  check_false "X/X" (Locking.Lrs.compatible Locking.Rw_lock.Exclusive Locking.Rw_lock.Exclusive)
 
 let show prog =
   Array.to_list prog
