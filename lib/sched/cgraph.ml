@@ -325,19 +325,25 @@ let abort g l =
   unset g l done_bit;
   forget g l
 
-type refusals = { blocked : int array; path : int list array }
+type refusals = { blocked : int array; path : int array array }
 
-let refusals n = { blocked = Array.make n (-1); path = Array.make n [] }
+let refusals n = { blocked = Array.make n (-1); path = Array.make n [||] }
 
 let refuse r tx idx path =
   r.blocked.(tx) <- idx;
   r.path.(tx) <- path
 
+(* [v] is one of the first [i] ids of [path]; the scan allocates nothing. *)
+let rec on_path (v : int) path i =
+  i > 0 && (path.(i - 1) = v || on_path v path (i - 1))
+
+(* A transaction with no standing refusal has an empty path: no call. *)
 let clear_through r v =
   for tx = 0 to Array.length r.blocked - 1 do
-    if r.blocked.(tx) >= 0 && List.memq v r.path.(tx) then begin
+    let path = r.path.(tx) in
+    if Array.length path > 0 && on_path v path (Array.length path) then begin
       r.blocked.(tx) <- -1;
-      r.path.(tx) <- []
+      r.path.(tx) <- [||]
     end
   done
 
@@ -345,7 +351,7 @@ let clear_through r v =
    use, and its rows are the syntax's: nothing is interned or copied
    here, and the engine keeps no reference to the syntax itself. *)
 let scheduler ?sink ~name ~commute syntax =
-  let fmt = Syntax.format syntax in
+  let rows = Syntax.var_ids syntax in
   (* an untyped syntax is all updates: the one class, as without ops *)
   let kinds = Syntax.kinds syntax in
   let op_of_step =
@@ -354,9 +360,9 @@ let scheduler ?sink ~name ~commute syntax =
   in
   let g =
     create ?sink ?op_of_step ~n_vars:(Syntax.n_vars syntax)
-      ~var_of_step:(Syntax.var_ids syntax) ()
+      ~var_of_step:rows ()
   in
-  let r = refusals (Array.length fmt) in
+  let r = refusals (Array.length rows) in
   (* The cache lookup, spelled out: calling a function for it measured
      ~5% lower end-to-end capacity on the contended [hot] workload. The
      driver reads [blocked] as the engine's standing refusals and skips
@@ -367,7 +373,7 @@ let scheduler ?sink ~name ~commute syntax =
   let attempt ({ tx; idx } : Names.step_id) =
     if blocked.(tx) = idx then Scheduler.Delay
     else if refuses g tx idx then begin
-      refuse r tx idx (Digraph.Acyclic.last_path g.graph);
+      refuse r tx idx (Array.of_list (Digraph.Acyclic.last_path g.graph));
       if Obs.Sink.on g.sink then
         Obs.Sink.record g.sink (Obs.Event.Cycle_refused { tx; idx });
       Scheduler.Delay
@@ -376,7 +382,7 @@ let scheduler ?sink ~name ~commute syntax =
   in
   let commit ({ tx; idx } : Names.step_id) =
     grant g tx idx;
-    if idx = fmt.(tx) - 1 then complete g tx
+    if idx = Array.length rows.(tx) - 1 then complete g tx
   in
   (* The requester heads its own path, so this clears its entry too. *)
   let on_abort tx =

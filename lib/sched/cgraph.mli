@@ -136,17 +136,19 @@ type refusals = private {
   blocked : int array;
       (** per transaction, its refused step, or [-1]: a request for that
           step is a cached Delay *)
-  path : int list array;  (** per transaction, the witness of its refusal *)
+  path : int array array;
+      (** per transaction, the witness of its refusal, or [[||]] *)
 }
 (** The delay cache of a request loop, over the ids the loop names
-    transactions by (see the header). *)
+    transactions by (see the header); a witness may hold other ids too,
+    such as {!Sharded}'s coordinator ids [-1 - c]. *)
 
 val refusals : int -> refusals
 (** An empty cache for transactions [0 .. n-1]. *)
 
-val refuse : refusals -> int -> int -> int list -> unit
+val refuse : refusals -> int -> int -> int array -> unit
 (** [refuse r tx idx path]: step [idx] of [tx] was refused, and [path]
-    (which holds [tx]) witnesses it. *)
+    (which holds [tx]) witnesses it. The array is kept, not copied. *)
 
 val clear_through : refusals -> int -> unit
 (** [v] aborted: drop every entry whose path holds [v]. A grant needs no
@@ -160,5 +162,5 @@ val scheduler :
     [standing], so the driver answers cached refusals without asking.
     With [commute] the classes come from the syntax's ops ({!Semantic});
     without, every pair conflicts ({!Sgt}). The kernel's variables are
-    the syntax's ids ({!Core.Syntax.var_ids}), read in place: building
-    the engine interns no name. *)
+    the syntax's ids ({!Core.Syntax.var_ids}), read in place with their
+    lengths: building the engine interns no name and copies no format. *)

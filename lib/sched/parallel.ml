@@ -60,21 +60,19 @@ type plan = {
 
 let plan_of (p : Partition.t) ~domains =
   let k = p.Partition.shards in
-  let coordinated = Array.make k false in
+  (* the shard bits of every cross transaction *)
+  let coordinated = ref 0 in
   Array.iteri
-    (fun tx cross ->
-      if cross then
-        for s = 0 to k - 1 do
-          if p.Partition.mask.(tx) land (1 lsl s) <> 0 then
-            coordinated.(s) <- true
-        done)
-    p.Partition.cross;
+    (fun tx c ->
+      if c >= 0 then coordinated := !coordinated lor p.Partition.mask.(tx))
+    p.Partition.cross_id;
   (* a coordinated shard has a member: the cross transaction touching it *)
-  let has_coordinator = Array.exists Fun.id coordinated in
+  let has_coordinator = !coordinated <> 0 in
   let free_shards =
     List.filter
       (fun s ->
-        Array.length p.Partition.members.(s) > 0 && not coordinated.(s))
+        Array.length p.Partition.members.(s) > 0
+        && !coordinated land (1 lsl s) = 0)
       (List.init k Fun.id)
   in
   let base = if has_coordinator then 1 else 0 in

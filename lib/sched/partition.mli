@@ -6,11 +6,11 @@ open Core
     shards by a deterministic hash, and precomputes everything the
     {!Sharded} engine needs on its integer-only hot path: the shard of
     every variable id, each transaction's shard bitmask, shard
-    membership lists, and a dense numbering of the {e cross-shard}
-    transactions (those touching two or more shards) for the coordinator
-    graph. It costs per variable and per transaction, never per step: a
-    step's shard is [shard_of_var.(ids.(tx).(idx))], read through the
-    syntax's own id rows.
+    membership lists with shard-local ids, and a dense numbering of the
+    {e cross-shard} transactions (those touching two or more shards) for
+    the coordinator graph. It costs per variable and per membership,
+    never per step: a step's shard is [shard_of_var.(ids.(tx).(idx))],
+    read through the syntax's own id rows.
 
     Because a conflict edge joins two accessors of the {e same}
     variable, every conflict edge lives in exactly one shard; a
@@ -33,7 +33,6 @@ type t = {
       (** per-transaction bitmask of touched shards (bit [s] set iff the
           transaction accesses a variable of shard [s]); [0] for an
           empty transaction *)
-  cross : bool array;  (** touches two or more shards *)
   n_cross : int;  (** number of cross-shard transactions *)
   cross_id : int array;
       (** dense coordinator-local id of a cross-shard transaction
@@ -41,9 +40,10 @@ type t = {
   members : int array array;
       (** [members.(s)]: global ids of the transactions touching shard
           [s], ascending — the shard-local id space *)
-  local_id : int array array;
-      (** [local_id.(s).(tx)]: shard-local id of [tx] in shard [s];
-          [-1] if [tx] does not touch [s] *)
+  slot : int array;
+      (** [tx]'s slots in [local] are [slot.(tx) .. slot.(tx + 1) - 1],
+          one per shard it touches, in ascending shard order *)
+  local : int array;  (** per membership slot, its shard-local id *)
 }
 
 val shard_of_var : shards:int -> Names.var -> int
@@ -56,6 +56,10 @@ val make : syntax:Syntax.t -> shards:int -> t
     with nothing allocated per step. Raises
     [Invalid_argument] unless [1 <= shards <= 62] (shard sets are
     represented as bits of one OCaml [int]). *)
+
+val local_id : t -> int -> int -> int
+(** [local_id p s tx]: [tx]'s shard-local id in shard [s], or [-1] if it
+    does not touch [s]. A single-shard [tx]'s lookup is O(1). *)
 
 val cross_fraction : t -> float
 (** Fraction of non-empty transactions that are cross-shard. *)

@@ -2,34 +2,40 @@ open Core
 
 (* The cross-shard transactions that the latest marking search on a
    shard's graph [g] marked, as coordinator ids, read off the marked
-   vertices through the shard's [coord] (-1 for a single-shard one), in
-   no particular order. *)
-let marked_cross g coord =
+   vertices through the shard's members [mem] and [cross_id] (-1 for a
+   single-shard one), in no particular order. *)
+let marked_cross g mem cross_id =
   let acc = ref [] in
   for i = 0 to Digraph.Acyclic.n_marked g - 1 do
-    let c = coord.(Digraph.Acyclic.nth_marked g i) in
+    let c = cross_id.(mem.(Digraph.Acyclic.nth_marked g i)) in
     if c >= 0 then acc := c :: !acc
   done;
   !acc
 
 (* The same, coordinator ids descending. Local ids run in coordinator-id
    order, so two or more are put in order by a scan of the shard's
-   [coord]; the forward search seldom marks two (on [skewed], seed 1, in
+   members; the forward search seldom marks two (on [skewed], seed 1, in
    850 of 30246 calls). Either way the list is the only allocation. *)
-let marked_cross_desc g coord =
+let marked_cross_desc g mem cross_id =
   let k = ref 0 in
   for i = 0 to Digraph.Acyclic.n_marked g - 1 do
-    if coord.(Digraph.Acyclic.nth_marked g i) >= 0 then incr k
+    if cross_id.(mem.(Digraph.Acyclic.nth_marked g i)) >= 0 then incr k
   done;
-  if !k < 2 then marked_cross g coord
+  if !k < 2 then marked_cross g mem cross_id
   else begin
     let acc = ref [] in
-    for l = 0 to Array.length coord - 1 do
-      if coord.(l) >= 0 && Digraph.Acyclic.marked g l then
-        acc := coord.(l) :: !acc
+    for l = 0 to Array.length mem - 1 do
+      let c = cross_id.(mem.(l)) in
+      if c >= 0 && Digraph.Acyclic.marked g l then acc := c :: !acc
     done;
     !acc
   end
+
+(* The shards of mask [m] from [s] up: a commit round's participants. *)
+let rec participants m s =
+  if m lsr s = 0 then []
+  else if m land (1 lsl s) = 0 then participants m (s + 1)
+  else s :: participants m (s + 1)
 
 (* The candidate summary edges [a] x [b] of the step [attempt] last let
    through ([tx = -1]: none). *)
@@ -47,26 +53,7 @@ let forget last =
 
 let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let p = Partition.make ~syntax ~shards in
-  let fmt = Syntax.format syntax in
-  let n = p.Partition.n in
-  (* Touched-shard lists of the cross-shard transactions, decoded once
-     from the partition bitmasks — the participant sets handed to the
-     atomic-commit hook. *)
-  let shards_of_tx =
-    match commit_cross with
-    | None -> [||]
-    | Some _ ->
-      (* filled in place: [Array.init] over more than 256 transactions
-         would start from a young list and force a minor collection *)
-      let a = Array.make n [] in
-      for tx = 0 to n - 1 do
-        if p.Partition.cross.(tx) then
-          for s = shards - 1 downto 0 do
-            if p.Partition.mask.(tx) land (1 lsl s) <> 0 then a.(tx) <- s :: a.(tx)
-          done
-      done;
-      a
-  in
+  let cross_id = p.Partition.cross_id in
   (* One {!Cgraph} kernel per shard, over shard-local ids. Only
      single-shard transactions are prunable: for them a zero in-degree in
      the home shard is a zero global in-degree, exactly the {!Sgt}
@@ -89,7 +76,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
           var_of_step.(l) <- p.Partition.ids.(mem.(l))
         done;
         Cgraph.create ~sink ~ids:mem
-          ~prunable:(fun l -> not p.Partition.cross.(mem.(l)))
+          ~prunable:(fun l -> cross_id.(mem.(l)) < 0)
           ~n_vars ~var_of_step ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
@@ -99,20 +86,10 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     if p.Partition.n_cross = 0 then None
     else Some (Digraph.Acyclic.create p.Partition.n_cross)
   in
-  (* per shard, the coordinator id of each shard-local id, -1 for a
-     single-shard transaction: the cross-shard transactions present in a
-     shard are the only candidate endpoints of summary edges discovered
-     in it *)
-  let coord = Array.make shards [||] and has_cross = Array.make shards false in
-  for s = 0 to shards - 1 do
-    let mem = p.Partition.members.(s) in
-    let c = Array.make (Array.length mem) (-1) in
-    for l = 0 to Array.length mem - 1 do
-      c.(l) <- p.Partition.cross_id.(mem.(l));
-      if c.(l) >= 0 then has_cross.(s) <- true
-    done;
-    coord.(s) <- c
-  done;
+  (* a shard's cross-shard members are its only summary-edge endpoints *)
+  let has_cross =
+    Array.map (Array.exists (fun tx -> cross_id.(tx) >= 0)) p.Partition.members
+  in
   (* Delay cache: {!Cgraph.refusals} over global ids. A refusal's
      witness is the path that made it: a kernel refusal's shard path
      [l ~> u], or a summary refusal's [l ~> b] in the shard, [b ~> a] in
@@ -121,9 +98,15 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      endpoint aborts. So the verdict stands until a transaction on its
      witness aborts, and [blocked] is the engine's standing refusals.
      Coordinator ids [c] are stored as [-1 - c]. *)
-  let r = Cgraph.refusals n in
+  let r = Cgraph.refusals p.Partition.n in
   let blocked = r.Cgraph.blocked in
-  let global s path = List.map (fun l -> p.Partition.members.(s).(l)) path in
+  let global s path =
+    let a = Array.of_list path and mem = p.Partition.members.(s) in
+    for i = 0 to Array.length a - 1 do
+      a.(i) <- mem.(a.(i))
+    done;
+    a
+  in
   (* Candidate summary edges of granting step (tx, idx), shard-local [l]
      in shard [s]: the new intra-shard edges are [h -> l] from the head
      [h] of each prior accessor list, which every prior accessor [u]
@@ -151,11 +134,12 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     else begin
       let g = Cgraph.graph k in
       Digraph.Acyclic.mark_reachable g l;
-      match marked_cross_desc g coord.(s) with
+      let mem = p.Partition.members.(s) in
+      match marked_cross_desc g mem cross_id with
       | [] -> ([], [])
       | bb ->
         Cgraph.mark_reaching_sources k l idx;
-        (marked_cross g coord.(s), bb)
+        (marked_cross g mem cross_id, bb)
     end
   in
   (* The [commit] that directly follows a grant reuses the candidates
@@ -170,7 +154,10 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let summary_witness s l idx cg =
     let k = kernel.(s) in
     let ba = Digraph.Acyclic.last_path cg in
-    let local c = Option.get (Array.find_index (Int.equal c) coord.(s)) in
+    let mem = p.Partition.members.(s) in
+    let local c =
+      Option.get (Array.find_index (fun tx -> cross_id.(tx) = c) mem)
+    in
     let shard_path found =
       if found then global s (Digraph.Acyclic.last_path (Cgraph.graph k))
       else failwith "Sched.Sharded: a summary witness lost its shard path"
@@ -182,16 +169,16 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
            ~targets:[ b ])
     in
     let to_u = shard_path (Cgraph.reaches_sources k a l idx) in
-    to_b @ List.map (fun c -> -1 - c) ba @ to_u
+    Array.concat [ to_b; Array.of_list (List.map (fun c -> -1 - c) ba); to_u ]
   in
   (* Would adding every candidate edge close a cycle in the summary
      graph? Every new edge runs from A to B, so a cycle through any of
      them holds an existing-edge path from some target in B to some
      source in A: one search from all of B. The answer is the refusal's
-     witness, [[]] when there is none. *)
+     witness, [[||]] when there is none. *)
   let summary_refusal s l idx tx =
     match cgraph with
-    | None -> []
+    | None -> [||]
     | Some cg ->
       let aa, bb = summary_candidates s l idx in
       let refused =
@@ -205,7 +192,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
         last.idx <- idx;
         last.a <- aa;
         last.b <- bb;
-        []
+        [||]
       end
   in
   let attempt (id : Names.step_id) =
@@ -213,7 +200,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let idx = id.Names.idx in
     let s = p.Partition.shard_of_var.(p.Partition.ids.(tx).(idx)) in
     let k = kernel.(s) in
-    let l = p.Partition.local_id.(s).(tx) in
+    let l = Partition.local_id p s tx in
     if blocked.(tx) = idx then Scheduler.Delay
     else begin
       if Obs.Sink.on sink then
@@ -223,7 +210,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
           global s (Digraph.Acyclic.last_path (Cgraph.graph k))
         else summary_refusal s l idx tx
       in
-      if witness <> [] then begin
+      if Array.length witness > 0 then begin
         Cgraph.refuse r tx idx witness;
         if Obs.Sink.on sink then
           Obs.Sink.record sink (Obs.Event.Cycle_refused { tx; idx });
@@ -235,8 +222,11 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
            scheduler abort like any certification refusal — the driver
            restarts the transaction from scratch. *)
         match commit_cross with
-        | Some decide when idx = fmt.(tx) - 1 && p.Partition.cross.(tx) ->
-          if decide ~tx ~shards:shards_of_tx.(tx) then Scheduler.Grant
+        | Some decide
+          when idx = Array.length p.Partition.ids.(tx) - 1 && cross_id.(tx) >= 0
+          ->
+          if decide ~tx ~shards:(participants p.Partition.mask.(tx) 0)
+          then Scheduler.Grant
           else Scheduler.Abort
         | _ -> Scheduler.Grant
       end
@@ -246,7 +236,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
     let s = p.Partition.shard_of_var.(p.Partition.ids.(tx).(idx)) in
-    let l = p.Partition.local_id.(s).(tx) in
+    let l = Partition.local_id p s tx in
     (* discover summary edges against the pre-extension graph: the new
        paths are exactly A x B, and [attempt] vetted them against the
        summary graph. One insertion adds them all, each source's edges
@@ -271,21 +261,22 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
           "Sched.Sharded: the summary edges of a grant close a cycle, \
            breaking the invariant that attempt vetted them");
     Cgraph.grant kernel.(s) l idx;
-    if idx = fmt.(tx) - 1 then Cgraph.complete kernel.(s) l
+    if idx = Array.length p.Partition.ids.(tx) - 1 then
+      Cgraph.complete kernel.(s) l
   in
   let on_abort tx =
     forget last;
     Cgraph.clear_through r tx;
     for s = 0 to shards - 1 do
-      let l = p.Partition.local_id.(s).(tx) in
+      let l = Partition.local_id p s tx in
       if l >= 0 then Cgraph.abort kernel.(s) l
     done;
     match cgraph with
     | None -> ()
     | Some cg ->
-      if p.Partition.cross.(tx) then begin
-        Cgraph.clear_through r (-1 - p.Partition.cross_id.(tx));
-        Digraph.Acyclic.remove_vertex cg p.Partition.cross_id.(tx)
+      if cross_id.(tx) >= 0 then begin
+        Cgraph.clear_through r (-1 - cross_id.(tx));
+        Digraph.Acyclic.remove_vertex cg cross_id.(tx)
       end
   in
   Scheduler.make ~name:"sharded" ~attempt ~commit ~on_abort ~standing:blocked ()

@@ -50,13 +50,14 @@ val create :
   unit ->
   Scheduler.t
 (** [shards] defaults to 4. A refused request's retries are answered
-    from a delay cache over global ids, keyed on the refusal's witness:
-    its shard path, or for a summary refusal the shard path to a
-    cross-shard transaction, the summary path on to another, and the
-    shard path from there to a conflicting accessor. The verdict stands
-    until a transaction on the witness aborts ({!Cgraph}'s lemma; summary
-    edges leave only with an endpoint), and the cache is the scheduler's
-    [standing], which the driver answers itself. With a [sink], each non-cached
+    from a delay cache over global ids, keyed on the refusal's witness,
+    an array of ids: its shard path, or for a summary refusal the shard
+    path to a cross-shard transaction, the summary path on to another
+    (coordinator id [c] as [-1 - c]), and the shard path from there to a
+    conflicting accessor. The verdict stands until a transaction on the
+    witness aborts ({!Cgraph}'s lemma; summary edges leave only with an
+    endpoint), and the cache is the scheduler's [standing], which the
+    driver answers itself. With a [sink], each non-cached
     request emits {!Obs.Event.Shard_routed} with the owning shard,
     admitted intra-shard conflict edges emit {!Obs.Event.Edge_added} and
     fresh refusals emit {!Obs.Event.Cycle_refused}, all with global
@@ -65,14 +66,14 @@ val create :
 
     [commit_cross] is the distributed atomic-commit hook: when the
     {e final} step of a {e cross-shard} transaction passes admission,
-    the hook runs one commit round over the transaction's touched
-    shards (typically {!Twopc.commit} of a {!Twopc.service}); [false]
-    turns the grant into [Abort], handing the transaction back to the
-    driver for a restart — the scheduler-abort path, identical to a
-    certification refusal. The hook fires only on that terminal success
-    path (never for a cached delay), so a fault-free hook
-    that always answers [true] — or no hook at all — yields
-    bit-identical decisions, statistics and commit sets.
+    the hook runs one commit round over the shards of the transaction's
+    partition mask, ascending (typically {!Twopc.commit} of a
+    {!Twopc.service}); [false] turns the grant into [Abort], handing the
+    transaction back to the driver for a restart — the scheduler-abort
+    path, identical to a certification refusal. The hook fires only on
+    that terminal success path (never for a cached delay), so a
+    fault-free hook that always answers [true] — or no hook at all —
+    yields bit-identical decisions, statistics and commit sets.
     Single-shard transactions never consult it: their conflicts are
     provably local, so they commit without coordination — the
     coordination-avoidance boundary made executable. *)

@@ -329,7 +329,12 @@ let test_request_allocation () =
    benchmark's [state_mb] reads it after the last: the peak and the
    last reading. The driver keeps one counter for [waiting], one log
    slot per grant and two link arrays for its queue, so any bookkeeping
-   added per request, per grant or per transaction moves the pins. *)
+   added per request, per grant or per transaction moves the pins. The
+   engines keep a standing refusal's witness at one word a vertex and
+   read a transaction's last step off its syntax row; the sharded one
+   keeps one shard-local id per (transaction, shard) membership. Every
+   transaction of the disjoint batch is single-shard at K = 4, so its
+   sharded row is the engine with nothing to coordinate. *)
 let test_state_words () =
   let pin name ~peak ~last make gen =
     let st = Random.State.make [| 41 |] in
@@ -350,16 +355,24 @@ let test_state_words () =
       (Schedule.is_schedule_of fmt (Sched.Driver.drain d).output)
   in
   let sgt syntax = Sched.Sgt.create ~syntax () in
-  pin "SGT, hotspot 16x8" ~peak:1158 ~last:1158 sgt (fun st ->
+  pin "SGT, hotspot 16x8" ~peak:1096 ~last:1096 sgt (fun st ->
       Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
-  pin "SGT, disjoint 256x2" ~peak:8745 ~last:8349 sgt (fun _ ->
+  pin "SGT, disjoint 256x2" ~peak:8488 ~last:8092 sgt (fun _ ->
       Sim.Workload.disjoint ~n:256 ~m:2);
-  pin "sharded-2PC K=4, zipf 64x2" ~peak:6513 ~last:6513
+  pin "sharded-2PC K=4, zipf 64x2" ~peak:5620 ~last:5620
     (fun syntax ->
       Sched.Sharded.create ~shards:4
         ~commit_cross:(Sched.Twopc.commit (Sched.Twopc.service ~shards:4 ()))
         ~syntax ())
-    (fun st -> Sim.Workload.zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2)
+    (fun st -> Sim.Workload.zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2);
+  pin "semantic, counters 16x8" ~peak:1277 ~last:1277
+    (fun syntax -> Sched.Semantic.create ~syntax ())
+    (fun st ->
+      Sim.Workload.semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
+        ~read_frac:0.1);
+  pin "sharded K=4, disjoint 256x2" ~peak:11375 ~last:10979
+    (fun syntax -> Sched.Sharded.create ~shards:4 ~syntax ())
+    (fun _ -> Sim.Workload.disjoint ~n:256 ~m:2)
 
 (* A request past a transaction's last step is refused before anything
    is recorded: with the transaction complete, and with every one of its

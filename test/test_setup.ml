@@ -158,49 +158,6 @@ let test_generators_equal_make () =
         ("disjoint", disjoint ~n:300 ~m:2);
       ]
 
-(* The partition as a step-by-step reference builds it: each step's
-   shard looked up by name in a string table, hashed at the name's first
-   use, each transaction's mask from its steps' shards, and the member
-   lists, shard-local ids and cross ids by searching those in
-   transaction order. [Partition.make] must match. *)
-let reference_partition syntax shards =
-  let fmt = Syntax.format syntax in
-  let tbl = Hashtbl.create 16 in
-  let shard v =
-    match Hashtbl.find_opt tbl v with
-    | Some s -> s
-    | None ->
-      let s = Hashtbl.hash v mod shards in
-      Hashtbl.add tbl v s;
-      s
-  in
-  let shard_of_step =
-    Array.mapi
-      (fun i m -> Array.init m (fun j -> shard (Syntax.var syntax (Names.step i j))))
-      fmt
-  in
-  let mask =
-    Array.map (Array.fold_left (fun m s -> m lor (1 lsl s)) 0) shard_of_step
-  in
-  let touches s i = mask.(i) land (1 lsl s) <> 0 in
-  let txs = List.init (Array.length fmt) Fun.id in
-  let shard_ids = List.init shards Fun.id in
-  let members =
-    Array.of_list
-      (List.map (fun s -> Array.of_list (List.filter (touches s) txs)) shard_ids)
-  in
-  let index_in a i =
-    Option.value ~default:(-1) (Array.find_index (Int.equal i) a)
-  in
-  let local_id =
-    Array.map (fun mem -> Array.of_list (List.map (index_in mem) txs)) members
-  in
-  let n_touched i = List.length (List.filter (fun s -> touches s i) shard_ids) in
-  let cross = Array.of_list (List.map (fun i -> n_touched i > 1) txs) in
-  let crossing = Array.of_list (List.filter (fun i -> cross.(i)) txs) in
-  let cross_id = Array.of_list (List.map (index_in crossing) txs) in
-  (shard_of_step, mask, cross, cross_id, members, local_id)
-
 let prop_partition_reference =
   QCheck.Test.make ~name:"Partition.make matches a string-table reference"
     ~count:300
@@ -209,18 +166,7 @@ let prop_partition_reference =
       let st = Random.State.make [| 0x9A7; seed |] in
       let pool, fmt, steps = random_case st ~typed in
       let syntax = Syntax.init_typed pool fmt (fun i j -> steps.(i).(j)) in
-      List.for_all
-        (fun shards ->
-          let p = Sched.Partition.make ~syntax ~shards in
-          let shard_of_step, mask, cross, cross_id, members, local_id =
-            reference_partition syntax shards
-          in
-          let open Sched.Partition in
-          Array.map (Array.map (Array.get p.shard_of_var)) p.ids
-          = shard_of_step
-          && p.mask = mask && p.cross = cross && p.cross_id = cross_id
-          && p.n_cross = Array.fold_left max (-1) cross_id + 1
-          && p.members = members && p.local_id = local_id)
+      List.for_all (partition_matches_reference syntax)
         [ 1; 2; 4; 8 ])
 
 (* ---------- allocation ceilings ---------- *)
@@ -247,7 +193,11 @@ let build_words make syntax =
    [Syntax.kind] and built lists. The sharded builds allocated 2159,
    4730 and 3250 words while the partition built a shard row and a
    shard-local variable row per transaction and each kernel was sized
-   for its own variables; the K = 4 64x2 ceiling is held at 3500. *)
+   for its own variables. They allocated 1560, 3315 and 1859 words while
+   the partition kept a K x n table of shard-local ids and a cross flag
+   per transaction, the engine a participant list per transaction and
+   a coordinator-id row per shard, and every engine a copy of the
+   format: 1503, 3018 and 1747 since. *)
 let ceilings =
   let st () = rng 0x5E7 in
   let hot = Sim.Workload.hotspot (st ()) ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 in
@@ -266,11 +216,11 @@ let ceilings =
   [
     ("sgt 16x8", sgt, hot, 600.);
     ("semantic 16x8", semantic, bumps, 830.);
-    ("sharded 16x8", sharded 4, hot, 1700.);
+    ("sharded 16x8", sharded 4, hot, 1650.);
     ("sgt 64x2", sgt, zipf, 1450.);
     ("semantic 64x2", semantic, zipf_bumps, 1800.);
-    ("sharded 64x2", sharded 4, zipf, 3500.);
-    ("sharded K=1 64x2", sharded 1, zipf, 2050.);
+    ("sharded 64x2", sharded 4, zipf, 3300.);
+    ("sharded K=1 64x2", sharded 1, zipf, 1920.);
   ]
 
 let test_setup_allocation () =
@@ -283,7 +233,7 @@ let test_setup_allocation () =
     ceilings;
   (* One shard runs SGT's kernel on SGT's rows: the rest of the build
      (partition, the one shard's member rows, the delay cache's wiring)
-     costs per transaction, 558 words over SGT's here. *)
+     costs per transaction, 511 words over SGT's here. *)
   let zipf = Sim.Workload.zipf (rng 0x5E7) ~n:64 ~m:2 ~n_vars:8 ~s:1.2 in
   let sgt = build_words (fun syntax -> Sched.Sgt.create ~syntax ()) zipf in
   let k1 =

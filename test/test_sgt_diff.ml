@@ -332,6 +332,45 @@ let test_chain_edges () =
     [ (0, 2); (0, 3); (2, 3) ]
     (Digraph.Acyclic.edges graph)
 
+(* The delay cache by hand, over 7 transactions. Witnesses mix
+   transaction ids with coordinator ids [-1 - c], as the sharded
+   engine's summary refusals do: T0's step 2 runs through coordinator 0,
+   T1's step 0 through T3 mid-path, T2's step 1 through coordinator 1,
+   and all three end at T5. An abort clears exactly the entries whose
+   witness holds it: none for T6, on no witness; T2's own for T2, its
+   requester; T0's for coordinator 0; T1's for T3; all three for T5. *)
+let test_refusal_cache () =
+  let r = Cg.refusals 7 in
+  let refuse_all () =
+    Cg.refuse r 0 2 [| 0; 4; -1; 5 |];
+    Cg.refuse r 1 0 [| 1; 3; 5 |];
+    Cg.refuse r 2 1 [| 2; -2; 5 |]
+  in
+  let check after blocked paths =
+    Alcotest.(check (array int)) (after ^ ": blocked") blocked r.Cg.blocked;
+    Alcotest.(check (array (array int))) (after ^ ": path") paths r.Cg.path
+  in
+  let w0 = [| 0; 4; -1; 5 |] and w1 = [| 1; 3; 5 |] and w2 = [| 2; -2; 5 |] in
+  let none = [||] in
+  check "empty" (Array.make 7 (-1)) (Array.make 7 none);
+  refuse_all ();
+  check "refused" [| 2; 0; 1; -1; -1; -1; -1 |]
+    [| w0; w1; w2; none; none; none; none |];
+  Cg.clear_through r 6;
+  check "T6, on no witness" [| 2; 0; 1; -1; -1; -1; -1 |]
+    [| w0; w1; w2; none; none; none; none |];
+  Cg.clear_through r 2;
+  check "T2, a requester" [| 2; 0; -1; -1; -1; -1; -1 |]
+    [| w0; w1; none; none; none; none; none |];
+  Cg.clear_through r (-1 - 0);
+  check "coordinator 0" [| -1; 0; -1; -1; -1; -1; -1 |]
+    [| none; w1; none; none; none; none; none |];
+  Cg.clear_through r 3;
+  check "T3, mid-path" (Array.make 7 (-1)) (Array.make 7 none);
+  refuse_all ();
+  Cg.clear_through r 5;
+  check "T5, on every witness" (Array.make 7 (-1)) (Array.make 7 none)
+
 let test_abort_heavy_corpus () =
   let restarts =
     List.fold_left
@@ -808,6 +847,8 @@ let suite =
       `Quick test_abort_frees_completed;
     Alcotest.test_case "kernel: one edge per chain member, bypassed on abort"
       `Quick test_chain_edges;
+    Alcotest.test_case "kernel: the refusal cache clears through witnesses"
+      `Quick test_refusal_cache;
     Alcotest.test_case "kernel engines = SGT-ref on an abort-heavy corpus"
       `Quick test_abort_heavy_corpus;
     Alcotest.test_case "refusal searches pinned" `Quick test_refusal_count;

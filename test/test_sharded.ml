@@ -94,9 +94,9 @@ let test_partition () =
   (* a single-shard transaction's mask is the one bit of its shard; an
      empty transaction touches no shard and is not cross-shard *)
   check_int "empty tx mask" 0 p.Sched.Partition.mask.(3);
-  check_true "empty tx not cross" (not p.Sched.Partition.cross.(3));
+  check_int "empty tx not cross" (-1) p.Sched.Partition.cross_id.(3);
   let single tx =
-    (not p.Sched.Partition.cross.(tx))
+    p.Sched.Partition.cross_id.(tx) < 0
     && p.Sched.Partition.mask.(tx)
        = 1 lsl step_shard p tx 0
   in
@@ -107,28 +107,35 @@ let test_partition () =
     (fun s ms ->
       Array.iteri
         (fun l tx ->
-          check_int "local id round-trip" l p.Sched.Partition.local_id.(s).(tx);
+          check_int "local id round-trip" l (Sched.Partition.local_id p s tx);
           if l > 0 then check_true "members ascending" (ms.(l - 1) < tx))
         ms)
     p.Sched.Partition.members;
   (* cross ids are dense over the cross transactions *)
-  let crosses =
-    Array.to_list p.Sched.Partition.cross
-    |> List.filter (fun c -> c)
-    |> List.length
-  in
-  check_int "n_cross" crosses p.Sched.Partition.n_cross;
   let next = ref 0 in
   Array.iteri
     (fun tx c ->
+      let m = p.Sched.Partition.mask.(tx) in
       check_true "cross iff two or more shard bits"
-        (c = (p.Sched.Partition.mask.(tx) land (p.Sched.Partition.mask.(tx) - 1) <> 0));
-      if c then begin
-        check_int "cross ids ascending" !next p.Sched.Partition.cross_id.(tx);
+        (c >= 0 = (m land (m - 1) <> 0));
+      if c >= 0 then begin
+        check_int "cross ids ascending" !next c;
         incr next
       end
-      else check_int "no cross id" (-1) p.Sched.Partition.cross_id.(tx))
-    p.Sched.Partition.cross;
+      else check_int "no cross id" (-1) c)
+    p.Sched.Partition.cross_id;
+  check_int "n_cross" !next p.Sched.Partition.n_cross;
+  (* the fields, the cross test and the local-id lookup match the
+     string-table reference, here and on a zipf mix that crosses shards *)
+  let zipf = Sim.Workload.zipf (rng 0x5A) ~n:64 ~m:2 ~n_vars:8 ~s:1.2 in
+  List.iter
+    (fun k ->
+      check_true (Printf.sprintf "matches the reference at K=%d" k)
+        (partition_matches_reference syntax k
+        && partition_matches_reference zipf k))
+    [ 1; 2; 4; 8 ];
+  check_true "zipf crosses shards at K=4"
+    ((Sched.Partition.make ~syntax:zipf ~shards:4).Sched.Partition.n_cross > 0);
   check_true "K bounds enforced"
     ((try
         ignore (Sched.Partition.make ~syntax ~shards:0);

@@ -116,3 +116,64 @@ let abort_heavy_corpus seeds =
       List.init 2 (fun _ ->
           (syntax, Combin.Interleave.random st (Core.Syntax.format syntax))))
     (List.init seeds Fun.id)
+
+(* The partition as a step-by-step reference builds it: each step's
+   shard looked up by name in a string table, hashed at the name's first
+   use, each transaction's mask from its steps' shards, and the member
+   lists, shard-local ids and cross ids by searching those in
+   transaction order. *)
+let reference_partition syntax shards =
+  let open Core in
+  let fmt = Syntax.format syntax in
+  let tbl = Hashtbl.create 16 in
+  let shard v =
+    match Hashtbl.find_opt tbl v with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.hash v mod shards in
+      Hashtbl.add tbl v s;
+      s
+  in
+  let shard_of_step =
+    Array.mapi
+      (fun i m -> Array.init m (fun j -> shard (Syntax.var syntax (Names.step i j))))
+      fmt
+  in
+  let mask =
+    Array.map (Array.fold_left (fun m s -> m lor (1 lsl s)) 0) shard_of_step
+  in
+  let touches s i = mask.(i) land (1 lsl s) <> 0 in
+  let txs = List.init (Array.length fmt) Fun.id in
+  let shard_ids = List.init shards Fun.id in
+  let members =
+    Array.of_list
+      (List.map (fun s -> Array.of_list (List.filter (touches s) txs)) shard_ids)
+  in
+  let index_in a i =
+    Option.value ~default:(-1) (Array.find_index (Int.equal i) a)
+  in
+  let local_id =
+    Array.map (fun mem -> Array.of_list (List.map (index_in mem) txs)) members
+  in
+  let n_touched i = List.length (List.filter (fun s -> touches s i) shard_ids) in
+  let cross = Array.of_list (List.map (fun i -> n_touched i > 1) txs) in
+  let crossing = Array.of_list (List.filter (fun i -> cross.(i)) txs) in
+  let cross_id = Array.of_list (List.map (index_in crossing) txs) in
+  (shard_of_step, mask, cross, cross_id, members, local_id)
+
+(* [Partition.make] at K = [shards] matches the reference: its fields,
+   [cross_id >= 0] as the cross-shard test, and its [local_id] lookup
+   at every (shard, transaction). *)
+let partition_matches_reference syntax shards =
+  let p = Sched.Partition.make ~syntax ~shards in
+  let shard_of_step, mask, cross, cross_id, members, local =
+    reference_partition syntax shards
+  in
+  let open Sched.Partition in
+  Array.map (Array.map (Array.get p.shard_of_var)) p.ids = shard_of_step
+  && p.mask = mask
+  && Array.map (fun c -> c >= 0) p.cross_id = cross
+  && p.cross_id = cross_id
+  && p.n_cross = Array.fold_left max (-1) cross_id + 1
+  && p.members = members
+  && Array.init shards (fun s -> Array.init p.n (local_id p s)) = local
