@@ -190,9 +190,11 @@ module Acyclic = struct
      filled up to the vertex's degree, but only the out-edges have an
      order anyone can see. Out-arrays hold their edges oldest first and
      every walk reads them newest first: that order fixes the DFS order,
-     hence every [last_path] witness. Insertion appends (doubling a full
-     array), and removal shifts the tail left, so the rest keep their
-     order and nothing is allocated. In-edges are only ever read as sets
+     hence every [last_path] witness. Insertion appends: a vertex's first
+     edge in a direction gets a one-slot array, and a full array doubles,
+     so most vertices, which hold one edge, pay two words for it. Removal
+     shifts the tail left, so the rest keep their order and nothing is
+     allocated. In-edges are only ever read as sets
      (the backward marks, [pred], which sorts, and the degrees), so
      removal moves the last slot into the freed one. There is no
      adjacency matrix: insertion runs target by target, stamps the
@@ -506,20 +508,31 @@ module Acyclic = struct
       false
     end
 
+  (* The path up from [hit], root first, filled from its end: the one
+     allocation is the array the caller keeps. *)
   let last_path g =
-    let rec up v acc = if v < 0 then acc else up g.parent.(v) (v :: acc) in
-    up g.hit []
+    let rec depth v k = if v < 0 then k else depth g.parent.(v) (k + 1) in
+    let path = Array.make (depth g.hit 0) 0 and v = ref g.hit in
+    for i = Array.length path - 1 downto 0 do
+      path.(i) <- !v;
+      v := g.parent.(!v)
+    done;
+    path
 
-  (* Append [x] to [a.(u)], filled up to [deg.(u)], doubling it when
-     full. *)
+  (* Append [x] to [a.(u)], filled up to [deg.(u)]. An empty array
+     becomes the one-slot [[| x |]], allocated inline, and a full one
+     doubles. *)
   let push_slot a deg u x =
     let d = deg.(u) in
-    if d = Array.length a.(u) then begin
-      let grown = Array.make (max 4 (2 * d)) 0 in
-      Array.blit a.(u) 0 grown 0 d;
-      a.(u) <- grown
+    if d = 0 && Array.length a.(u) = 0 then a.(u) <- [| x |]
+    else begin
+      if d = Array.length a.(u) then begin
+        let grown = Array.make (2 * d) 0 in
+        Array.blit a.(u) 0 grown 0 d;
+        a.(u) <- grown
+      end;
+      a.(u).(d) <- x
     end;
-    a.(u).(d) <- x;
     deg.(u) <- d + 1
 
   (* Callers drop duplicates first, through [want] stamps. *)

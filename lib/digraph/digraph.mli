@@ -119,7 +119,7 @@ module Acyclic : sig
       returns [false], the graph and its order are unchanged, and
       {!last_path} is a cycle witness: a path from a target to a source,
       which the batch would close. A source equal to a target answers
-      [[target]]. Let [lb] be the lowest slot of any target in the
+      [[|target|]]. Let [lb] be the lowest slot of any target in the
       order, [ub] the highest of any source: with [ub < lb] the call
       only inserts. Otherwise one search from the targets, bounded by
       [ub], is the cycle check, and on success the vertices it reached
@@ -129,7 +129,7 @@ module Acyclic : sig
       is inserted once, at its first occurrence.
 
       Either list empty: [true] at once, with nothing stamped, checked or
-      changed, and {!last_path} is [[]].
+      changed, and {!last_path} is [[||]].
 
       {b Reuse.} When the last clear {!reaches_any} was [reaches_any g
       ~sources:targets ~targets:sources] on these very lists (physically
@@ -290,14 +290,15 @@ module Acyclic : sig
       ~sources:[v] ~targets:us] asks whether the edges [u → v], [u ∈
       us], would close a cycle, with a witness from [v] on [true]. *)
 
-  val last_path : t -> int list
+  val last_path : t -> int array
   (** The path behind the most recent [true] answer of
       {!closes_cycle_any_of} or {!reaches_any}, or [false] answer of
       {!add_edges_acyclic} or {!add_edges_acyclic_of}: consecutive
       vertices are joined by edges, and it runs from the target to the
       source found (from the source to the target found, for
       {!reaches_any}). A source equal to the target answers
-      [[target]]; an insertion that answers [true] leaves [[]]. The
+      [[|target|]]; an insertion that answers [true] leaves [[||]]. A
+      fresh array, one word a vertex, which the caller may keep. The
       path is the search's first descent, out-edges newest first, to a
       wanted vertex: the bound skips only vertices that reach none, so
       the maintained order never changes it. Every member of a list

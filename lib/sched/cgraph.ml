@@ -9,7 +9,7 @@ open Core
 let same_row a b =
   List.for_all (fun o -> Commute.commutes a o = Commute.commutes b o) Op.all
 
-let compile var_of_step op_of_step =
+let compile n row_id rows op_of_step =
   let n_ops = List.length Op.all in
   let class_of_op = Array.make n_ops (-1) in
   let reps = Array.make n_ops Op.Update and k = ref 0 in
@@ -29,11 +29,12 @@ let compile var_of_step op_of_step =
   in
   (* filled in place: [Array.mapi] over more than 256 rows would start
      from a young row and force a minor collection *)
-  let class_of_step = Array.make (Array.length var_of_step) [||] in
-  for l = 0 to Array.length var_of_step - 1 do
-    let cls = Array.make (Array.length var_of_step.(l)) 0 in
+  let class_of_step = Array.make n [||] in
+  for l = 0 to n - 1 do
+    let i = row_id l in
+    let cls = Array.make (Array.length rows.(i)) 0 in
     for j = 0 to Array.length cls - 1 do
-      cls.(j) <- class_of (op_of_step l j)
+      cls.(j) <- class_of (op_of_step i j)
     done;
     class_of_step.(l) <- cls
   done;
@@ -57,7 +58,7 @@ let queued_bit = 4
 type t = {
   sink : Obs.Sink.t;
   ids : int array; (* [||]: a vertex names itself *)
-  var_of_step : int array array;
+  rows : int array array; (* vertex [l]'s variables: [rows.(id l)] *)
   class_of_step : int array array; (* [||] when there is one class *)
   prunable : int -> bool;
   k : int; (* number of classes *)
@@ -65,7 +66,8 @@ type t = {
   chain : bool array; (* per class: it conflicts with itself *)
   entries : int list array; (* var * k + class -> accessors, no repeats *)
   (* the entries each vertex is on, in the order it gained them: [l]'s
-     are the [n_held.(l)] slots from [held_at.(l)] *)
+     are the [n_held.(l)] slots from [held_at.(l)], one per distinct
+     entry of its row *)
   held : int array;
   held_at : int array;
   n_held : int array;
@@ -103,27 +105,52 @@ let push g l =
     g.top <- g.top + 1
   end
 
-let create ?(sink = Obs.Sink.null) ?(ids = [||]) ?op_of_step
-    ?(prunable = fun _ -> true) ~n_vars ~var_of_step () =
-  let n = Array.length var_of_step in
+(* One vertex per id when [ids] is given, so an empty [ids] gives none;
+   without it, one per row. *)
+let create ?(sink = Obs.Sink.null) ?ids ?op_of_step
+    ?(prunable = fun _ -> true) ~n_vars ~rows () =
+  let n, ids =
+    match ids with
+    | Some ids -> (Array.length ids, ids)
+    | None -> (Array.length rows, [||])
+  in
+  let row_id l = if Array.length ids = 0 then l else ids.(l) in
   let class_of_step, conf =
     match op_of_step with
     | None -> ([||], [| [| 0 |] |])
-    | Some f -> compile var_of_step f
+    | Some f -> compile n row_id rows f
   in
   let k = Array.length conf in
   let class_of_step = if k = 1 then [||] else class_of_step in
   let entries = Array.make (n_vars * k) [] in
-  (* A vertex holds at most one entry per step. *)
-  let held_at = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun l vs -> held_at.(l + 1) <- held_at.(l) + Array.length vs)
-    var_of_step;
+  (* [grant] stores an entry once, so a vertex holds at most one slot
+     per distinct entry of its row: one stamp pass counts them, [stamp]
+     holding the last vertex seen on each entry. Repeats come unordered,
+     so the count takes no branch on them. *)
+  let held_at = Array.make (n + 1) 0 and stamp = Array.make (n_vars * k) (-1) in
+  for l = 0 to n - 1 do
+    let vs = rows.(row_id l) and distinct = ref 0 in
+    (* one class: the entry is the variable, with no multiply per step *)
+    if k = 1 then
+      for j = 0 to Array.length vs - 1 do
+        distinct := !distinct + Bool.to_int (stamp.(vs.(j)) <> l);
+        stamp.(vs.(j)) <- l
+      done
+    else begin
+      let cls = class_of_step.(l) in
+      for j = 0 to Array.length vs - 1 do
+        let e = (vs.(j) * k) + cls.(j) in
+        distinct := !distinct + Bool.to_int (stamp.(e) <> l);
+        stamp.(e) <- l
+      done
+    end;
+    held_at.(l + 1) <- held_at.(l) + !distinct
+  done;
   let held = Array.make held_at.(n) 0 and n_held = Array.make n 0 in
   let graph = Digraph.Acyclic.create n and flags = Array.make n 0 in
   let work = Array.make n 0 in
   let rec g =
-    { sink; ids; var_of_step; class_of_step; prunable; k; conf; entries;
+    { sink; ids; rows; class_of_step; prunable; k; conf; entries;
       chain = Array.mapi Array.mem conf; held; held_at; n_held; graph;
       flags; work; top = 0; version = 0;
       push_freed = (fun v ->
@@ -144,7 +171,7 @@ let live g l = has g l live_bit
 let graph g = g.graph
 let id g l = if Array.length g.ids = 0 then l else g.ids.(l)
 let class_of g l idx = if g.k = 1 then 0 else g.class_of_step.(l).(idx)
-let base g l idx = g.var_of_step.(l).(idx) * g.k
+let base g l idx = g.rows.(id g l).(idx) * g.k
 
 let search g v l idx =
   Digraph.Acyclic.closes_cycle_any_of g.graph ~excluding:l ~lists:g.entries
@@ -358,10 +385,7 @@ let scheduler ?sink ~name ~commute syntax =
     if commute && Array.length kinds > 0 then Some (fun i j -> kinds.(i).(j))
     else None
   in
-  let g =
-    create ?sink ?op_of_step ~n_vars:(Syntax.n_vars syntax)
-      ~var_of_step:rows ()
-  in
+  let g = create ?sink ?op_of_step ~n_vars:(Syntax.n_vars syntax) ~rows () in
   let r = refusals (Array.length rows) in
   (* The cache lookup, spelled out: calling a function for it measured
      ~5% lower end-to-end capacity on the contended [hot] workload. The
@@ -373,7 +397,7 @@ let scheduler ?sink ~name ~commute syntax =
   let attempt ({ tx; idx } : Names.step_id) =
     if blocked.(tx) = idx then Scheduler.Delay
     else if refuses g tx idx then begin
-      refuse r tx idx (Array.of_list (Digraph.Acyclic.last_path g.graph));
+      refuse r tx idx (Digraph.Acyclic.last_path g.graph);
       if Obs.Sink.on g.sink then
         Obs.Sink.record g.sink (Obs.Event.Cycle_refused { tx; idx });
       Scheduler.Delay

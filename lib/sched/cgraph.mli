@@ -59,15 +59,20 @@ val create :
   ?op_of_step:(int -> int -> Op.t) ->
   ?prunable:(int -> bool) ->
   n_vars:int ->
-  var_of_step:int array array ->
+  rows:int array array ->
   unit ->
   t
-(** Vertices are [0 .. Array.length var_of_step - 1]; step [idx] of
-    vertex [l] accesses variable [var_of_step.(l).(idx)] in
-    [0 .. n_vars-1] with op [op_of_step l idx], read once here (absent:
-    every pair conflicts). [prunable] vetoes pruning (default: never);
-    [ids.(l)] names [l] in events (default [l]). [var_of_step] is kept,
-    not copied, and never written. With a [sink], a grant
+(** Vertex [l] is transaction [ids.(l)], and the vertices are [0 ..
+    Array.length ids - 1], none for an empty [ids]; without [ids], [l]
+    is transaction [l], over every row. Step [idx] of transaction [i]
+    accesses variable [rows.(i).(idx)] in [0 .. n_vars-1] with op
+    [op_of_step i idx], read once here (absent: every pair conflicts).
+    [prunable] vetoes pruning (default: never); events name a vertex by
+    its transaction. [rows] is kept, not copied, and never written: a
+    kernel over some of a syntax's transactions reads the syntax's own
+    rows through [ids]. Each vertex gets one held-entry slot per
+    distinct (variable, class) entry of its row, counted by one stamp
+    pass here, not one per step. With a [sink], a grant
     emits one {!Obs.Event.Edge_added} per conflicting accessor, edges
     already present or left implied by a chain included, so events are
     those of the full conflict graph, and one that passed over

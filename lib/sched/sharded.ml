@@ -59,25 +59,21 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      the home shard is a zero global in-degree, exactly the {!Sgt}
      argument. A cross-shard transaction's shard-local in-degree says
      nothing about its edges elsewhere, and dropping its accessor entries
-     would lose summary paths. Each kernel reads its members' rows of the
-     syntax's own variable ids, as {!Sgt}'s reads them all, and is sized
-     for every variable of the syntax: a kernel reads a step's variable
-     only when the step is asked of or granted in it, so the other
-     shards' variables keep empty accessor lists there. Nothing is
-     numbered or copied per step. *)
+     would lose summary paths. Each kernel reads the syntax's own
+     variable-id rows, as {!Sgt}'s does, through its members: local [l]
+     is global [mem.(l)], whose row is [ids.(mem.(l))], and an empty
+     shard's kernel has no vertex. It is sized for every variable of the
+     syntax: a kernel reads a step's variable only when the step is
+     asked of or granted in it, so the other shards' variables keep
+     empty accessor lists there. Nothing is numbered or copied per
+     member or per step. *)
   let n_vars = Syntax.n_vars syntax in
   let kernel =
     Array.init shards (fun s ->
         let mem = p.Partition.members.(s) in
-        (* filled in place: [Array.init] over more than 256 members would
-           start from a young row and force a minor collection *)
-        let var_of_step = Array.make (Array.length mem) [||] in
-        for l = 0 to Array.length mem - 1 do
-          var_of_step.(l) <- p.Partition.ids.(mem.(l))
-        done;
         Cgraph.create ~sink ~ids:mem
           ~prunable:(fun l -> cross_id.(mem.(l)) < 0)
-          ~n_vars ~var_of_step ())
+          ~n_vars ~rows:p.Partition.ids ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an
@@ -100,12 +96,13 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      Coordinator ids [c] are stored as [-1 - c]. *)
   let r = Cgraph.refusals p.Partition.n in
   let blocked = r.Cgraph.blocked in
+  (* A shard's fresh witness array, renamed in place to global ids. *)
   let global s path =
-    let a = Array.of_list path and mem = p.Partition.members.(s) in
-    for i = 0 to Array.length a - 1 do
-      a.(i) <- mem.(a.(i))
+    let mem = p.Partition.members.(s) in
+    for i = 0 to Array.length path - 1 do
+      path.(i) <- mem.(path.(i))
     done;
-    a
+    path
   in
   (* Candidate summary edges of granting step (tx, idx), shard-local [l]
      in shard [s]: the new intra-shard edges are [h -> l] from the head
@@ -162,14 +159,17 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
       if found then global s (Digraph.Acyclic.last_path (Cgraph.graph k))
       else failwith "Sched.Sharded: a summary witness lost its shard path"
     in
-    let b = local (List.hd ba) and a = local (List.hd (List.rev ba)) in
+    let b = local ba.(0) and a = local ba.(Array.length ba - 1) in
     let to_b =
       shard_path
         (Digraph.Acyclic.reaches_any (Cgraph.graph k) ~sources:[ l ]
            ~targets:[ b ])
     in
     let to_u = shard_path (Cgraph.reaches_sources k a l idx) in
-    Array.concat [ to_b; Array.of_list (List.map (fun c -> -1 - c) ba); to_u ]
+    for i = 0 to Array.length ba - 1 do
+      ba.(i) <- -1 - ba.(i)
+    done;
+    Array.concat [ to_b; ba; to_u ]
   in
   (* Would adding every candidate edge close a cycle in the summary
      graph? Every new edge runs from A to B, so a cycle through any of

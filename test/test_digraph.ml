@@ -156,13 +156,13 @@ let test_acyclic_basic () =
   check_true "idempotent" (insert_edge g 0 1 = Ok ());
   check_int "still two edges" 2 (A.n_edges g);
   (match insert_edge g 2 0 with
-  | Error [ 0; 1; 2 ] -> ()
+  | Error [| 0; 1; 2 |] -> ()
   | Error w ->
     Alcotest.failf "unexpected witness [%s]"
-      (String.concat ";" (List.map string_of_int w))
+      (String.concat ";" (Array.to_list (Array.map string_of_int w)))
   | Ok () -> Alcotest.fail "cycle accepted");
   check_int "rejected edge not added" 2 (A.n_edges g);
-  check_true "self-loop refused" (insert_edge g 1 1 = Error [ 1 ]);
+  check_true "self-loop refused" (insert_edge g 1 1 = Error [| 1 |]);
   check_true "cycle query" (A.reaches_any g ~sources:[ 0 ] ~targets:[ 2 ]);
   check_false "harmless edge" (A.reaches_any g ~sources:[ 2 ] ~targets:[ 0 ]);
   check_int "query did not mutate" 2 (A.n_edges g)
@@ -259,10 +259,11 @@ let test_acyclic_batch_insert () =
   let order = A.topological_order g in
   check_false "a batch closing 0 -> ... -> 3"
     (A.add_edges_acyclic g ~sources:[ 2; 0 ] ~targets:[ 2; 3 ]);
-  Alcotest.(check (list int)) "self-loop witness first" [ 2 ] (A.last_path g);
+  Alcotest.(check (array int)) "self-loop witness first" [| 2 |]
+    (A.last_path g);
   check_false "a cycle through an old edge"
     (A.add_edges_acyclic g ~sources:[ 0 ] ~targets:[ 4 ]);
-  Alcotest.(check (list int)) "witness from the target" [ 4; 0 ]
+  Alcotest.(check (array int)) "witness from the target" [| 4; 0 |]
     (A.last_path g);
   check_int "refused batches add nothing" 4 (A.n_edges g);
   Alcotest.(check (array int)) "nor move the order" order
@@ -275,7 +276,7 @@ let test_acyclic_batch_insert () =
   check_false "in-place self-loop"
     (A.add_edges_acyclic_of g ~excluding:(-1) ~lists ~base:0 ~pick:[| 0 |]
        ~chain:[| false; false |] ~target:2);
-  Alcotest.(check (list int)) "in-place self-loop witness" [ 2 ]
+  Alcotest.(check (array int)) "in-place self-loop witness" [| 2 |]
     (A.last_path g);
   (* an empty side: [true] at once, nothing changed, and no witness
      left from the refusal just before *)
@@ -285,7 +286,7 @@ let test_acyclic_batch_insert () =
       check_false "a refusal first"
         (A.add_edges_acyclic g ~sources:[ 2 ] ~targets:[ 2 ]);
       check_true "an empty side" (A.add_edges_acyclic g ~sources ~targets);
-      Alcotest.(check (list int)) "no witness" [] (A.last_path g);
+      Alcotest.(check (array int)) "no witness" [||] (A.last_path g);
       Alcotest.(check (list (pair int int))) "edges unchanged" edges
         (A.edges g);
       Alcotest.(check (array int)) "order unchanged" order
@@ -365,20 +366,15 @@ let prop_acyclic_matches_plain =
             && A.in_degree a u = List.length (Digraph.pred p u))
           (List.init n Fun.id)
       in
-      let witness_ok u v = function
-        | [] -> false
-        | first :: _ as path ->
-          first = v
-          && (match List.rev path with last :: _ -> last = u | [] -> false)
-          && (match path with
-             | [ w ] -> w = u && w = v (* self-loop witness *)
-             | _ ->
-               let rec edges_exist = function
-                 | a' :: (b :: _ as rest) ->
-                   Digraph.has_edge p a' b && edges_exist rest
-                 | _ -> true
-               in
-               edges_exist path)
+      let witness_ok u v path =
+        let len = Array.length path in
+        len > 0
+        && path.(0) = v
+        && path.(len - 1) = u
+        && (len = 1 (* self-loop witness: u = v *)
+           || List.for_all
+                (fun i -> Digraph.has_edge p path.(i - 1) path.(i))
+                (List.init (len - 1) succ))
       in
       List.for_all
         (fun op ->
@@ -544,11 +540,14 @@ let prop_last_path =
       let sources = c.sources and targets = c.targets in
       let a, p = build_marks c in
       let reach = Array.init n (Digraph.reachable p) in
-      let rec edges_ok = function
-        | u :: (v :: _ as rest) -> A.has_edge a u v && edges_ok rest
-        | _ -> true
+      let edges_ok path =
+        let ok = ref true in
+        for i = 1 to Array.length path - 1 do
+          ok := !ok && A.has_edge a path.(i - 1) path.(i)
+        done;
+        !ok
       in
-      let last l = List.hd (List.rev l) in
+      let last path = path.(Array.length path - 1) in
       (* [answer] from [start] to one of [wanted]: agrees with
          reachability, and a [true] leaves a witness *)
       let witnessed ~start ~wanted answer =
@@ -557,9 +556,9 @@ let prop_last_path =
            ||
            let path = A.last_path a in
            edges_ok path
-           && List.hd path = start
+           && path.(0) = start
            && List.mem (last path) wanted
-           && ((not (List.mem start wanted)) || path = [ start ]))
+           && ((not (List.mem start wanted)) || path = [| start |]))
       in
       let srcs = picked_sources c in
       let plain = List.filter (fun s -> s <> excluding) sources in
@@ -583,7 +582,7 @@ let prop_last_path =
       ||
       let path = A.last_path a in
       edges_ok path
-      && List.mem (List.hd path) sources
+      && List.mem path.(0) sources
       && List.mem (last path) targets))
 
 (* Batched insertion against a plain mirror. The mirror keeps each
@@ -682,7 +681,7 @@ let ref_path out ~starts ~wanted =
     if seen.(w) then None
     else begin
       seen.(w) <- true;
-      if List.mem w wanted then Some (List.rev (w :: path))
+      if List.mem w wanted then Some (Array.of_list (List.rev (w :: path)))
       else List.find_map (visit (w :: path)) out.(w)
     end
   in
@@ -692,7 +691,7 @@ let ref_path out ~starts ~wanted =
    in target order, else the search from the targets. *)
 let ref_refusal out (sources, targets) =
   match List.find_opt (fun t -> List.mem t sources) targets with
-  | Some t -> Some [ t ]
+  | Some t -> Some [| t |]
   | None -> ref_path out ~starts:targets ~wanted:sources
 
 (* Give each flagged list the chain precondition: an edge from every
@@ -881,6 +880,71 @@ let test_acyclic_linear_memory () =
   check_true
     (Printf.sprintf "%d words for %d vertices, under 64 per vertex" words n)
     (words < 64 * n)
+
+(* Adjacency arrays across their size boundaries. Hub vertex 3 of a
+   graph on 8 gains out-edges to 4.. and in-edges from 0..2, one each
+   way per step, through 0 -> 1 -> 2 edges, a removal back to 1 and a
+   re-add, then 3 (a one-slot array, then doubled to 2 and 4 slots);
+   [remove_vertex] empties it and it is linked again. After every step
+   the hub's [succ], [iter_succ] order (newest first), [pred],
+   [in_degree] and the edge count match the expected ones, and so do
+   the far ends' single edges. The first edge costs four words: a
+   one-slot array at each end. *)
+let test_acyclic_slot_boundaries () =
+  let hub = 3 in
+  let g = A.create 8 in
+  let check step ~succs ~preds =
+    let name what = Printf.sprintf "%s: %s" step what in
+    let newest = ref [] in
+    A.iter_succ g hub (fun v -> newest := v :: !newest);
+    Alcotest.(check (list int)) (name "succ") (List.sort compare succs)
+      (A.succ g hub);
+    Alcotest.(check (list int)) (name "iter_succ, newest first") succs
+      (List.rev !newest);
+    Alcotest.(check (list int)) (name "pred") (List.sort compare preds)
+      (A.pred g hub);
+    check_int (name "in_degree") (List.length preds) (A.in_degree g hub);
+    check_int (name "n_edges")
+      (List.length succs + List.length preds)
+      (A.n_edges g);
+    let far what ends read =
+      List.iter
+        (fun v -> Alcotest.(check (list int)) (name what) [ hub ] (read g v))
+        ends
+    in
+    far "pred far" succs A.pred;
+    far "succ far" preds A.succ
+  in
+  let link u v = check_true "acyclic" (insert_edge g u v = Ok ()) in
+  check "0 edges" ~succs:[] ~preds:[];
+  let before = Obj.reachable_words (Obj.repr g) in
+  link hub 4;
+  check_int "a first edge: a one-slot array at each end" (before + 4)
+    (Obj.reachable_words (Obj.repr g));
+  link 0 hub;
+  check "1 edge" ~succs:[ 4 ] ~preds:[ 0 ];
+  link hub 5;
+  link 1 hub;
+  check "2 edges" ~succs:[ 5; 4 ] ~preds:[ 1; 0 ];
+  A.remove_edge g hub 4;
+  A.remove_edge g 0 hub;
+  check "a removal" ~succs:[ 5 ] ~preds:[ 1 ];
+  link hub 4;
+  link 0 hub;
+  check "a re-add" ~succs:[ 4; 5 ] ~preds:[ 0; 1 ];
+  link hub 6;
+  link 2 hub;
+  check "3 edges" ~succs:[ 6; 4; 5 ] ~preds:[ 2; 0; 1 ];
+  A.remove_vertex g hub;
+  check "emptied" ~succs:[] ~preds:[];
+  List.iter
+    (fun v -> Alcotest.(check (list int)) "far end emptied" [] (A.pred g v))
+    [ 4; 5; 6 ];
+  link hub 7;
+  link 2 hub;
+  check "linked again" ~succs:[ 7 ] ~preds:[ 2 ];
+  link hub 5;
+  check "and grown" ~succs:[ 5; 7 ] ~preds:[ 2 ]
 
 (* [last_path] does not depend on the maintained order: on graphs built
    by random batches, removals and re-adds, the witness of every
@@ -1276,6 +1340,8 @@ let suite =
     Alcotest.test_case "acyclic batch insert" `Quick test_acyclic_batch_insert;
     Alcotest.test_case "acyclic bypass" `Quick test_acyclic_bypass;
     Alcotest.test_case "acyclic memory is linear" `Quick test_acyclic_linear_memory;
+    Alcotest.test_case "acyclic slot boundaries" `Quick
+      test_acyclic_slot_boundaries;
   ]
   @ qsuite
       [

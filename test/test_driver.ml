@@ -331,8 +331,12 @@ let test_request_allocation () =
    slot per grant and two link arrays for its queue, so any bookkeeping
    added per request, per grant or per transaction moves the pins. The
    engines keep a standing refusal's witness at one word a vertex and
-   read a transaction's last step off its syntax row; the sharded one
-   keeps one shard-local id per (transaction, shard) membership. Every
+   read a transaction's last step off its syntax row; a vertex's first
+   edge each way is a one-slot array, and a transaction holds one entry
+   slot per distinct (variable, class) entry of its row, not one per
+   step. The sharded one keeps one shard-local id per (transaction,
+   shard) membership, and its kernels read the syntax's rows through
+   their members, with no row copy per shard. Every
    transaction of the disjoint batch is single-shard at K = 4, so its
    sharded row is the engine with nothing to coordinate. *)
 let test_state_words () =
@@ -355,22 +359,22 @@ let test_state_words () =
       (Schedule.is_schedule_of fmt (Sched.Driver.drain d).output)
   in
   let sgt syntax = Sched.Sgt.create ~syntax () in
-  pin "SGT, hotspot 16x8" ~peak:1096 ~last:1096 sgt (fun st ->
+  pin "SGT, hotspot 16x8" ~peak:916 ~last:916 sgt (fun st ->
       Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
-  pin "SGT, disjoint 256x2" ~peak:8488 ~last:8092 sgt (fun _ ->
+  pin "SGT, disjoint 256x2" ~peak:8232 ~last:7836 sgt (fun _ ->
       Sim.Workload.disjoint ~n:256 ~m:2);
-  pin "sharded-2PC K=4, zipf 64x2" ~peak:5620 ~last:5620
+  pin "sharded-2PC K=4, zipf 64x2" ~peak:5078 ~last:5078
     (fun syntax ->
       Sched.Sharded.create ~shards:4
         ~commit_cross:(Sched.Twopc.commit (Sched.Twopc.service ~shards:4 ()))
         ~syntax ())
     (fun st -> Sim.Workload.zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2);
-  pin "semantic, counters 16x8" ~peak:1277 ~last:1277
+  pin "semantic, counters 16x8" ~peak:1162 ~last:1162
     (fun syntax -> Sched.Semantic.create ~syntax ())
     (fun st ->
       Sim.Workload.semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
         ~read_frac:0.1);
-  pin "sharded K=4, disjoint 256x2" ~peak:11375 ~last:10979
+  pin "sharded K=4, disjoint 256x2" ~peak:10859 ~last:10463
     (fun syntax -> Sched.Sharded.create ~shards:4 ~syntax ())
     (fun _ -> Sim.Workload.disjoint ~n:256 ~m:2)
 

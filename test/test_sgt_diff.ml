@@ -210,7 +210,7 @@ let test_abort_frees_completed () =
      it is not a source and stays; T0's abort frees it, but only the next
      completion (T2's) prunes it *)
   let g =
-    Cg.create ~n_vars:3 ~var_of_step:[| [| 0; 1 |]; [| 0 |]; [| 2 |] |] ()
+    Cg.create ~n_vars:3 ~rows:[| [| 0; 1 |]; [| 0 |]; [| 2 |] |] ()
   in
   Cg.grant g 0 0;
   Cg.grant g 1 0;
@@ -278,9 +278,7 @@ let test_clear_decisions_allocate_nothing () =
    Each transaction's second step keeps it from completing early. *)
 let test_chain_edges () =
   let chain n =
-    let g =
-      Cg.create ~n_vars:1 ~var_of_step:(Array.make n [| 0; 0 |]) ()
-    in
+    let g = Cg.create ~n_vars:1 ~rows:(Array.make n [| 0; 0 |]) () in
     for l = 0 to n - 1 do
       Cg.grant g l 0
     done;
@@ -317,7 +315,7 @@ let test_chain_edges () =
   let ops = [| Op.Update; Op.Update; Op.Read; Op.Update |] in
   let g =
     Cg.create ~op_of_step:(fun l _ -> ops.(l)) ~n_vars:1
-      ~var_of_step:(Array.make 4 [| 0; 0 |]) ()
+      ~rows:(Array.make 4 [| 0; 0 |]) ()
   in
   for l = 0 to 3 do
     Cg.grant g l 0
@@ -331,6 +329,93 @@ let test_chain_edges () =
     "the older Update reaches past the aborted one"
     [ (0, 2); (0, 3); (2, 3) ]
     (Digraph.Acyclic.edges graph)
+
+(* Rows that repeat entries. [grant] stores each (variable, class) entry
+   once, and [create] gives a vertex one held slot per distinct entry of
+   its row: two here, of four steps. Three transactions share one row,
+   untyped [x x y x], or typed [Incr x; Decr x; Read x; Incr x] (Incr
+   and Decr share a class). A script requests each one's next step,
+   aborts it and requests again: every decision is the full conflict
+   graph's, and after each abort no accessor list holds the aborted
+   vertex. Its own steps find sources only where the model has some,
+   and no backward search from another's steps marks it. Sized one slot
+   short, a vertex's second entry lands in its neighbour's first slot,
+   or past the end, and an abort leaves the vertex on a list. The
+   untyped row runs through every kernel engine too, against SGT-ref on
+   every interleaving. *)
+let test_repeat_entry_rows () =
+  let run name ~vars ~ops =
+    let n = 3 and m = Array.length vars in
+    let g =
+      Cg.create ~op_of_step:(fun _ j -> ops.(j)) ~n_vars:2
+        ~rows:(Array.make n vars) ()
+    in
+    let acc = Array.make 2 [] and edges = Digraph.create n in
+    let pos = Array.make n 0 and refused = ref 0 in
+    let request i =
+      let j = pos.(i) in
+      let v = vars.(j) and op = ops.(j) in
+      let srcs =
+        List.filter_map
+          (fun (u, o) ->
+            if u <> i && Commute.conflicts o op then Some u else None)
+          acc.(v)
+      in
+      let probe = Digraph.copy edges in
+      List.iter (fun u -> Digraph.add_edge probe u i) srcs;
+      let cycle = Digraph.has_cycle probe in
+      check_true (name ^ ": decision") (Cg.refuses g i j = cycle);
+      if cycle then incr refused
+      else begin
+        Cg.grant g i j;
+        List.iter (fun u -> Digraph.add_edge edges u i) srcs;
+        if not (List.mem (i, op) acc.(v)) then acc.(v) <- (i, op) :: acc.(v);
+        pos.(i) <- j + 1
+      end
+    in
+    let abort i =
+      Cg.abort g i;
+      Array.iteri
+        (fun v es -> acc.(v) <- List.filter (fun (u, _) -> u <> i) es)
+        acc;
+      List.iter (fun v -> Digraph.remove_edge edges i v) (Digraph.succ edges i);
+      List.iter (fun u -> Digraph.remove_edge edges u i) (Digraph.pred edges i);
+      pos.(i) <- 0;
+      for j = 0 to m - 1 do
+        let conflicting (_, o) = Commute.conflicts o ops.(j) in
+        check_true (name ^ ": the aborted vertex's sources")
+          (Cg.has_sources g i j = List.exists conflicting acc.(vars.(j)));
+        for u = 0 to n - 1 do
+          if u <> i then begin
+            Cg.mark_reaching_sources g u j;
+            check_false (name ^ ": no list holds the aborted vertex")
+              (Digraph.Acyclic.marked (Cg.graph g) i)
+          end
+        done
+      done
+    in
+    List.iter
+      (function
+        | `Req i -> if pos.(i) < m then request i
+        | `Abort i -> abort i)
+      [ `Req 0; `Req 0; `Req 0; `Req 0; `Req 1; `Req 1; `Req 2; `Abort 0;
+        `Req 0; `Req 0; `Req 0; `Req 0; `Req 1; `Req 1; `Req 2; `Req 2;
+        `Req 2; `Abort 1; `Req 1; `Req 1; `Req 1; `Req 1; `Req 2; `Req 2;
+        `Abort 2; `Req 2; `Req 2; `Req 2; `Req 2; `Abort 0; `Abort 1;
+        `Abort 2 ];
+    !refused
+  in
+  check_int "untyped: refusals" 7
+    (run "untyped" ~vars:[| 0; 0; 1; 0 |] ~ops:(Array.make 4 Op.Update));
+  check_int "typed: refusals" 7
+    (run "typed" ~vars:[| 0; 0; 0; 0 |]
+       ~ops:[| Op.Incr; Op.Decr; Op.Read; Op.Incr |]);
+  let syntax =
+    Syntax.of_lists
+      [ [ "x"; "x"; "y"; "x" ]; [ "x"; "x"; "y"; "x" ]; [ "y"; "x" ] ]
+  in
+  Combin.Interleave.iter (Syntax.format syntax) (fun arrivals ->
+      ignore (check_engines syntax (Array.copy arrivals)))
 
 (* The delay cache by hand, over 7 transactions. Witnesses mix
    transaction ids with coordinator ids [-1 - c], as the sharded
@@ -540,7 +625,7 @@ let test_cgraph_model () =
     let n_vars = 1 + Random.State.int st 3 in
     let typed = seed mod 2 = 1 in
     let len = Array.init n (fun _ -> 1 + Random.State.int st 3) in
-    let var_of_step =
+    let rows =
       Array.map (fun m -> Array.init m (fun _ -> Random.State.int st n_vars)) len
     in
     let ops =
@@ -556,9 +641,8 @@ let test_cgraph_model () =
     let sink = Obs.Sink.Memory.sink events in
     let g =
       if typed then
-        Cg.create ~sink ~op_of_step:(fun l j -> ops.(l).(j)) ~n_vars
-          ~var_of_step ()
-      else Cg.create ~sink ~n_vars ~var_of_step ()
+        Cg.create ~sink ~op_of_step:(fun l j -> ops.(l).(j)) ~n_vars ~rows ()
+      else Cg.create ~sink ~n_vars ~rows ()
     in
     let acc = Array.make n_vars [] in
     let edges = Digraph.create n in
@@ -597,12 +681,12 @@ let test_cgraph_model () =
           Array.iteri
             (fun t w ->
               match w with
-              | Some (_, path) when List.mem i path -> witness.(t) <- None
+              | Some (_, path) when Array.mem i path -> witness.(t) <- None
               | _ -> ())
             witness
         end
         else begin
-          let v = var_of_step.(i).(j) and op = ops.(i).(j) in
+          let v = rows.(i).(j) and op = ops.(i).(j) in
           let srcs =
             List.filter_map
               (fun (u, o) ->
@@ -657,13 +741,14 @@ let test_cgraph_model () =
           match w with
           | None -> ()
           | Some (j, path) ->
-            let rec edges_kept = function
-              | u :: (v :: _ as rest) ->
-                Digraph.Acyclic.has_edge (Cg.graph g) u v && edges_kept rest
-              | _ -> true
+            let edges_kept =
+              List.for_all
+                (fun i ->
+                  Digraph.Acyclic.has_edge (Cg.graph g) path.(i - 1) path.(i))
+                (List.init (Array.length path - 1) succ)
             in
-            check_true "witness starts at the requester" (List.hd path = t);
-            check_true "witness edges kept" (edges_kept path);
+            check_true "witness starts at the requester" (path.(0) = t);
+            check_true "witness edges kept" edges_kept;
             check_true "refusal stands" (Cg.refuses g t j))
         witness;
       check_int "version" !version (Cg.version g);
@@ -847,6 +932,8 @@ let suite =
       `Quick test_abort_frees_completed;
     Alcotest.test_case "kernel: one edge per chain member, bypassed on abort"
       `Quick test_chain_edges;
+    Alcotest.test_case "kernel: rows that repeat entries" `Quick
+      test_repeat_entry_rows;
     Alcotest.test_case "kernel: the refusal cache clears through witnesses"
       `Quick test_refusal_cache;
     Alcotest.test_case "kernel engines = SGT-ref on an abort-heavy corpus"

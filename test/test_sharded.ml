@@ -182,6 +182,21 @@ let test_disjoint_any_k () =
     List.iter (fun k -> check_equiv ~shards:k syntax arrivals) [ 1; 2; 4; 8 ]
   done
 
+(* One variable over eight shards leaves seven empty. A kernel takes its
+   vertices from its members, so an empty shard's has none, and the busy
+   shard decides every step exactly as SGT, on every interleaving. *)
+let test_empty_shards () =
+  let syntax =
+    Syntax.of_lists [ [ "x"; "x" ]; [ "x"; "x" ]; [ "x" ]; [ "x"; "x"; "x" ] ]
+  in
+  let p = Sched.Partition.make ~syntax ~shards:8 in
+  check_int "seven empty shards" 7
+    (Array.fold_left
+       (fun c mem -> if Array.length mem = 0 then c + 1 else c)
+       0 p.Sched.Partition.members);
+  Combin.Interleave.iter (Syntax.format syntax) (fun arrivals ->
+      check_equiv ~shards:8 syntax (Array.copy arrivals))
+
 let test_k1_fixpoints () =
   (* Theorem 3's fixpoint characterisation survives the decomposition *)
   List.iter
@@ -514,6 +529,7 @@ let suite =
     Alcotest.test_case "K=1 = SGT exhaustive to size 5" `Slow
       test_k1_exhaustive;
     Alcotest.test_case "disjoint = SGT at every K" `Quick test_disjoint_any_k;
+    Alcotest.test_case "K=8, seven empty shards = SGT" `Quick test_empty_shards;
     Alcotest.test_case "K=1 fixpoint sets agree" `Quick test_k1_fixpoints;
     Alcotest.test_case "cross-shard outputs serializable (100 seeds)" `Slow
       test_cross_shard_serializable;
