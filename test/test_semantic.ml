@@ -557,6 +557,65 @@ let test_may_delay_more_than_sgt () =
   check_true "semantic output serializable"
     (Herbrand.serializable syntax sem.Sched.Driver.output)
 
+(* ---------- the typed event log, pinned ---------- *)
+
+(* The semantic engine's full event log on typed syntax: the order of
+   its [Edge_added], [Commute_pass] and [Cycle_refused] events, which
+   the conflict-class numbering and the accessor lists decide. The
+   corpus is the [ctr] corpus of the kernel's delay-replay test, the
+   bench's counter shape at seeds 1-4, and one read/update mix. *)
+let event_log_corpus () =
+  let draw st syntax = (syntax, Combin.Interleave.random st (Syntax.format syntax)) in
+  let ctr =
+    List.init 8 (fun seed ->
+        let st = Random.State.make [| 0xC7A; seed |] in
+        let n = 6 + Random.State.int st 6 in
+        draw st
+          (Sim.Workload.semantic_counters st ~n ~m:3 ~n_vars:3 ~theta:0.7
+             ~read_frac:0.3))
+  in
+  let bench =
+    List.init 4 (fun i ->
+        let st = Random.State.make [| i + 1 |] in
+        draw st
+          (Sim.Workload.semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
+             ~read_frac:0.1))
+  in
+  let mixed =
+    let st = Random.State.make [| 0x313 |] in
+    draw st
+      (Sim.Workload.mixed st ~n:12 ~m:4 ~n_vars:4 ~read_frac:0.4 ~theta:0.6)
+  in
+  ctr @ bench @ [ mixed ]
+
+let test_event_log_digest () =
+  let buf = Buffer.create 65536 in
+  let edges = ref 0 and passes = ref 0 and refusals = ref 0 in
+  List.iter
+    (fun (syntax, arrivals) ->
+      let c = Obs.Sink.Memory.create () in
+      let sink = Obs.Sink.Memory.sink c in
+      ignore
+        (Sched.Driver.run ~sink
+           (Sched.Semantic.create ~sink ~syntax ())
+           ~fmt:(Syntax.format syntax) ~arrivals);
+      let events = Obs.Sink.Memory.events c in
+      List.iter
+        (function
+          | _, Obs.Event.Edge_added _ -> incr edges
+          | _, Obs.Event.Commute_pass _ -> incr passes
+          | _, Obs.Event.Cycle_refused _ -> incr refusals
+          | _ -> ())
+        events;
+      Buffer.add_string buf (Obs.Event_log.to_string events))
+    (event_log_corpus ());
+  check_true "the corpus adds edges" (!edges > 0);
+  check_true "the corpus passes over commuting accessors" (!passes > 0);
+  check_true "the corpus refuses cycles" (!refusals > 0);
+  Alcotest.(check string)
+    "semantic event-log digest" "9b4f8b0b55dd560c830cc55320612dbf"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "commutativity table laws" `Quick
@@ -584,5 +643,7 @@ let suite =
       test_commute_pass_counts_transactions;
     Alcotest.test_case "semantic may delay more than SGT" `Quick
       test_may_delay_more_than_sgt;
+    Alcotest.test_case "typed event log, pinned" `Quick
+      test_event_log_digest;
   ]
   @ qsuite [ prop_counter_sound; prop_zero_delay_containment ]

@@ -291,6 +291,50 @@ let test_arrivals_allocation () =
           limit)
     [ (256, 2, 256); (16, 8, 16) ]
 
+(* A step one past a transaction's end is no step: every graph engine's
+   [attempt] and [commit] raise [Invalid_argument] for it, before any
+   state is read or changed, whether the next transaction is empty,
+   non-empty or absent. The engines are asked directly; the driver
+   refuses such a request before asking. *)
+let test_out_of_range_steps () =
+  let syntax =
+    Syntax.make_typed
+      [|
+        [| (Op.Incr, "x"); (Op.Read, "y") |];
+        [||];
+        [| (Op.Decr, "y"); (Op.Incr, "x") |];
+        [| (Op.Incr, "y") |];
+      |]
+  in
+  let engines =
+    [
+      ("sgt", fun () -> Sched.Sgt.create ~syntax ());
+      ("semantic", fun () -> Sched.Semantic.create ~syntax ());
+      ("sharded K=1", fun () -> Sched.Sharded.create ~shards:1 ~syntax ());
+      ("sharded K=2", fun () -> Sched.Sharded.create ~shards:2 ~syntax ());
+    ]
+  in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, make) ->
+      Array.iteri
+        (fun tx m ->
+          let past = Names.step tx m in
+          let s = make () in
+          check_true
+            (Printf.sprintf "%s: attempt T%d step %d" name tx m)
+            (raises (fun () -> s.Sched.Scheduler.attempt past));
+          check_true
+            (Printf.sprintf "%s: commit T%d step %d" name tx m)
+            (raises (fun () -> s.Sched.Scheduler.commit past)))
+        (Syntax.format syntax))
+    engines
+
 let suite =
   qsuite [ prop_pool_equals_make; prop_partition_reference ]
   @ [
@@ -303,4 +347,6 @@ let suite =
         test_partition_per_step;
       Alcotest.test_case "arrival draw allocation ceilings" `Quick
         test_arrivals_allocation;
+      Alcotest.test_case "a step past the end raises" `Quick
+        test_out_of_range_steps;
     ]
