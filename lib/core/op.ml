@@ -11,6 +11,16 @@ let index = function
   | Enqueue -> 5
   | Max -> 6
 
+let of_index = function
+  | 0 -> Read
+  | 1 -> Write
+  | 2 -> Update
+  | 3 -> Incr
+  | 4 -> Decr
+  | 5 -> Enqueue
+  | 6 -> Max
+  | _ -> invalid_arg "Op.of_index: code out of range"
+
 let writes = function
   | Read -> false
   | Write | Update | Incr | Decr | Enqueue | Max -> true

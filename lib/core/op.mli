@@ -31,6 +31,11 @@ val index : t -> int
 (** The operation's position in {!all}, in [0 .. 6]: a slot in a table
     indexed by operation. *)
 
+val of_index : int -> t
+(** [of_index i] is the operation at position [i] of {!all}, so
+    [of_index (index o) = o].
+    Raises [Invalid_argument] outside [0 .. 6]. *)
+
 val writes : t -> bool
 (** Whether the step installs a new value into its variable — true for
     everything except [Read]. *)

@@ -1,22 +1,35 @@
+(* Step [j] of transaction [i] is slot [start.(i) + j] of [ids] and of
+   [codes]: one row-major array per step table, not one block per
+   transaction. *)
 type t = {
-  ids : int array array; (* step -> variable id, numbered by first use *)
+  ids : int array; (* step -> variable id, numbered by first use *)
+  start : int array; (* n + 1 offsets: [i]'s steps are [start.(i) ..] *)
   names : Names.var array; (* id -> name; the names are distinct *)
-  kinds : Op.t array array; (* [||] when every step is an [Op.Update] *)
+  codes : Bytes.t; (* step -> [Op.index]; empty when all are updates *)
 }
+
+(* The offsets of format [fmt]. *)
+let offsets who fmt =
+  let n = Array.length fmt in
+  if n = 0 then invalid_arg (who ^ ": empty system");
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    if fmt.(i) < 0 then invalid_arg (who ^ ": negative transaction length");
+    start.(i + 1) <- start.(i) + fmt.(i)
+  done;
+  start
 
 (* The one way in: pool indices read in step order and renumbered by
    first use, the used pool names kept in that order. Every array starts
    from a constant, so none over 256 slots forces a minor collection. *)
-let build who pool fmt kinds f =
-  let n = Array.length fmt in
-  if n = 0 then invalid_arg (who ^ ": empty system");
+let build who pool start codes f =
   let np = Array.length pool in
   let id_of = Array.make np (-1) and names = Array.make np "" in
   let next = ref 0 in
-  let ids = Array.make n [||] in
-  for i = 0 to n - 1 do
-    let row = Array.make fmt.(i) 0 in
-    for j = 0 to fmt.(i) - 1 do
+  let ids = Array.make start.(Array.length start - 1) 0 in
+  for i = 0 to Array.length start - 2 do
+    let at = start.(i) in
+    for j = 0 to start.(i + 1) - at - 1 do
       let p = f i j in
       if p < 0 || p >= np then invalid_arg (who ^ ": pool index out of range");
       if id_of.(p) < 0 then begin
@@ -24,30 +37,33 @@ let build who pool fmt kinds f =
         names.(!next) <- pool.(p);
         incr next
       end;
-      row.(j) <- id_of.(p)
-    done;
-    ids.(i) <- row
+      ids.(at + j) <- id_of.(p)
+    done
   done;
   let names = if !next = np then names else Array.sub names 0 !next in
-  { ids; names; kinds }
+  { ids; start; names; codes }
 
-let init pool fmt f = build "Syntax.init" pool fmt [||] f
+let init pool fmt f =
+  build "Syntax.init" pool (offsets "Syntax.init" fmt) Bytes.empty f
 
-(* Kinds are filled as [f] is called. A syntax of updates alone keeps
+(* Codes are filled as [f] is called. A syntax of updates alone keeps
    the untyped form, so equal syntaxes have equal fields. *)
+let update_code = Char.chr (Op.index Op.Update)
+
 let build_typed who pool fmt f =
-  let kinds = Array.make (Array.length fmt) [||] and typed = ref false in
+  let start = offsets who fmt in
+  let codes = Bytes.make start.(Array.length fmt) update_code in
+  let typed = ref false in
   let s =
-    build who pool fmt kinds (fun i j ->
-        if j = 0 then kinds.(i) <- Array.make fmt.(i) Op.Update;
+    build who pool start codes (fun i j ->
         let k, p = f i j in
         if k <> Op.Update then begin
           typed := true;
-          kinds.(i).(j) <- k
+          Bytes.set codes (start.(i) + j) (Char.chr (Op.index k))
         end;
         p)
   in
-  if !typed then s else { s with kinds = [||] }
+  if !typed then s else { s with codes = Bytes.empty }
 
 let init_typed pool fmt f = build_typed "Syntax.init_typed" pool fmt f
 
@@ -70,8 +86,10 @@ let intern accesses =
 
 let make accesses =
   let pool, rows = intern accesses in
-  build "Syntax.make" pool (Array.map Array.length accesses) [||] (fun i j ->
-      rows.(i).(j))
+  build "Syntax.make" pool
+    (offsets "Syntax.make" (Array.map Array.length accesses))
+    Bytes.empty
+    (fun i j -> rows.(i).(j))
 
 let make_typed steps =
   let pool, rows = intern (Array.map (Array.map snd) steps) in
@@ -84,37 +102,51 @@ let of_lists lists =
 let of_lists_typed lists =
   make_typed (Array.of_list (List.map Array.of_list lists))
 
-let format s = Array.map Array.length s.ids
+let n_transactions s = Array.length s.start - 1
 
-let n_transactions s = Array.length s.ids
+let format s =
+  let fmt = Array.make (n_transactions s) 0 in
+  for i = 0 to Array.length fmt - 1 do
+    fmt.(i) <- s.start.(i + 1) - s.start.(i)
+  done;
+  fmt
 
-let n_steps s = Array.fold_left (fun acc tx -> acc + Array.length tx) 0 s.ids
+let n_steps s = s.start.(n_transactions s)
 
 let length s i =
   if i < 0 || i >= n_transactions s then invalid_arg "Syntax.length";
-  Array.length s.ids.(i)
+  s.start.(i + 1) - s.start.(i)
 
-let in_range s (id : Names.step_id) =
-  id.tx >= 0
-  && id.tx < n_transactions s
-  && id.idx >= 0
-  && id.idx < Array.length s.ids.(id.tx)
+(* The slot of step [id], or -1 when it is no step of [s]. *)
+let slot s (id : Names.step_id) =
+  if id.tx < 0 || id.tx >= n_transactions s || id.idx < 0 then -1
+  else
+    let at = s.start.(id.tx) + id.idx in
+    if at < s.start.(id.tx + 1) then at else -1
 
-let var s (id : Names.step_id) =
-  if not (in_range s id) then invalid_arg "Syntax.var: step out of range";
-  s.names.(s.ids.(id.tx).(id.idx))
+let var s id =
+  let at = slot s id in
+  if at < 0 then invalid_arg "Syntax.var: step out of range";
+  s.names.(s.ids.(at))
 
-let kind s (id : Names.step_id) =
-  if not (in_range s id) then invalid_arg "Syntax.kind: step out of range";
-  if Array.length s.kinds = 0 then Op.Update else s.kinds.(id.tx).(id.idx)
+let code_kind s at =
+  if Bytes.length s.codes = 0 then Op.Update
+  else Op.of_index (Char.code (Bytes.get s.codes at))
 
-let typed s = Array.length s.kinds > 0
+let kind s id =
+  let at = slot s id in
+  if at < 0 then invalid_arg "Syntax.kind: step out of range";
+  code_kind s at
+
+let typed s = Bytes.length s.codes > 0
 
 let n_vars s = Array.length s.names
 
-let var_ids s = s.ids
+let ids s = s.ids
 
-let kinds s = s.kinds
+let start s = s.start
+
+let codes s = s.codes
 
 let var_name s v =
   if v < 0 || v >= n_vars s then invalid_arg "Syntax.var_name: id out of range";
@@ -125,17 +157,16 @@ let vars s = List.sort String.compare (Array.to_list s.names)
 let updates s i =
   if i < 0 || i >= n_transactions s then invalid_arg "Syntax.updates";
   let acc = ref Names.Vset.empty in
-  Array.iteri
-    (fun j v ->
-      if Op.writes (kind s (Names.step i j)) then
-        acc := Names.Vset.add s.names.(v) !acc)
-    s.ids.(i);
+  for at = s.start.(i) to s.start.(i + 1) - 1 do
+    if Op.writes (code_kind s at) then
+      acc := Names.Vset.add s.names.(s.ids.(at)) !acc
+  done;
   Names.Vset.elements !acc
 
 let steps s =
   let acc = ref [] in
   for i = n_transactions s - 1 downto 0 do
-    for j = Array.length s.ids.(i) - 1 downto 0 do
+    for j = length s i - 1 downto 0 do
       acc := Names.step i j :: !acc
     done
   done;
@@ -150,28 +181,29 @@ let transactions_on s v =
   |> List.sort_uniq Int.compare
 
 (* The renamed names may repeat one: they are interned again, id by id,
-   which is first-use order, and [build] renumbers the steps. *)
+   which is first-use order, and [build] renumbers the steps. The offsets
+   and codes are shared. *)
 let rename f s =
   let pool, index = intern [| Array.map f s.names |] in
-  build "Syntax.rename" pool (format s) s.kinds (fun i j ->
-      index.(0).(s.ids.(i).(j)))
+  build "Syntax.rename" pool s.start s.codes (fun i j ->
+      index.(0).(s.ids.(s.start.(i) + j)))
 
-let equal a b = a.ids = b.ids && a.names = b.names && a.kinds = b.kinds
+let equal a b =
+  a.ids = b.ids && a.start = b.start && a.names = b.names
+  && Bytes.equal a.codes b.codes
 
 let pp ppf s =
   Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i tx ->
-      Array.iteri
-        (fun j v ->
-          if i > 0 || j > 0 then Format.fprintf ppf "@ ";
-          match kind s (Names.step i j) with
-          | Op.Update ->
-            Format.fprintf ppf "%a: %s" Names.pp_step (Names.step i j)
-              s.names.(v)
-          | k ->
-            Format.fprintf ppf "%a: %c(%s)" Names.pp_step (Names.step i j)
-              (Op.to_char k) s.names.(v))
-        tx)
-    s.ids;
+  for i = 0 to n_transactions s - 1 do
+    for j = 0 to length s i - 1 do
+      let id = Names.step i j and at = s.start.(i) + j in
+      if i > 0 || j > 0 then Format.fprintf ppf "@ ";
+      match code_kind s at with
+      | Op.Update ->
+        Format.fprintf ppf "%a: %s" Names.pp_step id s.names.(s.ids.(at))
+      | k ->
+        Format.fprintf ppf "%a: %c(%s)" Names.pp_step id (Op.to_char k)
+          s.names.(s.ids.(at))
+    done
+  done;
   Format.fprintf ppf "@]"

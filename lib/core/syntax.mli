@@ -26,9 +26,13 @@
     their ids and pools are equal. Every constructor goes through one
     path, which reads pool indices in step order and renumbers them by
     first use: {!init} takes the indices from its caller, and {!make}
-    interns names into a pool with one string table first. Operations
-    are stored only when some step is not an [Op.Update]. Engine set-up
-    ([Sched.Cgraph], [Sched.Partition]) reads the ids ({!var_ids}) and
+    interns names into a pool with one string table first. The steps
+    are stored flat, row-major: step [j] of transaction [i] is slot
+    [(start s).(i) + j] of one id array ({!ids}) and, when some step is
+    not an [Op.Update], of one byte string of {!Op.index} codes
+    ({!codes}); an untyped syntax stores no code. So a syntax is three
+    arrays and its pool, with no block per transaction. Engine set-up
+    ([Sched.Cgraph], [Sched.Partition]) reads these arrays in place and
     hashes no name per step. *)
 
 type t
@@ -88,14 +92,20 @@ val typed : t -> bool
 val n_vars : t -> int
 (** The number of distinct variables: ids run over [0 .. n_vars - 1]. *)
 
-val var_ids : t -> int array array
-(** [(var_ids s).(i).(j)] is the id of [x_ij]. The rows are the
-    syntax's own, shared with every caller, and must not be written. *)
+val ids : t -> int array
+(** [(ids s).((start s).(i) + j)] is the id of [x_ij]: every step's
+    variable id, transaction by transaction. The array is the syntax's
+    own, shared with every caller, and must not be written. *)
 
-val kinds : t -> Op.t array array
-(** [(kinds s).(i).(j)] is the operation of step [j] of transaction
-    [i], and [kinds s] is [[||]] when the syntax is untyped (every step
-    an [Op.Update]). Shared like {!var_ids}: the rows must not be
+val start : t -> int array
+(** The [n + 1] offsets of the transactions in {!ids}: transaction [i]'s
+    steps are the slots [(start s).(i) .. (start s).(i + 1) - 1], equal
+    bounds for an empty one. Shared like {!ids}. *)
+
+val codes : t -> Bytes.t
+(** Each step's {!Op.index} as a byte, at the step's slot in {!ids}
+    ({!Op.of_index} reads one back); empty when the syntax is untyped
+    (every step an [Op.Update]). Shared like {!ids}: it must not be
     written. *)
 
 val var_name : t -> int -> Names.var

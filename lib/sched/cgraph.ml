@@ -2,41 +2,31 @@ open Core
 
 (* Commute compiled to classes. Ops with the same row of the table commute
    with exactly the same ops, so one representative decides every
-   conflict of its class. Classes are numbered by first use, so a syntax
-   that uses one class pays for one. An op's class is found at its first
-   use and kept in the op's slot ([Op.index]), which every later step
-   reads. *)
+   conflict of its class, and a step's class is a function of its op
+   alone. Classes are numbered by first use, vertex by vertex and step
+   by step, so a syntax that uses one class pays for one. [table] gets
+   one slot per op ([Op.index] -> class, -1 for an op no step uses),
+   which every step reads through its code; the result is each class's
+   conflicting classes. *)
 let same_row a b =
   List.for_all (fun o -> Commute.commutes a o = Commute.commutes b o) Op.all
 
-let compile n row_id rows op_of_step =
-  let n_ops = List.length Op.all in
-  let class_of_op = Array.make n_ops (-1) in
-  let reps = Array.make n_ops Op.Update and k = ref 0 in
-  let class_of op =
-    let c = class_of_op.(Op.index op) in
-    if c >= 0 then c
-    else begin
-      let c = ref 0 in
-      while !c < !k && not (same_row reps.(!c) op) do incr c done;
-      if !c = !k then begin
-        reps.(!k) <- op;
-        incr k
-      end;
-      class_of_op.(Op.index op) <- !c;
-      !c
-    end
-  in
-  (* filled in place: [Array.mapi] over more than 256 rows would start
-     from a young row and force a minor collection *)
-  let class_of_step = Array.make n [||] in
+let compile n tx_of start codes table =
+  let reps = Array.make (Array.length table) Op.Update and k = ref 0 in
   for l = 0 to n - 1 do
-    let i = row_id l in
-    let cls = Array.make (Array.length rows.(i)) 0 in
-    for j = 0 to Array.length cls - 1 do
-      cls.(j) <- class_of (op_of_step i j)
-    done;
-    class_of_step.(l) <- cls
+    let i = tx_of l in
+    for at = start.(i) to start.(i + 1) - 1 do
+      let code = Char.code (Bytes.get codes at) in
+      if table.(code) < 0 then begin
+        let op = Op.of_index code and c = ref 0 in
+        while !c < !k && not (same_row reps.(!c) op) do incr c done;
+        if !c = !k then begin
+          reps.(!k) <- op;
+          incr k
+        end;
+        table.(code) <- !c
+      end
+    done
   done;
   let k = !k in
   let conflicting a =
@@ -49,7 +39,7 @@ let compile n row_id rows op_of_step =
     done;
     Array.sub cs 0 !n
   in
-  (class_of_step, Array.init k conflicting)
+  Array.init k conflicting
 
 let live_bit = 1
 let done_bit = 2
@@ -58,8 +48,12 @@ let queued_bit = 4
 type t = {
   sink : Obs.Sink.t;
   ids : int array; (* [||]: a vertex names itself *)
-  rows : int array array; (* vertex [l]'s variables: [rows.(id l)] *)
-  class_of_step : int array array; (* [||] when there is one class *)
+  (* step [idx] of vertex [l] is slot [start.(id l) + idx] of [vars]
+     (its variable) and of [codes] (its op's [Op.index]) *)
+  vars : int array;
+  start : int array;
+  codes : Bytes.t; (* empty when there is one class *)
+  table : int array; (* op code -> class; [||] when there is one class *)
   prunable : int -> bool;
   k : int; (* number of classes *)
   conf : int array array; (* class -> the classes it conflicts with *)
@@ -67,7 +61,7 @@ type t = {
   entries : int list array; (* var * k + class -> accessors, no repeats *)
   (* the entries each vertex is on, in the order it gained them: [l]'s
      are the [n_held.(l)] slots from [held_at.(l)], one per distinct
-     entry of its row *)
+     entry of its steps *)
   held : int array;
   held_at : int array;
   n_held : int array;
@@ -106,51 +100,50 @@ let push g l =
   end
 
 (* One vertex per id when [ids] is given, so an empty [ids] gives none;
-   without it, one per row. *)
-let create ?(sink = Obs.Sink.null) ?ids ?op_of_step
-    ?(prunable = fun _ -> true) ~n_vars ~rows () =
+   without it, one per transaction. *)
+let create ?(sink = Obs.Sink.null) ?ids ?(prunable = fun _ -> true) ~n_vars
+    ~vars ~start ~codes () =
   let n, ids =
     match ids with
     | Some ids -> (Array.length ids, ids)
-    | None -> (Array.length rows, [||])
+    | None -> (Array.length start - 1, [||])
   in
-  let row_id l = if Array.length ids = 0 then l else ids.(l) in
-  let class_of_step, conf =
-    match op_of_step with
-    | None -> ([||], [| [| 0 |] |])
-    | Some f -> compile n row_id rows f
+  let tx_of l = if Array.length ids = 0 then l else ids.(l) in
+  let typed = Bytes.length codes > 0 in
+  let table = if typed then Array.make (List.length Op.all) (-1) else [||] in
+  let conf =
+    if typed then compile n tx_of start codes table else [| [| 0 |] |]
   in
   let k = Array.length conf in
-  let class_of_step = if k = 1 then [||] else class_of_step in
+  let codes = if k = 1 then Bytes.empty else codes in
+  let table = if k = 1 then [||] else table in
   let entries = Array.make (n_vars * k) [] in
   (* [grant] stores an entry once, so a vertex holds at most one slot
-     per distinct entry of its row: one stamp pass counts them, [stamp]
+     per distinct entry of its steps: one stamp pass counts them, [stamp]
      holding the last vertex seen on each entry. Repeats come unordered,
      so the count takes no branch on them. *)
   let held_at = Array.make (n + 1) 0 and stamp = Array.make (n_vars * k) (-1) in
   for l = 0 to n - 1 do
-    let vs = rows.(row_id l) and distinct = ref 0 in
+    let i = tx_of l and distinct = ref 0 in
     (* one class: the entry is the variable, with no multiply per step *)
     if k = 1 then
-      for j = 0 to Array.length vs - 1 do
-        distinct := !distinct + Bool.to_int (stamp.(vs.(j)) <> l);
-        stamp.(vs.(j)) <- l
+      for at = start.(i) to start.(i + 1) - 1 do
+        distinct := !distinct + Bool.to_int (stamp.(vars.(at)) <> l);
+        stamp.(vars.(at)) <- l
       done
-    else begin
-      let cls = class_of_step.(l) in
-      for j = 0 to Array.length vs - 1 do
-        let e = (vs.(j) * k) + cls.(j) in
+    else
+      for at = start.(i) to start.(i + 1) - 1 do
+        let e = (vars.(at) * k) + table.(Char.code (Bytes.get codes at)) in
         distinct := !distinct + Bool.to_int (stamp.(e) <> l);
         stamp.(e) <- l
-      done
-    end;
+      done;
     held_at.(l + 1) <- held_at.(l) + !distinct
   done;
   let held = Array.make held_at.(n) 0 and n_held = Array.make n 0 in
   let graph = Digraph.Acyclic.create n and flags = Array.make n 0 in
   let work = Array.make n 0 in
   let rec g =
-    { sink; ids; rows; class_of_step; prunable; k; conf; entries;
+    { sink; ids; vars; start; codes; table; prunable; k; conf; entries;
       chain = Array.mapi Array.mem conf; held; held_at; n_held; graph;
       flags; work; top = 0; version = 0;
       push_freed = (fun v ->
@@ -170,12 +163,26 @@ let version g = g.version
 let live g l = has g l live_bit
 let graph g = g.graph
 let id g l = if Array.length g.ids = 0 then l else g.ids.(l)
-let class_of g l idx = if g.k = 1 then 0 else g.class_of_step.(l).(idx)
-let base g l idx = g.rows.(id g l).(idx) * g.k
+
+(* The slot of step [idx] of [l]. One past the transaction's end is the
+   next one's first slot, so the bound is checked here, for every
+   request, grant and search. *)
+let slot g l idx =
+  let i = id g l in
+  let at = g.start.(i) + idx in
+  if idx < 0 || at >= g.start.(i + 1) then
+    invalid_arg "Sched.Cgraph: step out of range";
+  at
+
+let class_at g at =
+  if g.k = 1 then 0 else g.table.(Char.code (Bytes.get g.codes at))
+
+let base_at g at = g.vars.(at) * g.k
 
 let search g v l idx =
+  let at = slot g l idx in
   Digraph.Acyclic.closes_cycle_any_of g.graph ~excluding:l ~lists:g.entries
-    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~chain:g.chain
+    ~base:(base_at g at) ~pick:g.conf.(class_at g at) ~chain:g.chain
     ~target:v
 
 let reaches_sources g v l idx =
@@ -193,8 +200,9 @@ let refuses g l idx =
   end
 
 let mark_reaching_sources g l idx =
+  let at = slot g l idx in
   Digraph.Acyclic.mark_reaching_any_of g.graph ~excluding:l ~lists:g.entries
-    ~base:(base g l idx) ~pick:g.conf.(class_of g l idx) ~chain:g.chain
+    ~base:(base_at g at) ~pick:g.conf.(class_at g at) ~chain:g.chain
 
 (* Some list [entries.(b + row.(i))], [i <= j], is non-empty. *)
 let rec any_nonempty entries b row j =
@@ -205,8 +213,9 @@ let rec any_nonempty entries b row j =
   | [] -> any_nonempty entries b row (j - 1)
 
 let has_sources g l idx =
-  let row = g.conf.(class_of g l idx) in
-  any_nonempty g.entries (base g l idx) row (Array.length row - 1)
+  let at = slot g l idx in
+  let row = g.conf.(class_at g at) in
+  any_nonempty g.entries (base_at g at) row (Array.length row - 1)
 
 let rec emit_edges g l = function
   | [] -> ()
@@ -248,7 +257,8 @@ let rec holds g at i e = i > at && (g.held.(i - 1) = e || holds g at (i - 1) e)
    its search: the lists are the ones it read, and the graph's own record
    says whether anything searched or changed it since. *)
 let grant g l idx =
-  let c = class_of g l idx and b = base g l idx in
+  let at = slot g l idx in
+  let c = class_at g at and b = base_at g at in
   let e = b + c in
   let row = g.conf.(c) in
   let at = g.held_at.(l) in
@@ -375,18 +385,18 @@ let clear_through r v =
   done
 
 (* The kernel's variables are the syntax's own ids, numbered by first
-   use, and its rows are the syntax's: nothing is interned or copied
-   here, and the engine keeps no reference to the syntax itself. *)
+   use, and its steps and codes are the syntax's flat arrays: nothing is
+   interned or copied here, and the engine keeps no reference to the
+   syntax itself. *)
 let scheduler ?sink ~name ~commute syntax =
-  let rows = Syntax.var_ids syntax in
-  (* an untyped syntax is all updates: the one class, as without ops *)
-  let kinds = Syntax.kinds syntax in
-  let op_of_step =
-    if commute && Array.length kinds > 0 then Some (fun i j -> kinds.(i).(j))
-    else None
+  let start = Syntax.start syntax in
+  (* an untyped syntax has no codes: the one class, as without ops *)
+  let codes = if commute then Syntax.codes syntax else Bytes.empty in
+  let g =
+    create ?sink ~n_vars:(Syntax.n_vars syntax) ~vars:(Syntax.ids syntax)
+      ~start ~codes ()
   in
-  let g = create ?sink ?op_of_step ~n_vars:(Syntax.n_vars syntax) ~rows () in
-  let r = refusals (Array.length rows) in
+  let r = refusals (Array.length start - 1) in
   (* The cache lookup, spelled out: calling a function for it measured
      ~5% lower end-to-end capacity on the contended [hot] workload. The
      driver reads [blocked] as the engine's standing refusals and skips
@@ -406,7 +416,7 @@ let scheduler ?sink ~name ~commute syntax =
   in
   let commit ({ tx; idx } : Names.step_id) =
     grant g tx idx;
-    if idx = Array.length rows.(tx) - 1 then complete g tx
+    if start.(tx) + idx = start.(tx + 1) - 1 then complete g tx
   in
   (* The requester heads its own path, so this clears its entry too. *)
   let on_abort tx =

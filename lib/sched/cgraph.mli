@@ -7,13 +7,15 @@ open Core
     share. Vertices are the engine's transaction ids (shard-local ones
     under {!Sharded}).
 
-    {b Conflict classes.} Each step's op is compiled once, at {!create},
-    into a class: ops that commute with exactly the same ops per
+    {b Conflict classes.} The ops are compiled once, at {!create}, into
+    classes: ops that commute with exactly the same ops per
     {!Core.Commute} share one, so a class-by-class matrix carries the
-    whole (static, symmetric) relation. Without ops every step is in
-    the one class that conflicts with everything: syntactic SGT.
-    Accessor lists are kept per (variable, class), so a request's
-    candidate edge sources are whole lists, read in place.
+    whole (static, symmetric) relation, and a step's class is a function
+    of its op alone: one slot per op ({!Core.Op.index}), read through
+    the step's code. Without codes every step is in the one class that
+    conflicts with everything: syntactic SGT. Accessor lists are kept
+    per (variable, class), so a request's candidate edge sources are
+    whole lists, read in place.
 
     {b Chains.} Every decision reads only reachability, so the graph
     need not hold every conflict edge, only the same reachability as the
@@ -56,27 +58,35 @@ type t
 val create :
   ?sink:Obs.Sink.t ->
   ?ids:int array ->
-  ?op_of_step:(int -> int -> Op.t) ->
   ?prunable:(int -> bool) ->
   n_vars:int ->
-  rows:int array array ->
+  vars:int array ->
+  start:int array ->
+  codes:Bytes.t ->
   unit ->
   t
 (** Vertex [l] is transaction [ids.(l)], and the vertices are [0 ..
     Array.length ids - 1], none for an empty [ids]; without [ids], [l]
-    is transaction [l], over every row. Step [idx] of transaction [i]
-    accesses variable [rows.(i).(idx)] in [0 .. n_vars-1] with op
-    [op_of_step i idx], read once here (absent: every pair conflicts).
-    [prunable] vetoes pruning (default: never); events name a vertex by
-    its transaction. [rows] is kept, not copied, and never written: a
+    is transaction [l], over every transaction of [start]. The steps
+    are flat, as {!Core.Syntax} stores them: step [idx] of transaction
+    [i] is slot [start.(i) + idx], which accesses variable [vars.(slot)]
+    in [0 .. n_vars-1] with op [Op.of_index (Char.code (Bytes.get codes
+    slot))] (empty [codes]: every pair conflicts). [vars],
+    [start] and [codes] are kept, not copied, and never written: a
     kernel over some of a syntax's transactions reads the syntax's own
-    rows through [ids]. Each vertex gets one held-entry slot per
-    distinct (variable, class) entry of its row, counted by one stamp
-    pass here, not one per step. With a [sink], a grant
-    emits one {!Obs.Event.Edge_added} per conflicting accessor, edges
-    already present or left implied by a chain included, so events are
-    those of the full conflict graph, and one that passed over
-    commuting accessors emits {!Obs.Event.Commute_pass}. *)
+    arrays through [ids]. The ops are read once here, into a table from
+    op code to class, with classes numbered by first use in vertex
+    order, step order; a step's class is that table's entry for its
+    code, and no per-step class is stored. Every call that names a step
+    raises [Invalid_argument] when [idx] is outside its transaction.
+    [prunable] vetoes pruning (default: never); events name a vertex by
+    its transaction. Each vertex gets one held-entry slot per distinct
+    (variable, class) entry of its steps, counted by one stamp pass
+    here, not one per step. With a [sink], a grant emits one
+    {!Obs.Event.Edge_added} per conflicting accessor, edges already
+    present or left implied by a chain included, so events are those
+    of the full conflict graph, and one that passed over commuting
+    accessors emits {!Obs.Event.Commute_pass}. *)
 
 val version : t -> int
 (** The removal count: bumped by every abort and every prune. The
@@ -166,6 +176,7 @@ val scheduler :
     ones are silent. The cache's [blocked] array is the scheduler's
     [standing], so the driver answers cached refusals without asking.
     With [commute] the classes come from the syntax's ops ({!Semantic});
-    without, every pair conflicts ({!Sgt}). The kernel's variables are
-    the syntax's ids ({!Core.Syntax.var_ids}), read in place with their
-    lengths: building the engine interns no name and copies no format. *)
+    without, every pair conflicts ({!Sgt}). The kernel reads the
+    syntax's flat ids, offsets and codes ({!Core.Syntax.ids},
+    {!Core.Syntax.start}, {!Core.Syntax.codes}) in place: building the
+    engine interns no name and copies no format or step table. *)

@@ -105,11 +105,12 @@ let plan_of (p : Partition.t) ~domains =
 (* Projection of the syntax to a transaction subset, kinds preserved:
    the syntax's own names are the pool, so nothing is hashed. *)
 let project syntax txns =
-  let ids = Syntax.var_ids syntax in
+  let ids = Syntax.ids syntax and start = Syntax.start syntax in
   Syntax.init_typed
     (Array.init (Syntax.n_vars syntax) (Syntax.var_name syntax))
     (Array.map (Syntax.length syntax) txns)
-    (fun i j -> (Syntax.kind syntax (Names.step txns.(i) j), ids.(txns.(i)).(j)))
+    (fun i j ->
+      (Syntax.kind syntax (Names.step txns.(i) j), ids.(start.(txns.(i)) + j)))
 
 let run ?(sink = Obs.Sink.null) ?domains ~shards ~syntax ~arrivals () =
   let p = Partition.make ~syntax ~shards in

@@ -4,7 +4,8 @@ type t = {
   shards : int;
   n : int;
   shard_of_var : int array;
-  ids : int array array;
+  vars : int array;
+  start : int array;
   mask : int array;
   n_cross : int;
   cross_id : int array;
@@ -21,10 +22,11 @@ let rec count m = if m = 0 then 0 else 1 + count (m land (m - 1))
 let make ~syntax ~shards =
   if shards < 1 || shards > 62 then
     invalid_arg "Partition.make: shards must be in 1..62";
-  let n = Syntax.n_transactions syntax and ids = Syntax.var_ids syntax in
+  let n = Syntax.n_transactions syntax in
+  let vars = Syntax.ids syntax and start = Syntax.start syntax in
   (* Each distinct variable is hashed once, by name, for its shard; a
-     step's shard is read through its id in the syntax's own rows, so
-     nothing is hashed or allocated per step. *)
+     step's shard is read through its id in the syntax's own flat ids,
+     so nothing is hashed or allocated per step. *)
   let shard_of_id =
     Array.init (Syntax.n_vars syntax) (fun v ->
         shard_of_var ~shards (Syntax.var_name syntax v))
@@ -35,9 +37,9 @@ let make ~syntax ~shards =
   let cross_id = Array.make n (-1) and n_cross = ref 0 in
   let size = Array.make shards 0 in
   for i = 0 to n - 1 do
-    let row = ids.(i) and m = ref 0 in
-    for j = 0 to Array.length row - 1 do
-      m := !m lor (1 lsl shard_of_id.(row.(j)))
+    let m = ref 0 in
+    for at = start.(i) to start.(i + 1) - 1 do
+      m := !m lor (1 lsl shard_of_id.(vars.(at)))
     done;
     mask.(i) <- !m;
     if !m land (!m - 1) <> 0 then begin
@@ -64,8 +66,18 @@ let make ~syntax ~shards =
       end
     done
   done;
-  { shards; n; shard_of_var = shard_of_id; ids; mask; n_cross = !n_cross;
-    cross_id; members; slot; local }
+  { shards; n; shard_of_var = shard_of_id; vars; start; mask;
+    n_cross = !n_cross; cross_id; members; slot; local }
+
+(* One past a transaction's end is the next one's first slot, so the
+   bound is checked here. *)
+let shard p tx idx =
+  let at = p.start.(tx) + idx in
+  if idx < 0 || at >= p.start.(tx + 1) then
+    invalid_arg "Sched.Partition.shard: step out of range";
+  p.shard_of_var.(p.vars.(at))
+
+let final p tx idx = p.start.(tx) + idx = p.start.(tx + 1) - 1
 
 (* [tx]'s memberships below shard [s] come first in its slots. *)
 let local_id p s tx =

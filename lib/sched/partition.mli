@@ -9,8 +9,8 @@ open Core
     membership lists with shard-local ids, and a dense numbering of the
     {e cross-shard} transactions (those touching two or more shards) for
     the coordinator graph. It costs per variable and per membership,
-    never per step: a step's shard is [shard_of_var.(ids.(tx).(idx))],
-    read through the syntax's own id rows.
+    never per step: a step's shard is [shard_of_var] of its variable id,
+    read in place from the syntax's own flat ids ({!shard}).
 
     Because a conflict edge joins two accessors of the {e same}
     variable, every conflict edge lives in exactly one shard; a
@@ -24,11 +24,14 @@ type t = {
   n : int;  (** number of transactions *)
   shard_of_var : int array;
       (** [shard_of_var.(v)]: the shard owning variable id [v]
-          ({!Core.Syntax.var_ids}) *)
-  ids : int array array;
-      (** the syntax's own variable-id rows ({!Core.Syntax.var_ids}),
-          kept, not copied: step [idx] of [tx] is in shard
-          [shard_of_var.(ids.(tx).(idx))] *)
+          ({!Core.Syntax.ids}) *)
+  vars : int array;
+      (** the syntax's own flat variable ids ({!Core.Syntax.ids}), kept,
+          not copied: step [idx] of [tx] accesses [vars.(start.(tx) +
+          idx)] *)
+  start : int array;
+      (** the syntax's own transaction offsets into [vars]
+          ({!Core.Syntax.start}), kept, not copied *)
   mask : int array;
       (** per-transaction bitmask of touched shards (bit [s] set iff the
           transaction accesses a variable of shard [s]); [0] for an
@@ -50,12 +53,21 @@ val shard_of_var : shards:int -> Names.var -> int
 (** The deterministic variable-to-shard hash ([Hashtbl.hash mod K]). *)
 
 val make : syntax:Syntax.t -> shards:int -> t
-(** Reads the syntax's variable ids ({!Core.Syntax.var_ids}): each
-    distinct variable's name is hashed once, for its shard, and every
-    per-transaction field is filled by counting loops over the id rows,
-    with nothing allocated per step. Raises
+(** Reads the syntax's flat variable ids and offsets
+    ({!Core.Syntax.ids}, {!Core.Syntax.start}) in place: each distinct
+    variable's name is hashed once, for its shard, and every
+    per-transaction field is filled by counting loops over each
+    transaction's slots, with nothing allocated per step. Raises
     [Invalid_argument] unless [1 <= shards <= 62] (shard sets are
     represented as bits of one OCaml [int]). *)
+
+val shard : t -> int -> int -> int
+(** [shard p tx idx]: the shard of step [idx] of [tx]. Raises
+    [Invalid_argument] when [idx] is outside [tx], one past its end
+    included (that slot is the next transaction's). *)
+
+val final : t -> int -> int -> bool
+(** [final p tx idx]: step [idx] is [tx]'s last. *)
 
 val local_id : t -> int -> int -> int
 (** [local_id p s tx]: [tx]'s shard-local id in shard [s], or [-1] if it

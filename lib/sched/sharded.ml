@@ -59,21 +59,22 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
      the home shard is a zero global in-degree, exactly the {!Sgt}
      argument. A cross-shard transaction's shard-local in-degree says
      nothing about its edges elsewhere, and dropping its accessor entries
-     would lose summary paths. Each kernel reads the syntax's own
-     variable-id rows, as {!Sgt}'s does, through its members: local [l]
-     is global [mem.(l)], whose row is [ids.(mem.(l))], and an empty
-     shard's kernel has no vertex. It is sized for every variable of the
-     syntax: a kernel reads a step's variable only when the step is
-     asked of or granted in it, so the other shards' variables keep
-     empty accessor lists there. Nothing is numbered or copied per
-     member or per step. *)
+     would lose summary paths. Each kernel reads the syntax's own flat
+     variable ids and offsets, as {!Sgt}'s does, through its members:
+     local [l] is global [mem.(l)], whose steps start at
+     [start.(mem.(l))], and an empty shard's kernel has no vertex. It
+     is sized for every variable of the syntax: a kernel reads a step's
+     variable only when the step is asked of or granted in it, so the
+     other shards' variables keep empty accessor lists there. Nothing
+     is numbered or copied per member or per step. *)
   let n_vars = Syntax.n_vars syntax in
   let kernel =
     Array.init shards (fun s ->
         let mem = p.Partition.members.(s) in
         Cgraph.create ~sink ~ids:mem
           ~prunable:(fun l -> cross_id.(mem.(l)) < 0)
-          ~n_vars ~rows:p.Partition.ids ())
+          ~n_vars ~vars:p.Partition.vars ~start:p.Partition.start
+          ~codes:Bytes.empty ())
   in
   (* The coordinator: a summary graph over coordinator-local ids of the
      cross-shard transactions, materialised only when any exist — on an
@@ -198,7 +199,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let attempt (id : Names.step_id) =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
-    let s = p.Partition.shard_of_var.(p.Partition.ids.(tx).(idx)) in
+    let s = Partition.shard p tx idx in
     let k = kernel.(s) in
     let l = Partition.local_id p s tx in
     if blocked.(tx) = idx then Scheduler.Delay
@@ -223,7 +224,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
            restarts the transaction from scratch. *)
         match commit_cross with
         | Some decide
-          when idx = Array.length p.Partition.ids.(tx) - 1 && cross_id.(tx) >= 0
+          when Partition.final p tx idx && cross_id.(tx) >= 0
           ->
           if decide ~tx ~shards:(participants p.Partition.mask.(tx) 0)
           then Scheduler.Grant
@@ -235,7 +236,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
   let commit (id : Names.step_id) =
     let tx = id.Names.tx in
     let idx = id.Names.idx in
-    let s = p.Partition.shard_of_var.(p.Partition.ids.(tx).(idx)) in
+    let s = Partition.shard p tx idx in
     let l = Partition.local_id p s tx in
     (* discover summary edges against the pre-extension graph: the new
        paths are exactly A x B, and [attempt] vetted them against the
@@ -261,7 +262,7 @@ let create ?(sink = Obs.Sink.null) ?(shards = 4) ?commit_cross ~syntax () =
           "Sched.Sharded: the summary edges of a grant close a cycle, \
            breaking the invariant that attempt vetted them");
     Cgraph.grant kernel.(s) l idx;
-    if idx = Array.length p.Partition.ids.(tx) - 1 then
+    if Partition.final p tx idx then
       Cgraph.complete kernel.(s) l
   in
   let on_abort tx =

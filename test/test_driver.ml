@@ -331,12 +331,14 @@ let test_request_allocation () =
    slot per grant and two link arrays for its queue, so any bookkeeping
    added per request, per grant or per transaction moves the pins. The
    engines keep a standing refusal's witness at one word a vertex and
-   read a transaction's last step off its syntax row; a vertex's first
-   edge each way is a one-slot array, and a transaction holds one entry
-   slot per distinct (variable, class) entry of its row, not one per
-   step. The sharded one keeps one shard-local id per (transaction,
-   shard) membership, and its kernels read the syntax's rows through
-   their members, with no row copy per shard. Every
+   read a transaction's last step off the syntax's offsets; a vertex's
+   first edge each way is a one-slot array, and a transaction holds one
+   entry slot per distinct (variable, class) entry of its steps, not
+   one per step. The kernels read the syntax's flat ids, offsets and op
+   codes in place, with one op -> class slot per op and no class copy
+   per step. The sharded one keeps one shard-local id per (transaction,
+   shard) membership, and its kernels read the syntax's arrays through
+   their members, with no copy per shard. Every
    transaction of the disjoint batch is single-shard at K = 4, so its
    sharded row is the engine with nothing to coordinate. *)
 let test_state_words () =
@@ -359,22 +361,22 @@ let test_state_words () =
       (Schedule.is_schedule_of fmt (Sched.Driver.drain d).output)
   in
   let sgt syntax = Sched.Sgt.create ~syntax () in
-  pin "SGT, hotspot 16x8" ~peak:916 ~last:916 sgt (fun st ->
+  pin "SGT, hotspot 16x8" ~peak:906 ~last:906 sgt (fun st ->
       Sim.Workload.hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
-  pin "SGT, disjoint 256x2" ~peak:8232 ~last:7836 sgt (fun _ ->
+  pin "SGT, disjoint 256x2" ~peak:7982 ~last:7586 sgt (fun _ ->
       Sim.Workload.disjoint ~n:256 ~m:2);
-  pin "sharded-2PC K=4, zipf 64x2" ~peak:5078 ~last:5078
+  pin "sharded-2PC K=4, zipf 64x2" ~peak:5027 ~last:5027
     (fun syntax ->
       Sched.Sharded.create ~shards:4
         ~commit_cross:(Sched.Twopc.commit (Sched.Twopc.service ~shards:4 ()))
         ~syntax ())
     (fun st -> Sim.Workload.zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2);
-  pin "semantic, counters 16x8" ~peak:1162 ~last:1162
+  pin "semantic, counters 16x8" ~peak:1015 ~last:1015
     (fun syntax -> Sched.Semantic.create ~syntax ())
     (fun st ->
       Sim.Workload.semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8
         ~read_frac:0.1);
-  pin "sharded K=4, disjoint 256x2" ~peak:10859 ~last:10463
+  pin "sharded K=4, disjoint 256x2" ~peak:10616 ~last:10220
     (fun syntax -> Sched.Sharded.create ~shards:4 ~syntax ())
     (fun _ -> Sim.Workload.disjoint ~n:256 ~m:2)
 

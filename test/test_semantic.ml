@@ -565,7 +565,9 @@ let test_may_delay_more_than_sgt () =
    corpus is the [ctr] corpus of the kernel's delay-replay test, the
    bench's counter shape at seeds 1-4, and one read/update mix. *)
 let event_log_corpus () =
-  let draw st syntax = (syntax, Combin.Interleave.random st (Syntax.format syntax)) in
+  let draw st syntax =
+    (syntax, Combin.Interleave.random st (Syntax.format syntax))
+  in
   let ctr =
     List.init 8 (fun seed ->
         let st = Random.State.make [| 0xC7A; seed |] in

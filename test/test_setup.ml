@@ -66,7 +66,7 @@ let same_answers s names kinds =
   in
   !ok
   && Syntax.vars s = distinct
-  && Syntax.var_ids s = ids
+  && Syntax.ids s = Array.concat (Array.to_list ids)
   && Syntax.n_vars s = List.length distinct
 
 let prop_pool_equals_make =
@@ -110,14 +110,15 @@ let test_pool_by_hand () =
   let s = Syntax.init pool [| 2; 0; 3 |] (fun i j -> rows.(i).(j)) in
   check_true "equals make"
     (Syntax.equal s (Syntax.of_lists [ [ "a"; "c" ]; []; [ "c"; "b"; "a" ] ]));
-  Alcotest.(check (array (array int)))
-    "first-use ids" [| [| 0; 1 |]; [||]; [| 1; 2; 0 |] |] (Syntax.var_ids s);
+  Alcotest.(check (array int))
+    "first-use ids" [| 0; 1; 1; 2; 0 |] (Syntax.ids s);
+  Alcotest.(check (array int)) "offsets" [| 0; 2; 2; 5 |] (Syntax.start s);
+  check_int "untyped: no codes" 0 (Bytes.length (Syntax.codes s));
   Alcotest.(check (list string)) "vars" [ "a"; "b"; "c" ] (Syntax.vars s);
   check_int "n_vars" 3 (Syntax.n_vars s);
   Alcotest.(check string) "name of id 1" "c" (Syntax.var_name s 1);
   let r = Syntax.rename (fun v -> if v = "a" then "b" else v) s in
-  Alcotest.(check (array (array int)))
-    "merged ids" [| [| 0; 1 |]; [||]; [| 1; 0; 0 |] |] (Syntax.var_ids r);
+  Alcotest.(check (array int)) "merged ids" [| 0; 1; 1; 0; 0 |] (Syntax.ids r);
   check_true "merged equals make"
     (Syntax.equal r (Syntax.of_lists [ [ "b"; "c" ]; []; [ "c"; "b"; "b" ] ]));
   check_true "index outside the pool"
@@ -127,9 +128,24 @@ let test_pool_by_hand () =
     (try ignore (Syntax.init pool [||] (fun _ _ -> 0)); false
      with Invalid_argument _ -> true)
 
+(* One syntax from every generator. *)
+let generated () =
+  let st = rng 31 in
+  Sim.Workload.
+    [
+      ("uniform", uniform st ~n:9 ~m:3 ~n_vars:5);
+      ("hotspot", hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
+      ("zipf", zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2);
+      ("mixed", mixed st ~n:8 ~m:4 ~n_vars:4 ~read_frac:0.5 ~theta:0.5);
+      ( "semantic_counters",
+        semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 ~read_frac:0.1 );
+      ( "semantic_zipf",
+        semantic_zipf st ~n:12 ~m:3 ~n_vars:6 ~s:1.1 ~read_frac:0.2 );
+      ("disjoint", disjoint ~n:300 ~m:2);
+    ]
+
 (* Every generator's syntax equals [Syntax.make] over its own names. *)
 let test_generators_equal_make () =
-  let st = rng 31 in
   let remade s =
     let fmt = Syntax.format s in
     let step i j = Names.step i j in
@@ -145,18 +161,143 @@ let test_generators_equal_make () =
   in
   List.iter
     (fun (name, s) -> check_true (name ^ " equals make") (Syntax.equal s (remade s)))
-    Sim.Workload.
-      [
-        ("uniform", uniform st ~n:9 ~m:3 ~n_vars:5);
-        ("hotspot", hotspot st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8);
-        ("zipf", zipf st ~n:64 ~m:2 ~n_vars:8 ~s:1.2);
-        ("mixed", mixed st ~n:8 ~m:4 ~n_vars:4 ~read_frac:0.5 ~theta:0.5);
-        ( "semantic_counters",
-          semantic_counters st ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 ~read_frac:0.1 );
-        ( "semantic_zipf",
-          semantic_zipf st ~n:12 ~m:3 ~n_vars:6 ~s:1.1 ~read_frac:0.2 );
-        ("disjoint", disjoint ~n:300 ~m:2);
-      ]
+    (generated ())
+
+(* ---------- flat = rows ---------- *)
+
+(* A syntax as rows, one per transaction: the step tables of names and
+   ops that the flat arrays replace, answering by plain indexing, so a
+   step outside its row raises [Invalid_argument] as [Syntax] must. *)
+type rows = { names : Names.var array array; ops : Op.t array array }
+
+let of_rows r =
+  if Array.for_all (Array.for_all (( = ) Op.Update)) r.ops then
+    Syntax.make r.names
+  else
+    Syntax.make_typed
+      (Array.map2 (Array.map2 (fun k v -> (k, v))) r.ops r.names)
+
+(* The rows read off the flat arrays, slot by slot. *)
+let rows_of_flat s =
+  let ids = Syntax.ids s and start = Syntax.start s in
+  let codes = Syntax.codes s in
+  let op at =
+    if Bytes.length codes = 0 then Op.Update
+    else Op.of_index (Char.code (Bytes.get codes at))
+  in
+  let row i f =
+    Array.init (start.(i + 1) - start.(i)) (fun j -> f (start.(i) + j))
+  in
+  let n = Array.length start - 1 in
+  {
+    names =
+      Array.init n (fun i -> row i (fun at -> Syntax.var_name s ids.(at)));
+    ops = Array.init n (fun i -> row i op);
+  }
+
+(* [Some (f x)], or [None] when [f x] raises [Invalid_argument]. *)
+let answer f x = try Some (f x) with Invalid_argument _ -> None
+
+(* [s] answers every per-step question as [r] does, on every step and
+   one past every edge: transaction -1 and n, step -1 and one past each
+   row's end (the next row's first slot in the flat arrays). *)
+let flat_equals_rows s r =
+  let n = Array.length r.names in
+  let fmt = Array.map Array.length r.names in
+  let txs = List.init (n + 2) (fun i -> i - 1) in
+  let probes =
+    List.concat_map
+      (fun i ->
+        let m = if i >= 0 && i < n then fmt.(i) else 0 in
+        List.init (m + 3) (fun j -> { Names.tx = i; idx = j - 1 }))
+      txs
+  in
+  Syntax.format s = fmt
+  && Syntax.n_steps s = Array.fold_left ( + ) 0 fmt
+  && List.for_all
+       (fun i ->
+         answer (Syntax.length s) i
+         = answer (fun i -> Array.length r.names.(i)) i)
+       txs
+  && List.for_all
+       (fun (id : Names.step_id) ->
+         answer (Syntax.var s) id
+         = answer (fun () -> r.names.(id.tx).(id.idx)) ()
+         && answer (Syntax.kind s) id
+            = answer (fun () -> r.ops.(id.tx).(id.idx)) ())
+       probes
+  && Syntax.steps s
+     = List.concat (List.init n (fun i -> List.init fmt.(i) (Names.step i)))
+
+(* The flat syntax against its rows: every generator's (rows read off
+   its arrays) and hand cases with empty transactions (rows as
+   written), where two offsets are equal. [equal] holds exactly when the
+   rows are equal, and a renaming that merges two names is the rows
+   renamed. *)
+let test_flat_equals_rows () =
+  let pool = [| "a"; "b"; "c" |] and fmt = [| 2; 0; 3 |] in
+  let index = [| [| 0; 1 |]; [||]; [| 1; 2; 0 |] |] in
+  let ops =
+    [| [| Op.Incr; Op.Read |]; [||]; [| Op.Decr; Op.Update; Op.Max |] |]
+  in
+  let names = Array.map (Array.map (Array.get pool)) index in
+  let updates = Array.map (Array.map (fun _ -> Op.Update)) index in
+  let hand =
+    [
+      ( "empty middle",
+        Syntax.init pool fmt (fun i j -> index.(i).(j)),
+        { names; ops = updates } );
+      ( "empty middle, typed",
+        Syntax.init_typed pool fmt (fun i j -> (ops.(i).(j), index.(i).(j))),
+        { names; ops } );
+      ( "empty first and last",
+        Syntax.of_lists [ []; [ "x"; "y"; "x" ]; [] ],
+        { names = [| [||]; [| "x"; "y"; "x" |]; [||] |];
+          ops = [| [||]; Array.make 3 Op.Update; [||] |] } );
+    ]
+  in
+  let cases =
+    hand @ List.map (fun (name, s) -> (name, s, rows_of_flat s)) (generated ())
+  in
+  List.iter
+    (fun (name, s, r) ->
+      check_true (name ^ ": flat = rows") (flat_equals_rows s r);
+      check_true (name ^ ": equals make over its rows")
+        (Syntax.equal s (of_rows r));
+      match Syntax.vars s with
+      | a :: b :: _ ->
+        let merge v = if v = a then b else v in
+        let r' = { r with names = Array.map (Array.map merge) r.names } in
+        let renamed = Syntax.rename merge s in
+        check_true (name ^ ": renamed flat = renamed rows")
+          (flat_equals_rows renamed r');
+        check_true (name ^ ": renamed equals make")
+          (Syntax.equal renamed (of_rows r'))
+      | _ -> ())
+    cases;
+  List.iter
+    (fun (a, sa, ra) ->
+      List.iter
+        (fun (b, sb, rb) ->
+          check_true (a ^ " vs " ^ b ^ ": equal iff the rows are")
+            (Syntax.equal sa sb = (ra = rb)))
+        cases)
+    cases
+
+(* [Op.index] and [Op.of_index] are inverse, and a code outside the
+   table raises. *)
+let test_op_codec () =
+  List.iteri
+    (fun i o ->
+      check_int (Op.to_string o ^ " index") i (Op.index o);
+      check_true (Op.to_string o ^ " round trip")
+        (Op.of_index (Op.index o) = o))
+    Op.all;
+  List.iter
+    (fun c ->
+      check_true (Printf.sprintf "code %d raises" c)
+        (answer Op.of_index c = None))
+    [ -1; List.length Op.all; 255 ]
 
 let prop_partition_reference =
   QCheck.Test.make ~name:"Partition.make matches a string-table reference"
@@ -201,7 +342,10 @@ let build_words make syntax =
    a row copy per shard kernel, SGT 16x8 allocated 516, semantic 16x8
    742 and the sharded builds 1503, 3018 and 1747; with one per
    distinct entry and kernels on the syntax's rows, 438, 676, 1373,
-   2938 and 1676. *)
+   2938 and 1676. With the steps flat and one op -> class slot per op,
+   no class row per transaction, the semantic builds allocate 509 and
+   1294; the untyped ones 442, 1390, 1234, 2955 and 1681, 4 words more
+   per kernel (and one more per partition). *)
 let ceilings =
   let st () = rng 0x5E7 in
   let hot = Sim.Workload.hotspot (st ()) ~n:16 ~m:8 ~n_vars:8 ~theta:0.8 in
@@ -219,10 +363,10 @@ let ceilings =
   let sharded shards syntax = Sched.Sharded.create ~shards ~syntax () in
   [
     ("sgt 16x8", sgt, hot, 480.);
-    ("semantic 16x8", semantic, bumps, 745.);
+    ("semantic 16x8", semantic, bumps, 560.);
     ("sharded 16x8", sharded 4, hot, 1510.);
     ("sgt 64x2", sgt, zipf, 1450.);
-    ("semantic 64x2", semantic, zipf_bumps, 1800.);
+    ("semantic 64x2", semantic, zipf_bumps, 1425.);
     ("sharded 64x2", sharded 4, zipf, 3230.);
     ("sharded K=1 64x2", sharded 1, zipf, 1845.);
   ]
@@ -237,7 +381,7 @@ let test_setup_allocation () =
     ceilings;
   (* One shard runs SGT's kernel on SGT's rows: the rest of the build
      (partition, the one shard's members, the delay cache's wiring)
-     costs per transaction, 446 words over SGT's here. *)
+     costs per transaction, 447 words over SGT's here. *)
   let zipf = Sim.Workload.zipf (rng 0x5E7) ~n:64 ~m:2 ~n_vars:8 ~s:1.2 in
   let sgt = build_words (fun syntax -> Sched.Sgt.create ~syntax ()) zipf in
   let k1 =
@@ -341,6 +485,9 @@ let suite =
       Alcotest.test_case "a pool-built syntax, by hand" `Quick test_pool_by_hand;
       Alcotest.test_case "every generator equals make" `Quick
         test_generators_equal_make;
+      Alcotest.test_case "flat = rows, every generator" `Quick
+        test_flat_equals_rows;
+      Alcotest.test_case "op codes round-trip" `Quick test_op_codec;
       Alcotest.test_case "engine set-up allocation ceilings" `Quick
         test_setup_allocation;
       Alcotest.test_case "Partition.make allocates nothing per step" `Quick

@@ -178,6 +178,28 @@ let prop_random_large =
 
 module Cg = Sched.Cgraph
 
+(* A kernel over variable-id rows and, when typed, op rows, flattened as
+   [Syntax] stores steps: one id array, its offsets, one code byte per
+   step. *)
+let kernel ?sink ?ops ~n_vars rows =
+  let start = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun i row -> start.(i + 1) <- start.(i) + Array.length row) rows;
+  let code o = Char.chr (Op.index o) in
+  let codes =
+    match ops with
+    | None -> Bytes.empty
+    | Some ops ->
+      String.to_bytes
+        (String.concat ""
+           (Array.to_list
+              (Array.map
+                 (fun row ->
+                   String.init (Array.length row) (fun j -> code row.(j)))
+                 ops)))
+  in
+  Cg.create ?sink ~n_vars ~vars:(Array.concat (Array.to_list rows)) ~start
+    ~codes ()
+
 (* Every kernel-backed engine against the oracle on one arrival stream:
    same decisions, same stats, same per-transaction abort counts. Returns
    the oracle's restart count. *)
@@ -210,7 +232,7 @@ let test_abort_frees_completed () =
      it is not a source and stays; T0's abort frees it, but only the next
      completion (T2's) prunes it *)
   let g =
-    Cg.create ~n_vars:3 ~rows:[| [| 0; 1 |]; [| 0 |]; [| 2 |] |] ()
+    kernel ~n_vars:3 [| [| 0; 1 |]; [| 0 |]; [| 2 |] |]
   in
   Cg.grant g 0 0;
   Cg.grant g 1 0;
@@ -278,7 +300,7 @@ let test_clear_decisions_allocate_nothing () =
    Each transaction's second step keeps it from completing early. *)
 let test_chain_edges () =
   let chain n =
-    let g = Cg.create ~n_vars:1 ~rows:(Array.make n [| 0; 0 |]) () in
+    let g = kernel ~n_vars:1 (Array.make n [| 0; 0 |]) in
     for l = 0 to n - 1 do
       Cg.grant g l 0
     done;
@@ -314,8 +336,8 @@ let test_chain_edges () =
      T0 to the Read as well as to the next Update. *)
   let ops = [| Op.Update; Op.Update; Op.Read; Op.Update |] in
   let g =
-    Cg.create ~op_of_step:(fun l _ -> ops.(l)) ~n_vars:1
-      ~rows:(Array.make 4 [| 0; 0 |]) ()
+    kernel ~ops:(Array.map (fun o -> [| o; o |]) ops) ~n_vars:1
+      (Array.make 4 [| 0; 0 |])
   in
   for l = 0 to 3 do
     Cg.grant g l 0
@@ -347,8 +369,7 @@ let test_repeat_entry_rows () =
   let run name ~vars ~ops =
     let n = 3 and m = Array.length vars in
     let g =
-      Cg.create ~op_of_step:(fun _ j -> ops.(j)) ~n_vars:2
-        ~rows:(Array.make n vars) ()
+      kernel ~ops:(Array.make n ops) ~n_vars:2 (Array.make n vars)
     in
     let acc = Array.make 2 [] and edges = Digraph.create n in
     let pos = Array.make n 0 and refused = ref 0 in
@@ -641,8 +662,8 @@ let test_cgraph_model () =
     let sink = Obs.Sink.Memory.sink events in
     let g =
       if typed then
-        Cg.create ~sink ~op_of_step:(fun l j -> ops.(l).(j)) ~n_vars ~rows ()
-      else Cg.create ~sink ~n_vars ~rows ()
+        kernel ~sink ~ops ~n_vars rows
+      else kernel ~sink ~n_vars rows
     in
     let acc = Array.make n_vars [] in
     let edges = Digraph.create n in

@@ -170,7 +170,9 @@ let partition_matches_reference syntax shards =
     reference_partition syntax shards
   in
   let open Sched.Partition in
-  Array.map (Array.map (Array.get p.shard_of_var)) p.ids = shard_of_step
+  Array.mapi (fun tx row -> Array.mapi (fun idx _ -> shard p tx idx) row)
+    shard_of_step
+  = shard_of_step
   && p.mask = mask
   && Array.map (fun c -> c >= 0) p.cross_id = cross
   && p.cross_id = cross_id
